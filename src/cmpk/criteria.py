@@ -139,9 +139,10 @@ def foot_of_perpendicular(
 ) -> FootResult:
     """Global minimizer of distance(q, seg.at(t)) over the segment.
 
-    Dense grid, golden-section refinement in each candidate bracket, then a
-    guarded parabolic polish.  Raises FootOnBoundary when the minimizer sits
-    within the interiorness margin of an endpoint.
+    Dense grid (one batched `distances` call), golden-section refinement in
+    each candidate bracket, then a guarded parabolic polish.  Raises
+    FootOnBoundary when the minimizer sits within the interiorness margin of
+    an endpoint.
     """
     L = seg.length
     if L <= 0.0:
@@ -151,7 +152,7 @@ def foot_of_perpendicular(
         return space.distance(q, seg.at(t))
 
     ts = np.linspace(0.0, L, n_grid + 1)
-    fs = np.array([f(t) for t in ts])
+    fs = space.distances(q, seg.at_many(ts))
     order = int(np.argmin(fs))
     target = tol_cfg.foot_refine_rel * L
     h_polish = tol_cfg.foot_polish_rel * L

@@ -204,13 +204,7 @@ def estimate_bounds(
         # the upper-bound claim holds for all k above a threshold
         hi_pass = _expand(passes_cba, k_hi, step, True, expansion_limit)
         lo_fail = _expand(passes_cba, k_lo, -step, False, expansion_limit)
-        while abs(hi_pass - lo_fail) > resolution:
-            mid = 0.5 * (lo_fail + hi_pass)
-            if passes_cba(mid):
-                hi_pass = mid
-            else:
-                lo_fail = mid
-        k_cba = hi_pass
+        k_cba, _ = _bisect(passes_cba, hi_pass, lo_fail, resolution)
         cba_residual = _worst_defect(measurements, k_cba, "cba", tol_cfg)
     except BracketExpansionError as e:
         cba_note = str(e)

@@ -1,7 +1,8 @@
 """Kernel backend selection: compiled extension when built, pure Python otherwise.
 
 Set ``CMPK_KERNELS=python`` or ``CMPK_KERNELS=cython`` to force a backend
-(the latter raises if the extension is missing).
+(the latter raises if the extension is missing); any other non-empty value
+raises rather than silently selecting the default.
 """
 
 from __future__ import annotations
@@ -12,8 +13,16 @@ from types import ModuleType
 from cmpk import _scalar_py
 
 
+FORCE_VALUES = ("python", "cython")
+
+
 def _load() -> tuple[ModuleType, str]:
-    forced = os.environ.get("CMPK_KERNELS")
+    forced = os.environ.get("CMPK_KERNELS", "")
+    if forced and forced not in FORCE_VALUES:
+        raise ValueError(
+            f"CMPK_KERNELS={forced!r} names no backend; "
+            f"set one of {', '.join(FORCE_VALUES)} or leave it unset"
+        )
     if forced == "python":
         return _scalar_py, "python"
     try:

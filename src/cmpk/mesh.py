@@ -8,6 +8,7 @@ diagnostic only and reports carry an error-bar field.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -201,6 +202,7 @@ class MeshSpace(GeodesicSpace):
     """Geodesic space over a GeodesicGraph; point handles are node ids."""
 
     name = "mesh"
+    ROW_CACHE_SIZE = 65  # Dijkstra rows kept, least recently used evicted first
 
     def __init__(self, mesh: TriMesh, steiner: int = 4, *,
                  path: str | None = None, tol: Tolerances = DEFAULT_TOL):
@@ -208,7 +210,7 @@ class MeshSpace(GeodesicSpace):
         self.graph = GeodesicGraph(mesh, steiner)
         self.steiner = int(steiner)
         self.source_path = path
-        self._cache: dict[int, np.ndarray] = {}
+        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self.known_curvature = None
 
     @property
@@ -218,14 +220,20 @@ class MeshSpace(GeodesicSpace):
 
     def _row(self, src: int) -> np.ndarray:
         src = int(src)
-        if src not in self._cache:
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[src] = self.graph.distances_from([src])[0]
-        return self._cache[src]
+        row = self._cache.get(src)
+        if row is None:
+            if len(self._cache) >= self.ROW_CACHE_SIZE:
+                self._cache.popitem(last=False)
+            row = self._cache[src] = self.graph.distances_from([src])[0]
+        else:
+            self._cache.move_to_end(src)
+        return row
 
     def distance(self, x, y) -> float:
         return float(self._row(int(x))[int(y)])
+
+    def distances(self, x, ys) -> np.ndarray:
+        return self._row(int(x))[ys]
 
     def pairwise_distances(self, sources, targets) -> np.ndarray:
         return self.graph.distances_from(sources)[:, list(targets)]

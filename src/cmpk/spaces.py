@@ -24,13 +24,18 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class GeodesicSegment:
-    """A minimal geodesic, arclength-parametrized on [0, length]."""
+    """A minimal geodesic, arclength-parametrized on [0, length].
+
+    ``_eval`` maps one arclength to a point; the optional ``_eval_many`` maps
+    a float array of arclengths to an array of points, one per row.
+    """
 
     space: "GeodesicSpace"
     start: object
     end: object
     length: float
     _eval: Callable[[float], object]
+    _eval_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def at(self, t: float):
         """Point at arclength t from the start (tiny overshoot clamped)."""
@@ -38,15 +43,33 @@ class GeodesicSegment:
             raise ValueError(f"t={t} outside [0, {self.length}]")
         return self._eval(min(max(t, 0.0), self.length))
 
+    def at_many(self, ts):
+        """Points at the arclengths ts, range-checked and clamped as in `at`.
+
+        An array with one point per row where the segment has a batch
+        evaluator, otherwise a list of point handles.
+        """
+        ts = np.asarray(ts, dtype=float)
+        slack = self.space.tol.geo
+        outside = (ts < -slack) | (ts > self.length + slack)
+        if outside.any():
+            raise ValueError(f"t={ts[outside][0]} outside [0, {self.length}]")
+        ts = np.clip(ts, 0.0, self.length)
+        if self._eval_many is not None:
+            return self._eval_many(ts)
+        return [self._eval(t) for t in ts.tolist()]
+
     def subsegment(self, t0: float, t1: float) -> "GeodesicSegment":
         """Restriction from arclength t0 to t1; t1 < t0 reverses orientation."""
         sign = 1.0 if t1 >= t0 else -1.0
+        many = self._eval_many
         return GeodesicSegment(
             self.space,
             self.at(t0),
             self.at(t1),
             abs(t1 - t0),
             lambda s, _t0=t0, _sign=sign: self._eval(_t0 + _sign * s),
+            None if many is None else lambda ss, _t0=t0, _sign=sign: many(_t0 + _sign * ss),
         )
 
     def reversed(self) -> "GeodesicSegment":
@@ -67,6 +90,10 @@ class GeodesicSpace(ABC):
 
     @abstractmethod
     def distance(self, x, y) -> float: ...
+
+    def distances(self, x, ys) -> np.ndarray:
+        """Distances from x to each point of ys (a sequence or a row array of handles)."""
+        return np.array([self.distance(x, y) for y in ys], dtype=float)
 
     @abstractmethod
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
@@ -98,8 +125,8 @@ class GeodesicSpace(ABC):
         """Endpoint of the unit-speed geodesic from p in direction angle phi."""
         raise ShootUnavailable(f"{self.name} has no angle-parametrized directions")
 
-    def _segment(self, start, end, length, evaluator) -> GeodesicSegment:
-        return GeodesicSegment(self, start, end, float(length), evaluator)
+    def _segment(self, start, end, length, evaluator, batch=None) -> GeodesicSegment:
+        return GeodesicSegment(self, start, end, float(length), evaluator, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +140,10 @@ class EuclideanPlane(GeodesicSpace):
     def distance(self, x, y) -> float:
         return float(np.hypot(y[0] - x[0], y[1] - x[1]))
 
+    def distances(self, x, ys) -> np.ndarray:
+        y0, y1 = np.asarray(ys, dtype=float).reshape(-1, 2).T
+        return np.hypot(y0 - x[0], y1 - x[1])
+
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -120,7 +151,7 @@ class EuclideanPlane(GeodesicSpace):
         if d == 0.0:
             return [self._segment(x, y, 0.0, lambda t: x)]
         u = (y - x) / d
-        return [self._segment(x, y, d, lambda t: x + t * u)]
+        return [self._segment(x, y, d, lambda t: x + t * u, lambda ts: x + ts[:, None] * u)]
 
     def shoot(self, p, phi: float, length: float):
         return np.asarray(p, dtype=float) + length * np.array(
@@ -169,20 +200,48 @@ class Sphere(GeodesicSpace):
         return x
 
     def distance(self, x, y) -> float:
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        return self.radius * math.atan2(np.linalg.norm(np.cross(x, y)), float(np.dot(x, y)))
+        # atan2(|x × y|, x · y) on unpacked floats: at three coordinates numpy's
+        # per-call overhead would dominate, and the foot refinement calls this often
+        x0, x1, x2 = np.asarray(x, float).tolist()
+        y0, y1, y2 = np.asarray(y, float).tolist()
+        c0 = x1 * y2 - x2 * y1
+        c1 = x2 * y0 - x0 * y2
+        c2 = x0 * y1 - x1 * y0
+        return self.radius * math.atan2(
+            math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2
+        )
+
+    def distances(self, x, ys) -> np.ndarray:
+        x0, x1, x2 = np.asarray(x, float).tolist()
+        y0, y1, y2 = np.asarray(ys, float).reshape(-1, 3).T
+        c0 = x1 * y2 - x2 * y1
+        c1 = x2 * y0 - x0 * y2
+        c2 = x0 * y1 - x1 * y0
+        return self.radius * np.arctan2(
+            np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2
+        )
 
     def _basis(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ref = np.array([0.0, 0.0, 1.0]) if abs(p[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        u = _unit(np.cross(ref, p))
-        return u, np.cross(p, u)
+        p0, p1, p2 = np.asarray(p, float).tolist()
+        # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u
+        u0, u1, u2 = (-p1, p0, 0.0) if abs(p2) < 0.9 else (0.0, -p2, p1)
+        n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        u0, u1, u2 = u0 / n, u1 / n, u2 / n
+        return (
+            np.array([u0, u1, u2]),
+            np.array([p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0]),
+        )
 
     def _arc(self, x, w, length) -> GeodesicSegment:
         def ev(t, x=x, w=w):
             a = t / self.radius
             return math.cos(a) * x + math.sin(a) * w
 
-        return self._segment(x, ev(length), length, ev)
+        def ev_many(ts, x=x, w=w):
+            a = (ts / self.radius)[:, None]
+            return np.cos(a) * x + np.sin(a) * w
+
+        return self._segment(x, ev(length), length, ev, ev_many)
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = self._check(x), self._check(y)
@@ -245,11 +304,17 @@ class Hyperbolic(GeodesicSpace):
         return x
 
     def distance(self, x, y) -> float:
-        x, y = np.asarray(x, float), np.asarray(y, float)
-        d = y - x
+        x0, x1, x2 = np.asarray(x, float).tolist()
+        y0, y1, y2 = np.asarray(y, float).tolist()
+        d0, d1, d2 = y0 - x0, y1 - x1, y2 - x2
         # <y-x, y-x> = 4 sinh^2(theta/2); stable for nearby points
-        q = max(float(d[0] * d[0] + d[1] * d[1] - d[2] * d[2]), 0.0)
+        q = max(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
         return self.radius * 2.0 * math.asinh(0.5 * math.sqrt(q))
+
+    def distances(self, x, ys) -> np.ndarray:
+        d0, d1, d2 = (np.asarray(ys, float).reshape(-1, 3) - np.asarray(x, float)).T
+        q = np.maximum(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
+        return self.radius * 2.0 * np.arcsinh(0.5 * np.sqrt(q))
 
     def _tangent_toward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         c = -_mdot(x, y)  # cosh(theta)
@@ -262,7 +327,11 @@ class Hyperbolic(GeodesicSpace):
             a = t / self.radius
             return math.cosh(a) * x + math.sinh(a) * w
 
-        return self._segment(x, ev(length), length, ev)
+        def ev_many(ts, x=x, w=w):
+            a = (ts / self.radius)[:, None]
+            return np.cosh(a) * x + np.sinh(a) * w
+
+        return self._segment(x, ev(length), length, ev, ev_many)
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = self._check(x), self._check(y)
@@ -294,7 +363,7 @@ class Hyperbolic(GeodesicSpace):
         return [float(c) for c in x]
 
     def point_from_data(self, data):
-        x = np.asarray(data, dtype=float)
+        x = np.array(data, dtype=float)  # a copy: the caller's array stays as given
         x[2] = math.sqrt(1.0 + x[0] * x[0] + x[1] * x[1])  # re-project onto the sheet
         return x
 
@@ -519,6 +588,7 @@ class SphericalTriangleDomain(GeodesicSpace):
     """
 
     name = "spherical_triangle"
+    INSIDE_SLACK = 1e-12
 
     def __init__(self, k: float, vertices: Sequence, tol: Tolerances = DEFAULT_TOL):
         super().__init__(tol)
@@ -535,14 +605,15 @@ class SphericalTriangleDomain(GeodesicSpace):
             )
         self.vertices = vs
         # inward normal of each edge great circle; orient toward the third vertex
-        self._normals = []
+        normals = []
         for i in range(3):
             n = np.cross(vs[(i + 1) % 3], vs[(i + 2) % 3])
             if float(np.dot(n, vs[i])) < 0.0:
                 n = -n
-            self._normals.append(n / np.linalg.norm(n))
+            normals.append(n / np.linalg.norm(n))
+        self._normals = np.array(normals)  # one row per edge
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x, slack: float = INSIDE_SLACK) -> bool:
         x = np.asarray(x, dtype=float)
         return all(float(np.dot(n, x)) >= -slack for n in self._normals)
 
@@ -554,9 +625,15 @@ class SphericalTriangleDomain(GeodesicSpace):
     def distance(self, x, y) -> float:
         return self._sphere.distance(self._require_inside(x), self._require_inside(y))
 
+    def distances(self, x, ys) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float).reshape(-1, 3)
+        if not (ys @ self._normals.T >= -self.INSIDE_SLACK).all():
+            raise ValueError("point outside the triangle domain")
+        return self._sphere.distances(self._require_inside(x), ys)
+
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         segs = self._sphere.minimal_geodesics(self._require_inside(x), self._require_inside(y))
-        return [self._segment(s.start, s.end, s.length, s._eval) for s in segs]
+        return [self._segment(s.start, s.end, s.length, s._eval, s._eval_many) for s in segs]
 
     def shoot(self, p, phi: float, length: float):
         q = self._sphere.shoot(self._require_inside(p), phi, length)

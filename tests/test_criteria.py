@@ -1,9 +1,13 @@
 """Criteria: foot finding, Pythagorean/point-segment/triangle tests, angles."""
 
+import copy
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmpk import criteria, spaces
 from cmpk.errors import (
@@ -62,6 +66,55 @@ def test_foot_sphere_pole_over_equator(sphere):
     foot = criteria.foot_of_perpendicular(sphere, np.array([0.0, 0.0, 1.0]), seg)
     assert foot.d_star == pytest.approx(PI / 2, abs=1e-12)
     assert foot.multiple  # every point of the segment minimizes
+
+
+def _looping(space, seg):
+    """Copies of space and seg that measure through the scalar loops only."""
+    loop = copy.copy(space)
+    loop.distances = types.MethodType(spaces.GeodesicSpace.distances, loop)
+    return loop, dataclasses.replace(seg, space=loop, _eval_many=None)
+
+
+def _foot_or_error(space, q, seg):
+    try:
+        return criteria.foot_of_perpendicular(space, q, seg)
+    except (FootOnBoundary, DegenerateConfigError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: spaces.make_sphere(1.0), lambda: spaces.make_hyperbolic(-1.0)],
+    ids=["sphere", "hyperbolic"],
+)
+@given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.2))
+@settings(max_examples=60, deadline=None)
+def test_batched_foot_search_matches_looping(make, seed, radius):
+    space = make()
+    rng = np.random.default_rng(seed)
+    c = space.default_center()
+    a, b, q = (space.sample_ball(c, radius, rng) for _ in range(3))
+    seg = space.geodesic(a, b)
+    if seg.length <= 0.0:
+        return
+    batched = _foot_or_error(space, q, seg)
+    loop_space, loop_seg = _looping(space, seg)
+    looped = _foot_or_error(loop_space, q, loop_seg)
+    if isinstance(batched, type):
+        assert looped is batched
+        return
+    target = space.tol.foot_refine_rel * seg.length
+    assert looped.t_star == pytest.approx(batched.t_star, abs=target)
+    assert len(looped.ties) == len(batched.ties)
+
+
+def test_batched_foot_search_keeps_ties(sphere):
+    seg = sphere.geodesic(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    pole = np.array([0.0, 0.0, 1.0])
+    batched = criteria.foot_of_perpendicular(sphere, pole, seg)
+    loop_space, loop_seg = _looping(sphere, seg)
+    looped = criteria.foot_of_perpendicular(loop_space, pole, loop_seg)
+    assert batched.multiple and len(batched.ties) == len(looped.ties)
+    assert batched.t_star == looped.t_star
 
 
 def test_foot_tripod_branch_kink(tripod):

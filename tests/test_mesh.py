@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmpk import mesh as mesh_mod
 from cmpk.errors import DisconnectedGraphError, MeshFormatError
@@ -157,6 +158,69 @@ def test_geodesic_paths_and_resolution(octa_path, rng):
     for t in np.linspace(0.0, seg.length, 7):
         node = seg.at(t)
         assert space.distance(0, node) <= t + space.resolution + 1e-12
+
+
+def test_distances_equal_scalar_distances(octa_path, rng):
+    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=3)
+    n = space.graph.n_nodes
+    for _ in range(20):
+        x = int(rng.integers(n))
+        ys = [int(y) for y in rng.integers(0, n, int(rng.integers(0, 30)))]
+        assert space.distances(x, ys).tolist() == [space.distance(x, y) for y in ys]
+    seg = space.geodesic(0, 1)
+    ts = np.linspace(0.0, seg.length, 65)
+    assert seg.at_many(ts) == [seg.at(t) for t in ts]
+
+
+def _counted_rows(space) -> list[int]:
+    """Record the source of every Dijkstra row the space computes from now on."""
+    sources: list[int] = []
+    compute = space.graph.distances_from
+
+    def counted(srcs):
+        sources.extend(int(s) for s in srcs)
+        return compute(srcs)
+
+    space.graph.distances_from = counted
+    return sources
+
+
+def test_row_cache_evicts_least_recently_used(octa_path):
+    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=6)
+    cap = space.ROW_CACHE_SIZE
+    assert space.graph.n_nodes > cap + 1
+    for node in range(cap):
+        space.distance(node, 0)
+    space.distance(0, 1)  # node 0 becomes the most recently used row
+    space.distance(cap, 0)  # a new row evicts node 1, the least recently used
+    assert list(space._cache) == [*range(2, cap), 0, cap]
+    computed = _counted_rows(space)
+    space.distance(0, 5)
+    space.distance(2, 5)
+    assert computed == []
+    space.distance(1, 5)  # evicted earlier: recomputed, evicting node 3
+    assert computed == [1]
+    assert 3 not in space._cache and len(space._cache) == cap
+
+
+@given(st.lists(st.integers(0, 77), max_size=400))  # the 78 nodes of the octahedron, steiner 6
+@settings(max_examples=40, deadline=None)
+def test_row_cache_hits_whenever_clearing_cache_would(sources):
+    # reference: the replaced policy, a dict emptied whenever a 66th row is added
+    space = mesh_mod.mesh_space(mesh_mod.TriMesh(*octahedron()), steiner=6)
+    assert space.graph.n_nodes == 78
+    computed = _counted_rows(space)
+    old: set[int] = set()
+    for src in sources:
+        hit_before = src in old
+        if not hit_before:
+            if len(old) > 64:
+                old.clear()
+            old.add(src)
+        n_rows = len(computed)
+        space.distance(src, 0)
+        if hit_before:
+            assert len(computed) == n_rows, f"row {src} recomputed"
 
 
 def test_shortest_path_deterministic_ties(octa_path):

@@ -287,6 +287,33 @@ def test_forced_python_backend_selected():
     assert Path(child_file).resolve() == Path(cmpk.__file__).resolve()
 
 
+@pytest.mark.parametrize("value", [None, "", "python"])
+def test_load_default_and_forced_python(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("CMPK_KERNELS", raising=False)
+    else:
+        monkeypatch.setenv("CMPK_KERNELS", value)
+    default = "cython" if "cython" in available_backends() else "python"
+    impl, name = kernels._load()
+    assert name == ("python" if value == "python" else default)
+    assert impl is available_backends()[name]
+
+
+def test_load_forced_cython(monkeypatch):
+    if "cython" not in available_backends():
+        pytest.skip("compiled backend not built")
+    monkeypatch.setenv("CMPK_KERNELS", "cython")
+    impl, name = kernels._load()
+    assert name == "cython" and impl is available_backends()["cython"]
+
+
+@pytest.mark.parametrize("value", ["cyton", "Python", "CYTHON", " python", "numpy"])
+def test_load_rejects_unknown_backend(monkeypatch, value):
+    monkeypatch.setenv("CMPK_KERNELS", value)
+    with pytest.raises(ValueError, match="python, cython"):
+        kernels._load()
+
+
 def test_backend_parity(rng):
     backends = available_backends()
     if len(backends) < 2:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmpk import spaces
 from cmpk.errors import ShootUnavailable, SpaceDescriptorError
@@ -239,6 +240,9 @@ def test_octant_rejects_exterior_points():
     oct_dom = spaces.make_octant(1.0)
     with pytest.raises(ValueError):
         oct_dom.distance(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
+    inside = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        oct_dom.distances(inside, [inside, np.array([0.0, 0.0, -1.0])])
 
 
 def test_degenerate_vertices_rejected():
@@ -273,6 +277,14 @@ def test_descriptor_validation():
         spaces.space_from_descriptor("not json")
 
 
+def test_hyperbolic_point_from_data_leaves_input_unchanged():
+    hyp = spaces.make_hyperbolic(-1.0)
+    data = np.array([0.3, -0.2, 5.0])
+    p = hyp.point_from_data(data)
+    assert data.tolist() == [0.3, -0.2, 5.0]
+    assert p[2] == pytest.approx(math.sqrt(1.0 + 0.3**2 + 0.2**2), rel=1e-15)
+
+
 def test_point_data_round_trip(rng):
     for space in all_analytic_spaces():
         p = space.sample_ball(space.default_center(), 0.5, rng)
@@ -294,5 +306,116 @@ def test_subsegment_and_reversal():
     rev = seg.subsegment(3.0, 1.0)
     assert np.allclose(rev.at(0.0), [3.0, 0.0])
     assert np.allclose(rev.at(2.0), [1.0, 0.0])
+    assert np.allclose(sub.at_many([0.0, 2.0]), [[1.0, 0.0], [3.0, 0.0]])
+    assert np.allclose(rev.at_many([0.0, 2.0]), [[3.0, 0.0], [1.0, 0.0]])
+    assert np.allclose(seg.reversed().at_many([0.0, 4.0]), [[4.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         seg.at(4.5)
+    with pytest.raises(ValueError, match="t=4.5"):
+        seg.at_many([1.0, 4.5, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# batched measurement: distances(x, ys) and at_many(ts) against the scalar calls
+
+# numpy's vectorized arctan2 / arcsinh / cos may differ from libm in the last bits
+BATCH_RTOL, BATCH_ATOL = 1e-14, 1e-15
+seeds = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("space", all_analytic_spaces(), ids=lambda s: s.descriptor().__str__())
+@given(seed=seeds, n=st.integers(0, 40), radius=st.floats(0.0, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_distances_match_scalar_distance(space, seed, n, radius):
+    rng = np.random.default_rng(seed)
+    c = space.default_center()
+    x = space.sample_ball(c, radius, rng)
+    ys = [space.sample_ball(c, radius, rng) for _ in range(n)]
+    if n:
+        ys[int(rng.integers(n))] = x  # a coincident pair
+    want = [space.distance(x, y) for y in ys]
+    got = space.distances(x, ys)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, want, rtol=BATCH_RTOL, atol=BATCH_ATOL)
+    if n and isinstance(x, np.ndarray):
+        np.testing.assert_allclose(space.distances(x, np.array(ys)), want,
+                                   rtol=BATCH_RTOL, atol=BATCH_ATOL)
+
+
+def _segments(space, rng, radius):
+    c = space.default_center()
+    seg = space.geodesic(space.sample_ball(c, radius, rng), space.sample_ball(c, radius, rng))
+    t0, t1 = sorted(rng.uniform(0.0, seg.length, 2))
+    return [seg, seg.subsegment(t0, t1), seg.subsegment(t1, t0), seg.reversed()]
+
+
+def _as_rows(points) -> np.ndarray:
+    return np.array([np.asarray(p, dtype=float) for p in points])
+
+
+@pytest.mark.parametrize("space", all_analytic_spaces(), ids=lambda s: s.descriptor().__str__())
+@given(seed=seeds, n=st.integers(1, 40), radius=st.floats(0.05, 1.5))
+@settings(max_examples=30, deadline=None)
+def test_at_many_matches_at(space, seed, n, radius):
+    rng = np.random.default_rng(seed)
+    for seg in _segments(space, rng, radius):
+        geo = space.tol.geo
+        ts = np.concatenate([[0.0, seg.length, -0.5 * geo, seg.length + 0.5 * geo],
+                             rng.uniform(0.0, seg.length, n)])
+        got = seg.at_many(ts)
+        want = [seg.at(t) for t in ts.tolist()]
+        if seg._eval_many is None:
+            np.testing.assert_array_equal(_as_rows(got), _as_rows(want))
+        else:
+            np.testing.assert_allclose(_as_rows(got), _as_rows(want),
+                                       rtol=BATCH_RTOL, atol=BATCH_ATOL)
+        for bad in (-2.0 * geo, seg.length + 2.0 * geo):
+            with pytest.raises(ValueError):
+                seg.at(bad)
+            with pytest.raises(ValueError):
+                seg.at_many(np.append(ts, bad))
+
+
+def test_batch_evaluator_reaches_every_numpy_segment(rng):
+    for space in (spaces.make_euclidean_plane(), spaces.make_sphere(1.0),
+                  spaces.make_hyperbolic(-1.0), spaces.make_octant(1.0)):
+        for seg in _segments(space, rng, 0.5):
+            assert seg._eval_many is not None, space.name
+
+
+def _old_sphere_distance(sphere, x, y):
+    return sphere.radius * math.atan2(np.linalg.norm(np.cross(x, y)), float(np.dot(x, y)))
+
+
+unit_vectors = (
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+
+
+@given(x=unit_vectors, v=unit_vectors, eps=st.floats(0.0, 1e-3),
+       kind=st.sampled_from(["any", "same", "antipode"]), k=st.sampled_from([1.0, 4.0, 0.01]))
+@settings(max_examples=300, deadline=None)
+def test_sphere_distance_matches_cross_product_formula(x, v, eps, kind, k):
+    sphere = spaces.make_sphere(k)
+    if kind == "any":
+        y = v
+    else:
+        y = (x if kind == "same" else -x) + eps * v  # coincident or (near-)antipodal
+        y = y / np.linalg.norm(y)
+    old = _old_sphere_distance(sphere, x, y)
+    assert sphere.distance(x, y) == pytest.approx(old, rel=1e-15, abs=1e-15 * sphere.radius)
+    assert sphere.distance(x, x) == 0.0
+
+
+@given(p=unit_vectors)
+@settings(max_examples=200, deadline=None)
+def test_sphere_basis_matches_cross_product_formula(p):
+    sphere = spaces.make_sphere(1.0)
+    ref = np.array([0.0, 0.0, 1.0]) if abs(p[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    u_old = np.cross(ref, p) / np.linalg.norm(np.cross(ref, p))
+    u, v = sphere._basis(p)
+    np.testing.assert_allclose(u, u_old, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v, np.cross(p, u_old), rtol=0, atol=1e-15)
