@@ -140,10 +140,6 @@ class EuclideanPlane(GeodesicSpace):
     def distance(self, x, y) -> float:
         return float(np.hypot(y[0] - x[0], y[1] - x[1]))
 
-    def distances(self, x, ys) -> np.ndarray:
-        y0, y1 = np.asarray(ys, dtype=float).reshape(-1, 2).T
-        return np.hypot(y0 - x[0], y1 - x[1])
-
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -151,7 +147,7 @@ class EuclideanPlane(GeodesicSpace):
         if d == 0.0:
             return [self._segment(x, y, 0.0, lambda t: x)]
         u = (y - x) / d
-        return [self._segment(x, y, d, lambda t: x + t * u, lambda ts: x + ts[:, None] * u)]
+        return [self._segment(x, y, d, lambda t: x + t * u)]
 
     def shoot(self, p, phi: float, length: float):
         return np.asarray(p, dtype=float) + length * np.array(
@@ -223,7 +219,8 @@ class Sphere(GeodesicSpace):
 
     def _basis(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p0, p1, p2 = np.asarray(p, float).tolist()
-        # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u
+        # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u.  Scalar
+        # math: np.cross on 3-vectors costs tens of µs, and every sample_ball calls this
         u0, u1, u2 = (-p1, p0, 0.0) if abs(p2) < 0.9 else (0.0, -p2, p1)
         n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
         u0, u1, u2 = u0 / n, u1 / n, u2 / n
@@ -588,7 +585,6 @@ class SphericalTriangleDomain(GeodesicSpace):
     """
 
     name = "spherical_triangle"
-    INSIDE_SLACK = 1e-12
 
     def __init__(self, k: float, vertices: Sequence, tol: Tolerances = DEFAULT_TOL):
         super().__init__(tol)
@@ -605,15 +601,14 @@ class SphericalTriangleDomain(GeodesicSpace):
             )
         self.vertices = vs
         # inward normal of each edge great circle; orient toward the third vertex
-        normals = []
+        self._normals = []
         for i in range(3):
             n = np.cross(vs[(i + 1) % 3], vs[(i + 2) % 3])
             if float(np.dot(n, vs[i])) < 0.0:
                 n = -n
-            normals.append(n / np.linalg.norm(n))
-        self._normals = np.array(normals)  # one row per edge
+            self._normals.append(n / np.linalg.norm(n))
 
-    def contains(self, x, slack: float = INSIDE_SLACK) -> bool:
+    def contains(self, x, slack: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)
         return all(float(np.dot(n, x)) >= -slack for n in self._normals)
 
@@ -625,15 +620,9 @@ class SphericalTriangleDomain(GeodesicSpace):
     def distance(self, x, y) -> float:
         return self._sphere.distance(self._require_inside(x), self._require_inside(y))
 
-    def distances(self, x, ys) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float).reshape(-1, 3)
-        if not (ys @ self._normals.T >= -self.INSIDE_SLACK).all():
-            raise ValueError("point outside the triangle domain")
-        return self._sphere.distances(self._require_inside(x), ys)
-
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         segs = self._sphere.minimal_geodesics(self._require_inside(x), self._require_inside(y))
-        return [self._segment(s.start, s.end, s.length, s._eval, s._eval_many) for s in segs]
+        return [self._segment(s.start, s.end, s.length, s._eval) for s in segs]
 
     def shoot(self, p, phi: float, length: float):
         q = self._sphere.shoot(self._require_inside(p), phi, length)
