@@ -8,9 +8,9 @@ diagnostic only and reports carry an error-bar field.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from pathlib import Path
 
 import numpy as np
@@ -166,36 +166,41 @@ class GeodesicGraph:
         """Exact shortest-path distances, one row per source (batched, compiled)."""
         return csgraph_dijkstra(self.matrix, indices=list(sources))
 
-    def shortest_path(self, src: int, dst: int) -> tuple[list[int], float]:
-        """Dijkstra with lexicographic (distance, node-id) tie-breaking."""
-        indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
-        n = self.n_nodes
-        dist = np.full(n, np.inf)
-        pred = np.full(n, -1, dtype=np.int64)
-        done = np.zeros(n, dtype=bool)
-        dist[src] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, src)]
-        while heap:
-            d, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            if u == dst:
-                break
-            for off in range(indptr[u], indptr[u + 1]):
-                v = indices[off]
-                nd = d + data[off]
-                # strict lexicographic: prefer smaller predecessor id on ties
-                if nd < dist[v] or (nd == dist[v] and pred[v] > u):
-                    dist[v] = nd
-                    pred[v] = u
-                    heappush(heap, (nd, v))
-        if not done[dst]:
+    def shortest_path(self, src: int, dst: int,
+                      row: np.ndarray | None = None) -> tuple[list[int], float]:
+        """Shortest path src -> dst recovered from the Dijkstra row of `src`.
+
+        `row` is `distances_from([src])[0]` (computed here when not given).
+        The path is walked back from `dst`: the predecessor of node v is the
+        smallest-id neighbour u with ``row[u] + w(u, v) == row[v]``, which is
+        the path a heap Dijkstra with lexicographic (distance, node-id)
+        tie-breaking finds, with the same float length ``row[dst]``.
+        """
+        if row is None:
+            row = self.distances_from([src])[0]
+        if not np.isfinite(row[dst]):
             raise DisconnectedGraphError(f"no path {src} -> {dst}")
+        indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
         path = [dst]
-        while path[-1] != src:
-            path.append(int(pred[path[-1]]))
-        return path[::-1], float(dist[dst])
+        v = dst
+        while v != src:
+            lo, hi = indptr[v], indptr[v + 1]
+            nbrs = indices[lo:hi]
+            v = int(nbrs[row[nbrs] + data[lo:hi] == row[v]].min())
+            path.append(v)
+        return path[::-1], float(row[dst])
+
+
+def nearest_index(cum: list[float], t: float) -> int:
+    """Index of the entry of the ascending list `cum` nearest to `t`.
+
+    Equal to ``np.argmin(np.abs(np.array(cum) - t))``: on a tie, including
+    differences that round to the same float, the lowest index wins.
+    """
+    i = min(bisect_left(cum, t), len(cum) - 1)
+    while i > 0 and abs(t - cum[i - 1]) <= abs(t - cum[i]):
+        i -= 1
+    return i
 
 
 class MeshSpace(GeodesicSpace):
@@ -235,21 +240,18 @@ class MeshSpace(GeodesicSpace):
     def distances(self, x, ys) -> np.ndarray:
         return self._row(int(x))[ys]
 
-    def pairwise_distances(self, sources, targets) -> np.ndarray:
-        return self.graph.distances_from(sources)[:, list(targets)]
-
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = int(x), int(y)
         if x == y:
             return [GeodesicSegment(self, x, y, 0.0, lambda t: x)]
-        path, total = self.graph.shortest_path(x, y)
+        path, total = self.graph.shortest_path(x, y, self._row(x))
         pos = self.graph.positions
         cum = np.concatenate(
             [[0.0], np.cumsum(np.linalg.norm(np.diff(pos[path], axis=0), axis=1))]
-        )
+        ).tolist()
 
         def ev(t, path=path, cum=cum):
-            return int(path[int(np.argmin(np.abs(cum - t)))])
+            return path[nearest_index(cum, t)]
 
         return [GeodesicSegment(self, x, y, total, ev)]
 

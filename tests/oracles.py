@@ -9,8 +9,11 @@ against those constructions.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 import numpy as np
+
+from cmpk.errors import DisconnectedGraphError
 
 
 def sphere_triangle_points(k: float, a: float, b: float, gamma: float):
@@ -163,3 +166,38 @@ def cone_graph_distance(
 
     d = dijkstra(g, directed=False, indices=[snap(p1)])[0, snap(p2)]
     return float(d)
+
+
+def heap_shortest_path(matrix, src: int, dst: int) -> tuple[list[int], float]:
+    """Heap Dijkstra on a CSR graph with lexicographic (distance, node-id)
+    tie-breaking: the search `GeodesicGraph.shortest_path` used before it
+    read paths off compiled Dijkstra rows.
+    """
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    n = matrix.shape[0]
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    dist[src] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, src)]
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == dst:
+            break
+        for off in range(indptr[u], indptr[u + 1]):
+            v = indices[off]
+            nd = d + data[off]
+            # strict lexicographic: prefer smaller predecessor id on ties
+            if nd < dist[v] or (nd == dist[v] and pred[v] > u):
+                dist[v] = nd
+                pred[v] = u
+                heappush(heap, (nd, v))
+    if not done[dst]:
+        raise DisconnectedGraphError(f"no path {src} -> {dst}")
+    path = [dst]
+    while path[-1] != src:
+        path.append(int(pred[path[-1]]))
+    return path[::-1], float(dist[dst])

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmpk import mesh as mesh_mod
 from cmpk.errors import DisconnectedGraphError, MeshFormatError
 from cmpk.spaces import space_from_descriptor
 
 from meshgen import grid_mesh, icosphere, octahedron, write_obj
+from oracles import heap_shortest_path
 
 
 @pytest.fixture
@@ -130,11 +131,9 @@ def test_icosphere_distance_error_vs_analytic(rng):
     nv = len(v)
     pairs = rng.integers(0, nv, size=(100, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    rows = space.pairwise_distances(np.unique(pairs[:, 0]), range(nv))
-    src_index = {int(s): i for i, s in enumerate(np.unique(pairs[:, 0]))}
     errs = []
     for a, b in pairs:
-        graph_d = rows[src_index[int(a)], int(b)]
+        graph_d = space.distance(a, b)
         true_d = math.atan2(np.linalg.norm(np.cross(v[a], v[b])), float(np.dot(v[a], v[b])))
         errs.append(abs(graph_d - true_d) / true_d)
     assert float(np.median(errs)) <= 0.08
@@ -223,12 +222,63 @@ def test_row_cache_hits_whenever_clearing_cache_would(sources):
             assert len(computed) == n_rows, f"row {src} recomputed"
 
 
-def test_shortest_path_deterministic_ties(octa_path):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=0)
-    # many equal-length paths between antipodes; tie-breaking must be stable
-    p1, _ = space.graph.shortest_path(0, 1)
-    p2, _ = space.graph.shortest_path(0, 1)
-    assert p1 == p2
+def test_shortest_path_deterministic_ties():
+    # paths read off Dijkstra rows equal the heap search's, ties included
+    # (the octahedron has many equal-length paths between antipodes)
+    cases = [(octahedron(), s) for s in (0, 1, 2)]
+    cases += [(grid_mesh(6), 1), (icosphere(1), 0), (icosphere(1), 1)]
+    for (v, f), steiner in cases:
+        graph = mesh_mod.GeodesicGraph(mesh_mod.TriMesh(v, f), steiner)
+        n = graph.n_nodes
+        for src in sorted({0, 1, n // 3, n - 1}):
+            row = graph.distances_from([src])[0]
+            for dst in range(n):
+                want = heap_shortest_path(graph.matrix, src, dst)
+                assert graph.shortest_path(src, dst) == want, (steiner, src, dst)
+                assert graph.shortest_path(src, dst, row) == want, (steiner, src, dst)
+
+
+def _argmin_nodes(space, x, y):
+    """The segment's nodes and arclengths, and the reference nearest-node rule."""
+    path, _ = space.graph.shortest_path(x, y)
+    pos = space.graph.positions
+    cum = np.concatenate(
+        [[0.0], np.cumsum(np.linalg.norm(np.diff(pos[path], axis=0), axis=1))]
+    )
+    return cum, lambda t: path[int(np.argmin(np.abs(cum - t)))]
+
+
+def test_segment_evaluator_matches_argmin(octa_path, rng):
+    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=3)
+    slack = space.tol.geo
+    n = space.graph.n_nodes
+    pairs = [(0, 1), (2, 3)] + [tuple(int(a) for a in rng.integers(0, n, 2)) for _ in range(20)]
+    for x, y in pairs:
+        (seg,) = space.minimal_geodesics(x, y)
+        cum, nearest = _argmin_nodes(space, x, y)
+        mids = (cum[:-1] + cum[1:]) / 2
+        ts = [0.0, seg.length, *cum, *mids, *rng.uniform(0.0, seg.length, 20)]
+        for t in ts:
+            assert seg.at(t) == nearest(min(max(t, 0.0), seg.length)), (x, y, t)
+        assert seg.at(-0.5 * slack) == nearest(0.0) == x
+        assert seg.at(seg.length + 0.5 * slack) == nearest(seg.length)
+        with pytest.raises(ValueError):
+            seg.at(seg.length + 2 * slack)
+
+
+@given(
+    st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
+    st.lists(st.floats(-1.0, 11.0), max_size=8),
+)
+@example([0.0, 1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 7.0])  # exact ties: lower index
+@example([0.0, 1e-17, 1e-16], [2.0])  # distances that round to the same float
+@settings(max_examples=200, deadline=None)
+def test_nearest_index_matches_argmin(cum, extra):
+    cum = sorted(cum)
+    arr = np.array(cum)
+    ts = [*cum, *((arr[:-1] + arr[1:]) / 2).tolist(), *extra]
+    for t in ts:
+        assert mesh_mod.nearest_index(cum, t) == int(np.argmin(np.abs(arr - t))), t
 
 
 def test_sample_ball_within_radius(octa_path, rng):
