@@ -15,12 +15,12 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from cmpk import __version__, criteria, estimator, model
-from cmpk import mesh as mesh_mod  # noqa: F401  (registers the mesh descriptor type)
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import (
     CmpkError,
@@ -38,10 +38,6 @@ from cmpk.spaces import space_from_descriptor
 log = logging.getLogger("cmpk")
 
 SCHEMA_VERSION = 1
-CRITERION_CHOICES = (
-    "pythagorean", "right-angle", "point-segment", "triangle",
-    "first-variation", "angle-sum", "multiplicity",
-)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -163,32 +159,13 @@ def cmd_model(args) -> int:
 
 
 def _test_rows_header(criterion: str) -> list[str]:
-    if criterion in ("pythagorean", "point-segment", "triangle", "right-angle"):
+    if criterion.replace("-", "_") in estimator.CRITERIA:
         return ["sample", "k", "scale", "cbb_defect", "cba_defect", "tolerance", "verdict"]
     if criterion == "first-variation":
         return ["sample", "t_star", "angle", "target", "h", "slope", "error"]
     if criterion == "angle-sum":
         return ["sample", "t_interior", "angle_r1", "angle_r2", "total", "excess"]
     return ["sample", "n_geodesics"]
-
-
-def _sample_outcome(space, criterion, k, center, radius, rng, tol):
-    """One sampled TestOutcome for a verdict-style criterion."""
-    if criterion == "right-angle":
-        cfg = criteria.sample_right_angle_config(space, center, radius, rng, tol_cfg=tol)
-        defect = model.pythagorean_defect(k, cfg.d_pq, cfg.d_pr, cfg.d_qr, tol=tol)
-        scale = max(cfg.d_pq, cfg.d_pr, cfg.d_qr)
-        tolerance = tol.verdict_tolerance(scale)
-        return criteria.TestOutcome(
-            "right_angle", k, scale, defect, -defect, tolerance,
-            criteria.verdict_from_defects(defect, -defect, tolerance),
-        )
-    q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol)
-    if criterion == "pythagorean":
-        return criteria.pythagorean_test(space, k, q, seg, tol_cfg=tol, foot=foot)
-    if criterion == "point-segment":
-        return criteria.point_segment_test(space, k, q, seg, tol_cfg=tol)
-    return criteria.triangle_comparison_test(space, k, seg.start, q, seg.end, tol_cfg=tol)
 
 
 def cmd_test(args) -> int:
@@ -201,6 +178,7 @@ def cmd_test(args) -> int:
     skipped = 0
     verdict_counts: dict[str, int] = {}
     defects: list[float] = []
+    verdict = estimator.CRITERIA.get(args.criterion.replace("-", "_"))
 
     for i in range(args.samples):
         if args.criterion == "multiplicity":
@@ -232,13 +210,15 @@ def cmd_test(args) -> int:
             rows.append([i, rep.t_interior, rep.angle_r1, rep.angle_r2, rep.total, rep.excess])
             defects.append(rep.excess)
             continue
-        for k in ks:
-            try:
-                out = _sample_outcome(space, args.criterion, k, center, radius, rng, tol)
-            except (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError) as e:
-                log.debug("sample %d skipped: %s", i, e)
-                skipped += 1
-                continue
+        # measure the sample once, then read that measurement at every k
+        try:
+            m = verdict.measure(space, verdict.sample(space, center, radius, rng, tol), tol)
+            outs = [estimator.evaluate_measurement(args.criterion, m, k, tol_cfg=tol) for k in ks]
+        except (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError) as e:
+            log.debug("sample %d skipped: %s", i, e)
+            skipped += 1
+            continue
+        for out in outs:
             rows.append([
                 i, out.k, out.scale, out.cbb_defect, out.cba_defect,
                 out.tolerance, out.verdict,
@@ -283,9 +263,8 @@ def cmd_estimate(args) -> int:
         space, center, radius, names, args.samples, args.seed, tol_cfg=tol
     )
     est = estimator.estimate_bounds(
-        space, center, radius, criteria_set=names, k_bracket=bracket,
-        n_samples=args.samples, seed=args.seed, resolution=args.resolution,
-        tol_cfg=tol, measurements=measurements,
+        space, center, radius, measurements, seed=args.seed, k_bracket=bracket,
+        resolution=args.resolution, tol_cfg=tol,
     )
     rows = []
     first = names[0].replace("-", "_")
@@ -314,7 +293,7 @@ def cmd_estimate(args) -> int:
          "cbb_defect_at_k_cba", "cba_defect_at_k_cba"],
         rows,
     )
-    write_summary(out_dir, "estimate", envelope("estimate", config, est.to_dict()))
+    write_summary(out_dir, "estimate", envelope("estimate", config, asdict(est)))
     return EXIT_OK
 
 
@@ -363,6 +342,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    from cmpk import mesh as mesh_mod
+
     tol = _tolerances(args)
     tri = mesh_mod.load_obj(args.obj)
     space = mesh_mod.mesh_space(tri, args.steiner, path=str(args.obj), tol=tol)
@@ -434,14 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run a sampled criterion batch")
     common(p_test, 100)
-    p_test.add_argument("--criterion", required=True, choices=CRITERION_CHOICES)
+    p_test.add_argument("--criterion", required=True, choices=[
+        *(n.replace("_", "-") for n in estimator.CRITERIA),
+        "first-variation", "angle-sum", "multiplicity",
+    ])
     p_test.add_argument("--k", type=float, default=0.0)
     p_test.add_argument("--k-grid", dest="k_grid", help="comma list of k values")
     p_test.set_defaults(func=cmd_test)
 
     p_est = sub.add_parser("estimate", help="bisection curvature-bound estimate")
     common(p_est, 300)
-    p_est.add_argument("--criteria", help="comma list: pythagorean,point-segment,triangle")
+    p_est.add_argument("--criteria", help="comma list of " + ",".join(
+        n.replace("_", "-") for n in estimator.ESTIMATE_CRITERIA))
     p_est.add_argument("--resolution", type=float, default=0.01)
     p_est.add_argument("--bracket", help="k_lo,k_hi (default -2,2)")
     p_est.set_defaults(func=cmd_estimate)

@@ -341,22 +341,26 @@ def right_angle_from_foot(
     )
 
 
+def evaluate_right_angle(
+    cfg: RightAngleConfig, k: float, *,
+    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+) -> TestOutcome:
+    defect = model.pythagorean_defect(k, cfg.d_pq, cfg.d_pr, cfg.d_qr, tol=tol_cfg)
+    scale = max(cfg.d_pq, cfg.d_pr, cfg.d_qr)
+    config = {
+        "distances": {"d_pq": cfg.d_pq, "d_pr": cfg.d_pr, "d_qr": cfg.d_qr},
+        "angle_deviation": cfg.angle_deviation,
+    }
+    return _outcome("right_angle", k, scale, defect, -defect, tol_cfg, tol, config)
+
+
 def right_angle_pythagorean_test(
     space: GeodesicSpace, k: float, p, dir_q: float, dir_r: float,
     leg1: float, leg2: float, *,
     tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
 ) -> TestOutcome:
     cfg = build_right_angle_config(space, p, dir_q, dir_r, leg1, leg2, tol_cfg=tol_cfg)
-    defect = model.pythagorean_defect(k, cfg.d_pq, cfg.d_pr, cfg.d_qr, tol=tol_cfg)
-    scale = max(cfg.d_pq, cfg.d_pr, cfg.d_qr)
-    config = {
-        "p": space.point_to_data(cfg.p),
-        "q": space.point_to_data(cfg.q),
-        "r": space.point_to_data(cfg.r),
-        "distances": {"d_pq": cfg.d_pq, "d_pr": cfg.d_pr, "d_qr": cfg.d_qr},
-        "angle_deviation": cfg.angle_deviation,
-    }
-    return _outcome("right_angle", k, scale, defect, -defect, tol_cfg, tol, config)
+    return evaluate_right_angle(cfg, k, tol_cfg=tol_cfg, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -694,17 +698,6 @@ class DefectProfile:
     seed: int
     threshold: float
     classification: str  # vanishing | non_vanishing | inconclusive
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_ladder": list(self.eps_ladder),
-            "chi": list(self.chi),
-            "skip_fraction": list(self.skip_fraction),
-            "n_per_eps": self.n_per_eps,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "classification": self.classification,
-        }
 
 
 def chi_at_scale(

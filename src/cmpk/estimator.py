@@ -8,8 +8,8 @@ monotonicity in k and bisection over k is sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import BracketExpansionError, CmpkError, ModelDomainError
 from cmpk.spaces import GeodesicSpace
 
-CRITERIA_NAMES = ("pythagorean", "point_segment", "triangle")
 DEFAULT_K_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 
@@ -38,63 +37,82 @@ class CurvatureEstimate:
     cbb_note: str = ""
     cba_note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "center": self.center,
-            "radius": self.radius,
-            "criteria": list(self.criteria),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "resolution": self.resolution,
-            "k_cbb": self.k_cbb,
-            "k_cba": self.k_cba,
-            "cbb_residual": self.cbb_residual,
-            "cba_residual": self.cba_residual,
-            "cbb_note": self.cbb_note,
-            "cba_note": self.cba_note,
-        }
+
+class Criterion(NamedTuple):
+    """A verdict criterion: draw one configuration, measure it once, evaluate at any k."""
+
+    sample: Callable    # (space, center, radius, rng, tol_cfg) -> configuration
+    measure: Callable   # (space, configuration, tol_cfg) -> measurement
+    evaluate: Callable  # criteria.evaluate_*(measurement, k, *, tol_cfg) -> TestOutcome
+
+
+def _foot_config(space, center, radius, rng, tol_cfg):
+    return criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg)
+
+
+def _right_angle_config(space, center, radius, rng, tol_cfg):
+    return criteria.sample_right_angle_config(space, center, radius, rng, tol_cfg=tol_cfg)
+
+
+# Keyed by the names measurements and outcomes carry; the command line spells
+# them with '-'.  Criteria drawn by `_foot_config` can share one configuration
+# per sample, which is what `estimate` bisects over.
+CRITERIA: dict[str, Criterion] = {
+    "pythagorean": Criterion(
+        _foot_config,
+        lambda space, c, tol_cfg: criteria.measure_pythagorean(
+            space, c[0], c[1], tol_cfg=tol_cfg, foot=c[2]),
+        criteria.evaluate_pythagorean,
+    ),
+    "point_segment": Criterion(
+        _foot_config,
+        lambda space, c, tol_cfg: criteria.measure_point_segment(space, c[0], c[1]),
+        criteria.evaluate_point_segment,
+    ),
+    "triangle": Criterion(
+        _foot_config,
+        lambda space, c, tol_cfg: criteria.measure_triangle(
+            space, c[1].start, c[0], c[1].end, tol_cfg=tol_cfg),
+        criteria.evaluate_triangle,
+    ),
+    "right_angle": Criterion(
+        _right_angle_config,
+        lambda space, cfg, tol_cfg: cfg,
+        criteria.evaluate_right_angle,
+    ),
+}
+ESTIMATE_CRITERIA = tuple(n for n, c in CRITERIA.items() if c.sample is _foot_config)
+
+# Every evaluation goes through this dict of plain functions, never through a
+# Criterion, and the samplers and measurements above look their `criteria`
+# function up at each call, so wrapping module attributes and dict values
+# (as a tracer does) reaches every call.
+_EVALUATORS: dict[str, Callable] = {name: c.evaluate for name, c in CRITERIA.items()}
 
 
 def _normalize_criteria(names: Sequence[str]) -> tuple[str, ...]:
     out = []
     for name in names:
         canon = name.replace("-", "_")
-        if canon not in CRITERIA_NAMES:
-            raise ValueError(f"unknown criterion {name!r}; choose from {CRITERIA_NAMES}")
+        if canon not in ESTIMATE_CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}; choose from {ESTIMATE_CRITERIA}")
         out.append(canon)
     return tuple(out)
 
 
 def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
-    n_samples: int, seed: int, *, n_probes: int = 9,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    n_samples: int, seed: int, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> dict[str, list]:
     """Measure n_samples shared foot configurations for the named criteria."""
     names = _normalize_criteria(names)
     rng = np.random.default_rng(seed)
     out: dict[str, list] = {name: [] for name in names}
     for _ in range(n_samples):
-        q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg)
-        if "pythagorean" in out:
-            out["pythagorean"].append(
-                criteria.measure_pythagorean(space, q, seg, tol_cfg=tol_cfg, foot=foot)
-            )
-        if "point_segment" in out:
-            out["point_segment"].append(criteria.measure_point_segment(space, q, seg, n_probes))
-        if "triangle" in out:
-            out["triangle"].append(
-                criteria.measure_triangle(space, seg.start, q, seg.end, tol_cfg=tol_cfg)
-            )
+        drawn = _foot_config(space, center, radius, rng, tol_cfg)
+        for name, ms in out.items():
+            ms.append(CRITERIA[name].measure(space, drawn, tol_cfg))
     return out
-
-
-_EVALUATORS: dict[str, Callable] = {
-    "pythagorean": criteria.evaluate_pythagorean,
-    "point_segment": criteria.evaluate_point_segment,
-    "triangle": criteria.evaluate_triangle,
-}
 
 
 def evaluate_measurement(name: str, measurement, k: float, *,
@@ -154,26 +172,21 @@ def _bisect(passes: Callable[[float], bool], k_pass: float, k_fail: float,
 
 
 def estimate_bounds(
-    space: GeodesicSpace, center, radius: float, *,
-    criteria_set: Sequence[str] = ("pythagorean",),
-    k_bracket: tuple[float, float] = (-2.0, 2.0),
-    n_samples: int = 300, seed: int = 0, resolution: float = 0.01,
-    expansion_limit: float = 1024.0, n_probes: int = 9,
-    tol_cfg: Tolerances = DEFAULT_TOL,
-    measurements: dict[str, list] | None = None,
+    space: GeodesicSpace, center, radius: float, measurements: dict[str, list], *,
+    seed: int, k_bracket: tuple[float, float] = (-2.0, 2.0), resolution: float = 0.01,
+    expansion_limit: float = 1024.0, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> CurvatureEstimate:
     """Largest lower bound and smallest upper bound passing on a fixed sample set.
 
-    ``k_cbb`` is the largest k whose lower-bound claim passes every sampled
-    configuration (bisection to `resolution`), ``k_cba`` the smallest passing
-    upper bound; either is None with a note when bracket expansion hits the
-    limit (e.g. no lower curvature bound at a branch point).
+    ``measurements`` comes from `sample_measurements` (drawn with ``seed``,
+    which the estimate records).  ``k_cbb`` is the largest k whose lower-bound
+    claim passes every sample (bisection to `resolution`), ``k_cba`` the
+    smallest passing upper bound; either is None with a note when bracket
+    expansion hits the limit (e.g. no lower curvature bound at a branch point).
     """
-    names = _normalize_criteria(criteria_set)
-    if measurements is None:
-        measurements = sample_measurements(
-            space, center, radius, names, n_samples, seed, n_probes=n_probes, tol_cfg=tol_cfg
-        )
+    names = tuple(measurements)
+    if not names:
+        raise ValueError("no criterion measurements to bisect over")
     k_lo, k_hi = k_bracket
     if not k_lo < k_hi:
         raise ValueError("k_bracket must satisfy k_lo < k_hi")
@@ -211,8 +224,8 @@ def estimate_bounds(
 
     return CurvatureEstimate(
         space.descriptor(), space.point_to_data(center), radius, names,
-        n_samples, seed, resolution, k_cbb, k_cba, cbb_residual, cba_residual,
-        cbb_note, cba_note,
+        len(measurements[names[0]]), seed, resolution, k_cbb, k_cba,
+        cbb_residual, cba_residual, cbb_note, cba_note,
     )
 
 
@@ -252,18 +265,20 @@ def region_report(
         if diagnostic_only:
             row["diagnostic_only"] = True
         try:
-            est = estimate_bounds(
-                space, center, radius, criteria_set=criteria_set, n_samples=n_samples,
-                seed=seed, resolution=resolution, tol_cfg=tol_cfg,
+            ms = sample_measurements(
+                space, center, radius, criteria_set, n_samples, seed, tol_cfg=tol_cfg
             )
-            row["estimate"] = est.to_dict()
+            est = estimate_bounds(
+                space, center, radius, ms, seed=seed, resolution=resolution, tol_cfg=tol_cfg
+            )
+            row["estimate"] = asdict(est)
         except (CmpkError, ValueError) as e:
             row["estimate_error"] = f"{type(e).__name__}: {e}"
         try:
             prof = criteria.riemannian_point_profile(
                 space, center, eps_ladder, n_per_eps, seed, noise_floor=floor, tol_cfg=tol_cfg
             )
-            row["profile"] = prof.to_dict()
+            row["profile"] = asdict(prof)
         except (CmpkError, ValueError) as e:
             row["profile_error"] = f"{type(e).__name__}: {e}"
         try:

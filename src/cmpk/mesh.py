@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import DisconnectedGraphError, MeshFormatError
-from cmpk.spaces import GeodesicSegment, GeodesicSpace, register_space_type
+from cmpk.spaces import GeodesicSegment, GeodesicSpace
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,3 @@ class MeshSpace(GeodesicSpace):
 def mesh_space(mesh: TriMesh, steiner: int = 4, *,
                path: str | None = None, tol: Tolerances = DEFAULT_TOL) -> MeshSpace:
     return MeshSpace(mesh, steiner, path=path, tol=tol)
-
-
-def _mesh_from_descriptor(d: dict, tol: Tolerances) -> MeshSpace:
-    return mesh_space(load_obj(d["path"]), int(d.get("steiner", 4)), path=d["path"], tol=tol)
-
-
-register_space_type("mesh", _mesh_from_descriptor, {"path", "steiner"})

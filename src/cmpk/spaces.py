@@ -697,24 +697,27 @@ def make_octant(k: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> SphericalTrian
 
 DESCRIPTOR_VERSION = 1
 
-# type name -> (constructor from descriptor dict, allowed keys)
-_SPACE_TYPES: dict[str, tuple[Callable[..., GeodesicSpace], set[str]]] = {}
+
+def _mesh_from_descriptor(d: dict, tol: Tolerances) -> GeodesicSpace:
+    # imported on first use: cmpk.mesh pulls in scipy.sparse
+    from cmpk.mesh import load_obj, mesh_space
+
+    return mesh_space(load_obj(d["path"]), int(d.get("steiner", 4)), path=d["path"], tol=tol)
 
 
-def register_space_type(name: str, builder: Callable[..., GeodesicSpace], keys: set[str]):
-    _SPACE_TYPES[name] = (builder, keys | {"type", "version"})
-
-
-register_space_type("plane", lambda d, tol: make_euclidean_plane(tol), set())
-register_space_type("sphere", lambda d, tol: make_sphere(d["k"], tol), {"k"})
-register_space_type("hyperbolic", lambda d, tol: make_hyperbolic(d["k"], tol), {"k"})
-register_space_type("cone", lambda d, tol: make_cone(d["perimeter"], tol), {"perimeter"})
-register_space_type("tripod", lambda d, tol: make_tripod(tol), set())
-register_space_type(
-    "spherical_triangle",
-    lambda d, tol: make_spherical_triangle_domain(d["k"], d["vertices"], tol),
-    {"k", "vertices"},
-)
+# type name -> (constructor from descriptor dict, keys besides "type" and "version")
+_SPACE_TYPES: dict[str, tuple[Callable[..., GeodesicSpace], set[str]]] = {
+    "plane": (lambda d, tol: make_euclidean_plane(tol), set()),
+    "sphere": (lambda d, tol: make_sphere(d["k"], tol), {"k"}),
+    "hyperbolic": (lambda d, tol: make_hyperbolic(d["k"], tol), {"k"}),
+    "cone": (lambda d, tol: make_cone(d["perimeter"], tol), {"perimeter"}),
+    "tripod": (lambda d, tol: make_tripod(tol), set()),
+    "spherical_triangle": (
+        lambda d, tol: make_spherical_triangle_domain(d["k"], d["vertices"], tol),
+        {"k", "vertices"},
+    ),
+    "mesh": (_mesh_from_descriptor, {"path", "steiner"}),
+}
 
 
 def space_from_descriptor(desc, tol: Tolerances = DEFAULT_TOL) -> GeodesicSpace:
@@ -739,7 +742,7 @@ def space_from_descriptor(desc, tol: Tolerances = DEFAULT_TOL) -> GeodesicSpace:
             f"unknown space type {kind!r}; known: {sorted(_SPACE_TYPES)}"
         )
     builder, allowed = _SPACE_TYPES[kind]
-    unknown = set(desc) - allowed
+    unknown = set(desc) - allowed - {"type", "version"}
     if unknown:
         raise SpaceDescriptorError(f"unknown descriptor keys for {kind}: {sorted(unknown)}")
     try:

@@ -196,9 +196,11 @@ def test_05_estimator_accuracy():
     details = []
     ok = True
     for space, k_true in targets:
+        ms = estimator.sample_measurements(
+            space, space.default_center(), 0.2, ("pythagorean",), 300, 105
+        )
         est = estimator.estimate_bounds(
-            space, space.default_center(), 0.2,
-            n_samples=300, seed=105, resolution=0.01,
+            space, space.default_center(), 0.2, ms, seed=105, resolution=0.01
         )
         good = (
             est.k_cbb is not None and abs(est.k_cbb - k_true) <= 0.05
@@ -216,7 +218,8 @@ def test_05_estimator_accuracy():
 def test_06a_tripod():
     t0 = time.perf_counter()
     tripod = spaces.make_tripod()
-    est = estimator.estimate_bounds(tripod, (0, 0.0), 0.5, n_samples=60, seed=106)
+    pyth = estimator.sample_measurements(tripod, (0, 0.0), 0.5, ("pythagorean",), 60, 106)
+    est = estimator.estimate_bounds(tripod, (0, 0.0), 0.5, pyth, seed=106)
     no_lower = est.k_cbb is None and "no pass endpoint" in est.cbb_note
     ms = estimator.sample_measurements(
         tripod, (0, 0.0), 0.5, ("pythagorean", "point_segment"), 60, 106

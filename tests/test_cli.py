@@ -11,6 +11,7 @@ from meshgen import octahedron, write_obj
 SPHERE = '{"type":"sphere","k":1.0}'
 PLANE = '{"type":"plane"}'
 TRIPOD = '{"type":"tripod"}'
+CONE = '{"type":"cone","perimeter":3.141592653589793}'
 
 
 def run(argv):
@@ -91,6 +92,36 @@ def test_k_grid_multiplies_rows(tmp_path):
     ]) == 0
     rows = (tmp_path / "test_rows.csv").read_text().splitlines()
     assert len(rows) == 1 + 4 * 3
+
+
+@pytest.mark.parametrize("space, criterion, region", [
+    (SPHERE, "pythagorean", []),
+    (SPHERE, "triangle", []),
+    # near the apex some right-angle draws are unavailable and skipped
+    (CONE, "right-angle", ["--region", "center=[0.0,0.0],radius=0.5"]),
+], ids=["sphere-pythagorean", "sphere-triangle", "cone-apex-right-angle"])
+def test_k_grid_rows_share_one_configuration(tmp_path, space, criterion, region):
+    ks = [-1.0, 0.5, 2.0]
+    n = 10
+    assert run([
+        "test", "--space", space, "--criterion", criterion, *region,
+        "--k-grid=" + ",".join(map(str, ks)), "--samples", str(n), "--seed", "1",
+        "--out", str(tmp_path),
+    ]) == 0
+    payload = read_summary(tmp_path, "test")
+    lines = (tmp_path / "test_rows.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    by_sample: dict[str, list] = {}
+    for row in rows:
+        by_sample.setdefault(row[0], []).append(row)
+    assert len(rows) == payload["results"]["rows"] == (n - payload["results"]["skipped"]) * 3
+    for group in by_sample.values():
+        assert [float(r[1]) for r in group] == ks
+        assert len({r[2] for r in group}) == 1  # one scale: one configuration
+        cbb = [float(r[3]) for r in group]
+        cba = [float(r[4]) for r in group]
+        assert cbb == sorted(cbb)
+        assert cba == sorted(cba, reverse=True)
 
 
 def test_multiplicity_command(tmp_path):

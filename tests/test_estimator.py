@@ -1,17 +1,25 @@
 """Estimator: bisection bounds, determinism, region reports."""
 
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmpk import estimator, spaces
+from cmpk.config import DEFAULT_TOL
 
 PI = math.pi
 
 
+def estimate(sp, center, radius, n_samples, seed, names=("pythagorean",), **kw):
+    ms = estimator.sample_measurements(sp, center, radius, names, n_samples, seed)
+    return estimator.estimate_bounds(sp, center, radius, ms, seed=seed, **kw)
+
+
 def test_sphere_bounds_bracket_unit_curvature():
     sp = spaces.make_sphere(1.0)
-    est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, n_samples=120, seed=3)
+    est = estimate(sp, sp.default_center(), 0.2, 120, 3)
     assert est.k_cbb is not None and abs(est.k_cbb - 1.0) <= 0.05
     assert est.k_cba is not None and abs(est.k_cba - 1.0) <= 0.05
     assert est.k_cbb <= est.k_cba + est.resolution
@@ -19,45 +27,69 @@ def test_sphere_bounds_bracket_unit_curvature():
 
 def test_plane_bounds_near_zero():
     sp = spaces.make_euclidean_plane()
-    est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, n_samples=120, seed=3)
+    est = estimate(sp, sp.default_center(), 0.2, 120, 3)
     assert abs(est.k_cbb) <= 0.05 and abs(est.k_cba) <= 0.05
 
 
 def test_hyperbolic_bounds_near_minus_one():
     sp = spaces.make_hyperbolic(-1.0)
-    est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, n_samples=120, seed=3)
+    est = estimate(sp, sp.default_center(), 0.2, 120, 3)
     assert abs(est.k_cbb + 1.0) <= 0.05 and abs(est.k_cba + 1.0) <= 0.05
 
 
 def test_bisection_soundness_on_fixed_samples():
     sp = spaces.make_sphere(1.0)
     ms = estimator.sample_measurements(sp, sp.default_center(), 0.2, ("pythagorean",), 80, 5)
-    est = estimator.estimate_bounds(
-        sp, sp.default_center(), 0.2, measurements=ms, n_samples=80, seed=5
-    )
-    from cmpk.config import DEFAULT_TOL
-
+    est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, ms, seed=5)
     assert estimator._orientation_pass(ms, est.k_cbb, "cbb", DEFAULT_TOL)
     assert not estimator._orientation_pass(ms, est.k_cbb + est.resolution, "cbb", DEFAULT_TOL)
     assert estimator._orientation_pass(ms, est.k_cba, "cba", DEFAULT_TOL)
     assert not estimator._orientation_pass(ms, est.k_cba - est.resolution, "cba", DEFAULT_TOL)
 
 
+@functools.cache
+def stored_measurements(kind):
+    sp, center, radius = {
+        "sphere": (spaces.make_sphere(1.0), None, 0.2),
+        "hyperbolic": (spaces.make_hyperbolic(-1.0), None, 0.2),
+        "cone": (spaces.make_cone(PI), (0.0, 0.0), 0.25),
+    }[kind]
+    center = sp.default_center() if center is None else center
+    return estimator.sample_measurements(sp, center, radius, estimator.ESTIMATE_CRITERIA, 16, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["sphere", "hyperbolic", "cone"]),
+    ks=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6),
+)
+def test_orientation_pass_is_monotone_in_k(kind, ks):
+    ms = stored_measurements(kind)
+    ks = sorted([-4.0, *ks, 4.0])
+    cbb = [estimator._orientation_pass(ms, k, "cbb", DEFAULT_TOL) for k in ks]
+    cba = [estimator._orientation_pass(ms, k, "cba", DEFAULT_TOL) for k in ks]
+    # the lower-bound claim passes below a threshold, the upper-bound claim above one
+    assert cbb == sorted(cbb, reverse=True) and cbb[0]
+    assert cba == sorted(cba)
+    # the cone apex has no upper curvature bound
+    assert cba[-1] == (kind != "cone")
+
+
 def test_estimates_deterministic_for_fixed_seed():
     sp = spaces.make_sphere(1.0)
-    a = estimator.estimate_bounds(sp, sp.default_center(), 0.2, n_samples=40, seed=9)
-    b = estimator.estimate_bounds(sp, sp.default_center(), 0.2, n_samples=40, seed=9)
+    a = estimate(sp, sp.default_center(), 0.2, 40, 9)
+    b = estimate(sp, sp.default_center(), 0.2, 40, 9)
     assert a == b
-    c = estimator.estimate_bounds(sp, sp.default_center(), 0.2, n_samples=40, seed=10)
+    c = estimate(sp, sp.default_center(), 0.2, 40, 10)
     assert c.cbb_residual != a.cbb_residual
 
 
 def test_criterion_sets_agree_on_sphere():
     sp = spaces.make_sphere(1.0)
-    kw = dict(n_samples=40, seed=4, resolution=0.01)
-    by_pyth = estimator.estimate_bounds(sp, sp.default_center(), 0.2, criteria_set=("pythagorean",), **kw)
-    by_tri = estimator.estimate_bounds(sp, sp.default_center(), 0.2, criteria_set=("triangle",), **kw)
-    by_seg = estimator.estimate_bounds(sp, sp.default_center(), 0.2, criteria_set=("point-segment",), **kw)
+    kw = dict(resolution=0.01)
+    by_pyth = estimate(sp, sp.default_center(), 0.2, 40, 4, ("pythagorean",), **kw)
+    by_tri = estimate(sp, sp.default_center(), 0.2, 40, 4, ("triangle",), **kw)
+    by_seg = estimate(sp, sp.default_center(), 0.2, 40, 4, ("point-segment",), **kw)
     for other in (by_tri, by_seg):
         assert abs(by_pyth.k_cbb - other.k_cbb) <= 2 * 0.01 + 1e-12
         assert abs(by_pyth.k_cba - other.k_cba) <= 2 * 0.01 + 1e-12
@@ -65,7 +97,7 @@ def test_criterion_sets_agree_on_sphere():
 
 def test_tripod_has_no_lower_bound_and_cba_never_fails():
     tri = spaces.make_tripod()
-    est = estimator.estimate_bounds(tri, (0, 0.0), 0.5, n_samples=40, seed=3)
+    est = estimate(tri, (0, 0.0), 0.5, 40, 3)
     assert est.k_cbb is None and "no pass endpoint" in est.cbb_note
     assert est.k_cba is None and "no fail endpoint" in est.cba_note
 
@@ -73,7 +105,7 @@ def test_tripod_has_no_lower_bound_and_cba_never_fails():
 def test_unknown_criterion_rejected():
     sp = spaces.make_euclidean_plane()
     with pytest.raises(ValueError):
-        estimator.estimate_bounds(sp, sp.default_center(), 0.2, criteria_set=("bogus",))
+        estimator.sample_measurements(sp, sp.default_center(), 0.2, ("bogus",), 1, 0)
 
 
 def test_noise_floor_is_tiny():

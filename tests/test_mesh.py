@@ -304,3 +304,31 @@ def test_mesh_descriptor_round_trip(octa_path):
     space = space_from_descriptor(desc)
     assert space.steiner == 2
     assert space.descriptor()["path"] == str(octa_path)
+
+
+def test_cli_import_leaves_mesh_unloaded_until_a_mesh_is_built(octa_path):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cmpk
+
+    # The child imports the same cmpk as this process, installed or not.
+    src_root = str(Path(cmpk.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, os.environ.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import json, sys; import cmpk.cli; "
+        "before = ['cmpk.mesh' in sys.modules, 'scipy.sparse' in sys.modules]; "
+        "from cmpk.spaces import space_from_descriptor; "
+        f"sp = space_from_descriptor({{'type': 'mesh', 'path': {str(octa_path)!r}}}); "
+        "print(json.dumps([*before, type(sp).__name__, sp.graph.n_nodes]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    n_nodes = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path)).graph.n_nodes
+    assert json.loads(proc.stdout) == [False, False, "MeshSpace", n_nodes]
