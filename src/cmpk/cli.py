@@ -168,6 +168,16 @@ def _test_rows_header(criterion: str) -> list[str]:
     return ["sample", "n_geodesics"]
 
 
+def _admissible_outcome(criterion: str, m, k: float, tol: Tolerances):
+    """The outcome of a measurement at k, or None when its model triangle is
+    inadmissible at k (a side or the perimeter beyond what curvature k allows)."""
+    try:
+        return estimator.evaluate_measurement(criterion, m, k, tol_cfg=tol)
+    except ModelDomainError as e:
+        log.debug("k=%r inadmissible: %s", k, e)
+        return None
+
+
 def cmd_test(args) -> int:
     tol = _tolerances(args)
     space = _load_space_arg(args.space, tol)
@@ -213,12 +223,16 @@ def cmd_test(args) -> int:
         # measure the sample once, then read that measurement at every k
         try:
             m = verdict.measure(space, verdict.sample(space, center, radius, rng, tol), tol)
-            outs = [estimator.evaluate_measurement(args.criterion, m, k, tol_cfg=tol) for k in ks]
+            outs = [_admissible_outcome(args.criterion, m, k, tol) for k in ks]
         except (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError) as e:
             log.debug("sample %d skipped: %s", i, e)
             skipped += 1
             continue
-        for out in outs:
+        for k, out in zip(ks, outs):
+            if out is None:
+                rows.append([i, k, m.scale, None, None, None, "inadmissible"])
+                verdict_counts["inadmissible"] = verdict_counts.get("inadmissible", 0) + 1
+                continue
             rows.append([
                 i, out.k, out.scale, out.cbb_defect, out.cba_defect,
                 out.tolerance, out.verdict,
@@ -420,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         "first-variation", "angle-sum", "multiplicity",
     ])
     p_test.add_argument("--k", type=float, default=0.0)
-    p_test.add_argument("--k-grid", dest="k_grid", help="comma list of k values")
+    p_test.add_argument("--k-grid", dest="k_grid", help=(
+        "comma list of k values; write --k-grid=-1,0,1 when the first is negative"))
     p_test.set_defaults(func=cmd_test)
 
     p_est = sub.add_parser("estimate", help="bisection curvature-bound estimate")
@@ -428,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--criteria", help="comma list of " + ",".join(
         n.replace("_", "-") for n in estimator.ESTIMATE_CRITERIA))
     p_est.add_argument("--resolution", type=float, default=0.01)
-    p_est.add_argument("--bracket", help="k_lo,k_hi (default -2,2)")
+    p_est.add_argument("--bracket", help=(
+        "k_lo,k_hi (default -2,2); write --bracket=-3,3 when k_lo is negative"))
     p_est.set_defaults(func=cmd_estimate)
 
     p_prof = sub.add_parser("profile", help="region report with Riemannian-point profiles")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -266,6 +267,11 @@ class RightAngleConfig:
     angle_deviation: float  # |measured angle at p - pi/2|, radians
 
     @property
+    def scale(self) -> float:
+        """Diameter of the configuration, as for the other measurements."""
+        return max(self.d_pq, self.d_pr, self.d_qr)
+
+    @property
     def ratio_defect(self) -> float:
         """| d_qr^2 / (d_pq^2 + d_pr^2) - 1 |, the Riemannian-point quantity."""
         return abs(self.d_qr**2 / (self.d_pq**2 + self.d_pr**2) - 1.0)
@@ -346,12 +352,11 @@ def evaluate_right_angle(
     tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
 ) -> TestOutcome:
     defect = model.pythagorean_defect(k, cfg.d_pq, cfg.d_pr, cfg.d_qr, tol=tol_cfg)
-    scale = max(cfg.d_pq, cfg.d_pr, cfg.d_qr)
     config = {
         "distances": {"d_pq": cfg.d_pq, "d_pr": cfg.d_pr, "d_qr": cfg.d_qr},
         "angle_deviation": cfg.angle_deviation,
     }
-    return _outcome("right_angle", k, scale, defect, -defect, tol_cfg, tol, config)
+    return _outcome("right_angle", k, cfg.scale, defect, -defect, tol_cfg, tol, config)
 
 
 def right_angle_pythagorean_test(
@@ -405,10 +410,10 @@ def evaluate_point_segment(
     m: PointSegmentMeasurement, k: float, *,
     tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
 ) -> TestOutcome:
-    defects = [
-        d_real - model.comparison_distance_at(k, m.d_qp, m.d_qr, m.length, t, tol=tol_cfg)
-        for t, d_real in m.probes
-    ]
+    model_ds = model.comparison_distances(
+        k, m.d_qp, m.d_qr, m.length, [t for t, _ in m.probes], tol=tol_cfg
+    )
+    defects = [d_real - d for (_, d_real), d in zip(m.probes, model_ds)]
     cbb = -min(defects)  # lower bound requires real >= model everywhere
     cba = max(defects)
     config = dict(m.snapshot, defects=defects)
@@ -475,13 +480,15 @@ def evaluate_angle_ladder(
     values = [v for _, v in ladder]
     monotone = all(values[j + 1] >= values[j] - 1e-9 for j in range(len(values) - 1))
     angle = values[-1]
-    if len(values) >= 2:
-        r2 = (raw[-2][0] / raw[-1][0]) ** 2
-        extrapolated = (r2 * values[-1] - values[-2]) / (r2 - 1.0)
-        extrapolated = min(max(extrapolated, 0.0), PI)
-    else:
-        extrapolated = angle
+    extrapolated = _richardson(raw, values) if len(values) >= 2 else angle
     return AngleEstimate(vertex, toward, ladder, angle, extrapolated, monotone, k0)
+
+
+def _richardson(raw, values) -> float:
+    """Richardson extrapolation of the last two rungs, clamped to [0, pi]."""
+    r2 = (raw[-2][0] / raw[-1][0]) ** 2
+    extrapolated = (r2 * values[-1] - values[-2]) / (r2 - 1.0)
+    return min(max(extrapolated, 0.0), PI)
 
 
 def angle_at(
@@ -510,6 +517,61 @@ class TriangleMeasurement:
     scale: float
     multi_geodesic: bool
     snapshot: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def last_rungs_suffice(self) -> bool:
+        """Can `evaluate_triangle` read each ladder's angle off its last rung?
+
+        True when in every ladder all other rungs are silent (`_silent_rung`)
+        and the extrapolation raises nothing, so evaluating the whole ladder
+        at k would give the same angle and raise only what the last rung
+        raises.  These checks do not depend on k, so they run once per
+        measurement.
+        """
+        perimeter = sum(self.sides)
+        return all(
+            _only_last_rung_matters(raw, perimeter)
+            for raws in self.ladders.values() for raw in raws
+        )
+
+
+# Rounding moves the model cosine of a silent rung by under 1e-11 at any k at
+# which the main triangle is admissible, so with a clamp tolerance at least
+# this large no silent rung can trip `comparison_angle`'s clamp.
+_SILENT_RUNG_CLAMP = 1e-10
+
+
+def _silent_rung(a: float, b: float, c: float, main_perimeter: float) -> bool:
+    """True when comparison_angle(k, (a, b, c)) raises nothing at any k at which
+    the main triangle, of perimeter `main_perimeter`, is admissible.
+
+    The exact triangle inequality keeps the model cosine in [-1, 1] up to
+    rounding, and the adjacent sides within a factor 100 of each other keep
+    that rounding small.  A perimeter at most half the main one puts every
+    side below a quarter of the main perimeter, so the length, perimeter and
+    overflow checks pass wherever the main triangle's do.  The 1e-100 floor
+    keeps the adjacent-side check and the sn_k product clear of zero.
+    Ladders measured by `measure_angle_ladder` have rung perimeters of at
+    most 0.2 of the main perimeter and near-equal adjacent sides.
+    """
+    lo, hi = min(a, b), max(a, b)
+    return (
+        lo >= 1e-100 and hi <= 100.0 * lo
+        and c <= a + b and a <= b + c and b <= a + c
+        and a + b + c <= 0.5 * main_perimeter
+    )
+
+
+def _only_last_rung_matters(raw, main_perimeter: float) -> bool:
+    """True when the ladder's other rungs are silent and its extrapolation
+    raises nothing, whatever the k."""
+    try:
+        sides = [(d_pa, d_pb, d_ab) for _, d_pa, d_pb, d_ab in raw]
+        if len(sides) >= 2:
+            _richardson(raw, (0.0, 0.0))
+        return bool(sides) and all(_silent_rung(*s, main_perimeter) for s in sides[:-1])
+    except (ArithmeticError, TypeError, ValueError):
+        return False
 
 
 def measure_triangle(
@@ -556,11 +618,18 @@ def evaluate_triangle(
         "q": model.comparison_angle(k, (d_pq, d_qr, d_pr), tol=tol_cfg),
         "r": model.comparison_angle(k, (d_pr, d_qr, d_pq), tol=tol_cfg),
     }
+    # a ladder's angle is its last rung's; the other rungs matter only for
+    # what they might raise, which `last_rungs_suffice` rules out
+    last_only = tol_cfg.clamp >= _SILENT_RUNG_CLAMP and m.last_rungs_suffice
     cbb = -math.inf
     cba = -math.inf
     estimates = {}
     for v, raws in m.ladders.items():
-        angles = [evaluate_angle_ladder(raw, k, tol_cfg=tol_cfg).angle for raw in raws]
+        angles = [
+            model.comparison_angle(k, raw[-1][1:], tol=tol_cfg) if last_only
+            else evaluate_angle_ladder(raw, k, tol_cfg=tol_cfg).angle
+            for raw in raws
+        ]
         estimates[v] = angles
         # lower bound needs angle >= model angle for every geodesic pair
         cbb = max(cbb, model_angles[v] - min(angles))

@@ -18,6 +18,7 @@ from cmpk.errors import DegenerateConfigError, ModelDomainError
 from cmpk import kernels
 
 PI = math.pi
+_TRI_REL = DEFAULT_TOL.tri_rel
 
 
 def _require_finite(**values: float) -> None:
@@ -38,19 +39,27 @@ def max_perimeter(k: float) -> float:
     """Admissible triangle perimeter bound, with the antipodal safety margin."""
     _require_finite(k=k)
     if k > 0.0:
-        return (2.0 * PI - SPHERE_MARGIN) / math.sqrt(k)
+        return _perimeter_bound(k)
     return math.inf
 
 
+def _perimeter_bound(k: float) -> float:
+    """`max_perimeter` for a finite k > 0, without re-checking k."""
+    return (2.0 * PI - SPHERE_MARGIN) / math.sqrt(k)
+
+
 def _check_length(k: float, d: float, name: str = "d") -> None:
-    _require_finite(k=k, **{name: d})
+    if not (math.isfinite(k) and math.isfinite(d)):
+        _require_finite(k=k, **{name: d})
     if d < 0.0:
         raise ModelDomainError(f"{name} must be >= 0, got {d}")
-    if k > 0.0 and d >= max_side(k):
-        raise ModelDomainError(
-            f"{name}={d} violates {name} < pi/sqrt(k) = {max_side(k)} for k={k}"
-        )
-    if k < 0.0 and math.sqrt(-k) * d > MAX_HYPERBOLIC_ARG:
+    if k > 0.0:
+        bound = PI / math.sqrt(k)
+        if d >= bound:
+            raise ModelDomainError(
+                f"{name}={d} violates {name} < pi/sqrt(k) = {bound} for k={k}"
+            )
+    elif k < 0.0 and math.sqrt(-k) * d > MAX_HYPERBOLIC_ARG:
         raise ModelDomainError(
             f"sqrt(-k)*{name} = {math.sqrt(-k) * d:.3g} exceeds the representable range"
         )
@@ -77,15 +86,14 @@ class SideTriple:
     c: float
 
     def __post_init__(self):
-        _require_finite(a=self.a, b=self.b, c=self.c)
-        if min(self.a, self.b, self.c) < 0.0:
+        a, b, c = self.a, self.b, self.c
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            _require_finite(a=a, b=b, c=c)
+        if a < 0.0 or b < 0.0 or c < 0.0:
             raise ModelDomainError(f"sides must be >= 0, got {self.as_tuple()}")
-        slack = DEFAULT_TOL.tri_rel * self.perimeter()
-        for x, y, z in ((self.a, self.b, self.c), (self.b, self.c, self.a), (self.c, self.a, self.b)):
-            if x > y + z + slack:
-                raise ModelDomainError(
-                    f"triangle inequality violated by {self.as_tuple()}"
-                )
+        slack = _TRI_REL * (a + b + c)
+        if a > b + c + slack or b > c + a + slack or c > a + b + slack:
+            raise ModelDomainError(f"triangle inequality violated by {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
@@ -101,12 +109,16 @@ def _as_triple(sides) -> SideTriple:
 
 
 def _check_triple(k: float, sides: SideTriple) -> None:
-    for name, d in zip("abc", sides.as_tuple()):
-        _check_length(k, d, name)
-    if k > 0.0 and sides.perimeter() >= max_perimeter(k):
-        raise ModelDomainError(
-            f"perimeter {sides.perimeter()} >= admissible bound {max_perimeter(k)} for k={k}"
-        )
+    _check_length(k, sides.a, "a")
+    _check_length(k, sides.b, "b")
+    _check_length(k, sides.c, "c")
+    if k > 0.0:
+        perimeter = sides.a + sides.b + sides.c
+        bound = _perimeter_bound(k)
+        if perimeter >= bound:
+            raise ModelDomainError(
+                f"perimeter {perimeter} >= admissible bound {bound} for k={k}"
+            )
 
 
 def _clamped_acos(x: float, tol: Tolerances) -> float:
@@ -141,13 +153,12 @@ def side_from_angle(k: float, a: float, b: float, gamma: float) -> float:
     """Side c of the model triangle with sides a, b enclosing angle gamma."""
     _check_length(k, a, "a")
     _check_length(k, b, "b")
-    _require_finite(gamma=gamma)
+    if not math.isfinite(gamma):
+        _require_finite(gamma=gamma)
     if not 0.0 <= gamma <= PI:
         raise ModelDomainError(f"gamma must lie in [0, pi], got {gamma}")
-    if k > 0.0 and (a >= max_side(k) or b >= max_side(k)):
-        raise ModelDomainError("degenerate configuration: side at the antipodal bound")
     c = kernels.side_from_angle_cos(k, a, b, math.cos(gamma))
-    if k > 0.0 and a + b + c >= max_perimeter(k):
+    if k > 0.0 and a + b + c >= _perimeter_bound(k):
         raise ModelDomainError(
             f"resulting triangle perimeter {a + b + c} is inadmissible for k={k}"
         )
@@ -164,20 +175,40 @@ def pythagorean_defect(k: float, leg1: float, leg2: float, hyp: float,
     return comparison_angle(k, (leg1, leg2, hyp), tol=tol) - 0.5 * PI
 
 
+def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts, *,
+                         tol: Tolerances = DEFAULT_TOL) -> list[float]:
+    """Model distances from q~ to the points at arclengths ts along [p~ r~].
+
+    Endpoints (t within tol.geo of 0 or d_pr) give d_qp and d_qr exactly.
+    The triple is checked once, each t's range in order, and the model angle
+    at p~ is computed once, at the first interior t, so the results and the
+    first error raised are those of taking each t on its own.
+    """
+    if len(ts) == 0:
+        return []
+    triple = SideTriple(d_qp, d_pr, d_qr)
+    _check_triple(k, triple)
+    alpha = None
+    out = []
+    for t in ts:
+        if not -tol.geo <= t <= d_pr + tol.geo:
+            raise ModelDomainError(f"t={t} outside [0, {d_pr}]")
+        t = min(max(t, 0.0), d_pr)
+        if t == 0.0:
+            out.append(d_qp)
+        elif t == d_pr:
+            out.append(d_qr)
+        else:
+            if alpha is None:
+                alpha = comparison_angle(k, triple, tol=tol)
+            out.append(side_from_angle(k, d_qp, t, alpha))
+    return out
+
+
 def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float,
                            t: float, *, tol: Tolerances = DEFAULT_TOL) -> float:
     """Model distance from q~ to the point at arclength t along [p~ r~]."""
-    triple = SideTriple(d_qp, d_pr, d_qr)
-    _check_triple(k, triple)
-    if not -tol.geo <= t <= d_pr + tol.geo:
-        raise ModelDomainError(f"t={t} outside [0, {d_pr}]")
-    t = min(max(t, 0.0), d_pr)
-    if t == 0.0:
-        return d_qp
-    if t == d_pr:
-        return d_qr
-    alpha = comparison_angle(k, triple, tol=tol)
-    return side_from_angle(k, d_qp, t, alpha)
+    return comparison_distances(k, d_qp, d_qr, d_pr, (t,), tol=tol)[0]
 
 
 @dataclass(frozen=True)

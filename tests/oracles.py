@@ -3,7 +3,9 @@
 These deliberately avoid the package's kernel formulas: side lengths come
 from explicit point constructions (rotations on the embedded sphere,
 Minkowski hyperboloid vectors, planar coordinates) and angles from bisection
-against those constructions.
+against those constructions.  The exceptions are reference copies of code
+the package has since rewritten (the heap Dijkstra search and the per-k
+evaluators), which tests compare the rewrites against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,16 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from cmpk.errors import DisconnectedGraphError
+from cmpk import model
+from cmpk.config import DEFAULT_TOL, Tolerances
+from cmpk.criteria import (
+    PointSegmentMeasurement,
+    TestOutcome,
+    TriangleMeasurement,
+    _outcome,
+    evaluate_angle_ladder,
+)
+from cmpk.errors import DisconnectedGraphError, ModelDomainError
 
 
 def sphere_triangle_points(k: float, a: float, b: float, gamma: float):
@@ -201,3 +212,62 @@ def heap_shortest_path(matrix, src: int, dst: int) -> tuple[list[int], float]:
     while path[-1] != src:
         path.append(int(pred[path[-1]]))
     return path[::-1], float(dist[dst])
+
+
+# The per-(sample, k) evaluators as they were before they stopped repeating
+# per-k work: every rung of every angle ladder evaluated at k, and the triple
+# re-checked and the comparison angle recomputed for every probe.  Tests
+# require the package's evaluators to agree with these exactly.
+
+
+def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float,
+                           t: float, *, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Model distance from q~ to the point at arclength t along [p~ r~]."""
+    triple = model.SideTriple(d_qp, d_pr, d_qr)
+    model._check_triple(k, triple)
+    if not -tol.geo <= t <= d_pr + tol.geo:
+        raise ModelDomainError(f"t={t} outside [0, {d_pr}]")
+    t = min(max(t, 0.0), d_pr)
+    if t == 0.0:
+        return d_qp
+    if t == d_pr:
+        return d_qr
+    alpha = model.comparison_angle(k, triple, tol=tol)
+    return model.side_from_angle(k, d_qp, t, alpha)
+
+
+def evaluate_point_segment(
+    m: PointSegmentMeasurement, k: float, *,
+    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+) -> TestOutcome:
+    defects = [
+        d_real - comparison_distance_at(k, m.d_qp, m.d_qr, m.length, t, tol=tol_cfg)
+        for t, d_real in m.probes
+    ]
+    cbb = -min(defects)  # lower bound requires real >= model everywhere
+    cba = max(defects)
+    config = dict(m.snapshot, defects=defects)
+    return _outcome("point_segment", k, m.scale, cbb, cba, tol_cfg, tol, config)
+
+
+def evaluate_triangle(
+    m: TriangleMeasurement, k: float, *,
+    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+) -> TestOutcome:
+    d_qr, d_pr, d_pq = m.sides
+    model_angles = {
+        "p": model.comparison_angle(k, (d_pq, d_pr, d_qr), tol=tol_cfg),
+        "q": model.comparison_angle(k, (d_pq, d_qr, d_pr), tol=tol_cfg),
+        "r": model.comparison_angle(k, (d_pr, d_qr, d_pq), tol=tol_cfg),
+    }
+    cbb = -math.inf
+    cba = -math.inf
+    estimates = {}
+    for v, raws in m.ladders.items():
+        angles = [evaluate_angle_ladder(raw, k, tol_cfg=tol_cfg).angle for raw in raws]
+        estimates[v] = angles
+        # lower bound needs angle >= model angle for every geodesic pair
+        cbb = max(cbb, model_angles[v] - min(angles))
+        cba = max(cba, max(angles) - model_angles[v])
+    config = dict(m.snapshot, model_angles=model_angles, vertex_angles=estimates)
+    return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg, tol, config)

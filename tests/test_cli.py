@@ -94,6 +94,46 @@ def test_k_grid_multiplies_rows(tmp_path):
     assert len(rows) == 1 + 4 * 3
 
 
+def test_inadmissible_k_gets_its_own_rows(tmp_path):
+    base = ["test", "--space", SPHERE, "--criterion", "pythagorean",
+            "--samples", "3", "--seed", "1"]
+    assert run([*base, "--k-grid", "0,200", "--out", str(tmp_path / "grid")]) == 0
+    assert run([*base, "--k", "0", "--out", str(tmp_path / "zero")]) == 0
+    grid = (tmp_path / "grid" / "test_rows.csv").read_text().splitlines()
+    zero = (tmp_path / "zero" / "test_rows.csv").read_text().splitlines()
+    rows = [line.split(",") for line in grid[1:]]
+    # the k = 0 rows are what a run at k = 0 alone writes
+    assert [line for line in grid[1:] if line.split(",")[1] == "0.0"] == zero[1:]
+    inadmissible = [r for r in rows if r[6] == "inadmissible"]
+    assert inadmissible and all(r[1] == "200.0" and r[3:6] == ["", "", ""] for r in inadmissible)
+    results = read_summary(tmp_path / "grid", "test")["results"]
+    assert results["rows"] == len(rows) == 6 and results["skipped"] == 0
+    assert results["verdicts"]["inadmissible"] == len(inadmissible)
+    assert sum(results["verdicts"].values()) == len(rows)
+    defects = [float(x) for r in rows if r[6] != "inadmissible" for x in r[3:5]]
+    assert (results["min_defect"], results["max_defect"]) == (min(defects), max(defects))
+
+
+def test_negative_comma_lists_take_the_documented_equals_form(tmp_path, capsys):
+    for command, form in (("test", "--k-grid=-1,0,1"), ("estimate", "--bracket=-3,3")):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert form in " ".join(capsys.readouterr().out.split())
+    assert run([
+        "test", "--space", PLANE, "--criterion", "pythagorean", "--k-grid=-1,0,1",
+        "--samples", "2", "--seed", "3", "--out", str(tmp_path / "test"),
+    ]) == 0
+    assert read_summary(tmp_path / "test", "test")["config"]["k"] == [-1.0, 0.0, 1.0]
+    assert run([
+        "estimate", "--space", PLANE, "--bracket=-3,3", "--samples", "20", "--seed", "3",
+        "--out", str(tmp_path / "estimate"),
+    ]) == 0
+    assert read_summary(tmp_path / "estimate", "estimate")["config"]["bracket"] == [-3.0, 3.0]
+    # without the '=' argparse reads the negative list as an option
+    with pytest.raises(SystemExit):
+        run(["estimate", "--space", PLANE, "--bracket", "-3,3", "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize("space, criterion, region", [
     (SPHERE, "pythagorean", []),
     (SPHERE, "triangle", []),

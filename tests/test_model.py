@@ -187,6 +187,36 @@ def test_distance_at_octant_apex():
     assert d == pytest.approx(PI / 2, rel=1e-12)
 
 
+def test_distance_at_rejects_t_outside_the_segment():
+    with pytest.raises(ModelDomainError, match=r"^t=0\.6 outside \[0, 0\.5\]$"):
+        model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.6)
+    # within tol.geo of an endpoint clamps onto it
+    assert model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.5 + 5e-10) == 0.4
+
+
+def _distances_or_error(fn):
+    try:
+        return fn()
+    except Exception as e:  # the same exception either way, whatever it is
+        return type(e), str(e)
+
+
+@given(
+    k=st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 30.0, -1e4])),
+    sides=st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+    fractions=st.lists(st.floats(-0.01, 1.01), max_size=6),
+    endpoints=st.lists(st.sampled_from([0.0, 1.0]), max_size=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_comparison_distances_equal_a_loop_of_distance_at(k, sides, fractions, endpoints):
+    d_qp, d_qr, d_pr = sides
+    ts = [f * d_pr for f in fractions + endpoints]  # t = 0 and t = d_pr included
+    batched = _distances_or_error(lambda: model.comparison_distances(k, d_qp, d_qr, d_pr, ts))
+    looped = _distances_or_error(
+        lambda: [model.comparison_distance_at(k, d_qp, d_qr, d_pr, t) for t in ts])
+    assert batched == looped
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -336,3 +366,102 @@ def test_backend_parity(rng):
         assert py.cos_angle_from_sides(k, a, b, c) == pytest.approx(
             cy.cos_angle_from_sides(k, a, b, c), rel=1e-14, abs=1e-14
         )
+
+
+# ---------------------------------------------------------------------------
+# validation: exception type and exact message for each rejected input
+
+NAN, INF = math.nan, math.inf
+
+VALIDATION_CASES = [
+    (model.generalized_cos, (NAN, 0.5), ModelDomainError, "k must be finite, got nan"),
+    (model.generalized_cos, (INF, 0.5), ModelDomainError, "k must be finite, got inf"),
+    (model.generalized_cos, (-INF, 0.5), ModelDomainError, "k must be finite, got -inf"),
+    (model.generalized_cos, (1.0, NAN), ModelDomainError, "d must be finite, got nan"),
+    (model.generalized_cos, (1.0, INF), ModelDomainError, "d must be finite, got inf"),
+    (model.generalized_cos, (NAN, NAN), ModelDomainError, "k must be finite, got nan"),
+    (model.generalized_cos, (1.0, -0.5), ModelDomainError, "d must be >= 0, got -0.5"),
+    (model.generalized_cos, (4.0, PI / 2), ModelDomainError,
+     "d=1.5707963267948966 violates d < pi/sqrt(k) = 1.5707963267948966 for k=4.0"),
+    (model.generalized_cos, (-1.0, 100.5), ModelDomainError,
+     "sqrt(-k)*d = 100 exceeds the representable range"),
+    (model.generalized_sin, (0.0, -INF), ModelDomainError, "d must be finite, got -inf"),
+    (model.comparison_angle, (NAN, (0.3, 0.4, 0.5)), ModelDomainError, "k must be finite, got nan"),
+    (model.comparison_angle, (-INF, (0.3, 0.4, 0.5)), ModelDomainError,
+     "k must be finite, got -inf"),
+    (model.comparison_angle, (0.0, (NAN, 0.4, 0.5)), ModelDomainError, "a must be finite, got nan"),
+    (model.comparison_angle, (0.0, (0.3, INF, 0.5)), ModelDomainError, "b must be finite, got inf"),
+    (model.comparison_angle, (0.0, (0.3, 0.4, -INF)), ModelDomainError,
+     "c must be finite, got -inf"),
+    (model.comparison_angle, (0.0, (-0.3, 0.4, 0.5)), ModelDomainError,
+     "sides must be >= 0, got (-0.3, 0.4, 0.5)"),
+    (model.comparison_angle, (0.0, (1.0, 1.0, 3.0)), ModelDomainError,
+     "triangle inequality violated by (1.0, 1.0, 3.0)"),
+    (model.comparison_angle, (0.0, (3.0, 1.0, 1.0)), ModelDomainError,
+     "triangle inequality violated by (3.0, 1.0, 1.0)"),
+    (model.comparison_angle, (0.0, (1.0, 3.0, 1.0)), ModelDomainError,
+     "triangle inequality violated by (1.0, 3.0, 1.0)"),
+    (model.comparison_angle, (1.0, (3.2, 0.5, 3.0)), ModelDomainError,
+     "a=3.2 violates a < pi/sqrt(k) = 3.141592653589793 for k=1.0"),
+    (model.comparison_angle, (1.0, (2.5, 2.5, 2.5)), ModelDomainError,
+     "perimeter 7.5 >= admissible bound 6.283184307179586 for k=1.0"),
+    (model.comparison_angle, (1.0, (3.0, 3.0, 0.5)), ModelDomainError,
+     "perimeter 6.5 >= admissible bound 6.283184307179586 for k=1.0"),
+    (model.comparison_angle, (-4.0, (60.0, 50.0, 20.0)), ModelDomainError,
+     "sqrt(-k)*a = 120 exceeds the representable range"),
+    (model.comparison_angle, (0.0, (0.0, 1.0, 1.0)), DegenerateConfigError,
+     "sides adjacent to the angle must be > 0, got (0.0, 1.0, 1.0)"),
+    (model.comparison_angle, (0.0, (1.0, 1.0, 2.0 + 3e-9)), ModelDomainError,
+     "cosine argument -1.0000000059999996 below -1 beyond clamp tolerance"),
+    (model.side_from_angle, (NAN, 0.3, 0.4, 1.0), ModelDomainError, "k must be finite, got nan"),
+    (model.side_from_angle, (INF, 0.3, 0.4, 1.0), ModelDomainError, "k must be finite, got inf"),
+    (model.side_from_angle, (0.0, NAN, 0.4, 1.0), ModelDomainError, "a must be finite, got nan"),
+    (model.side_from_angle, (0.0, 0.3, -INF, 1.0), ModelDomainError,
+     "b must be finite, got -inf"),
+    (model.side_from_angle, (0.0, -0.3, 0.4, 1.0), ModelDomainError, "a must be >= 0, got -0.3"),
+    (model.side_from_angle, (0.0, 0.3, -0.4, 1.0), ModelDomainError, "b must be >= 0, got -0.4"),
+    (model.side_from_angle, (0.0, 0.3, 0.4, NAN), ModelDomainError,
+     "gamma must be finite, got nan"),
+    (model.side_from_angle, (0.0, 0.3, 0.4, INF), ModelDomainError,
+     "gamma must be finite, got inf"),
+    (model.side_from_angle, (0.0, 0.3, 0.4, -0.1), ModelDomainError,
+     "gamma must lie in [0, pi], got -0.1"),
+    (model.side_from_angle, (0.0, 0.3, 0.4, 3.2), ModelDomainError,
+     "gamma must lie in [0, pi], got 3.2"),
+    (model.side_from_angle, (1.0, 3.2, 0.4, 1.0), ModelDomainError,
+     "a=3.2 violates a < pi/sqrt(k) = 3.141592653589793 for k=1.0"),
+    (model.side_from_angle, (1.0, 0.4, PI, 1.0), ModelDomainError,
+     "b=3.141592653589793 violates b < pi/sqrt(k) = 3.141592653589793 for k=1.0"),
+    (model.side_from_angle, (-1.0, 0.4, 101.0, 1.0), ModelDomainError,
+     "sqrt(-k)*b = 101 exceeds the representable range"),
+    (model.side_from_angle, (1.0, 3.0, 3.0, PI), ModelDomainError,
+     "resulting triangle perimeter 6.283185307179587 is inadmissible for k=1.0"),
+    (model.SideTriple, (NAN, 1.0, 1.0), ModelDomainError, "a must be finite, got nan"),
+    (model.SideTriple, (1.0, INF, 1.0), ModelDomainError, "b must be finite, got inf"),
+    (model.SideTriple, (1.0, 1.0, -INF), ModelDomainError, "c must be finite, got -inf"),
+    (model.SideTriple, (-1.0, 1.0, 1.0), ModelDomainError,
+     "sides must be >= 0, got (-1.0, 1.0, 1.0)"),
+    (model.SideTriple, (1.0, 1.0, -0.1), ModelDomainError,
+     "sides must be >= 0, got (1.0, 1.0, -0.1)"),
+    (model.SideTriple, (1.0, 1.0, 2.1), ModelDomainError,
+     "triangle inequality violated by (1.0, 1.0, 2.1)"),
+    (model.SideTriple, (2.1, 1.0, 1.0), ModelDomainError,
+     "triangle inequality violated by (2.1, 1.0, 1.0)"),
+    (model.SideTriple, (1.0, 2.1, 1.0), ModelDomainError,
+     "triangle inequality violated by (1.0, 2.1, 1.0)"),
+    # just beyond the relative slack of 1e-9 * perimeter (4e-9 here)
+    (model.SideTriple, (1.0, 1.0, 2.0 + 5e-9), ModelDomainError,
+     "triangle inequality violated by (1.0, 1.0, 2.000000005)"),
+]
+
+
+@pytest.mark.parametrize("fn, args, exc, message", VALIDATION_CASES)
+def test_validation_exception_and_message(fn, args, exc, message):
+    with pytest.raises(exc) as info:
+        fn(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_side_triple_accepts_the_triangle_inequality_slack():
+    assert model.SideTriple(1.0, 1.0, 2.0 + 3e-9).as_tuple() == (1.0, 1.0, 2.0 + 3e-9)
