@@ -114,7 +114,16 @@ def _parse_region(space, text: str | None, default_radius: float = 0.2):
         raise ValueError("--region must look like center=<json>,radius=<float>")
     center_text, radius_text = text[len("center="):].rsplit(",radius=", 1)
     center = space.point_from_data(json.loads(center_text))
-    return center, float(radius_text)
+    radius = float(radius_text)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"--region radius must be finite and > 0, got {radius_text}")
+    return center, radius
+
+
+def _at_least_one(value: int, option: str) -> int:
+    if value < 1:
+        raise ValueError(f"{option} must be >= 1, got {value}")
+    return value
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -190,7 +199,7 @@ def cmd_test(args) -> int:
     defects: list[float] = []
     verdict = estimator.CRITERIA.get(args.criterion.replace("-", "_"))
 
-    for i in range(args.samples):
+    for i in range(_at_least_one(args.samples, "--samples")):
         if args.criterion == "multiplicity":
             x = space.sample_ball(center, radius, rng)
             y = space.sample_ball(center, radius, rng)
@@ -274,7 +283,8 @@ def cmd_estimate(args) -> int:
     names = tuple(args.criteria.split(",")) if args.criteria else ("pythagorean",)
     bracket = tuple(_parse_floats(args.bracket)) if args.bracket else (-2.0, 2.0)
     measurements = estimator.sample_measurements(
-        space, center, radius, names, args.samples, args.seed, tol_cfg=tol
+        space, center, radius, names, _at_least_one(args.samples, "--samples"), args.seed,
+        tol_cfg=tol,
     )
     est = estimator.estimate_bounds(
         space, center, radius, measurements, seed=args.seed, k_bracket=bracket,
@@ -325,8 +335,9 @@ def cmd_profile(args) -> int:
         centers = [center]
     ladder = tuple(_parse_floats(args.eps_ladder)) if args.eps_ladder else None
     rows_data = estimator.region_report(
-        space, centers, radius, n_samples=args.samples, seed=args.seed,
-        eps_ladder=ladder, n_per_eps=args.per_eps, tol_cfg=tol,
+        space, centers, radius, n_samples=_at_least_one(args.samples, "--samples"),
+        seed=args.seed, eps_ladder=ladder,
+        n_per_eps=_at_least_one(args.per_eps, "--per-eps"), tol_cfg=tol,
         diagnostic_only=space.name == "mesh",
     )
     csv_rows = []

@@ -8,10 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# |k| * d^2 below this value the trig kernels switch to Taylor branches so
-# values stay continuous in k across 0.  Mirrored in _scalar_py/_scalar_cy.
-SERIES_CUTOFF = 1e-8
-
 # Perimeter safety margin for k > 0, in units of 1/sqrt(k): comparison
 # triangles are non-unique at the antipodal boundary.
 SPHERE_MARGIN = 1e-6

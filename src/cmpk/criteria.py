@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -287,8 +286,8 @@ def build_right_angle_config(
 ) -> RightAngleConfig:
     """Shoot two legs from p and verify that they enclose a right angle.
 
-    Both legs must be minimal geodesics and the small-scale comparison-angle
-    ladder at p must read pi/2 within `angle_tol`.  The angle is verified
+    Both legs must be minimal geodesics and the small-scale comparison angle
+    at p (`angle_at`) must read pi/2 within `angle_tol`.  The angle is verified
     directly (rather than through a foot-of-perpendicular check) because a
     right angle need not arise as a foot: on a cone, the configurations that
     feel the apex are exactly those whose foot migrates to a segment
@@ -305,10 +304,10 @@ def build_right_angle_config(
     if d_pq < leg1 * (1.0 - 1e-9) or d_pr < leg2 * (1.0 - 1e-9):
         raise RightAngleUnavailable("shot leg is not a minimal geodesic")
     try:
-        est = angle_at(space, p, space.geodesic(p, q), space.geodesic(p, r), 0.0, tol_cfg=tol_cfg)
+        angle = angle_at(space, p, space.geodesic(p, q), space.geodesic(p, r), 0.0, tol_cfg=tol_cfg)
     except LadderError as e:
-        raise RightAngleUnavailable(f"angle ladder degenerate: {e}") from e
-    deviation = abs(est.angle - PI / 2)
+        raise RightAngleUnavailable(f"angle at p degenerate: {e}") from e
+    deviation = abs(angle - PI / 2)
     if deviation > angle_tol:
         raise RightAngleUnavailable(
             f"angle at p deviates from pi/2 by {deviation:.3g} > {angle_tol:.1g}"
@@ -333,10 +332,10 @@ def right_angle_from_foot(
     p = seg.at(foot.t_star)
     ahead = seg.subsegment(foot.t_star, seg.length)
     try:
-        est = angle_at(space, p, space.geodesic(p, q), ahead, 0.0, tol_cfg=tol_cfg)
+        angle = angle_at(space, p, space.geodesic(p, q), ahead, 0.0, tol_cfg=tol_cfg)
     except LadderError as e:
-        raise RightAngleUnavailable(f"angle ladder degenerate: {e}") from e
-    deviation = abs(est.angle - PI / 2)
+        raise RightAngleUnavailable(f"angle at p degenerate: {e}") from e
+    deviation = abs(angle - PI / 2)
     if deviation > angle_tol:
         raise RightAngleUnavailable(
             f"foot angle deviates from pi/2 by {deviation:.3g} > {angle_tol:.1g}"
@@ -429,81 +428,44 @@ def point_segment_test(
 
 
 # ---------------------------------------------------------------------------
-# angle estimation by comparison-angle ladders
-
-
-@dataclass(frozen=True)
-class AngleEstimate:
-    vertex: object
-    toward: tuple[object, object]
-    ladder: tuple[tuple[float, float], ...]  # (scale t_j, comparison angle)
-    angle: float           # last-rung value
-    extrapolated: float    # Richardson extrapolation of the last two rungs
-    monotone: bool
-    k0: float
+# angles at a vertex, as small-scale comparison angles
 
 
 def measure_angle_ladder(
     space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment, *,
-    t0: float | None = None, ratio: float = 0.5, rungs: int = 8,
     tol_cfg: Tolerances = DEFAULT_TOL,
-) -> tuple[tuple[float, float, float, float], ...]:
-    """Raw ladder of (t_j, |p a_j|, |p b_j|, |a_j b_j|)."""
+) -> tuple[float, float, float]:
+    """Sides (|pa|, |pb|, |ab|) of the small triangle that measures the angle at p.
+
+    a and b lie at arclength t = 0.1 * min(leg lengths) * 0.5**7, 1/1280 of
+    the shorter leg, along the two segments.  On a smooth surface the
+    comparison angle of this triangle is within O(t^2) of the Alexandrov
+    angle; on a flat sector it is exact.
+    """
     for seg in (toward_q, toward_r):
         if space.distance(seg.at(0.0), p) > 10.0 * tol_cfg.pt:
             raise ValueError("segment does not emanate from p")
-    if t0 is None:
-        t0 = 0.1 * min(toward_q.length, toward_r.length)
-    if t0 <= 0.0:
+    t = 0.1 * min(toward_q.length, toward_r.length) * 0.5**7
+    if t <= 0.0:
         raise LadderError("zero-length segment")
-    out = []
-    for j in range(rungs):
-        t = t0 * ratio**j
-        a = toward_q.at(t)
-        b = toward_r.at(t)
-        d_pa = space.distance(p, a)
-        d_pb = space.distance(p, b)
-        if min(d_pa, d_pb) < 10.0 * tol_cfg.geo:
-            raise LadderError(f"ladder distances degenerate at rung {j}")
-        out.append((t, d_pa, d_pb, space.distance(a, b)))
-    return tuple(out)
-
-
-def evaluate_angle_ladder(
-    raw: Sequence[tuple[float, float, float, float]], k0: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, vertex=None, toward=(None, None),
-) -> AngleEstimate:
-    ladder = tuple(
-        (t, model.comparison_angle(k0, (d_pa, d_pb, d_ab), tol=tol_cfg))
-        for t, d_pa, d_pb, d_ab in raw
-    )
-    values = [v for _, v in ladder]
-    monotone = all(values[j + 1] >= values[j] - 1e-9 for j in range(len(values) - 1))
-    angle = values[-1]
-    extrapolated = _richardson(raw, values) if len(values) >= 2 else angle
-    return AngleEstimate(vertex, toward, ladder, angle, extrapolated, monotone, k0)
-
-
-def _richardson(raw, values) -> float:
-    """Richardson extrapolation of the last two rungs, clamped to [0, pi]."""
-    r2 = (raw[-2][0] / raw[-1][0]) ** 2
-    extrapolated = (r2 * values[-1] - values[-2]) / (r2 - 1.0)
-    return min(max(extrapolated, 0.0), PI)
+    a = toward_q.at(t)
+    b = toward_r.at(t)
+    d_pa = space.distance(p, a)
+    d_pb = space.distance(p, b)
+    if min(d_pa, d_pb) < 10.0 * tol_cfg.geo:
+        raise LadderError(f"sides degenerate at scale {t:.3g}")
+    return d_pa, d_pb, space.distance(a, b)
 
 
 def angle_at(
     space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment,
-    k0: float = 0.0, *, t0: float | None = None, ratio: float = 0.5, rungs: int = 8,
-    tol_cfg: Tolerances = DEFAULT_TOL,
-) -> AngleEstimate:
-    """Angle between two segments at p as the small-scale comparison-angle limit."""
-    raw = measure_angle_ladder(
-        space, p, toward_q, toward_r, t0=t0, ratio=ratio, rungs=rungs, tol_cfg=tol_cfg
-    )
-    return evaluate_angle_ladder(
-        raw, k0, tol_cfg=tol_cfg, vertex=space.point_to_data(p),
-        toward=(space.point_to_data(toward_q.end), space.point_to_data(toward_r.end)),
-    )
+    k0: float = 0.0, *, tol_cfg: Tolerances = DEFAULT_TOL,
+) -> float:
+    """Angle between two segments at p: the curvature-k0 comparison angle of the
+    triangle `measure_angle_ladder` measures, which tends to the Alexandrov
+    angle as its scale shrinks."""
+    sides = measure_angle_ladder(space, p, toward_q, toward_r, tol_cfg=tol_cfg)
+    return model.comparison_angle(k0, sides, tol=tol_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -513,70 +475,14 @@ def angle_at(
 @dataclass(frozen=True)
 class TriangleMeasurement:
     sides: tuple[float, float, float]  # (d_qr, d_pr, d_pq): side opposite p, q, r
-    ladders: dict  # vertex name -> list of raw ladders (one per geodesic combo)
+    angle_sides: dict  # vertex name -> `measure_angle_ladder` triples, one per geodesic pair
     scale: float
     multi_geodesic: bool
     snapshot: dict = field(default_factory=dict, repr=False)
 
-    @cached_property
-    def last_rungs_suffice(self) -> bool:
-        """Can `evaluate_triangle` read each ladder's angle off its last rung?
-
-        True when in every ladder all other rungs are silent (`_silent_rung`)
-        and the extrapolation raises nothing, so evaluating the whole ladder
-        at k would give the same angle and raise only what the last rung
-        raises.  These checks do not depend on k, so they run once per
-        measurement.
-        """
-        perimeter = sum(self.sides)
-        return all(
-            _only_last_rung_matters(raw, perimeter)
-            for raws in self.ladders.values() for raw in raws
-        )
-
-
-# Rounding moves the model cosine of a silent rung by under 1e-11 at any k at
-# which the main triangle is admissible, so with a clamp tolerance at least
-# this large no silent rung can trip `comparison_angle`'s clamp.
-_SILENT_RUNG_CLAMP = 1e-10
-
-
-def _silent_rung(a: float, b: float, c: float, main_perimeter: float) -> bool:
-    """True when comparison_angle(k, (a, b, c)) raises nothing at any k at which
-    the main triangle, of perimeter `main_perimeter`, is admissible.
-
-    The exact triangle inequality keeps the model cosine in [-1, 1] up to
-    rounding, and the adjacent sides within a factor 100 of each other keep
-    that rounding small.  A perimeter at most half the main one puts every
-    side below a quarter of the main perimeter, so the length, perimeter and
-    overflow checks pass wherever the main triangle's do.  The 1e-100 floor
-    keeps the adjacent-side check and the sn_k product clear of zero.
-    Ladders measured by `measure_angle_ladder` have rung perimeters of at
-    most 0.2 of the main perimeter and near-equal adjacent sides.
-    """
-    lo, hi = min(a, b), max(a, b)
-    return (
-        lo >= 1e-100 and hi <= 100.0 * lo
-        and c <= a + b and a <= b + c and b <= a + c
-        and a + b + c <= 0.5 * main_perimeter
-    )
-
-
-def _only_last_rung_matters(raw, main_perimeter: float) -> bool:
-    """True when the ladder's other rungs are silent and its extrapolation
-    raises nothing, whatever the k."""
-    try:
-        sides = [(d_pa, d_pb, d_ab) for _, d_pa, d_pb, d_ab in raw]
-        if len(sides) >= 2:
-            _richardson(raw, (0.0, 0.0))
-        return bool(sides) and all(_silent_rung(*s, main_perimeter) for s in sides[:-1])
-    except (ArithmeticError, TypeError, ValueError):
-        return False
-
 
 def measure_triangle(
-    space: GeodesicSpace, p, q, r, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, rungs: int = 8,
+    space: GeodesicSpace, p, q, r, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TriangleMeasurement:
     g_pq = space.minimal_geodesics(p, q)
     g_pr = space.minimal_geodesics(p, r)
@@ -585,27 +491,21 @@ def measure_triangle(
     if min(d_pq, d_pr, d_qr) <= 10.0 * tol_cfg.geo:
         raise DegenerateConfigError("triangle has a vanishing side")
     multi = max(len(g_pq), len(g_pr), len(g_qr)) > 1
-    ladders = {"p": [], "q": [], "r": []}
-    for ga in g_pq:
-        for gb in g_pr:
-            ladders["p"].append(measure_angle_ladder(space, p, ga, gb, rungs=rungs, tol_cfg=tol_cfg))
-    for ga in g_pq:
-        for gb in g_qr:
-            ladders["q"].append(
-                measure_angle_ladder(space, q, ga.reversed(), gb, rungs=rungs, tol_cfg=tol_cfg)
-            )
-    for ga in g_pr:
-        for gb in g_qr:
-            ladders["r"].append(
-                measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), rungs=rungs, tol_cfg=tol_cfg)
-            )
+    angle_sides = {
+        "p": [measure_angle_ladder(space, p, ga, gb, tol_cfg=tol_cfg)
+              for ga in g_pq for gb in g_pr],
+        "q": [measure_angle_ladder(space, q, ga.reversed(), gb, tol_cfg=tol_cfg)
+              for ga in g_pq for gb in g_qr],
+        "r": [measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), tol_cfg=tol_cfg)
+              for ga in g_pr for gb in g_qr],
+    }
     scale = max(d_pq, d_pr, d_qr)
     snapshot = {
         "p": space.point_to_data(p), "q": space.point_to_data(q), "r": space.point_to_data(r),
         "distances": {"d_pq": d_pq, "d_pr": d_pr, "d_qr": d_qr},
         "multi_geodesic": multi,
     }
-    return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, scale, multi, snapshot)
+    return TriangleMeasurement((d_qr, d_pr, d_pq), angle_sides, scale, multi, snapshot)
 
 
 def evaluate_triangle(
@@ -618,18 +518,11 @@ def evaluate_triangle(
         "q": model.comparison_angle(k, (d_pq, d_qr, d_pr), tol=tol_cfg),
         "r": model.comparison_angle(k, (d_pr, d_qr, d_pq), tol=tol_cfg),
     }
-    # a ladder's angle is its last rung's; the other rungs matter only for
-    # what they might raise, which `last_rungs_suffice` rules out
-    last_only = tol_cfg.clamp >= _SILENT_RUNG_CLAMP and m.last_rungs_suffice
     cbb = -math.inf
     cba = -math.inf
     estimates = {}
-    for v, raws in m.ladders.items():
-        angles = [
-            model.comparison_angle(k, raw[-1][1:], tol=tol_cfg) if last_only
-            else evaluate_angle_ladder(raw, k, tol_cfg=tol_cfg).angle
-            for raw in raws
-        ]
+    for v, triples in m.angle_sides.items():
+        angles = [model.comparison_angle(k, sides, tol=tol_cfg) for sides in triples]
         estimates[v] = angles
         # lower bound needs angle >= model angle for every geodesic pair
         cbb = max(cbb, model_angles[v] - min(angles))
@@ -677,8 +570,8 @@ def first_variation_check(
     p = seg.at(t_star)
     geods = space.minimal_geodesics(p, q)
     forward = seg.subsegment(t_star, seg.length)
-    est = angle_at(space, p, geods[0], forward, k0, tol_cfg=tol_cfg)
-    target = -math.cos(est.angle)
+    angle = angle_at(space, p, geods[0], forward, k0, tol_cfg=tol_cfg)
+    target = -math.cos(angle)
     d0 = space.distance(q, p)
     slopes = tuple((space.distance(q, seg.at(t_star + h)) - d0) / h for h in steps)
     errors = tuple(abs(s - target) for s in slopes)
@@ -686,7 +579,7 @@ def first_variation_check(
         errors[i + 1] / errors[i] if errors[i] > 0 else 0.0 for i in range(len(errors) - 1)
     )
     return FirstVariationReport(
-        t_star, est.angle, target, tuple(steps), slopes, errors, ratios, len(geods) > 1
+        t_star, angle, target, tuple(steps), slopes, errors, ratios, len(geods) > 1
     )
 
 
@@ -715,8 +608,8 @@ def angle_sum_check(
     toward_q = geods[0]
     back = seg.subsegment(t_interior, 0.0)
     ahead = seg.subsegment(t_interior, seg.length)
-    a1 = angle_at(space, p, toward_q, back, k0, tol_cfg=tol_cfg).angle
-    a2 = angle_at(space, p, toward_q, ahead, k0, tol_cfg=tol_cfg).angle
+    a1 = angle_at(space, p, toward_q, back, k0, tol_cfg=tol_cfg)
+    a2 = angle_at(space, p, toward_q, ahead, k0, tol_cfg=tol_cfg)
     return AngleSumReport(a1, a2, a1 + a2, a1 + a2 - PI, t_interior, len(geods) > 1)
 
 

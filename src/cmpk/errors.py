@@ -34,7 +34,7 @@ class RightAngleUnavailable(CmpkError):
 
 
 class LadderError(CmpkError):
-    """Angle-estimation ladder degenerated (distances below resolution)."""
+    """Angle measurement degenerated (distances below resolution)."""
 
 
 class BracketExpansionError(CmpkError):

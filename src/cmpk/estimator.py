@@ -190,6 +190,9 @@ def estimate_bounds(
     k_lo, k_hi = k_bracket
     if not k_lo < k_hi:
         raise ValueError("k_bracket must satisfy k_lo < k_hi")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        # bisection to a zero resolution never stops
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     step = k_hi - k_lo
 
     k_cbb = cbb_residual = None

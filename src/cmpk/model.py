@@ -158,11 +158,15 @@ def side_from_angle(k: float, a: float, b: float, gamma: float) -> float:
     if not 0.0 <= gamma <= PI:
         raise ModelDomainError(f"gamma must lie in [0, pi], got {gamma}")
     c = kernels.side_from_angle_cos(k, a, b, math.cos(gamma))
+    _check_resulting_perimeter(k, a, b, c)
+    return c
+
+
+def _check_resulting_perimeter(k: float, a: float, b: float, c: float) -> None:
     if k > 0.0 and a + b + c >= _perimeter_bound(k):
         raise ModelDomainError(
             f"resulting triangle perimeter {a + b + c} is inadmissible for k={k}"
         )
-    return c
 
 
 def pythagorean_defect(k: float, leg1: float, leg2: float, hyp: float,
@@ -180,15 +184,17 @@ def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts, *,
     """Model distances from q~ to the points at arclengths ts along [p~ r~].
 
     Endpoints (t within tol.geo of 0 or d_pr) give d_qp and d_qr exactly.
-    The triple is checked once, each t's range in order, and the model angle
-    at p~ is computed once, at the first interior t, so the results and the
-    first error raised are those of taking each t on its own.
+    The triple is checked once, each t's range in order, and the cosine of
+    the model angle at p~ is computed once, at the first interior t, so the
+    results and the first error raised are those of `side_from_angle` taking
+    each t on its own: its length and angle checks hold by construction,
+    since 0 <= t <= d_pr and the angle comes from acos.
     """
     if len(ts) == 0:
         return []
     triple = SideTriple(d_qp, d_pr, d_qr)
     _check_triple(k, triple)
-    alpha = None
+    cos_alpha = None
     out = []
     for t in ts:
         if not -tol.geo <= t <= d_pr + tol.geo:
@@ -199,9 +205,11 @@ def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts, *,
         elif t == d_pr:
             out.append(d_qr)
         else:
-            if alpha is None:
-                alpha = comparison_angle(k, triple, tol=tol)
-            out.append(side_from_angle(k, d_qp, t, alpha))
+            if cos_alpha is None:
+                cos_alpha = math.cos(comparison_angle(k, triple, tol=tol))
+            c = kernels.side_from_angle_cos(k, d_qp, t, cos_alpha)
+            _check_resulting_perimeter(k, d_qp, t, c)
+            out.append(c)
     return out
 
 

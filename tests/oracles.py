@@ -4,27 +4,29 @@ These deliberately avoid the package's kernel formulas: side lengths come
 from explicit point constructions (rotations on the embedded sphere,
 Minkowski hyperboloid vectors, planar coordinates) and angles from bisection
 against those constructions.  The exceptions are reference copies of code
-the package has since rewritten (the heap Dijkstra search and the per-k
-evaluators), which tests compare the rewrites against.
+the package has since rewritten (the heap Dijkstra search, the per-k
+evaluators and the angle ladders), which tests compare the rewrites against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
 from cmpk import model
 from cmpk.config import DEFAULT_TOL, Tolerances
-from cmpk.criteria import (
-    PointSegmentMeasurement,
-    TestOutcome,
-    TriangleMeasurement,
-    _outcome,
-    evaluate_angle_ladder,
+from cmpk.criteria import PI, PointSegmentMeasurement, TestOutcome, _outcome
+from cmpk.errors import (
+    DegenerateConfigError,
+    DisconnectedGraphError,
+    LadderError,
+    ModelDomainError,
 )
-from cmpk.errors import DisconnectedGraphError, ModelDomainError
+from cmpk.spaces import GeodesicSegment, GeodesicSpace
 
 
 def sphere_triangle_points(k: float, a: float, b: float, gamma: float):
@@ -214,10 +216,128 @@ def heap_shortest_path(matrix, src: int, dst: int) -> tuple[list[int], float]:
     return path[::-1], float(dist[dst])
 
 
-# The per-(sample, k) evaluators as they were before they stopped repeating
-# per-k work: every rung of every angle ladder evaluated at k, and the triple
-# re-checked and the comparison angle recomputed for every probe.  Tests
-# require the package's evaluators to agree with these exactly.
+# Angles and triangles as they were measured and evaluated before each angle
+# was measured at one scale: an 8-rung ladder of comparison triangles per
+# angle, every rung evaluated at k, and the triple re-checked and the
+# comparison angle recomputed for every point-segment probe.  Tests require
+# the package's measure -> evaluate results to agree with these exactly.
+
+
+@dataclass(frozen=True)
+class AngleEstimate:
+    vertex: object
+    toward: tuple[object, object]
+    ladder: tuple[tuple[float, float], ...]  # (scale t_j, comparison angle)
+    angle: float           # last-rung value
+    extrapolated: float    # Richardson extrapolation of the last two rungs
+    monotone: bool
+    k0: float
+
+
+def measure_angle_ladder(
+    space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment, *,
+    t0: float | None = None, ratio: float = 0.5, rungs: int = 8,
+    tol_cfg: Tolerances = DEFAULT_TOL,
+) -> tuple[tuple[float, float, float, float], ...]:
+    """Raw ladder of (t_j, |p a_j|, |p b_j|, |a_j b_j|)."""
+    for seg in (toward_q, toward_r):
+        if space.distance(seg.at(0.0), p) > 10.0 * tol_cfg.pt:
+            raise ValueError("segment does not emanate from p")
+    if t0 is None:
+        t0 = 0.1 * min(toward_q.length, toward_r.length)
+    if t0 <= 0.0:
+        raise LadderError("zero-length segment")
+    out = []
+    for j in range(rungs):
+        t = t0 * ratio**j
+        a = toward_q.at(t)
+        b = toward_r.at(t)
+        d_pa = space.distance(p, a)
+        d_pb = space.distance(p, b)
+        if min(d_pa, d_pb) < 10.0 * tol_cfg.geo:
+            raise LadderError(f"ladder distances degenerate at rung {j}")
+        out.append((t, d_pa, d_pb, space.distance(a, b)))
+    return tuple(out)
+
+
+def evaluate_angle_ladder(
+    raw: Sequence[tuple[float, float, float, float]], k0: float, *,
+    tol_cfg: Tolerances = DEFAULT_TOL, vertex=None, toward=(None, None),
+) -> AngleEstimate:
+    ladder = tuple(
+        (t, model.comparison_angle(k0, (d_pa, d_pb, d_ab), tol=tol_cfg))
+        for t, d_pa, d_pb, d_ab in raw
+    )
+    values = [v for _, v in ladder]
+    monotone = all(values[j + 1] >= values[j] - 1e-9 for j in range(len(values) - 1))
+    angle = values[-1]
+    extrapolated = _richardson(raw, values) if len(values) >= 2 else angle
+    return AngleEstimate(vertex, toward, ladder, angle, extrapolated, monotone, k0)
+
+
+def _richardson(raw, values) -> float:
+    """Richardson extrapolation of the last two rungs, clamped to [0, pi]."""
+    r2 = (raw[-2][0] / raw[-1][0]) ** 2
+    extrapolated = (r2 * values[-1] - values[-2]) / (r2 - 1.0)
+    return min(max(extrapolated, 0.0), PI)
+
+
+def angle_at(
+    space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment,
+    k0: float = 0.0, *, t0: float | None = None, ratio: float = 0.5, rungs: int = 8,
+    tol_cfg: Tolerances = DEFAULT_TOL,
+) -> AngleEstimate:
+    """Angle between two segments at p as the small-scale comparison-angle limit."""
+    raw = measure_angle_ladder(
+        space, p, toward_q, toward_r, t0=t0, ratio=ratio, rungs=rungs, tol_cfg=tol_cfg
+    )
+    return evaluate_angle_ladder(
+        raw, k0, tol_cfg=tol_cfg, vertex=space.point_to_data(p),
+        toward=(space.point_to_data(toward_q.end), space.point_to_data(toward_r.end)),
+    )
+
+
+@dataclass(frozen=True)
+class TriangleMeasurement:
+    sides: tuple[float, float, float]  # (d_qr, d_pr, d_pq): side opposite p, q, r
+    ladders: dict  # vertex name -> list of raw ladders (one per geodesic combo)
+    scale: float
+    multi_geodesic: bool
+    snapshot: dict = field(default_factory=dict, repr=False)
+
+
+def measure_triangle(
+    space: GeodesicSpace, p, q, r, *,
+    tol_cfg: Tolerances = DEFAULT_TOL, rungs: int = 8,
+) -> TriangleMeasurement:
+    g_pq = space.minimal_geodesics(p, q)
+    g_pr = space.minimal_geodesics(p, r)
+    g_qr = space.minimal_geodesics(q, r)
+    d_pq, d_pr, d_qr = g_pq[0].length, g_pr[0].length, g_qr[0].length
+    if min(d_pq, d_pr, d_qr) <= 10.0 * tol_cfg.geo:
+        raise DegenerateConfigError("triangle has a vanishing side")
+    multi = max(len(g_pq), len(g_pr), len(g_qr)) > 1
+    ladders = {"p": [], "q": [], "r": []}
+    for ga in g_pq:
+        for gb in g_pr:
+            ladders["p"].append(measure_angle_ladder(space, p, ga, gb, rungs=rungs, tol_cfg=tol_cfg))
+    for ga in g_pq:
+        for gb in g_qr:
+            ladders["q"].append(
+                measure_angle_ladder(space, q, ga.reversed(), gb, rungs=rungs, tol_cfg=tol_cfg)
+            )
+    for ga in g_pr:
+        for gb in g_qr:
+            ladders["r"].append(
+                measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), rungs=rungs, tol_cfg=tol_cfg)
+            )
+    scale = max(d_pq, d_pr, d_qr)
+    snapshot = {
+        "p": space.point_to_data(p), "q": space.point_to_data(q), "r": space.point_to_data(r),
+        "distances": {"d_pq": d_pq, "d_pr": d_pr, "d_qr": d_qr},
+        "multi_geodesic": multi,
+    }
+    return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, scale, multi, snapshot)
 
 
 def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float,

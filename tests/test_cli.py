@@ -241,11 +241,24 @@ def test_missing_obj_exit_1(tmp_path):
     assert run(["mesh", "--obj", str(tmp_path / "missing.obj"), "--out", str(tmp_path)]) == 1
 
 
-def test_bad_region_exit_2(tmp_path):
-    assert run([
-        "test", "--space", PLANE, "--criterion", "pythagorean",
-        "--region", "nonsense", "--out", str(tmp_path),
-    ]) == 2
+def test_bad_region_exit_2(tmp_path, capsys):
+    test = ["test", "--space", SPHERE, "--criterion", "pythagorean"]
+    cases = [
+        ([*test, "--region", "nonsense"], "--region must look like"),
+        *(([*test, "--region", f"center=[0,0,1],radius={r}", "--samples", "3"],
+           "--region radius must be finite and > 0") for r in ("-0.3", "0", "nan", "inf")),
+        ([*test, "--samples", "0"], "--samples must be >= 1"),
+        (["estimate", "--space", SPHERE, "--samples", "0"], "--samples must be >= 1"),
+        *((["estimate", "--space", SPHERE, "--samples", "3", "--resolution", r],
+           "resolution must be finite and > 0") for r in ("0", "-0.01", "nan", "inf")),
+        (["profile", "--space", SPHERE, "--samples", "0"], "--samples must be >= 1"),
+        (["profile", "--space", SPHERE, "--per-eps", "0"], "--per-eps must be >= 1"),
+    ]
+    for i, (argv, message) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run([*argv, "--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err.startswith(f"config error: {message}"), argv
+        assert not out.exists() or not any(out.iterdir()), argv
 
 
 def test_unknown_criterion_usage_error():

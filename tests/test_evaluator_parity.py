@@ -1,21 +1,23 @@
-"""The triangle and point-segment evaluators against their per-k references.
+"""Measure -> evaluate against the references in `oracles`.
 
-`evaluate_triangle` reads each ladder's angle off its last rung and
-`evaluate_point_segment` checks the triple and computes the comparison angle
-once per call.  The references in `oracles` evaluate every rung and every
-probe in full.  Both must give equal outcomes, `config` included, or raise
-the same exception with the same message.
+The package measures each angle at one scale, the last rung of the 8-rung
+ladder the references measure and evaluate in full, and `evaluate_point_segment`
+checks the triple and computes the comparison angle once per call.  Both
+must give equal outcomes, `config` included, or raise the same exception
+with the same message; the angles the right-angle constructions read must be
+bit-equal, or both sides raise the same exception type.
 """
 
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpk import criteria, estimator, spaces
+from cmpk import criteria, spaces
 from cmpk._scalar_py import SERIES_EPS
-from cmpk.config import DEFAULT_TOL, SPHERE_MARGIN, Tolerances
+from cmpk.config import DEFAULT_TOL, SPHERE_MARGIN
 from cmpk.criteria import PointSegmentMeasurement, TriangleMeasurement
 
 import oracles
@@ -27,6 +29,13 @@ EVALUATORS = {
     "point_segment": (criteria.evaluate_point_segment, oracles.evaluate_point_segment),
 }
 
+SPACES = {
+    "sphere": (spaces.make_sphere(1.0), None, 0.3),
+    "hyperbolic": (spaces.make_hyperbolic(-1.0), None, 0.3),
+    "tripod": (spaces.make_tripod(), (0, 0.0), 0.5),
+    "cone": (spaces.make_cone(PI), (0.0, 0.0), 0.25),
+}
+
 
 def outcome_or_error(evaluate, m, k, tol_cfg=DEFAULT_TOL):
     try:
@@ -35,31 +44,44 @@ def outcome_or_error(evaluate, m, k, tol_cfg=DEFAULT_TOL):
         return type(e), str(e)
 
 
-def assert_parity(criterion, m, k, tol_cfg=DEFAULT_TOL):
+def assert_parity(criterion, m, k, tol_cfg=DEFAULT_TOL, ref_m=None):
+    """`ref_m` is the reference's measurement, where it differs from `m`."""
     new, ref = EVALUATORS[criterion]
     got = outcome_or_error(new, m, k, tol_cfg)
-    assert got == outcome_or_error(ref, m, k, tol_cfg)
+    assert got == outcome_or_error(ref, m if ref_m is None else ref_m, k, tol_cfg)
     return got
+
+
+def region(kind):
+    sp, center, radius = SPACES[kind]
+    return sp, sp.default_center() if center is None else center, radius
 
 
 @functools.cache
 def stored(kind):
-    sp, center, radius = {
-        "sphere": (spaces.make_sphere(1.0), None, 0.3),
-        "hyperbolic": (spaces.make_hyperbolic(-1.0), None, 0.3),
-        "tripod": (spaces.make_tripod(), (0, 0.0), 0.5),
-        "cone": (spaces.make_cone(PI), (0.0, 0.0), 0.25),
-    }[kind]
-    center = sp.default_center() if center is None else center
-    return estimator.sample_measurements(
-        sp, center, radius, ("triangle", "point_segment"), 10, 3)
+    """Ten foot configurations measured by the package, and each triangle also
+    by the reference (under "reference triangle").  The cone adds a triangle
+    with two minimal geodesics from p to q, a quarter turn apart."""
+    sp, center, radius = region(kind)
+    rng = np.random.default_rng(3)
+    out = {"triangle": [], "point_segment": [], "reference triangle": []}
+    configs = [criteria.sample_foot_config(sp, center, radius, rng)[:2] for _ in range(10)]
+    for q, seg in configs:
+        out["point_segment"].append(criteria.measure_point_segment(sp, q, seg))
+    triangles = [(seg.start, q, seg.end) for q, seg in configs]
+    if kind == "cone":
+        triangles.append(((0.2, 0.0), (0.2, PI / 2), (0.3, 0.4)))
+    for p, q, r in triangles:
+        out["triangle"].append(criteria.measure_triangle(sp, p, q, r))
+        out["reference triangle"].append(oracles.measure_triangle(sp, p, q, r))
+    return out
 
 
 def lengths(m, criterion):
     """(perimeter of the main triple, lengths whose k * d^2 picks a kernel branch)."""
     if criterion == "triangle":
-        last_rungs = [raw[-1][1:] for raws in m.ladders.values() for raw in raws]
-        ds = [*m.sides, *(d for rung in last_rungs for d in rung)]
+        triples = [s for ss in m.angle_sides.values() for s in ss]
+        ds = [*m.sides, *(d for sides in triples for d in sides)]
         return sum(m.sides), [d for d in ds if d > 0.0]
     ds = [m.d_qp, m.d_qr, m.length, *(t for t, _ in m.probes)]
     return m.d_qp + m.length + m.d_qr, [d for d in ds if d > 0.0]
@@ -79,102 +101,122 @@ def curvatures(m, criterion):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    kind=st.sampled_from(["sphere", "hyperbolic", "tripod", "cone"]),
+    kind=st.sampled_from(sorted(SPACES)),
     criterion=st.sampled_from(["triangle", "point_segment"]),
-    index=st.integers(0, 9),
     data=st.data(),
 )
-def test_stored_measurements_match_the_references(kind, criterion, index, data):
-    m = stored(kind)[criterion][index]
-    assert_parity(criterion, m, data.draw(curvatures(m, criterion)))
+def test_stored_measurements_match_the_references(kind, criterion, data):
+    ms = stored(kind)
+    index = data.draw(st.integers(0, len(ms[criterion]) - 1))
+    m = ms[criterion][index]
+    ref_m = ms["reference triangle"][index] if criterion == "triangle" else None
+    assert_parity(criterion, m, data.draw(curvatures(m, criterion)), ref_m=ref_m)
 
 
-def test_stored_triangles_take_the_last_rung_shortcut(monkeypatch):
-    for kind in ("sphere", "hyperbolic", "tripod", "cone"):
-        assert all(m.last_rungs_suffice for m in stored(kind)["triangle"])
-    # one comparison angle per main vertex and one per ladder, at any k
+def test_triangle_evaluation_makes_one_comparison_angle_per_triple(monkeypatch):
+    # one comparison angle per main vertex and one per stored triple, at any k
     calls = []
     real = criteria.model.comparison_angle
     monkeypatch.setattr(criteria.model, "comparison_angle",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     m = stored("sphere")["triangle"][0]
     criteria.evaluate_triangle(m, 0.5)
-    assert len(calls) == 3 + sum(len(raws) for raws in m.ladders.values())
+    assert len(calls) == 3 + sum(len(ss) for ss in m.angle_sides.values())
+
+
+@pytest.mark.parametrize("kind", ["cone", "tripod"])
+def test_right_angle_constructions_read_the_reference_angle(kind, monkeypatch):
+    """Every angle `build_right_angle_config` and `right_angle_from_foot` read,
+    on the pi-cone (around and at the apex) and on the tripod."""
+    real = criteria.angle_at
+    read, raised = [], []
+
+    def checked(*args, **kwargs):
+        try:
+            ref = oracles.angle_at(*args, **kwargs).angle
+        except Exception as e:
+            with pytest.raises(Exception) as got:
+                real(*args, **kwargs)
+            assert got.type is type(e)
+            raised.append(got.type)
+            raise
+        angle = real(*args, **kwargs)
+        assert repr(angle) == repr(ref)
+        read.append(angle)
+        return angle
+
+    monkeypatch.setattr(criteria, "angle_at", checked)
+    sp, center, radius = region(kind)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        try:
+            criteria.sample_right_angle_config(sp, center, radius, rng)
+        except criteria.RightAngleUnavailable:
+            pass
+        q, seg, foot = criteria.sample_foot_config(sp, center, radius, rng)
+        try:
+            criteria.right_angle_from_foot(sp, q, seg, foot=foot)
+        except criteria.RightAngleUnavailable:
+            pass
+    if kind == "cone":
+        for eps in (0.25, 0.03):
+            criteria.chi_at_scale(sp, (0.5, 1.0), eps, 40, 7)
+            criteria.chi_at_scale(sp, center, eps, 40, 7)
+        # legs of 1e-6 put the measuring scale under the distance resolution
+        for p in ((0.0, 0.0), (0.05, 1.0)):
+            for beta in np.linspace(0.0, PI, 9):
+                for legs in ((0.2, 0.1), (2e-6, 1e-6)):
+                    try:
+                        criteria.build_right_angle_config(sp, p, beta, beta + PI / 2, *legs)
+                    except criteria.RightAngleUnavailable:
+                        pass
+        assert raised
+    assert len(read) >= 80
 
 
 # ---------------------------------------------------------------------------
-# hand-built triangles whose early rungs raise, or might, at some k
+# hand-built triangles whose stored triple raises, or might, at some k
 
 KS = (-1e4, -4.0, -0.7, -0.5, 0.0, 0.5, 4.3, 30.0, 1e4, math.nan)
 
 
-def ladder(scale=1.0):
-    """An equilateral ladder: rung j is (t, t, t, t) with t = 0.1 * scale / 2**j."""
-    return tuple((t, t, t, t) for t in (0.1 * scale * 0.5**j for j in range(8)))
-
-
-def triangle(bad_ladder, side=1.0):
-    """Equilateral main triangle whose q vertex carries `bad_ladder` second."""
-    good = ladder(side)
-    return TriangleMeasurement(
-        (side, side, side), {"p": [good], "q": [good, bad_ladder], "r": [good]},
-        side, False, {"case": "hand-built"})
-
-
-def with_rung(rung, at=2, side=1.0):
-    raw = list(ladder(side))
-    raw[at] = rung
-    return tuple(raw)
+def triangle(triple, side=1.0):
+    """Equilateral main triangle whose q vertex carries `triple` second, and the
+    reference measurement that reads each triple as a one-rung ladder."""
+    good = (0.1 * side,) * 3
+    sides = {"p": [good], "q": [good, triple], "r": [good]}
+    ladders = {v: [((0.0, *s),) for s in ss] for v, ss in sides.items()}
+    return (TriangleMeasurement((side,) * 3, sides, side, False, {"case": "hand-built"}),
+            oracles.TriangleMeasurement((side,) * 3, ladders, side, False, {"case": "hand-built"}))
 
 
 HAND_BUILT = {
-    "early rung breaks the triangle inequality": (
-        with_rung((0.025, 0.05, 0.01, 0.01)), "triangle inequality violated"),
-    "next-to-last rung breaks the triangle inequality": (
-        with_rung((0.0015625, 0.003, 0.001, 0.001), at=-2), "triangle inequality violated"),
-    "early rung on the adjacent-side floor": (
-        with_rung((0.025, 0.0, 0.01, 0.01)), "sides adjacent to the angle must be > 0"),
-    "early rung inside the triangle-inequality slack": (
-        with_rung((0.025, 0.01, 0.01, 0.02 + 3e-11)), "below -1 beyond clamp tolerance"),
-    "early rung with adjacent sides far apart": (
-        with_rung((2.5, 1e-7, 1.0, 1.0000001), side=10.0), "below -1 beyond clamp tolerance"),
-    "early rung larger than the main triangle": (
-        with_rung((0.025, 1.2, 1.2, 1.2)), "perimeter 3.5999999999999996 >= admissible bound"),
-    "early rung whose sn_k product underflows": (
-        with_rung((0.025, 1e-200, 1e-200, 1e-200)), "float division by zero"),
-    "early rung with three entries": (
-        with_rung((0.025, 0.025, 0.025)), "not enough values to unpack"),
-    "repeated last scale": (
-        with_rung(ladder()[-1], at=-2), "float division by zero"),
-    "last scale zero": (
-        with_rung((0.0, 1e-3, 1e-3, 1e-3), at=-1), "float division by zero"),
-    "empty ladder": ((), "list index out of range"),
-    "one-rung ladder": (ladder()[:1], None),
+    "one-rung ladder": ((0.025, 0.025, 0.025), None),
+    "triple breaks the triangle inequality": (
+        (0.05, 0.01, 0.01), "triangle inequality violated"),
+    "triple on the adjacent-side floor": (
+        (0.0, 0.01, 0.01), "sides adjacent to the angle must be > 0"),
+    "triple inside the triangle-inequality slack": (
+        (0.01, 0.01, 0.02 + 3e-11), "below -1 beyond clamp tolerance"),
+    "triple with adjacent sides far apart": (
+        (1e-7, 1.0, 1.0000001), "below -1 beyond clamp tolerance"),
+    "triple larger than the main triangle": (
+        (1.2, 1.2, 1.2), "perimeter 3.5999999999999996 >= admissible bound"),
+    "triple whose sn_k product underflows": (
+        (1e-200, 1e-200, 1e-200), "float division by zero"),
 }
 
 
 @pytest.mark.parametrize("case", HAND_BUILT)
 def test_hand_built_triangles_match_the_reference(case):
-    raw, message = HAND_BUILT[case]
-    m = triangle(raw, side=10.0 if "far apart" in case else 1.0)
-    results = [assert_parity("triangle", m, k) for k in KS]
+    triple, message = HAND_BUILT[case]
+    m, ref_m = triangle(triple, side=10.0 if "far apart" in case else 1.0)
+    results = [assert_parity("triangle", m, k, ref_m=ref_m) for k in KS]
     raised = [r[1] for r in results if isinstance(r, tuple)]
     if message is None:
         assert isinstance(results[KS.index(0.0)], str)
     else:
         assert any(message in r for r in raised), raised
-
-
-def test_low_clamp_tolerance_evaluates_every_rung():
-    # the rounded cosine of this collinear rung is -1 - 4e-16 at k = -0.7
-    rung = (0.025, 0.0022092781970116113, 0.008626903632435096, 0.010836181829446706)
-    m = triangle(with_rung(rung))
-    strict = Tolerances(clamp=0.0)
-    for k in KS:
-        assert_parity("triangle", m, k)
-        assert_parity("triangle", m, k, strict)
-    assert isinstance(outcome_or_error(criteria.evaluate_triangle, m, -0.7, strict), tuple)
-    assert isinstance(outcome_or_error(criteria.evaluate_triangle, m, -0.7), str)
 
 
 # ---------------------------------------------------------------------------
