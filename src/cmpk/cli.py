@@ -28,6 +28,7 @@ from cmpk.errors import (
     DegenerateRegionError,
     DisconnectedGraphError,
     FootOnBoundary,
+    LadderError,
     MeshFormatError,
     ModelDomainError,
     RightAngleUnavailable,
@@ -131,10 +132,12 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = DEFAULT_TOL
-    if getattr(args, "tol_scale", None) is not None:
-        tol = tol.with_verdict_quad(args.tol_scale)
-    return tol
+    scale = getattr(args, "tol_scale", None)
+    if scale is None:
+        return DEFAULT_TOL
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"--tol-scale must be finite and >= 0, got {scale}")
+    return DEFAULT_TOL.with_verdict_quad(scale)
 
 
 def _out_dir(args) -> Path:
@@ -187,11 +190,19 @@ def _admissible_outcome(criterion: str, m, k: float, tol: Tolerances):
         return None
 
 
+# A sample whose draw, measurement or evaluation raises one of these writes
+# no rows and is counted in `skipped`; any other error ends the run.
+SKIPPED_SAMPLE = (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError, LadderError)
+
+
 def cmd_test(args) -> int:
     tol = _tolerances(args)
     space = _load_space_arg(args.space, tol)
     center, radius = _parse_region(space, args.region)
     ks = _parse_floats(args.k_grid) if args.k_grid else [args.k]
+    if not all(map(math.isfinite, ks)):
+        option = "--k-grid" if args.k_grid else "--k"
+        raise ValueError(f"{option} must be finite, got {args.k_grid or args.k}")
     rng = np.random.default_rng(args.seed)
     rows: list[list] = []
     skipped = 0
@@ -199,55 +210,52 @@ def cmd_test(args) -> int:
     defects: list[float] = []
     verdict = estimator.CRITERIA.get(args.criterion.replace("-", "_"))
 
+    # every row of a sample is appended after its last call that can raise
     for i in range(_at_least_one(args.samples, "--samples")):
-        if args.criterion == "multiplicity":
-            x = space.sample_ball(center, radius, rng)
-            y = space.sample_ball(center, radius, rng)
-            if space.distance(x, y) <= space.tol.pt:
-                skipped += 1
-                continue
-            n_geo = len(space.minimal_geodesics(x, y))
-            rows.append([i, n_geo])
-            key = "multi" if n_geo > 1 else "unique"
-            verdict_counts[key] = verdict_counts.get(key, 0) + 1
-            continue
-        if args.criterion == "first-variation":
-            q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol)
-            h_max = 1e-2 * seg.length
-            steps = (h_max, h_max * 0.1, h_max * 0.01)
-            t_star = min(foot.t_star, seg.length - h_max * 1.5)
-            rep = criteria.first_variation_check(space, q, seg, t_star, steps, tol_cfg=tol)
-            rows.append([
-                i, rep.t_star, rep.angle, rep.target, rep.steps[-1],
-                rep.slopes[-1], rep.errors[-1],
-            ])
-            defects.append(rep.errors[-1])
-            continue
-        if args.criterion == "angle-sum":
-            q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol)
-            rep = criteria.angle_sum_check(space, q, seg, foot.t_star, tol_cfg=tol)
-            rows.append([i, rep.t_interior, rep.angle_r1, rep.angle_r2, rep.total, rep.excess])
-            defects.append(rep.excess)
-            continue
-        # measure the sample once, then read that measurement at every k
         try:
-            m = verdict.measure(space, verdict.sample(space, center, radius, rng, tol), tol)
-            outs = [_admissible_outcome(args.criterion, m, k, tol) for k in ks]
-        except (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError) as e:
+            if args.criterion == "multiplicity":
+                x = space.sample_ball(center, radius, rng)
+                y = space.sample_ball(center, radius, rng)
+                if space.distance(x, y) <= space.tol.pt:
+                    raise DegenerateConfigError("the two points coincide")
+                n_geo = len(space.minimal_geodesics(x, y))
+                rows.append([i, n_geo])
+                key = "multi" if n_geo > 1 else "unique"
+                verdict_counts[key] = verdict_counts.get(key, 0) + 1
+            elif args.criterion == "first-variation":
+                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol)
+                h_max = 1e-2 * seg.length
+                steps = (h_max, h_max * 0.1, h_max * 0.01)
+                t_star = min(foot.t_star, seg.length - h_max * 1.5)
+                rep = criteria.first_variation_check(space, q, seg, t_star, steps, tol_cfg=tol)
+                rows.append([
+                    i, rep.t_star, rep.angle, rep.target, rep.steps[-1],
+                    rep.slopes[-1], rep.errors[-1],
+                ])
+                defects.append(rep.errors[-1])
+            elif args.criterion == "angle-sum":
+                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol)
+                rep = criteria.angle_sum_check(space, q, seg, foot.t_star, tol_cfg=tol)
+                rows.append([i, rep.t_interior, rep.angle_r1, rep.angle_r2, rep.total, rep.excess])
+                defects.append(rep.excess)
+            else:
+                # measure the sample once, then read that measurement at every k
+                m = verdict.measure(space, verdict.sample(space, center, radius, rng, tol), tol)
+                outs = [_admissible_outcome(args.criterion, m, k, tol) for k in ks]
+                for k, out in zip(ks, outs):
+                    if out is None:
+                        rows.append([i, k, m.scale, None, None, None, "inadmissible"])
+                        verdict_counts["inadmissible"] = verdict_counts.get("inadmissible", 0) + 1
+                        continue
+                    rows.append([
+                        i, out.k, out.scale, out.cbb_defect, out.cba_defect,
+                        out.tolerance, out.verdict,
+                    ])
+                    verdict_counts[out.verdict] = verdict_counts.get(out.verdict, 0) + 1
+                    defects.extend([out.cbb_defect, out.cba_defect])
+        except SKIPPED_SAMPLE as e:
             log.debug("sample %d skipped: %s", i, e)
             skipped += 1
-            continue
-        for k, out in zip(ks, outs):
-            if out is None:
-                rows.append([i, k, m.scale, None, None, None, "inadmissible"])
-                verdict_counts["inadmissible"] = verdict_counts.get("inadmissible", 0) + 1
-                continue
-            rows.append([
-                i, out.k, out.scale, out.cbb_defect, out.cba_defect,
-                out.tolerance, out.verdict,
-            ])
-            verdict_counts[out.verdict] = verdict_counts.get(out.verdict, 0) + 1
-            defects.extend([out.cbb_defect, out.cba_defect])
 
     out_dir = _out_dir(args)
     config = {
@@ -333,7 +341,7 @@ def cmd_profile(args) -> int:
         centers = [space.point_from_data(c) for c in json.loads(args.centers)]
     else:
         centers = [center]
-    ladder = tuple(_parse_floats(args.eps_ladder)) if args.eps_ladder else None
+    ladder = criteria.check_eps_ladder(_parse_floats(args.eps_ladder)) if args.eps_ladder else None
     rows_data = estimator.region_report(
         space, centers, radius, n_samples=_at_least_one(args.samples, "--samples"),
         seed=args.seed, eps_ladder=ladder,

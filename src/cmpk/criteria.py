@@ -11,7 +11,7 @@ configuration set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,6 @@ class TestOutcome:
     cba_defect: float
     tolerance: float
     verdict: str
-    config: dict = field(default_factory=dict, repr=False)
 
     def passes(self, orientation: str) -> bool:
         if orientation == "cbb":
@@ -63,11 +62,10 @@ class TestOutcome:
         raise ValueError(f"orientation must be 'cbb' or 'cba', got {orientation!r}")
 
 
-def _outcome(criterion, k, scale, cbb, cba, tol_cfg: Tolerances, tol, config) -> TestOutcome:
-    tolerance = tol_cfg.verdict_tolerance(scale) if tol is None else tol
+def _outcome(criterion, k, scale, cbb, cba, tol_cfg: Tolerances) -> TestOutcome:
+    tolerance = tol_cfg.verdict_tolerance(scale)
     return TestOutcome(
-        criterion, k, scale, cbb, cba, tolerance,
-        verdict_from_defects(cbb, cba, tolerance), config,
+        criterion, k, scale, cbb, cba, tolerance, verdict_from_defects(cbb, cba, tolerance)
     )
 
 
@@ -77,16 +75,8 @@ def _outcome(criterion, k, scale, cbb, cba, tol_cfg: Tolerances, tol, config) ->
 
 @dataclass(frozen=True)
 class FootResult:
-    segment: GeodesicSegment = field(repr=False)
     t_star: float
     d_star: float
-    interior: bool
-    margin: float
-    ties: tuple[float, ...] = ()
-
-    @property
-    def multiple(self) -> bool:
-        return len(self.ties) > 0
 
 
 def _golden(f, a: float, b: float, target: float) -> tuple[float, float]:
@@ -140,9 +130,9 @@ def foot_of_perpendicular(
     """Global minimizer of distance(q, seg.at(t)) over the segment.
 
     Dense grid (one batched `distances` call), golden-section refinement in
-    each candidate bracket, then a guarded parabolic polish.  Raises
-    FootOnBoundary when the minimizer sits within the interiorness margin of
-    an endpoint.
+    the bracket around the grid minimum, then a guarded parabolic polish.
+    Raises FootOnBoundary when the minimizer sits within the interiorness
+    margin of an endpoint.
     """
     L = seg.length
     if L <= 0.0:
@@ -152,37 +142,15 @@ def foot_of_perpendicular(
         return space.distance(q, seg.at(t))
 
     ts = np.linspace(0.0, L, n_grid + 1)
-    fs = space.distances(q, seg.at_many(ts))
-    order = int(np.argmin(fs))
-    target = tol_cfg.foot_refine_rel * L
-    h_polish = tol_cfg.foot_polish_rel * L
-
-    def refine(i: int) -> tuple[float, float]:
-        a = ts[max(i - 1, 0)]
-        b = ts[min(i + 1, n_grid)]
-        t_g, f_g = _golden(f, a, b, target)
-        return _parabolic_polish(f, t_g, f_g, 0.0, L, h_polish)
-
-    t_star, d_star = refine(order)
+    i = int(np.argmin(space.distances(q, seg.at_many(ts))))
+    t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, n_grid)], tol_cfg.foot_refine_rel * L)
+    t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, tol_cfg.foot_polish_rel * L)
     if d_star <= tol_cfg.geo:
         raise DegenerateConfigError("q lies on the segment")
     margin = tol_cfg.foot_margin_rel * L
     if not margin <= t_star <= L - margin:
         raise FootOnBoundary(t_star, d_star, L)
-
-    # other grid-separated local minima within the tie window
-    ties = []
-    for i in range(n_grid + 1):
-        if i == order:
-            continue
-        left = fs[i - 1] if i > 0 else math.inf
-        right = fs[i + 1] if i < n_grid else math.inf
-        if fs[i] <= left and fs[i] <= right and fs[i] <= d_star + 10.0 * tol_cfg.tie:
-            t_i, f_i = refine(i)
-            if f_i <= d_star + tol_cfg.tie and abs(t_i - t_star) > 2.0 * L / n_grid:
-                ties.append(t_i)
-
-    return FootResult(seg, t_star, d_star, True, margin, tuple(sorted(ties)))
+    return FootResult(t_star, d_star)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +165,6 @@ class PythagoreanMeasurement:
     d_pr2: float
     d_qr2: float
     scale: float
-    snapshot: dict = field(default_factory=dict, repr=False)
 
 
 def measure_pythagorean(
@@ -214,41 +181,23 @@ def measure_pythagorean(
     d_qr1 = space.distance(q, seg.start)
     d_qr2 = space.distance(q, seg.end)
     scale = max(d_qr1, d_qr2, seg.length)
-    snapshot = {
-        "q": space.point_to_data(q),
-        "r1": space.point_to_data(seg.start),
-        "r2": space.point_to_data(seg.end),
-        "p": space.point_to_data(p),
-        "t_star": foot.t_star,
-        "d_star": foot.d_star,
-        "foot_ties": len(foot.ties),
-        "distances": {
-            "d_qp": foot.d_star, "d_pr1": d_pr1, "d_qr1": d_qr1,
-            "d_pr2": d_pr2, "d_qr2": d_qr2, "length": seg.length,
-        },
-    }
-    return PythagoreanMeasurement(foot.d_star, d_pr1, d_qr1, d_pr2, d_qr2, scale, snapshot)
+    return PythagoreanMeasurement(foot.d_star, d_pr1, d_qr1, d_pr2, d_qr2, scale)
 
 
 def evaluate_pythagorean(
-    m: PythagoreanMeasurement, k: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    m: PythagoreanMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     d1 = model.pythagorean_defect(k, m.d_qp, m.d_pr1, m.d_qr1, tol=tol_cfg)
     d2 = model.pythagorean_defect(k, m.d_qp, m.d_pr2, m.d_qr2, tol=tol_cfg)
-    cbb = max(d1, d2)
-    cba = max(-d1, -d2)
-    config = dict(m.snapshot, defects=[d1, d2])
-    return _outcome("pythagorean", k, m.scale, cbb, cba, tol_cfg, tol, config)
+    return _outcome("pythagorean", k, m.scale, max(d1, d2), max(-d1, -d2), tol_cfg)
 
 
 def pythagorean_test(
     space: GeodesicSpace, k: float, q, seg: GeodesicSegment, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
-    foot: FootResult | None = None,
+    tol_cfg: Tolerances = DEFAULT_TOL, foot: FootResult | None = None,
 ) -> TestOutcome:
     m = measure_pythagorean(space, q, seg, tol_cfg=tol_cfg, foot=foot)
-    return evaluate_pythagorean(m, k, tol_cfg=tol_cfg, tol=tol)
+    return evaluate_pythagorean(m, k, tol_cfg=tol_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -347,24 +296,18 @@ def right_angle_from_foot(
 
 
 def evaluate_right_angle(
-    cfg: RightAngleConfig, k: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    cfg: RightAngleConfig, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     defect = model.pythagorean_defect(k, cfg.d_pq, cfg.d_pr, cfg.d_qr, tol=tol_cfg)
-    config = {
-        "distances": {"d_pq": cfg.d_pq, "d_pr": cfg.d_pr, "d_qr": cfg.d_qr},
-        "angle_deviation": cfg.angle_deviation,
-    }
-    return _outcome("right_angle", k, cfg.scale, defect, -defect, tol_cfg, tol, config)
+    return _outcome("right_angle", k, cfg.scale, defect, -defect, tol_cfg)
 
 
 def right_angle_pythagorean_test(
     space: GeodesicSpace, k: float, p, dir_q: float, dir_r: float,
-    leg1: float, leg2: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    leg1: float, leg2: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     cfg = build_right_angle_config(space, p, dir_q, dir_r, leg1, leg2, tol_cfg=tol_cfg)
-    return evaluate_right_angle(cfg, k, tol_cfg=tol_cfg, tol=tol)
+    return evaluate_right_angle(cfg, k, tol_cfg=tol_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +321,6 @@ class PointSegmentMeasurement:
     length: float
     probes: tuple[tuple[float, float], ...]  # (t, measured distance)
     scale: float
-    snapshot: dict = field(default_factory=dict, repr=False)
 
 
 def chebyshev_nodes(n: int, length: float) -> list[float]:
@@ -396,18 +338,11 @@ def measure_point_segment(
     d_qr = space.distance(q, seg.end)
     probes = tuple((t, space.distance(q, seg.at(t))) for t in chebyshev_nodes(n_probes, seg.length))
     scale = max(d_qp, d_qr, seg.length)
-    snapshot = {
-        "q": space.point_to_data(q),
-        "p": space.point_to_data(seg.start),
-        "r": space.point_to_data(seg.end),
-        "distances": {"d_qp": d_qp, "d_qr": d_qr, "length": seg.length},
-    }
-    return PointSegmentMeasurement(d_qp, d_qr, seg.length, probes, scale, snapshot)
+    return PointSegmentMeasurement(d_qp, d_qr, seg.length, probes, scale)
 
 
 def evaluate_point_segment(
-    m: PointSegmentMeasurement, k: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    m: PointSegmentMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     model_ds = model.comparison_distances(
         k, m.d_qp, m.d_qr, m.length, [t for t, _ in m.probes], tol=tol_cfg
@@ -415,16 +350,15 @@ def evaluate_point_segment(
     defects = [d_real - d for (_, d_real), d in zip(m.probes, model_ds)]
     cbb = -min(defects)  # lower bound requires real >= model everywhere
     cba = max(defects)
-    config = dict(m.snapshot, defects=defects)
-    return _outcome("point_segment", k, m.scale, cbb, cba, tol_cfg, tol, config)
+    return _outcome("point_segment", k, m.scale, cbb, cba, tol_cfg)
 
 
 def point_segment_test(
     space: GeodesicSpace, k: float, q, seg: GeodesicSegment, n_probes: int = 9, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     m = measure_point_segment(space, q, seg, n_probes)
-    return evaluate_point_segment(m, k, tol_cfg=tol_cfg, tol=tol)
+    return evaluate_point_segment(m, k, tol_cfg=tol_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +411,6 @@ class TriangleMeasurement:
     sides: tuple[float, float, float]  # (d_qr, d_pr, d_pq): side opposite p, q, r
     angle_sides: dict  # vertex name -> `measure_angle_ladder` triples, one per geodesic pair
     scale: float
-    multi_geodesic: bool
-    snapshot: dict = field(default_factory=dict, repr=False)
 
 
 def measure_triangle(
@@ -490,7 +422,6 @@ def measure_triangle(
     d_pq, d_pr, d_qr = g_pq[0].length, g_pr[0].length, g_qr[0].length
     if min(d_pq, d_pr, d_qr) <= 10.0 * tol_cfg.geo:
         raise DegenerateConfigError("triangle has a vanishing side")
-    multi = max(len(g_pq), len(g_pr), len(g_qr)) > 1
     angle_sides = {
         "p": [measure_angle_ladder(space, p, ga, gb, tol_cfg=tol_cfg)
               for ga in g_pq for gb in g_pr],
@@ -499,18 +430,11 @@ def measure_triangle(
         "r": [measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), tol_cfg=tol_cfg)
               for ga in g_pr for gb in g_qr],
     }
-    scale = max(d_pq, d_pr, d_qr)
-    snapshot = {
-        "p": space.point_to_data(p), "q": space.point_to_data(q), "r": space.point_to_data(r),
-        "distances": {"d_pq": d_pq, "d_pr": d_pr, "d_qr": d_qr},
-        "multi_geodesic": multi,
-    }
-    return TriangleMeasurement((d_qr, d_pr, d_pq), angle_sides, scale, multi, snapshot)
+    return TriangleMeasurement((d_qr, d_pr, d_pq), angle_sides, max(d_pq, d_pr, d_qr))
 
 
 def evaluate_triangle(
-    m: TriangleMeasurement, k: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    m: TriangleMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     d_qr, d_pr, d_pq = m.sides
     model_angles = {
@@ -520,23 +444,19 @@ def evaluate_triangle(
     }
     cbb = -math.inf
     cba = -math.inf
-    estimates = {}
     for v, triples in m.angle_sides.items():
         angles = [model.comparison_angle(k, sides, tol=tol_cfg) for sides in triples]
-        estimates[v] = angles
         # lower bound needs angle >= model angle for every geodesic pair
         cbb = max(cbb, model_angles[v] - min(angles))
         cba = max(cba, max(angles) - model_angles[v])
-    config = dict(m.snapshot, model_angles=model_angles, vertex_angles=estimates)
-    return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg, tol, config)
+    return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg)
 
 
 def triangle_comparison_test(
-    space: GeodesicSpace, k: float, p, q, r, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    space: GeodesicSpace, k: float, p, q, r, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     m = measure_triangle(space, p, q, r, tol_cfg=tol_cfg)
-    return evaluate_triangle(m, k, tol_cfg=tol_cfg, tol=tol)
+    return evaluate_triangle(m, k, tol_cfg=tol_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +472,6 @@ class FirstVariationReport:
     slopes: tuple[float, ...]
     errors: tuple[float, ...]
     ratios: tuple[float, ...]  # successive error ratios; expected to decay
-    multi_geodesic: bool = False  # ties make the tested direction one of several
 
     @property
     def decaying(self) -> bool:
@@ -568,9 +487,9 @@ def first_variation_check(
     if t_star + max(steps) > seg.length:
         raise ValueError("t_star too close to the segment end for the step ladder")
     p = seg.at(t_star)
-    geods = space.minimal_geodesics(p, q)
+    toward_q = space.minimal_geodesics(p, q)[0]
     forward = seg.subsegment(t_star, seg.length)
-    angle = angle_at(space, p, geods[0], forward, k0, tol_cfg=tol_cfg)
+    angle = angle_at(space, p, toward_q, forward, k0, tol_cfg=tol_cfg)
     target = -math.cos(angle)
     d0 = space.distance(q, p)
     slopes = tuple((space.distance(q, seg.at(t_star + h)) - d0) / h for h in steps)
@@ -578,9 +497,7 @@ def first_variation_check(
     ratios = tuple(
         errors[i + 1] / errors[i] if errors[i] > 0 else 0.0 for i in range(len(errors) - 1)
     )
-    return FirstVariationReport(
-        t_star, angle, target, tuple(steps), slopes, errors, ratios, len(geods) > 1
-    )
+    return FirstVariationReport(t_star, angle, target, tuple(steps), slopes, errors, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +511,6 @@ class AngleSumReport:
     total: float
     excess: float  # total - pi; zero for lower-bounded spaces, >= 0 for upper
     t_interior: float
-    multi_geodesic: bool
 
 
 def angle_sum_check(
@@ -604,13 +520,12 @@ def angle_sum_check(
     if not 0.0 < t_interior < seg.length:
         raise ValueError("t_interior must be strictly inside the segment")
     p = seg.at(t_interior)
-    geods = space.minimal_geodesics(p, q)
-    toward_q = geods[0]
+    toward_q = space.minimal_geodesics(p, q)[0]
     back = seg.subsegment(t_interior, 0.0)
     ahead = seg.subsegment(t_interior, seg.length)
     a1 = angle_at(space, p, toward_q, back, k0, tol_cfg=tol_cfg)
     a2 = angle_at(space, p, toward_q, ahead, k0, tol_cfg=tol_cfg)
-    return AngleSumReport(a1, a2, a1 + a2, a1 + a2 - PI, t_interior, len(geods) > 1)
+    return AngleSumReport(a1, a2, a1 + a2, a1 + a2 - PI, t_interior)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +536,6 @@ def angle_sum_check(
 class MultiplicityReport:
     n_pairs: int
     multi_pairs: int
-    examples: tuple[dict, ...]
 
 
 def geodesic_multiplicity_probe(
@@ -635,16 +549,11 @@ def geodesic_multiplicity_probe(
         for _ in range(n_pairs)
     ]
     pairs.extend(extra_pairs)
-    multi = 0
-    examples = []
-    for x, y in pairs:
-        if space.distance(x, y) <= space.tol.pt:
-            continue
-        if len(space.minimal_geodesics(x, y)) > 1:
-            multi += 1
-            if len(examples) < 5:
-                examples.append({"x": space.point_to_data(x), "y": space.point_to_data(y)})
-    return MultiplicityReport(len(pairs), multi, tuple(examples))
+    multi = sum(
+        1 for x, y in pairs
+        if space.distance(x, y) > space.tol.pt and len(space.minimal_geodesics(x, y)) > 1
+    )
+    return MultiplicityReport(len(pairs), multi)
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +616,24 @@ def classify_profile(
     return "inconclusive"
 
 
+def check_eps_ladder(eps_ladder: Sequence[float]) -> tuple[float, ...]:
+    """The ladder as floats; it needs >= 2 radii, each finite and > 0, strictly decreasing."""
+    ladder = tuple(float(e) for e in eps_ladder)
+    if (len(ladder) < 2 or not all(math.isfinite(e) and e > 0.0 for e in ladder)
+            or any(b >= a for a, b in zip(ladder, ladder[1:]))):
+        raise ValueError(
+            "eps ladder must have >= 2 radii, each finite and > 0, strictly decreasing;"
+            f" got {list(ladder)}"
+        )
+    return ladder
+
+
 def riemannian_point_profile(
     space: GeodesicSpace, x, eps_ladder: Sequence[float], n_per_eps: int, seed: int, *,
     noise_floor: float | None = None, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> DefectProfile:
     """Ladder of worst right-angle Pythagorean-ratio defects around x."""
-    ladder = tuple(float(e) for e in eps_ladder)
-    if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing with >= 2 rungs")
+    ladder = check_eps_ladder(eps_ladder)
     chi, skips = [], []
     for eps in ladder:
         c, s = chi_at_scale(space, x, eps, n_per_eps, seed, tol_cfg=tol_cfg)

@@ -188,6 +188,9 @@ def estimate_bounds(
     if not names:
         raise ValueError("no criterion measurements to bisect over")
     k_lo, k_hi = k_bracket
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
+        # bisection toward an infinite endpoint never stops
+        raise ValueError(f"k_bracket must be finite, got {k_lo}, {k_hi}")
     if not k_lo < k_hi:
         raise ValueError("k_bracket must satisfy k_lo < k_hi")
     if not (math.isfinite(resolution) and resolution > 0.0):

@@ -45,15 +45,6 @@ arc_from_vcs = _impl.arc_from_vcs
 cos_angle_from_sides = _impl.cos_angle_from_sides
 side_from_angle_cos = _impl.side_from_angle_cos
 
-KERNEL_NAMES = (
-    "cs",
-    "sn",
-    "vcs",
-    "arc_from_vcs",
-    "cos_angle_from_sides",
-    "side_from_angle_cos",
-)
-
 
 def available_backends() -> dict[str, ModuleType]:
     """Backends importable in this environment, keyed by name."""

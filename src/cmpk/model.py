@@ -27,14 +27,6 @@ def _require_finite(**values: float) -> None:
             raise ModelDomainError(f"{name} must be finite, got {v!r}")
 
 
-def max_side(k: float) -> float:
-    """Largest admissible single length for curvature k (pi/sqrt(k) if k>0)."""
-    _require_finite(k=k)
-    if k > 0.0:
-        return PI / math.sqrt(k)
-    return math.inf
-
-
 def max_perimeter(k: float) -> float:
     """Admissible triangle perimeter bound, with the antipodal safety margin."""
     _require_finite(k=k)

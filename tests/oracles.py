@@ -11,7 +11,7 @@ evaluators and the angle ladders), which tests compare the rewrites against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -303,7 +303,6 @@ class TriangleMeasurement:
     ladders: dict  # vertex name -> list of raw ladders (one per geodesic combo)
     scale: float
     multi_geodesic: bool
-    snapshot: dict = field(default_factory=dict, repr=False)
 
 
 def measure_triangle(
@@ -332,12 +331,7 @@ def measure_triangle(
                 measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), rungs=rungs, tol_cfg=tol_cfg)
             )
     scale = max(d_pq, d_pr, d_qr)
-    snapshot = {
-        "p": space.point_to_data(p), "q": space.point_to_data(q), "r": space.point_to_data(r),
-        "distances": {"d_pq": d_pq, "d_pr": d_pr, "d_qr": d_qr},
-        "multi_geodesic": multi,
-    }
-    return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, scale, multi, snapshot)
+    return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, scale, multi)
 
 
 def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float,
@@ -357,8 +351,7 @@ def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float,
 
 
 def evaluate_point_segment(
-    m: PointSegmentMeasurement, k: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    m: PointSegmentMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     defects = [
         d_real - comparison_distance_at(k, m.d_qp, m.d_qr, m.length, t, tol=tol_cfg)
@@ -366,13 +359,11 @@ def evaluate_point_segment(
     ]
     cbb = -min(defects)  # lower bound requires real >= model everywhere
     cba = max(defects)
-    config = dict(m.snapshot, defects=defects)
-    return _outcome("point_segment", k, m.scale, cbb, cba, tol_cfg, tol, config)
+    return _outcome("point_segment", k, m.scale, cbb, cba, tol_cfg)
 
 
 def evaluate_triangle(
-    m: TriangleMeasurement, k: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, tol: float | None = None,
+    m: TriangleMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     d_qr, d_pr, d_pq = m.sides
     model_angles = {
@@ -382,12 +373,9 @@ def evaluate_triangle(
     }
     cbb = -math.inf
     cba = -math.inf
-    estimates = {}
     for v, raws in m.ladders.items():
         angles = [evaluate_angle_ladder(raw, k, tol_cfg=tol_cfg).angle for raw in raws]
-        estimates[v] = angles
         # lower bound needs angle >= model angle for every geodesic pair
         cbb = max(cbb, model_angles[v] - min(angles))
         cba = max(cba, max(angles) - model_angles[v])
-    config = dict(m.snapshot, model_angles=model_angles, vertex_angles=estimates)
-    return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg, tol, config)
+    return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg)

@@ -6,7 +6,7 @@ import pytest
 
 from cmpk import cli
 
-from meshgen import octahedron, write_obj
+from meshgen import icosphere, octahedron, write_obj
 
 SPHERE = '{"type":"sphere","k":1.0}'
 PLANE = '{"type":"plane"}'
@@ -228,6 +228,22 @@ def test_mesh_command(tmp_path):
     assert payload["results"]["error_bar"] > 0
 
 
+@pytest.mark.parametrize("criterion", ["triangle", "angle-sum", "first-variation"])
+def test_mesh_samples_with_degenerate_angles_are_skipped(tmp_path, criterion):
+    # angles are measured 1/1280 of a leg from the vertex, below the mesh's
+    # node spacing, so these samples raise LadderError; each is counted skipped
+    obj = tmp_path / "icosphere2.obj"
+    write_obj(obj, *icosphere(2))
+    space = json.dumps({"type": "mesh", "path": str(obj), "steiner": 4})
+    out = tmp_path / "report"
+    assert run([
+        "test", "--space", space, "--criterion", criterion,
+        "--region", "center=0,radius=0.8", "--samples", "20", "--seed", "3", "--out", str(out),
+    ]) == 0
+    results = read_summary(out, "test")["results"]
+    assert results["rows"] + results["skipped"] == 20
+
+
 # ---------------------------------------------------------------------------
 # exit codes and validation
 
@@ -253,6 +269,15 @@ def test_bad_region_exit_2(tmp_path, capsys):
            "resolution must be finite and > 0") for r in ("0", "-0.01", "nan", "inf")),
         (["profile", "--space", SPHERE, "--samples", "0"], "--samples must be >= 1"),
         (["profile", "--space", SPHERE, "--per-eps", "0"], "--per-eps must be >= 1"),
+        *(([*test, "--samples", "3", "--k", k], "--k must be finite") for k in ("nan", "inf")),
+        ([*test, "--samples", "3", "--k-grid=0,-inf"], "--k-grid must be finite"),
+        *(([*test, "--samples", "3", f"--tol-scale={c}"], "--tol-scale must be finite and >= 0")
+          for c in ("nan", "-1", "inf")),
+        *((["estimate", "--space", SPHERE, "--samples", "3", f"--bracket={b}"],
+           "k_bracket must be finite") for b in ("-inf,2", "-2,inf", "nan,2")),
+        *((["profile", "--space", SPHERE, "--samples", "3", "--per-eps", "4",
+            f"--eps-ladder={ladder}"], "eps ladder must have")
+          for ladder in ("0.1,-0.1", "0.1,nan", "inf,0.1", "0.1,0", "0.1", "0.1,0.2")),
     ]
     for i, (argv, message) in enumerate(cases):
         out = tmp_path / str(i)

@@ -3,7 +3,7 @@
 The package measures each angle at one scale, the last rung of the 8-rung
 ladder the references measure and evaluate in full, and `evaluate_point_segment`
 checks the triple and computes the comparison angle once per call.  Both
-must give equal outcomes, `config` included, or raise the same exception
+must give equal outcomes, every field compared, or raise the same exception
 with the same message; the angles the right-angle constructions read must be
 bit-equal, or both sides raise the same exception type.
 """
@@ -186,8 +186,8 @@ def triangle(triple, side=1.0):
     good = (0.1 * side,) * 3
     sides = {"p": [good], "q": [good, triple], "r": [good]}
     ladders = {v: [((0.0, *s),) for s in ss] for v, ss in sides.items()}
-    return (TriangleMeasurement((side,) * 3, sides, side, False, {"case": "hand-built"}),
-            oracles.TriangleMeasurement((side,) * 3, ladders, side, False, {"case": "hand-built"}))
+    return (TriangleMeasurement((side,) * 3, sides, side),
+            oracles.TriangleMeasurement((side,) * 3, ladders, side, False))
 
 
 HAND_BUILT = {
