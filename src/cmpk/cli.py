@@ -27,11 +27,8 @@ from cmpk.errors import (
     DegenerateConfigError,
     DegenerateRegionError,
     DisconnectedGraphError,
-    FootOnBoundary,
-    LadderError,
     MeshFormatError,
     ModelDomainError,
-    RightAngleUnavailable,
     SpaceDescriptorError,
 )
 from cmpk.spaces import space_from_descriptor
@@ -108,13 +105,24 @@ def _load_space_arg(text: str, tol: Tolerances):
     return space_from_descriptor(Path(text).read_text(), tol)
 
 
+def _point_arg(space, data, option: str):
+    """A point of the space from command-line point data, which must be all finite numbers."""
+    try:
+        finite = bool(np.isfinite(np.asarray(data, dtype=float)).all())
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ValueError(f"{option} point data must be finite numbers, got {json.dumps(data)}")
+    return space.point_from_data(data)
+
+
 def _parse_region(space, text: str | None, default_radius: float = 0.2):
     if text is None:
         return space.default_center(), default_radius
     if not text.startswith("center=") or ",radius=" not in text:
         raise ValueError("--region must look like center=<json>,radius=<float>")
     center_text, radius_text = text[len("center="):].rsplit(",radius=", 1)
-    center = space.point_from_data(json.loads(center_text))
+    center = _point_arg(space, json.loads(center_text), "--region center")
     radius = float(radius_text)
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"--region radius must be finite and > 0, got {radius_text}")
@@ -190,11 +198,6 @@ def _admissible_outcome(criterion: str, m, k: float, tol: Tolerances):
         return None
 
 
-# A sample whose draw, measurement or evaluation raises one of these writes
-# no rows and is counted in `skipped`; any other error ends the run.
-SKIPPED_SAMPLE = (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError, LadderError)
-
-
 def cmd_test(args) -> int:
     tol = _tolerances(args)
     space = _load_space_arg(args.space, tol)
@@ -253,7 +256,7 @@ def cmd_test(args) -> int:
                     ])
                     verdict_counts[out.verdict] = verdict_counts.get(out.verdict, 0) + 1
                     defects.extend([out.cbb_defect, out.cba_defect])
-        except SKIPPED_SAMPLE as e:
+        except estimator.SKIPPED_SAMPLE as e:
             log.debug("sample %d skipped: %s", i, e)
             skipped += 1
 
@@ -294,12 +297,13 @@ def cmd_estimate(args) -> int:
         space, center, radius, names, _at_least_one(args.samples, "--samples"), args.seed,
         tol_cfg=tol,
     )
+    first = names[0].replace("-", "_")
     est = estimator.estimate_bounds(
-        space, center, radius, measurements, seed=args.seed, k_bracket=bracket,
+        space, center, radius, measurements, seed=args.seed,
+        skipped=args.samples - len(measurements[first]), k_bracket=bracket,
         resolution=args.resolution, tol_cfg=tol,
     )
     rows = []
-    first = names[0].replace("-", "_")
     for i, m in enumerate(measurements[first]):
         row = [i]
         for k in (est.k_cbb, est.k_cba):
@@ -338,7 +342,10 @@ def cmd_profile(args) -> int:
     space = _load_space_arg(args.space, tol)
     center, radius = _parse_region(space, args.region)
     if args.centers:
-        centers = [space.point_from_data(c) for c in json.loads(args.centers)]
+        data = json.loads(args.centers)
+        if not isinstance(data, list):
+            raise ValueError(f"--centers must be a JSON list of point data, got {args.centers}")
+        centers = [_point_arg(space, c, "--centers") for c in data]
     else:
         centers = [center]
     ladder = criteria.check_eps_ladder(_parse_floats(args.eps_ladder)) if args.eps_ladder else None

@@ -15,7 +15,15 @@ import numpy as np
 
 from cmpk import criteria
 from cmpk.config import DEFAULT_TOL, Tolerances
-from cmpk.errors import BracketExpansionError, CmpkError, ModelDomainError
+from cmpk.errors import (
+    BracketExpansionError,
+    CmpkError,
+    DegenerateConfigError,
+    FootOnBoundary,
+    LadderError,
+    ModelDomainError,
+    RightAngleUnavailable,
+)
 from cmpk.spaces import GeodesicSpace
 
 DEFAULT_K_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -36,6 +44,7 @@ class CurvatureEstimate:
     cba_residual: float | None
     cbb_note: str = ""
     cba_note: str = ""
+    skipped: int = 0  # drawn samples left out under SKIPPED_SAMPLE; n_samples were measured
 
 
 class Criterion(NamedTuple):
@@ -83,6 +92,11 @@ CRITERIA: dict[str, Criterion] = {
 }
 ESTIMATE_CRITERIA = tuple(n for n, c in CRITERIA.items() if c.sample is _foot_config)
 
+# A sample whose draw or measurement raises one of these is left out and
+# counted as skipped, by `cmpk test` and `estimate` alike; any other error
+# ends the run.
+SKIPPED_SAMPLE = (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError, LadderError)
+
 # Every evaluation goes through this dict of plain functions, never through a
 # Criterion, and the samplers and measurements above look their `criteria`
 # function up at each call, so wrapping module attributes and dict values
@@ -104,14 +118,23 @@ def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
     n_samples: int, seed: int, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> dict[str, list]:
-    """Measure n_samples shared foot configurations for the named criteria."""
+    """Measure n_samples shared foot configurations for the named criteria.
+
+    A sample that raises one of SKIPPED_SAMPLE for any criterion is left out
+    of every list, so the lists stay aligned and hold n_samples minus the
+    skipped samples each.
+    """
     names = _normalize_criteria(names)
     rng = np.random.default_rng(seed)
     out: dict[str, list] = {name: [] for name in names}
     for _ in range(n_samples):
-        drawn = _foot_config(space, center, radius, rng, tol_cfg)
-        for name, ms in out.items():
-            ms.append(CRITERIA[name].measure(space, drawn, tol_cfg))
+        try:
+            drawn = _foot_config(space, center, radius, rng, tol_cfg)
+            sample = [CRITERIA[name].measure(space, drawn, tol_cfg) for name in names]
+        except SKIPPED_SAMPLE:
+            continue
+        for ms, m in zip(out.values(), sample):
+            ms.append(m)
     return out
 
 
@@ -173,16 +196,19 @@ def _bisect(passes: Callable[[float], bool], k_pass: float, k_fail: float,
 
 def estimate_bounds(
     space: GeodesicSpace, center, radius: float, measurements: dict[str, list], *,
-    seed: int, k_bracket: tuple[float, float] = (-2.0, 2.0), resolution: float = 0.01,
-    expansion_limit: float = 1024.0, tol_cfg: Tolerances = DEFAULT_TOL,
+    seed: int, skipped: int = 0, k_bracket: tuple[float, float] = (-2.0, 2.0),
+    resolution: float = 0.01, expansion_limit: float = 1024.0,
+    tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> CurvatureEstimate:
     """Largest lower bound and smallest upper bound passing on a fixed sample set.
 
     ``measurements`` comes from `sample_measurements` (drawn with ``seed``,
-    which the estimate records).  ``k_cbb`` is the largest k whose lower-bound
-    claim passes every sample (bisection to `resolution`), ``k_cba`` the
-    smallest passing upper bound; either is None with a note when bracket
-    expansion hits the limit (e.g. no lower curvature bound at a branch point).
+    which the estimate records, as it records ``skipped``, the number of
+    drawn samples that call left out).  ``k_cbb`` is the largest k whose
+    lower-bound claim passes every sample (bisection to `resolution`),
+    ``k_cba`` the smallest passing upper bound; either is None with a note
+    when bracket expansion hits the limit (e.g. no lower curvature bound at a
+    branch point) or when no sample was measured.
     """
     names = tuple(measurements)
     if not names:
@@ -196,6 +222,13 @@ def estimate_bounds(
     if not (math.isfinite(resolution) and resolution > 0.0):
         # bisection to a zero resolution never stops
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    if not measurements[names[0]]:
+        # every claim would pass vacuously: there is no bound to bisect for
+        note = f"no measured samples to bisect over ({skipped} skipped)"
+        return CurvatureEstimate(
+            space.descriptor(), space.point_to_data(center), radius, names, 0, seed,
+            resolution, None, None, None, None, note, note, skipped,
+        )
     step = k_hi - k_lo
 
     k_cbb = cbb_residual = None
@@ -231,7 +264,7 @@ def estimate_bounds(
     return CurvatureEstimate(
         space.descriptor(), space.point_to_data(center), radius, names,
         len(measurements[names[0]]), seed, resolution, k_cbb, k_cba,
-        cbb_residual, cba_residual, cbb_note, cba_note,
+        cbb_residual, cba_residual, cbb_note, cba_note, skipped,
     )
 
 
@@ -275,7 +308,8 @@ def region_report(
                 space, center, radius, criteria_set, n_samples, seed, tol_cfg=tol_cfg
             )
             est = estimate_bounds(
-                space, center, radius, ms, seed=seed, resolution=resolution, tol_cfg=tol_cfg
+                space, center, radius, ms, seed=seed, resolution=resolution, tol_cfg=tol_cfg,
+                skipped=n_samples - len(ms[criteria_set[0].replace("-", "_")]),
             )
             row["estimate"] = asdict(est)
         except (CmpkError, ValueError) as e:

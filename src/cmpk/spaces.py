@@ -39,9 +39,15 @@ class GeodesicSegment:
 
     def at(self, t: float):
         """Point at arclength t from the start (tiny overshoot clamped)."""
-        if t < -self.space.tol.geo or t > self.length + self.space.tol.geo:
-            raise ValueError(f"t={t} outside [0, {self.length}]")
-        return self._eval(min(max(t, 0.0), self.length))
+        length = self.length
+        if t < -self.space.tol.geo or t > length + self.space.tol.geo:
+            raise ValueError(f"t={t} outside [0, {length}]")
+        # clamped by comparisons: this runs once per point of every foot refinement
+        if t < 0.0:
+            t = 0.0
+        elif t > length:
+            t = length
+        return self._eval(t)
 
     def at_many(self, ts):
         """Points at the arclengths ts, range-checked and clamped as in `at`.
@@ -217,25 +223,29 @@ class Sphere(GeodesicSpace):
             np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2
         )
 
-    def _basis(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p0, p1, p2 = np.asarray(p, float).tolist()
+    def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        p0, p1, p2 = p
         # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u.  Scalar
         # math: np.cross on 3-vectors costs tens of µs, and every sample_ball calls this
         u0, u1, u2 = (-p1, p0, 0.0) if abs(p2) < 0.9 else (0.0, -p2, p1)
         n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
         u0, u1, u2 = u0 / n, u1 / n, u2 / n
-        return (
-            np.array([u0, u1, u2]),
-            np.array([p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0]),
-        )
+        return (u0, u1, u2), (p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0)
 
     def _arc(self, x, w, length) -> GeodesicSegment:
-        def ev(t, x=x, w=w):
-            a = t / self.radius
-            return math.cos(a) * x + math.sin(a) * w
+        # per-point calls (the foot refinement) combine unpacked floats: numpy's
+        # per-call overhead on 3-vectors would dominate; the grid stays vectorized
+        x0, x1, x2 = x.tolist()
+        w0, w1, w2 = w.tolist()
+        radius = self.radius
+
+        def ev(t):
+            a = t / radius
+            c, s = math.cos(a), math.sin(a)
+            return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
 
         def ev_many(ts, x=x, w=w):
-            a = (ts / self.radius)[:, None]
+            a = (ts / radius)[:, None]
             return np.cos(a) * x + np.sin(a) * w
 
         return self._segment(x, ev(length), length, ev, ev_many)
@@ -247,17 +257,19 @@ class Sphere(GeodesicSpace):
             return [self._segment(x, y, 0.0, lambda t: x)]
         if math.pi * self.radius - d <= self.tol.tie:
             # antipodal: a continuum of minimal geodesics; report two of them
-            u, v = self._basis(x)
+            u = np.array(self._basis(x.tolist())[0])
             return [self._arc(x, u, d), self._arc(x, -u, d)]
         w = _unit(y - float(np.dot(x, y)) * x)
         return [self._arc(x, w, d)]
 
     def shoot(self, p, phi: float, length: float):
-        p = self._check(p)
-        u, v = self._basis(p)
-        w = math.cos(phi) * u + math.sin(phi) * v
+        p0, p1, p2 = self._check(p).tolist()
+        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+        cp, sp = math.cos(phi), math.sin(phi)
+        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
         a = length / self.radius
-        return math.cos(a) * p + math.sin(a) * w
+        c, s = math.cos(a), math.sin(a)
+        return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
 
     def sample_ball(self, center, radius, rng):
         return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
@@ -320,12 +332,17 @@ class Hyperbolic(GeodesicSpace):
         return w / n
 
     def _arc(self, x, w, length) -> GeodesicSegment:
-        def ev(t, x=x, w=w):
-            a = t / self.radius
-            return math.cosh(a) * x + math.sinh(a) * w
+        x0, x1, x2 = x.tolist()
+        w0, w1, w2 = w.tolist()
+        radius = self.radius
+
+        def ev(t):
+            a = t / radius
+            c, s = math.cosh(a), math.sinh(a)
+            return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
 
         def ev_many(ts, x=x, w=w):
-            a = (ts / self.radius)[:, None]
+            a = (ts / radius)[:, None]
             return np.cosh(a) * x + np.sinh(a) * w
 
         return self._segment(x, ev(length), length, ev, ev_many)
@@ -337,21 +354,29 @@ class Hyperbolic(GeodesicSpace):
             return [self._segment(x, y, 0.0, lambda t: x)]
         return [self._arc(x, self._tangent_toward(x, y), d)]
 
-    def _basis(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = np.array([1.0, 0.0, 0.0])
-        u = u + _mdot(u, p) * p  # Minkowski projection onto T_p
-        u = u / math.sqrt(_mdot(u, u))
-        v = np.array([0.0, 1.0, 0.0])
-        v = v + _mdot(v, p) * p - _mdot(v, u) * u
-        v = v / math.sqrt(_mdot(v, v))
-        return u, v
+    def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        p0, p1, p2 = p
+        # Gram-Schmidt on T_p in the Minkowski product: u = e1 + <e1,p> p, normalized;
+        # v = e2 + <e2,p> p - <e2,u> u, normalized.  <e1,p> = p0, <e2,p> = p1, <e2,u> = u1.
+        # Written term by term (the 0.0 + included) so every coordinate rounds, signed
+        # zeros too, as the 3-vector formula does
+        u0, u1, u2 = 1.0 + p0 * p0, 0.0 + p0 * p1, 0.0 + p0 * p2
+        n = math.sqrt(u0 * u0 + u1 * u1 - u2 * u2)
+        u0, u1, u2 = u0 / n, u1 / n, u2 / n
+        v0 = 0.0 + p1 * p0 - u1 * u0
+        v1 = 1.0 + p1 * p1 - u1 * u1
+        v2 = 0.0 + p1 * p2 - u1 * u2
+        n = math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
+        return (u0, u1, u2), (v0 / n, v1 / n, v2 / n)
 
     def shoot(self, p, phi: float, length: float):
-        p = self._check(p)
-        u, v = self._basis(p)
-        w = math.cos(phi) * u + math.sin(phi) * v
+        p0, p1, p2 = self._check(p).tolist()
+        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+        cp, sp = math.cos(phi), math.sin(phi)
+        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
         a = length / self.radius
-        return math.cosh(a) * p + math.sinh(a) * w
+        c, s = math.cosh(a), math.sinh(a)
+        return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
 
     def sample_ball(self, center, radius, rng):
         return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
@@ -398,25 +423,36 @@ class Cone(GeodesicSpace):
             return (0.0, 0.0)
         return (r, th % self.perimeter)
 
-    def _sep(self, t1: float, t2: float) -> float:
-        d = abs(t1 - t2) % self.perimeter
-        return min(d, self.perimeter - d)
-
-    @staticmethod
-    def _chord(r1: float, r2: float, ang: float) -> float:
-        # planar law of cosines; hypot form avoids cancellation for small angles
-        s = 2.0 * math.sin(0.5 * ang)
-        return math.hypot(r1 - r2, math.sqrt(r1 * r2) * s) if r1 * r2 > 0 else r1 + r2
-
     def distance(self, x, y) -> float:
-        r1, t1 = self._norm(x)
-        r2, t2 = self._norm(y)
+        # straight-line code on floats: this is the hot call of every cone workload
+        r1, r2 = float(x[0]), float(y[0])
+        if r1 < 0.0 or r2 < 0.0:
+            raise ValueError("cone radius must be >= 0")
         if r1 == 0.0 or r2 == 0.0:
             return r1 + r2
-        sep = self._sep(t1, t2)
+        period = self.perimeter
+        sep = abs(float(x[1]) % period - float(y[1]) % period)
+        if sep > 0.5 * period:  # shorter the other way round; period - sep is exact here
+            sep = period - sep
         if sep >= math.pi:
             return r1 + r2
-        return self._chord(r1, r2, sep)
+        # planar law of cosines; hypot form avoids cancellation for small angles
+        return math.hypot(r1 - r2, math.sqrt(r1 * r2) * (2.0 * math.sin(0.5 * sep)))
+
+    def distances(self, x, ys) -> np.ndarray:
+        """`distance` from x to each (r, theta) of ys, a sequence of handles or an (n, 2) array."""
+        r1, t1 = self._norm(x)
+        ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+        r2 = ys[:, 0]
+        if (r2 < 0.0).any():
+            raise ValueError("cone radius must be >= 0")
+        period = self.perimeter
+        # normalized as `_norm` does; an apex point (r = 0) has theta 0
+        t2 = np.where(r2 == 0.0, 0.0, ys[:, 1] % period)
+        sep = np.abs(t1 - t2)
+        sep = np.minimum(sep, period - sep)
+        chord = np.hypot(r1 - r2, np.sqrt(r1 * r2) * (2.0 * np.sin(0.5 * sep)))
+        return np.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
 
     def _apex_route(self, x, y) -> GeodesicSegment:
         r1, t1 = self._norm(x)
@@ -430,20 +466,24 @@ class Cone(GeodesicSpace):
         return self._segment((r1, t1), (r2, t2), r1 + r2, ev)
 
     def _unrolled_route(self, x, y, signed_sep: float) -> GeodesicSegment:
+        """The chord from x to y in the sector unrolled to put x at angle 0, y at signed_sep."""
         r1, t1 = self._norm(x)
         r2, t2 = self._norm(y)
-        p1 = np.array([r1, 0.0])
-        p2 = np.array([r2 * math.cos(signed_sep), r2 * math.sin(signed_sep)])
-        length = float(np.linalg.norm(p2 - p1))
-        u = (p2 - p1) / length
+        d0, d1 = r2 * math.cos(signed_sep) - r1, r2 * math.sin(signed_sep)
+        length = math.hypot(d0, d1)
+        # a separation below rounding (theta 1e-17 from the seam) leaves no chord to walk
+        u0, u1 = (d0 / length, d1 / length) if length > 0.0 else (0.0, 0.0)
+        period = self.perimeter
 
-        def ev(t, p1=p1, u=u, t1=t1):
-            q = p1 + t * u
-            rho = float(np.hypot(q[0], q[1]))
-            psi = math.atan2(q[1], q[0])
-            return (rho, (t1 + psi) % self.perimeter)
+        def ev(t):
+            q0, q1 = r1 + t * u0, t * u1
+            return (math.hypot(q0, q1), (t1 + math.atan2(q1, q0)) % period)
 
-        return self._segment((r1, t1), (r2, t2), length, ev)
+        def ev_many(ts):
+            q0, q1 = r1 + ts * u0, ts * u1
+            return np.column_stack((np.hypot(q0, q1), (t1 + np.arctan2(q1, q0)) % period))
+
+        return self._segment((r1, t1), (r2, t2), length, ev, ev_many)
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         r1, t1 = self._norm(x)
@@ -478,12 +518,11 @@ class Cone(GeodesicSpace):
         r, th = self._norm(p)
         if r == 0.0:
             return (length, phi % self.perimeter)
-        q = np.array([r + length * math.cos(phi), length * math.sin(phi)])
-        rho = float(np.hypot(q[0], q[1]))
+        q0, q1 = r + length * math.cos(phi), length * math.sin(phi)
+        rho = math.hypot(q0, q1)
         if rho <= self.tol.pt:
             raise ShootUnavailable("geodesic through the cone apex is not extendable")
-        psi = math.atan2(q[1], q[0])
-        return (rho, (th + psi) % self.perimeter)
+        return (rho, (th + math.atan2(q1, q0)) % self.perimeter)
 
     def sample_ball(self, center, radius, rng):
         r, _ = self._norm(center)

@@ -211,6 +211,7 @@ def test_profile_cone(tmp_path):
     rows = payload["results"]["rows"]
     assert rows[0]["profile"]["classification"] == "non_vanishing"
     assert rows[1]["profile"]["classification"] == "vanishing"
+    assert [row["estimate"]["skipped"] for row in rows] == [0, 0]
 
 
 def test_mesh_command(tmp_path):
@@ -242,6 +243,21 @@ def test_mesh_samples_with_degenerate_angles_are_skipped(tmp_path, criterion):
     ]) == 0
     results = read_summary(out, "test")["results"]
     assert results["rows"] + results["skipped"] == 20
+
+
+def test_estimate_counts_samples_with_degenerate_angles_as_skipped(tmp_path):
+    obj = tmp_path / "icosphere2.obj"
+    write_obj(obj, *icosphere(2))
+    space = json.dumps({"type": "mesh", "path": str(obj), "steiner": 4})
+    out = tmp_path / "report"
+    assert run([
+        "estimate", "--space", space, "--criteria", "triangle",
+        "--region", "center=0,radius=0.8", "--samples", "20", "--seed", "3", "--out", str(out),
+    ]) == 0
+    results = read_summary(out, "estimate")["results"]
+    assert results["n_samples"] + results["skipped"] == 20 and results["skipped"] > 0
+    rows = (out / "estimate_rows.csv").read_text().splitlines()
+    assert len(rows) == 1 + results["n_samples"]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +294,15 @@ def test_bad_region_exit_2(tmp_path, capsys):
         *((["profile", "--space", SPHERE, "--samples", "3", "--per-eps", "4",
             f"--eps-ladder={ladder}"], "eps ladder must have")
           for ladder in ("0.1,-0.1", "0.1,nan", "inf,0.1", "0.1,0", "0.1", "0.1,0.2")),
+        *(([*cmd, "--region", f"center={center},radius=0.3", "--samples", "5"],
+           "--region center point data must be finite numbers")
+          for cmd in (test, ["estimate", "--space", SPHERE], ["profile", "--space", SPHERE])
+          for center in ("[NaN,0.0,1.0]", "[0.0,Infinity,1.0]", '{"x":1}')),
+        *((["profile", "--space", CONE, "--centers", centers,
+            "--region", "center=[0.0,0.0],radius=0.25", "--seed", "1"],
+           "--centers point data must be finite numbers")
+          for centers in ("[[NaN,0.0]]", "[[1.0,0.5],[0.5,-Infinity]]")),
+        (["profile", "--space", CONE, "--centers", "3"], "--centers must be a JSON list"),
     ]
     for i, (argv, message) in enumerate(cases):
         out = tmp_path / str(i)

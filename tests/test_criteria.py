@@ -81,8 +81,10 @@ def _foot_or_error(space, q, seg):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: spaces.make_sphere(1.0), lambda: spaces.make_hyperbolic(-1.0)],
-    ids=["sphere", "hyperbolic"],
+    "make",
+    [lambda: spaces.make_sphere(1.0), lambda: spaces.make_hyperbolic(-1.0),
+     lambda: spaces.make_cone(PI)],
+    ids=["sphere", "hyperbolic", "pi-cone"],
 )
 @given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.2))
 @settings(max_examples=60, deadline=None)
@@ -102,6 +104,7 @@ def test_batched_foot_search_matches_looping(make, seed, radius):
         return
     target = space.tol.foot_refine_rel * seg.length
     assert looped.t_star == pytest.approx(batched.t_star, abs=target)
+    assert looped.d_star == pytest.approx(batched.d_star, abs=target)
 
 
 def test_batched_foot_search_matches_looping_on_a_plateau(sphere):

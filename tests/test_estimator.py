@@ -1,6 +1,7 @@
 """Estimator: bisection bounds, determinism, region reports."""
 
 import functools
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmpk import estimator, spaces
 from cmpk.config import DEFAULT_TOL
+from cmpk.errors import LadderError
 
 PI = math.pi
 
@@ -100,6 +102,36 @@ def test_tripod_has_no_lower_bound_and_cba_never_fails():
     est = estimate(tri, (0, 0.0), 0.5, 40, 3)
     assert est.k_cbb is None and "no pass endpoint" in est.cbb_note
     assert est.k_cba is None and "no fail endpoint" in est.cba_note
+
+
+def test_a_sample_that_raises_a_skip_error_is_left_out_of_every_list(monkeypatch):
+    sp = spaces.make_sphere(1.0)
+    center = sp.default_center()
+    names = ("pythagorean", "triangle")
+    full = estimator.sample_measurements(sp, center, 0.2, names, 9, 4)
+    calls = itertools.count()
+    triangle = estimator.CRITERIA["triangle"]
+
+    def measure(space, c, tol_cfg):
+        if next(calls) % 3 == 0:
+            raise LadderError("sides degenerate")
+        return triangle.measure(space, c, tol_cfg)
+
+    monkeypatch.setitem(estimator.CRITERIA, "triangle", triangle._replace(measure=measure))
+    ms = estimator.sample_measurements(sp, center, 0.2, names, 9, 4)
+    # samples 0, 3 and 6 are skipped; the others are drawn from the same stream as before
+    for name in names:
+        assert ms[name] == [m for i, m in enumerate(full[name]) if i % 3]
+    est = estimator.estimate_bounds(sp, center, 0.2, ms, seed=4, skipped=3)
+    assert (est.n_samples, est.skipped) == (6, 3)
+
+
+def test_every_sample_skipped_leaves_nothing_to_bisect():
+    sp = spaces.make_sphere(1.0)
+    est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, {"pythagorean": []},
+                                    seed=1, skipped=5)
+    assert (est.k_cbb, est.k_cba, est.n_samples, est.skipped) == (None, None, 0, 5)
+    assert est.cbb_note == est.cba_note == "no measured samples to bisect over (5 skipped)"
 
 
 def test_unknown_criterion_rejected():

@@ -188,6 +188,15 @@ def test_cone_apex_point_handles():
     assert cone.points_equal(seg.at(0.5), apex)
 
 
+def test_cone_separation_below_rounding_gives_a_point_segment():
+    # ccw = (0 - 1e-17) mod pi rounds to pi, so the clockwise chord has no length
+    cone = spaces.make_cone(PI)
+    (seg,) = cone.minimal_geodesics((1.0, 1e-17), (1.0, 0.0))
+    assert seg.length == 0.0
+    assert seg.at(0.0) == (1.0, 1e-17)
+    np.testing.assert_array_equal(seg.at_many([0.0]), [[1.0, 1e-17]])
+
+
 # ---------------------------------------------------------------------------
 # tripod
 
@@ -342,8 +351,8 @@ def test_distances_match_scalar_distance(space, seed, n, radius):
                                    rtol=BATCH_RTOL, atol=BATCH_ATOL)
 
 
-def _segments(space, rng, radius):
-    c = space.default_center()
+def _segments(space, rng, radius, center=None):
+    c = space.default_center() if center is None else center
     seg = space.geodesic(space.sample_ball(c, radius, rng), space.sample_ball(c, radius, rng))
     t0, t1 = sorted(rng.uniform(0.0, seg.length, 2))
     return [seg, seg.subsegment(t0, t1), seg.subsegment(t1, t0), seg.reversed()]
@@ -366,6 +375,9 @@ def test_at_many_matches_at(space, seed, n, radius):
         want = [seg.at(t) for t in ts.tolist()]
         if seg._eval_many is None:
             np.testing.assert_array_equal(_as_rows(got), _as_rows(want))
+        elif isinstance(space, spaces.Cone):
+            # compared as points: at the seam one ulp can wrap theta from ~P to ~0
+            assert all(space.distance(g, w) <= space.tol.pt for g, w in zip(got, want))
         else:
             np.testing.assert_allclose(_as_rows(got), _as_rows(want),
                                        rtol=BATCH_RTOL, atol=BATCH_ATOL)
@@ -380,6 +392,42 @@ def test_batch_evaluator_reaches_every_numpy_segment(rng):
     for space in (spaces.make_sphere(1.0), spaces.make_hyperbolic(-1.0)):
         for seg in _segments(space, rng, 0.5):
             assert seg._eval_many is not None, space.name
+    # off the apex every cone geodesic is an unrolled chord
+    for space in (spaces.make_cone(PI), spaces.make_cone(7.0)):
+        for _ in range(20):
+            for seg in _segments(space, rng, 0.5, center=(1.0, 0.5)):
+                assert seg._eval_many is not None, space.descriptor()
+
+
+def test_cone_distances_normalize_as_scalar_distance():
+    cone = spaces.make_cone(PI)
+    x = (1.0, 0.25)
+    ys = [
+        (0.0, 0.0), (0.0, 2.5),         # the apex, with any theta
+        (1.0, 0.25 + PI / 2),           # separation pi/2 = P/2, the largest on the pi-cone
+        (0.5, 0.25 - 1e-13), (0.5, -1e-13), (0.5, PI - 1e-13),  # across the seam
+        (2.0, 1.0 + 2 * PI), (1.5, 1.0 - 2 * PI),                  # theta outside [0, P)
+        (1.0, 0.25),
+    ]
+    want = [cone.distance(x, y) for y in ys]
+    for batch in (ys, np.array(ys)):
+        np.testing.assert_allclose(cone.distances(x, batch), want,
+                                   rtol=BATCH_RTOL, atol=BATCH_ATOL)
+    np.testing.assert_allclose(cone.distances((0.0, 1.0), ys), [y[0] for y in ys],
+                               rtol=BATCH_RTOL, atol=BATCH_ATOL)
+    # separation >= pi goes through the apex: on the 7-cone, opposite rays are 3.5 apart
+    wide = spaces.make_cone(7.0)
+    far = [(1.0, 3.5), (2.0, 3.2), (1.0, 3.8), (1.0, 3.0), (1.0, 3.5 + 14.0), (2.0, -15.0)]
+    np.testing.assert_allclose(wide.distances((1.0, 0.0), far),
+                               [wide.distance((1.0, 0.0), y) for y in far],
+                               rtol=BATCH_RTOL, atol=BATCH_ATOL)
+    assert wide.distances((1.0, 0.0), far)[:3].tolist() == [2.0, 3.0, 2.0]
+    assert cone.distances(x, []).shape == (0,)
+    for bad in ([(1.0, 0.0), (-0.5, 0.0)], np.array([[-1e-300, 0.0]])):
+        with pytest.raises(ValueError, match="radius"):
+            cone.distances(x, bad)
+    with pytest.raises(ValueError, match="radius"):
+        cone.distances((-1.0, 0.0), ys)
 
 
 def _old_sphere_distance(sphere, x, y):
@@ -418,3 +466,129 @@ def test_sphere_basis_matches_cross_product_formula(p):
     u, v = sphere._basis(p)
     np.testing.assert_allclose(u, u_old, rtol=0, atol=1e-15)
     np.testing.assert_allclose(v, np.cross(p, u_old), rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# float-math point evaluators against the numpy formulas they replaced
+
+
+def _ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+cone_perimeters = st.sampled_from([PI, 2.0, 7.0])
+cone_radii = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+# fractions of the perimeter; the tiny ones land on either side of the seam theta ~ 0 ~ P
+cone_turns = st.one_of(st.floats(0.0, 1.0), st.floats(-1e-12, 1e-12))
+
+
+def _old_unrolled_ev(cone, x, signed_sep, r2, length):
+    """The numpy evaluator `Cone._unrolled_route` used, on the route's own length."""
+    r1, t1 = cone._norm(x)
+    p1 = np.array([r1, 0.0])
+    u = (np.array([r2 * math.cos(signed_sep), r2 * math.sin(signed_sep)]) - p1) / length
+
+    def ev(t):
+        q = p1 + t * u
+        return float(np.hypot(q[0], q[1])), (t1 + math.atan2(q[1], q[0])) % cone.perimeter
+
+    return ev
+
+
+@given(P=cone_perimeters, r1=cone_radii, r2=cone_radii, a1=cone_turns, a2=cone_turns,
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_cone_route_evaluators_match_numpy_formula(P, r1, r2, a1, a2, fracs):
+    cone = spaces.make_cone(P)
+    x, y = (r1, a1 * P), (r2, a2 * P)
+    routes = []
+    if r1 > 0.0 and r2 > 0.0 and cone.distance(x, y) > 0.0:  # as `minimal_geodesics` calls it
+        ccw = (cone._norm(y)[1] - cone._norm(x)[1]) % P
+        # both unrolled directions: counterclockwise and clockwise
+        routes = [s for s in (ccw, ccw - P) if abs(s) < PI]
+    for signed in routes:
+        seg = cone._unrolled_route(x, y, signed)
+        p2 = np.array([r2 * math.cos(signed), r2 * math.sin(signed)])
+        old_length = float(np.linalg.norm(p2 - np.array([r1, 0.0])))
+        if old_length < 1e-150:
+            continue  # the squares under numpy's norm underflow; hypot's do not
+        assert _ulps(seg.length, old_length) <= 2.0
+        old = _old_unrolled_ev(cone, x, signed, r2, seg.length)
+        ts = [f * seg.length for f in [0.0, 1.0, *fracs]]
+        for t in ts:
+            (rho, th), (rho_old, th_old) = seg._eval(t), old(t)
+            assert _ulps(rho, rho_old) <= 2.0 and th == th_old
+        got = seg.at_many(ts)
+        assert all(cone.distance(g, seg.at(t)) <= cone.tol.pt for g, t in zip(got, ts))
+    # the apex route and every minimal geodesic: the batch grid agrees as points
+    for seg in cone.minimal_geodesics(x, y):
+        ts = [f * seg.length for f in fracs]
+        got = seg.at_many(ts)
+        assert all(cone.distance(g, seg.at(t)) <= cone.tol.pt for g, t in zip(got, ts))
+
+
+@given(P=cone_perimeters, r=cone_radii, a=cone_turns, phi=st.floats(-7.0, 7.0),
+       length=st.floats(0.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_cone_shoot_matches_numpy_formula(P, r, a, phi, length):
+    cone = spaces.make_cone(P)
+    p = (r, a * P)
+    try:
+        rho, th = cone.shoot(p, phi, length)
+    except ShootUnavailable:
+        rho = None
+    r0, th0 = cone._norm(p)
+    if r0 == 0.0:
+        assert (rho, th) == (length, phi % P)
+        return
+    q = np.array([r0 + length * math.cos(phi), length * math.sin(phi)])
+    rho_old = float(np.hypot(q[0], q[1]))
+    if rho_old <= cone.tol.pt:
+        assert rho is None
+        return
+    assert _ulps(rho, rho_old) <= 2.0
+    assert th == (th0 + math.atan2(q[1], q[0])) % P
+
+
+def _mdot(u, v):
+    return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
+
+
+def _old_hyperbolic_basis(p):
+    u = np.array([1.0, 0.0, 0.0])
+    u = u + _mdot(u, p) * p
+    u = u / math.sqrt(_mdot(u, u))
+    v = np.array([0.0, 1.0, 0.0])
+    v = v + _mdot(v, p) * p - _mdot(v, u) * u
+    v = v / math.sqrt(_mdot(v, v))
+    return u, v
+
+
+def _old_shoot(space, p, phi, length, u, v, cos, sin):
+    w = math.cos(phi) * u + math.sin(phi) * v
+    a = length / space.radius
+    return cos(a) * p + sin(a) * w
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0, -1.0, -0.5])
+@given(seed=seeds, phi=st.floats(-7.0, 7.0), length=st.floats(0.0, 3.0),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_sphere_and_hyperbolic_evaluators_are_bit_equal_to_numpy_formula(
+        k, seed, phi, length, fracs):
+    space = spaces.make_sphere(k) if k > 0 else spaces.make_hyperbolic(k)
+    cos, sin = (math.cos, math.sin) if k > 0 else (math.cosh, math.sinh)
+    rng = np.random.default_rng(seed)
+    p = space.sample_ball(space.default_center(), 1.0, rng)
+    if k > 0:
+        u, v = (np.array(b) for b in space._basis(p))
+    else:
+        u, v = _old_hyperbolic_basis(p)
+        np.testing.assert_array_equal(np.array(space._basis(p)), np.array([u, v]))
+    np.testing.assert_array_equal(
+        space.shoot(p, phi, length), _old_shoot(space, p, phi, length, u, v, cos, sin))
+    # the arc along the unit tangent u, as `minimal_geodesics` builds it
+    arc = space._arc(p, u, length)
+    for t in [0.0, length, *(f * length for f in fracs)]:
+        a = t / space.radius
+        np.testing.assert_array_equal(arc.at(t), cos(a) * p + sin(a) * u)
