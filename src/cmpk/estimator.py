@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from cmpk import criteria
+from cmpk import criteria, vector
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import (
     BracketExpansionError,
@@ -45,6 +45,10 @@ class CurvatureEstimate:
     cbb_note: str = ""
     cba_note: str = ""
     skipped: int = 0  # drawn samples left out under SKIPPED_SAMPLE; n_samples were measured
+    # {"criterion": name, "sample": index among the measured samples} of the first
+    # sample whose defect is the residual; None when the residual is None
+    cbb_witness: dict | None = None
+    cba_witness: dict | None = None
 
 
 class Criterion(NamedTuple):
@@ -53,6 +57,7 @@ class Criterion(NamedTuple):
     sample: Callable    # (space, center, radius, rng, tol_cfg) -> configuration
     measure: Callable   # (space, configuration, tol_cfg) -> measurement
     evaluate: Callable  # criteria.evaluate_*(measurement, k, *, tol_cfg) -> TestOutcome
+    batch: Callable | None = None  # (measurements, tol_cfg) -> vector.Batch, for bisection
 
 
 def _foot_config(space, center, radius, rng, tol_cfg):
@@ -72,17 +77,20 @@ CRITERIA: dict[str, Criterion] = {
         lambda space, c, tol_cfg: criteria.measure_pythagorean(
             space, c[0], c[1], tol_cfg=tol_cfg, foot=c[2]),
         criteria.evaluate_pythagorean,
+        vector.PythagoreanBatch,
     ),
     "point_segment": Criterion(
         _foot_config,
         lambda space, c, tol_cfg: criteria.measure_point_segment(space, c[0], c[1]),
         criteria.evaluate_point_segment,
+        vector.PointSegmentBatch,
     ),
     "triangle": Criterion(
         _foot_config,
         lambda space, c, tol_cfg: criteria.measure_triangle(
             space, c[1].start, c[0], c[1].end, tol_cfg=tol_cfg),
         criteria.evaluate_triangle,
+        vector.TriangleBatch,
     ),
     "right_angle": Criterion(
         _right_angle_config,
@@ -144,29 +152,78 @@ def evaluate_measurement(name: str, measurement, k: float, *,
     return _EVALUATORS[name.replace("-", "_")](measurement, k, tol_cfg=tol_cfg)
 
 
-def _orientation_pass(measurements: dict[str, list], k: float, orientation: str,
-                      tol_cfg: Tolerances) -> bool:
-    """True when every sample passes the claim at k; inadmissible counts as fail."""
+# A vector margin (defect - tolerance) below -MARGIN_GUARD is a sure pass.  The
+# vector and scalar defects differ by rounding noise, orders of magnitude less.
+MARGIN_GUARD = 1e-9
+
+
+def batch_measurements(measurements: dict[str, list], tol_cfg: Tolerances) -> dict:
+    """Each criterion's measurements as a `vector.Batch`, or None where it has none."""
+    out = {}
     for name, ms in measurements.items():
-        ev = _EVALUATORS[name]
-        for m in ms:
-            try:
-                if not ev(m, k, tol_cfg=tol_cfg).passes(orientation):
-                    return False
-            except ModelDomainError:
-                return False
+        batch = CRITERIA[name].batch
+        out[name] = None if batch is None else batch(ms, tol_cfg)
+    return out
+
+
+def _scalar_fail(ev: Callable, ms: list, indices, k: float, orientation: str,
+                 tol_cfg: Tolerances) -> bool:
+    """True at the first of ms[indices], in order, that fails the claim or is inadmissible."""
+    for i in indices:
+        try:
+            if not ev(ms[i], k, tol_cfg=tol_cfg).passes(orientation):
+                return True
+        except ModelDomainError:
+            return True
+    return False
+
+
+def _orientation_pass(measurements: dict[str, list], k: float, orientation: str,
+                      tol_cfg: Tolerances, batches: dict | None = None) -> bool:
+    """True when every sample passes the claim at k; inadmissible counts as fail.
+
+    The vector margins mark the samples that surely pass.  The scalar evaluator
+    walks the others in order and stops at the first failure, so the decision,
+    and any error other than ModelDomainError, are the scalar walk's.  A
+    passing probe confirms, per criterion, the sure pass with the largest
+    margin through the scalar evaluator; should one ever disagree, the whole
+    claim is decided by the scalar walk over every sample.
+    """
+    if batches is None:
+        batches = batch_measurements(measurements, tol_cfg)
+    confirm = []
+    for name, ms in measurements.items():
+        ev, batch = _EVALUATORS[name], batches.get(name)
+        margin = batch.margins(k, orientation) if batch is not None else np.full(len(ms), np.nan)
+        sure = margin < -MARGIN_GUARD
+        if _scalar_fail(ev, ms, np.flatnonzero(~sure), k, orientation, tol_cfg):
+            return False
+        if sure.any():
+            confirm.append((ev, ms, [int(np.argmax(np.where(sure, margin, -np.inf)))]))
+    if any(_scalar_fail(ev, ms, i, k, orientation, tol_cfg) for ev, ms, i in confirm):
+        return not any(_scalar_fail(_EVALUATORS[name], ms, range(len(ms)), k, orientation, tol_cfg)
+                       for name, ms in measurements.items())
     return True
 
 
-def _worst_defect(measurements: dict[str, list], k: float, orientation: str,
-                  tol_cfg: Tolerances) -> float:
-    worst = -math.inf
+def _worst_defect(measurements: dict[str, list], k: float, tol_cfg: Tolerances):
+    """Largest cbb and cba defects at k over every sample, in one scalar pass.
+
+    Returns ((cbb residual, cbb witness), (cba residual, cba witness)); a
+    witness names the first sample, in evaluation order, whose defect is the
+    residual.
+    """
+    cbb = cba = -math.inf
+    cbb_witness = cba_witness = None
     for name, ms in measurements.items():
         ev = _EVALUATORS[name]
-        for m in ms:
+        for i, m in enumerate(ms):
             out = ev(m, k, tol_cfg=tol_cfg)
-            worst = max(worst, out.cbb_defect if orientation == "cbb" else out.cba_defect)
-    return worst
+            if out.cbb_defect > cbb:
+                cbb, cbb_witness = out.cbb_defect, {"criterion": name, "sample": i}
+            if out.cba_defect > cba:
+                cba, cba_witness = out.cba_defect, {"criterion": name, "sample": i}
+    return (cbb, cbb_witness), (cba, cba_witness)
 
 
 def _expand(passes: Callable[[float], bool], k0: float, step0: float, want: bool,
@@ -230,41 +287,45 @@ def estimate_bounds(
             resolution, None, None, None, None, note, note, skipped,
         )
     step = k_hi - k_lo
+    batches = batch_measurements(measurements, tol_cfg)
 
-    k_cbb = cbb_residual = None
+    k_cbb = cbb_residual = cbb_witness = worst = None
     cbb_note = ""
 
     def passes_cbb(k: float) -> bool:
-        return _orientation_pass(measurements, k, "cbb", tol_cfg)
+        return _orientation_pass(measurements, k, "cbb", tol_cfg, batches)
 
     try:
         # the lower-bound claim holds for all k below a threshold
         lo_pass = _expand(passes_cbb, k_lo, -step, True, expansion_limit)
         hi_fail = _expand(passes_cbb, k_hi, step, False, expansion_limit)
         k_cbb, _ = _bisect(passes_cbb, lo_pass, hi_fail, resolution)
-        cbb_residual = _worst_defect(measurements, k_cbb, "cbb", tol_cfg)
+        worst = _worst_defect(measurements, k_cbb, tol_cfg)
+        cbb_residual, cbb_witness = worst[0]
     except BracketExpansionError as e:
         cbb_note = str(e)
 
-    k_cba = cba_residual = None
+    k_cba = cba_residual = cba_witness = None
     cba_note = ""
 
     def passes_cba(k: float) -> bool:
-        return _orientation_pass(measurements, k, "cba", tol_cfg)
+        return _orientation_pass(measurements, k, "cba", tol_cfg, batches)
 
     try:
         # the upper-bound claim holds for all k above a threshold
         hi_pass = _expand(passes_cba, k_hi, step, True, expansion_limit)
         lo_fail = _expand(passes_cba, k_lo, -step, False, expansion_limit)
         k_cba, _ = _bisect(passes_cba, hi_pass, lo_fail, resolution)
-        cba_residual = _worst_defect(measurements, k_cba, "cba", tol_cfg)
+        if worst is None or k_cba != k_cbb:  # the pass at k_cbb has both residuals
+            worst = _worst_defect(measurements, k_cba, tol_cfg)
+        cba_residual, cba_witness = worst[1]
     except BracketExpansionError as e:
         cba_note = str(e)
 
     return CurvatureEstimate(
         space.descriptor(), space.point_to_data(center), radius, names,
         len(measurements[names[0]]), seed, resolution, k_cbb, k_cba,
-        cbb_residual, cba_residual, cbb_note, cba_note, skipped,
+        cbb_residual, cba_residual, cbb_note, cba_note, skipped, cbb_witness, cba_witness,
     )
 
 

@@ -264,7 +264,7 @@ class MeshSpace(GeodesicSpace):
         return int(x)
 
     def point_from_data(self, data):
-        node = int(data)
+        node = int(self._finite(data))
         if not 0 <= node < self.graph.n_nodes:
             raise ValueError(f"node id {node} out of range")
         return node

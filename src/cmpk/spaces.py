@@ -134,6 +134,13 @@ class GeodesicSpace(ABC):
     def _segment(self, start, end, length, evaluator, batch=None) -> GeodesicSegment:
         return GeodesicSegment(self, start, end, float(length), evaluator, batch)
 
+    def _finite(self, data) -> np.ndarray:
+        """Point data as a new float array; ValueError unless every entry is finite."""
+        x = np.array(data, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError(f"{self.name} point data must be finite, got {x.tolist()}")
+        return x
+
 
 # ---------------------------------------------------------------------------
 # Euclidean plane
@@ -167,7 +174,7 @@ class EuclideanPlane(GeodesicSpace):
         return [float(x[0]), float(x[1])]
 
     def point_from_data(self, data):
-        return np.asarray(data, dtype=float)
+        return self._finite(data)
 
     def default_center(self):
         return np.zeros(2)
@@ -197,7 +204,7 @@ class Sphere(GeodesicSpace):
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if abs(np.dot(x, x) - 1.0) > 1e-10:
+        if not abs(np.dot(x, x) - 1.0) <= 1e-10:  # written so that nan fails
             raise ValueError("sphere handle must be a unit 3-vector")
         return x
 
@@ -278,7 +285,7 @@ class Sphere(GeodesicSpace):
         return [float(c) for c in x]
 
     def point_from_data(self, data):
-        return self._check(_unit(np.asarray(data, dtype=float)))
+        return self._check(_unit(self._finite(data)))
 
     def default_center(self):
         return np.array([0.0, 0.0, 1.0])
@@ -308,7 +315,7 @@ class Hyperbolic(GeodesicSpace):
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if abs(_mdot(x, x) + 1.0) > 1e-9 or x[2] <= 0.0:
+        if not (abs(_mdot(x, x) + 1.0) <= 1e-9 and x[2] > 0.0):  # written so that nan fails
             raise ValueError("hyperboloid handle must satisfy <x,x> = -1, x2 > 0")
         return x
 
@@ -385,7 +392,7 @@ class Hyperbolic(GeodesicSpace):
         return [float(c) for c in x]
 
     def point_from_data(self, data):
-        x = np.array(data, dtype=float)  # a copy: the caller's array stays as given
+        x = self._finite(data)  # a copy: the caller's array stays as given
         x[2] = math.sqrt(1.0 + x[0] * x[0] + x[1] * x[1])  # re-project onto the sheet
         return x
 
@@ -417,7 +424,7 @@ class Cone(GeodesicSpace):
 
     def _norm(self, x) -> tuple[float, float]:
         r, th = float(x[0]), float(x[1])
-        if r < 0.0:
+        if not r >= 0.0:  # written so that nan fails
             raise ValueError("cone radius must be >= 0")
         if r == 0.0:
             return (0.0, 0.0)
@@ -493,20 +500,26 @@ class Cone(GeodesicSpace):
         if r1 == 0.0 or r2 == 0.0:
             return [self._apex_route((r1, t1), (r2, t2))]
         ccw = (t2 - t1) % self.perimeter  # angle going counterclockwise from x
-        candidates: list[tuple[float, GeodesicSegment]] = []
-        for sep in ((ccw, ccw), (self.perimeter - ccw, ccw - self.perimeter)):
-            mag, signed = sep
+        # chord lengths first, as `_unrolled_route` computes them; a route is built
+        # only when it ties the best (signed separation None is the apex route)
+        routes: list[tuple[float, float | None]] = []
+        for mag, signed in ((ccw, ccw), (self.perimeter - ccw, ccw - self.perimeter)):
             if mag < math.pi:
-                seg = self._unrolled_route((r1, t1), (r2, t2), signed)
-                candidates.append((seg.length, seg))
+                routes.append(
+                    (math.hypot(r2 * math.cos(signed) - r1, r2 * math.sin(signed)), signed))
         apex_len = r1 + r2
-        if not candidates or apex_len <= min(c[0] for c in candidates) + self.tol.tie:
-            candidates.append((apex_len, self._apex_route((r1, t1), (r2, t2))))
-        best = min(c[0] for c in candidates)
-        out = [seg for length, seg in candidates if length <= best + self.tol.tie]
+        if not routes or apex_len <= min(length for length, _ in routes) + self.tol.tie:
+            routes.append((apex_len, None))
+        best = min(length for length, _ in routes)
         # drop duplicated routes (e.g. ccw == 0 yields one radial chord twice)
         dedup: list[GeodesicSegment] = []
-        for seg in out:
+        for length, signed in routes:
+            if length > best + self.tol.tie:
+                continue
+            if signed is None:
+                seg = self._apex_route((r1, t1), (r2, t2))
+            else:
+                seg = self._unrolled_route((r1, t1), (r2, t2), signed)
             if not any(
                 self.distance(seg.midpoint(), other.midpoint()) <= self.tol.pt
                 for other in dedup
@@ -534,7 +547,8 @@ class Cone(GeodesicSpace):
         return [r, th]
 
     def point_from_data(self, data):
-        return self._norm((float(data[0]), float(data[1])))
+        x = self._finite(data)
+        return self._norm((float(x[0]), float(x[1])))
 
     def default_center(self):
         return (0.0, 0.0)
@@ -556,7 +570,7 @@ class Tripod(GeodesicSpace):
         ray, r = int(x[0]), float(x[1])
         if ray not in (0, 1, 2):
             raise ValueError(f"tripod ray must be 0, 1 or 2, got {ray}")
-        if r < 0.0:
+        if not r >= 0.0:  # written so that nan fails
             raise ValueError("tripod radius must be >= 0")
         return (0, 0.0) if r == 0.0 else (ray, r)
 
@@ -602,7 +616,8 @@ class Tripod(GeodesicSpace):
         return [i, r]
 
     def point_from_data(self, data):
-        return self._norm((int(data[0]), float(data[1])))
+        x = self._finite(data)
+        return self._norm((int(x[0]), float(x[1])))
 
     def default_center(self):
         return (0, 0.0)
@@ -681,7 +696,7 @@ class SphericalTriangleDomain(GeodesicSpace):
         return [float(c) for c in x]
 
     def point_from_data(self, data):
-        return self._require_inside(_unit(np.asarray(data, dtype=float)))
+        return self._require_inside(_unit(self._finite(data)))
 
     def default_center(self):
         return _unit(self.vertices[0] + self.vertices[1] + self.vertices[2])

@@ -1,0 +1,191 @@
+"""Numpy forms of the model trig, and verdict-criterion measurements as arrays.
+
+`estimate` bisects over k on one fixed sample set.  A batch turns one
+criterion's stored measurements into arrays once; its `margins` gives every
+sample's defect minus tolerance at any k in a few numpy passes.  The kernels
+below are the scalar kernels of `cmpk._scalar_py` term by term, with the
+SERIES_EPS branch chosen per element, so each value differs from the scalar
+evaluator's by a few rounding errors of the trig functions.
+
+A margin reads nan where the arrays do not decide the sample: where the
+scalar evaluation could raise (side, perimeter or hyperbolic-range bounds,
+the triangle inequality, the adjacent-side floor, a point-segment probe that
+is not strictly interior, a non-finite result), and where the value is
+ill-conditioned (a cosine within ILL of +-1 before acos, an arc within ILL
+of its branch switch or its antipodal clamp).  The estimator evaluates those
+samples with the scalar evaluator.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from cmpk._scalar_py import SERIES_EPS
+from cmpk.config import MAX_HYPERBOLIC_ARG, Tolerances
+from cmpk.model import _TRI_REL, PI, _perimeter_bound
+
+ILL = 1e-6  # conditioning band left to the scalar path (see the module docstring)
+
+
+def cs(k: float, d: np.ndarray) -> np.ndarray:
+    """`cs_k(d)` per element of d."""
+    w = k * d * d
+    full = np.cos(math.sqrt(k) * d) if k > 0.0 else np.cosh(math.sqrt(-k) * d)
+    return np.where(np.abs(w) < SERIES_EPS,
+                    1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0, full)
+
+
+def sn(k: float, d: np.ndarray) -> np.ndarray:
+    """`sn_k(d)` per element of d."""
+    w = k * d * d
+    rk = math.sqrt(abs(k))  # 0 at k = 0, where every element takes the series
+    full = np.sin(rk * d) / rk if k > 0.0 else np.sinh(rk * d) / rk
+    return np.where(np.abs(w) < SERIES_EPS,
+                    d * (1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0), full)
+
+
+def vcs(k: float, d: np.ndarray) -> np.ndarray:
+    """`vcs_k(d)` per element of d."""
+    w = k * d * d
+    if k > 0.0:
+        s = np.sin(0.5 * math.sqrt(k) * d)
+        full = 2.0 * s * s / k
+    else:
+        s = np.sinh(0.5 * math.sqrt(-k) * d)
+        full = 2.0 * s * s / (-k)
+    return np.where(np.abs(w) < SERIES_EPS, d * d * (0.5 - w / 24.0 + w * w / 720.0), full)
+
+
+def arc_from_vcs(k: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`arc_from_vcs(k, v)` per element of v, and where that value is ill-conditioned."""
+    v = np.where(v < 0.0, 0.0, v)
+    x2 = 0.5 * k * v
+    series = np.sqrt(2.0 * v) * (1.0 + k * v / 12.0 + 3.0 * k * k * v * v / 160.0)
+    if k > 0.0:
+        s2 = np.minimum(x2, 1.0)  # antipodal limit
+        full = np.where(s2 <= 0.5, 2.0 * np.arcsin(np.sqrt(s2)) / math.sqrt(k),
+                        (PI - 2.0 * np.arcsin(np.sqrt(1.0 - s2))) / math.sqrt(k))
+        ill = (np.abs(s2 - 0.5) < ILL) | (s2 > 1.0 - ILL)
+    else:
+        full = 2.0 * np.arcsinh(np.sqrt(-x2)) / math.sqrt(-k)
+        ill = np.zeros(v.shape, bool)
+    series_branch = np.abs(x2) < 0.25 * SERIES_EPS
+    return np.where(series_branch, series, full), ill & ~series_branch
+
+
+def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """`model.comparison_angle(k, (a, b, c))` per element, and where it is decided."""
+    perimeter = a + b + c
+    slack = _TRI_REL * perimeter
+    ok = (np.isfinite(perimeter) & (a >= 0.0) & (b >= 0.0) & (c >= 0.0)
+          & (a <= b + c + slack) & (b <= c + a + slack) & (c <= a + b + slack))
+    if k > 0.0:
+        bound = PI / math.sqrt(k)
+        ok &= (a < bound) & (b < bound) & (c < bound) & (perimeter < _perimeter_bound(k))
+    elif k < 0.0:
+        rk = math.sqrt(-k)
+        ok &= ((rk * a <= MAX_HYPERBOLIC_ARG) & (rk * b <= MAX_HYPERBOLIC_ARG)
+               & (rk * c <= MAX_HYPERBOLIC_ARG))
+    floor = 1e-12 * np.maximum(perimeter, 1e-300)
+    ok &= (a > floor) & (b > floor)
+    raw = (vcs(k, a) + cs(k, a) * vcs(k, b) - vcs(k, c)) / (sn(k, a) * sn(k, b))
+    ok &= np.abs(raw) < 1.0 - ILL
+    return np.arccos(raw), ok
+
+
+def _starts(sizes: Sequence[int]) -> np.ndarray:
+    """Offsets of consecutive non-empty groups of the given sizes, for `ufunc.reduceat`."""
+    return np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+
+
+class Batch:
+    """One criterion's stored measurements as arrays; subclasses define `_defects`."""
+
+    def __init__(self, ms: Sequence, tol_cfg: Tolerances):
+        self.n = len(ms)
+        self.tolerance = np.array([tol_cfg.verdict_tolerance(m.scale) for m in ms], float)
+
+    def margins(self, k: float, orientation: str) -> np.ndarray:
+        """Each sample's oriented defect minus its tolerance at k; nan where undecided."""
+        if self.n == 0 or orientation not in ("cbb", "cba") or not math.isfinite(k):
+            return np.full(self.n, np.nan)  # the scalar path decides, or raises
+        with np.errstate(all="ignore"):  # masked elements may overflow or divide by 0
+            cbb, cba, ok = self._defects(float(k))
+            defect = cbb if orientation == "cbb" else cba
+            return np.where(ok & np.isfinite(cbb) & np.isfinite(cba),
+                            defect - self.tolerance, np.nan)
+
+    def _defects(self, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cbb defects, cba defects, decided) per sample at k."""
+        raise NotImplementedError
+
+
+class PythagoreanBatch(Batch):
+    def __init__(self, ms: Sequence, tol_cfg: Tolerances):
+        super().__init__(ms, tol_cfg)
+        cols = np.array([(m.d_qp, m.d_pr1, m.d_qr1, m.d_pr2, m.d_qr2) for m in ms], float)
+        qp, pr1, qr1, pr2, qr2 = cols.reshape(-1, 5).T
+        # both right triangles of every sample in one array: first all (qp, pr1, qr1)
+        self.sides = (np.concatenate((qp, qp)), np.concatenate((pr1, pr2)),
+                      np.concatenate((qr1, qr2)))
+
+    def _defects(self, k):
+        angle, ok = comparison_angles(k, *self.sides)
+        d1, d2 = (angle - 0.5 * PI).reshape(2, -1)
+        return np.maximum(d1, d2), np.maximum(-d1, -d2), ok.reshape(2, -1).all(axis=0)
+
+
+class PointSegmentBatch(Batch):
+    def __init__(self, ms: Sequence, tol_cfg: Tolerances):
+        super().__init__(ms, tol_cfg)
+        self.qp, self.qr, self.length = np.array(
+            [(m.d_qp, m.d_qr, m.length) for m in ms], float).reshape(-1, 3).T
+        # a sample without probes gets one nan probe, which leaves it undecided
+        probes = [m.probes or ((math.nan, math.nan),) for m in ms]
+        self.t, self.real = np.array([p for ps in probes for p in ps], float).reshape(-1, 2).T
+        sizes = [len(ps) for ps in probes]
+        self.sample = np.repeat(np.arange(self.n), sizes)
+        self.starts = _starts(sizes)
+
+    def _defects(self, k):
+        qp, t, g = self.qp, self.t, self.sample
+        alpha, ok = comparison_angles(k, qp, self.length, self.qr)
+        # `model.comparison_distances`: the model side from q~ to each probe of [p~ r~]
+        v = (vcs(k, qp)[g] + cs(k, qp)[g] * vcs(k, t)
+             - sn(k, qp)[g] * sn(k, t) * np.cos(alpha)[g])
+        model_d, ill = arc_from_vcs(k, v)
+        probe_ok = (0.0 < t) & (t < self.length[g]) & ~ill
+        if k > 0.0:
+            probe_ok &= qp[g] + t + model_d < _perimeter_bound(k)
+        defect = self.real - model_d
+        ok &= np.logical_and.reduceat(probe_ok, self.starts)
+        return (-np.minimum.reduceat(defect, self.starts),
+                np.maximum.reduceat(defect, self.starts), ok)
+
+
+class TriangleBatch(Batch):
+    def __init__(self, ms: Sequence, tol_cfg: Tolerances):
+        super().__init__(ms, tol_cfg)
+        qr, pr, pq = np.array([m.sides for m in ms], float).reshape(-1, 3).T
+        # one group per (sample, vertex), sample-major; an empty one gets a nan triple
+        groups = [m.angle_sides[v] or [(math.nan,) * 3] for m in ms for v in "pqr"]
+        ladder = np.array([s for g in groups for s in g], float).reshape(-1, 3).T
+        self.starts = _starts([len(g) for g in groups])
+        # the model angles at p, q and r of every sample, then every ladder triple
+        self.sides = tuple(np.concatenate(cols) for cols in (
+            (pq, pq, pr, ladder[0]), (pr, qr, qr, ladder[1]), (qr, pr, pq, ladder[2])))
+
+    def _defects(self, k):
+        n = self.n
+        angle, ok = comparison_angles(k, *self.sides)
+        model = angle[:3 * n].reshape(3, n)
+        ladder, ladder_ok = angle[3 * n:], ok[3 * n:]
+        lo = np.minimum.reduceat(ladder, self.starts).reshape(n, 3).T
+        hi = np.maximum.reduceat(ladder, self.starts).reshape(n, 3).T
+        decided = (ok[:3 * n].reshape(3, n).all(axis=0)
+                   & np.logical_and.reduceat(ladder_ok, self.starts).reshape(n, 3).all(axis=1))
+        # lower bound needs angle >= model angle for every geodesic pair
+        return (model - lo).max(axis=0), (hi - model).max(axis=0), decided

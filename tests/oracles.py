@@ -5,7 +5,9 @@ from explicit point constructions (rotations on the embedded sphere,
 Minkowski hyperboloid vectors, planar coordinates) and angles from bisection
 against those constructions.  The exceptions are reference copies of code
 the package has since rewritten (the heap Dijkstra search, the per-k
-evaluators and the angle ladders), which tests compare the rewrites against.
+evaluators, the angle ladders, the all-scalar bisection predicate and
+residual, and the cone geodesics that built every candidate route), which
+tests compare the rewrites against.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from cmpk import model
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.criteria import PI, PointSegmentMeasurement, TestOutcome, _outcome
+from cmpk.estimator import _EVALUATORS
 from cmpk.errors import (
     DegenerateConfigError,
     DisconnectedGraphError,
@@ -379,3 +382,56 @@ def evaluate_triangle(
         cbb = max(cbb, model_angles[v] - min(angles))
         cba = max(cba, max(angles) - model_angles[v])
     return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg)
+
+
+def orientation_pass(measurements: dict[str, list], k: float, orientation: str,
+                     tol_cfg: Tolerances) -> bool:
+    """Reference bisection predicate: every sample through the scalar evaluator."""
+    for name, ms in measurements.items():
+        ev = _EVALUATORS[name]
+        for m in ms:
+            try:
+                if not ev(m, k, tol_cfg=tol_cfg).passes(orientation):
+                    return False
+            except ModelDomainError:
+                return False
+    return True
+
+
+def worst_defect(measurements: dict[str, list], k: float, orientation: str,
+                 tol_cfg: Tolerances) -> float:
+    """Reference residual: one scalar pass per orientation."""
+    worst = -math.inf
+    for name, ms in measurements.items():
+        ev = _EVALUATORS[name]
+        for m in ms:
+            out = ev(m, k, tol_cfg=tol_cfg)
+            worst = max(worst, out.cbb_defect if orientation == "cbb" else out.cba_defect)
+    return worst
+
+
+def cone_minimal_geodesics(cone, x, y) -> list[GeodesicSegment]:
+    """Reference `Cone.minimal_geodesics` that builds every candidate route."""
+    r1, t1 = cone._norm(x)
+    r2, t2 = cone._norm(y)
+    if cone.distance((r1, t1), (r2, t2)) == 0.0:
+        return [cone._segment((r1, t1), (r2, t2), 0.0, lambda t: (r1, t1))]
+    if r1 == 0.0 or r2 == 0.0:
+        return [cone._apex_route((r1, t1), (r2, t2))]
+    ccw = (t2 - t1) % cone.perimeter
+    candidates: list[tuple[float, GeodesicSegment]] = []
+    for mag, signed in ((ccw, ccw), (cone.perimeter - ccw, ccw - cone.perimeter)):
+        if mag < math.pi:
+            seg = cone._unrolled_route((r1, t1), (r2, t2), signed)
+            candidates.append((seg.length, seg))
+    apex_len = r1 + r2
+    if not candidates or apex_len <= min(c[0] for c in candidates) + cone.tol.tie:
+        candidates.append((apex_len, cone._apex_route((r1, t1), (r2, t2))))
+    best = min(c[0] for c in candidates)
+    out = [seg for length, seg in candidates if length <= best + cone.tol.tie]
+    dedup: list[GeodesicSegment] = []
+    for seg in out:
+        if not any(cone.distance(seg.midpoint(), other.midpoint()) <= cone.tol.pt
+                   for other in dedup):
+            dedup.append(seg)
+    return dedup

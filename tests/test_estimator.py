@@ -4,12 +4,16 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpk import estimator, spaces
+import oracles
+from cmpk import criteria, estimator, mesh as mesh_mod, spaces
+from cmpk._scalar_py import SERIES_EPS
 from cmpk.config import DEFAULT_TOL
-from cmpk.errors import LadderError
+from cmpk.errors import DegenerateConfigError, LadderError
+from meshgen import icosphere
 
 PI = math.pi
 
@@ -50,13 +54,18 @@ def test_bisection_soundness_on_fixed_samples():
 
 
 @functools.cache
-def stored_measurements(kind):
+def region(kind):
     sp, center, radius = {
         "sphere": (spaces.make_sphere(1.0), None, 0.2),
         "hyperbolic": (spaces.make_hyperbolic(-1.0), None, 0.2),
         "cone": (spaces.make_cone(PI), (0.0, 0.0), 0.25),
     }[kind]
-    center = sp.default_center() if center is None else center
+    return sp, sp.default_center() if center is None else center, radius
+
+
+@functools.cache
+def stored_measurements(kind):
+    sp, center, radius = region(kind)
     return estimator.sample_measurements(sp, center, radius, estimator.ESTIMATE_CRITERIA, 16, 8)
 
 
@@ -75,6 +84,210 @@ def test_orientation_pass_is_monotone_in_k(kind, ks):
     assert cba == sorted(cba)
     # the cone apex has no upper curvature bound
     assert cba[-1] == (kind != "cone")
+
+
+@functools.cache
+def property_set(kind, degenerate=False):
+    """(space, center, radius, measurements) for the vector-path property tests.
+
+    The pi-cone set adds triangles with a tie pair, whose vertices carry two
+    geodesic pairs; `degenerate` puts a Pythagorean sample with a zero leg,
+    whose evaluation raises DegenerateConfigError, in the middle of the list.
+    """
+    if kind == "icosphere":
+        v, f = icosphere(2)
+        sp = mesh_mod.mesh_space(mesh_mod.TriMesh(v, f), steiner=4)
+        center, radius = 0, 0.5
+        ms = estimator.sample_measurements(sp, center, radius, ("pythagorean",), 16, 8)
+    else:
+        sp, center, radius = region(kind)
+        ms = stored_measurements(kind)
+    ms = {name: list(batch) for name, batch in ms.items()}
+    if kind == "cone":
+        for p, q, r in (((0.2, 0.0), (0.2, PI / 2), (0.1, 0.3)),
+                        ((0.15, 0.1), (0.15, 0.1 + PI / 2), (0.1, 1.0))):
+            m = criteria.measure_triangle(sp, p, q, r)
+            assert max(len(t) for t in m.angle_sides.values()) == 2
+            ms["triangle"].append(m)
+    if degenerate:
+        pyth = ms["pythagorean"]
+        pyth.insert(len(pyth) // 2, criteria.PythagoreanMeasurement(0.1, 0.0, 0.1, 0.1, 0.15, 0.2))
+    return sp, center, radius, ms
+
+
+PROPERTY_SETS = ("sphere", "hyperbolic", "cone", "icosphere")
+# either side of |k d^2| = SERIES_EPS for sides of 0.03-0.5 (ladder sides cross it at
+# |k| ~ 0.2), signed zeros, and k past the side, perimeter and hyperbolic-range bounds
+K_VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e-5, 1e-5),
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, SERIES_EPS / 0.04, -SERIES_EPS / 0.04,
+                     30.0, 120.0, 1e3, -500.0, -2e5]),
+)
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:  # compared with the other path, not handled
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(PROPERTY_SETS), degenerate=st.booleans(), k=K_VALUES,
+       orientation=st.sampled_from(["cbb", "cba"]))
+def test_vector_decision_equals_scalar_reference(kind, degenerate, k, orientation):
+    ms = property_set(kind, degenerate)[3]
+    assert (outcome(estimator._orientation_pass, ms, k, orientation, DEFAULT_TOL)
+            == outcome(oracles.orientation_pass, ms, k, orientation, DEFAULT_TOL))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(PROPERTY_SETS), degenerate=st.booleans(), k=K_VALUES)
+def test_residual_pass_equals_scalar_reference(kind, degenerate, k):
+    ms = property_set(kind, degenerate)[3]
+
+    def both():
+        return tuple(r for r, _ in estimator._worst_defect(ms, k, DEFAULT_TOL))
+
+    def reference():
+        return tuple(oracles.worst_defect(ms, k, o, DEFAULT_TOL) for o in ("cbb", "cba"))
+
+    assert outcome(both) == outcome(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(PROPERTY_SETS), k=K_VALUES)
+def test_vector_margins_match_scalar_far_inside_the_guard(kind, k):
+    ms = property_set(kind)[3]
+    batches = estimator.batch_measurements(ms, DEFAULT_TOL)
+    worst = 0.0
+    for name, batch_ms in ms.items():
+        for orientation in ("cbb", "cba"):
+            margins = batches[name].margins(k, orientation)
+            for m, margin in zip(batch_ms, margins, strict=True):
+                if math.isnan(margin):
+                    continue
+                # a sample the vector path decides never raises in the scalar path
+                out = estimator.evaluate_measurement(name, m, k)
+                scalar = (out.cbb_defect if orientation == "cbb" else out.cba_defect)
+                worst = max(worst, abs(margin - (scalar - out.tolerance)))
+    assert worst < estimator.MARGIN_GUARD / 100
+
+
+@pytest.mark.parametrize("kind", PROPERTY_SETS)
+def test_vector_path_decides_most_samples_at_moderate_k(kind):
+    ms = property_set(kind)[3]
+    batches = estimator.batch_measurements(ms, DEFAULT_TOL)
+    for k in (-1.0, 0.0, 0.5):
+        for name, batch in batches.items():
+            decided = ~np.isnan(batch.margins(k, "cbb"))
+            assert decided.mean() >= 0.75, (k, name, decided)
+
+
+def pythagorean(d_qp, d_pr, d_qr):
+    return criteria.PythagoreanMeasurement(d_qp, d_pr, d_qr, d_pr, d_qr, max(d_pr, d_qr))
+
+
+def point_segment(probes, d_qp=0.3, d_qr=0.3, length=0.4):
+    return criteria.PointSegmentMeasurement(d_qp, d_qr, length, probes, 0.4)
+
+
+def triangle(p, q=((0.01, 0.01, 0.01),), sides=(0.3, 0.3, 0.3)):
+    return criteria.TriangleMeasurement(sides, {"p": list(p), "q": list(q), "r": [(0.01,) * 3]}, 0.3)
+
+
+RIGHT = (0.5, 0.5, math.hypot(0.5, 0.5))
+# (criterion, measurement, k): each sample's scalar evaluation raises at k, or it
+# reads a value the vector path must not decide (a cosine next to -1, an endpoint probe)
+UNDECIDED = {
+    "perimeter at the bound, every side under it": ("pythagorean", pythagorean(*RIGHT), 16.0),
+    "side past pi/sqrt(k)": ("pythagorean", pythagorean(*RIGHT), 100.0),
+    "past the hyperbolic range": ("pythagorean", pythagorean(*RIGHT), -1e5),
+    # these two have a cosine well inside (-1, 1): only the bound keeps them undecided
+    "60 degrees past the hyperbolic range": (
+        "pythagorean", pythagorean(0.35, 0.35, 0.6956161523114132), -1e5),
+    "perimeter inside the antipodal margin": (
+        "pythagorean", pythagorean(*(2.0943947857265286,) * 3), 1.0),
+    "triangle inequality violated": ("pythagorean", pythagorean(0.1, 0.1, 0.3), 0.5),
+    "adjacent side on the floor": ("pythagorean", pythagorean(0.1, 1e-14, 0.1), 0.5),
+    "non-finite side": ("pythagorean", pythagorean(0.1, math.nan, 0.1), 0.5),
+    "cosine next to -1": ("pythagorean", pythagorean(0.1, 0.1, 0.2 - 1e-13), 0.5),
+    "probe before the segment": ("point_segment", point_segment(((-0.1, 0.3), (0.2, 0.25))), 0.5),
+    "probe at an endpoint": ("point_segment", point_segment(((0.0, 0.3), (0.2, 0.25))), 0.5),
+    "no probes": ("point_segment", point_segment(()), 0.5),
+    "point-segment triple past the side bound": (
+        "point_segment", point_segment(((0.2, 0.25),)), 100.0),
+    "ladder triple on the adjacent-side floor": (
+        "triangle", triangle([(0.01, 0.01, 0.01), (1e-16, 0.01, 0.01)]), 0.5),
+    "vertex without a ladder triple": ("triangle", triangle([]), 0.5),
+    "main triangle past the perimeter bound": (
+        "triangle", triangle([(0.01,) * 3], sides=(0.6, 0.6, 0.6)), 16.0),
+}
+
+
+@pytest.mark.parametrize("case", UNDECIDED)
+def test_vector_path_leaves_raising_and_ill_conditioned_samples_to_the_scalar_path(case):
+    name, m, k = UNDECIDED[case]
+    batch = estimator.CRITERIA[name].batch([m], DEFAULT_TOL)
+    for orientation in ("cbb", "cba"):
+        assert math.isnan(batch.margins(k, orientation)[0])
+        # alone, the sample decides the claim: the answer or error is the scalar path's
+        ms = {name: [m]}
+        assert (outcome(estimator._orientation_pass, ms, k, orientation, DEFAULT_TOL)
+                == outcome(oracles.orientation_pass, ms, k, orientation, DEFAULT_TOL))
+
+
+def test_degenerate_sample_raises_as_the_scalar_path_does():
+    ms = property_set("sphere", True)[3]
+    # every sample before it passes the lower-bound claim at k = 0 on the unit sphere
+    with pytest.raises(DegenerateConfigError) as new:
+        estimator._orientation_pass(ms, 0.0, "cbb", DEFAULT_TOL)
+    with pytest.raises(DegenerateConfigError) as ref:
+        oracles.orientation_pass(ms, 0.0, "cbb", DEFAULT_TOL)
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("kind", PROPERTY_SETS)
+def test_estimate_equals_the_all_scalar_bisection(kind, monkeypatch):
+    sp, center, radius, ms = property_set(kind)
+    est = estimator.estimate_bounds(sp, center, radius, ms, seed=8)
+    monkeypatch.setattr(estimator, "_orientation_pass",
+                        lambda ms, k, o, tol_cfg, batches=None:
+                        oracles.orientation_pass(ms, k, o, tol_cfg))
+    ref = estimator.estimate_bounds(sp, center, radius, ms, seed=8)
+    assert est == ref
+    for k, residual, o in ((est.k_cbb, est.cbb_residual, "cbb"), (est.k_cba, est.cba_residual, "cba")):
+        if k is not None:
+            assert residual == oracles.worst_defect(ms, k, o, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("kind", PROPERTY_SETS)
+def test_witness_sample_fixes_the_residual(kind):
+    sp, center, radius, ms = property_set(kind)
+    est = estimator.estimate_bounds(sp, center, radius, ms, seed=8)
+    for o in ("cbb", "cba"):
+        k, residual, witness = (getattr(est, f"k_{o}"), getattr(est, f"{o}_residual"),
+                                getattr(est, f"{o}_witness"))
+        if k is None:
+            assert residual is None and witness is None
+            continue
+        name, i = witness["criterion"], witness["sample"]
+        assert getattr(estimator.evaluate_measurement(name, ms[name][i], k), f"{o}_defect") == residual
+        # ties go to the first sample in evaluation order
+        for earlier, batch in ms.items():
+            for m in batch[: i if earlier == name else len(batch)]:
+                assert getattr(estimator.evaluate_measurement(earlier, m, k), f"{o}_defect") < residual
+            if earlier == name:
+                break
+
+
+def test_no_bound_has_no_witness():
+    tri = spaces.make_tripod()
+    est = estimate(tri, (0, 0.0), 0.5, 40, 3)
+    assert est.k_cbb is None and est.cbb_witness is None
+    assert est.k_cba is None and est.cba_witness is None
 
 
 def test_estimates_deterministic_for_fixed_seed():

@@ -299,6 +299,14 @@ def test_disconnected_graph_rejected(tmp_path):
         mesh_mod.mesh_space(mesh_mod.load_obj(p), steiner=1)
 
 
+def test_point_from_data_rejects_non_finite_node_ids(octa_path):
+    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path))
+    assert space.point_from_data(3.0) == 3
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="mesh point data must be finite"):
+            space.point_from_data(bad)
+
+
 def test_mesh_descriptor_round_trip(octa_path):
     desc = {"type": "mesh", "path": str(octa_path), "steiner": 2}
     space = space_from_descriptor(desc)

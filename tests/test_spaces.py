@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from cmpk import spaces
 from cmpk.errors import ShootUnavailable, SpaceDescriptorError
 
-from oracles import cone_distance_windings, cone_graph_distance, third_side
+from oracles import (
+    cone_distance_windings, cone_graph_distance, cone_minimal_geodesics, third_side,
+)
 
 PI = math.pi
 
@@ -179,6 +181,43 @@ def test_cone_tie_pair_two_geodesics():
     assert cone.distance(m1, m2) > 0.5
 
 
+def assert_same_routes(cone, x, y):
+    new, ref = cone.minimal_geodesics(x, y), cone_minimal_geodesics(cone, x, y)
+    assert [s.length for s in new] == [s.length for s in ref]
+    assert [s.midpoint() for s in new] == [s.midpoint() for s in ref]
+    return new
+
+
+CONE_ANGLE = st.one_of(st.floats(0.0, 8.0), st.sampled_from([0.0, 1e-17, -1e-17, PI / 2, PI]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=st.sampled_from([PI, 2.0, 5.0, 7.0]), r1=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 2.0),
+       r2=st.floats(0.0, 2.0), a1=CONE_ANGLE, a2=CONE_ANGLE)
+def test_cone_geodesics_equal_the_all_routes_reference(P, r1, r2, a1, a2):
+    assert_same_routes(spaces.make_cone(P), (r1, a1), (r2, a2))
+
+
+def test_cone_builds_only_the_routes_it_returns(monkeypatch):
+    cone = spaces.make_cone(PI)
+    built = []
+    route = cone._unrolled_route
+    monkeypatch.setattr(cone, "_unrolled_route", lambda *a: built.append(a) or route(*a))
+    cases = [
+        ((1.0, 0.2), (0.8, 1.3), 1),         # both separations under pi, one chord shorter
+        ((1.0, 0.05), (0.9, PI - 0.05), 1),  # the shorter chord crosses the seam
+        ((1.0, 0.0), (1.0, PI / 2), 2),      # exact two-route tie: sep = L/2 both ways
+        ((0.0, 0.0), (0.7, 1.1), 1),         # apex route only
+    ]
+    for x, y, n_routes in cases:
+        built.clear()
+        segs = cone.minimal_geodesics(x, y)
+        assert len(segs) == n_routes
+        # one chord built per returned chord; the all-routes reference built both
+        assert len(built) == sum(s.length != x[0] + y[0] for s in segs)
+        assert_same_routes(cone, x, y)
+
+
 def test_cone_apex_point_handles():
     cone = spaces.make_cone(PI)
     apex = (0.0, 0.0)
@@ -292,6 +331,32 @@ def test_hyperbolic_point_from_data_leaves_input_unchanged():
     p = hyp.point_from_data(data)
     assert data.tolist() == [0.3, -0.2, 5.0]
     assert p[2] == pytest.approx(math.sqrt(1.0 + 0.3**2 + 0.2**2), rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_from_data_rejects_non_finite_data(bad):
+    for space in all_analytic_spaces():
+        data = space.point_to_data(space.default_center())
+        for i in range(len(data)):
+            with pytest.raises(ValueError):
+                space.point_from_data([*data[:i], bad, *data[i + 1:]])
+
+
+def test_handle_checks_fail_on_nan():
+    # each check is written so that a nan comparison fails it
+    with pytest.raises(ValueError, match="sphere handle must be a unit 3-vector"):
+        spaces.make_sphere(1.0)._check([math.nan, 0.0, 1.0])
+    with pytest.raises(ValueError, match="hyperboloid handle"):
+        spaces.make_hyperbolic(-1.0)._check([math.nan, 0.0, 1.0])
+    with pytest.raises(ValueError, match="cone radius must be >= 0"):
+        spaces.make_cone(PI)._norm((math.nan, 0.0))
+    with pytest.raises(ValueError, match="tripod radius must be >= 0"):
+        spaces.make_tripod()._norm((0, math.nan))
+    # the cases that used to come back as nan handles
+    with pytest.raises(ValueError, match="sphere point data must be finite"):
+        spaces.make_sphere(1.0).point_from_data([math.nan, 0.0, 1.0])
+    with pytest.raises(ValueError, match="cone point data must be finite"):
+        spaces.make_cone(PI).point_from_data([1.0, math.inf])
 
 
 def test_point_data_round_trip(rng):
