@@ -303,15 +303,17 @@ def cmd_estimate(args) -> int:
         skipped=args.samples - len(measurements[first]), k_bracket=bracket,
         resolution=args.resolution, tol_cfg=tol,
     )
+    # one pass per distinct bound; both column pairs read it when k_cbb == k_cba
+    at: dict[float, list] = {}
+    for k in (est.k_cbb, est.k_cba):
+        if k is not None and k not in at:
+            at[k] = [estimator.evaluate_measurement(first, m, k, tol_cfg=tol)
+                     for m in measurements[first]]
     rows = []
-    for i, m in enumerate(measurements[first]):
+    for i in range(len(measurements[first])):
         row = [i]
         for k in (est.k_cbb, est.k_cba):
-            if k is None:
-                row.extend([None, None])
-            else:
-                out = estimator.evaluate_measurement(first, m, k, tol_cfg=tol)
-                row.extend([out.cbb_defect, out.cba_defect])
+            row.extend([None, None] if k is None else [at[k][i].cbb_defect, at[k][i].cba_defect])
         rows.append(row)
     out_dir = _out_dir(args)
     config = {

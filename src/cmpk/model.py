@@ -2,7 +2,7 @@
 
 Public operations validate their domain (finite inputs, side bounds for
 k > 0, triangle inequality) and apply the clamping policy; the raw number
-crunching lives in the selected kernel backend (``cmpk.kernels``).
+crunching lives in ``cmpk.kernels``.
 
 Conventions: angles in radians, lengths in length units, arclength
 parametrization throughout.  The curvature constant k is any finite real.

@@ -1,13 +1,14 @@
 """Numpy forms of the model trig, and verdict-criterion measurements as arrays.
 
 `estimate` bisects over k on one fixed sample set.  A batch turns one
-criterion's stored measurements into arrays once; its `margins` gives every
-sample's defect minus tolerance at any k in a few numpy passes.  The kernels
-below are the scalar kernels of `cmpk._scalar_py` term by term, with the
-SERIES_EPS branch chosen per element, so each value differs from the scalar
-evaluator's by a few rounding errors of the trig functions.
+criterion's stored measurements into arrays once; its `defects` gives every
+sample's two oriented defects at any k in a few numpy passes, and `margins`
+one of them minus its tolerance.  The kernels below are the scalar kernels
+of `cmpk.kernels` term by term, with the SERIES_EPS branch chosen per
+element, so each value differs from the scalar evaluator's by a few rounding
+errors of the trig functions.
 
-A margin reads nan where the arrays do not decide the sample: where the
+A defect reads nan where the arrays do not decide the sample: where the
 scalar evaluation could raise (side, perimeter or hyperbolic-range bounds,
 the triangle inequality, the adjacent-side floor, a point-segment probe that
 is not strictly interior, a non-finite result), and where the value is
@@ -23,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from cmpk._scalar_py import SERIES_EPS
 from cmpk.config import MAX_HYPERBOLIC_ARG, Tolerances
+from cmpk.kernels import SERIES_EPS
 from cmpk.model import _TRI_REL, PI, _perimeter_bound
 
 ILL = 1e-6  # conditioning band left to the scalar path (see the module docstring)
@@ -108,15 +109,21 @@ class Batch:
         self.n = len(ms)
         self.tolerance = np.array([tol_cfg.verdict_tolerance(m.scale) for m in ms], float)
 
-    def margins(self, k: float, orientation: str) -> np.ndarray:
-        """Each sample's oriented defect minus its tolerance at k; nan where undecided."""
-        if self.n == 0 or orientation not in ("cbb", "cba") or not math.isfinite(k):
-            return np.full(self.n, np.nan)  # the scalar path decides, or raises
+    def defects(self, k: float) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's (cbb, cba) defects at k; nan where undecided."""
+        if self.n == 0 or not math.isfinite(k):
+            return np.full(self.n, np.nan), np.full(self.n, np.nan)  # the scalar path decides
         with np.errstate(all="ignore"):  # masked elements may overflow or divide by 0
             cbb, cba, ok = self._defects(float(k))
-            defect = cbb if orientation == "cbb" else cba
-            return np.where(ok & np.isfinite(cbb) & np.isfinite(cba),
-                            defect - self.tolerance, np.nan)
+            ok &= np.isfinite(cbb) & np.isfinite(cba)
+            return np.where(ok, cbb, np.nan), np.where(ok, cba, np.nan)
+
+    def margins(self, k: float, orientation: str) -> np.ndarray:
+        """Each sample's oriented defect minus its tolerance at k; nan where undecided."""
+        if orientation not in ("cbb", "cba"):
+            return np.full(self.n, np.nan)  # the scalar path raises
+        cbb, cba = self.defects(k)
+        return (cbb if orientation == "cbb" else cba) - self.tolerance
 
     def _defects(self, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cbb defects, cba defects, decided) per sample at k."""

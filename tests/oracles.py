@@ -410,6 +410,21 @@ def worst_defect(measurements: dict[str, list], k: float, orientation: str,
     return worst
 
 
+def first_worst_defect(measurements: dict[str, list], k: float, orientation: str,
+                       tol_cfg: Tolerances) -> tuple[float, dict | None]:
+    """Reference residual and witness: one scalar pass over every sample, the
+    witness the first sample in evaluation order whose defect is the residual."""
+    worst, witness = -math.inf, None
+    for name, ms in measurements.items():
+        ev = _EVALUATORS[name]
+        for i, m in enumerate(ms):
+            out = ev(m, k, tol_cfg=tol_cfg)
+            defect = out.cbb_defect if orientation == "cbb" else out.cba_defect
+            if defect > worst:
+                worst, witness = defect, {"criterion": name, "sample": i}
+    return worst, witness
+
+
 def cone_minimal_geodesics(cone, x, y) -> list[GeodesicSegment]:
     """Reference `Cone.minimal_geodesics` that builds every candidate route."""
     r1, t1 = cone._norm(x)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cmpk import cli
+from cmpk import cli, estimator
 
 from meshgen import icosphere, octahedron, write_obj
 
@@ -200,6 +200,35 @@ def test_estimate_sphere(tmp_path):
     assert abs(payload["results"]["k_cba"] - 1.0) <= 0.05
 
 
+def test_estimate_rows_evaluate_each_sample_once_when_the_bounds_agree(tmp_path, monkeypatch):
+    calls = []
+    evaluate = estimator._EVALUATORS["pythagorean"]
+
+    def counted(m, k, *, tol_cfg):
+        calls.append((id(m), k))
+        return evaluate(m, k, tol_cfg=tol_cfg)
+
+    bounded = []
+    estimate_bounds = estimator.estimate_bounds
+
+    def counted_bounds(*args, **kwargs):
+        est = estimate_bounds(*args, **kwargs)
+        bounded.append(len(calls))
+        return est
+
+    monkeypatch.setitem(estimator._EVALUATORS, "pythagorean", counted)
+    monkeypatch.setattr(estimator, "estimate_bounds", counted_bounds)
+    assert run([
+        "estimate", "--space", SPHERE, "--region", "center=[0.0,0.0,1.0],radius=0.3",
+        "--samples", "40", "--seed", "63", "--out", str(tmp_path),
+    ]) == 0
+    results = read_summary(tmp_path, "estimate")["results"]
+    assert results["k_cbb"] == results["k_cba"]
+    rows = calls[bounded[0]:]
+    assert {k for _, k in rows} == {results["k_cbb"]}
+    assert len(rows) == len({i for i, _ in rows}) == results["n_samples"]
+
+
 def test_profile_cone(tmp_path):
     assert run([
         "profile", "--space", '{"type":"cone","perimeter":3.141592653589793}',
@@ -303,6 +332,10 @@ def test_bad_region_exit_2(tmp_path, capsys):
            "--centers point data must be finite numbers")
           for centers in ("[[NaN,0.0]]", "[[1.0,0.5],[0.5,-Infinity]]")),
         (["profile", "--space", CONE, "--centers", "3"], "--centers must be a JSON list"),
+        *((["estimate", "--space", SPHERE, "--samples", "3", "--criteria", names],
+           f"criterion {name!r} is named more than once")
+          for names, name in (("pythagorean,pythagorean,triangle", "pythagorean"),
+                              ("point-segment,point_segment", "point_segment"))),
     ]
     for i, (argv, message) in enumerate(cases):
         out = tmp_path / str(i)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cmpk import criteria, estimator, mesh as mesh_mod, spaces
-from cmpk._scalar_py import SERIES_EPS
+from cmpk import criteria, estimator, mesh as mesh_mod, spaces, vector
 from cmpk.config import DEFAULT_TOL
 from cmpk.errors import DegenerateConfigError, LadderError
+from cmpk.kernels import SERIES_EPS
 from meshgen import icosphere
 
 PI = math.pi
@@ -155,6 +155,37 @@ def test_residual_pass_equals_scalar_reference(kind, degenerate, k):
         return tuple(oracles.worst_defect(ms, k, o, DEFAULT_TOL) for o in ("cbb", "cba"))
 
     assert outcome(both) == outcome(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(PROPERTY_SETS), degenerate=st.booleans(), k=K_VALUES)
+def test_residual_prescreen_equals_the_first_in_order_reference(kind, degenerate, k):
+    # every measurement twice in a row, so each defect ties with its copy's and
+    # the witness must be the first of the two
+    ms = {name: [m for m in batch for _ in range(2)]
+          for name, batch in property_set(kind, degenerate)[3].items()}
+
+    def reference():
+        return tuple(oracles.first_worst_defect(ms, k, o, DEFAULT_TOL) for o in ("cbb", "cba"))
+
+    assert outcome(estimator._worst_defect, ms, k, DEFAULT_TOL) == outcome(reference)
+
+
+@pytest.mark.parametrize("kind", PROPERTY_SETS)
+def test_residual_pass_walks_every_sample_when_a_vector_defect_strays(kind, monkeypatch):
+    ms = property_set(kind)[3]
+    defects = vector.Batch.defects
+
+    def strayed(batch, k):
+        # the sample with the least cbb defect reads far above every other one
+        cbb, cba = defects(batch, k)
+        cbb[np.nanargmin(cbb)] = np.nanmax(cbb) + 1.0
+        return cbb, cba
+
+    monkeypatch.setattr(vector.Batch, "defects", strayed)
+    for k in (-1.0, 0.0, 0.5):
+        assert estimator._worst_defect(ms, k, DEFAULT_TOL) == tuple(
+            oracles.first_worst_defect(ms, k, o, DEFAULT_TOL) for o in ("cbb", "cba"))
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmpk import criteria, spaces
-from cmpk._scalar_py import SERIES_EPS
 from cmpk.config import DEFAULT_TOL, SPHERE_MARGIN
 from cmpk.criteria import PointSegmentMeasurement, TriangleMeasurement
+from cmpk.kernels import SERIES_EPS
 
 import oracles
 

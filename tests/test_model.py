@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cmpk import kernels, model
 from cmpk.errors import DegenerateConfigError, ModelDomainError
-from cmpk.kernels import available_backends
 
 from oracles import angle_from_sides, third_side
 
@@ -280,92 +279,6 @@ def test_comparison_triangle_reproduces_sides():
     assert model.side_from_angle(0.7, b, c, tri.angles[0]) == pytest.approx(a, abs=1e-12)
     assert model.side_from_angle(0.7, c, a, tri.angles[1]) == pytest.approx(b, abs=1e-12)
     assert model.side_from_angle(0.7, a, b, tri.angles[2]) == pytest.approx(c, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# backend parity
-
-
-def test_forced_python_backend_selected():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import cmpk
-
-    # The child imports the same cmpk as this process, installed or not.
-    src_root = str(Path(cmpk.__file__).resolve().parent.parent)
-    env = dict(os.environ, CMPK_KERNELS="python")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_root, os.environ.get("PYTHONPATH")) if p
-    )
-    code = (
-        "from cmpk.kernels import BACKEND; assert BACKEND == 'python', BACKEND; "
-        "from cmpk import model; import math; "
-        "assert abs(model.comparison_angle(0.0, (3, 4, 5)) - math.pi / 2) < 1e-12; "
-        "import cmpk; print(cmpk.__file__)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    child_file = proc.stdout.strip().splitlines()[-1]
-    assert Path(child_file).resolve() == Path(cmpk.__file__).resolve()
-
-
-@pytest.mark.parametrize("value", [None, "", "python"])
-def test_load_default_and_forced_python(monkeypatch, value):
-    if value is None:
-        monkeypatch.delenv("CMPK_KERNELS", raising=False)
-    else:
-        monkeypatch.setenv("CMPK_KERNELS", value)
-    default = "cython" if "cython" in available_backends() else "python"
-    impl, name = kernels._load()
-    assert name == ("python" if value == "python" else default)
-    assert impl is available_backends()[name]
-
-
-def test_load_forced_cython(monkeypatch):
-    if "cython" not in available_backends():
-        pytest.skip("compiled backend not built")
-    monkeypatch.setenv("CMPK_KERNELS", "cython")
-    impl, name = kernels._load()
-    assert name == "cython" and impl is available_backends()["cython"]
-
-
-@pytest.mark.parametrize("value", ["cyton", "Python", "CYTHON", " python", "numpy"])
-def test_load_rejects_unknown_backend(monkeypatch, value):
-    monkeypatch.setenv("CMPK_KERNELS", value)
-    with pytest.raises(ValueError, match="python, cython"):
-        kernels._load()
-
-
-def test_backend_parity(rng):
-    backends = available_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled backend not built")
-    py, cy = backends["python"], backends["cython"]
-    assert py.SERIES_EPS == cy.SERIES_EPS
-    for _ in range(500):
-        k = rng.uniform(-4.0, 4.0)
-        d = rng.uniform(0.0, 1.2 if k <= 0 else 0.9 * PI / math.sqrt(k))
-        for fn in ("cs", "sn", "vcs"):
-            a = getattr(py, fn)(k, d)
-            b = getattr(cy, fn)(k, d)
-            assert a == pytest.approx(b, rel=1e-15, abs=1e-15)
-        v = py.vcs(k, d)
-        assert py.arc_from_vcs(k, v) == pytest.approx(cy.arc_from_vcs(k, v), rel=1e-15, abs=1e-15)
-    for _ in range(200):
-        k, a, b, gamma = sample_admissible(rng)
-        c = py.side_from_angle_cos(k, a, b, math.cos(gamma))
-        assert c == pytest.approx(cy.side_from_angle_cos(k, a, b, math.cos(gamma)), rel=1e-15)
-        assert py.cos_angle_from_sides(k, a, b, c) == pytest.approx(
-            cy.cos_angle_from_sides(k, a, b, c), rel=1e-14, abs=1e-14
-        )
 
 
 # ---------------------------------------------------------------------------
