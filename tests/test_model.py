@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpk import kernels, model
+from cmpk import kernels, model, vector
 from cmpk.errors import DegenerateConfigError, ModelDomainError
 
 from oracles import angle_from_sides, third_side
@@ -279,6 +279,40 @@ def test_comparison_triangle_reproduces_sides():
     assert model.side_from_angle(0.7, b, c, tri.angles[0]) == pytest.approx(a, abs=1e-12)
     assert model.side_from_angle(0.7, c, a, tri.angles[1]) == pytest.approx(b, abs=1e-12)
     assert model.side_from_angle(0.7, a, b, tri.angles[2]) == pytest.approx(c, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scalar kernels against their numpy forms in cmpk.vector
+
+
+def kernel_grid(rng):
+    """(k, d) pairs over both signs of k, k = 0 and the series branches."""
+    for i in range(300):
+        k = (0.0, 1e-12, -1e-12)[i % 3] if i % 5 == 0 else rng.uniform(-4.0, 4.0)
+        cap = 1.2 if k <= 0 else 0.9 * PI / math.sqrt(k)
+        d = rng.uniform(0.0, cap, 24)
+        d[:4] = rng.uniform(0.0, 1e-5, 4)  # |k| d^2 under SERIES_EPS
+        d[4] = 0.0
+        yield k, d
+
+
+@pytest.mark.parametrize("fn", ["cs", "sn", "vcs", "arc_from_vcs"])
+def test_vector_kernels_match_scalar_kernels(rng, fn):
+    for k, d in kernel_grid(rng):
+        # at k = 0 numpy also evaluates the discarded non-series branch, 0/0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = vector.vcs(k, d) if fn == "arc_from_vcs" else d
+            got = getattr(vector, fn)(k, x)
+        if fn == "arc_from_vcs":
+            got = got[0]
+        want = np.array([getattr(kernels, fn)(k, float(v)) for v in x])
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0, err_msg=f"k={k}")
+
+
+def test_arc_from_vcs_inverts_vcs(rng):
+    for k, d in kernel_grid(rng):
+        back = [kernels.arc_from_vcs(k, kernels.vcs(k, float(v))) for v in d]
+        np.testing.assert_allclose(back, d, rtol=2e-15, atol=0.0, err_msg=f"k={k}")
 
 
 # ---------------------------------------------------------------------------
