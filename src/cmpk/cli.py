@@ -208,7 +208,7 @@ def cmd_test(args) -> int:
         raise ValueError(f"{option} must be finite, got {args.k_grid or args.k}")
     rng = np.random.default_rng(args.seed)
     rows: list[list] = []
-    skipped = 0
+    skipped_by: dict[str, int] = {}
     verdict_counts: dict[str, int] = {}
     defects: list[float] = []
     verdict = estimator.CRITERIA.get(args.criterion.replace("-", "_"))
@@ -258,7 +258,7 @@ def cmd_test(args) -> int:
                     defects.extend([out.cbb_defect, out.cba_defect])
         except estimator.SKIPPED_SAMPLE as e:
             log.debug("sample %d skipped: %s", i, e)
-            skipped += 1
+            skipped_by[type(e).__name__] = skipped_by.get(type(e).__name__, 0) + 1
 
     out_dir = _out_dir(args)
     config = {
@@ -272,7 +272,8 @@ def cmd_test(args) -> int:
     }
     results = {
         "rows": len(rows),
-        "skipped": skipped,
+        "skipped": sum(skipped_by.values()),
+        "skipped_by": skipped_by,
         "verdicts": verdict_counts,
         "fail_count": verdict_counts.get("fail", 0),
         "min_defect": min(defects) if defects else None,

@@ -30,6 +30,7 @@ from cmpk.spaces import GeodesicSegment, GeodesicSpace
 
 PI = math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+FOOT_GRID = 64  # grid intervals of the foot search, before the golden section
 
 
 def verdict_from_defects(cbb_defect: float, cba_defect: float, tol: float) -> str:
@@ -120,19 +121,14 @@ def _parabolic_polish(f, t: float, ft: float, lo: float, hi: float, h: float):
 
 
 def foot_of_perpendicular(
-    space: GeodesicSpace,
-    q,
-    seg: GeodesicSegment,
-    *,
-    n_grid: int = 64,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    space: GeodesicSpace, q, seg: GeodesicSegment, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> FootResult:
     """Global minimizer of distance(q, seg.at(t)) over the segment.
 
-    Dense grid (one batched `distances` call), golden-section refinement in
-    the bracket around the grid minimum, then a guarded parabolic polish.
-    Raises FootOnBoundary when the minimizer sits within the interiorness
-    margin of an endpoint.
+    Dense grid of FOOT_GRID intervals (one batched `distances` call),
+    golden-section refinement in the bracket around the grid minimum, then a
+    guarded parabolic polish.  Raises FootOnBoundary when the minimizer sits
+    within the interiorness margin of an endpoint.
     """
     L = seg.length
     if L <= 0.0:
@@ -141,9 +137,9 @@ def foot_of_perpendicular(
     def f(t: float) -> float:
         return space.distance(q, seg.at(t))
 
-    ts = np.linspace(0.0, L, n_grid + 1)
+    ts = np.linspace(0.0, L, FOOT_GRID + 1)
     i = int(np.argmin(space.distances(q, seg.at_many(ts))))
-    t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, n_grid)], tol_cfg.foot_refine_rel * L)
+    t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)], tol_cfg.foot_refine_rel * L)
     t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, tol_cfg.foot_polish_rel * L)
     if d_star <= tol_cfg.geo:
         raise DegenerateConfigError("q lies on the segment")
@@ -151,6 +147,99 @@ def foot_of_perpendicular(
     if not margin <= t_star <= L - margin:
         raise FootOnBoundary(t_star, d_star, L)
     return FootResult(t_star, d_star)
+
+
+# outcome codes of `feet_of_perpendicular`: what foot_of_perpendicular returns or raises
+FOOT_OK, FOOT_BOUNDARY, FOOT_DEGENERATE = 0, 1, 2
+
+
+def feet_of_perpendicular(
+    space: GeodesicSpace, qs: Sequence, segs: Sequence[GeodesicSegment], *,
+    tol_cfg: Tolerances = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`foot_of_perpendicular` of each pair (qs[i], segs[i]), without raising.
+
+    Returns arrays t*, d* and outcome: FOOT_OK, or FOOT_BOUNDARY /
+    FOOT_DEGENERATE where the scalar search raises FootOnBoundary /
+    DegenerateConfigError; t* and d* are nan unless the outcome is FOOT_OK.
+    When two or more segments have a row form (`GeodesicSegment.row`), their
+    searches run in lockstep over arrays, with the scalar search's grid,
+    bracket, target, comparisons, polish and checks applied row by row; every
+    other pair goes through `foot_of_perpendicular`.
+    """
+    n = len(segs)
+    t_star, d_star = np.full(n, np.nan), np.full(n, np.nan)
+    outcome = np.full(n, FOOT_OK)
+    rows = [i for i, seg in enumerate(segs) if seg.row is not None and seg.length > 0.0]
+    if len(rows) < 2:  # one search alone is faster on floats
+        rows = []
+    for i in sorted(set(range(n)).difference(rows)):
+        try:
+            foot = foot_of_perpendicular(space, qs[i], segs[i], tol_cfg=tol_cfg)
+            t_star[i], d_star[i] = foot.t_star, foot.d_star
+        except FootOnBoundary:
+            outcome[i] = FOOT_BOUNDARY
+        except DegenerateConfigError:
+            outcome[i] = FOOT_DEGENERATE
+    if rows:
+        f = space.row_distances([qs[i] for i in rows], [segs[i].row for i in rows])
+        L = np.array([segs[i].length for i in rows])
+        t, d, code = _feet_lockstep(f, L, tol_cfg)
+        t_star[rows], d_star[rows], outcome[rows] = t, d, code
+        t_star[outcome != FOOT_OK] = d_star[outcome != FOOT_OK] = np.nan
+    return t_star, d_star, outcome
+
+
+def _feet_lockstep(f, L: np.ndarray, tol_cfg: Tolerances):
+    """The scalar search of each row at once; f maps arclengths (..., rows) to distances."""
+    ts = np.linspace(0.0, L, FOOT_GRID + 1)  # one grid per column
+    # a few grid points per call: the temporaries of the whole grid would add
+    # about a megabyte to the process's peak memory
+    i = np.argmin(np.concatenate([f(ts[k:k + 13]) for k in range(0, FOOT_GRID + 1, 13)]), axis=0)
+    cols = np.arange(len(L))
+    t, ft = _golden_rows(f, ts[np.maximum(i - 1, 0), cols],
+                         ts[np.minimum(i + 1, FOOT_GRID), cols], tol_cfg.foot_refine_rel * L)
+    t, ft = _polish_rows(f, t, ft, L, tol_cfg.foot_polish_rel * L)
+    margin = tol_cfg.foot_margin_rel * L
+    interior = (margin <= t) & (t <= L - margin)
+    return t, ft, np.where(ft <= tol_cfg.geo, FOOT_DEGENERATE,
+                           np.where(interior, FOOT_OK, FOOT_BOUNDARY))
+
+
+def _golden_rows(f, a: np.ndarray, b: np.ndarray, target: np.ndarray):
+    """`_golden` on every row; a row stops moving once its bracket is within its target."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    active = (b - a) > target
+    while active.any():
+        lower = fc < fd
+        left, right = active & lower, active & ~lower
+        a = np.where(right, c, a)
+        b = np.where(left, d, b)
+        c, d = (np.where(left, b - _INVPHI * (b - a), np.where(right, d, c)),
+                np.where(right, a + _INVPHI * (b - a), np.where(left, c, d)))
+        fnew = f(np.where(left, c, d))
+        fc, fd = (np.where(left, fnew, np.where(right, fd, fc)),
+                  np.where(right, fnew, np.where(left, fc, fd)))
+        active = (b - a) > target
+    pick = fc <= fd
+    return np.where(pick, c, d), np.where(pick, fc, fd)
+
+
+def _polish_rows(f, t: np.ndarray, ft: np.ndarray, L: np.ndarray, h: np.ndarray):
+    """`_parabolic_polish` on [0, L] on every row: a row keeps t wherever the scalar step would."""
+    t1, t3 = t - h, t + h
+    f1, f3 = f(t1), f(t3)
+    denom = (t - t1) * (ft - f3) - (t - t3) * (ft - f1)
+    ok = ~(t1 < 0.0) & ~(t3 > L) & (denom != 0.0)
+    tv = t - 0.5 * (((t - t1) ** 2) * (ft - f3) - ((t - t3) ** 2) * (ft - f1)) / np.where(
+        ok, denom, 1.0)
+    ok &= (t1 <= tv) & (tv <= t3)
+    tv = np.where(ok, tv, t)
+    fv = f(tv)
+    ok &= fv <= ft + 4.0 * 2.2e-16 * (np.abs(ft) + L)
+    return np.where(ok, tv, t), np.where(ok, fv, ft)
 
 
 # ---------------------------------------------------------------------------
@@ -648,64 +737,129 @@ def riemannian_point_profile(
 # configuration sampling
 
 
+# A try's two endpoints must lie at least MIN_SEG_REL * radius apart and be
+# joined by one minimal geodesic before q is drawn and the foot searched.
+MIN_SEG_REL = 0.7
+# Why `foot_configs` rejects a try, in the order a try is checked.
+REJECTIONS = ("short_segment", "several_geodesics", "foot_on_boundary", "degenerate",
+              "low_height", "endpoint_snap")
+_FOOT_REJECTION = {FOOT_BOUNDARY: "foot_on_boundary", FOOT_DEGENERATE: "degenerate"}
+
+
+def foot_configs(
+    space: GeodesicSpace, center, radius: float, rng: np.random.Generator, n: int, *,
+    tol_cfg: Tolerances = DEFAULT_TOL, min_height_rel: float = 0.15, max_tries: int = 200,
+    rejected: dict | None = None,
+):
+    """Yield n configurations (q, seg, foot), each with an interior foot and a
+    height of at least min_height_rel * radius.
+
+    A try draws a and b from the ball, then q; its configuration is accepted
+    when it passes every check, in the order of REJECTIONS.  Nothing reads the
+    rng between a try's draws and its foot, so tries are drawn in rounds and a
+    round's feet searched together by `feet_of_perpendicular`; its tries are
+    then accepted or rejected in the order they were drawn.  The first round
+    searches as many tries as configurations are wanted, a later one that many
+    times the searches per acceptance so far; on a space without
+    `row_distances` each round is one try.  A round also stops drawing where
+    max_tries failures in a row become possible, and DegenerateRegionError is
+    raised at the try that completes them.  So the configurations, and the try
+    that raises, are those of trying one at a time; the rng ends after the
+    n-th accepted try's draws when n is 1, and may end past later tries
+    otherwise.  `rejected`, when given, counts the rejected tries by reason.
+    """
+    if rejected is None:
+        rejected = dict.fromkeys(REJECTIONS, 0)
+    lockstep = space.row_distances is not None
+    accepted = searched = fails = 0
+    while accepted < n:
+        wanted = n - accepted
+        if not lockstep:
+            block = 1
+        elif accepted:
+            block = -(-wanted * searched // accepted)
+        else:
+            block = wanted
+        tries: list = []  # each a rejection reason or a (q, seg) to search
+        n_search = 0
+        while n_search < block and fails + len(tries) < max_tries:
+            a = space.sample_ball(center, radius, rng)
+            b = space.sample_ball(center, radius, rng)
+            if space.distance(a, b) < MIN_SEG_REL * radius:
+                tries.append("short_segment")
+                continue
+            geods = space.minimal_geodesics(a, b)
+            if len(geods) > 1:
+                tries.append("several_geodesics")
+                continue
+            tries.append((space.sample_ball(center, radius, rng), geods[0]))
+            n_search += 1
+        pairs = [x for x in tries if isinstance(x, tuple)]
+        t_star, d_star, outcome = feet_of_perpendicular(
+            space, [q for q, _ in pairs], [seg for _, seg in pairs], tol_cfg=tol_cfg)
+        feet = iter(zip(t_star.tolist(), d_star.tolist(), outcome.tolist()))
+        for x in tries:
+            reason = x
+            if isinstance(x, tuple):
+                q, seg = x
+                t, d, code = next(feet)
+                searched += 1
+                reason = _FOOT_REJECTION.get(code)
+                if reason is None and d < min_height_rel * radius:
+                    reason = "low_height"
+                if reason is None:
+                    p = seg.at(t)
+                    # node-resolution spaces can snap an interior t* onto an endpoint
+                    if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= tol_cfg.geo:
+                        reason = "endpoint_snap"
+                if reason is None:
+                    accepted += 1
+                    fails = 0
+                    yield q, seg, FootResult(t, d)
+                    if accepted == n:
+                        return
+                    continue
+            rejected[reason] += 1
+            fails += 1
+            if fails == max_tries:
+                raise DegenerateRegionError(
+                    f"no valid foot configuration in {max_tries} tries (radius {radius})"
+                )
+
+
 def sample_foot_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, min_seg_rel: float = 0.7,
-    min_height_rel: float = 0.15, unique_only: bool = True, max_tries: int = 200,
+    tol_cfg: Tolerances = DEFAULT_TOL, min_height_rel: float = 0.15, max_tries: int = 200,
 ):
-    """Draw (q, seg, foot) with an interior foot and non-degenerate height."""
-    for _ in range(max_tries):
-        a = space.sample_ball(center, radius, rng)
-        b = space.sample_ball(center, radius, rng)
-        if space.distance(a, b) < min_seg_rel * radius:
-            continue
-        geods = space.minimal_geodesics(a, b)
-        if unique_only and len(geods) > 1:
-            continue
-        seg = geods[0]
-        q = space.sample_ball(center, radius, rng)
-        try:
-            foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
-        except (FootOnBoundary, DegenerateConfigError):
-            continue
-        if foot.d_star < min_height_rel * radius:
-            continue
-        p = seg.at(foot.t_star)
-        # node-resolution spaces can snap an interior t* onto an endpoint
-        if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= tol_cfg.geo:
-            continue
-        return q, seg, foot
-    raise DegenerateRegionError(
-        f"no valid foot configuration in {max_tries} tries (radius {radius})"
-    )
+    """Draw (q, seg, foot) with an interior foot and non-degenerate height.
+
+    The first configuration of `foot_configs`, which leaves the rng right
+    after the accepted try's draws.
+    """
+    return next(foot_configs(space, center, radius, rng, 1, tol_cfg=tol_cfg,
+                             min_height_rel=min_height_rel, max_tries=max_tries))
 
 
 def sample_right_angle_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, max_tries: int = 1,
+    tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> RightAngleConfig:
     """Draw one right-angle configuration inside the region.
 
     Falls back to the foot construction on spaces without geodesic shooting.
-    With max_tries = 1 a failed draw raises, letting callers count skips.
+    A failed draw raises RightAngleUnavailable, letting callers count skips.
     """
-    last: Exception | None = None
-    for _ in range(max_tries):
-        beta = rng.uniform(0.0, 2.0 * PI)
-        l1 = radius * rng.uniform(0.1, 0.45)
-        l2 = radius * rng.uniform(0.1, 0.45)
-        p = space.sample_ball(center, 0.45 * radius, rng)
-        try:
-            return build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2, tol_cfg=tol_cfg)
-        except RightAngleUnavailable as e:
-            if isinstance(e.__cause__, ShootUnavailable):
-                try:
-                    q, seg, foot = sample_foot_config(
-                        space, center, radius, rng, tol_cfg=tol_cfg, max_tries=20
-                    )
-                    return right_angle_from_foot(space, q, seg, tol_cfg=tol_cfg, foot=foot)
-                except (DegenerateRegionError, RightAngleUnavailable) as e2:
-                    last = e2
-                    continue
-            last = e
-    raise RightAngleUnavailable(f"no right-angle configuration: {last}")
+    beta = rng.uniform(0.0, 2.0 * PI)
+    l1 = radius * rng.uniform(0.1, 0.45)
+    l2 = radius * rng.uniform(0.1, 0.45)
+    p = space.sample_ball(center, 0.45 * radius, rng)
+    try:
+        return build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2, tol_cfg=tol_cfg)
+    except RightAngleUnavailable as e:
+        if not isinstance(e.__cause__, ShootUnavailable):
+            raise RightAngleUnavailable(f"no right-angle configuration: {e}")
+    try:
+        q, seg, foot = sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg, max_tries=20)
+        return right_angle_from_foot(space, q, seg, tol_cfg=tol_cfg, foot=foot)
+    except (DegenerateRegionError, RightAngleUnavailable) as e:
+        raise RightAngleUnavailable(f"no right-angle configuration: {e}")

@@ -8,7 +8,7 @@ monotonicity in k and bisection over k is sound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +49,10 @@ class CurvatureEstimate:
     # sample whose defect is the residual; None when the residual is None
     cbb_witness: dict | None = None
     cba_witness: dict | None = None
+    # the skipped samples by exception type name, and the tries the sampler
+    # rejected before it accepted the drawn samples, by reason (criteria.REJECTIONS)
+    skipped_by: dict = field(default_factory=dict)
+    rejected: dict = field(default_factory=dict)
 
 
 class Criterion(NamedTuple):
@@ -124,24 +128,41 @@ def _normalize_criteria(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+class Measurements(dict):
+    """Measurement lists by criterion name, with the counts of what was left out.
+
+    ``skipped_by`` counts the skipped samples by exception type name,
+    ``rejected`` the sampler's rejected tries by reason.
+    """
+
+    def __init__(self, lists: dict[str, list]):
+        super().__init__(lists)
+        self.skipped_by: dict[str, int] = {}
+        self.rejected: dict[str, int] = dict.fromkeys(criteria.REJECTIONS, 0)
+
+
 def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
     n_samples: int, seed: int, *, tol_cfg: Tolerances = DEFAULT_TOL,
-) -> dict[str, list]:
+) -> Measurements:
     """Measure n_samples shared foot configurations for the named criteria.
 
+    The configurations are those `_foot_config` draws one after the other
+    from the seed's generator; `criteria.foot_configs` draws them in rounds.
     A sample that raises one of SKIPPED_SAMPLE for any criterion is left out
     of every list, so the lists stay aligned and hold n_samples minus the
     skipped samples each.
     """
     names = _normalize_criteria(names)
     rng = np.random.default_rng(seed)
-    out: dict[str, list] = {name: [] for name in names}
-    for _ in range(n_samples):
+    out = Measurements({name: [] for name in names})
+    for drawn in criteria.foot_configs(space, center, radius, rng, n_samples,
+                                       tol_cfg=tol_cfg, rejected=out.rejected):
         try:
-            drawn = _foot_config(space, center, radius, rng, tol_cfg)
             sample = [CRITERIA[name].measure(space, drawn, tol_cfg) for name in names]
-        except SKIPPED_SAMPLE:
+        except SKIPPED_SAMPLE as e:
+            kind = type(e).__name__
+            out.skipped_by[kind] = out.skipped_by.get(kind, 0) + 1
             continue
         for ms, m in zip(out.values(), sample):
             ms.append(m)
@@ -297,15 +318,18 @@ def estimate_bounds(
 
     ``measurements`` comes from `sample_measurements` (drawn with ``seed``,
     which the estimate records, as it records ``skipped``, the number of
-    drawn samples that call left out).  ``k_cbb`` is the largest k whose
-    lower-bound claim passes every sample (bisection to `resolution`),
-    ``k_cba`` the smallest passing upper bound; either is None with a note
-    when bracket expansion hits the limit (e.g. no lower curvature bound at a
-    branch point) or when no sample was measured.
+    drawn samples that call left out, and the `Measurements` counts of
+    skipped samples and rejected tries; a plain dict has none).  ``k_cbb`` is
+    the largest k whose lower-bound claim passes every sample (bisection to
+    `resolution`), ``k_cba`` the smallest passing upper bound; either is None
+    with a note when bracket expansion hits the limit (e.g. no lower curvature
+    bound at a branch point) or when no sample was measured.
     """
     names = tuple(measurements)
     if not names:
         raise ValueError("no criterion measurements to bisect over")
+    counts = {"skipped_by": dict(getattr(measurements, "skipped_by", {})),
+              "rejected": dict(getattr(measurements, "rejected", {}))}
     k_lo, k_hi = k_bracket
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
         # bisection toward an infinite endpoint never stops
@@ -320,7 +344,7 @@ def estimate_bounds(
         note = f"no measured samples to bisect over ({skipped} skipped)"
         return CurvatureEstimate(
             space.descriptor(), space.point_to_data(center), radius, names, 0, seed,
-            resolution, None, None, None, None, note, note, skipped,
+            resolution, None, None, None, None, note, note, skipped, **counts,
         )
     step = k_hi - k_lo
     batches = batch_measurements(measurements, tol_cfg)
@@ -362,6 +386,7 @@ def estimate_bounds(
         space.descriptor(), space.point_to_data(center), radius, names,
         len(measurements[names[0]]), seed, resolution, k_cbb, k_cba,
         cbb_residual, cba_residual, cbb_note, cba_note, skipped, cbb_witness, cba_witness,
+        **counts,
     )
 
 

@@ -27,7 +27,10 @@ class GeodesicSegment:
     """A minimal geodesic, arclength-parametrized on [0, length].
 
     ``_eval`` maps one arclength to a point; the optional ``_eval_many`` maps
-    a float array of arclengths to an array of points, one per row.
+    a float array of arclengths to an array of points, one per row.  ``row``,
+    where the space has `row_distances`, is the segment's point form as floats
+    (start and tangent on the sphere and the hyperboloid, the unrolled chord on
+    the cone), so a block of segments can be walked together.
     """
 
     space: "GeodesicSpace"
@@ -36,6 +39,7 @@ class GeodesicSegment:
     length: float
     _eval: Callable[[float], object]
     _eval_many: Callable[[np.ndarray], np.ndarray] | None = None
+    row: tuple[float, ...] | None = None
 
     def at(self, t: float):
         """Point at arclength t from the start (tiny overshoot clamped)."""
@@ -90,6 +94,10 @@ class GeodesicSpace(ABC):
 
     name: str = "abstract"
     known_curvature: float | None = None
+    # row_distances(qs, rows) -> f: f(ts) is the distance from qs[i] to the point
+    # at arclength ts[..., i] of the segment whose `row` is rows[i], for arrays ts
+    # whose last axis runs over the block; None where segments have no row form
+    row_distances: Callable | None = None
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
         self.tol = tol
@@ -131,8 +139,8 @@ class GeodesicSpace(ABC):
         """Endpoint of the unit-speed geodesic from p in direction angle phi."""
         raise ShootUnavailable(f"{self.name} has no angle-parametrized directions")
 
-    def _segment(self, start, end, length, evaluator, batch=None) -> GeodesicSegment:
-        return GeodesicSegment(self, start, end, float(length), evaluator, batch)
+    def _segment(self, start, end, length, evaluator, batch=None, row=None) -> GeodesicSegment:
+        return GeodesicSegment(self, start, end, float(length), evaluator, batch, row)
 
     def _finite(self, data) -> np.ndarray:
         """Point data as a new float array; ValueError unless every entry is finite."""
@@ -255,7 +263,27 @@ class Sphere(GeodesicSpace):
             a = (ts / radius)[:, None]
             return np.cos(a) * x + np.sin(a) * w
 
-        return self._segment(x, ev(length), length, ev, ev_many)
+        return self._segment(x, ev(length), length, ev, ev_many, (x0, x1, x2, w0, w1, w2))
+
+    def row_distances(self, qs, rows):
+        # the formulas of `ev_many` and `distances`, in components: np.cross on
+        # small blocks costs more than the whole search step
+        q0, q1, q2 = np.array(qs, dtype=float).T
+        x0, x1, x2, w0, w1, w2 = np.array(rows, dtype=float).T
+        radius = self.radius
+
+        def f(ts):
+            a = ts / radius
+            c, s = np.cos(a), np.sin(a)
+            y0, y1, y2 = c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2
+            c0 = q1 * y2 - q2 * y1
+            c1 = q2 * y0 - q0 * y2
+            c2 = q0 * y1 - q1 * y0
+            return radius * np.arctan2(
+                np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), q0 * y0 + q1 * y1 + q2 * y2
+            )
+
+        return f
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = self._check(x), self._check(y)
@@ -352,7 +380,24 @@ class Hyperbolic(GeodesicSpace):
             a = (ts / radius)[:, None]
             return np.cosh(a) * x + np.sinh(a) * w
 
-        return self._segment(x, ev(length), length, ev, ev_many)
+        return self._segment(x, ev(length), length, ev, ev_many, (x0, x1, x2, w0, w1, w2))
+
+    def row_distances(self, qs, rows):
+        # the formulas of `ev_many` and `distances`, in components
+        q0, q1, q2 = np.array(qs, dtype=float).T
+        x0, x1, x2, w0, w1, w2 = np.array(rows, dtype=float).T
+        radius = self.radius
+
+        def f(ts):
+            a = ts / radius
+            c, s = np.cosh(a), np.sinh(a)
+            d0 = c * x0 + s * w0 - q0
+            d1 = c * x1 + s * w1 - q1
+            d2 = c * x2 + s * w2 - q2
+            q = np.maximum(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
+            return radius * 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+
+        return f
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = self._check(x), self._check(y)
@@ -490,7 +535,24 @@ class Cone(GeodesicSpace):
             q0, q1 = r1 + ts * u0, ts * u1
             return np.column_stack((np.hypot(q0, q1), (t1 + np.arctan2(q1, q0)) % period))
 
-        return self._segment((r1, t1), (r2, t2), length, ev, ev_many)
+        return self._segment((r1, t1), (r2, t2), length, ev, ev_many, (r1, t1, u0, u1))
+
+    def row_distances(self, qs, rows):
+        # the formulas of `_unrolled_route`'s ev_many and `distances`, per row
+        qr, qt = np.array([self._norm(q) for q in qs], dtype=float).T
+        r1, t1, u0, u1 = np.array(rows, dtype=float).T
+        period = self.perimeter
+
+        def f(ts):
+            p0, p1 = r1 + ts * u0, ts * u1
+            r2 = np.hypot(p0, p1)
+            t2 = np.where(r2 == 0.0, 0.0, ((t1 + np.arctan2(p1, p0)) % period) % period)
+            sep = np.abs(qt - t2)
+            sep = np.minimum(sep, period - sep)
+            chord = np.hypot(qr - r2, np.sqrt(qr * r2) * (2.0 * np.sin(0.5 * sep)))
+            return np.where((qr == 0.0) | (r2 == 0.0) | (sep >= math.pi), qr + r2, chord)
+
+        return f
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         r1, t1 = self._norm(x)

@@ -6,8 +6,8 @@ Minkowski hyperboloid vectors, planar coordinates) and angles from bisection
 against those constructions.  The exceptions are reference copies of code
 the package has since rewritten (the heap Dijkstra search, the per-k
 evaluators, the angle ladders, the all-scalar bisection predicate and
-residual, and the cone geodesics that built every candidate route), which
-tests compare the rewrites against.
+residual, the cone geodesics that built every candidate route, and the
+one-try-at-a-time foot sampler), which tests compare the rewrites against.
 """
 
 from __future__ import annotations
@@ -21,11 +21,19 @@ import numpy as np
 
 from cmpk import model
 from cmpk.config import DEFAULT_TOL, Tolerances
-from cmpk.criteria import PI, PointSegmentMeasurement, TestOutcome, _outcome
+from cmpk.criteria import (
+    PI,
+    PointSegmentMeasurement,
+    TestOutcome,
+    _outcome,
+    foot_of_perpendicular,
+)
 from cmpk.estimator import _EVALUATORS
 from cmpk.errors import (
     DegenerateConfigError,
+    DegenerateRegionError,
     DisconnectedGraphError,
+    FootOnBoundary,
     LadderError,
     ModelDomainError,
 )
@@ -450,3 +458,35 @@ def cone_minimal_geodesics(cone, x, y) -> list[GeodesicSegment]:
                    for other in dedup):
             dedup.append(seg)
     return dedup
+
+
+def sample_foot_config(
+    space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
+    tol_cfg: Tolerances = DEFAULT_TOL, min_seg_rel: float = 0.7,
+    min_height_rel: float = 0.15, unique_only: bool = True, max_tries: int = 200,
+):
+    """Draw (q, seg, foot) with an interior foot and non-degenerate height."""
+    for _ in range(max_tries):
+        a = space.sample_ball(center, radius, rng)
+        b = space.sample_ball(center, radius, rng)
+        if space.distance(a, b) < min_seg_rel * radius:
+            continue
+        geods = space.minimal_geodesics(a, b)
+        if unique_only and len(geods) > 1:
+            continue
+        seg = geods[0]
+        q = space.sample_ball(center, radius, rng)
+        try:
+            foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
+        except (FootOnBoundary, DegenerateConfigError):
+            continue
+        if foot.d_star < min_height_rel * radius:
+            continue
+        p = seg.at(foot.t_star)
+        # node-resolution spaces can snap an interior t* onto an endpoint
+        if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= tol_cfg.geo:
+            continue
+        return q, seg, foot
+    raise DegenerateRegionError(
+        f"no valid foot configuration in {max_tries} tries (radius {radius})"
+    )

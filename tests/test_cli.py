@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cmpk import cli, estimator
+from cmpk import cli, criteria, estimator
 
 from meshgen import icosphere, octahedron, write_obj
 
@@ -184,6 +184,11 @@ def test_first_variation_and_angle_sum_commands(tmp_path):
         payload = read_summary(out, "test")
         assert payload["results"]["rows"] == 6
         assert abs(payload["results"]["max_defect"]) < 1e-3
+        # every cell is a plain number (the foot's t* was once written as np.float64(...))
+        rows = [line.split(",") for line in (out / "test_rows.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            list(map(float, row))  # raises ValueError on any other text
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +277,8 @@ def test_mesh_samples_with_degenerate_angles_are_skipped(tmp_path, criterion):
     ]) == 0
     results = read_summary(out, "test")["results"]
     assert results["rows"] + results["skipped"] == 20
+    # the summary says why: every skip is a LadderError
+    assert results["skipped_by"] == {"LadderError": results["skipped"]}
 
 
 def test_estimate_counts_samples_with_degenerate_angles_as_skipped(tmp_path):
@@ -285,6 +292,8 @@ def test_estimate_counts_samples_with_degenerate_angles_as_skipped(tmp_path):
     ]) == 0
     results = read_summary(out, "estimate")["results"]
     assert results["n_samples"] + results["skipped"] == 20 and results["skipped"] > 0
+    assert results["skipped_by"] == {"LadderError": results["skipped"]}
+    assert list(results["rejected"]) == sorted(criteria.REJECTIONS)
     rows = (out / "estimate_rows.csv").read_text().splitlines()
     assert len(rows) == 1 + results["n_samples"]
 

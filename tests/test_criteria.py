@@ -117,6 +117,78 @@ def test_batched_foot_search_matches_looping_on_a_plateau(sphere):
     assert batched.t_star == looped.t_star
 
 
+_OUTCOME = {FootOnBoundary: criteria.FOOT_BOUNDARY, DegenerateConfigError: criteria.FOOT_DEGENERATE}
+
+
+def _check_feet_against_scalar(space, qs, segs):
+    """feet_of_perpendicular against foot_of_perpendicular, pair by pair.
+
+    Rows searched in lockstep keep the scalar outcome and agree within the
+    golden-section target; the others must equal the scalar search exactly.
+    """
+    t, d, outcome = criteria.feet_of_perpendicular(space, qs, segs)
+    lockstep = sum(seg.row is not None and seg.length > 0.0 for seg in segs) >= 2
+    for i, (q, seg) in enumerate(zip(qs, segs)):
+        scalar = _foot_or_error(space, q, seg)
+        if isinstance(scalar, type):
+            assert outcome[i] == _OUTCOME[scalar]
+            assert math.isnan(t[i]) and math.isnan(d[i])
+            continue
+        assert outcome[i] == criteria.FOOT_OK
+        if lockstep and seg.row is not None:
+            target = space.tol.foot_refine_rel * seg.length
+            assert t[i] == pytest.approx(scalar.t_star, abs=target)
+            assert d[i] == pytest.approx(scalar.d_star, abs=target)
+        else:
+            assert (t[i], d[i]) == (scalar.t_star, scalar.d_star)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: spaces.make_sphere(1.0), lambda: spaces.make_hyperbolic(-1.0),
+     lambda: spaces.make_cone(PI)],
+    ids=["sphere", "hyperbolic", "pi-cone"],
+)
+@given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.2), size=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_lockstep_feet_match_the_scalar_search(make, seed, radius, size):
+    space = make()
+    rng = np.random.default_rng(seed)
+    c = space.default_center()
+    qs, segs = [], []
+    for _ in range(size):
+        a, b, q = (space.sample_ball(c, radius, rng) for _ in range(3))
+        qs.append(q)
+        segs.append(space.geodesic(a, b))
+    _check_feet_against_scalar(space, qs, segs)
+
+
+def test_lockstep_feet_on_the_pole_over_equator_plateau(sphere):
+    pole = np.array([0.0, 0.0, 1.0])
+    equator = sphere.geodesic(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    other = sphere.geodesic(sphere.point_from_data([0.3, 0.0, 0.95]),
+                            sphere.point_from_data([0.0, 0.3, 0.95]))
+    t, d, outcome = criteria.feet_of_perpendicular(sphere, [pole, pole], [equator, equator])
+    scalar = criteria.foot_of_perpendicular(sphere, pole, equator)
+    assert t.tolist() == [scalar.t_star] * 2 and d.tolist() == [scalar.d_star] * 2
+    assert outcome.tolist() == [criteria.FOOT_OK] * 2
+    # with a q on its segment (degenerate) in the same block
+    _check_feet_against_scalar(sphere, [pole, pole, equator.midpoint()], [equator, other, equator])
+
+
+def test_blocks_with_scalar_rows_equal_the_scalar_search(tripod):
+    cone = spaces.make_cone(PI)
+    apex_route = cone.geodesic((0.0, 0.0), (0.6, PI / 2))  # from the apex
+    chord = cone.geodesic((0.5, 0.1), (0.6, 1.2))
+    assert apex_route.row is None and chord.row is not None
+    _check_feet_against_scalar(
+        cone, [(0.3, 2.5), (0.4, 0.6), (0.2, 2.0), (0.5, 0.7)],
+        [apex_route, chord, apex_route, chord],
+    )
+    segs = [tripod.geodesic((0, 1.0), (1, 1.0)), tripod.geodesic((0, 1.0), (0, 0.2))]
+    _check_feet_against_scalar(tripod, [(2, 1.0), (0, 2.0)], segs)
+
+
 def test_foot_tripod_branch_kink(tripod):
     seg = tripod.geodesic((0, 1.0), (1, 1.0))
     foot = criteria.foot_of_perpendicular(tripod, (2, 1.0), seg)

@@ -1,5 +1,6 @@
 """Estimator: bisection bounds, determinism, region reports."""
 
+import copy
 import functools
 import itertools
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cmpk import criteria, estimator, mesh as mesh_mod, spaces, vector
 from cmpk.config import DEFAULT_TOL
-from cmpk.errors import DegenerateConfigError, LadderError
+from cmpk.errors import DegenerateConfigError, DegenerateRegionError, LadderError
 from cmpk.kernels import SERIES_EPS
 from meshgen import icosphere
 
@@ -368,6 +369,9 @@ def test_a_sample_that_raises_a_skip_error_is_left_out_of_every_list(monkeypatch
         assert ms[name] == [m for i, m in enumerate(full[name]) if i % 3]
     est = estimator.estimate_bounds(sp, center, 0.2, ms, seed=4, skipped=3)
     assert (est.n_samples, est.skipped) == (6, 3)
+    assert ms.skipped_by == est.skipped_by == {"LadderError": 3}
+    assert est.rejected == ms.rejected == full.rejected
+
 
 
 def test_every_sample_skipped_leaves_nothing_to_bisect():
@@ -404,6 +408,9 @@ def test_region_report_cone_apex_vs_off_apex():
     # the apex region carries tie pairs on the cut locus occasionally; the
     # row structure must be intact either way
     assert {"index", "center", "multiplicity"} <= set(apex)
+    for row in rows:
+        assert set(row["estimate"]["rejected"]) == set(criteria.REJECTIONS)
+        assert row["estimate"]["skipped_by"] == {}
 
 
 def test_region_report_records_errors_and_continues():
@@ -425,3 +432,105 @@ def test_sphere_region_report_profiles_vanish():
     )
     assert rows[0]["profile"]["classification"] == "vanishing"
     assert abs(rows[0]["estimate"]["k_cbb"] - 1.0) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# the try stream against the one-try-at-a-time sampler
+
+STREAM_CASES = {
+    "sphere": (lambda: spaces.make_sphere(1.0), None, 0.3),
+    "hyperbolic": (lambda: spaces.make_hyperbolic(-1.0), None, 0.2),
+    "pi-cone-apex": (lambda: spaces.make_cone(PI), (0.0, 0.0), 0.25),
+    "tripod": (spaces.make_tripod, None, 0.5),
+}
+
+
+def _case(name):
+    make, center, radius = STREAM_CASES[name]
+    space = make()
+    return space, space.default_center() if center is None else center, radius
+
+
+def _same_try(new, old):
+    """Bitwise equal q and segment endpoints."""
+    return all(np.array_equal(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+               for x, y in ((new[0], old[0]), (new[1].start, old[1].start),
+                            (new[1].end, old[1].end)))
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic", "pi-cone-apex"])
+@pytest.mark.parametrize("seed", [3, 61000])
+def test_foot_stream_accepts_the_tries_of_the_one_at_a_time_loop(name, seed):
+    space, center, radius = _case(name)
+    n = 80
+    rng = np.random.default_rng(seed)
+    new = list(criteria.foot_configs(space, center, radius, rng, n))
+    rng = np.random.default_rng(seed)
+    old = [oracles.sample_foot_config(space, center, radius, rng) for _ in range(n)]
+    assert len(new) == n
+    for a, b in zip(new, old):
+        assert _same_try(a, b)
+        target = space.tol.foot_refine_rel * a[1].length
+        assert a[2].t_star == pytest.approx(b[2].t_star, abs=target)
+        assert a[2].d_star == pytest.approx(b[2].d_star, abs=target)
+
+
+@pytest.mark.parametrize("name", list(STREAM_CASES))
+def test_sample_foot_config_leaves_the_rng_where_the_old_loop_did(name):
+    space, center, radius = _case(name)
+    rng_new, rng_old = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(12):
+        new = criteria.sample_foot_config(space, center, radius, rng_new)
+        old = oracles.sample_foot_config(space, center, radius, rng_old)
+        # one try per round: the scalar search, so the feet are equal too
+        assert _same_try(new, old) and new[2] == old[2]
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("name", list(STREAM_CASES))
+@pytest.mark.parametrize("n", [1, 5])
+def test_foot_stream_raises_at_the_try_the_old_loop_raised(name, n):
+    # no foot is 10 radii above its segment: every try fails, and after
+    # max_tries of them both samplers give up with the rng at the same place
+    space, center, radius = _case(name)
+    rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+    rejected = dict.fromkeys(criteria.REJECTIONS, 0)
+    with pytest.raises(DegenerateRegionError) as new:
+        list(criteria.foot_configs(space, center, radius, rng_new, n, min_height_rel=10.0,
+                                   max_tries=37, rejected=rejected))
+    with pytest.raises(DegenerateRegionError) as old:
+        oracles.sample_foot_config(space, center, radius, rng_old, min_height_rel=10.0,
+                                   max_tries=37)
+    assert str(new.value) == str(old.value)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    assert sum(rejected.values()) == 37
+
+
+def _counting(space, counts):
+    """A copy of space that counts its sample_ball and minimal_geodesics calls."""
+    proxy = copy.copy(space)
+    for name in counts:
+        def counted(*args, _method=getattr(space, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+        setattr(proxy, name, counted)
+    return proxy
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic", "pi-cone-apex"])
+def test_rejected_tries_and_samples_add_up_to_the_tries_drawn(name):
+    space, center, radius = _case(name)
+    n, seed = 60, 7
+    rejected = estimator.sample_measurements(space, center, radius, ("pythagorean",), n,
+                                             seed).rejected
+    assert list(rejected) == list(criteria.REJECTIONS)
+    counts = {"sample_ball": 0, "minimal_geodesics": 0}
+    proxy, rng = _counting(space, counts), np.random.default_rng(seed)
+    for _ in range(n):
+        oracles.sample_foot_config(proxy, center, radius, rng)
+    tries = sum(rejected.values()) + n
+    # every try that is long enough asks for its geodesics; every try draws a
+    # and b, and q when its geodesic is unique
+    assert counts["minimal_geodesics"] == tries - rejected["short_segment"]
+    searched = counts["minimal_geodesics"] - rejected["several_geodesics"]
+    assert counts["sample_ball"] == 2 * tries + searched
