@@ -209,6 +209,7 @@ def cmd_test(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows: list[list] = []
     skipped_by: dict[str, int] = {}
+    rejected = dict.fromkeys(criteria.REJECTIONS, 0)
     verdict_counts: dict[str, int] = {}
     defects: list[float] = []
     verdict = estimator.CRITERIA.get(args.criterion.replace("-", "_"))
@@ -226,7 +227,8 @@ def cmd_test(args) -> int:
                 key = "multi" if n_geo > 1 else "unique"
                 verdict_counts[key] = verdict_counts.get(key, 0) + 1
             elif args.criterion == "first-variation":
-                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol)
+                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol,
+                                                           rejected=rejected)
                 h_max = 1e-2 * seg.length
                 steps = (h_max, h_max * 0.1, h_max * 0.01)
                 t_star = min(foot.t_star, seg.length - h_max * 1.5)
@@ -237,13 +239,15 @@ def cmd_test(args) -> int:
                 ])
                 defects.append(rep.errors[-1])
             elif args.criterion == "angle-sum":
-                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol)
+                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol,
+                                                           rejected=rejected)
                 rep = criteria.angle_sum_check(space, q, seg, foot.t_star, tol_cfg=tol)
                 rows.append([i, rep.t_interior, rep.angle_r1, rep.angle_r2, rep.total, rep.excess])
                 defects.append(rep.excess)
             else:
                 # measure the sample once, then read that measurement at every k
-                m = verdict.measure(space, verdict.sample(space, center, radius, rng, tol), tol)
+                drawn = verdict.sample(space, center, radius, rng, tol, rejected)
+                m = verdict.measure(space, drawn, tol)
                 outs = [_admissible_outcome(args.criterion, m, k, tol) for k in ks]
                 for k, out in zip(ks, outs):
                     if out is None:
@@ -274,6 +278,7 @@ def cmd_test(args) -> int:
         "rows": len(rows),
         "skipped": sum(skipped_by.values()),
         "skipped_by": skipped_by,
+        "rejected": rejected,
         "verdicts": verdict_counts,
         "fail_count": verdict_counts.get("fail", 0),
         "min_defect": min(defects) if defects else None,
@@ -346,8 +351,9 @@ def cmd_profile(args) -> int:
     center, radius = _parse_region(space, args.region)
     if args.centers:
         data = json.loads(args.centers)
-        if not isinstance(data, list):
-            raise ValueError(f"--centers must be a JSON list of point data, got {args.centers}")
+        if not isinstance(data, list) or not data:
+            raise ValueError(
+                f"--centers must be a JSON list of point data, one or more, got {args.centers}")
         centers = [_point_arg(space, c, "--centers") for c in data]
     else:
         centers = [center]
@@ -388,11 +394,12 @@ def cmd_mesh(args) -> int:
     from cmpk import mesh as mesh_mod
 
     tol = _tolerances(args)
+    n_pairs = _at_least_one(args.pairs, "--pairs")
     tri = mesh_mod.load_obj(args.obj)
     space = mesh_mod.mesh_space(tri, args.steiner, path=str(args.obj), tol=tol)
     rng = np.random.default_rng(args.seed)
     n = space.graph.n_nodes
-    pairs = rng.integers(0, n, size=(args.pairs, 2))
+    pairs = rng.integers(0, n, size=(n_pairs, 2))
     sources = np.unique(pairs[:, 0])
     table = space.graph.distances_from(sources)
     src_index = {int(s): i for i, s in enumerate(sources)}

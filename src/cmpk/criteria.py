@@ -125,10 +125,11 @@ def foot_of_perpendicular(
 ) -> FootResult:
     """Global minimizer of distance(q, seg.at(t)) over the segment.
 
-    Dense grid of FOOT_GRID intervals (one batched `distances` call),
-    golden-section refinement in the bracket around the grid minimum, then a
-    guarded parabolic polish.  Raises FootOnBoundary when the minimizer sits
-    within the interiorness margin of an endpoint.
+    Dense grid of FOOT_GRID intervals (one `row_distances` call where the
+    segment has a row, else one `distances` call), golden-section refinement
+    in the bracket around the grid minimum, then a guarded parabolic polish.
+    Raises FootOnBoundary when the minimizer sits within the interiorness
+    margin of an endpoint.
     """
     L = seg.length
     if L <= 0.0:
@@ -138,7 +139,11 @@ def foot_of_perpendicular(
         return space.distance(q, seg.at(t))
 
     ts = np.linspace(0.0, L, FOOT_GRID + 1)
-    i = int(np.argmin(space.distances(q, seg.at_many(ts))))
+    if seg.row is not None:
+        grid = space.row_distances([q], [seg.row])(ts[:, None])[:, 0]
+    else:
+        grid = space.distances(q, [seg.at(t) for t in ts.tolist()])
+    i = int(np.argmin(grid))
     t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)], tol_cfg.foot_refine_rel * L)
     t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, tol_cfg.foot_polish_rel * L)
     if d_star <= tol_cfg.geo:
@@ -830,24 +835,28 @@ def foot_configs(
 def sample_foot_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
     tol_cfg: Tolerances = DEFAULT_TOL, min_height_rel: float = 0.15, max_tries: int = 200,
+    rejected: dict | None = None,
 ):
     """Draw (q, seg, foot) with an interior foot and non-degenerate height.
 
     The first configuration of `foot_configs`, which leaves the rng right
-    after the accepted try's draws.
+    after the accepted try's draws.  `rejected`, when given, counts the tries
+    rejected before it by reason.
     """
     return next(foot_configs(space, center, radius, rng, 1, tol_cfg=tol_cfg,
-                             min_height_rel=min_height_rel, max_tries=max_tries))
+                             min_height_rel=min_height_rel, max_tries=max_tries,
+                             rejected=rejected))
 
 
 def sample_right_angle_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    tol_cfg: Tolerances = DEFAULT_TOL, rejected: dict | None = None,
 ) -> RightAngleConfig:
     """Draw one right-angle configuration inside the region.
 
-    Falls back to the foot construction on spaces without geodesic shooting.
-    A failed draw raises RightAngleUnavailable, letting callers count skips.
+    Falls back to the foot construction on spaces without geodesic shooting,
+    whose rejected tries `rejected`, when given, counts by reason.  A failed
+    draw raises RightAngleUnavailable, letting callers count skips.
     """
     beta = rng.uniform(0.0, 2.0 * PI)
     l1 = radius * rng.uniform(0.1, 0.45)
@@ -859,7 +868,8 @@ def sample_right_angle_config(
         if not isinstance(e.__cause__, ShootUnavailable):
             raise RightAngleUnavailable(f"no right-angle configuration: {e}")
     try:
-        q, seg, foot = sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg, max_tries=20)
+        q, seg, foot = sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg,
+                                          max_tries=20, rejected=rejected)
         return right_angle_from_foot(space, q, seg, tol_cfg=tol_cfg, foot=foot)
     except (DegenerateRegionError, RightAngleUnavailable) as e:
         raise RightAngleUnavailable(f"no right-angle configuration: {e}")

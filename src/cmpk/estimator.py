@@ -58,18 +58,22 @@ class CurvatureEstimate:
 class Criterion(NamedTuple):
     """A verdict criterion: draw one configuration, measure it once, evaluate at any k."""
 
-    sample: Callable    # (space, center, radius, rng, tol_cfg) -> configuration
+    # (space, center, radius, rng, tol_cfg, rejected) -> configuration; `rejected`
+    # counts the tries the draw rejects by reason (criteria.REJECTIONS)
+    sample: Callable
     measure: Callable   # (space, configuration, tol_cfg) -> measurement
     evaluate: Callable  # criteria.evaluate_*(measurement, k, *, tol_cfg) -> TestOutcome
     batch: Callable | None = None  # (measurements, tol_cfg) -> vector.Batch, for bisection
 
 
-def _foot_config(space, center, radius, rng, tol_cfg):
-    return criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg)
+def _foot_config(space, center, radius, rng, tol_cfg, rejected):
+    return criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg,
+                                       rejected=rejected)
 
 
-def _right_angle_config(space, center, radius, rng, tol_cfg):
-    return criteria.sample_right_angle_config(space, center, radius, rng, tol_cfg=tol_cfg)
+def _right_angle_config(space, center, radius, rng, tol_cfg, rejected):
+    return criteria.sample_right_angle_config(space, center, radius, rng, tol_cfg=tol_cfg,
+                                              rejected=rejected)
 
 
 # Keyed by the names measurements and outcomes carry; the command line spells

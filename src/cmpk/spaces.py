@@ -26,11 +26,11 @@ TWO_PI = 2.0 * math.pi
 class GeodesicSegment:
     """A minimal geodesic, arclength-parametrized on [0, length].
 
-    ``_eval`` maps one arclength to a point; the optional ``_eval_many`` maps
-    a float array of arclengths to an array of points, one per row.  ``row``,
-    where the space has `row_distances`, is the segment's point form as floats
-    (start and tangent on the sphere and the hyperboloid, the unrolled chord on
-    the cone), so a block of segments can be walked together.
+    ``_eval`` maps one arclength to a point.  ``row``, where the space has
+    `row_distances`, is the segment's point form as floats (start and tangent
+    on the sphere and the hyperboloid, the unrolled chord on the cone): the
+    one batched form, through which the foot searches walk the segment.
+    Subsegments have no row.
     """
 
     space: "GeodesicSpace"
@@ -38,7 +38,6 @@ class GeodesicSegment:
     end: object
     length: float
     _eval: Callable[[float], object]
-    _eval_many: Callable[[np.ndarray], np.ndarray] | None = None
     row: tuple[float, ...] | None = None
 
     def at(self, t: float):
@@ -53,33 +52,15 @@ class GeodesicSegment:
             t = length
         return self._eval(t)
 
-    def at_many(self, ts):
-        """Points at the arclengths ts, range-checked and clamped as in `at`.
-
-        An array with one point per row where the segment has a batch
-        evaluator, otherwise a list of point handles.
-        """
-        ts = np.asarray(ts, dtype=float)
-        slack = self.space.tol.geo
-        outside = (ts < -slack) | (ts > self.length + slack)
-        if outside.any():
-            raise ValueError(f"t={ts[outside][0]} outside [0, {self.length}]")
-        ts = np.clip(ts, 0.0, self.length)
-        if self._eval_many is not None:
-            return self._eval_many(ts)
-        return [self._eval(t) for t in ts.tolist()]
-
     def subsegment(self, t0: float, t1: float) -> "GeodesicSegment":
         """Restriction from arclength t0 to t1; t1 < t0 reverses orientation."""
         sign = 1.0 if t1 >= t0 else -1.0
-        many = self._eval_many
         return GeodesicSegment(
             self.space,
             self.at(t0),
             self.at(t1),
             abs(t1 - t0),
             lambda s, _t0=t0, _sign=sign: self._eval(_t0 + _sign * s),
-            None if many is None else lambda ss, _t0=t0, _sign=sign: many(_t0 + _sign * ss),
         )
 
     def reversed(self) -> "GeodesicSegment":
@@ -106,7 +87,7 @@ class GeodesicSpace(ABC):
     def distance(self, x, y) -> float: ...
 
     def distances(self, x, ys) -> np.ndarray:
-        """Distances from x to each point of ys (a sequence or a row array of handles)."""
+        """Distances from x to each point handle of the sequence ys."""
         return np.array([self.distance(x, y) for y in ys], dtype=float)
 
     @abstractmethod
@@ -139,8 +120,8 @@ class GeodesicSpace(ABC):
         """Endpoint of the unit-speed geodesic from p in direction angle phi."""
         raise ShootUnavailable(f"{self.name} has no angle-parametrized directions")
 
-    def _segment(self, start, end, length, evaluator, batch=None, row=None) -> GeodesicSegment:
-        return GeodesicSegment(self, start, end, float(length), evaluator, batch, row)
+    def _segment(self, start, end, length, evaluator, row=None) -> GeodesicSegment:
+        return GeodesicSegment(self, start, end, float(length), evaluator, row)
 
     def _finite(self, data) -> np.ndarray:
         """Point data as a new float array; ValueError unless every entry is finite."""
@@ -228,16 +209,6 @@ class Sphere(GeodesicSpace):
             math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2
         )
 
-    def distances(self, x, ys) -> np.ndarray:
-        x0, x1, x2 = np.asarray(x, float).tolist()
-        y0, y1, y2 = np.asarray(ys, float).reshape(-1, 3).T
-        c0 = x1 * y2 - x2 * y1
-        c1 = x2 * y0 - x0 * y2
-        c2 = x0 * y1 - x1 * y0
-        return self.radius * np.arctan2(
-            np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2
-        )
-
     def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         p0, p1, p2 = p
         # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u.  Scalar
@@ -259,15 +230,11 @@ class Sphere(GeodesicSpace):
             c, s = math.cos(a), math.sin(a)
             return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
 
-        def ev_many(ts, x=x, w=w):
-            a = (ts / radius)[:, None]
-            return np.cos(a) * x + np.sin(a) * w
-
-        return self._segment(x, ev(length), length, ev, ev_many, (x0, x1, x2, w0, w1, w2))
+        return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
 
     def row_distances(self, qs, rows):
-        # the formulas of `ev_many` and `distances`, in components: np.cross on
-        # small blocks costs more than the whole search step
+        # the formulas of `_arc`'s `ev` and of `distance`, over arrays in
+        # components: np.cross on small blocks costs more than the whole search step
         q0, q1, q2 = np.array(qs, dtype=float).T
         x0, x1, x2, w0, w1, w2 = np.array(rows, dtype=float).T
         radius = self.radius
@@ -355,11 +322,6 @@ class Hyperbolic(GeodesicSpace):
         q = max(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
         return self.radius * 2.0 * math.asinh(0.5 * math.sqrt(q))
 
-    def distances(self, x, ys) -> np.ndarray:
-        d0, d1, d2 = (np.asarray(ys, float).reshape(-1, 3) - np.asarray(x, float)).T
-        q = np.maximum(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
-        return self.radius * 2.0 * np.arcsinh(0.5 * np.sqrt(q))
-
     def _tangent_toward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         c = -_mdot(x, y)  # cosh(theta)
         w = y - c * x
@@ -376,14 +338,10 @@ class Hyperbolic(GeodesicSpace):
             c, s = math.cosh(a), math.sinh(a)
             return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
 
-        def ev_many(ts, x=x, w=w):
-            a = (ts / radius)[:, None]
-            return np.cosh(a) * x + np.sinh(a) * w
-
-        return self._segment(x, ev(length), length, ev, ev_many, (x0, x1, x2, w0, w1, w2))
+        return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
 
     def row_distances(self, qs, rows):
-        # the formulas of `ev_many` and `distances`, in components
+        # the formulas of `_arc`'s `ev` and of `distance`, over arrays in components
         q0, q1, q2 = np.array(qs, dtype=float).T
         x0, x1, x2, w0, w1, w2 = np.array(rows, dtype=float).T
         radius = self.radius
@@ -491,21 +449,6 @@ class Cone(GeodesicSpace):
         # planar law of cosines; hypot form avoids cancellation for small angles
         return math.hypot(r1 - r2, math.sqrt(r1 * r2) * (2.0 * math.sin(0.5 * sep)))
 
-    def distances(self, x, ys) -> np.ndarray:
-        """`distance` from x to each (r, theta) of ys, a sequence of handles or an (n, 2) array."""
-        r1, t1 = self._norm(x)
-        ys = np.asarray(ys, dtype=float).reshape(-1, 2)
-        r2 = ys[:, 0]
-        if (r2 < 0.0).any():
-            raise ValueError("cone radius must be >= 0")
-        period = self.perimeter
-        # normalized as `_norm` does; an apex point (r = 0) has theta 0
-        t2 = np.where(r2 == 0.0, 0.0, ys[:, 1] % period)
-        sep = np.abs(t1 - t2)
-        sep = np.minimum(sep, period - sep)
-        chord = np.hypot(r1 - r2, np.sqrt(r1 * r2) * (2.0 * np.sin(0.5 * sep)))
-        return np.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
-
     def _apex_route(self, x, y) -> GeodesicSegment:
         r1, t1 = self._norm(x)
         r2, t2 = self._norm(y)
@@ -531,14 +474,11 @@ class Cone(GeodesicSpace):
             q0, q1 = r1 + t * u0, t * u1
             return (math.hypot(q0, q1), (t1 + math.atan2(q1, q0)) % period)
 
-        def ev_many(ts):
-            q0, q1 = r1 + ts * u0, ts * u1
-            return np.column_stack((np.hypot(q0, q1), (t1 + np.arctan2(q1, q0)) % period))
-
-        return self._segment((r1, t1), (r2, t2), length, ev, ev_many, (r1, t1, u0, u1))
+        return self._segment((r1, t1), (r2, t2), length, ev, (r1, t1, u0, u1))
 
     def row_distances(self, qs, rows):
-        # the formulas of `_unrolled_route`'s ev_many and `distances`, per row
+        # the formulas of `_unrolled_route`'s `ev` and of `distance`, over arrays:
+        # theta is reduced once by `ev` and again as `distance` reads a handle
         qr, qt = np.array([self._norm(q) for q in qs], dtype=float).T
         r1, t1, u0, u1 = np.array(rows, dtype=float).T
         period = self.perimeter

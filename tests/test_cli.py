@@ -73,6 +73,8 @@ def test_right_angle_tripod_mostly_skipped(tmp_path):
     ]) == 0
     payload = read_summary(tmp_path, "test")
     assert payload["results"]["skipped"] > payload["results"]["rows"]
+    # the tripod cannot shoot, so each draw falls back to a foot configuration
+    assert sum(payload["results"]["rejected"].values()) > 0
 
 
 def test_triangle_plane_all_pass_both(tmp_path):
@@ -172,6 +174,8 @@ def test_multiplicity_command(tmp_path):
     ]) == 0
     payload = read_summary(tmp_path, "test")
     assert payload["results"]["rows"] + payload["results"]["skipped"] == 30
+    # no foot configuration is drawn, so no try is rejected
+    assert payload["results"]["rejected"] == dict.fromkeys(criteria.REJECTIONS, 0)
 
 
 def test_first_variation_and_angle_sum_commands(tmp_path):
@@ -189,6 +193,25 @@ def test_first_variation_and_angle_sum_commands(tmp_path):
         assert len(rows) == 6
         for row in rows:
             list(map(float, row))  # raises ValueError on any other text
+
+
+@pytest.mark.parametrize("space, region", [
+    (SPHERE, "center=[0.0,0.0,1.0],radius=0.3"),
+    ('{"type":"hyperbolic","k":-1.0}', "center=[0.0,0.0,1.0],radius=0.5"),
+    (CONE, "center=[0.0,0.0],radius=0.5"),
+    (TRIPOD, "center=[0,0.0],radius=1.0"),
+], ids=["sphere", "hyperbolic", "pi-cone", "tripod"])
+def test_test_and_estimate_reject_the_same_tries(tmp_path, space, region):
+    # `test` draws one configuration at a time, `estimate` draws them in rounds
+    for seed in ("1", "5", "61000"):
+        common = ["--space", space, "--region", region, "--samples", "40", "--seed", seed]
+        out = tmp_path / seed
+        assert run(["test", "--criterion", "pythagorean", *common, "--out", str(out)]) == 0
+        assert run(["estimate", "--criteria", "pythagorean", *common, "--out", str(out)]) == 0
+        tested = read_summary(out, "test")["results"]["rejected"]
+        assert list(tested) == sorted(criteria.REJECTIONS)
+        assert sum(tested.values()) > 0
+        assert tested == read_summary(out, "estimate")["results"]["rejected"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +336,8 @@ def test_missing_obj_exit_1(tmp_path):
 
 def test_bad_region_exit_2(tmp_path, capsys):
     test = ["test", "--space", SPHERE, "--criterion", "pythagorean"]
+    obj = tmp_path / "octa.obj"
+    write_obj(obj, *octahedron())
     cases = [
         ([*test, "--region", "nonsense"], "--region must look like"),
         *(([*test, "--region", f"center=[0,0,1],radius={r}", "--samples", "3"],
@@ -341,6 +366,8 @@ def test_bad_region_exit_2(tmp_path, capsys):
            "--centers point data must be finite numbers")
           for centers in ("[[NaN,0.0]]", "[[1.0,0.5],[0.5,-Infinity]]")),
         (["profile", "--space", CONE, "--centers", "3"], "--centers must be a JSON list"),
+        (["profile", "--space", CONE, "--centers", "[]"], "--centers must be a JSON list"),
+        *((["mesh", "--obj", str(obj), "--pairs", n], "--pairs must be >= 1") for n in ("-1", "0")),
         *((["estimate", "--space", SPHERE, "--samples", "3", "--criteria", names],
            f"criterion {name!r} is named more than once")
           for names, name in (("pythagorean,pythagorean,triangle", "pythagorean"),

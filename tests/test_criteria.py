@@ -66,11 +66,18 @@ def test_foot_sphere_pole_over_equator(sphere):
     assert foot.d_star == pytest.approx(PI / 2, abs=1e-12)
 
 
+# every space whose segments have a row, at curvatures or perimeters of either kind
+ROW_SPACES = [lambda: spaces.make_sphere(1.0), lambda: spaces.make_sphere(4.0),
+              lambda: spaces.make_hyperbolic(-1.0), lambda: spaces.make_hyperbolic(-0.5),
+              lambda: spaces.make_cone(PI), lambda: spaces.make_cone(7.0)]
+ROW_SPACE_IDS = ["sphere", "sphere-k4", "hyperbolic", "hyperbolic-k0.5", "pi-cone", "7-cone"]
+
+
 def _looping(space, seg):
     """Copies of space and seg that measure through the scalar loops only."""
     loop = copy.copy(space)
     loop.distances = types.MethodType(spaces.GeodesicSpace.distances, loop)
-    return loop, dataclasses.replace(seg, space=loop, _eval_many=None)
+    return loop, dataclasses.replace(seg, space=loop, row=None)
 
 
 def _foot_or_error(space, q, seg):
@@ -80,12 +87,7 @@ def _foot_or_error(space, q, seg):
         return type(e)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: spaces.make_sphere(1.0), lambda: spaces.make_hyperbolic(-1.0),
-     lambda: spaces.make_cone(PI)],
-    ids=["sphere", "hyperbolic", "pi-cone"],
-)
+@pytest.mark.parametrize("make", ROW_SPACES, ids=ROW_SPACE_IDS)
 @given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.2))
 @settings(max_examples=60, deadline=None)
 def test_batched_foot_search_matches_looping(make, seed, radius):
@@ -143,12 +145,7 @@ def _check_feet_against_scalar(space, qs, segs):
             assert (t[i], d[i]) == (scalar.t_star, scalar.d_star)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: spaces.make_sphere(1.0), lambda: spaces.make_hyperbolic(-1.0),
-     lambda: spaces.make_cone(PI)],
-    ids=["sphere", "hyperbolic", "pi-cone"],
-)
+@pytest.mark.parametrize("make", ROW_SPACES, ids=ROW_SPACE_IDS)
 @given(seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.2), size=st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_lockstep_feet_match_the_scalar_search(make, seed, radius, size):

@@ -166,9 +166,11 @@ def test_distances_equal_scalar_distances(octa_path, rng):
         x = int(rng.integers(n))
         ys = [int(y) for y in rng.integers(0, n, int(rng.integers(0, 30)))]
         assert space.distances(x, ys).tolist() == [space.distance(x, y) for y in ys]
+    # a mesh segment has no row: the foot search's grid is one `distances` call
     seg = space.geodesic(0, 1)
-    ts = np.linspace(0.0, seg.length, 65)
-    assert seg.at_many(ts) == [seg.at(t) for t in ts]
+    assert seg.row is None
+    grid = [seg.at(t) for t in np.linspace(0.0, seg.length, 65).tolist()]
+    assert space.distances(5, grid).tolist() == [space.distance(5, y) for y in grid]
 
 
 def _counted_rows(space) -> list[int]:

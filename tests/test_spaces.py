@@ -1,5 +1,6 @@
 """Geodesic spaces: metric axioms, minimality, analytic ground truths."""
 
+import functools
 import json
 import math
 
@@ -233,7 +234,11 @@ def test_cone_separation_below_rounding_gives_a_point_segment():
     (seg,) = cone.minimal_geodesics((1.0, 1e-17), (1.0, 0.0))
     assert seg.length == 0.0
     assert seg.at(0.0) == (1.0, 1e-17)
-    np.testing.assert_array_equal(seg.at_many([0.0]), [[1.0, 1e-17]])
+    # its row walks nowhere: every arclength reads the start
+    assert seg.row == (1.0, 1e-17, 0.0, 0.0)
+    q = (0.5, 2.0)
+    got = cone.row_distances([q], [seg.row])(np.array([[0.0], [1e-3]]))
+    assert got[:, 0].tolist() == [cone.distance(q, seg.at(0.0))] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -380,119 +385,136 @@ def test_subsegment_and_reversal():
     rev = seg.subsegment(3.0, 1.0)
     assert np.allclose(rev.at(0.0), [3.0, 0.0])
     assert np.allclose(rev.at(2.0), [1.0, 0.0])
-    assert np.allclose(sub.at_many([0.0, 2.0]), [[1.0, 0.0], [3.0, 0.0]])
-    assert np.allclose(rev.at_many([0.0, 2.0]), [[3.0, 0.0], [1.0, 0.0]])
-    assert np.allclose(seg.reversed().at_many([0.0, 4.0]), [[4.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        seg.at(4.5)
+    assert np.allclose(seg.reversed().at(0.0), [4.0, 0.0])
+    assert np.allclose(seg.reversed().at(4.0), [0.0, 0.0])
     with pytest.raises(ValueError, match="t=4.5"):
-        seg.at_many([1.0, 4.5, 2.0])
+        seg.at(4.5)
+    with pytest.raises(ValueError, match="t=-0.5"):
+        sub.at(-0.5)
 
 
 # ---------------------------------------------------------------------------
-# batched measurement: distances(x, ys) and at_many(ts) against the scalar calls
+# batched measurement: row_distances and the `distances` overrides against the
+# scalar calls
 
-# numpy's vectorized arctan2 / arcsinh / cos may differ from libm in the last bits
-BATCH_RTOL, BATCH_ATOL = 1e-14, 1e-15
+# The row forms compute their points with numpy's cos / cosh / arctan2, which may
+# differ from libm's in the last bits.  On the hyperboloid the coordinates grow as
+# cosh of the distance from the origin, and a last-bit difference in them can
+# move a distance by several 1e-15 (5.4e-15 seen at d = 0.043, radius 1.5):
+# hence an absolute term well above that.
+ROW_RTOL, ROW_ATOL = 1e-13, 1e-13
 seeds = st.integers(0, 2**32 - 1)
 
 
-@pytest.mark.parametrize("space", all_analytic_spaces(), ids=lambda s: s.descriptor().__str__())
+def row_spaces():
+    """The spaces whose segments have a row form: sphere, hyperbolic plane, cone."""
+    return [s for s in all_analytic_spaces() if s.row_distances is not None]
+
+
+@functools.cache
+def _mesh(name):
+    # imported here: cmpk.mesh pulls in scipy
+    from cmpk import mesh
+    from meshgen import icosphere, octahedron
+
+    if name == "octahedron":
+        return mesh.mesh_space(mesh.TriMesh(*octahedron()), 3)
+    return mesh.mesh_space(mesh.TriMesh(*icosphere(2)), 4)
+
+
+# only the meshes override the looping `GeodesicSpace.distances`; the foot
+# search's grid reads it on every segment without a row
+@pytest.mark.parametrize("name", ["octahedron", "icosphere2"])
 @given(seed=seeds, n=st.integers(0, 40), radius=st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
-def test_distances_match_scalar_distance(space, seed, n, radius):
+def test_distances_match_scalar_distance(name, seed, n, radius):
+    space = _mesh(name)
+    assert type(space).distances is not spaces.GeodesicSpace.distances
     rng = np.random.default_rng(seed)
     c = space.default_center()
     x = space.sample_ball(c, radius, rng)
     ys = [space.sample_ball(c, radius, rng) for _ in range(n)]
     if n:
         ys[int(rng.integers(n))] = x  # a coincident pair
-    want = [space.distance(x, y) for y in ys]
     got = space.distances(x, ys)
     assert got.shape == (n,)
-    np.testing.assert_allclose(got, want, rtol=BATCH_RTOL, atol=BATCH_ATOL)
-    if n and isinstance(x, np.ndarray):
-        np.testing.assert_allclose(space.distances(x, np.array(ys)), want,
-                                   rtol=BATCH_RTOL, atol=BATCH_ATOL)
+    assert got.tolist() == [space.distance(x, y) for y in ys]
 
 
-def _segments(space, rng, radius, center=None):
-    c = space.default_center() if center is None else center
-    seg = space.geodesic(space.sample_ball(c, radius, rng), space.sample_ball(c, radius, rng))
-    t0, t1 = sorted(rng.uniform(0.0, seg.length, 2))
-    return [seg, seg.subsegment(t0, t1), seg.subsegment(t1, t0), seg.reversed()]
-
-
-def _as_rows(points) -> np.ndarray:
-    return np.array([np.asarray(p, dtype=float) for p in points])
-
-
-@pytest.mark.parametrize("space", all_analytic_spaces(), ids=lambda s: s.descriptor().__str__())
-@given(seed=seeds, n=st.integers(1, 40), radius=st.floats(0.05, 1.5))
-@settings(max_examples=30, deadline=None)
-def test_at_many_matches_at(space, seed, n, radius):
+@pytest.mark.parametrize("space", row_spaces(), ids=lambda s: s.descriptor().__str__())
+@given(seed=seeds, size=st.integers(1, 6), n=st.integers(0, 8), radius=st.floats(0.05, 1.5))
+@settings(max_examples=40, deadline=None)
+def test_row_distances_match_scalar_distance(space, seed, size, n, radius):
     rng = np.random.default_rng(seed)
-    for seg in _segments(space, rng, radius):
-        geo = space.tol.geo
-        ts = np.concatenate([[0.0, seg.length, -0.5 * geo, seg.length + 0.5 * geo],
-                             rng.uniform(0.0, seg.length, n)])
-        got = seg.at_many(ts)
-        want = [seg.at(t) for t in ts.tolist()]
-        if seg._eval_many is None:
-            np.testing.assert_array_equal(_as_rows(got), _as_rows(want))
-        elif isinstance(space, spaces.Cone):
-            # compared as points: at the seam one ulp can wrap theta from ~P to ~0
-            assert all(space.distance(g, w) <= space.tol.pt for g, w in zip(got, want))
-        else:
-            np.testing.assert_allclose(_as_rows(got), _as_rows(want),
-                                       rtol=BATCH_RTOL, atol=BATCH_ATOL)
-        for bad in (-2.0 * geo, seg.length + 2.0 * geo):
-            with pytest.raises(ValueError):
-                seg.at(bad)
-            with pytest.raises(ValueError):
-                seg.at_many(np.append(ts, bad))
+    c = space.default_center()
+    qs, segs = [], []
+    for _ in range(size):
+        a, b, q = (space.sample_ball(c, radius, rng) for _ in range(3))
+        seg = space.geodesic(a, b)
+        if seg.row is not None:  # on the cone, routes through the apex have none
+            qs.append(q)
+            segs.append(seg)
+    if not segs:
+        return
+    L = np.array([seg.length for seg in segs])
+    # the foot search's grid, its two endpoints among them, then random arclengths
+    ts = np.concatenate([np.linspace(0.0, L, 65), rng.uniform(0.0, 1.0, (n, len(L))) * L])
+    got = space.row_distances(qs, [seg.row for seg in segs])(ts)
+    want = [[space.distance(q, seg.at(t)) for q, seg, t in zip(qs, segs, row)]
+            for row in ts.tolist()]
+    assert got.shape == ts.shape
+    np.testing.assert_allclose(got, want, rtol=ROW_RTOL, atol=ROW_ATOL)
 
 
-def test_batch_evaluator_reaches_every_numpy_segment(rng):
+def test_every_segment_off_the_cone_apex_has_a_row(rng):
     for space in (spaces.make_sphere(1.0), spaces.make_hyperbolic(-1.0)):
-        for seg in _segments(space, rng, 0.5):
-            assert seg._eval_many is not None, space.name
+        for _ in range(20):
+            a, b = sample_points(space, 2, rng, radius=1.5)
+            assert all(seg.row is not None for seg in space.minimal_geodesics(a, b))
     # off the apex every cone geodesic is an unrolled chord
     for space in (spaces.make_cone(PI), spaces.make_cone(7.0)):
         for _ in range(20):
-            for seg in _segments(space, rng, 0.5, center=(1.0, 0.5)):
-                assert seg._eval_many is not None, space.descriptor()
+            a, b = (space.sample_ball((1.0, 0.5), 0.5, rng) for _ in range(2))
+            assert all(seg.row is not None for seg in space.minimal_geodesics(a, b))
+        # routes through the apex have none
+        assert space.geodesic((0.0, 0.0), (0.6, 1.0)).row is None
+    assert spaces.make_cone(7.0).geodesic((1.0, 0.0), (1.0, 3.5)).row is None
 
 
-def test_cone_distances_normalize_as_scalar_distance():
+def _row_check(cone, qs, seg):
+    """row_distances from each q to the grid of seg against the scalar distance."""
+    ts = np.linspace(0.0, seg.length, 65)[:, None]
+    got = cone.row_distances(qs, [seg.row] * len(qs))(np.repeat(ts, len(qs), axis=1))
+    want = [[cone.distance(q, seg.at(t)) for q in qs] for t in ts[:, 0].tolist()]
+    np.testing.assert_allclose(got, want, rtol=ROW_RTOL, atol=ROW_ATOL)
+    return got
+
+
+def test_cone_row_distances_normalize_as_scalar_distance():
     cone = spaces.make_cone(PI)
-    x = (1.0, 0.25)
-    ys = [
+    qs = [
         (0.0, 0.0), (0.0, 2.5),         # the apex, with any theta
         (1.0, 0.25 + PI / 2),           # separation pi/2 = P/2, the largest on the pi-cone
         (0.5, 0.25 - 1e-13), (0.5, -1e-13), (0.5, PI - 1e-13),  # across the seam
         (2.0, 1.0 + 2 * PI), (1.5, 1.0 - 2 * PI),                  # theta outside [0, P)
         (1.0, 0.25),
     ]
-    want = [cone.distance(x, y) for y in ys]
-    for batch in (ys, np.array(ys)):
-        np.testing.assert_allclose(cone.distances(x, batch), want,
-                                   rtol=BATCH_RTOL, atol=BATCH_ATOL)
-    np.testing.assert_allclose(cone.distances((0.0, 1.0), ys), [y[0] for y in ys],
-                               rtol=BATCH_RTOL, atol=BATCH_ATOL)
+    # a chord from (1, 0.25) and one across the seam theta ~ 0 ~ P
+    for a, b in (((1.0, 0.25), (0.7, 1.4)), ((0.8, PI - 0.1), (0.9, 0.2))):
+        seg = cone.geodesic(a, b)
+        got = _row_check(cone, qs, seg)
+        # from the apex: the radius of each point, whatever theta the apex was given
+        assert got[:, 0].tolist() == got[:, 1].tolist()
+        radii = [seg.at(t)[0] for t in np.linspace(0.0, seg.length, 65)]
+        np.testing.assert_allclose(got[:, 0], radii, rtol=ROW_RTOL, atol=ROW_ATOL)
     # separation >= pi goes through the apex: on the 7-cone, opposite rays are 3.5 apart
     wide = spaces.make_cone(7.0)
-    far = [(1.0, 3.5), (2.0, 3.2), (1.0, 3.8), (1.0, 3.0), (1.0, 3.5 + 14.0), (2.0, -15.0)]
-    np.testing.assert_allclose(wide.distances((1.0, 0.0), far),
-                               [wide.distance((1.0, 0.0), y) for y in far],
-                               rtol=BATCH_RTOL, atol=BATCH_ATOL)
-    assert wide.distances((1.0, 0.0), far)[:3].tolist() == [2.0, 3.0, 2.0]
-    assert cone.distances(x, []).shape == (0,)
-    for bad in ([(1.0, 0.0), (-0.5, 0.0)], np.array([[-1e-300, 0.0]])):
-        with pytest.raises(ValueError, match="radius"):
-            cone.distances(x, bad)
+    seg = wide.geodesic((1.0, 3.2), (2.0, 3.8))
+    far = [(1.0, 0.0), (1.0, 14.0), (2.0, -7.0), (1.0, 0.3), (1.0, 6.9)]
+    got = _row_check(wide, far, seg)
+    assert got[0, :3].tolist() == [2.0, 2.0, 3.0]  # r1 + r2 from the start (1.0, 3.2)
     with pytest.raises(ValueError, match="radius"):
-        cone.distances((-1.0, 0.0), ys)
+        cone.row_distances([(-1.0, 0.0)], [seg.row])
 
 
 def _old_sphere_distance(sphere, x, y):
@@ -583,13 +605,15 @@ def test_cone_route_evaluators_match_numpy_formula(P, r1, r2, a1, a2, fracs):
         for t in ts:
             (rho, th), (rho_old, th_old) = seg._eval(t), old(t)
             assert _ulps(rho, rho_old) <= 2.0 and th == th_old
-        got = seg.at_many(ts)
-        assert all(cone.distance(g, seg.at(t)) <= cone.tol.pt for g, t in zip(got, ts))
-    # the apex route and every minimal geodesic: the batch grid agrees as points
+        # the row reaches the points `at` reaches: each lies on its own grid point
+        got = cone.row_distances([seg.at(t) for t in ts], [seg.row] * len(ts))(np.array([ts]))
+        assert (got <= cone.tol.pt).all()
+    # every minimal geodesic with a row, as `minimal_geodesics` builds it
     for seg in cone.minimal_geodesics(x, y):
-        ts = [f * seg.length for f in fracs]
-        got = seg.at_many(ts)
-        assert all(cone.distance(g, seg.at(t)) <= cone.tol.pt for g, t in zip(got, ts))
+        if seg.row is not None:
+            ts = [f * seg.length for f in fracs]
+            got = cone.row_distances([seg.at(t) for t in ts], [seg.row] * len(ts))(np.array([ts]))
+            assert (got <= cone.tol.pt).all()
 
 
 @given(P=cone_perimeters, r=cone_radii, a=cone_turns, phi=st.floats(-7.0, 7.0),
