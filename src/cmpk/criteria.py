@@ -10,6 +10,7 @@ configuration set.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -751,6 +752,35 @@ REJECTIONS = ("short_segment", "several_geodesics", "foot_on_boundary", "degener
 _FOOT_REJECTION = {FOOT_BOUNDARY: "foot_on_boundary", FOOT_DEGENERATE: "degenerate"}
 
 
+def _ball_points(space: GeodesicSpace, center, radius: float, rng: np.random.Generator,
+                 block: int):
+    """The points `space.sample_ball` draws one after the other for a round of
+    `block` searches, as a generator to close after the last point taken.
+
+    With `sample_balls`, points are mapped from blocks of uniforms drawn ahead,
+    three points per search and more when they run out; closing sets the rng
+    back and advances it by the uniforms of the points taken, so it ends where
+    sample_ball would have left it.  A point whose shot is unavailable raises
+    when it is taken.  A round of one search draws one point at a time: for
+    its few points that costs less than one `sample_balls` call.
+    """
+    if space.sample_balls is None or block == 1:
+        while True:
+            yield space.sample_ball(center, radius, rng)
+    state = rng.bit_generator.state
+    taken = 0
+    try:
+        while True:
+            for p in space.sample_balls(center, radius, rng.random(6 * block)):
+                taken += 2
+                if isinstance(p, ShootUnavailable):
+                    raise p
+                yield p
+    finally:
+        rng.bit_generator.state = state
+        rng.random(taken)
+
+
 def foot_configs(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, n: int, *,
     tol_cfg: Tolerances = DEFAULT_TOL, min_height_rel: float = 0.15, max_tries: int = 200,
@@ -768,10 +798,14 @@ def foot_configs(
     times the searches per acceptance so far; on a space without
     `row_distances` each round is one try.  A round also stops drawing where
     max_tries failures in a row become possible, and DegenerateRegionError is
-    raised at the try that completes them.  So the configurations, and the try
-    that raises, are those of trying one at a time; the rng ends after the
-    n-th accepted try's draws when n is 1, and may end past later tries
-    otherwise.  `rejected`, when given, counts the rejected tries by reason.
+    raised at the try that completes them.  A round's points come from
+    `_ball_points`: on a space with `sample_balls` and in a round of more than
+    one search, mapped from one block of uniforms drawn ahead, with the rng
+    then put where drawing them one at a time leaves it.  So the
+    configurations, and the try that raises, are those of trying one at a
+    time; the rng ends after the n-th accepted try's draws when n is 1, and
+    may end past later tries otherwise.  `rejected`, when given, counts the
+    rejected tries by reason.
     """
     if rejected is None:
         rejected = dict.fromkeys(REJECTIONS, 0)
@@ -787,18 +821,18 @@ def foot_configs(
             block = wanted
         tries: list = []  # each a rejection reason or a (q, seg) to search
         n_search = 0
-        while n_search < block and fails + len(tries) < max_tries:
-            a = space.sample_ball(center, radius, rng)
-            b = space.sample_ball(center, radius, rng)
-            if space.distance(a, b) < MIN_SEG_REL * radius:
-                tries.append("short_segment")
-                continue
-            geods = space.minimal_geodesics(a, b)
-            if len(geods) > 1:
-                tries.append("several_geodesics")
-                continue
-            tries.append((space.sample_ball(center, radius, rng), geods[0]))
-            n_search += 1
+        with contextlib.closing(_ball_points(space, center, radius, rng, block)) as points:
+            while n_search < block and fails + len(tries) < max_tries:
+                a, b = next(points), next(points)
+                if space.distance(a, b) < MIN_SEG_REL * radius:
+                    tries.append("short_segment")
+                    continue
+                geods = space.minimal_geodesics(a, b)
+                if len(geods) > 1:
+                    tries.append("several_geodesics")
+                    continue
+                tries.append((next(points), geods[0]))
+                n_search += 1
         pairs = [x for x in tries if isinstance(x, tuple)]
         t_star, d_star, outcome = feet_of_perpendicular(
             space, [q for q, _ in pairs], [seg for _, seg in pairs], tol_cfg=tol_cfg)

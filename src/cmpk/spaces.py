@@ -79,6 +79,11 @@ class GeodesicSpace(ABC):
     # at arclength ts[..., i] of the segment whose `row` is rows[i], for arrays ts
     # whose last axis runs over the block; None where segments have no row form
     row_distances: Callable | None = None
+    # sample_balls(center, radius, us) -> the points sample_ball draws from the
+    # uniforms us, read as (direction, radius fraction) pairs, bit for bit; a
+    # point whose shot would raise is that ShootUnavailable.  None on the spaces
+    # without row_distances, whose foot-search rounds hold one try
+    sample_balls: Callable | None = None
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
         self.tol = tol
@@ -180,6 +185,26 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _each(f, *xs: np.ndarray) -> np.ndarray:
+    """f entry by entry through `math`: numpy's SIMD cosh, sinh, atan2 and hypot
+    may not round as libm does, and the batched draws must equal the scalar ones"""
+    return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=float)
+
+
+def _tangent_shots(space, center, radius, us, cf, sf) -> np.ndarray:
+    """`shoot` from center for each pair of us as `sample_ball` reads it, as rows:
+    the center checked and its tangent basis built once.  cf, sf are cos and sin
+    on the sphere, cosh and sinh on the hyperboloid.  rng.uniform(0, h) is
+    h * rng.random(), so the uniforms of the scalar draws give its points."""
+    p0, p1, p2 = space._check(center).tolist()
+    (u0, u1, u2), (v0, v1, v2) = space._basis((p0, p1, p2))
+    phi = TWO_PI * us[0::2]
+    a = radius * us[1::2] / space.radius
+    cp, sp, c, s = _each(math.cos, phi), _each(math.sin, phi), _each(cf, a), _each(sf, a)
+    w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
+    return np.stack([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2], axis=1)
+
+
 class Sphere(GeodesicSpace):
     name = "sphere"
 
@@ -275,6 +300,10 @@ class Sphere(GeodesicSpace):
 
     def sample_ball(self, center, radius, rng):
         return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
+
+    def sample_balls(self, center, radius, us):
+        """The points `sample_ball` draws from the uniforms us, as the rows of an array."""
+        return _tangent_shots(self, center, radius, us, math.cos, math.sin)
 
     def point_to_data(self, x):
         return [float(c) for c in x]
@@ -390,6 +419,10 @@ class Hyperbolic(GeodesicSpace):
 
     def sample_ball(self, center, radius, rng):
         return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
+
+    def sample_balls(self, center, radius, us):
+        """The points `sample_ball` draws from the uniforms us, as the rows of an array."""
+        return _tangent_shots(self, center, radius, us, math.cosh, math.sinh)
 
     def point_to_data(self, x):
         return [float(c) for c in x]
@@ -543,6 +576,23 @@ class Cone(GeodesicSpace):
         r, _ = self._norm(center)
         phi = rng.uniform(0.0, self.perimeter if r == 0.0 else TWO_PI)
         return self.shoot(center, phi, radius * rng.uniform())
+
+    def sample_balls(self, center, radius, us):
+        """The points `sample_ball` draws from the uniforms us, as a list of
+        handles; a point whose shot would raise is that ShootUnavailable."""
+        # `shoot` over arrays, with the transcendentals through `math` (see `_each`)
+        r, th = self._norm(center)
+        period = self.perimeter
+        length = radius * us[1::2]
+        if r == 0.0:
+            return list(zip(length.tolist(), ((period * us[0::2]) % period).tolist()))
+        phi = TWO_PI * us[0::2]
+        q0, q1 = r + length * _each(math.cos, phi), length * _each(math.sin, phi)
+        rho = _each(math.hypot, q0, q1)
+        theta = ((th + _each(math.atan2, q1, q0)) % period).tolist()
+        unavailable = ShootUnavailable("geodesic through the cone apex is not extendable")
+        return [unavailable if p <= self.tol.pt else (p, t)
+                for p, t in zip(rho.tolist(), theta)]
 
     def point_to_data(self, x):
         r, th = self._norm(x)

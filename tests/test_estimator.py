@@ -437,18 +437,24 @@ def test_sphere_region_report_profiles_vanish():
 # ---------------------------------------------------------------------------
 # the try stream against the one-try-at-a-time sampler
 
+# (space, center data or None for the default center, radius); the off-apex
+# cone and the off-origin hyperbolic center take the draws' hypot, atan2 and
+# tangent basis paths, which the apex and the origin skip or simplify
 STREAM_CASES = {
     "sphere": (lambda: spaces.make_sphere(1.0), None, 0.3),
     "hyperbolic": (lambda: spaces.make_hyperbolic(-1.0), None, 0.2),
-    "pi-cone-apex": (lambda: spaces.make_cone(PI), (0.0, 0.0), 0.25),
+    "hyperbolic-off-origin": (lambda: spaces.make_hyperbolic(-1.0), [0.3, -0.2, 0.0], 0.2),
+    "pi-cone-apex": (lambda: spaces.make_cone(PI), [0.0, 0.0], 0.25),
+    "pi-cone-off-apex": (lambda: spaces.make_cone(PI), [1.0, 0.5], 0.25),
     "tripod": (spaces.make_tripod, None, 0.5),
 }
+LOCKSTEP_CASES = [name for name in STREAM_CASES if name != "tripod"]  # with row_distances
 
 
 def _case(name):
-    make, center, radius = STREAM_CASES[name]
+    make, data, radius = STREAM_CASES[name]
     space = make()
-    return space, space.default_center() if center is None else center, radius
+    return space, space.default_center() if data is None else space.point_from_data(data), radius
 
 
 def _same_try(new, old):
@@ -458,7 +464,7 @@ def _same_try(new, old):
                             (new[1].end, old[1].end)))
 
 
-@pytest.mark.parametrize("name", ["sphere", "hyperbolic", "pi-cone-apex"])
+@pytest.mark.parametrize("name", LOCKSTEP_CASES)
 @pytest.mark.parametrize("seed", [3, 61000])
 def test_foot_stream_accepts_the_tries_of_the_one_at_a_time_loop(name, seed):
     space, center, radius = _case(name)
@@ -504,6 +510,44 @@ def test_foot_stream_raises_at_the_try_the_old_loop_raised(name, n):
     assert str(new.value) == str(old.value)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
     assert sum(rejected.values()) == 37
+
+
+BIT_GENERATORS = {"MT19937": np.random.MT19937, "Philox": np.random.Philox}
+
+
+def _same_next_draws(rng_a, rng_b):
+    # a generator's state may hold arrays (MT19937's key): compare what comes next
+    return np.array_equal(rng_a.random(8), rng_b.random(8))
+
+
+@pytest.mark.parametrize("bits", list(BIT_GENERATORS))
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic-off-origin", "pi-cone-off-apex",
+                                  "tripod"])
+@pytest.mark.parametrize("seed", [2, 61000])
+def test_foot_stream_on_other_bit_generators(bits, name, seed):
+    space, center, radius = _case(name)
+
+    def make():
+        return np.random.Generator(BIT_GENERATORS[bits](seed))
+
+    rng_new, rng_old = make(), make()
+    for _ in range(5):
+        new = criteria.sample_foot_config(space, center, radius, rng_new)
+        old = oracles.sample_foot_config(space, center, radius, rng_old)
+        assert _same_try(new, old) and new[2] == old[2]
+        assert _same_next_draws(rng_new, rng_old)
+    new = list(criteria.foot_configs(space, center, radius, make(), 20))
+    rng_old = make()
+    old = [oracles.sample_foot_config(space, center, radius, rng_old) for _ in range(20)]
+    assert all(_same_try(a, b) for a, b in zip(new, old))
+    rng_new, rng_old = make(), make()
+    with pytest.raises(DegenerateRegionError):
+        list(criteria.foot_configs(space, center, radius, rng_new, 5, min_height_rel=10.0,
+                                   max_tries=37))
+    with pytest.raises(DegenerateRegionError):
+        oracles.sample_foot_config(space, center, radius, rng_old, min_height_rel=10.0,
+                                   max_tries=37)
+    assert _same_next_draws(rng_new, rng_old)
 
 
 def _counting(space, counts):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpk import spaces
+from cmpk import criteria, spaces
 from cmpk.errors import ShootUnavailable, SpaceDescriptorError
 
 from oracles import (
@@ -681,3 +681,100 @@ def test_sphere_and_hyperbolic_evaluators_are_bit_equal_to_numpy_formula(
     for t in [0.0, length, *(f * length for f in fracs)]:
         a = t / space.radius
         np.testing.assert_array_equal(arc.at(t), cos(a) * p + sin(a) * u)
+
+
+# ---------------------------------------------------------------------------
+# batched ball draws against the scalar sample_ball
+
+
+class Replay:
+    """A generator stand-in that hands out the given doubles in order: `random`
+    as numpy's does, and `uniform(low, high)` as low + (high - low) * random()."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+        self.bit_generator = self  # `state` is the number of doubles handed out
+        self.state = 0
+
+    def random(self, n):
+        out = np.array(self.doubles[self.state:self.state + n], dtype=float)
+        self.state += n
+        return out
+
+    def uniform(self, low=0.0, high=1.0):
+        return low + (high - low) * float(self.random(1)[0])
+
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+uniforms = st.one_of(st.just(0.0), st.just(BELOW_ONE),
+                     st.floats(0.0, 1.0, exclude_max=True))
+_hyperbolic_off_origin = spaces.make_hyperbolic(-1.0).point_from_data([0.3, -1.2, 0.0])
+BALL_CASES = {
+    "sphere-k1-pole": (spaces.make_sphere(1.0), np.array([0.0, 0.0, 1.0])),
+    "sphere-k4-equator": (spaces.make_sphere(4.0), np.array([1.0, 0.0, 0.0])),
+    "sphere-k4-pole": (spaces.make_sphere(4.0), np.array([0.0, 0.0, 1.0])),
+    "sphere-k1-equator": (spaces.make_sphere(1.0), np.array([1.0, 0.0, 0.0])),
+    "hyperbolic-k-1-origin": (spaces.make_hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
+    "hyperbolic-k-1-off": (spaces.make_hyperbolic(-1.0), _hyperbolic_off_origin),
+    "hyperbolic-k-0.5-origin": (spaces.make_hyperbolic(-0.5), np.array([0.0, 0.0, 1.0])),
+    "hyperbolic-k-0.5-off": (spaces.make_hyperbolic(-0.5), _hyperbolic_off_origin),
+    "pi-cone-apex": (spaces.make_cone(PI), (0.0, 0.0)),
+    "pi-cone-off": (spaces.make_cone(PI), (1.0, 0.5)),
+    "pi-cone-near-apex": (spaces.make_cone(PI), (0.04, 3.0)),
+    "7-cone-apex": (spaces.make_cone(7.0), (0.0, 0.0)),
+    "7-cone-off": (spaces.make_cone(7.0), (1.0, 6.9)),
+    "7-cone-near-apex": (spaces.make_cone(7.0), (0.04, 0.2)),
+}
+
+
+def _scalar_draw(space, center, radius, rng):
+    try:
+        return space.sample_ball(center, radius, rng)
+    except ShootUnavailable as e:
+        return e
+
+
+def _same_point(got, want):
+    if isinstance(want, ShootUnavailable):
+        return isinstance(got, ShootUnavailable) and str(got) == str(want)
+    if isinstance(want, tuple):
+        return got == want
+    return np.array_equal(got, want)
+
+
+def test_sample_balls_on_exactly_the_row_spaces():
+    for space in all_analytic_spaces():
+        assert (space.sample_balls is None) == (space.row_distances is None)
+
+
+@pytest.mark.parametrize("case", list(BALL_CASES))
+@given(pairs=st.lists(st.tuples(uniforms, uniforms), min_size=1, max_size=50),
+       radius=st.floats(0.05, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_sample_balls_equal_sample_ball_bitwise(case, pairs, radius):
+    space, center = BALL_CASES[case]
+    us = np.array(pairs, dtype=float).ravel()
+    got = space.sample_balls(center, radius, us)
+    replay = Replay(us)
+    want = [_scalar_draw(space, center, radius, replay) for _ in pairs]
+    assert len(got) == len(want)
+    assert all(_same_point(g, w) for g, w in zip(got, want))
+
+
+def test_batched_draw_raises_at_the_unavailable_shot():
+    # phi = pi exactly from the center (0.5, 0): the shot of length 0.5 ends
+    # 6e-17 from the apex, within tol.pt, so `shoot` raises there
+    cone, center = spaces.make_cone(7.0), (0.5, 0.0)
+    doubles = [0.1, 0.3, 0.7, 0.9, 0.5, 0.5, 0.2, 0.2, 0.4, 0.6, 0.8, 0.1]
+    scalar = Replay(doubles)
+    want = [cone.sample_ball(center, 1.0, scalar) for _ in range(2)]
+    with pytest.raises(ShootUnavailable):
+        cone.sample_ball(center, 1.0, scalar)
+    assert isinstance(cone.sample_balls(center, 1.0, np.array(doubles))[2], ShootUnavailable)
+    batched = Replay(doubles)
+    # a round of two searches: its six points are mapped ahead in one call
+    points = criteria._ball_points(cone, center, 1.0, batched, 2)
+    assert [next(points), next(points)] == want
+    with pytest.raises(ShootUnavailable):
+        next(points)
+    assert batched.state == scalar.state == 6
