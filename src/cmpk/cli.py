@@ -203,6 +203,8 @@ def cmd_test(args) -> int:
     space = _load_space_arg(args.space, tol)
     center, radius = _parse_region(space, args.region)
     ks = _parse_floats(args.k_grid) if args.k_grid else [args.k]
+    if not ks:
+        raise ValueError(f"--k-grid needs one or more comma-separated k values, got {args.k_grid}")
     if not all(map(math.isfinite, ks)):
         option = "--k-grid" if args.k_grid else "--k"
         raise ValueError(f"{option} must be finite, got {args.k_grid or args.k}")
@@ -299,6 +301,8 @@ def cmd_estimate(args) -> int:
     center, radius = _parse_region(space, args.region)
     names = tuple(args.criteria.split(",")) if args.criteria else ("pythagorean",)
     bracket = tuple(_parse_floats(args.bracket)) if args.bracket else (-2.0, 2.0)
+    if len(bracket) != 2:
+        raise ValueError("--bracket needs k_lo,k_hi")
     measurements = estimator.sample_measurements(
         space, center, radius, names, _at_least_one(args.samples, "--samples"), args.seed,
         tol_cfg=tol,

@@ -22,7 +22,6 @@ class Tolerances:
     """Numeric slacks, radians and length units as noted."""
 
     tri_rel: float = 1e-9       # triangle-inequality slack, relative to perimeter
-    angle: float = 1e-9         # angle reproduction slack (rad)
     clamp: float = 1e-9         # max arccos-argument excursion silently clamped
     geo: float = 1e-9           # metric / geodesic-minimality slack (length)
     pt: float = 1e-10           # point-equality tolerance (length)

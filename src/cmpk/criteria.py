@@ -323,15 +323,32 @@ class RightAngleConfig:
 RIGHT_ANGLE_TOL = 1e-6  # radians; mirrors the 1e-6 * leg construction budget
 
 
+def _right_angle_deviation(
+    space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment,
+    tol_cfg: Tolerances,
+) -> float:
+    """|angle at p - pi/2| (`angle_at`); RightAngleUnavailable when the angle is
+    degenerate or deviates by more than RIGHT_ANGLE_TOL."""
+    try:
+        angle = angle_at(space, p, toward_q, toward_r, tol_cfg=tol_cfg)
+    except LadderError as e:
+        raise RightAngleUnavailable(f"angle at p degenerate: {e}") from e
+    deviation = abs(angle - PI / 2)
+    if deviation > RIGHT_ANGLE_TOL:
+        raise RightAngleUnavailable(
+            f"angle at p deviates from pi/2 by {deviation:.3g} > {RIGHT_ANGLE_TOL:.1g}"
+        )
+    return deviation
+
+
 def build_right_angle_config(
     space: GeodesicSpace, p, dir_q: float, dir_r: float,
     leg1: float, leg2: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
-    angle_tol: float = RIGHT_ANGLE_TOL,
 ) -> RightAngleConfig:
     """Shoot two legs from p and verify that they enclose a right angle.
 
     Both legs must be minimal geodesics and the small-scale comparison angle
-    at p (`angle_at`) must read pi/2 within `angle_tol`.  The angle is verified
+    at p (`angle_at`) must read pi/2 within RIGHT_ANGLE_TOL.  The angle is verified
     directly (rather than through a foot-of-perpendicular check) because a
     right angle need not arise as a foot: on a cone, the configurations that
     feel the apex are exactly those whose foot migrates to a segment
@@ -347,22 +364,14 @@ def build_right_angle_config(
     d_pr = space.distance(p, r)
     if d_pq < leg1 * (1.0 - 1e-9) or d_pr < leg2 * (1.0 - 1e-9):
         raise RightAngleUnavailable("shot leg is not a minimal geodesic")
-    try:
-        angle = angle_at(space, p, space.geodesic(p, q), space.geodesic(p, r), 0.0, tol_cfg=tol_cfg)
-    except LadderError as e:
-        raise RightAngleUnavailable(f"angle at p degenerate: {e}") from e
-    deviation = abs(angle - PI / 2)
-    if deviation > angle_tol:
-        raise RightAngleUnavailable(
-            f"angle at p deviates from pi/2 by {deviation:.3g} > {angle_tol:.1g}"
-        )
+    deviation = _right_angle_deviation(
+        space, p, space.geodesic(p, q), space.geodesic(p, r), tol_cfg)
     return RightAngleConfig(p, q, r, d_pq, d_pr, space.distance(q, r), deviation)
 
 
 def right_angle_from_foot(
     space: GeodesicSpace, q, seg: GeodesicSegment, *,
     tol_cfg: Tolerances = DEFAULT_TOL, foot: FootResult | None = None,
-    angle_tol: float = RIGHT_ANGLE_TOL,
 ) -> RightAngleConfig:
     """Right-angle configuration from an interior foot (shoot-free spaces).
 
@@ -375,15 +384,7 @@ def right_angle_from_foot(
         foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
     p = seg.at(foot.t_star)
     ahead = seg.subsegment(foot.t_star, seg.length)
-    try:
-        angle = angle_at(space, p, space.geodesic(p, q), ahead, 0.0, tol_cfg=tol_cfg)
-    except LadderError as e:
-        raise RightAngleUnavailable(f"angle at p degenerate: {e}") from e
-    deviation = abs(angle - PI / 2)
-    if deviation > angle_tol:
-        raise RightAngleUnavailable(
-            f"foot angle deviates from pi/2 by {deviation:.3g} > {angle_tol:.1g}"
-        )
+    deviation = _right_angle_deviation(space, p, space.geodesic(p, q), ahead, tol_cfg)
     d_pr = space.distance(p, seg.end)
     return RightAngleConfig(
         p, q, seg.end, foot.d_star, d_pr, space.distance(q, seg.end), deviation
@@ -427,11 +428,11 @@ def chebyshev_nodes(n: int, length: float) -> list[float]:
 
 
 def measure_point_segment(
-    space: GeodesicSpace, q, seg: GeodesicSegment, n_probes: int = 9,
+    space: GeodesicSpace, q, seg: GeodesicSegment,
 ) -> PointSegmentMeasurement:
     d_qp = space.distance(q, seg.start)
     d_qr = space.distance(q, seg.end)
-    probes = tuple((t, space.distance(q, seg.at(t))) for t in chebyshev_nodes(n_probes, seg.length))
+    probes = tuple((t, space.distance(q, seg.at(t))) for t in chebyshev_nodes(9, seg.length))
     scale = max(d_qp, d_qr, seg.length)
     return PointSegmentMeasurement(d_qp, d_qr, seg.length, probes, scale)
 
@@ -449,10 +450,10 @@ def evaluate_point_segment(
 
 
 def point_segment_test(
-    space: GeodesicSpace, k: float, q, seg: GeodesicSegment, n_probes: int = 9, *,
+    space: GeodesicSpace, k: float, q, seg: GeodesicSegment, *,
     tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
-    m = measure_point_segment(space, q, seg, n_probes)
+    m = measure_point_segment(space, q, seg)
     return evaluate_point_segment(m, k, tol_cfg=tol_cfg)
 
 
@@ -575,8 +576,7 @@ class FirstVariationReport:
 
 def first_variation_check(
     space: GeodesicSpace, q, seg: GeodesicSegment, t_star: float,
-    steps: Sequence[float] = (1e-2, 1e-3, 1e-4), *,
-    k0: float = 0.0, tol_cfg: Tolerances = DEFAULT_TOL,
+    steps: Sequence[float] = (1e-2, 1e-3, 1e-4), *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> FirstVariationReport:
     """Forward finite-difference slope of t -> d(q, seg(t)) against -cos(angle)."""
     if t_star + max(steps) > seg.length:
@@ -584,7 +584,7 @@ def first_variation_check(
     p = seg.at(t_star)
     toward_q = space.minimal_geodesics(p, q)[0]
     forward = seg.subsegment(t_star, seg.length)
-    angle = angle_at(space, p, toward_q, forward, k0, tol_cfg=tol_cfg)
+    angle = angle_at(space, p, toward_q, forward, tol_cfg=tol_cfg)
     target = -math.cos(angle)
     d0 = space.distance(q, p)
     slopes = tuple((space.distance(q, seg.at(t_star + h)) - d0) / h for h in steps)
@@ -610,7 +610,7 @@ class AngleSumReport:
 
 def angle_sum_check(
     space: GeodesicSpace, q, seg: GeodesicSegment, t_interior: float, *,
-    k0: float = 0.0, tol_cfg: Tolerances = DEFAULT_TOL,
+    tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> AngleSumReport:
     if not 0.0 < t_interior < seg.length:
         raise ValueError("t_interior must be strictly inside the segment")
@@ -618,8 +618,8 @@ def angle_sum_check(
     toward_q = space.minimal_geodesics(p, q)[0]
     back = seg.subsegment(t_interior, 0.0)
     ahead = seg.subsegment(t_interior, seg.length)
-    a1 = angle_at(space, p, toward_q, back, k0, tol_cfg=tol_cfg)
-    a2 = angle_at(space, p, toward_q, ahead, k0, tol_cfg=tol_cfg)
+    a1 = angle_at(space, p, toward_q, back, tol_cfg=tol_cfg)
+    a2 = angle_at(space, p, toward_q, ahead, tol_cfg=tol_cfg)
     return AngleSumReport(a1, a2, a1 + a2, a1 + a2 - PI, t_interior)
 
 

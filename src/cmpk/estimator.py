@@ -411,13 +411,12 @@ def estimate_profile_noise_floor(
 
 
 def region_report(
-    space: GeodesicSpace, centers: Sequence, radius: float, *,
-    criteria_set: Sequence[str] = ("pythagorean",), n_samples: int = 120,
+    space: GeodesicSpace, centers: Sequence, radius: float, *, n_samples: int = 120,
     seed: int = 0, resolution: float = 0.01, eps_ladder: Sequence[float] | None = None,
     n_per_eps: int = 128, probe_pairs: int = 200, diagnostic_only: bool = False,
     tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> list[dict]:
-    """Per-center bound estimates, Riemannian-point profiles, multiplicity counts.
+    """Per-center Pythagorean bound estimates, Riemannian-point profiles, multiplicity counts.
 
     Per-center failures are recorded in the row and the run continues.
     """
@@ -431,11 +430,11 @@ def region_report(
             row["diagnostic_only"] = True
         try:
             ms = sample_measurements(
-                space, center, radius, criteria_set, n_samples, seed, tol_cfg=tol_cfg
+                space, center, radius, ("pythagorean",), n_samples, seed, tol_cfg=tol_cfg
             )
             est = estimate_bounds(
                 space, center, radius, ms, seed=seed, resolution=resolution, tol_cfg=tol_cfg,
-                skipped=n_samples - len(ms[criteria_set[0].replace("-", "_")]),
+                skipped=n_samples - len(ms["pythagorean"]),
             )
             row["estimate"] = asdict(est)
         except (CmpkError, ValueError) as e:

@@ -81,8 +81,9 @@ class GeodesicSpace(ABC):
     row_distances: Callable | None = None
     # sample_balls(center, radius, us) -> the points sample_ball draws from the
     # uniforms us, read as (direction, radius fraction) pairs, bit for bit; a
-    # point whose shot would raise is that ShootUnavailable.  None on the spaces
-    # without row_distances, whose foot-search rounds hold one try
+    # point whose shot would raise is that ShootUnavailable.  The sphere and the
+    # hyperbolic plane share one (`_Quadric`), the cone has its own; None on the
+    # spaces without row_distances, whose foot-search rounds hold one try
     sample_balls: Callable | None = None
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
@@ -99,9 +100,9 @@ class GeodesicSpace(ABC):
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         """All minimal geodesics from x to y, up to tie tolerance."""
 
-    @abstractmethod
     def sample_ball(self, center, radius: float, rng: np.random.Generator):
         """Draw a point of the closed metric ball (uniform direction, uniform radius)."""
+        return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
 
     @abstractmethod
     def point_to_data(self, x): ...
@@ -161,9 +162,6 @@ class EuclideanPlane(GeodesicSpace):
             [math.cos(phi), math.sin(phi)]
         )
 
-    def sample_ball(self, center, radius, rng):
-        return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
-
     def point_to_data(self, x):
         return [float(x[0]), float(x[1])]
 
@@ -178,7 +176,9 @@ class EuclideanPlane(GeodesicSpace):
 
 
 # ---------------------------------------------------------------------------
-# Round sphere of curvature k > 0 (unit-sphere handles, distances scaled)
+# Model surfaces of curvature k != 0 as quadrics: the round sphere (unit-sphere
+# handles) and the hyperbolic plane (unit-hyperboloid handles in Minkowski
+# space), distances scaled by 1/sqrt|k|
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -191,30 +191,78 @@ def _each(f, *xs: np.ndarray) -> np.ndarray:
     return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=float)
 
 
-def _tangent_shots(space, center, radius, us, cf, sf) -> np.ndarray:
-    """`shoot` from center for each pair of us as `sample_ball` reads it, as rows:
-    the center checked and its tangent basis built once.  cf, sf are cos and sin
-    on the sphere, cosh and sinh on the hyperboloid.  rng.uniform(0, h) is
-    h * rng.random(), so the uniforms of the scalar draws give its points."""
-    p0, p1, p2 = space._check(center).tolist()
-    (u0, u1, u2), (v0, v1, v2) = space._basis((p0, p1, p2))
-    phi = TWO_PI * us[0::2]
-    a = radius * us[1::2] / space.radius
-    cp, sp, c, s = _each(math.cos, phi), _each(math.sin, phi), _each(cf, a), _each(sf, a)
-    w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
-    return np.stack([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2], axis=1)
+class _Quadric(GeodesicSpace):
+    """The sphere and the hyperbolic plane share one geodesic formula: the point
+    at arclength t from x along the unit tangent w is cf(a) x + sf(a) w with
+    a = t / radius, where (cf, sf) is (cos, sin) on the sphere and (cosh, sinh)
+    on the hyperboloid.  A subclass sets cf, sf and its own metric: `_check`,
+    `distance`, the tangent `_basis`, `row_distances` and `minimal_geodesics`.
+    """
 
-
-class Sphere(GeodesicSpace):
-    name = "sphere"
+    cf: Callable[[float], float]
+    sf: Callable[[float], float]
 
     def __init__(self, k: float, tol: Tolerances = DEFAULT_TOL):
         super().__init__(tol)
+        self.k = float(k)
+        self.radius = 1.0 / math.sqrt(abs(k))
+        self.known_curvature = self.k
+
+    def _arc(self, x, w, length) -> GeodesicSegment:
+        # per-point calls (the foot refinement) combine unpacked floats: numpy's
+        # per-call overhead on 3-vectors would dominate
+        x0, x1, x2 = x.tolist()
+        w0, w1, w2 = w.tolist()
+        radius, cf, sf = self.radius, self.cf, self.sf
+
+        def ev(t):
+            a = t / radius
+            c, s = cf(a), sf(a)
+            return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
+
+        return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
+
+    def shoot(self, p, phi: float, length: float):
+        p0, p1, p2 = self._check(p).tolist()
+        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+        cp, sp = math.cos(phi), math.sin(phi)
+        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
+        a = length / self.radius
+        c, s = self.cf(a), self.sf(a)
+        return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
+
+    def sample_balls(self, center, radius, us):
+        """The points `sample_ball` draws from the uniforms us, as the rows of an
+        array: `shoot` over arrays, the center checked and its tangent basis
+        built once.  rng.uniform(0, h) is h * rng.random(), so the uniforms of
+        the scalar draws give its points."""
+        p0, p1, p2 = self._check(center).tolist()
+        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+        phi = TWO_PI * us[0::2]
+        a = radius * us[1::2] / self.radius
+        cp, sp = _each(math.cos, phi), _each(math.sin, phi)
+        c, s = _each(self.cf, a), _each(self.sf, a)
+        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
+        return np.stack([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2], axis=1)
+
+    def point_to_data(self, x):
+        return [float(c) for c in x]
+
+    def default_center(self):
+        return np.array([0.0, 0.0, 1.0])
+
+    def descriptor(self) -> dict:
+        return {"type": self.name, "k": self.k}
+
+
+class Sphere(_Quadric):
+    name = "sphere"
+    cf, sf = staticmethod(math.cos), staticmethod(math.sin)
+
+    def __init__(self, k: float, tol: Tolerances = DEFAULT_TOL):
         if not (1e-6 <= k <= 1e6):
             raise SpaceDescriptorError(f"sphere requires k in [1e-6, 1e6], got {k}")
-        self.k = float(k)
-        self.radius = 1.0 / math.sqrt(k)
-        self.known_curvature = self.k
+        super().__init__(k, tol)
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -237,25 +285,11 @@ class Sphere(GeodesicSpace):
     def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         p0, p1, p2 = p
         # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u.  Scalar
-        # math: np.cross on 3-vectors costs tens of µs, and every sample_ball calls this
+        # math: np.cross on 3-vectors costs tens of µs, and every shot calls this
         u0, u1, u2 = (-p1, p0, 0.0) if abs(p2) < 0.9 else (0.0, -p2, p1)
         n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
         u0, u1, u2 = u0 / n, u1 / n, u2 / n
         return (u0, u1, u2), (p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0)
-
-    def _arc(self, x, w, length) -> GeodesicSegment:
-        # per-point calls (the foot refinement) combine unpacked floats: numpy's
-        # per-call overhead on 3-vectors would dominate; the grid stays vectorized
-        x0, x1, x2 = x.tolist()
-        w0, w1, w2 = w.tolist()
-        radius = self.radius
-
-        def ev(t):
-            a = t / radius
-            c, s = math.cos(a), math.sin(a)
-            return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
-
-        return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
 
     def row_distances(self, qs, rows):
         # the formulas of `_arc`'s `ev` and of `distance`, over arrays in
@@ -289,53 +323,22 @@ class Sphere(GeodesicSpace):
         w = _unit(y - float(np.dot(x, y)) * x)
         return [self._arc(x, w, d)]
 
-    def shoot(self, p, phi: float, length: float):
-        p0, p1, p2 = self._check(p).tolist()
-        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
-        cp, sp = math.cos(phi), math.sin(phi)
-        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
-        a = length / self.radius
-        c, s = math.cos(a), math.sin(a)
-        return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
-
-    def sample_ball(self, center, radius, rng):
-        return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
-
-    def sample_balls(self, center, radius, us):
-        """The points `sample_ball` draws from the uniforms us, as the rows of an array."""
-        return _tangent_shots(self, center, radius, us, math.cos, math.sin)
-
-    def point_to_data(self, x):
-        return [float(c) for c in x]
-
     def point_from_data(self, data):
         return self._check(_unit(self._finite(data)))
-
-    def default_center(self):
-        return np.array([0.0, 0.0, 1.0])
-
-    def descriptor(self) -> dict:
-        return {"type": "sphere", "k": self.k}
-
-
-# ---------------------------------------------------------------------------
-# Hyperbolic plane of curvature k < 0 (unit-hyperboloid handles in Minkowski space)
 
 
 def _mdot(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
 
 
-class Hyperbolic(GeodesicSpace):
+class Hyperbolic(_Quadric):
     name = "hyperbolic"
+    cf, sf = staticmethod(math.cosh), staticmethod(math.sinh)
 
     def __init__(self, k: float, tol: Tolerances = DEFAULT_TOL):
-        super().__init__(tol)
         if not (1e-6 <= -k <= 1e6):
             raise SpaceDescriptorError(f"hyperbolic requires -k in [1e-6, 1e6], got {k}")
-        self.k = float(k)
-        self.radius = 1.0 / math.sqrt(-k)
-        self.known_curvature = self.k
+        super().__init__(k, tol)
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -350,24 +353,6 @@ class Hyperbolic(GeodesicSpace):
         # <y-x, y-x> = 4 sinh^2(theta/2); stable for nearby points
         q = max(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
         return self.radius * 2.0 * math.asinh(0.5 * math.sqrt(q))
-
-    def _tangent_toward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        c = -_mdot(x, y)  # cosh(theta)
-        w = y - c * x
-        n = math.sqrt(max(_mdot(w, w), 0.0))
-        return w / n
-
-    def _arc(self, x, w, length) -> GeodesicSegment:
-        x0, x1, x2 = x.tolist()
-        w0, w1, w2 = w.tolist()
-        radius = self.radius
-
-        def ev(t):
-            a = t / radius
-            c, s = math.cosh(a), math.sinh(a)
-            return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
-
-        return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
 
     def row_distances(self, qs, rows):
         # the formulas of `_arc`'s `ev` and of `distance`, over arrays in components
@@ -391,7 +376,8 @@ class Hyperbolic(GeodesicSpace):
         d = self.distance(x, y)
         if d == 0.0:
             return [self._segment(x, y, 0.0, lambda t: x)]
-        return [self._arc(x, self._tangent_toward(x, y), d)]
+        w = y + _mdot(x, y) * x  # y - cosh(theta) x, tangent at x toward y
+        return [self._arc(x, w / math.sqrt(max(_mdot(w, w), 0.0)), d)]
 
     def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         p0, p1, p2 = p
@@ -408,35 +394,10 @@ class Hyperbolic(GeodesicSpace):
         n = math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
         return (u0, u1, u2), (v0 / n, v1 / n, v2 / n)
 
-    def shoot(self, p, phi: float, length: float):
-        p0, p1, p2 = self._check(p).tolist()
-        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
-        cp, sp = math.cos(phi), math.sin(phi)
-        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
-        a = length / self.radius
-        c, s = math.cosh(a), math.sinh(a)
-        return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
-
-    def sample_ball(self, center, radius, rng):
-        return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
-
-    def sample_balls(self, center, radius, us):
-        """The points `sample_ball` draws from the uniforms us, as the rows of an array."""
-        return _tangent_shots(self, center, radius, us, math.cosh, math.sinh)
-
-    def point_to_data(self, x):
-        return [float(c) for c in x]
-
     def point_from_data(self, data):
         x = self._finite(data)  # a copy: the caller's array stays as given
         x[2] = math.sqrt(1.0 + x[0] * x[0] + x[1] * x[1])  # re-project onto the sheet
         return x
-
-    def default_center(self):
-        return np.array([0.0, 0.0, 1.0])
-
-    def descriptor(self) -> dict:
-        return {"type": "hyperbolic", "k": self.k}
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +675,9 @@ class SphericalTriangleDomain(GeodesicSpace):
                 n = -n
             self._normals.append(n / np.linalg.norm(n))
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return all(float(np.dot(n, x)) >= -slack for n in self._normals)
+        return all(float(np.dot(n, x)) >= -1e-12 for n in self._normals)
 
     def _require_inside(self, x):
         if not self.contains(x):
@@ -736,13 +697,13 @@ class SphericalTriangleDomain(GeodesicSpace):
             raise ShootUnavailable("geodesic leaves the triangle domain")
         return q
 
-    def sample_ball(self, center, radius, rng, max_tries: int = 1000):
+    def sample_ball(self, center, radius, rng):
         center = self._require_inside(center)
-        for _ in range(max_tries):
+        for _ in range(1000):
             q = self._sphere.sample_ball(center, radius, rng)
             if self.contains(q):
                 return q
-        raise CmpkError("sample_ball: no interior draw in max_tries attempts")
+        raise CmpkError("sample_ball: no interior draw in 1000 attempts")
 
     def point_to_data(self, x):
         return [float(c) for c in x]

@@ -6,8 +6,9 @@ Minkowski hyperboloid vectors, planar coordinates) and angles from bisection
 against those constructions.  The exceptions are reference copies of code
 the package has since rewritten (the heap Dijkstra search, the per-k
 evaluators, the angle ladders, the all-scalar bisection predicate and
-residual, the cone geodesics that built every candidate route, and the
-one-try-at-a-time foot sampler), which tests compare the rewrites against.
+residual, the cone geodesics that built every candidate route, the
+one-try-at-a-time foot sampler, and the sphere's and the hyperbolic plane's
+own shots and arcs), which tests compare the rewrites against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from cmpk.errors import (
     LadderError,
     ModelDomainError,
 )
-from cmpk.spaces import GeodesicSegment, GeodesicSpace
+from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace
 
 
 def sphere_triangle_points(k: float, a: float, b: float, gamma: float):
@@ -490,3 +491,71 @@ def sample_foot_config(
     raise DegenerateRegionError(
         f"no valid foot configuration in {max_tries} tries (radius {radius})"
     )
+
+
+# The sphere's and the hyperbolic plane's shots, arcs and tangents, and the
+# plane's ball draw, as each space wrote them out before the sphere and the
+# hyperbolic plane shared one copy and `sample_ball` one default.  `self` is
+# the space.
+
+
+def sphere_shoot(self, p, phi: float, length: float):
+    p0, p1, p2 = self._check(p).tolist()
+    (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+    cp, sp = math.cos(phi), math.sin(phi)
+    w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
+    a = length / self.radius
+    c, s = math.cos(a), math.sin(a)
+    return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
+
+
+def sphere_arc_segment(self, x, w, length) -> GeodesicSegment:
+    x0, x1, x2 = x.tolist()
+    w0, w1, w2 = w.tolist()
+    radius = self.radius
+
+    def ev(t):
+        a = t / radius
+        c, s = math.cos(a), math.sin(a)
+        return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
+
+    return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
+
+
+def _mdot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
+
+
+def hyperbolic_shoot(self, p, phi: float, length: float):
+    p0, p1, p2 = self._check(p).tolist()
+    (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+    cp, sp = math.cos(phi), math.sin(phi)
+    w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
+    a = length / self.radius
+    c, s = math.cosh(a), math.sinh(a)
+    return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
+
+
+def hyperbolic_arc_segment(self, x, w, length) -> GeodesicSegment:
+    x0, x1, x2 = x.tolist()
+    w0, w1, w2 = w.tolist()
+    radius = self.radius
+
+    def ev(t):
+        a = t / radius
+        c, s = math.cosh(a), math.sinh(a)
+        return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
+
+    return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
+
+
+def hyperbolic_tangent_toward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    c = -_mdot(x, y)  # cosh(theta)
+    w = y - c * x
+    n = math.sqrt(max(_mdot(w, w), 0.0))
+    return w / n
+
+
+def plane_sample_ball(self, center, radius, rng):
+    return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
+

@@ -350,10 +350,14 @@ def test_bad_region_exit_2(tmp_path, capsys):
         (["profile", "--space", SPHERE, "--per-eps", "0"], "--per-eps must be >= 1"),
         *(([*test, "--samples", "3", "--k", k], "--k must be finite") for k in ("nan", "inf")),
         ([*test, "--samples", "3", "--k-grid=0,-inf"], "--k-grid must be finite"),
+        *(([*test, "--samples", "3", f"--k-grid={g}"], "--k-grid needs one or more")
+          for g in (",", ",,", " , ")),
         *(([*test, "--samples", "3", f"--tol-scale={c}"], "--tol-scale must be finite and >= 0")
           for c in ("nan", "-1", "inf")),
         *((["estimate", "--space", SPHERE, "--samples", "3", f"--bracket={b}"],
            "k_bracket must be finite") for b in ("-inf,2", "-2,inf", "nan,2")),
+        *((["estimate", "--space", SPHERE, "--samples", "3", f"--bracket={b}"],
+           "--bracket needs k_lo,k_hi") for b in ("1", "1,2,3", ",")),
         *((["profile", "--space", SPHERE, "--samples", "3", "--per-eps", "4",
             f"--eps-ladder={ladder}"], "eps ladder must have")
           for ladder in ("0.1,-0.1", "0.1,nan", "inf,0.1", "0.1,0", "0.1", "0.1,0.2")),

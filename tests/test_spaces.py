@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cmpk import criteria, spaces
 from cmpk.errors import ShootUnavailable, SpaceDescriptorError
 
+import oracles
 from oracles import (
     cone_distance_windings, cone_graph_distance, cone_minimal_geodesics, third_side,
 )
@@ -778,3 +779,67 @@ def test_batched_draw_raises_at_the_unavailable_shot():
     with pytest.raises(ShootUnavailable):
         next(points)
     assert batched.state == scalar.state == 6
+
+
+# ---------------------------------------------------------------------------
+# the sphere's and the hyperbolic plane's shared methods, and the default
+# sample_ball, against each space's own copy before they were merged
+
+_plane, _s1, _s4 = spaces.make_euclidean_plane(), spaces.make_sphere(1.0), spaces.make_sphere(4.0)
+_h1, _h05 = spaces.make_hyperbolic(-1.0), spaces.make_hyperbolic(-0.5)
+_sphere_off = _s1.point_from_data([0.3, -0.5, 0.8])
+MERGED_CASES = {
+    "plane-origin": (_plane, np.zeros(2)),
+    "plane-off": (_plane, np.array([0.7, -1.3])),
+    "sphere-k1-pole": (_s1, np.array([0.0, 0.0, 1.0])),
+    "sphere-k1-off": (_s1, _sphere_off),
+    "sphere-k4-pole": (_s4, np.array([0.0, 0.0, 1.0])),
+    "sphere-k4-off": (_s4, _sphere_off),
+    "hyperbolic-k-1-origin": (_h1, np.array([0.0, 0.0, 1.0])),
+    "hyperbolic-k-1-off": (_h1, _hyperbolic_off_origin),
+    "hyperbolic-k-0.5-origin": (_h05, np.array([0.0, 0.0, 1.0])),
+    "hyperbolic-k-0.5-off": (_h05, _hyperbolic_off_origin),
+}
+OLD_SHOOT = {"sphere": oracles.sphere_shoot, "hyperbolic": oracles.hyperbolic_shoot}
+OLD_ARC = {"sphere": oracles.sphere_arc_segment, "hyperbolic": oracles.hyperbolic_arc_segment}
+
+
+@pytest.mark.parametrize("case", list(MERGED_CASES))
+@given(phi=st.floats(-7.0, 7.0), length=st.floats(0.0, 3.0), u=st.tuples(uniforms, uniforms),
+       radius=st.floats(0.05, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_shoot_and_sample_ball_equal_the_unmerged_copies_bitwise(case, phi, length, u, radius):
+    space, center = MERGED_CASES[case]
+    got = space.sample_ball(center, radius, Replay(u))
+    if space.name == "plane":  # the plane's shoot is its own, unchanged
+        want = oracles.plane_sample_ball(space, center, radius, Replay(u))
+    else:  # each space's own sample_ball had the plane's body, with its own shoot
+        old_shoot = OLD_SHOOT[space.name]
+        np.testing.assert_array_equal(
+            space.shoot(center, phi, length), old_shoot(space, center, phi, length))
+        replay = Replay(u)
+        phi0 = replay.uniform(0.0, spaces.TWO_PI)
+        want = old_shoot(space, center, phi0, radius * replay.uniform())
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", [c for c in MERGED_CASES if not c.startswith("plane")])
+@given(psi=st.floats(-7.0, 7.0), length=st.floats(1e-3, 3.0),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_arc_equals_the_unmerged_copies_bitwise(case, psi, length, fracs):
+    space, x = MERGED_CASES[case]
+    u, v = (np.array(b) for b in space._basis(x.tolist()))
+    w = math.cos(psi) * u + math.sin(psi) * v
+    old_arc = OLD_ARC[space.name]
+    got, want = space._arc(x, w, length), old_arc(space, x, w, length)
+    assert (got.length, got.row) == (want.length, want.row)
+    np.testing.assert_array_equal(got.end, want.end)
+    for t in [0.0, length, *(f * length for f in fracs)]:
+        np.testing.assert_array_equal(got.at(t), want.at(t))
+    if space.name == "hyperbolic":
+        # `minimal_geodesics` with the tangent toward y written inline
+        y = space.shoot(x, psi, length)
+        (seg,) = space.minimal_geodesics(x, y)
+        tangent = oracles.hyperbolic_tangent_toward(space, x, y)
+        assert seg.row == old_arc(space, x, tangent, space.distance(x, y)).row
