@@ -303,6 +303,7 @@ def cmd_estimate(args) -> int:
     bracket = tuple(_parse_floats(args.bracket)) if args.bracket else (-2.0, 2.0)
     if len(bracket) != 2:
         raise ValueError("--bracket needs k_lo,k_hi")
+    estimator.check_bracket(bracket, args.resolution)  # before the sampling pass
     measurements = estimator.sample_measurements(
         space, center, radius, names, _at_least_one(args.samples, "--samples"), args.seed,
         tol_cfg=tol,

@@ -20,6 +20,7 @@ import numpy as np
 from cmpk import model
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import (
+    CmpkError,
     DegenerateConfigError,
     DegenerateRegionError,
     FootOnBoundary,
@@ -27,7 +28,7 @@ from cmpk.errors import (
     RightAngleUnavailable,
     ShootUnavailable,
 )
-from cmpk.spaces import GeodesicSegment, GeodesicSpace
+from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace, _each
 
 PI = math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -674,7 +675,29 @@ def chi_at_scale(
 
     All random draws are dimensionless and derived from the seed alone, so
     repeated calls with different eps probe geometrically similar configs.
+
+    Each configuration draws five uniforms: p is shot from x (drawn from the
+    ball with `sample_ball` where that shot is unavailable), and its legs are
+    shot from p at a right angle (`build_right_angle_config`).  On a space
+    with `shots` (the plane, the sphere, the hyperbolic plane and the cone)
+    the configurations are decided over arrays (`_right_angle_rows`), bit
+    for bit as one at a time; only a configuration whose p shot is
+    unavailable, whose leg geodesic is not an unrolled chord or arc (a route
+    through the cone apex, an antipodal pair), whose keep-or-skip comparison
+    lies within `_ROWS_BAND` of its threshold, or whose angle check would
+    raise is built by `build_right_angle_config`.  Should the array path
+    raise, the rung is run one configuration at a time, which raises what the
+    first failing configuration raises.  The tripod, meshes and triangle
+    domains always build one configuration at a time.  On the plane this is
+    the profile's noise floor (`estimator.estimate_profile_noise_floor`),
+    clamped below at 1e-14, so a profile's threshold is 1e-12 unless the
+    floor exceeds 2.5e-13.
     """
+    if space.shots is not None:
+        try:
+            return _chi_rows(space, x, eps, n, np.random.default_rng(seed), tol_cfg)
+        except (ArithmeticError, ValueError, CmpkError):
+            pass  # the arrays may meet another configuration's error first
     rng = np.random.default_rng(seed)
     chi_max = 0.0
     skipped = 0
@@ -695,6 +718,119 @@ def chi_at_scale(
             continue
         chi_max = max(chi_max, cfg.ratio_defect)
     return chi_max, skipped
+
+
+def _chi_rows(space: GeodesicSpace, x, eps: float, n: int, rng: np.random.Generator,
+              tol_cfg: Tolerances) -> tuple[float, int]:
+    """`chi_at_scale`'s loop over arrays, drawing from rng.  rng.uniform(lo, hi)
+    is lo + (hi - lo) * rng.random(), so one block of 5 n doubles holds the
+    loop's draws up to the first unavailable p shot; there the generator is
+    put back, advanced past that configuration's five, and p drawn by
+    `sample_ball`, and the configurations after it take a new block.  So the
+    generator ends where the loop leaves it."""
+    chi_max, skipped, done = 0.0, 0, 0
+    while done < n:
+        state = rng.bit_generator.state
+        omega, u, beta, v1, v2 = rng.random(5 * (n - done)).reshape(-1, 5).T
+        p, available = space.shots(x, TWO_PI * omega, (0.1 + (0.45 - 0.1) * u) * eps)
+        stop = len(p) if available.all() else int(np.argmin(available))
+        beta = TWO_PI * beta
+        l1, l2 = eps * (0.1 + (0.45 - 0.1) * v1), eps * (0.1 + (0.45 - 0.1) * v2)
+        _, ratio, outcome = _right_angle_rows(
+            space, p[:stop], beta[:stop], l1[:stop], l2[:stop], tol_cfg)
+        skipped += int(np.count_nonzero(outcome == RA_SKIPPED))
+        chi_max = max([chi_max, *ratio[outcome == RA_BUILT].tolist()])
+        configs = [(p[i], i) for i in np.flatnonzero(outcome == RA_BACK).tolist()]
+        if stop < len(p):
+            rng.bit_generator.state = state
+            rng.random(5 * (stop + 1))
+            configs.append((space.sample_ball(x, 0.45 * eps, rng), stop))
+        for point, i in configs:
+            b = float(beta[i])
+            try:
+                cfg = build_right_angle_config(space, point, b, b + PI / 2, float(l1[i]),
+                                               float(l2[i]), tol_cfg=tol_cfg)
+            except RightAngleUnavailable:
+                skipped += 1
+                continue
+            chi_max = max(chi_max, cfg.ratio_defect)
+        done += stop + 1
+    return chi_max, skipped
+
+
+# outcome codes of `_right_angle_rows`: the row's configuration is built, the
+# scalar build raises RightAngleUnavailable, or the row is left to it
+RA_BUILT, RA_SKIPPED, RA_BACK = 0, 1, 2
+# A keep-or-skip comparison of `_right_angle_rows` within this band of its
+# threshold (relative to the lengths compared, absolute for the angle) is left
+# to `build_right_angle_config`
+_ROWS_BAND = 1e-12
+
+
+def _right_angle_rows(space: GeodesicSpace, p: np.ndarray, beta: np.ndarray, l1: np.ndarray,
+                      l2: np.ndarray, tol_cfg: Tolerances):
+    """`build_right_angle_config(space, p[i], beta[i], beta[i] + PI / 2, l1[i],
+    l2[i])` of every row over arrays, with its formulas and comparisons, on a
+    space with `shots`.
+
+    Returns arrays of the angle at p that `angle_at` reads, the configuration's
+    `ratio_defect` (each nan where not reached) and the outcome: RA_BUILT,
+    RA_SKIPPED, or RA_BACK for a row left to the scalar build.  Those are the
+    rows with a leg whose geodesic `geodesic_rows` does not reproduce, a
+    keep-or-skip comparison within `_ROWS_BAND` of its threshold, or a check
+    on which the scalar build would raise another error.  Rows no longer live
+    are kept finite, so nothing computed on them warns.
+    """
+    q, q_ok = space.shots(p, beta, l1)
+    r, r_ok = space.shots(p, beta + PI / 2, l2)
+    live = q_ok & r_ok  # else ShootUnavailable: skipped
+    back = np.zeros(len(p), bool)
+
+    def settle(fails, near):
+        nonlocal live
+        back[live & near] = True
+        live = live & ~(fails | near)
+
+    d_pq, d_pr = space.pair_distances(p, q), space.pair_distances(p, r)
+    for d, leg in ((d_pq, l1), (d_pr, l2)):  # the shot legs must be minimal
+        short = leg * (1.0 - 1e-9)
+        settle(d < short, np.abs(d - short) <= _ROWS_BAND * leg)
+    # `angle_at` through `measure_angle_ladder`.  Its check that each leg
+    # emanates from p compares an exact zero on these spaces: `at(0)` of a
+    # geodesic from p is p's own normal form
+    len_q, at_q, exact_q = space.geodesic_rows(p, q)
+    len_r, at_r, exact_r = space.geodesic_rows(p, r)
+    settle(False, ~(exact_q & exact_r))
+    t = 0.1 * np.minimum(len_q, len_r) * 0.5**7
+    settle(t <= 0.0, False)  # LadderError
+    t = np.where(live, t, 0.0)
+    a, b = at_q(t), at_r(t)
+    d_pa, d_pb = space.pair_distances(p, a), space.pair_distances(p, b)
+    d_ab = space.pair_distances(a, b)
+    floor = 10.0 * tol_cfg.geo
+    shortest = np.minimum(d_pa, d_pb)
+    settle(shortest < floor, np.abs(shortest - floor) <= _ROWS_BAND * floor)  # LadderError
+    # model.comparison_angle(0.0, (d_pa, d_pb, d_ab)): its checks raise, so
+    # their rows go back (`SideTriple` reads the default slack, whatever
+    # tol_cfg says); at k = 0 its kernel is this law of cosines
+    slack = DEFAULT_TOL.tri_rel * (d_pa + d_pb + d_ab)
+    side_floor = 1e-12 * np.maximum(d_pa + d_pb + d_ab, 1e-300)
+    raises = ((d_pa > d_pb + d_ab + slack) | (d_pb > d_ab + d_pa + slack)
+              | (d_ab > d_pa + d_pb + slack) | (d_pa <= side_floor) | (d_pb <= side_floor))
+    settle(False, raises)
+    cos = (d_pa * d_pa * 0.5 + d_pb * d_pb * 0.5 - d_ab * d_ab * 0.5) / np.where(
+        live, d_pa * d_pb, 1.0)
+    settle(False, np.abs(cos) > 1.0 + tol_cfg.clamp)
+    angle = np.where(live, _each(math.acos, np.clip(cos, -1.0, 1.0)), np.nan)
+    deviation = np.abs(angle - PI / 2)
+    settle(deviation > RIGHT_ANGLE_TOL,
+           np.abs(deviation - RIGHT_ANGLE_TOL) <= _ROWS_BAND)  # RightAngleUnavailable
+    angle[back] = np.nan
+    ratio = np.full(len(p), np.nan)
+    d_qr = space.pair_distances(q[live], r[live])
+    ratio[live] = [abs(qr**2 / (pq**2 + pr**2) - 1.0)  # RightAngleConfig.ratio_defect
+                   for pq, pr, qr in zip(d_pq[live].tolist(), d_pr[live].tolist(), d_qr.tolist())]
+    return angle, ratio, np.where(live, RA_BUILT, np.where(back, RA_BACK, RA_SKIPPED))
 
 
 def classify_profile(

@@ -312,6 +312,20 @@ def _bisect(passes: Callable[[float], bool], k_pass: float, k_fail: float,
     return k_pass, k_fail
 
 
+def check_bracket(k_bracket: tuple[float, float], resolution: float) -> None:
+    """ValueError unless a bisection over k from k_bracket to resolution can
+    stop: both ends finite, k_lo < k_hi, and the resolution finite and > 0."""
+    k_lo, k_hi = k_bracket
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
+        # bisection toward an infinite endpoint never stops
+        raise ValueError(f"k_bracket must be finite, got {k_lo}, {k_hi}")
+    if not k_lo < k_hi:
+        raise ValueError("k_bracket must satisfy k_lo < k_hi")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        # bisection to a zero resolution never stops
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+
+
 def estimate_bounds(
     space: GeodesicSpace, center, radius: float, measurements: dict[str, list], *,
     seed: int, skipped: int = 0, k_bracket: tuple[float, float] = (-2.0, 2.0),
@@ -334,15 +348,8 @@ def estimate_bounds(
         raise ValueError("no criterion measurements to bisect over")
     counts = {"skipped_by": dict(getattr(measurements, "skipped_by", {})),
               "rejected": dict(getattr(measurements, "rejected", {}))}
+    check_bracket(k_bracket, resolution)
     k_lo, k_hi = k_bracket
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
-        # bisection toward an infinite endpoint never stops
-        raise ValueError(f"k_bracket must be finite, got {k_lo}, {k_hi}")
-    if not k_lo < k_hi:
-        raise ValueError("k_bracket must satisfy k_lo < k_hi")
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        # bisection to a zero resolution never stops
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     if not measurements[names[0]]:
         # every claim would pass vacuously: there is no bound to bisect for
         note = f"no measured samples to bisect over ({skipped} skipped)"
@@ -398,7 +405,14 @@ def estimate_profile_noise_floor(
     eps_ladder: Sequence[float], n_per_eps: int, seed: int, *,
     tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> float:
-    """Numerical chi floor measured on the flat plane with the same sampling."""
+    """Numerical chi floor measured on the flat plane with the same sampling.
+
+    The largest `chi_at_scale` on the plane over the ladder, clamped below at
+    1e-14; `riemannian_point_profile` takes max(4 x floor, 1e-12) as its
+    threshold, which is 1e-12 unless the floor exceeds 2.5e-13.  The plane has
+    `shots`, so each rung is decided over arrays; only a comparison within
+    `criteria._ROWS_BAND` of its threshold is built one at a time.
+    """
     from cmpk.spaces import make_euclidean_plane
 
     plane = make_euclidean_plane(tol_cfg)

@@ -81,10 +81,26 @@ class GeodesicSpace(ABC):
     row_distances: Callable | None = None
     # sample_balls(center, radius, us) -> the points sample_ball draws from the
     # uniforms us, read as (direction, radius fraction) pairs, bit for bit; a
-    # point whose shot would raise is that ShootUnavailable.  The sphere and the
-    # hyperbolic plane share one (`_Quadric`), the cone has its own; None on the
-    # spaces without row_distances, whose foot-search rounds hold one try
+    # point whose shot would raise is that ShootUnavailable.  A call of `shots`
+    # on the sphere, the hyperbolic plane and the cone; None on the spaces
+    # without row_distances, whose foot-search rounds hold one try
     sample_balls: Callable | None = None
+    # The array forms of `shoot`, `distance` and `geodesic`, each bit for bit the
+    # scalar method row by row, with every transcendental sent through `math`
+    # (`_each`); points are the rows of a float array.  None on the spaces
+    # without them, whose right-angle profiles build one configuration at a time.
+    # shots(p, phis, lengths) -> (points, available): the shots from p (one point
+    # handle, or one row per shot) in directions phis over lengths; available
+    # is False where shoot raises ShootUnavailable
+    shots: Callable | None = None
+    # pair_distances(xs, ys) -> distance(xs[i], ys[i]) for each row
+    pair_distances: Callable | None = None
+    # geodesic_rows(xs, ys) -> (lengths, at, exact): geodesic(xs[i], ys[i]) for
+    # each row where exact is True, as its lengths and the map at(ts) from
+    # arclengths within them to its points; exact is False where that geodesic
+    # has zero length or another form (the cone's apex route, the sphere's
+    # antipodal pair), and at's rows there are finite placeholders
+    geodesic_rows: Callable | None = None
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
         self.tol = tol
@@ -162,6 +178,22 @@ class EuclideanPlane(GeodesicSpace):
             [math.cos(phi), math.sin(phi)]
         )
 
+    def shots(self, p, phis, lengths):
+        steps = np.stack([_each(math.cos, phis), _each(math.sin, phis)], axis=1)
+        return np.asarray(p, dtype=float) + lengths[:, None] * steps, np.ones(len(phis), bool)
+
+    def pair_distances(self, xs, ys):
+        # numpy's hypot rounds as it does on the scalars `distance` passes it
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        return np.hypot(ys[..., 0] - xs[..., 0], ys[..., 1] - xs[..., 1])
+
+    def geodesic_rows(self, xs, ys):
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        d = self.pair_distances(xs, ys)
+        exact = d != 0.0
+        u = (ys - xs) / np.where(exact, d, 1.0)[:, None]
+        return d, lambda ts: xs + ts[:, None] * u, exact
+
     def point_to_data(self, x):
         return [float(x[0]), float(x[1])]
 
@@ -231,19 +263,46 @@ class _Quadric(GeodesicSpace):
         c, s = self.cf(a), self.sf(a)
         return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
 
-    def sample_balls(self, center, radius, us):
-        """The points `sample_ball` draws from the uniforms us, as the rows of an
-        array: `shoot` over arrays, the center checked and its tangent basis
-        built once.  rng.uniform(0, h) is h * rng.random(), so the uniforms of
-        the scalar draws give its points."""
-        p0, p1, p2 = self._check(center).tolist()
-        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
-        phi = TWO_PI * us[0::2]
-        a = radius * us[1::2] / self.radius
-        cp, sp = _each(math.cos, phi), _each(math.sin, phi)
+    def shots(self, p, phis, lengths):
+        if np.ndim(p) == 1:  # one center: checked and its tangent basis built once
+            p0, p1, p2 = self._check(p).tolist()
+            (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+        else:
+            p0, p1, p2 = self._check_rows(p).T
+            (u0, u1, u2), (v0, v1, v2) = self._basis_rows(p0, p1, p2)
+        cp, sp = _each(math.cos, phis), _each(math.sin, phis)
+        a = lengths / self.radius
         c, s = _each(self.cf, a), _each(self.sf, a)
         w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
-        return np.stack([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2], axis=1)
+        points = np.stack([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2], axis=1)
+        return points, np.ones(len(phis), bool)
+
+    def sample_balls(self, center, radius, us):
+        """The points `sample_ball` draws from the uniforms us, as the rows of an
+        array.  rng.uniform(0, h) is h * rng.random(), so the uniforms of the
+        scalar draws give its points."""
+        return self.shots(center, TWO_PI * us[0::2], radius * us[1::2])[0]
+
+    def _check_rows(self, xs) -> np.ndarray:
+        """The rows as a float array, after `_check` of each: rows that `_inside`
+        clears pass over arrays, any other row goes through `_check`."""
+        xs = np.asarray(xs, dtype=float)
+        for x in xs[~self._inside(*xs.T)]:
+            self._check(x)
+        return xs
+
+    def _arc_rows(self, xs, ws):
+        """The point map of `_arc(xs[i], ws[i], length)` of each row."""
+        x0, x1, x2 = xs.T
+        w0, w1, w2 = ws.T
+        radius, cf, sf = self.radius, self.cf, self.sf
+
+        def at(ts):
+            a = ts / radius
+            c, s = _each(cf, a), _each(sf, a)
+            return np.stack([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2], axis=1)
+
+        return at
 
     def point_to_data(self, x):
         return [float(c) for c in x]
@@ -282,6 +341,10 @@ class Sphere(_Quadric):
             math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2
         )
 
+    def _inside(self, x0, x1, x2):
+        # np.dot in `_check` may round the sum otherwise: clear only rows well inside
+        return np.abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 0.5e-10
+
     def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         p0, p1, p2 = p
         # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u.  Scalar
@@ -290,6 +353,34 @@ class Sphere(_Quadric):
         n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
         u0, u1, u2 = u0 / n, u1 / n, u2 / n
         return (u0, u1, u2), (p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0)
+
+    def _basis_rows(self, p0, p1, p2):
+        """`_basis` over arrays of coordinates."""
+        polar = ~(np.abs(p2) < 0.9)
+        u0, u1, u2 = np.where(polar, 0.0, -p1), np.where(polar, -p2, p0), np.where(polar, p1, 0.0)
+        n = np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        u0, u1, u2 = u0 / n, u1 / n, u2 / n
+        return (u0, u1, u2), (p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0)
+
+    def pair_distances(self, xs, ys):
+        x0, x1, x2 = np.asarray(xs, dtype=float).T
+        y0, y1, y2 = np.asarray(ys, dtype=float).T
+        c0 = x1 * y2 - x2 * y1
+        c1 = x2 * y0 - x0 * y2
+        c2 = x0 * y1 - x1 * y0
+        return self.radius * _each(
+            math.atan2, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2)
+
+    def geodesic_rows(self, xs, ys):
+        xs, ys = self._check_rows(xs), self._check_rows(ys)
+        d = self.pair_distances(xs, ys)
+        exact = (d != 0.0) & ~(math.pi * self.radius - d <= self.tol.tie)
+        # the tangent of `minimal_geodesics` row by row: its np.dot and norm go
+        # through BLAS, whose rounding an array formula need not share
+        ws = np.zeros_like(xs)
+        ws[exact] = np.array([_unit(y - float(np.dot(x, y)) * x)
+                              for x, y in zip(xs[exact], ys[exact])]).reshape(-1, 3)
+        return d, self._arc_rows(xs, ws), exact
 
     def row_distances(self, qs, rows):
         # the formulas of `_arc`'s `ev` and of `distance`, over arrays in
@@ -354,6 +445,30 @@ class Hyperbolic(_Quadric):
         q = max(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
         return self.radius * 2.0 * math.asinh(0.5 * math.sqrt(q))
 
+    def _inside(self, x0, x1, x2):
+        return (np.abs(x0 * x0 + x1 * x1 - x2 * x2 + 1.0) <= 1e-9) & (x2 > 0.0)
+
+    def pair_distances(self, xs, ys):
+        x0, x1, x2 = np.asarray(xs, dtype=float).T
+        y0, y1, y2 = np.asarray(ys, dtype=float).T
+        d0, d1, d2 = y0 - x0, y1 - x1, y2 - x2
+        q = d0 * d0 + d1 * d1 - d2 * d2
+        q = np.where(q < 0.0, 0.0, q)  # max(q, 0.0), which keeps a -0.0
+        return self.radius * 2.0 * _each(math.asinh, 0.5 * np.sqrt(q))
+
+    def geodesic_rows(self, xs, ys):
+        xs, ys = self._check_rows(xs), self._check_rows(ys)
+        d = self.pair_distances(xs, ys)
+        x0, x1, x2 = xs.T
+        y0, y1, y2 = ys.T
+        m = x0 * y0 + x1 * y1 - x2 * y2
+        w0, w1, w2 = y0 + m * x0, y1 + m * x1, y2 + m * x2
+        n = w0 * w0 + w1 * w1 - w2 * w2
+        n = np.sqrt(np.where(n < 0.0, 0.0, n))
+        exact = (d != 0.0) & (n != 0.0)
+        n = np.where(exact, n, 1.0)
+        return d, self._arc_rows(xs, np.stack([w0 / n, w1 / n, w2 / n], axis=1)), exact
+
     def row_distances(self, qs, rows):
         # the formulas of `_arc`'s `ev` and of `distance`, over arrays in components
         q0, q1, q2 = np.array(qs, dtype=float).T
@@ -379,20 +494,25 @@ class Hyperbolic(_Quadric):
         w = y + _mdot(x, y) * x  # y - cosh(theta) x, tangent at x toward y
         return [self._arc(x, w / math.sqrt(max(_mdot(w, w), 0.0)), d)]
 
-    def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    def _basis(self, p, sqrt=math.sqrt) -> tuple[tuple[float, float, float],
+                                                 tuple[float, float, float]]:
         p0, p1, p2 = p
         # Gram-Schmidt on T_p in the Minkowski product: u = e1 + <e1,p> p, normalized;
         # v = e2 + <e2,p> p - <e2,u> u, normalized.  <e1,p> = p0, <e2,p> = p1, <e2,u> = u1.
         # Written term by term (the 0.0 + included) so every coordinate rounds, signed
         # zeros too, as the 3-vector formula does
         u0, u1, u2 = 1.0 + p0 * p0, 0.0 + p0 * p1, 0.0 + p0 * p2
-        n = math.sqrt(u0 * u0 + u1 * u1 - u2 * u2)
+        n = sqrt(u0 * u0 + u1 * u1 - u2 * u2)
         u0, u1, u2 = u0 / n, u1 / n, u2 / n
         v0 = 0.0 + p1 * p0 - u1 * u0
         v1 = 1.0 + p1 * p1 - u1 * u1
         v2 = 0.0 + p1 * p2 - u1 * u2
-        n = math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
+        n = sqrt(v0 * v0 + v1 * v1 - v2 * v2)
         return (u0, u1, u2), (v0 / n, v1 / n, v2 / n)
+
+    def _basis_rows(self, p0, p1, p2):
+        """`_basis` over arrays of coordinates (sqrt rounds alike in numpy and math)."""
+        return self._basis((p0, p1, p2), np.sqrt)
 
     def point_from_data(self, data):
         x = self._finite(data)  # a copy: the caller's array stays as given
@@ -426,6 +546,13 @@ class Cone(GeodesicSpace):
         if r == 0.0:
             return (0.0, 0.0)
         return (r, th % self.perimeter)
+
+    def _norm_rows(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """`_norm` of each row, as arrays of radii and angles."""
+        r, th = np.asarray(xs, dtype=float).T
+        if not (r >= 0.0).all():  # written so that nan fails
+            raise ValueError("cone radius must be >= 0")
+        return r, np.where(r == 0.0, 0.0, th % self.perimeter)
 
     def distance(self, x, y) -> float:
         # straight-line code on floats: this is the hot call of every cone workload
@@ -469,6 +596,46 @@ class Cone(GeodesicSpace):
             return (math.hypot(q0, q1), (t1 + math.atan2(q1, q0)) % period)
 
         return self._segment((r1, t1), (r2, t2), length, ev, (r1, t1, u0, u1))
+
+    def pair_distances(self, xs, ys):
+        r1, t1 = np.asarray(xs, dtype=float).T
+        r2, t2 = np.asarray(ys, dtype=float).T
+        if (r1 < 0.0).any() or (r2 < 0.0).any():
+            raise ValueError("cone radius must be >= 0")
+        period = self.perimeter
+        sep = np.abs(t1 % period - t2 % period)
+        sep = np.where(sep > 0.5 * period, period - sep, sep)
+        chord = _each(math.hypot, r1 - r2, np.sqrt(r1 * r2) * (2.0 * _each(math.sin, 0.5 * sep)))
+        return np.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
+
+    def geodesic_rows(self, xs, ys):
+        # `minimal_geodesics` where its first route is an unrolled chord and the
+        # apex route is not a candidate: the chords of both turns, as it computes
+        # them, and the first within tie of the shorter
+        r1, t1 = self._norm_rows(xs)
+        r2, t2 = self._norm_rows(ys)
+        period = self.perimeter
+        ccw = (t2 - t1) % period
+        chords = []
+        for mag, signed in ((ccw, ccw), (period - ccw, ccw - period)):
+            d0, d1 = r2 * _each(math.cos, signed) - r1, r2 * _each(math.sin, signed)
+            length = np.where(mag < math.pi, _each(math.hypot, d0, d1), np.inf)
+            chords.append((d0, d1, length))
+        (a0, a1, la), (b0, b1, lb) = chords
+        best = np.minimum(la, lb)
+        first = la <= best + self.tol.tie
+        d0, d1, length = np.where(first, a0, b0), np.where(first, a1, b1), np.where(first, la, lb)
+        exact = (r1 != 0.0) & (r2 != 0.0) & (length > 0.0) & ~(r1 + r2 <= best + self.tol.tie)
+        length = np.where(exact, length, 0.0)
+        u0, u1 = d0 / np.where(exact, length, 1.0), d1 / np.where(exact, length, 1.0)
+        t1 = t1 % period  # `_unrolled_route` normalizes the start once more
+
+        def at(ts):
+            q0, q1 = r1 + ts * u0, ts * u1
+            return np.stack([_each(math.hypot, q0, q1),
+                             (t1 + _each(math.atan2, q1, q0)) % period], axis=1)
+
+        return length, at, exact
 
     def row_distances(self, qs, rows):
         # the formulas of `_unrolled_route`'s `ev` and of `distance`, over arrays:
@@ -538,22 +705,31 @@ class Cone(GeodesicSpace):
         phi = rng.uniform(0.0, self.perimeter if r == 0.0 else TWO_PI)
         return self.shoot(center, phi, radius * rng.uniform())
 
+    def shots(self, p, phis, lengths):
+        period = self.perimeter
+        if np.ndim(p) == 1:
+            r, th = self._norm(p)
+            if r == 0.0:
+                return np.stack([lengths, phis % period], axis=1), np.ones(len(phis), bool)
+        else:
+            r, th = self._norm_rows(p)
+        q0, q1 = r + lengths * _each(math.cos, phis), lengths * _each(math.sin, phis)
+        rho = _each(math.hypot, q0, q1)
+        theta = (th + _each(math.atan2, q1, q0)) % period
+        apex = r == 0.0
+        points = np.stack([np.where(apex, lengths, rho), np.where(apex, phis % period, theta)],
+                          axis=1)
+        return points, apex | ~(rho <= self.tol.pt)
+
     def sample_balls(self, center, radius, us):
         """The points `sample_ball` draws from the uniforms us, as a list of
         handles; a point whose shot would raise is that ShootUnavailable."""
-        # `shoot` over arrays, with the transcendentals through `math` (see `_each`)
-        r, th = self._norm(center)
-        period = self.perimeter
-        length = radius * us[1::2]
-        if r == 0.0:
-            return list(zip(length.tolist(), ((period * us[0::2]) % period).tolist()))
-        phi = TWO_PI * us[0::2]
-        q0, q1 = r + length * _each(math.cos, phi), length * _each(math.sin, phi)
-        rho = _each(math.hypot, q0, q1)
-        theta = ((th + _each(math.atan2, q1, q0)) % period).tolist()
+        r, _ = self._norm(center)
+        phis = (self.perimeter if r == 0.0 else TWO_PI) * us[0::2]
+        points, available = self.shots(center, phis, radius * us[1::2])
         unavailable = ShootUnavailable("geodesic through the cone apex is not extendable")
-        return [unavailable if p <= self.tol.pt else (p, t)
-                for p, t in zip(rho.tolist(), theta)]
+        return [tuple(p) if ok else unavailable
+                for p, ok in zip(points.tolist(), available.tolist())]
 
     def point_to_data(self, x):
         r, th = self._norm(x)

@@ -7,8 +7,10 @@ against those constructions.  The exceptions are reference copies of code
 the package has since rewritten (the heap Dijkstra search, the per-k
 evaluators, the angle ladders, the all-scalar bisection predicate and
 residual, the cone geodesics that built every candidate route, the
-one-try-at-a-time foot sampler, and the sphere's and the hyperbolic plane's
-own shots and arcs), which tests compare the rewrites against.
+one-try-at-a-time foot sampler, the sphere's and the hyperbolic plane's
+own shots and arcs, and the Riemannian-point rung that built one right-angle
+configuration at a time), which tests compare the rewrites against; and
+`Replay`, a generator stand-in that hands out given doubles.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from cmpk.criteria import (
     PointSegmentMeasurement,
     TestOutcome,
     _outcome,
+    build_right_angle_config,
     foot_of_perpendicular,
 )
 from cmpk.estimator import _EVALUATORS
@@ -37,6 +40,8 @@ from cmpk.errors import (
     FootOnBoundary,
     LadderError,
     ModelDomainError,
+    RightAngleUnavailable,
+    ShootUnavailable,
 )
 from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace
 
@@ -559,3 +564,50 @@ def hyperbolic_tangent_toward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def plane_sample_ball(self, center, radius, rng):
     return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
 
+
+
+# `criteria.chi_at_scale` as it built every configuration of a rung one at a
+# time, drawing from the given generator instead of one seeded from `seed`.
+
+
+def chi_at_scale(
+    space: GeodesicSpace, x, eps: float, n: int, rng, *,
+    tol_cfg: Tolerances = DEFAULT_TOL,
+) -> tuple[float, int]:
+    chi_max = 0.0
+    skipped = 0
+    for _ in range(n):
+        omega = rng.uniform(0.0, 2.0 * PI)
+        u = rng.uniform(0.1, 0.45)
+        beta = rng.uniform(0.0, 2.0 * PI)
+        l1 = eps * rng.uniform(0.1, 0.45)
+        l2 = eps * rng.uniform(0.1, 0.45)
+        try:
+            try:
+                p = space.shoot(x, omega, u * eps)
+            except ShootUnavailable:
+                p = space.sample_ball(x, 0.45 * eps, rng)
+            cfg = build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2, tol_cfg=tol_cfg)
+        except RightAngleUnavailable:
+            skipped += 1
+            continue
+        chi_max = max(chi_max, cfg.ratio_defect)
+    return chi_max, skipped
+
+
+class Replay:
+    """A generator stand-in that hands out the given doubles in order: `random`
+    as numpy's does, and `uniform(low, high)` as low + (high - low) * random()."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+        self.bit_generator = self  # `state` is the number of doubles handed out
+        self.state = 0
+
+    def random(self, n):
+        out = np.array(self.doubles[self.state:self.state + n], dtype=float)
+        self.state += n
+        return out
+
+    def uniform(self, low=0.0, high=1.0):
+        return low + (high - low) * float(self.random(1)[0])

@@ -357,6 +357,8 @@ def test_bad_region_exit_2(tmp_path, capsys):
         *((["estimate", "--space", SPHERE, "--samples", "3", f"--bracket={b}"],
            "k_bracket must be finite") for b in ("-inf,2", "-2,inf", "nan,2")),
         *((["estimate", "--space", SPHERE, "--samples", "3", f"--bracket={b}"],
+           "k_bracket must satisfy k_lo < k_hi") for b in ("2,-2", "1,1")),
+        *((["estimate", "--space", SPHERE, "--samples", "3", f"--bracket={b}"],
            "--bracket needs k_lo,k_hi") for b in ("1", "1,2,3", ",")),
         *((["profile", "--space", SPHERE, "--samples", "3", "--per-eps", "4",
             f"--eps-ladder={ladder}"], "eps ladder must have")
@@ -382,6 +384,25 @@ def test_bad_region_exit_2(tmp_path, capsys):
         assert run([*argv, "--out", str(out)]) == 2, argv
         assert capsys.readouterr().err.startswith(f"config error: {message}"), argv
         assert not out.exists() or not any(out.iterdir()), argv
+
+
+def test_bracket_and_resolution_errors_come_before_sampling(tmp_path, capsys, monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before the bracket and resolution were checked")
+
+    monkeypatch.setattr(estimator, "sample_measurements", sampled)
+    cases = [
+        (["--bracket=2,-2"], "k_bracket must satisfy k_lo < k_hi"),
+        (["--bracket=1,1"], "k_bracket must satisfy k_lo < k_hi"),
+        (["--bracket=-inf,2"], "k_bracket must be finite"),
+        (["--resolution", "0"], "resolution must be finite and > 0"),
+        (["--resolution", "nan"], "resolution must be finite and > 0"),
+    ]
+    for i, (extra, message) in enumerate(cases):
+        out = tmp_path / str(i)
+        argv = ["estimate", "--space", SPHERE, "--samples", "300", *extra, "--out", str(out)]
+        assert run(argv) == 2, extra
+        assert capsys.readouterr().err.startswith(f"config error: {message}"), extra
 
 
 def test_unknown_criterion_usage_error():

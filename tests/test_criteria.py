@@ -16,6 +16,8 @@ from cmpk.errors import (
     RightAngleUnavailable,
 )
 
+import oracles
+
 
 PI = math.pi
 
@@ -628,3 +630,130 @@ def test_profile_tripod_inconclusive_all_skipped(tripod):
 def test_profile_rejects_a_bad_eps_ladder(plane, ladder):
     with pytest.raises(ValueError, match="eps ladder must have >= 2 radii"):
         criteria.riemannian_point_profile(plane, np.zeros(2), ladder, 4, 7)
+
+
+# ---------------------------------------------------------------------------
+# the Riemannian-point rung over arrays against the rung that built one
+# configuration at a time
+
+RUNG_CASES = {
+    "plane": (spaces.make_euclidean_plane(), np.zeros(2)),
+    "pi-cone-apex": (spaces.make_cone(PI), (0.0, 0.0)),
+    "pi-cone-off": (spaces.make_cone(PI), (1.0, 0.5)),
+    "pi-cone-near-apex": (spaces.make_cone(PI), (0.04, 3.0)),
+    "7-cone-apex": (spaces.make_cone(7.0), (0.0, 0.0)),
+    "7-cone-near-apex": (spaces.make_cone(7.0), (0.04, 0.2)),
+    "sphere": (spaces.make_sphere(1.0), np.array([0.0, 0.0, 1.0])),
+    "hyperbolic": (spaces.make_hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
+}
+# at 1e-4 and 5e-5 the ladder's sides straddle 10 tol.geo; at 3e-6 the legs
+# are near 1e-6 and every ladder is under it
+RUNG_EPS = (1.0, 0.25, 0.03, 1e-4, 5e-5, 3e-6)
+
+
+def rung(chi, space, x, eps, n, rng):
+    """(repr of chi, skipped, the generator's state after), or what it raised."""
+    try:
+        value, skipped = chi(space, x, eps, n, rng)
+    except Exception as e:  # whatever it is, both rungs must raise the same
+        return type(e), str(e)
+    return repr(value), skipped, rng.bit_generator.state
+
+
+def array_rung(space, x, eps, n, rng):
+    return criteria._chi_rows(space, x, eps, n, rng, criteria.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("case", list(RUNG_CASES))
+@given(eps=st.sampled_from(RUNG_EPS), doubles=st.data())
+@settings(max_examples=30, deadline=None)
+def test_array_rung_equals_the_loop_on_replayed_draws(case, eps, doubles):
+    space, x = RUNG_CASES[case]
+    n = doubles.draw(st.integers(1, 24))
+    # 5 doubles a configuration, and 2 more where p is drawn by sample_ball
+    us = doubles.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                               min_size=7 * n, max_size=7 * n))
+    want = rung(oracles.chi_at_scale, space, x, eps, n, oracles.Replay(us))
+    assert rung(array_rung, space, x, eps, n, oracles.Replay(us)) == want
+
+
+@pytest.mark.parametrize("case", list(RUNG_CASES))
+@pytest.mark.parametrize("eps", RUNG_EPS)
+def test_array_rung_equals_the_loop_on_seeded_generators(case, eps):
+    space, x = RUNG_CASES[case]
+    for seed in (0, 7, 61000):
+        want = rung(oracles.chi_at_scale, space, x, eps, 40, np.random.default_rng(seed))
+        assert rung(array_rung, space, x, eps, 40, np.random.default_rng(seed)) == want
+        assert criteria.chi_at_scale(space, x, eps, 40, seed) == (float(want[0]), want[1])
+
+
+def test_array_rung_draws_p_from_the_ball_where_its_shot_is_unavailable():
+    # p shot from (0.5, 0) in direction pi over 0.5 ends 6e-17 from the apex
+    cone, x = spaces.make_cone(7.0), (0.5, 0.0)
+    u = 0.5
+    eps = 0.5 / (0.1 + (0.45 - 0.1) * u)
+    with pytest.raises(criteria.ShootUnavailable):
+        cone.shoot(x, 2.0 * PI * 0.5, (0.1 + (0.45 - 0.1) * u) * eps)
+    normal = [0.1, 0.3, 0.7, 0.9, 0.5]
+    unavailable = [0.5, u, 0.2, 0.4, 0.6]
+    # p drawn from the ball: the rung ends after four configurations and the
+    # two doubles of sample_ball; or sample_ball's shot is unavailable too,
+    # and the rung raises it
+    for drawn, ends in (([0.35, 0.5], 22), ([0.5, 0.5 / (0.45 * eps)], None)):
+        doubles = [*normal, *unavailable, *drawn, *normal, *normal]
+        want = rung(oracles.chi_at_scale, cone, x, eps, 4, oracles.Replay(doubles))
+        assert rung(array_rung, cone, x, eps, 4, oracles.Replay(doubles)) == want
+        assert want[2] == ends if ends else want[0] is criteria.ShootUnavailable
+
+
+def decided_rows(space, p, beta, l1, l2):
+    """`_right_angle_rows`' outcomes, after checking each row it decides
+    against `build_right_angle_config`."""
+    angle, ratio, outcome = criteria._right_angle_rows(space, p, beta, l1, l2,
+                                                       criteria.DEFAULT_TOL)
+    assert np.isnan(angle[outcome == criteria.RA_BACK]).all()
+    assert np.isnan(ratio[outcome != criteria.RA_BUILT]).all()
+    for i in np.flatnonzero(outcome != criteria.RA_BACK).tolist():
+        b = float(beta[i])
+        try:
+            cfg = criteria.build_right_angle_config(space, p[i], b, b + PI / 2, l1[i], l2[i])
+        except RightAngleUnavailable:
+            assert outcome[i] == criteria.RA_SKIPPED
+            continue
+        assert repr(float(ratio[i])) == repr(cfg.ratio_defect)
+        assert abs(angle[i] - PI / 2) == cfg.angle_deviation
+    return outcome.tolist()
+
+
+def test_array_rows_leave_routes_through_the_apex_to_the_scalar_build():
+    # from (0.5, 0) in direction pi the leg of 0.5 + 1e-9 ends just past the
+    # 7-cone's apex, so its geodesic is the apex route; the leg of 0.5 exactly
+    # ends 6e-17 from the apex and is unavailable
+    cone = spaces.make_cone(7.0)
+    p = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.8, 1.0]])
+    beta, l2 = np.array([PI, PI, 0.3, 2.0]), np.full(4, 0.3)
+    l1 = np.array([0.5 + 1e-9, 0.5, 0.2, 0.1])
+    assert decided_rows(cone, p, beta, l1, l2) == [
+        criteria.RA_BACK, criteria.RA_SKIPPED, criteria.RA_BUILT, criteria.RA_BUILT]
+
+
+def test_array_rows_leave_the_minimality_band_to_the_scalar_build():
+    # from (0.5, 0) on the pi-cone, legs of 0.8 in these directions turn just
+    # far enough round the apex that the other way round is shorter: by 1e-7
+    # of the leg (not minimal), and by 1e-9 of it within 1.4e-16 (the band)
+    cone = spaces.make_cone(PI)
+    p = np.array([[0.5, 0.0]] * 3)
+    beta = np.array([2.2459279622139454, 2.2459278607567486, 2.0])
+    assert decided_rows(cone, p, beta, np.full(3, 0.8), np.full(3, 0.3)) == [
+        criteria.RA_SKIPPED, criteria.RA_BACK, criteria.RA_BUILT]
+    with pytest.raises(RightAngleUnavailable, match="not a minimal geodesic"):
+        criteria.build_right_angle_config(cone, (0.5, 0.0), beta[1], beta[1] + PI / 2, 0.8, 0.3)
+
+
+def test_chi_at_scale_raises_what_the_loop_raises():
+    # shots 18 units out on the hyperboloid fail its handle check
+    space, x = RUNG_CASES["hyperbolic"]
+    want = rung(oracles.chi_at_scale, space, x, 40.0, 8, np.random.default_rng(1))
+    assert want[0] is ValueError
+    with pytest.raises(ValueError, match="hyperboloid handle"):
+        criteria.chi_at_scale(space, x, 40.0, 8, 1)

@@ -127,7 +127,8 @@ def test_triangle_evaluation_makes_one_comparison_angle_per_triple(monkeypatch):
 @pytest.mark.parametrize("kind", ["cone", "tripod"])
 def test_right_angle_constructions_read_the_reference_angle(kind, monkeypatch):
     """Every angle `build_right_angle_config` and `right_angle_from_foot` read,
-    on the pi-cone (around and at the apex) and on the tripod."""
+    on the pi-cone (around and at the apex) and on the tripod, and every angle
+    and skip the array rungs of `chi_at_scale` decide on the cone."""
     real = criteria.angle_at
     read, raised = [], []
 
@@ -145,7 +146,28 @@ def test_right_angle_constructions_read_the_reference_angle(kind, monkeypatch):
         read.append(angle)
         return angle
 
+    real_rows = criteria._right_angle_rows
+
+    def rows_built_one_at_a_time(space, p, beta, l1, l2, tol_cfg):
+        # the cone rungs of `chi_at_scale` decide their angles over arrays: each
+        # row the arrays decide is built again one at a time, reading its angle
+        # through `checked`, and must have the same outcome, angle and ratio
+        angle, ratio, outcome = real_rows(space, p, beta, l1, l2, tol_cfg)
+        for i in np.flatnonzero(outcome != criteria.RA_BACK).tolist():
+            b, n_read = float(beta[i]), len(read)
+            try:
+                cfg = criteria.build_right_angle_config(
+                    space, p[i], b, b + PI / 2, float(l1[i]), float(l2[i]), tol_cfg=tol_cfg)
+                assert outcome[i] == criteria.RA_BUILT
+                assert repr(float(ratio[i])) == repr(cfg.ratio_defect)
+            except criteria.RightAngleUnavailable:
+                assert outcome[i] == criteria.RA_SKIPPED
+            want = read[-1] if len(read) > n_read else math.nan
+            assert repr(float(angle[i])) == repr(want)
+        return angle, ratio, outcome
+
     monkeypatch.setattr(criteria, "angle_at", checked)
+    monkeypatch.setattr(criteria, "_right_angle_rows", rows_built_one_at_a_time)
     sp, center, radius = region(kind)
     rng = np.random.default_rng(5)
     for _ in range(40):

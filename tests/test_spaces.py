@@ -13,7 +13,7 @@ from cmpk.errors import ShootUnavailable, SpaceDescriptorError
 
 import oracles
 from oracles import (
-    cone_distance_windings, cone_graph_distance, cone_minimal_geodesics, third_side,
+    Replay, cone_distance_windings, cone_graph_distance, cone_minimal_geodesics, third_side,
 )
 
 PI = math.pi
@@ -688,24 +688,6 @@ def test_sphere_and_hyperbolic_evaluators_are_bit_equal_to_numpy_formula(
 # batched ball draws against the scalar sample_ball
 
 
-class Replay:
-    """A generator stand-in that hands out the given doubles in order: `random`
-    as numpy's does, and `uniform(low, high)` as low + (high - low) * random()."""
-
-    def __init__(self, doubles):
-        self.doubles = list(doubles)
-        self.bit_generator = self  # `state` is the number of doubles handed out
-        self.state = 0
-
-    def random(self, n):
-        out = np.array(self.doubles[self.state:self.state + n], dtype=float)
-        self.state += n
-        return out
-
-    def uniform(self, low=0.0, high=1.0):
-        return low + (high - low) * float(self.random(1)[0])
-
-
 BELOW_ONE = np.nextafter(1.0, 0.0)
 uniforms = st.one_of(st.just(0.0), st.just(BELOW_ONE),
                      st.floats(0.0, 1.0, exclude_max=True))
@@ -779,6 +761,112 @@ def test_batched_draw_raises_at_the_unavailable_shot():
     with pytest.raises(ShootUnavailable):
         next(points)
     assert batched.state == scalar.state == 6
+
+
+# ---------------------------------------------------------------------------
+# the array forms of shoot, distance and geodesic against the scalar methods
+
+SHOT_CASES = {
+    **BALL_CASES,
+    "plane-origin": (spaces.make_euclidean_plane(), np.zeros(2)),
+    "plane-off": (spaces.make_euclidean_plane(), np.array([0.7, -1.3])),
+    # a shot in direction pi over 0.5 ends 6e-17 from the apex: unavailable
+    "pi-cone-half": (spaces.make_cone(PI), (0.5, 0.0)),
+    "7-cone-half": (spaces.make_cone(7.0), (0.5, 0.0)),
+}
+directions = st.one_of(st.just(0.0), st.just(PI), st.floats(-7.0, 7.0))
+lengths = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 3.0))
+
+
+def _bits(point):
+    return repr(np.asarray(point, dtype=float).tolist())  # tells -0.0 from 0.0
+
+
+def _handle(space, row):
+    return tuple(row.tolist()) if space.name == "cone" else row
+
+
+def _shot(space, p, phi, length):
+    try:
+        return space.shoot(p, phi, length)
+    except ShootUnavailable:
+        return None
+
+
+def assert_rows_equal_the_scalar_methods(space, starts, ends, fracs):
+    """pair_distances and geodesic_rows of the rows against distance and geodesic."""
+    d = space.pair_distances(starts, ends)
+    lengths, at, exact = space.geodesic_rows(starts, ends)
+    ts = np.where(exact, fracs * lengths, 0.0)
+    points = at(ts)
+    assert np.isfinite(points).all()
+    for i, (x, y) in enumerate(zip(starts, ends)):
+        x, y = _handle(space, x), _handle(space, y)
+        assert repr(float(d[i])) == repr(space.distance(x, y))
+        if exact[i]:
+            seg = space.geodesic(x, y)
+            assert repr(float(lengths[i])) == repr(seg.length)
+            assert _bits(points[i]) == _bits(seg.at(float(ts[i])))
+
+
+@pytest.mark.parametrize("case", list(SHOT_CASES))
+@given(shots=st.lists(st.tuples(directions, lengths, directions, st.floats(0.0, 1.0)),
+                      min_size=1, max_size=30))
+@settings(max_examples=40, deadline=None)
+def test_shots_equal_shoot_bitwise(case, shots):
+    space, center = SHOT_CASES[case]
+    phis, ls, phis2, fracs = (np.array(c, dtype=float) for c in zip(*shots))
+    points, available = space.shots(center, phis, ls)
+    for row, ok, phi, length in zip(points, available, phis.tolist(), ls.tolist()):
+        want = _shot(space, center, phi, length)
+        assert ok == (want is not None)
+        if ok:
+            assert _bits(row) == _bits(want)
+    # one start per shot: the points just shot, shot from again
+    starts = points[available]
+    phis2, ls2, fracs = phis2[available], 0.5 * ls[available][::-1], fracs[available]
+    ends, available = space.shots(starts, phis2, ls2)
+    for row, ok, start, phi, length in zip(ends, available, starts, phis2.tolist(), ls2.tolist()):
+        want = _shot(space, _handle(space, start), phi, length)
+        assert ok == (want is not None)
+        if ok:
+            assert _bits(row) == _bits(want)
+    assert_rows_equal_the_scalar_methods(space, starts[available], ends[available],
+                                         fracs[available])
+
+
+def test_shots_mark_the_shot_through_the_apex_unavailable():
+    for perimeter in (PI, 7.0):
+        cone = spaces.make_cone(perimeter)
+        starts = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.0]])
+        points, available = cone.shots(starts, np.array([PI, 0.0, PI]), np.array([0.5, 0.5, 0.5]))
+        assert available.tolist() == [False, True, True]
+        with pytest.raises(ShootUnavailable):
+            cone.shoot((0.5, 0.0), PI, 0.5)
+        assert _bits(points[1:]) == _bits([cone.shoot(tuple(s), phi, 0.5)
+                                           for s, phi in ((starts[1], 0.0), (starts[2], PI))])
+
+
+def test_geodesic_rows_leave_apex_routes_and_antipodes_inexact():
+    cone7, cone_pi, sphere = spaces.make_cone(7.0), spaces.make_cone(PI), spaces.make_sphere(1.0)
+    cases = [
+        # 3.5 either way round the 7-cone: the route through the apex
+        (cone7, [[0.3, 0.0], [0.3, 3.5]], False),
+        (cone7, [[0.0, 0.0], [0.3, 1.0]], False),  # from the apex
+        (cone7, [[0.3, 1.0], [0.3, 1.0]], False),  # zero length
+        (cone_pi, [[1.0, 0.0], [1.0, PI / 2]], True),  # two chords tie: the first
+        (cone_pi, [[1.0, 0.0], [0.7, 1.0]], True),
+        # -1e-20 reduces to the perimeter, which the chord's start reduces to 0
+        (cone_pi, [[0.5, -1e-20], [0.7, 1.0]], True),
+        (sphere, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], False),
+        (sphere, [[0.0, 0.0, 1.0], [0.0, 0.6, 0.8]], True),
+    ]
+    for space, (x, y), exact in cases:
+        starts, ends = np.array([x], dtype=float), np.array([y], dtype=float)
+        assert space.geodesic_rows(starts, ends)[2].tolist() == [exact]
+        assert_rows_equal_the_scalar_methods(space, starts, ends, np.array([0.3]))
+    (a, b) = cone_pi.minimal_geodesics((1.0, 0.0), (1.0, PI / 2))
+    assert a.length == b.length
 
 
 # ---------------------------------------------------------------------------
