@@ -181,13 +181,7 @@ def feet_of_perpendicular(
     if len(rows) < 2:  # one search alone is faster on floats
         rows = []
     for i in sorted(set(range(n)).difference(rows)):
-        try:
-            foot = foot_of_perpendicular(space, qs[i], segs[i], tol_cfg=tol_cfg)
-            t_star[i], d_star[i] = foot.t_star, foot.d_star
-        except FootOnBoundary:
-            outcome[i] = FOOT_BOUNDARY
-        except DegenerateConfigError:
-            outcome[i] = FOOT_DEGENERATE
+        t_star[i], d_star[i], outcome[i] = _scalar_foot(space, qs[i], segs[i], tol_cfg)
     if rows:
         f = space.row_distances([qs[i] for i in rows], [segs[i].row for i in rows])
         L = np.array([segs[i].length for i in rows])
@@ -195,6 +189,17 @@ def feet_of_perpendicular(
         t_star[rows], d_star[rows], outcome[rows] = t, d, code
         t_star[outcome != FOOT_OK] = d_star[outcome != FOOT_OK] = np.nan
     return t_star, d_star, outcome
+
+
+def _scalar_foot(space: GeodesicSpace, q, seg: GeodesicSegment, tol_cfg: Tolerances):
+    """(t*, d*, outcome) of `foot_of_perpendicular`, as `feet_of_perpendicular` gives them."""
+    try:
+        foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
+    except FootOnBoundary:
+        return math.nan, math.nan, FOOT_BOUNDARY
+    except DegenerateConfigError:
+        return math.nan, math.nan, FOOT_DEGENERATE
+    return float(foot.t_star), float(foot.d_star), FOOT_OK
 
 
 def _feet_lockstep(f, L: np.ndarray, tol_cfg: Tolerances):
@@ -266,16 +271,19 @@ class PythagoreanMeasurement:
 def measure_pythagorean(
     space: GeodesicSpace, q, seg: GeodesicSegment, *,
     tol_cfg: Tolerances = DEFAULT_TOL, foot: FootResult | None = None,
+    columns: tuple | None = None,
 ) -> PythagoreanMeasurement:
+    """`columns`, when given, holds the distances (d_pr1, d_pr2, d_qr1, d_qr2)
+    this would measure, as `pythagorean_columns` computes them."""
     if foot is None:
         foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
-    p = seg.at(foot.t_star)
-    d_pr1 = space.distance(p, seg.start)
-    d_pr2 = space.distance(p, seg.end)
+    if columns is None:
+        p = seg.at(foot.t_star)
+        columns = (space.distance(p, seg.start), space.distance(p, seg.end),
+                   space.distance(q, seg.start), space.distance(q, seg.end))
+    d_pr1, d_pr2, d_qr1, d_qr2 = columns
     if min(d_pr1, d_pr2) < tol_cfg.geo:
         raise DegenerateConfigError("foot coincides with a segment endpoint")
-    d_qr1 = space.distance(q, seg.start)
-    d_qr2 = space.distance(q, seg.end)
     scale = max(d_qr1, d_qr2, seg.length)
     return PythagoreanMeasurement(foot.d_star, d_pr1, d_qr1, d_pr2, d_qr2, scale)
 
@@ -420,8 +428,9 @@ class PointSegmentMeasurement:
     scale: float
 
 
-def chebyshev_nodes(n: int, length: float) -> list[float]:
-    """Interior Chebyshev points mapped to [0, length]."""
+def chebyshev_nodes(n: int, length):
+    """Interior Chebyshev points mapped to [0, length] (an array of lengths
+    gives the points of each)."""
     return [
         0.5 * length * (1.0 - math.cos((2.0 * i - 1.0) * PI / (2.0 * n)))
         for i in range(1, n + 1)
@@ -429,11 +438,15 @@ def chebyshev_nodes(n: int, length: float) -> list[float]:
 
 
 def measure_point_segment(
-    space: GeodesicSpace, q, seg: GeodesicSegment,
+    space: GeodesicSpace, q, seg: GeodesicSegment, *, columns: tuple | None = None,
 ) -> PointSegmentMeasurement:
-    d_qp = space.distance(q, seg.start)
-    d_qr = space.distance(q, seg.end)
-    probes = tuple((t, space.distance(q, seg.at(t))) for t in chebyshev_nodes(9, seg.length))
+    """`columns`, when given, holds (d_qp, d_qr, probes) as this would measure
+    them, as `point_segment_columns` computes them."""
+    if columns is None:
+        columns = (space.distance(q, seg.start), space.distance(q, seg.end),
+                   tuple((t, space.distance(q, seg.at(t)))
+                         for t in chebyshev_nodes(9, seg.length)))
+    d_qp, d_qr, probes = columns
     scale = max(d_qp, d_qr, seg.length)
     return PointSegmentMeasurement(d_qp, d_qr, seg.length, probes, scale)
 
@@ -512,21 +525,26 @@ class TriangleMeasurement:
 
 def measure_triangle(
     space: GeodesicSpace, p, q, r, *, tol_cfg: Tolerances = DEFAULT_TOL,
+    columns: tuple | None = None,
 ) -> TriangleMeasurement:
-    g_pq = space.minimal_geodesics(p, q)
-    g_pr = space.minimal_geodesics(p, r)
-    g_qr = space.minimal_geodesics(q, r)
-    d_pq, d_pr, d_qr = g_pq[0].length, g_pr[0].length, g_qr[0].length
-    if min(d_pq, d_pr, d_qr) <= 10.0 * tol_cfg.geo:
-        raise DegenerateConfigError("triangle has a vanishing side")
-    angle_sides = {
-        "p": [measure_angle_ladder(space, p, ga, gb, tol_cfg=tol_cfg)
-              for ga in g_pq for gb in g_pr],
-        "q": [measure_angle_ladder(space, q, ga.reversed(), gb, tol_cfg=tol_cfg)
-              for ga in g_pq for gb in g_qr],
-        "r": [measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), tol_cfg=tol_cfg)
-              for ga in g_pr for gb in g_qr],
-    }
+    """`columns`, when given, holds the sides (d_qr, d_pr, d_pq) and the
+    angle_sides this would measure, as `triangle_columns` computes them."""
+    if columns is None:
+        g_pq = space.minimal_geodesics(p, q)
+        g_pr = space.minimal_geodesics(p, r)
+        g_qr = space.minimal_geodesics(q, r)
+        d_pq, d_pr, d_qr = g_pq[0].length, g_pr[0].length, g_qr[0].length
+        if min(d_pq, d_pr, d_qr) <= 10.0 * tol_cfg.geo:
+            raise DegenerateConfigError("triangle has a vanishing side")
+        columns = ((d_qr, d_pr, d_pq), {
+            "p": [measure_angle_ladder(space, p, ga, gb, tol_cfg=tol_cfg)
+                  for ga in g_pq for gb in g_pr],
+            "q": [measure_angle_ladder(space, q, ga.reversed(), gb, tol_cfg=tol_cfg)
+                  for ga in g_pq for gb in g_qr],
+            "r": [measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), tol_cfg=tol_cfg)
+                  for ga in g_pr for gb in g_qr],
+        })
+    (d_qr, d_pr, d_pq), angle_sides = columns
     return TriangleMeasurement((d_qr, d_pr, d_pq), angle_sides, max(d_pq, d_pr, d_qr))
 
 
@@ -554,6 +572,95 @@ def triangle_comparison_test(
 ) -> TestOutcome:
     m = measure_triangle(space, p, q, r, tol_cfg=tol_cfg)
     return evaluate_triangle(m, k, tol_cfg=tol_cfg)
+
+
+# ---------------------------------------------------------------------------
+# foot configurations measured as columns: each criterion's probes of many
+# configurations (q, seg, foot) over arrays, bit for bit the scalar probes,
+# through `segment_rows`, `pair_distances` and `geodesic_rows`.  Each returns,
+# per configuration, the `columns` its `measure_*` takes, or None where that
+# configuration is left to the scalar probes.
+
+
+def _row_configs(space: GeodesicSpace, configs: Sequence):
+    """The indices of the configurations whose segment has a row, with their q,
+    segment starts, ends and rows as float arrays; None when there are none."""
+    idx = [i for i, c in enumerate(configs) if c[1].row is not None]
+    if not idx or space.segment_rows is None:
+        return None
+    segs = [configs[i][1] for i in idx]
+    return (idx, np.array([configs[i][0] for i in idx], dtype=float),
+            *(np.array(x, dtype=float) for x in zip(*((s.start, s.end, s.row) for s in segs))))
+
+
+def pythagorean_columns(space: GeodesicSpace, configs: Sequence) -> list:
+    """`measure_pythagorean`'s distances of each configuration whose segment has a row."""
+    out = [None] * len(configs)
+    found = _row_configs(space, configs)
+    if found is not None:
+        idx, q, start, end, rows = found
+        p = space.segment_rows(rows)(np.array([configs[i][2].t_star for i in idx]))
+        d = (space.pair_distances(x, y).tolist() for x, y in ((p, start), (p, end),
+                                                               (q, start), (q, end)))
+        for i, row in zip(idx, zip(*d)):
+            out[i] = row
+    return out
+
+
+def point_segment_columns(space: GeodesicSpace, configs: Sequence) -> list:
+    """`measure_point_segment`'s distances and probes of each configuration whose
+    segment has a row, one array per Chebyshev node."""
+    out = [None] * len(configs)
+    found = _row_configs(space, configs)
+    if found is not None:
+        idx, q, start, end, rows = found
+        at = space.segment_rows(rows)
+        ts = chebyshev_nodes(9, np.array([configs[i][1].length for i in idx]))
+        probes = [space.pair_distances(q, at(t)) for t in ts]
+        for i, d_qp, d_qr, t, d in zip(idx, space.pair_distances(q, start).tolist(),
+                                       space.pair_distances(q, end).tolist(),
+                                       np.transpose(ts).tolist(), np.transpose(probes).tolist()):
+            out[i] = (d_qp, d_qr, tuple(zip(t, d)))
+    return out
+
+
+def triangle_columns(space: GeodesicSpace, configs: Sequence, *,
+                     tol_cfg: Tolerances = DEFAULT_TOL) -> list:
+    """`measure_triangle(space, seg.start, q, seg.end)`'s sides and ladders of
+    each configuration whose three geodesics `geodesic_rows` gives exactly (so
+    each is the only minimal geodesic) and on which no check of
+    `measure_triangle` or `measure_angle_ladder` raises.  A reversed leg's
+    point at s is its geodesic's at L + (-1.0) s, as `reversed()` evaluates it."""
+    n = len(configs)
+    if not n or space.geodesic_rows is None:
+        return [None] * n
+    p, q, r = (np.array(x, dtype=float)
+               for x in zip(*((c[1].start, c[0], c[1].end) for c in configs)))
+    dist = space.pair_distances
+    (l_pq, pq, ok_pq), (l_pr, pr, ok_pr), (l_qr, qr, ok_qr) = (
+        space.geodesic_rows(x, y) for x, y in ((p, q), (p, r), (q, r)))
+    ok = ok_pq & ok_pr & ok_qr & ~(np.minimum(np.minimum(l_pq, l_pr), l_qr) <= 10.0 * tol_cfg.geo)
+    columns = [l_qr, l_pr, l_pq]
+
+    def along(leg, s):
+        at, length, back = leg
+        return at(length + (-1.0) * s if back else s)
+
+    for v, legs in ((p, ((pq, l_pq, False), (pr, l_pr, False))),
+                    (q, ((pq, l_pq, True), (qr, l_qr, False))),
+                    (r, ((pr, l_pr, True), (qr, l_qr, True)))):
+        for leg in legs:  # ValueError: the segment does not emanate from v
+            ok &= ~(dist(along(leg, np.zeros(n)), v) > 10.0 * tol_cfg.pt)
+        t = 0.1 * np.minimum(legs[0][1], legs[1][1]) * 0.5**7
+        ok &= ~(t <= 0.0)  # LadderError
+        a, b = along(legs[0], t), along(legs[1], t)
+        d_va, d_vb = dist(v, a), dist(v, b)
+        ok &= ~(np.minimum(d_va, d_vb) < 10.0 * tol_cfg.geo)  # LadderError
+        columns += [d_va, d_vb, dist(a, b)]
+    out = [None] * n
+    for i, row in zip(np.flatnonzero(ok).tolist(), zip(*(c[ok].tolist() for c in columns))):
+        out[i] = (row[:3], {"p": [row[3:6]], "q": [row[6:9]], "r": [row[9:]]})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -932,12 +1039,13 @@ def foot_configs(
     then accepted or rejected in the order they were drawn.  The first round
     searches as many tries as configurations are wanted, a later one that many
     times the searches per acceptance so far; on a space without
-    `row_distances` each round is one try.  A round also stops drawing where
-    max_tries failures in a row become possible, and DegenerateRegionError is
-    raised at the try that completes them.  A round's points come from
-    `_ball_points`: on a space with `sample_balls` and in a round of more than
-    one search, mapped from one block of uniforms drawn ahead, with the rng
-    then put where drawing them one at a time leaves it.  So the
+    `row_distances` each round is one search, by `foot_of_perpendicular`.  A
+    round also stops drawing where max_tries failures in a row become
+    possible, and DegenerateRegionError is raised at the try that completes
+    them.  A round's points come from `_ball_points`: on a space with
+    `sample_balls` and in a round of more than one search, mapped from one
+    block of uniforms drawn ahead, with the rng then put where drawing them
+    one at a time leaves it.  So the
     configurations, and the try that raises, are those of trying one at a
     time; the rng ends after the n-th accepted try's draws when n is 1, and
     may end past later tries otherwise.  `rejected`, when given, counts the
@@ -970,9 +1078,11 @@ def foot_configs(
                 tries.append((next(points), geods[0]))
                 n_search += 1
         pairs = [x for x in tries if isinstance(x, tuple)]
-        t_star, d_star, outcome = feet_of_perpendicular(
-            space, [q for q, _ in pairs], [seg for _, seg in pairs], tol_cfg=tol_cfg)
-        feet = iter(zip(t_star.tolist(), d_star.tolist(), outcome.tolist()))
+        if block == 1:  # one search: without the round's arrays
+            feet = iter([_scalar_foot(space, q, seg, tol_cfg) for q, seg in pairs])
+        else:
+            feet = iter(zip(*(a.tolist() for a in feet_of_perpendicular(
+                space, [q for q, _ in pairs], [seg for _, seg in pairs], tol_cfg=tol_cfg))))
         for x in tries:
             reason = x
             if isinstance(x, tuple):

@@ -7,6 +7,7 @@ monotonicity in k and bisection over k is sound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -61,9 +62,14 @@ class Criterion(NamedTuple):
     # (space, center, radius, rng, tol_cfg, rejected) -> configuration; `rejected`
     # counts the tries the draw rejects by reason (criteria.REJECTIONS)
     sample: Callable
-    measure: Callable   # (space, configuration, tol_cfg) -> measurement
+    # (space, configuration, tol_cfg, columns=None) -> measurement, from the
+    # configuration's column values where given
+    measure: Callable
     evaluate: Callable  # criteria.evaluate_*(measurement, k, *, tol_cfg) -> TestOutcome
     batch: Callable | None = None  # (measurements, tol_cfg) -> vector.Batch, for bisection
+    # (space, configurations, tol_cfg) -> the column values of each configuration
+    # over arrays, None where it is measured one at a time
+    columns: Callable | None = None
 
 
 def _foot_config(space, center, radius, rng, tol_cfg, rejected):
@@ -82,23 +88,27 @@ def _right_angle_config(space, center, radius, rng, tol_cfg, rejected):
 CRITERIA: dict[str, Criterion] = {
     "pythagorean": Criterion(
         _foot_config,
-        lambda space, c, tol_cfg: criteria.measure_pythagorean(
-            space, c[0], c[1], tol_cfg=tol_cfg, foot=c[2]),
+        lambda space, c, tol_cfg, columns=None: criteria.measure_pythagorean(
+            space, c[0], c[1], tol_cfg=tol_cfg, foot=c[2], columns=columns),
         criteria.evaluate_pythagorean,
         vector.PythagoreanBatch,
+        lambda space, cs, tol_cfg: criteria.pythagorean_columns(space, cs),
     ),
     "point_segment": Criterion(
         _foot_config,
-        lambda space, c, tol_cfg: criteria.measure_point_segment(space, c[0], c[1]),
+        lambda space, c, tol_cfg, columns=None: criteria.measure_point_segment(
+            space, c[0], c[1], columns=columns),
         criteria.evaluate_point_segment,
         vector.PointSegmentBatch,
+        lambda space, cs, tol_cfg: criteria.point_segment_columns(space, cs),
     ),
     "triangle": Criterion(
         _foot_config,
-        lambda space, c, tol_cfg: criteria.measure_triangle(
-            space, c[1].start, c[0], c[1].end, tol_cfg=tol_cfg),
+        lambda space, c, tol_cfg, columns=None: criteria.measure_triangle(
+            space, c[1].start, c[0], c[1].end, tol_cfg=tol_cfg, columns=columns),
         criteria.evaluate_triangle,
         vector.TriangleBatch,
+        lambda space, cs, tol_cfg: criteria.triangle_columns(space, cs, tol_cfg=tol_cfg),
     ),
     "right_angle": Criterion(
         _right_angle_config,
@@ -145,6 +155,11 @@ class Measurements(dict):
         self.rejected: dict[str, int] = dict.fromkeys(criteria.REJECTIONS, 0)
 
 
+# Configurations measured together: a larger batch costs fewer array passes
+# but holds more configurations and columns in memory at once
+COLUMN_BATCH = 100
+
+
 def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
     n_samples: int, seed: int, *, tol_cfg: Tolerances = DEFAULT_TOL,
@@ -156,21 +171,55 @@ def sample_measurements(
     A sample that raises one of SKIPPED_SAMPLE for any criterion is left out
     of every list, so the lists stay aligned and hold n_samples minus the
     skipped samples each.
+
+    Configurations are drawn in batches of COLUMN_BATCH, each measured once
+    it is drawn: each criterion's probes of the batch are computed once over
+    arrays (its `columns`), and each sample is then measured by one call of
+    its `measure`, from its column values or, where it has none, by the
+    scalar probes.  An error of the draw is raised after the samples drawn
+    before it are measured, so the first error is the one measuring each
+    sample as it is drawn meets.
     """
     names = _normalize_criteria(names)
     rng = np.random.default_rng(seed)
     out = Measurements({name: [] for name in names})
-    for drawn in criteria.foot_configs(space, center, radius, rng, n_samples,
-                                       tol_cfg=tol_cfg, rejected=out.rejected):
+    configs = criteria.foot_configs(space, center, radius, rng, n_samples,
+                                    tol_cfg=tol_cfg, rejected=out.rejected)
+    while True:
+        drawn, draw_error = [], None
         try:
-            sample = [CRITERIA[name].measure(space, drawn, tol_cfg) for name in names]
-        except SKIPPED_SAMPLE as e:
-            kind = type(e).__name__
-            out.skipped_by[kind] = out.skipped_by.get(kind, 0) + 1
-            continue
-        for ms, m in zip(out.values(), sample):
-            ms.append(m)
-    return out
+            for config in itertools.islice(configs, COLUMN_BATCH):
+                drawn.append(config)
+        except Exception as e:  # raised once the configurations before it are measured
+            draw_error = e
+        columns = [_columns(name, space, drawn, tol_cfg) for name in names]
+        for config, cols in zip(drawn, zip(*columns)):
+            try:
+                sample = [CRITERIA[name].measure(space, config, tol_cfg, c)
+                          for name, c in zip(names, cols)]
+            except SKIPPED_SAMPLE as e:
+                kind = type(e).__name__
+                out.skipped_by[kind] = out.skipped_by.get(kind, 0) + 1
+                continue
+            for ms, m in zip(out.values(), sample):
+                ms.append(m)
+        if draw_error is not None:
+            raise draw_error
+        if len(drawn) < COLUMN_BATCH:
+            return out
+
+
+def _columns(name: str, space: GeodesicSpace, configs: list, tol_cfg: Tolerances) -> list:
+    """The named criterion's column values of each configuration, None where
+    it is measured one at a time: everywhere when the arrays raise, since they
+    may meet another configuration's error first."""
+    columns = CRITERIA[name].columns
+    if columns is not None and configs:
+        try:
+            return columns(space, configs, tol_cfg)
+        except (ArithmeticError, ValueError, CmpkError):
+            pass
+    return [None] * len(configs)
 
 
 def evaluate_measurement(name: str, measurement, k: float, *,

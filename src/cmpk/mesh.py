@@ -207,7 +207,10 @@ class MeshSpace(GeodesicSpace):
     """Geodesic space over a GeodesicGraph; point handles are node ids."""
 
     name = "mesh"
-    ROW_CACHE_SIZE = 65  # Dijkstra rows kept, least recently used evicted first
+    # Dijkstra rows kept up to this many bytes of rows (8 per node), least recently
+    # used evicted first: a few thousand rows of a benchmark-sized mesh, so a run
+    # computes each row it needs once
+    ROW_CACHE_BYTES = 32 * 2**20
 
     def __init__(self, mesh: TriMesh, steiner: int = 4, *,
                  path: str | None = None, tol: Tolerances = DEFAULT_TOL):
@@ -227,7 +230,7 @@ class MeshSpace(GeodesicSpace):
         src = int(src)
         row = self._cache.get(src)
         if row is None:
-            if len(self._cache) >= self.ROW_CACHE_SIZE:
+            if len(self._cache) >= max(self.ROW_CACHE_BYTES // (8 * self.graph.n_nodes), 1):
                 self._cache.popitem(last=False)
             row = self._cache[src] = self.graph.distances_from([src])[0]
         else:

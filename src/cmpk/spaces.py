@@ -99,8 +99,12 @@ class GeodesicSpace(ABC):
     # each row where exact is True, as its lengths and the map at(ts) from
     # arclengths within them to its points; exact is False where that geodesic
     # has zero length or another form (the cone's apex route, the sphere's
-    # antipodal pair), and at's rows there are finite placeholders
+    # antipodal pair) or is not the only minimal geodesic (tied cone chords),
+    # and at's rows there are finite placeholders
     geodesic_rows: Callable | None = None
+    # segment_rows(rows) -> at: at(ts)[i] is `seg.at(ts[i])` of the segment whose
+    # `row` is rows[i]; None where segments have no row form
+    segment_rows: Callable | None = None
 
     def __init__(self, tol: Tolerances = DEFAULT_TOL):
         self.tol = tol
@@ -304,6 +308,10 @@ class _Quadric(GeodesicSpace):
 
         return at
 
+    def segment_rows(self, rows):
+        rows = np.asarray(rows, dtype=float)
+        return self._arc_rows(rows[:, :3], rows[:, 3:])
+
     def point_to_data(self, x):
         return [float(c) for c in x]
 
@@ -433,7 +441,8 @@ class Hyperbolic(_Quadric):
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not (abs(_mdot(x, x) + 1.0) <= 1e-9 and x[2] > 0.0):  # written so that nan fails
+        # relative to x2^2, as <x,x> rounds; written so that nan fails
+        if not (abs(_mdot(x, x) + 1.0) <= 1e-9 * x[2] * x[2] and x[2] > 0.0):
             raise ValueError("hyperboloid handle must satisfy <x,x> = -1, x2 > 0")
         return x
 
@@ -446,7 +455,7 @@ class Hyperbolic(_Quadric):
         return self.radius * 2.0 * math.asinh(0.5 * math.sqrt(q))
 
     def _inside(self, x0, x1, x2):
-        return (np.abs(x0 * x0 + x1 * x1 - x2 * x2 + 1.0) <= 1e-9) & (x2 > 0.0)
+        return (np.abs(x0 * x0 + x1 * x1 - x2 * x2 + 1.0) <= 1e-9 * x2 * x2) & (x2 > 0.0)
 
     def pair_distances(self, xs, ys):
         x0, x1, x2 = np.asarray(xs, dtype=float).T
@@ -494,9 +503,16 @@ class Hyperbolic(_Quadric):
         w = y + _mdot(x, y) * x  # y - cosh(theta) x, tangent at x toward y
         return [self._arc(x, w / math.sqrt(max(_mdot(w, w), 0.0)), d)]
 
+    # Past x2 = FAR cancellation breaks the Gram-Schmidt frame (18/sqrt(-k) out
+    # v rounds onto a multiple of u), so points there take the polar frame
+    FAR = 100.0
+
     def _basis(self, p, sqrt=math.sqrt) -> tuple[tuple[float, float, float],
                                                  tuple[float, float, float]]:
         p0, p1, p2 = p
+        if np.ndim(p2) == 0 and p2 > self.FAR:  # the unit radial and angular tangents
+            rho = sqrt(p0 * p0 + p1 * p1)
+            return (p0 / rho * p2, p1 / rho * p2, rho), (-p1 / rho, p0 / rho, 0.0)
         # Gram-Schmidt on T_p in the Minkowski product: u = e1 + <e1,p> p, normalized;
         # v = e2 + <e2,p> p - <e2,u> u, normalized.  <e1,p> = p0, <e2,p> = p1, <e2,u> = u1.
         # Written term by term (the 0.0 + included) so every coordinate rounds, signed
@@ -511,8 +527,14 @@ class Hyperbolic(_Quadric):
         return (u0, u1, u2), (v0 / n, v1 / n, v2 / n)
 
     def _basis_rows(self, p0, p1, p2):
-        """`_basis` over arrays of coordinates (sqrt rounds alike in numpy and math)."""
-        return self._basis((p0, p1, p2), np.sqrt)
+        """`_basis` over arrays of coordinates (sqrt rounds alike in numpy and math),
+        rows past FAR one at a time."""
+        far = p2 > self.FAR
+        basis = np.array(self._basis([np.where(far, c, x) for c, x in zip((0.0, 0.0, 1.0),
+                                                                          (p0, p1, p2))], np.sqrt))
+        for i in np.flatnonzero(far).tolist():
+            basis[:, :, i] = self._basis((p0[i], p1[i], p2[i]))
+        return basis
 
     def point_from_data(self, data):
         x = self._finite(data)  # a copy: the caller's array stays as given
@@ -625,17 +647,24 @@ class Cone(GeodesicSpace):
         best = np.minimum(la, lb)
         first = la <= best + self.tol.tie
         d0, d1, length = np.where(first, a0, b0), np.where(first, a1, b1), np.where(first, la, lb)
-        exact = (r1 != 0.0) & (r2 != 0.0) & (length > 0.0) & ~(r1 + r2 <= best + self.tol.tie)
+        exact = ((r1 != 0.0) & (r2 != 0.0) & (length > 0.0) & ~(r1 + r2 <= best + self.tol.tie)
+                 & ~(np.maximum(la, lb) <= best + self.tol.tie))
         length = np.where(exact, length, 0.0)
         u0, u1 = d0 / np.where(exact, length, 1.0), d1 / np.where(exact, length, 1.0)
-        t1 = t1 % period  # `_unrolled_route` normalizes the start once more
+        # `_unrolled_route` normalizes the start once more
+        return length, self.segment_rows(np.stack([r1, t1 % period, u0, u1], axis=1)), exact
+
+    def segment_rows(self, rows):
+        # `_unrolled_route`'s `ev` of rows (r1, t1, u0, u1)
+        r1, t1, u0, u1 = np.asarray(rows, dtype=float).T
+        period = self.perimeter
 
         def at(ts):
             q0, q1 = r1 + ts * u0, ts * u1
             return np.stack([_each(math.hypot, q0, q1),
                              (t1 + _each(math.atan2, q1, q0)) % period], axis=1)
 
-        return length, at, exact
+        return at
 
     def row_distances(self, qs, rows):
         # the formulas of `_unrolled_route`'s `ev` and of `distance`, over arrays:

@@ -7,7 +7,8 @@ against those constructions.  The exceptions are reference copies of code
 the package has since rewritten (the heap Dijkstra search, the per-k
 evaluators, the angle ladders, the all-scalar bisection predicate and
 residual, the cone geodesics that built every candidate route, the
-one-try-at-a-time foot sampler, the sphere's and the hyperbolic plane's
+one-try-at-a-time foot sampler, the sampling pass that measured each
+configuration as it was drawn, the sphere's and the hyperbolic plane's
 own shots and arcs, and the Riemannian-point rung that built one right-angle
 configuration at a time), which tests compare the rewrites against; and
 `Replay`, a generator stand-in that hands out given doubles.
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cmpk import model
+from cmpk import criteria, estimator, model
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.criteria import (
     PI,
@@ -496,6 +497,26 @@ def sample_foot_config(
     raise DegenerateRegionError(
         f"no valid foot configuration in {max_tries} tries (radius {radius})"
     )
+
+
+def sample_measurements(space: GeodesicSpace, center, radius: float, names: Sequence[str],
+                        n_samples: int, seed: int, *, tol_cfg: Tolerances = DEFAULT_TOL):
+    """`estimator.sample_measurements` as it measured each configuration by the
+    scalar probes as soon as `criteria.foot_configs` yielded it."""
+    names = estimator._normalize_criteria(names)
+    rng = np.random.default_rng(seed)
+    out = estimator.Measurements({name: [] for name in names})
+    for drawn in criteria.foot_configs(space, center, radius, rng, n_samples,
+                                       tol_cfg=tol_cfg, rejected=out.rejected):
+        try:
+            sample = [estimator.CRITERIA[name].measure(space, drawn, tol_cfg) for name in names]
+        except estimator.SKIPPED_SAMPLE as e:
+            kind = type(e).__name__
+            out.skipped_by[kind] = out.skipped_by.get(kind, 0) + 1
+            continue
+        for ms, m in zip(out.values(), sample):
+            ms.append(m)
+    return out
 
 
 # The sphere's and the hyperbolic plane's shots, arcs and tangents, and the

@@ -751,9 +751,25 @@ def test_array_rows_leave_the_minimality_band_to_the_scalar_build():
 
 
 def test_chi_at_scale_raises_what_the_loop_raises():
-    # shots 18 units out on the hyperboloid fail its handle check
+    # shots over 710 units out on the hyperboloid overflow cosh
     space, x = RUNG_CASES["hyperbolic"]
-    want = rung(oracles.chi_at_scale, space, x, 40.0, 8, np.random.default_rng(1))
-    assert want[0] is ValueError
-    with pytest.raises(ValueError, match="hyperboloid handle"):
-        criteria.chi_at_scale(space, x, 40.0, 8, 1)
+    want = rung(oracles.chi_at_scale, space, x, 8000.0, 8, np.random.default_rng(1))
+    assert want[0] is OverflowError
+    with pytest.raises(OverflowError, match="math range error"):
+        criteria.chi_at_scale(space, x, 8000.0, 8, 1)
+
+
+def test_far_hyperbolic_rungs_keep_their_points_on_the_sheet():
+    # shots 4-36 units out: the handle check is relative to x2^2 and the
+    # tangent frame of points past x2 = FAR is the polar one
+    space, x = RUNG_CASES["hyperbolic"]
+    for eps in (40.0, 20.0):
+        want = rung(oracles.chi_at_scale, space, x, eps, 24, np.random.default_rng(7))
+        assert want[0] != repr(None) and isinstance(want[1], int)
+        assert rung(array_rung, space, x, eps, 24, np.random.default_rng(7)) == want
+    prof = criteria.riemannian_point_profile(space, x, (40.0, 20.0, 10.0), 24, 7)
+    assert prof.classification == "inconclusive" and prof.skip_fraction[0] == 1.0
+    far = space.shoot(x, 0.3, 18.0)
+    assert far[2] > 1e7 and space._check(far) is far
+    for phi in (0.0, 1.0, 2.0, 4.0):  # the Gram-Schmidt frame rounds v onto -2 u here
+        space._check(space.shoot(far, phi, 1.0))

@@ -357,10 +357,10 @@ def test_a_sample_that_raises_a_skip_error_is_left_out_of_every_list(monkeypatch
     calls = itertools.count()
     triangle = estimator.CRITERIA["triangle"]
 
-    def measure(space, c, tol_cfg):
+    def measure(space, c, tol_cfg, columns=None):
         if next(calls) % 3 == 0:
             raise LadderError("sides degenerate")
-        return triangle.measure(space, c, tol_cfg)
+        return triangle.measure(space, c, tol_cfg, columns)
 
     monkeypatch.setitem(estimator.CRITERIA, "triangle", triangle._replace(measure=measure))
     ms = estimator.sample_measurements(sp, center, 0.2, names, 9, 4)

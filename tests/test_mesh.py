@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmpk import mesh as mesh_mod
+from cmpk import criteria, mesh as mesh_mod
 from cmpk.errors import DisconnectedGraphError, MeshFormatError
 from cmpk.spaces import space_from_descriptor
 
@@ -188,7 +188,8 @@ def _counted_rows(space) -> list[int]:
 
 def test_row_cache_evicts_least_recently_used(octa_path):
     space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=6)
-    cap = space.ROW_CACHE_SIZE
+    cap = 65
+    space.ROW_CACHE_BYTES = 8 * space.graph.n_nodes * (cap + 1) - 1  # room for 65 rows, not 66
     assert space.graph.n_nodes > cap + 1
     for node in range(cap):
         space.distance(node, 0)
@@ -202,6 +203,21 @@ def test_row_cache_evicts_least_recently_used(octa_path):
     space.distance(1, 5)  # evicted earlier: recomputed, evicting node 3
     assert computed == [1]
     assert 3 not in space._cache and len(space._cache) == cap
+
+
+def test_default_row_cache_computes_each_row_of_a_run_once(tmp_path):
+    # the benchmark's icosphere (level 2, steiner 4): 2,082 nodes, so the
+    # default cap keeps 2,014 rows
+    path = tmp_path / "ico2.obj"
+    write_obj(path, *icosphere(2))
+    space = mesh_mod.mesh_space(mesh_mod.load_obj(path), steiner=4)
+    assert space.ROW_CACHE_BYTES // (8 * space.graph.n_nodes) == 2014
+    computed = _counted_rows(space)
+    rng = np.random.default_rng(61004)
+    for _ in range(40):
+        q, seg, foot = criteria.sample_foot_config(space, 0, 0.8, rng)
+        criteria.measure_pythagorean(space, q, seg, foot=foot)
+    assert len(computed) == len(set(computed)) > 65
 
 
 @given(st.lists(st.integers(0, 77), max_size=400))  # the 78 nodes of the octahedron, steiner 6
