@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from cmpk import __version__, criteria, estimator, model
-from cmpk.config import DEFAULT_TOL, Tolerances
+from cmpk.config import DEFAULT_TOL, PT, Tolerances
 from cmpk.errors import (
     CmpkError,
     DegenerateConfigError,
@@ -98,11 +98,11 @@ def validate_report(payload: dict) -> None:
 # argument helpers
 
 
-def _load_space_arg(text: str, tol: Tolerances):
+def _load_space_arg(text: str):
     text = text.strip()
     if text.startswith("{"):
-        return space_from_descriptor(text, tol)
-    return space_from_descriptor(Path(text).read_text(), tol)
+        return space_from_descriptor(text)
+    return space_from_descriptor(Path(text).read_text())
 
 
 def _point_arg(space, data, option: str):
@@ -145,7 +145,7 @@ def _tolerances(args) -> Tolerances:
         return DEFAULT_TOL
     if not (math.isfinite(scale) and scale >= 0.0):
         raise ValueError(f"--tol-scale must be finite and >= 0, got {scale}")
-    return DEFAULT_TOL.with_verdict_quad(scale)
+    return Tolerances(scale)
 
 
 def _out_dir(args) -> Path:
@@ -200,7 +200,7 @@ def _admissible_outcome(criterion: str, m, k: float, tol: Tolerances):
 
 def cmd_test(args) -> int:
     tol = _tolerances(args)
-    space = _load_space_arg(args.space, tol)
+    space = _load_space_arg(args.space)
     center, radius = _parse_region(space, args.region)
     ks = _parse_floats(args.k_grid) if args.k_grid else [args.k]
     if not ks:
@@ -222,34 +222,34 @@ def cmd_test(args) -> int:
             if args.criterion == "multiplicity":
                 x = space.sample_ball(center, radius, rng)
                 y = space.sample_ball(center, radius, rng)
-                if space.distance(x, y) <= space.tol.pt:
+                if space.distance(x, y) <= PT:
                     raise DegenerateConfigError("the two points coincide")
                 n_geo = len(space.minimal_geodesics(x, y))
                 rows.append([i, n_geo])
                 key = "multi" if n_geo > 1 else "unique"
                 verdict_counts[key] = verdict_counts.get(key, 0) + 1
             elif args.criterion == "first-variation":
-                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol,
+                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng,
                                                            rejected=rejected)
                 h_max = 1e-2 * seg.length
                 steps = (h_max, h_max * 0.1, h_max * 0.01)
                 t_star = min(foot.t_star, seg.length - h_max * 1.5)
-                rep = criteria.first_variation_check(space, q, seg, t_star, steps, tol_cfg=tol)
+                rep = criteria.first_variation_check(space, q, seg, t_star, steps)
                 rows.append([
                     i, rep.t_star, rep.angle, rep.target, rep.steps[-1],
                     rep.slopes[-1], rep.errors[-1],
                 ])
                 defects.append(rep.errors[-1])
             elif args.criterion == "angle-sum":
-                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol,
+                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng,
                                                            rejected=rejected)
-                rep = criteria.angle_sum_check(space, q, seg, foot.t_star, tol_cfg=tol)
+                rep = criteria.angle_sum_check(space, q, seg, foot.t_star)
                 rows.append([i, rep.t_interior, rep.angle_r1, rep.angle_r2, rep.total, rep.excess])
                 defects.append(rep.excess)
             else:
                 # measure the sample once, then read that measurement at every k
-                drawn = verdict.sample(space, center, radius, rng, tol, rejected)
-                m = verdict.measure(space, drawn, tol)
+                drawn = verdict.sample(space, center, radius, rng, rejected)
+                m = verdict.measure(space, drawn)
                 outs = [_admissible_outcome(args.criterion, m, k, tol) for k in ks]
                 for k, out in zip(ks, outs):
                     if out is None:
@@ -297,7 +297,7 @@ def cmd_test(args) -> int:
 
 def cmd_estimate(args) -> int:
     tol = _tolerances(args)
-    space = _load_space_arg(args.space, tol)
+    space = _load_space_arg(args.space)
     center, radius = _parse_region(space, args.region)
     names = tuple(args.criteria.split(",")) if args.criteria else ("pythagorean",)
     bracket = tuple(_parse_floats(args.bracket)) if args.bracket else (-2.0, 2.0)
@@ -306,7 +306,6 @@ def cmd_estimate(args) -> int:
     estimator.check_bracket(bracket, args.resolution)  # before the sampling pass
     measurements = estimator.sample_measurements(
         space, center, radius, names, _at_least_one(args.samples, "--samples"), args.seed,
-        tol_cfg=tol,
     )
     first = names[0].replace("-", "_")
     est = estimator.estimate_bounds(
@@ -352,7 +351,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_profile(args) -> int:
     tol = _tolerances(args)
-    space = _load_space_arg(args.space, tol)
+    space = _load_space_arg(args.space)
     center, radius = _parse_region(space, args.region)
     if args.centers:
         data = json.loads(args.centers)
@@ -398,10 +397,9 @@ def cmd_profile(args) -> int:
 def cmd_mesh(args) -> int:
     from cmpk import mesh as mesh_mod
 
-    tol = _tolerances(args)
     n_pairs = _at_least_one(args.pairs, "--pairs")
     tri = mesh_mod.load_obj(args.obj)
-    space = mesh_mod.mesh_space(tri, args.steiner, path=str(args.obj), tol=tol)
+    space = mesh_mod.mesh_space(tri, args.steiner, path=str(args.obj))
     rng = np.random.default_rng(args.seed)
     n = space.graph.n_nodes
     pairs = rng.integers(0, n, size=(n_pairs, 2))
@@ -501,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh.add_argument("--pairs", type=int, default=200)
     p_mesh.add_argument("--seed", type=int, default=0)
     p_mesh.add_argument("--out", required=True)
-    p_mesh.add_argument("--tol-scale", type=float, dest="tol_scale")
     p_mesh.set_defaults(func=cmd_mesh)
 
     return parser

@@ -1,12 +1,16 @@
-"""Central tolerance configuration.
+"""Numeric constants of the toolkit, and the one setting a run may change.
 
-Every numeric slack used by the toolkit lives in one frozen record so that a
-run's tolerances can be reported alongside its results.
+Measuring a configuration reads only fixed slacks, the module constants
+below: GEO, PT, TIE, CLAMP, TRI_REL and the foot-search fractions
+FOOT_MARGIN_REL, FOOT_REFINE_REL and FOOT_POLISH_REL.  Evaluating a
+measurement at some k also reads the verdict tolerance
+max(VERDICT_ABS, c * scale**2), whose quadratic coefficient c is the one
+setting: `Tolerances.verdict_quad`, which `--tol-scale` sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Perimeter safety margin for k > 0, in units of 1/sqrt(k): comparison
 # triangles are non-unique at the antipodal boundary.
@@ -16,28 +20,27 @@ SPHERE_MARGIN = 1e-6
 # any geometry of interest; rejected as a domain error.
 MAX_HYPERBOLIC_ARG = 100.0
 
+# Numeric slacks, radians and length units as noted.
+TRI_REL = 1e-9          # triangle-inequality slack, relative to perimeter
+CLAMP = 1e-9            # max arccos-argument excursion silently clamped
+GEO = 1e-9              # metric / geodesic-minimality slack (length)
+PT = 1e-10              # point-equality tolerance (length)
+TIE = 1e-9              # multiplicity tie window (length)
+VERDICT_ABS = 1e-9      # absolute floor of the verdict tolerance (rad / length)
+FOOT_MARGIN_REL = 1e-3  # interior-foot margin, fraction of segment length
+FOOT_REFINE_REL = 1e-8  # golden-section bracket target, fraction of length
+FOOT_POLISH_REL = 5e-6  # parabolic-polish probe spacing, fraction of length
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric slacks, radians and length units as noted."""
+    """The verdict tolerance of a run: tol = max(VERDICT_ABS, verdict_quad * scale^2)."""
 
-    tri_rel: float = 1e-9       # triangle-inequality slack, relative to perimeter
-    clamp: float = 1e-9         # max arccos-argument excursion silently clamped
-    geo: float = 1e-9           # metric / geodesic-minimality slack (length)
-    pt: float = 1e-10           # point-equality tolerance (length)
-    tie: float = 1e-9           # multiplicity tie window (length)
-    verdict_abs: float = 1e-9   # absolute floor of the verdict tolerance (rad / length)
-    verdict_quad: float = 1e-4  # quadratic coefficient: tol = max(abs, quad * scale^2)
-    foot_margin_rel: float = 1e-3   # interior-foot margin, fraction of segment length
-    foot_refine_rel: float = 1e-8   # golden-section bracket target, fraction of length
-    foot_polish_rel: float = 5e-6   # parabolic-polish probe spacing, fraction of length
+    verdict_quad: float = 1e-4  # quadratic coefficient
 
     def verdict_tolerance(self, scale: float) -> float:
         """Verdict tolerance for a configuration of the given diameter."""
-        return max(self.verdict_abs, self.verdict_quad * scale * scale)
-
-    def with_verdict_quad(self, c: float) -> "Tolerances":
-        return replace(self, verdict_quad=c)
+        return max(VERDICT_ABS, self.verdict_quad * scale * scale)
 
 
 DEFAULT_TOL = Tolerances()

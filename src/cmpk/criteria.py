@@ -18,7 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from cmpk import model
-from cmpk.config import DEFAULT_TOL, Tolerances
+from cmpk.config import (
+    CLAMP,
+    DEFAULT_TOL,
+    FOOT_MARGIN_REL,
+    FOOT_POLISH_REL,
+    FOOT_REFINE_REL,
+    GEO,
+    PT,
+    TRI_REL,
+    Tolerances,
+)
 from cmpk.errors import (
     CmpkError,
     DegenerateConfigError,
@@ -122,9 +132,7 @@ def _parabolic_polish(f, t: float, ft: float, lo: float, hi: float, h: float):
     return t, ft
 
 
-def foot_of_perpendicular(
-    space: GeodesicSpace, q, seg: GeodesicSegment, *, tol_cfg: Tolerances = DEFAULT_TOL,
-) -> FootResult:
+def foot_of_perpendicular(space: GeodesicSpace, q, seg: GeodesicSegment) -> FootResult:
     """Global minimizer of distance(q, seg.at(t)) over the segment.
 
     Dense grid of FOOT_GRID intervals (one `row_distances` call where the
@@ -146,11 +154,11 @@ def foot_of_perpendicular(
     else:
         grid = space.distances(q, [seg.at(t) for t in ts.tolist()])
     i = int(np.argmin(grid))
-    t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)], tol_cfg.foot_refine_rel * L)
-    t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, tol_cfg.foot_polish_rel * L)
-    if d_star <= tol_cfg.geo:
+    t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)], FOOT_REFINE_REL * L)
+    t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, FOOT_POLISH_REL * L)
+    if d_star <= GEO:
         raise DegenerateConfigError("q lies on the segment")
-    margin = tol_cfg.foot_margin_rel * L
+    margin = FOOT_MARGIN_REL * L
     if not margin <= t_star <= L - margin:
         raise FootOnBoundary(t_star, d_star, L)
     return FootResult(t_star, d_star)
@@ -161,8 +169,7 @@ FOOT_OK, FOOT_BOUNDARY, FOOT_DEGENERATE = 0, 1, 2
 
 
 def feet_of_perpendicular(
-    space: GeodesicSpace, qs: Sequence, segs: Sequence[GeodesicSegment], *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    space: GeodesicSpace, qs: Sequence, segs: Sequence[GeodesicSegment],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`foot_of_perpendicular` of each pair (qs[i], segs[i]), without raising.
 
@@ -181,20 +188,20 @@ def feet_of_perpendicular(
     if len(rows) < 2:  # one search alone is faster on floats
         rows = []
     for i in sorted(set(range(n)).difference(rows)):
-        t_star[i], d_star[i], outcome[i] = _scalar_foot(space, qs[i], segs[i], tol_cfg)
+        t_star[i], d_star[i], outcome[i] = _scalar_foot(space, qs[i], segs[i])
     if rows:
         f = space.row_distances([qs[i] for i in rows], [segs[i].row for i in rows])
         L = np.array([segs[i].length for i in rows])
-        t, d, code = _feet_lockstep(f, L, tol_cfg)
+        t, d, code = _feet_lockstep(f, L)
         t_star[rows], d_star[rows], outcome[rows] = t, d, code
         t_star[outcome != FOOT_OK] = d_star[outcome != FOOT_OK] = np.nan
     return t_star, d_star, outcome
 
 
-def _scalar_foot(space: GeodesicSpace, q, seg: GeodesicSegment, tol_cfg: Tolerances):
+def _scalar_foot(space: GeodesicSpace, q, seg: GeodesicSegment):
     """(t*, d*, outcome) of `foot_of_perpendicular`, as `feet_of_perpendicular` gives them."""
     try:
-        foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
+        foot = foot_of_perpendicular(space, q, seg)
     except FootOnBoundary:
         return math.nan, math.nan, FOOT_BOUNDARY
     except DegenerateConfigError:
@@ -202,7 +209,7 @@ def _scalar_foot(space: GeodesicSpace, q, seg: GeodesicSegment, tol_cfg: Toleran
     return float(foot.t_star), float(foot.d_star), FOOT_OK
 
 
-def _feet_lockstep(f, L: np.ndarray, tol_cfg: Tolerances):
+def _feet_lockstep(f, L: np.ndarray):
     """The scalar search of each row at once; f maps arclengths (..., rows) to distances."""
     ts = np.linspace(0.0, L, FOOT_GRID + 1)  # one grid per column
     # a few grid points per call: the temporaries of the whole grid would add
@@ -210,11 +217,11 @@ def _feet_lockstep(f, L: np.ndarray, tol_cfg: Tolerances):
     i = np.argmin(np.concatenate([f(ts[k:k + 13]) for k in range(0, FOOT_GRID + 1, 13)]), axis=0)
     cols = np.arange(len(L))
     t, ft = _golden_rows(f, ts[np.maximum(i - 1, 0), cols],
-                         ts[np.minimum(i + 1, FOOT_GRID), cols], tol_cfg.foot_refine_rel * L)
-    t, ft = _polish_rows(f, t, ft, L, tol_cfg.foot_polish_rel * L)
-    margin = tol_cfg.foot_margin_rel * L
+                         ts[np.minimum(i + 1, FOOT_GRID), cols], FOOT_REFINE_REL * L)
+    t, ft = _polish_rows(f, t, ft, L, FOOT_POLISH_REL * L)
+    margin = FOOT_MARGIN_REL * L
     interior = (margin <= t) & (t <= L - margin)
-    return t, ft, np.where(ft <= tol_cfg.geo, FOOT_DEGENERATE,
+    return t, ft, np.where(ft <= GEO, FOOT_DEGENERATE,
                            np.where(interior, FOOT_OK, FOOT_BOUNDARY))
 
 
@@ -270,19 +277,18 @@ class PythagoreanMeasurement:
 
 def measure_pythagorean(
     space: GeodesicSpace, q, seg: GeodesicSegment, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, foot: FootResult | None = None,
-    columns: tuple | None = None,
+    foot: FootResult | None = None, columns: tuple | None = None,
 ) -> PythagoreanMeasurement:
     """`columns`, when given, holds the distances (d_pr1, d_pr2, d_qr1, d_qr2)
     this would measure, as `pythagorean_columns` computes them."""
     if foot is None:
-        foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
+        foot = foot_of_perpendicular(space, q, seg)
     if columns is None:
         p = seg.at(foot.t_star)
         columns = (space.distance(p, seg.start), space.distance(p, seg.end),
                    space.distance(q, seg.start), space.distance(q, seg.end))
     d_pr1, d_pr2, d_qr1, d_qr2 = columns
-    if min(d_pr1, d_pr2) < tol_cfg.geo:
+    if min(d_pr1, d_pr2) < GEO:
         raise DegenerateConfigError("foot coincides with a segment endpoint")
     scale = max(d_qr1, d_qr2, seg.length)
     return PythagoreanMeasurement(foot.d_star, d_pr1, d_qr1, d_pr2, d_qr2, scale)
@@ -291,8 +297,8 @@ def measure_pythagorean(
 def evaluate_pythagorean(
     m: PythagoreanMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
-    d1 = model.pythagorean_defect(k, m.d_qp, m.d_pr1, m.d_qr1, tol=tol_cfg)
-    d2 = model.pythagorean_defect(k, m.d_qp, m.d_pr2, m.d_qr2, tol=tol_cfg)
+    d1 = model.pythagorean_defect(k, m.d_qp, m.d_pr1, m.d_qr1)
+    d2 = model.pythagorean_defect(k, m.d_qp, m.d_pr2, m.d_qr2)
     return _outcome("pythagorean", k, m.scale, max(d1, d2), max(-d1, -d2), tol_cfg)
 
 
@@ -300,7 +306,7 @@ def pythagorean_test(
     space: GeodesicSpace, k: float, q, seg: GeodesicSegment, *,
     tol_cfg: Tolerances = DEFAULT_TOL, foot: FootResult | None = None,
 ) -> TestOutcome:
-    m = measure_pythagorean(space, q, seg, tol_cfg=tol_cfg, foot=foot)
+    m = measure_pythagorean(space, q, seg, foot=foot)
     return evaluate_pythagorean(m, k, tol_cfg=tol_cfg)
 
 
@@ -334,12 +340,11 @@ RIGHT_ANGLE_TOL = 1e-6  # radians; mirrors the 1e-6 * leg construction budget
 
 def _right_angle_deviation(
     space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment,
-    tol_cfg: Tolerances,
 ) -> float:
     """|angle at p - pi/2| (`angle_at`); RightAngleUnavailable when the angle is
     degenerate or deviates by more than RIGHT_ANGLE_TOL."""
     try:
-        angle = angle_at(space, p, toward_q, toward_r, tol_cfg=tol_cfg)
+        angle = angle_at(space, p, toward_q, toward_r)
     except LadderError as e:
         raise RightAngleUnavailable(f"angle at p degenerate: {e}") from e
     deviation = abs(angle - PI / 2)
@@ -351,8 +356,7 @@ def _right_angle_deviation(
 
 
 def build_right_angle_config(
-    space: GeodesicSpace, p, dir_q: float, dir_r: float,
-    leg1: float, leg2: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
+    space: GeodesicSpace, p, dir_q: float, dir_r: float, leg1: float, leg2: float,
 ) -> RightAngleConfig:
     """Shoot two legs from p and verify that they enclose a right angle.
 
@@ -373,14 +377,12 @@ def build_right_angle_config(
     d_pr = space.distance(p, r)
     if d_pq < leg1 * (1.0 - 1e-9) or d_pr < leg2 * (1.0 - 1e-9):
         raise RightAngleUnavailable("shot leg is not a minimal geodesic")
-    deviation = _right_angle_deviation(
-        space, p, space.geodesic(p, q), space.geodesic(p, r), tol_cfg)
+    deviation = _right_angle_deviation(space, p, space.geodesic(p, q), space.geodesic(p, r))
     return RightAngleConfig(p, q, r, d_pq, d_pr, space.distance(q, r), deviation)
 
 
 def right_angle_from_foot(
-    space: GeodesicSpace, q, seg: GeodesicSegment, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, foot: FootResult | None = None,
+    space: GeodesicSpace, q, seg: GeodesicSegment, *, foot: FootResult | None = None,
 ) -> RightAngleConfig:
     """Right-angle configuration from an interior foot (shoot-free spaces).
 
@@ -390,10 +392,10 @@ def right_angle_from_foot(
     exceed pi/2 (a tripod branch point reads pi).
     """
     if foot is None:
-        foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
+        foot = foot_of_perpendicular(space, q, seg)
     p = seg.at(foot.t_star)
     ahead = seg.subsegment(foot.t_star, seg.length)
-    deviation = _right_angle_deviation(space, p, space.geodesic(p, q), ahead, tol_cfg)
+    deviation = _right_angle_deviation(space, p, space.geodesic(p, q), ahead)
     d_pr = space.distance(p, seg.end)
     return RightAngleConfig(
         p, q, seg.end, foot.d_star, d_pr, space.distance(q, seg.end), deviation
@@ -403,7 +405,7 @@ def right_angle_from_foot(
 def evaluate_right_angle(
     cfg: RightAngleConfig, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
-    defect = model.pythagorean_defect(k, cfg.d_pq, cfg.d_pr, cfg.d_qr, tol=tol_cfg)
+    defect = model.pythagorean_defect(k, cfg.d_pq, cfg.d_pr, cfg.d_qr)
     return _outcome("right_angle", k, cfg.scale, defect, -defect, tol_cfg)
 
 
@@ -411,7 +413,7 @@ def right_angle_pythagorean_test(
     space: GeodesicSpace, k: float, p, dir_q: float, dir_r: float,
     leg1: float, leg2: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
-    cfg = build_right_angle_config(space, p, dir_q, dir_r, leg1, leg2, tol_cfg=tol_cfg)
+    cfg = build_right_angle_config(space, p, dir_q, dir_r, leg1, leg2)
     return evaluate_right_angle(cfg, k, tol_cfg=tol_cfg)
 
 
@@ -454,9 +456,7 @@ def measure_point_segment(
 def evaluate_point_segment(
     m: PointSegmentMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
-    model_ds = model.comparison_distances(
-        k, m.d_qp, m.d_qr, m.length, [t for t, _ in m.probes], tol=tol_cfg
-    )
+    model_ds = model.comparison_distances(k, m.d_qp, m.d_qr, m.length, [t for t, _ in m.probes])
     defects = [d_real - d for (_, d_real), d in zip(m.probes, model_ds)]
     cbb = -min(defects)  # lower bound requires real >= model everywhere
     cba = max(defects)
@@ -476,19 +476,22 @@ def point_segment_test(
 
 
 def measure_angle_ladder(
-    space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment, *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment,
 ) -> tuple[float, float, float]:
     """Sides (|pa|, |pb|, |ab|) of the small triangle that measures the angle at p.
 
     a and b lie at arclength t = 0.1 * min(leg lengths) * 0.5**7, 1/1280 of
     the shorter leg, along the two segments.  On a smooth surface the
     comparison angle of this triangle is within O(t^2) of the Alexandrov
-    angle; on a flat sector it is exact.
+    angle; on a flat sector it is exact.  LadderError when a segment starts
+    more than 10 PT from p (about 10/sqrt(-k) out on the hyperbolic plane a
+    geodesic's end rounds that far off its vertex, which at the ladder's
+    scale is an angle error far above the verdict tolerance) or when |pa| or
+    |pb| is under 10 GEO.
     """
     for seg in (toward_q, toward_r):
-        if space.distance(seg.at(0.0), p) > 10.0 * tol_cfg.pt:
-            raise ValueError("segment does not emanate from p")
+        if space.distance(seg.at(0.0), p) > 10.0 * PT:
+            raise LadderError("segment does not emanate from p")
     t = 0.1 * min(toward_q.length, toward_r.length) * 0.5**7
     if t <= 0.0:
         raise LadderError("zero-length segment")
@@ -496,20 +499,19 @@ def measure_angle_ladder(
     b = toward_r.at(t)
     d_pa = space.distance(p, a)
     d_pb = space.distance(p, b)
-    if min(d_pa, d_pb) < 10.0 * tol_cfg.geo:
+    if min(d_pa, d_pb) < 10.0 * GEO:
         raise LadderError(f"sides degenerate at scale {t:.3g}")
     return d_pa, d_pb, space.distance(a, b)
 
 
 def angle_at(
     space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment,
-    k0: float = 0.0, *, tol_cfg: Tolerances = DEFAULT_TOL,
+    k0: float = 0.0,
 ) -> float:
     """Angle between two segments at p: the curvature-k0 comparison angle of the
     triangle `measure_angle_ladder` measures, which tends to the Alexandrov
     angle as its scale shrinks."""
-    sides = measure_angle_ladder(space, p, toward_q, toward_r, tol_cfg=tol_cfg)
-    return model.comparison_angle(k0, sides, tol=tol_cfg)
+    return model.comparison_angle(k0, measure_angle_ladder(space, p, toward_q, toward_r))
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +526,7 @@ class TriangleMeasurement:
 
 
 def measure_triangle(
-    space: GeodesicSpace, p, q, r, *, tol_cfg: Tolerances = DEFAULT_TOL,
-    columns: tuple | None = None,
+    space: GeodesicSpace, p, q, r, *, columns: tuple | None = None,
 ) -> TriangleMeasurement:
     """`columns`, when given, holds the sides (d_qr, d_pr, d_pq) and the
     angle_sides this would measure, as `triangle_columns` computes them."""
@@ -534,14 +535,12 @@ def measure_triangle(
         g_pr = space.minimal_geodesics(p, r)
         g_qr = space.minimal_geodesics(q, r)
         d_pq, d_pr, d_qr = g_pq[0].length, g_pr[0].length, g_qr[0].length
-        if min(d_pq, d_pr, d_qr) <= 10.0 * tol_cfg.geo:
+        if min(d_pq, d_pr, d_qr) <= 10.0 * GEO:
             raise DegenerateConfigError("triangle has a vanishing side")
         columns = ((d_qr, d_pr, d_pq), {
-            "p": [measure_angle_ladder(space, p, ga, gb, tol_cfg=tol_cfg)
-                  for ga in g_pq for gb in g_pr],
-            "q": [measure_angle_ladder(space, q, ga.reversed(), gb, tol_cfg=tol_cfg)
-                  for ga in g_pq for gb in g_qr],
-            "r": [measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), tol_cfg=tol_cfg)
+            "p": [measure_angle_ladder(space, p, ga, gb) for ga in g_pq for gb in g_pr],
+            "q": [measure_angle_ladder(space, q, ga.reversed(), gb) for ga in g_pq for gb in g_qr],
+            "r": [measure_angle_ladder(space, r, ga.reversed(), gb.reversed())
                   for ga in g_pr for gb in g_qr],
         })
     (d_qr, d_pr, d_pq), angle_sides = columns
@@ -553,14 +552,14 @@ def evaluate_triangle(
 ) -> TestOutcome:
     d_qr, d_pr, d_pq = m.sides
     model_angles = {
-        "p": model.comparison_angle(k, (d_pq, d_pr, d_qr), tol=tol_cfg),
-        "q": model.comparison_angle(k, (d_pq, d_qr, d_pr), tol=tol_cfg),
-        "r": model.comparison_angle(k, (d_pr, d_qr, d_pq), tol=tol_cfg),
+        "p": model.comparison_angle(k, (d_pq, d_pr, d_qr)),
+        "q": model.comparison_angle(k, (d_pq, d_qr, d_pr)),
+        "r": model.comparison_angle(k, (d_pr, d_qr, d_pq)),
     }
     cbb = -math.inf
     cba = -math.inf
     for v, triples in m.angle_sides.items():
-        angles = [model.comparison_angle(k, sides, tol=tol_cfg) for sides in triples]
+        angles = [model.comparison_angle(k, sides) for sides in triples]
         # lower bound needs angle >= model angle for every geodesic pair
         cbb = max(cbb, model_angles[v] - min(angles))
         cba = max(cba, max(angles) - model_angles[v])
@@ -570,7 +569,7 @@ def evaluate_triangle(
 def triangle_comparison_test(
     space: GeodesicSpace, k: float, p, q, r, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
-    m = measure_triangle(space, p, q, r, tol_cfg=tol_cfg)
+    m = measure_triangle(space, p, q, r)
     return evaluate_triangle(m, k, tol_cfg=tol_cfg)
 
 
@@ -624,8 +623,7 @@ def point_segment_columns(space: GeodesicSpace, configs: Sequence) -> list:
     return out
 
 
-def triangle_columns(space: GeodesicSpace, configs: Sequence, *,
-                     tol_cfg: Tolerances = DEFAULT_TOL) -> list:
+def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
     """`measure_triangle(space, seg.start, q, seg.end)`'s sides and ladders of
     each configuration whose three geodesics `geodesic_rows` gives exactly (so
     each is the only minimal geodesic) and on which no check of
@@ -639,7 +637,7 @@ def triangle_columns(space: GeodesicSpace, configs: Sequence, *,
     dist = space.pair_distances
     (l_pq, pq, ok_pq), (l_pr, pr, ok_pr), (l_qr, qr, ok_qr) = (
         space.geodesic_rows(x, y) for x, y in ((p, q), (p, r), (q, r)))
-    ok = ok_pq & ok_pr & ok_qr & ~(np.minimum(np.minimum(l_pq, l_pr), l_qr) <= 10.0 * tol_cfg.geo)
+    ok = ok_pq & ok_pr & ok_qr & ~(np.minimum(np.minimum(l_pq, l_pr), l_qr) <= 10.0 * GEO)
     columns = [l_qr, l_pr, l_pq]
 
     def along(leg, s):
@@ -649,13 +647,13 @@ def triangle_columns(space: GeodesicSpace, configs: Sequence, *,
     for v, legs in ((p, ((pq, l_pq, False), (pr, l_pr, False))),
                     (q, ((pq, l_pq, True), (qr, l_qr, False))),
                     (r, ((pr, l_pr, True), (qr, l_qr, True)))):
-        for leg in legs:  # ValueError: the segment does not emanate from v
-            ok &= ~(dist(along(leg, np.zeros(n)), v) > 10.0 * tol_cfg.pt)
+        for leg in legs:  # LadderError: the segment does not emanate from v
+            ok &= ~(dist(along(leg, np.zeros(n)), v) > 10.0 * PT)
         t = 0.1 * np.minimum(legs[0][1], legs[1][1]) * 0.5**7
         ok &= ~(t <= 0.0)  # LadderError
         a, b = along(legs[0], t), along(legs[1], t)
         d_va, d_vb = dist(v, a), dist(v, b)
-        ok &= ~(np.minimum(d_va, d_vb) < 10.0 * tol_cfg.geo)  # LadderError
+        ok &= ~(np.minimum(d_va, d_vb) < 10.0 * GEO)  # LadderError
         columns += [d_va, d_vb, dist(a, b)]
     out = [None] * n
     for i, row in zip(np.flatnonzero(ok).tolist(), zip(*(c[ok].tolist() for c in columns))):
@@ -684,7 +682,7 @@ class FirstVariationReport:
 
 def first_variation_check(
     space: GeodesicSpace, q, seg: GeodesicSegment, t_star: float,
-    steps: Sequence[float] = (1e-2, 1e-3, 1e-4), *, tol_cfg: Tolerances = DEFAULT_TOL,
+    steps: Sequence[float] = (1e-2, 1e-3, 1e-4),
 ) -> FirstVariationReport:
     """Forward finite-difference slope of t -> d(q, seg(t)) against -cos(angle)."""
     if t_star + max(steps) > seg.length:
@@ -692,7 +690,7 @@ def first_variation_check(
     p = seg.at(t_star)
     toward_q = space.minimal_geodesics(p, q)[0]
     forward = seg.subsegment(t_star, seg.length)
-    angle = angle_at(space, p, toward_q, forward, tol_cfg=tol_cfg)
+    angle = angle_at(space, p, toward_q, forward)
     target = -math.cos(angle)
     d0 = space.distance(q, p)
     slopes = tuple((space.distance(q, seg.at(t_star + h)) - d0) / h for h in steps)
@@ -717,8 +715,7 @@ class AngleSumReport:
 
 
 def angle_sum_check(
-    space: GeodesicSpace, q, seg: GeodesicSegment, t_interior: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    space: GeodesicSpace, q, seg: GeodesicSegment, t_interior: float,
 ) -> AngleSumReport:
     if not 0.0 < t_interior < seg.length:
         raise ValueError("t_interior must be strictly inside the segment")
@@ -726,8 +723,8 @@ def angle_sum_check(
     toward_q = space.minimal_geodesics(p, q)[0]
     back = seg.subsegment(t_interior, 0.0)
     ahead = seg.subsegment(t_interior, seg.length)
-    a1 = angle_at(space, p, toward_q, back, tol_cfg=tol_cfg)
-    a2 = angle_at(space, p, toward_q, ahead, tol_cfg=tol_cfg)
+    a1 = angle_at(space, p, toward_q, back)
+    a2 = angle_at(space, p, toward_q, ahead)
     return AngleSumReport(a1, a2, a1 + a2, a1 + a2 - PI, t_interior)
 
 
@@ -754,7 +751,7 @@ def geodesic_multiplicity_probe(
     pairs.extend(extra_pairs)
     multi = sum(
         1 for x, y in pairs
-        if space.distance(x, y) > space.tol.pt and len(space.minimal_geodesics(x, y)) > 1
+        if space.distance(x, y) > PT and len(space.minimal_geodesics(x, y)) > 1
     )
     return MultiplicityReport(len(pairs), multi)
 
@@ -774,10 +771,7 @@ class DefectProfile:
     classification: str  # vanishing | non_vanishing | inconclusive
 
 
-def chi_at_scale(
-    space: GeodesicSpace, x, eps: float, n: int, seed: int, *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
-) -> tuple[float, int]:
+def chi_at_scale(space: GeodesicSpace, x, eps: float, n: int, seed: int) -> tuple[float, int]:
     """Max squared-ratio defect over sampled right-angle configs in B_x(eps).
 
     All random draws are dimensionless and derived from the seed alone, so
@@ -795,14 +789,11 @@ def chi_at_scale(
     raise is built by `build_right_angle_config`.  Should the array path
     raise, the rung is run one configuration at a time, which raises what the
     first failing configuration raises.  The tripod, meshes and triangle
-    domains always build one configuration at a time.  On the plane this is
-    the profile's noise floor (`estimator.estimate_profile_noise_floor`),
-    clamped below at 1e-14, so a profile's threshold is 1e-12 unless the
-    floor exceeds 2.5e-13.
+    domains always build one configuration at a time.
     """
     if space.shots is not None:
         try:
-            return _chi_rows(space, x, eps, n, np.random.default_rng(seed), tol_cfg)
+            return _chi_rows(space, x, eps, n, np.random.default_rng(seed))
         except (ArithmeticError, ValueError, CmpkError):
             pass  # the arrays may meet another configuration's error first
     rng = np.random.default_rng(seed)
@@ -819,7 +810,7 @@ def chi_at_scale(
                 p = space.shoot(x, omega, u * eps)
             except ShootUnavailable:
                 p = space.sample_ball(x, 0.45 * eps, rng)
-            cfg = build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2, tol_cfg=tol_cfg)
+            cfg = build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2)
         except RightAngleUnavailable:
             skipped += 1
             continue
@@ -827,8 +818,8 @@ def chi_at_scale(
     return chi_max, skipped
 
 
-def _chi_rows(space: GeodesicSpace, x, eps: float, n: int, rng: np.random.Generator,
-              tol_cfg: Tolerances) -> tuple[float, int]:
+def _chi_rows(space: GeodesicSpace, x, eps: float, n: int,
+              rng: np.random.Generator) -> tuple[float, int]:
     """`chi_at_scale`'s loop over arrays, drawing from rng.  rng.uniform(lo, hi)
     is lo + (hi - lo) * rng.random(), so one block of 5 n doubles holds the
     loop's draws up to the first unavailable p shot; there the generator is
@@ -843,8 +834,7 @@ def _chi_rows(space: GeodesicSpace, x, eps: float, n: int, rng: np.random.Genera
         stop = len(p) if available.all() else int(np.argmin(available))
         beta = TWO_PI * beta
         l1, l2 = eps * (0.1 + (0.45 - 0.1) * v1), eps * (0.1 + (0.45 - 0.1) * v2)
-        _, ratio, outcome = _right_angle_rows(
-            space, p[:stop], beta[:stop], l1[:stop], l2[:stop], tol_cfg)
+        _, ratio, outcome = _right_angle_rows(space, p[:stop], beta[:stop], l1[:stop], l2[:stop])
         skipped += int(np.count_nonzero(outcome == RA_SKIPPED))
         chi_max = max([chi_max, *ratio[outcome == RA_BUILT].tolist()])
         configs = [(p[i], i) for i in np.flatnonzero(outcome == RA_BACK).tolist()]
@@ -856,7 +846,7 @@ def _chi_rows(space: GeodesicSpace, x, eps: float, n: int, rng: np.random.Genera
             b = float(beta[i])
             try:
                 cfg = build_right_angle_config(space, point, b, b + PI / 2, float(l1[i]),
-                                               float(l2[i]), tol_cfg=tol_cfg)
+                                               float(l2[i]))
             except RightAngleUnavailable:
                 skipped += 1
                 continue
@@ -875,7 +865,7 @@ _ROWS_BAND = 1e-12
 
 
 def _right_angle_rows(space: GeodesicSpace, p: np.ndarray, beta: np.ndarray, l1: np.ndarray,
-                      l2: np.ndarray, tol_cfg: Tolerances):
+                      l2: np.ndarray):
     """`build_right_angle_config(space, p[i], beta[i], beta[i] + PI / 2, l1[i],
     l2[i])` of every row over arrays, with its formulas and comparisons, on a
     space with `shots`.
@@ -914,20 +904,19 @@ def _right_angle_rows(space: GeodesicSpace, p: np.ndarray, beta: np.ndarray, l1:
     a, b = at_q(t), at_r(t)
     d_pa, d_pb = space.pair_distances(p, a), space.pair_distances(p, b)
     d_ab = space.pair_distances(a, b)
-    floor = 10.0 * tol_cfg.geo
+    floor = 10.0 * GEO
     shortest = np.minimum(d_pa, d_pb)
     settle(shortest < floor, np.abs(shortest - floor) <= _ROWS_BAND * floor)  # LadderError
     # model.comparison_angle(0.0, (d_pa, d_pb, d_ab)): its checks raise, so
-    # their rows go back (`SideTriple` reads the default slack, whatever
-    # tol_cfg says); at k = 0 its kernel is this law of cosines
-    slack = DEFAULT_TOL.tri_rel * (d_pa + d_pb + d_ab)
+    # their rows go back; at k = 0 its kernel is this law of cosines
+    slack = TRI_REL * (d_pa + d_pb + d_ab)
     side_floor = 1e-12 * np.maximum(d_pa + d_pb + d_ab, 1e-300)
     raises = ((d_pa > d_pb + d_ab + slack) | (d_pb > d_ab + d_pa + slack)
               | (d_ab > d_pa + d_pb + slack) | (d_pa <= side_floor) | (d_pb <= side_floor))
     settle(False, raises)
     cos = (d_pa * d_pa * 0.5 + d_pb * d_pb * 0.5 - d_ab * d_ab * 0.5) / np.where(
         live, d_pa * d_pb, 1.0)
-    settle(False, np.abs(cos) > 1.0 + tol_cfg.clamp)
+    settle(False, np.abs(cos) > 1.0 + CLAMP)
     angle = np.where(live, _each(math.acos, np.clip(cos, -1.0, 1.0)), np.nan)
     deviation = np.abs(angle - PI / 2)
     settle(deviation > RIGHT_ANGLE_TOL,
@@ -938,6 +927,12 @@ def _right_angle_rows(space: GeodesicSpace, p: np.ndarray, beta: np.ndarray, l1:
     ratio[live] = [abs(qr**2 / (pq**2 + pr**2) - 1.0)  # RightAngleConfig.ratio_defect
                    for pq, pr, qr in zip(d_pq[live].tolist(), d_pr[live].tolist(), d_qr.tolist())]
     return angle, ratio, np.where(live, RA_BUILT, np.where(back, RA_BACK, RA_SKIPPED))
+
+
+# A profile whose last chi is at most this vanishes.  On the plane, where chi
+# is rounding noise alone, it stayed below 9e-16 over ladders of radii 1e-6
+# to 1e3 at 128 configurations per rung.
+PROFILE_THRESHOLD = 1e-12
 
 
 def classify_profile(
@@ -967,19 +962,17 @@ def check_eps_ladder(eps_ladder: Sequence[float]) -> tuple[float, ...]:
 
 
 def riemannian_point_profile(
-    space: GeodesicSpace, x, eps_ladder: Sequence[float], n_per_eps: int, seed: int, *,
-    noise_floor: float | None = None, tol_cfg: Tolerances = DEFAULT_TOL,
+    space: GeodesicSpace, x, eps_ladder: Sequence[float], n_per_eps: int, seed: int,
 ) -> DefectProfile:
     """Ladder of worst right-angle Pythagorean-ratio defects around x."""
     ladder = check_eps_ladder(eps_ladder)
     chi, skips = [], []
     for eps in ladder:
-        c, s = chi_at_scale(space, x, eps, n_per_eps, seed, tol_cfg=tol_cfg)
+        c, s = chi_at_scale(space, x, eps, n_per_eps, seed)
         chi.append(c)
         skips.append(s / n_per_eps)
-    threshold = max(4.0 * (noise_floor if noise_floor is not None else 0.0), 1e-12)
-    cls = classify_profile(ladder, chi, skips, threshold)
-    return DefectProfile(ladder, tuple(chi), tuple(skips), n_per_eps, seed, threshold, cls)
+    cls = classify_profile(ladder, chi, skips, PROFILE_THRESHOLD)
+    return DefectProfile(ladder, tuple(chi), tuple(skips), n_per_eps, seed, PROFILE_THRESHOLD, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +1019,7 @@ def _ball_points(space: GeodesicSpace, center, radius: float, rng: np.random.Gen
 
 def foot_configs(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, n: int, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, min_height_rel: float = 0.15, max_tries: int = 200,
-    rejected: dict | None = None,
+    min_height_rel: float = 0.15, max_tries: int = 200, rejected: dict | None = None,
 ):
     """Yield n configurations (q, seg, foot), each with an interior foot and a
     height of at least min_height_rel * radius.
@@ -1079,10 +1071,10 @@ def foot_configs(
                 n_search += 1
         pairs = [x for x in tries if isinstance(x, tuple)]
         if block == 1:  # one search: without the round's arrays
-            feet = iter([_scalar_foot(space, q, seg, tol_cfg) for q, seg in pairs])
+            feet = iter([_scalar_foot(space, q, seg) for q, seg in pairs])
         else:
             feet = iter(zip(*(a.tolist() for a in feet_of_perpendicular(
-                space, [q for q, _ in pairs], [seg for _, seg in pairs], tol_cfg=tol_cfg))))
+                space, [q for q, _ in pairs], [seg for _, seg in pairs]))))
         for x in tries:
             reason = x
             if isinstance(x, tuple):
@@ -1095,7 +1087,7 @@ def foot_configs(
                 if reason is None:
                     p = seg.at(t)
                     # node-resolution spaces can snap an interior t* onto an endpoint
-                    if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= tol_cfg.geo:
+                    if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= GEO:
                         reason = "endpoint_snap"
                 if reason is None:
                     accepted += 1
@@ -1114,8 +1106,7 @@ def foot_configs(
 
 def sample_foot_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, min_height_rel: float = 0.15, max_tries: int = 200,
-    rejected: dict | None = None,
+    min_height_rel: float = 0.15, max_tries: int = 200, rejected: dict | None = None,
 ):
     """Draw (q, seg, foot) with an interior foot and non-degenerate height.
 
@@ -1123,14 +1114,13 @@ def sample_foot_config(
     after the accepted try's draws.  `rejected`, when given, counts the tries
     rejected before it by reason.
     """
-    return next(foot_configs(space, center, radius, rng, 1, tol_cfg=tol_cfg,
-                             min_height_rel=min_height_rel, max_tries=max_tries,
-                             rejected=rejected))
+    return next(foot_configs(space, center, radius, rng, 1, min_height_rel=min_height_rel,
+                             max_tries=max_tries, rejected=rejected))
 
 
 def sample_right_angle_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, rejected: dict | None = None,
+    rejected: dict | None = None,
 ) -> RightAngleConfig:
     """Draw one right-angle configuration inside the region.
 
@@ -1143,13 +1133,13 @@ def sample_right_angle_config(
     l2 = radius * rng.uniform(0.1, 0.45)
     p = space.sample_ball(center, 0.45 * radius, rng)
     try:
-        return build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2, tol_cfg=tol_cfg)
+        return build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2)
     except RightAngleUnavailable as e:
         if not isinstance(e.__cause__, ShootUnavailable):
             raise RightAngleUnavailable(f"no right-angle configuration: {e}")
     try:
-        q, seg, foot = sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg,
-                                          max_tries=20, rejected=rejected)
-        return right_angle_from_foot(space, q, seg, tol_cfg=tol_cfg, foot=foot)
+        q, seg, foot = sample_foot_config(space, center, radius, rng, max_tries=20,
+                                          rejected=rejected)
+        return right_angle_from_foot(space, q, seg, foot=foot)
     except (DegenerateRegionError, RightAngleUnavailable) as e:
         raise RightAngleUnavailable(f"no right-angle configuration: {e}")

@@ -59,27 +59,25 @@ class CurvatureEstimate:
 class Criterion(NamedTuple):
     """A verdict criterion: draw one configuration, measure it once, evaluate at any k."""
 
-    # (space, center, radius, rng, tol_cfg, rejected) -> configuration; `rejected`
+    # (space, center, radius, rng, rejected) -> configuration; `rejected`
     # counts the tries the draw rejects by reason (criteria.REJECTIONS)
     sample: Callable
-    # (space, configuration, tol_cfg, columns=None) -> measurement, from the
+    # (space, configuration, columns=None) -> measurement, from the
     # configuration's column values where given
     measure: Callable
     evaluate: Callable  # criteria.evaluate_*(measurement, k, *, tol_cfg) -> TestOutcome
     batch: Callable | None = None  # (measurements, tol_cfg) -> vector.Batch, for bisection
-    # (space, configurations, tol_cfg) -> the column values of each configuration
-    # over arrays, None where it is measured one at a time
+    # (space, configurations) -> the column values of each configuration over
+    # arrays, None where it is measured one at a time
     columns: Callable | None = None
 
 
-def _foot_config(space, center, radius, rng, tol_cfg, rejected):
-    return criteria.sample_foot_config(space, center, radius, rng, tol_cfg=tol_cfg,
-                                       rejected=rejected)
+def _foot_config(space, center, radius, rng, rejected):
+    return criteria.sample_foot_config(space, center, radius, rng, rejected=rejected)
 
 
-def _right_angle_config(space, center, radius, rng, tol_cfg, rejected):
-    return criteria.sample_right_angle_config(space, center, radius, rng, tol_cfg=tol_cfg,
-                                              rejected=rejected)
+def _right_angle_config(space, center, radius, rng, rejected):
+    return criteria.sample_right_angle_config(space, center, radius, rng, rejected=rejected)
 
 
 # Keyed by the names measurements and outcomes carry; the command line spells
@@ -88,31 +86,31 @@ def _right_angle_config(space, center, radius, rng, tol_cfg, rejected):
 CRITERIA: dict[str, Criterion] = {
     "pythagorean": Criterion(
         _foot_config,
-        lambda space, c, tol_cfg, columns=None: criteria.measure_pythagorean(
-            space, c[0], c[1], tol_cfg=tol_cfg, foot=c[2], columns=columns),
+        lambda space, c, columns=None: criteria.measure_pythagorean(
+            space, c[0], c[1], foot=c[2], columns=columns),
         criteria.evaluate_pythagorean,
         vector.PythagoreanBatch,
-        lambda space, cs, tol_cfg: criteria.pythagorean_columns(space, cs),
+        lambda space, cs: criteria.pythagorean_columns(space, cs),
     ),
     "point_segment": Criterion(
         _foot_config,
-        lambda space, c, tol_cfg, columns=None: criteria.measure_point_segment(
+        lambda space, c, columns=None: criteria.measure_point_segment(
             space, c[0], c[1], columns=columns),
         criteria.evaluate_point_segment,
         vector.PointSegmentBatch,
-        lambda space, cs, tol_cfg: criteria.point_segment_columns(space, cs),
+        lambda space, cs: criteria.point_segment_columns(space, cs),
     ),
     "triangle": Criterion(
         _foot_config,
-        lambda space, c, tol_cfg, columns=None: criteria.measure_triangle(
-            space, c[1].start, c[0], c[1].end, tol_cfg=tol_cfg, columns=columns),
+        lambda space, c, columns=None: criteria.measure_triangle(
+            space, c[1].start, c[0], c[1].end, columns=columns),
         criteria.evaluate_triangle,
         vector.TriangleBatch,
-        lambda space, cs, tol_cfg: criteria.triangle_columns(space, cs, tol_cfg=tol_cfg),
+        lambda space, cs: criteria.triangle_columns(space, cs),
     ),
     "right_angle": Criterion(
         _right_angle_config,
-        lambda space, cfg, tol_cfg: cfg,
+        lambda space, cfg: cfg,
         criteria.evaluate_right_angle,
     ),
 }
@@ -162,7 +160,7 @@ COLUMN_BATCH = 100
 
 def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
-    n_samples: int, seed: int, *, tol_cfg: Tolerances = DEFAULT_TOL,
+    n_samples: int, seed: int,
 ) -> Measurements:
     """Measure n_samples shared foot configurations for the named criteria.
 
@@ -184,7 +182,7 @@ def sample_measurements(
     rng = np.random.default_rng(seed)
     out = Measurements({name: [] for name in names})
     configs = criteria.foot_configs(space, center, radius, rng, n_samples,
-                                    tol_cfg=tol_cfg, rejected=out.rejected)
+                                    rejected=out.rejected)
     while True:
         drawn, draw_error = [], None
         try:
@@ -192,10 +190,10 @@ def sample_measurements(
                 drawn.append(config)
         except Exception as e:  # raised once the configurations before it are measured
             draw_error = e
-        columns = [_columns(name, space, drawn, tol_cfg) for name in names]
+        columns = [_columns(name, space, drawn) for name in names]
         for config, cols in zip(drawn, zip(*columns)):
             try:
-                sample = [CRITERIA[name].measure(space, config, tol_cfg, c)
+                sample = [CRITERIA[name].measure(space, config, c)
                           for name, c in zip(names, cols)]
             except SKIPPED_SAMPLE as e:
                 kind = type(e).__name__
@@ -209,14 +207,14 @@ def sample_measurements(
             return out
 
 
-def _columns(name: str, space: GeodesicSpace, configs: list, tol_cfg: Tolerances) -> list:
+def _columns(name: str, space: GeodesicSpace, configs: list) -> list:
     """The named criterion's column values of each configuration, None where
     it is measured one at a time: everywhere when the arrays raise, since they
     may meet another configuration's error first."""
     columns = CRITERIA[name].columns
     if columns is not None and configs:
         try:
-            return columns(space, configs, tol_cfg)
+            return columns(space, configs)
         except (ArithmeticError, ValueError, CmpkError):
             pass
     return [None] * len(configs)
@@ -450,29 +448,6 @@ def estimate_bounds(
     )
 
 
-def estimate_profile_noise_floor(
-    eps_ladder: Sequence[float], n_per_eps: int, seed: int, *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Numerical chi floor measured on the flat plane with the same sampling.
-
-    The largest `chi_at_scale` on the plane over the ladder, clamped below at
-    1e-14; `riemannian_point_profile` takes max(4 x floor, 1e-12) as its
-    threshold, which is 1e-12 unless the floor exceeds 2.5e-13.  The plane has
-    `shots`, so each rung is decided over arrays; only a comparison within
-    `criteria._ROWS_BAND` of its threshold is built one at a time.
-    """
-    from cmpk.spaces import make_euclidean_plane
-
-    plane = make_euclidean_plane(tol_cfg)
-    x = plane.default_center()
-    worst = 0.0
-    for eps in eps_ladder:
-        c, _ = criteria.chi_at_scale(plane, x, eps, n_per_eps, seed, tol_cfg=tol_cfg)
-        worst = max(worst, c)
-    return max(worst, 1e-14)
-
-
 def region_report(
     space: GeodesicSpace, centers: Sequence, radius: float, *, n_samples: int = 120,
     seed: int = 0, resolution: float = 0.01, eps_ladder: Sequence[float] | None = None,
@@ -485,16 +460,13 @@ def region_report(
     """
     if eps_ladder is None:
         eps_ladder = tuple(radius * f for f in (1.0, 0.5, 0.25, 0.125))
-    floor = estimate_profile_noise_floor(eps_ladder, n_per_eps, seed, tol_cfg=tol_cfg)
     rows = []
     for idx, center in enumerate(centers):
         row: dict = {"index": idx, "center": space.point_to_data(center)}
         if diagnostic_only:
             row["diagnostic_only"] = True
         try:
-            ms = sample_measurements(
-                space, center, radius, ("pythagorean",), n_samples, seed, tol_cfg=tol_cfg
-            )
+            ms = sample_measurements(space, center, radius, ("pythagorean",), n_samples, seed)
             est = estimate_bounds(
                 space, center, radius, ms, seed=seed, resolution=resolution, tol_cfg=tol_cfg,
                 skipped=n_samples - len(ms["pythagorean"]),
@@ -503,9 +475,7 @@ def region_report(
         except (CmpkError, ValueError) as e:
             row["estimate_error"] = f"{type(e).__name__}: {e}"
         try:
-            prof = criteria.riemannian_point_profile(
-                space, center, eps_ladder, n_per_eps, seed, noise_floor=floor, tol_cfg=tol_cfg
-            )
+            prof = criteria.riemannian_point_profile(space, center, eps_ladder, n_per_eps, seed)
             row["profile"] = asdict(prof)
         except (CmpkError, ValueError) as e:
             row["profile_error"] = f"{type(e).__name__}: {e}"

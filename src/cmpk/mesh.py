@@ -17,7 +17,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import DisconnectedGraphError, MeshFormatError
 from cmpk.spaces import GeodesicSegment, GeodesicSpace
 
@@ -212,9 +211,7 @@ class MeshSpace(GeodesicSpace):
     # computes each row it needs once
     ROW_CACHE_BYTES = 32 * 2**20
 
-    def __init__(self, mesh: TriMesh, steiner: int = 4, *,
-                 path: str | None = None, tol: Tolerances = DEFAULT_TOL):
-        super().__init__(tol)
+    def __init__(self, mesh: TriMesh, steiner: int = 4, *, path: str | None = None):
         self.graph = GeodesicGraph(mesh, steiner)
         self.steiner = int(steiner)
         self.source_path = path
@@ -282,6 +279,5 @@ class MeshSpace(GeodesicSpace):
         return d
 
 
-def mesh_space(mesh: TriMesh, steiner: int = 4, *,
-               path: str | None = None, tol: Tolerances = DEFAULT_TOL) -> MeshSpace:
-    return MeshSpace(mesh, steiner, path=path, tol=tol)
+def mesh_space(mesh: TriMesh, steiner: int = 4, *, path: str | None = None) -> MeshSpace:
+    return MeshSpace(mesh, steiner, path=path)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from cmpk.config import DEFAULT_TOL, MAX_HYPERBOLIC_ARG, SPHERE_MARGIN, Tolerances
+from cmpk.config import CLAMP, GEO, MAX_HYPERBOLIC_ARG, SPHERE_MARGIN, TRI_REL
 from cmpk.errors import DegenerateConfigError, ModelDomainError
 from cmpk import kernels
 
 PI = math.pi
-_TRI_REL = DEFAULT_TOL.tri_rel
 
 
 def _require_finite(**values: float) -> None:
@@ -83,7 +82,7 @@ class SideTriple:
             _require_finite(a=a, b=b, c=c)
         if a < 0.0 or b < 0.0 or c < 0.0:
             raise ModelDomainError(f"sides must be >= 0, got {self.as_tuple()}")
-        slack = _TRI_REL * (a + b + c)
+        slack = TRI_REL * (a + b + c)
         if a > b + c + slack or b > c + a + slack or c > a + b + slack:
             raise ModelDomainError(f"triangle inequality violated by {self.as_tuple()}")
 
@@ -113,19 +112,19 @@ def _check_triple(k: float, sides: SideTriple) -> None:
             )
 
 
-def _clamped_acos(x: float, tol: Tolerances) -> float:
+def _clamped_acos(x: float) -> float:
     if x > 1.0:
-        if x > 1.0 + tol.clamp:
+        if x > 1.0 + CLAMP:
             raise ModelDomainError(f"cosine argument {x} exceeds 1 beyond clamp tolerance")
         x = 1.0
     elif x < -1.0:
-        if x < -1.0 - tol.clamp:
+        if x < -1.0 - CLAMP:
             raise ModelDomainError(f"cosine argument {x} below -1 beyond clamp tolerance")
         x = -1.0
     return math.acos(x)
 
 
-def comparison_angle(k: float, sides, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def comparison_angle(k: float, sides) -> float:
     """Angle of the model triangle between sides a and b (c opposite).
 
     Inverse of :func:`side_from_angle` in its angle argument.
@@ -138,7 +137,7 @@ def comparison_angle(k: float, sides, *, tol: Tolerances = DEFAULT_TOL) -> float
             f"sides adjacent to the angle must be > 0, got {triple.as_tuple()}"
         )
     raw = kernels.cos_angle_from_sides(k, triple.a, triple.b, triple.c)
-    return _clamped_acos(raw, tol)
+    return _clamped_acos(raw)
 
 
 def side_from_angle(k: float, a: float, b: float, gamma: float) -> float:
@@ -161,21 +160,19 @@ def _check_resulting_perimeter(k: float, a: float, b: float, c: float) -> None:
         )
 
 
-def pythagorean_defect(k: float, leg1: float, leg2: float, hyp: float,
-                       *, tol: Tolerances = DEFAULT_TOL) -> float:
+def pythagorean_defect(k: float, leg1: float, leg2: float, hyp: float) -> float:
     """Signed comparison-angle defect against a right angle.
 
     Negative means the lower-curvature-bound inequality holds strictly at
     this triple, positive the upper-bound one.
     """
-    return comparison_angle(k, (leg1, leg2, hyp), tol=tol) - 0.5 * PI
+    return comparison_angle(k, (leg1, leg2, hyp)) - 0.5 * PI
 
 
-def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts, *,
-                         tol: Tolerances = DEFAULT_TOL) -> list[float]:
+def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts) -> list[float]:
     """Model distances from q~ to the points at arclengths ts along [p~ r~].
 
-    Endpoints (t within tol.geo of 0 or d_pr) give d_qp and d_qr exactly.
+    Endpoints (t within GEO of 0 or d_pr) give d_qp and d_qr exactly.
     The triple is checked once, each t's range in order, and the cosine of
     the model angle at p~ is computed once, at the first interior t, so the
     results and the first error raised are those of `side_from_angle` taking
@@ -189,7 +186,7 @@ def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts, *,
     cos_alpha = None
     out = []
     for t in ts:
-        if not -tol.geo <= t <= d_pr + tol.geo:
+        if not -GEO <= t <= d_pr + GEO:
             raise ModelDomainError(f"t={t} outside [0, {d_pr}]")
         t = min(max(t, 0.0), d_pr)
         if t == 0.0:
@@ -198,17 +195,16 @@ def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts, *,
             out.append(d_qr)
         else:
             if cos_alpha is None:
-                cos_alpha = math.cos(comparison_angle(k, triple, tol=tol))
+                cos_alpha = math.cos(comparison_angle(k, triple))
             c = kernels.side_from_angle_cos(k, d_qp, t, cos_alpha)
             _check_resulting_perimeter(k, d_qp, t, c)
             out.append(c)
     return out
 
 
-def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float,
-                           t: float, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float, t: float) -> float:
     """Model distance from q~ to the point at arclength t along [p~ r~]."""
-    return comparison_distances(k, d_qp, d_qr, d_pr, (t,), tol=tol)[0]
+    return comparison_distances(k, d_qp, d_qr, d_pr, (t,))[0]
 
 
 @dataclass(frozen=True)
@@ -224,13 +220,13 @@ class ComparisonTriangle:
         return sum(self.angles) - PI
 
 
-def build_comparison_triangle(k: float, sides, *, tol: Tolerances = DEFAULT_TOL) -> ComparisonTriangle:
+def build_comparison_triangle(k: float, sides) -> ComparisonTriangle:
     """Realize a SideTriple in the curvature-k model surface."""
     triple = _as_triple(sides)
     a, b, c = triple.as_tuple()
     angles = (
-        comparison_angle(k, (b, c, a), tol=tol),
-        comparison_angle(k, (c, a, b), tol=tol),
-        comparison_angle(k, (a, b, c), tol=tol),
+        comparison_angle(k, (b, c, a)),
+        comparison_angle(k, (c, a, b)),
+        comparison_angle(k, (a, b, c)),
     )
     return ComparisonTriangle(k, triple, angles)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from cmpk.config import DEFAULT_TOL, Tolerances
+from cmpk.config import DEFAULT_TOL, GEO, PT, TIE, Tolerances
 from cmpk.errors import CmpkError, ShootUnavailable, SpaceDescriptorError
 
 TWO_PI = 2.0 * math.pi
@@ -43,7 +43,7 @@ class GeodesicSegment:
     def at(self, t: float):
         """Point at arclength t from the start (tiny overshoot clamped)."""
         length = self.length
-        if t < -self.space.tol.geo or t > length + self.space.tol.geo:
+        if t < -GEO or t > length + GEO:
             raise ValueError(f"t={t} outside [0, {length}]")
         # clamped by comparisons: this runs once per point of every foot refinement
         if t < 0.0:
@@ -106,9 +106,6 @@ class GeodesicSpace(ABC):
     # `row` is rows[i]; None where segments have no row form
     segment_rows: Callable | None = None
 
-    def __init__(self, tol: Tolerances = DEFAULT_TOL):
-        self.tol = tol
-
     @abstractmethod
     def distance(self, x, y) -> float: ...
 
@@ -140,7 +137,7 @@ class GeodesicSpace(ABC):
         return self.minimal_geodesics(x, y)[0]
 
     def points_equal(self, x, y) -> bool:
-        return self.distance(x, y) <= self.tol.pt
+        return self.distance(x, y) <= PT
 
     def shoot(self, p, phi: float, length: float):
         """Endpoint of the unit-speed geodesic from p in direction angle phi."""
@@ -238,8 +235,7 @@ class _Quadric(GeodesicSpace):
     cf: Callable[[float], float]
     sf: Callable[[float], float]
 
-    def __init__(self, k: float, tol: Tolerances = DEFAULT_TOL):
-        super().__init__(tol)
+    def __init__(self, k: float):
         self.k = float(k)
         self.radius = 1.0 / math.sqrt(abs(k))
         self.known_curvature = self.k
@@ -326,10 +322,10 @@ class Sphere(_Quadric):
     name = "sphere"
     cf, sf = staticmethod(math.cos), staticmethod(math.sin)
 
-    def __init__(self, k: float, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, k: float):
         if not (1e-6 <= k <= 1e6):
             raise SpaceDescriptorError(f"sphere requires k in [1e-6, 1e6], got {k}")
-        super().__init__(k, tol)
+        super().__init__(k)
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -382,7 +378,7 @@ class Sphere(_Quadric):
     def geodesic_rows(self, xs, ys):
         xs, ys = self._check_rows(xs), self._check_rows(ys)
         d = self.pair_distances(xs, ys)
-        exact = (d != 0.0) & ~(math.pi * self.radius - d <= self.tol.tie)
+        exact = (d != 0.0) & ~(math.pi * self.radius - d <= TIE)
         # the tangent of `minimal_geodesics` row by row: its np.dot and norm go
         # through BLAS, whose rounding an array formula need not share
         ws = np.zeros_like(xs)
@@ -415,7 +411,7 @@ class Sphere(_Quadric):
         d = self.distance(x, y)
         if d == 0.0:
             return [self._segment(x, y, 0.0, lambda t: x)]
-        if math.pi * self.radius - d <= self.tol.tie:
+        if math.pi * self.radius - d <= TIE:
             # antipodal: a continuum of minimal geodesics; report two of them
             u = np.array(self._basis(x.tolist())[0])
             return [self._arc(x, u, d), self._arc(x, -u, d)]
@@ -434,10 +430,10 @@ class Hyperbolic(_Quadric):
     name = "hyperbolic"
     cf, sf = staticmethod(math.cosh), staticmethod(math.sinh)
 
-    def __init__(self, k: float, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, k: float):
         if not (1e-6 <= -k <= 1e6):
             raise SpaceDescriptorError(f"hyperbolic requires -k in [1e-6, 1e6], got {k}")
-        super().__init__(k, tol)
+        super().__init__(k)
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -555,8 +551,7 @@ class Cone(GeodesicSpace):
 
     name = "cone"
 
-    def __init__(self, perimeter: float, tol: Tolerances = DEFAULT_TOL):
-        super().__init__(tol)
+    def __init__(self, perimeter: float):
         if not (perimeter > 0.0 and math.isfinite(perimeter)):
             raise SpaceDescriptorError(f"cone perimeter must be > 0, got {perimeter}")
         self.perimeter = float(perimeter)
@@ -645,10 +640,10 @@ class Cone(GeodesicSpace):
             chords.append((d0, d1, length))
         (a0, a1, la), (b0, b1, lb) = chords
         best = np.minimum(la, lb)
-        first = la <= best + self.tol.tie
+        first = la <= best + TIE
         d0, d1, length = np.where(first, a0, b0), np.where(first, a1, b1), np.where(first, la, lb)
-        exact = ((r1 != 0.0) & (r2 != 0.0) & (length > 0.0) & ~(r1 + r2 <= best + self.tol.tie)
-                 & ~(np.maximum(la, lb) <= best + self.tol.tie))
+        exact = ((r1 != 0.0) & (r2 != 0.0) & (length > 0.0) & ~(r1 + r2 <= best + TIE)
+                 & ~(np.maximum(la, lb) <= best + TIE))
         length = np.where(exact, length, 0.0)
         u0, u1 = d0 / np.where(exact, length, 1.0), d1 / np.where(exact, length, 1.0)
         # `_unrolled_route` normalizes the start once more
@@ -700,20 +695,20 @@ class Cone(GeodesicSpace):
                 routes.append(
                     (math.hypot(r2 * math.cos(signed) - r1, r2 * math.sin(signed)), signed))
         apex_len = r1 + r2
-        if not routes or apex_len <= min(length for length, _ in routes) + self.tol.tie:
+        if not routes or apex_len <= min(length for length, _ in routes) + TIE:
             routes.append((apex_len, None))
         best = min(length for length, _ in routes)
         # drop duplicated routes (e.g. ccw == 0 yields one radial chord twice)
         dedup: list[GeodesicSegment] = []
         for length, signed in routes:
-            if length > best + self.tol.tie:
+            if length > best + TIE:
                 continue
             if signed is None:
                 seg = self._apex_route((r1, t1), (r2, t2))
             else:
                 seg = self._unrolled_route((r1, t1), (r2, t2), signed)
             if not any(
-                self.distance(seg.midpoint(), other.midpoint()) <= self.tol.pt
+                self.distance(seg.midpoint(), other.midpoint()) <= PT
                 for other in dedup
             ):
                 dedup.append(seg)
@@ -725,7 +720,7 @@ class Cone(GeodesicSpace):
             return (length, phi % self.perimeter)
         q0, q1 = r + length * math.cos(phi), length * math.sin(phi)
         rho = math.hypot(q0, q1)
-        if rho <= self.tol.pt:
+        if rho <= PT:
             raise ShootUnavailable("geodesic through the cone apex is not extendable")
         return (rho, (th + math.atan2(q1, q0)) % self.perimeter)
 
@@ -748,7 +743,7 @@ class Cone(GeodesicSpace):
         apex = r == 0.0
         points = np.stack([np.where(apex, lengths, rho), np.where(apex, phis % period, theta)],
                           axis=1)
-        return points, apex | ~(rho <= self.tol.pt)
+        return points, apex | ~(rho <= PT)
 
     def sample_balls(self, center, radius, us):
         """The points `sample_ball` draws from the uniforms us, as a list of
@@ -858,9 +853,8 @@ class SphericalTriangleDomain(GeodesicSpace):
 
     name = "spherical_triangle"
 
-    def __init__(self, k: float, vertices: Sequence, tol: Tolerances = DEFAULT_TOL):
-        super().__init__(tol)
-        self._sphere = Sphere(k, tol)
+    def __init__(self, k: float, vertices: Sequence):
+        self._sphere = Sphere(k)
         self.k = self._sphere.k
         self.known_curvature = self.k
         vs = [np.asarray(_unit(np.asarray(v, dtype=float))) for v in vertices]
@@ -931,61 +925,59 @@ class SphericalTriangleDomain(GeodesicSpace):
 # Constructors and the JSON descriptor interface
 
 
-def make_euclidean_plane(tol: Tolerances = DEFAULT_TOL) -> EuclideanPlane:
-    return EuclideanPlane(tol)
+def make_euclidean_plane() -> EuclideanPlane:
+    return EuclideanPlane()
 
 
-def make_sphere(k: float, tol: Tolerances = DEFAULT_TOL) -> Sphere:
+def make_sphere(k: float) -> Sphere:
     if k == 0.0:
         raise SpaceDescriptorError("k = 0 is the plane; use make_euclidean_plane")
-    return Sphere(k, tol)
+    return Sphere(k)
 
 
-def make_hyperbolic(k: float, tol: Tolerances = DEFAULT_TOL) -> Hyperbolic:
+def make_hyperbolic(k: float) -> Hyperbolic:
     if k == 0.0:
         raise SpaceDescriptorError("k = 0 is the plane; use make_euclidean_plane")
-    return Hyperbolic(k, tol)
+    return Hyperbolic(k)
 
 
-def make_cone(perimeter: float, tol: Tolerances = DEFAULT_TOL) -> Cone:
-    return Cone(perimeter, tol)
+def make_cone(perimeter: float) -> Cone:
+    return Cone(perimeter)
 
 
-def make_tripod(tol: Tolerances = DEFAULT_TOL) -> Tripod:
-    return Tripod(tol)
+def make_tripod() -> Tripod:
+    return Tripod()
 
 
-def make_spherical_triangle_domain(
-    k: float, vertices: Sequence, tol: Tolerances = DEFAULT_TOL
-) -> SphericalTriangleDomain:
-    return SphericalTriangleDomain(k, vertices, tol)
+def make_spherical_triangle_domain(k: float, vertices: Sequence) -> SphericalTriangleDomain:
+    return SphericalTriangleDomain(k, vertices)
 
 
-def make_octant(k: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> SphericalTriangleDomain:
+def make_octant(k: float = 1.0) -> SphericalTriangleDomain:
     """Octant of S^2_k: vertices pairwise at distance pi/(2 sqrt(k))."""
     eye = np.eye(3)
-    return SphericalTriangleDomain(k, [eye[0], eye[1], eye[2]], tol)
+    return SphericalTriangleDomain(k, [eye[0], eye[1], eye[2]])
 
 
 DESCRIPTOR_VERSION = 1
 
 
-def _mesh_from_descriptor(d: dict, tol: Tolerances) -> GeodesicSpace:
+def _mesh_from_descriptor(d: dict) -> GeodesicSpace:
     # imported on first use: cmpk.mesh pulls in scipy.sparse
     from cmpk.mesh import load_obj, mesh_space
 
-    return mesh_space(load_obj(d["path"]), int(d.get("steiner", 4)), path=d["path"], tol=tol)
+    return mesh_space(load_obj(d["path"]), int(d.get("steiner", 4)), path=d["path"])
 
 
 # type name -> (constructor from descriptor dict, keys besides "type" and "version")
 _SPACE_TYPES: dict[str, tuple[Callable[..., GeodesicSpace], set[str]]] = {
-    "plane": (lambda d, tol: make_euclidean_plane(tol), set()),
-    "sphere": (lambda d, tol: make_sphere(d["k"], tol), {"k"}),
-    "hyperbolic": (lambda d, tol: make_hyperbolic(d["k"], tol), {"k"}),
-    "cone": (lambda d, tol: make_cone(d["perimeter"], tol), {"perimeter"}),
-    "tripod": (lambda d, tol: make_tripod(tol), set()),
+    "plane": (lambda d: make_euclidean_plane(), set()),
+    "sphere": (lambda d: make_sphere(d["k"]), {"k"}),
+    "hyperbolic": (lambda d: make_hyperbolic(d["k"]), {"k"}),
+    "cone": (lambda d: make_cone(d["perimeter"]), {"perimeter"}),
+    "tripod": (lambda d: make_tripod(), set()),
     "spherical_triangle": (
-        lambda d, tol: make_spherical_triangle_domain(d["k"], d["vertices"], tol),
+        lambda d: make_spherical_triangle_domain(d["k"], d["vertices"]),
         {"k", "vertices"},
     ),
     "mesh": (_mesh_from_descriptor, {"path", "steiner"}),
@@ -997,7 +989,8 @@ def space_from_descriptor(desc, tol: Tolerances = DEFAULT_TOL) -> GeodesicSpace:
 
     Schema (version 1): ``{"type": <name>, ...params}``; unknown keys are
     rejected.  Types: plane, sphere{k}, hyperbolic{k}, cone{perimeter},
-    tripod, spherical_triangle{k, vertices}, mesh{path, steiner}.
+    tripod, spherical_triangle{k, vertices}, mesh{path, steiner}.  `tol` is
+    accepted for callers that pass a run's verdict setting; spaces read none.
     """
     if isinstance(desc, str):
         try:
@@ -1018,6 +1011,6 @@ def space_from_descriptor(desc, tol: Tolerances = DEFAULT_TOL) -> GeodesicSpace:
     if unknown:
         raise SpaceDescriptorError(f"unknown descriptor keys for {kind}: {sorted(unknown)}")
     try:
-        return builder(desc, tol)
+        return builder(desc)
     except KeyError as e:
         raise SpaceDescriptorError(f"descriptor for {kind} is missing key {e}") from e

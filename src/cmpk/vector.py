@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from cmpk.config import MAX_HYPERBOLIC_ARG, Tolerances
+from cmpk.config import MAX_HYPERBOLIC_ARG, TRI_REL, Tolerances
 from cmpk.kernels import SERIES_EPS
-from cmpk.model import _TRI_REL, PI, _perimeter_bound
+from cmpk.model import PI, _perimeter_bound
 
 ILL = 1e-6  # conditioning band left to the scalar path (see the module docstring)
 
@@ -80,7 +80,7 @@ def arc_from_vcs(k: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """`model.comparison_angle(k, (a, b, c))` per element, and where it is decided."""
     perimeter = a + b + c
-    slack = _TRI_REL * perimeter
+    slack = TRI_REL * perimeter
     ok = (np.isfinite(perimeter) & (a >= 0.0) & (b >= 0.0) & (c >= 0.0)
           & (a <= b + c + slack) & (b <= c + a + slack) & (c <= a + b + slack))
     if k > 0.0:

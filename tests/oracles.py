@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cmpk import criteria, estimator, model
+from cmpk import config, criteria, estimator, model
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.criteria import (
     PI,
@@ -255,12 +255,11 @@ class AngleEstimate:
 def measure_angle_ladder(
     space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment, *,
     t0: float | None = None, ratio: float = 0.5, rungs: int = 8,
-    tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> tuple[tuple[float, float, float, float], ...]:
     """Raw ladder of (t_j, |p a_j|, |p b_j|, |a_j b_j|)."""
     for seg in (toward_q, toward_r):
-        if space.distance(seg.at(0.0), p) > 10.0 * tol_cfg.pt:
-            raise ValueError("segment does not emanate from p")
+        if space.distance(seg.at(0.0), p) > 10.0 * config.PT:
+            raise LadderError("segment does not emanate from p")
     if t0 is None:
         t0 = 0.1 * min(toward_q.length, toward_r.length)
     if t0 <= 0.0:
@@ -272,7 +271,7 @@ def measure_angle_ladder(
         b = toward_r.at(t)
         d_pa = space.distance(p, a)
         d_pb = space.distance(p, b)
-        if min(d_pa, d_pb) < 10.0 * tol_cfg.geo:
+        if min(d_pa, d_pb) < 10.0 * config.GEO:
             raise LadderError(f"ladder distances degenerate at rung {j}")
         out.append((t, d_pa, d_pb, space.distance(a, b)))
     return tuple(out)
@@ -280,10 +279,10 @@ def measure_angle_ladder(
 
 def evaluate_angle_ladder(
     raw: Sequence[tuple[float, float, float, float]], k0: float, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, vertex=None, toward=(None, None),
+    vertex=None, toward=(None, None),
 ) -> AngleEstimate:
     ladder = tuple(
-        (t, model.comparison_angle(k0, (d_pa, d_pb, d_ab), tol=tol_cfg))
+        (t, model.comparison_angle(k0, (d_pa, d_pb, d_ab)))
         for t, d_pa, d_pb, d_ab in raw
     )
     values = [v for _, v in ladder]
@@ -303,14 +302,11 @@ def _richardson(raw, values) -> float:
 def angle_at(
     space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment,
     k0: float = 0.0, *, t0: float | None = None, ratio: float = 0.5, rungs: int = 8,
-    tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> AngleEstimate:
     """Angle between two segments at p as the small-scale comparison-angle limit."""
-    raw = measure_angle_ladder(
-        space, p, toward_q, toward_r, t0=t0, ratio=ratio, rungs=rungs, tol_cfg=tol_cfg
-    )
+    raw = measure_angle_ladder(space, p, toward_q, toward_r, t0=t0, ratio=ratio, rungs=rungs)
     return evaluate_angle_ladder(
-        raw, k0, tol_cfg=tol_cfg, vertex=space.point_to_data(p),
+        raw, k0, vertex=space.point_to_data(p),
         toward=(space.point_to_data(toward_q.end), space.point_to_data(toward_r.end)),
     )
 
@@ -323,48 +319,42 @@ class TriangleMeasurement:
     multi_geodesic: bool
 
 
-def measure_triangle(
-    space: GeodesicSpace, p, q, r, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, rungs: int = 8,
-) -> TriangleMeasurement:
+def measure_triangle(space: GeodesicSpace, p, q, r, *, rungs: int = 8) -> TriangleMeasurement:
     g_pq = space.minimal_geodesics(p, q)
     g_pr = space.minimal_geodesics(p, r)
     g_qr = space.minimal_geodesics(q, r)
     d_pq, d_pr, d_qr = g_pq[0].length, g_pr[0].length, g_qr[0].length
-    if min(d_pq, d_pr, d_qr) <= 10.0 * tol_cfg.geo:
+    if min(d_pq, d_pr, d_qr) <= 10.0 * config.GEO:
         raise DegenerateConfigError("triangle has a vanishing side")
     multi = max(len(g_pq), len(g_pr), len(g_qr)) > 1
     ladders = {"p": [], "q": [], "r": []}
     for ga in g_pq:
         for gb in g_pr:
-            ladders["p"].append(measure_angle_ladder(space, p, ga, gb, rungs=rungs, tol_cfg=tol_cfg))
+            ladders["p"].append(measure_angle_ladder(space, p, ga, gb, rungs=rungs))
     for ga in g_pq:
         for gb in g_qr:
-            ladders["q"].append(
-                measure_angle_ladder(space, q, ga.reversed(), gb, rungs=rungs, tol_cfg=tol_cfg)
-            )
+            ladders["q"].append(measure_angle_ladder(space, q, ga.reversed(), gb, rungs=rungs))
     for ga in g_pr:
         for gb in g_qr:
             ladders["r"].append(
-                measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), rungs=rungs, tol_cfg=tol_cfg)
+                measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), rungs=rungs)
             )
     scale = max(d_pq, d_pr, d_qr)
     return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, scale, multi)
 
 
-def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float,
-                           t: float, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float, t: float) -> float:
     """Model distance from q~ to the point at arclength t along [p~ r~]."""
     triple = model.SideTriple(d_qp, d_pr, d_qr)
     model._check_triple(k, triple)
-    if not -tol.geo <= t <= d_pr + tol.geo:
+    if not -config.GEO <= t <= d_pr + config.GEO:
         raise ModelDomainError(f"t={t} outside [0, {d_pr}]")
     t = min(max(t, 0.0), d_pr)
     if t == 0.0:
         return d_qp
     if t == d_pr:
         return d_qr
-    alpha = model.comparison_angle(k, triple, tol=tol)
+    alpha = model.comparison_angle(k, triple)
     return model.side_from_angle(k, d_qp, t, alpha)
 
 
@@ -372,7 +362,7 @@ def evaluate_point_segment(
     m: PointSegmentMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     defects = [
-        d_real - comparison_distance_at(k, m.d_qp, m.d_qr, m.length, t, tol=tol_cfg)
+        d_real - comparison_distance_at(k, m.d_qp, m.d_qr, m.length, t)
         for t, d_real in m.probes
     ]
     cbb = -min(defects)  # lower bound requires real >= model everywhere
@@ -385,14 +375,14 @@ def evaluate_triangle(
 ) -> TestOutcome:
     d_qr, d_pr, d_pq = m.sides
     model_angles = {
-        "p": model.comparison_angle(k, (d_pq, d_pr, d_qr), tol=tol_cfg),
-        "q": model.comparison_angle(k, (d_pq, d_qr, d_pr), tol=tol_cfg),
-        "r": model.comparison_angle(k, (d_pr, d_qr, d_pq), tol=tol_cfg),
+        "p": model.comparison_angle(k, (d_pq, d_pr, d_qr)),
+        "q": model.comparison_angle(k, (d_pq, d_qr, d_pr)),
+        "r": model.comparison_angle(k, (d_pr, d_qr, d_pq)),
     }
     cbb = -math.inf
     cba = -math.inf
     for v, raws in m.ladders.items():
-        angles = [evaluate_angle_ladder(raw, k, tol_cfg=tol_cfg).angle for raw in raws]
+        angles = [evaluate_angle_ladder(raw, k).angle for raw in raws]
         # lower bound needs angle >= model angle for every geodesic pair
         cbb = max(cbb, model_angles[v] - min(angles))
         cba = max(cba, max(angles) - model_angles[v])
@@ -455,13 +445,13 @@ def cone_minimal_geodesics(cone, x, y) -> list[GeodesicSegment]:
             seg = cone._unrolled_route((r1, t1), (r2, t2), signed)
             candidates.append((seg.length, seg))
     apex_len = r1 + r2
-    if not candidates or apex_len <= min(c[0] for c in candidates) + cone.tol.tie:
+    if not candidates or apex_len <= min(c[0] for c in candidates) + config.TIE:
         candidates.append((apex_len, cone._apex_route((r1, t1), (r2, t2))))
     best = min(c[0] for c in candidates)
-    out = [seg for length, seg in candidates if length <= best + cone.tol.tie]
+    out = [seg for length, seg in candidates if length <= best + config.TIE]
     dedup: list[GeodesicSegment] = []
     for seg in out:
-        if not any(cone.distance(seg.midpoint(), other.midpoint()) <= cone.tol.pt
+        if not any(cone.distance(seg.midpoint(), other.midpoint()) <= config.PT
                    for other in dedup):
             dedup.append(seg)
     return dedup
@@ -469,7 +459,7 @@ def cone_minimal_geodesics(cone, x, y) -> list[GeodesicSegment]:
 
 def sample_foot_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, min_seg_rel: float = 0.7,
+    min_seg_rel: float = 0.7,
     min_height_rel: float = 0.15, unique_only: bool = True, max_tries: int = 200,
 ):
     """Draw (q, seg, foot) with an interior foot and non-degenerate height."""
@@ -484,14 +474,14 @@ def sample_foot_config(
         seg = geods[0]
         q = space.sample_ball(center, radius, rng)
         try:
-            foot = foot_of_perpendicular(space, q, seg, tol_cfg=tol_cfg)
+            foot = foot_of_perpendicular(space, q, seg)
         except (FootOnBoundary, DegenerateConfigError):
             continue
         if foot.d_star < min_height_rel * radius:
             continue
         p = seg.at(foot.t_star)
         # node-resolution spaces can snap an interior t* onto an endpoint
-        if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= tol_cfg.geo:
+        if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= config.GEO:
             continue
         return q, seg, foot
     raise DegenerateRegionError(
@@ -500,16 +490,16 @@ def sample_foot_config(
 
 
 def sample_measurements(space: GeodesicSpace, center, radius: float, names: Sequence[str],
-                        n_samples: int, seed: int, *, tol_cfg: Tolerances = DEFAULT_TOL):
+                        n_samples: int, seed: int):
     """`estimator.sample_measurements` as it measured each configuration by the
     scalar probes as soon as `criteria.foot_configs` yielded it."""
     names = estimator._normalize_criteria(names)
     rng = np.random.default_rng(seed)
     out = estimator.Measurements({name: [] for name in names})
     for drawn in criteria.foot_configs(space, center, radius, rng, n_samples,
-                                       tol_cfg=tol_cfg, rejected=out.rejected):
+                                       rejected=out.rejected):
         try:
-            sample = [estimator.CRITERIA[name].measure(space, drawn, tol_cfg) for name in names]
+            sample = [estimator.CRITERIA[name].measure(space, drawn) for name in names]
         except estimator.SKIPPED_SAMPLE as e:
             kind = type(e).__name__
             out.skipped_by[kind] = out.skipped_by.get(kind, 0) + 1
@@ -591,10 +581,7 @@ def plane_sample_ball(self, center, radius, rng):
 # time, drawing from the given generator instead of one seeded from `seed`.
 
 
-def chi_at_scale(
-    space: GeodesicSpace, x, eps: float, n: int, rng, *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
-) -> tuple[float, int]:
+def chi_at_scale(space: GeodesicSpace, x, eps: float, n: int, rng) -> tuple[float, int]:
     chi_max = 0.0
     skipped = 0
     for _ in range(n):
@@ -608,7 +595,7 @@ def chi_at_scale(
                 p = space.shoot(x, omega, u * eps)
             except ShootUnavailable:
                 p = space.sample_ball(x, 0.45 * eps, rng)
-            cfg = build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2, tol_cfg=tol_cfg)
+            cfg = build_right_angle_config(space, p, beta, beta + PI / 2, l1, l2)
         except RightAngleUnavailable:
             skipped += 1
             continue

@@ -243,15 +243,14 @@ def test_06b_cone_profile():
     t0 = time.perf_counter()
     cone = spaces.make_cone(PI)
     ladder = (0.25, 0.125, 0.0625, 0.03125)
-    floor = estimator.estimate_profile_noise_floor(ladder, 128, 106)
-    apex = criteria.riemannian_point_profile(cone, (0.0, 0.0), ladder, 128, 106, noise_floor=floor)
+    apex = criteria.riemannian_point_profile(cone, (0.0, 0.0), ladder, 128, 106)
     v0, v1 = apex.chi[-2], apex.chi[-1]
     apex_ok = (
         apex.classification == "non_vanishing"
         and abs(v1 - v0) <= 0.2 * max(v0, v1)
     )
     off_ok = all(
-        criteria.riemannian_point_profile(cone, c, ladder, 128, 106, noise_floor=floor).classification
+        criteria.riemannian_point_profile(cone, c, ladder, 128, 106).classification
         == "vanishing"
         for c in ((1.0, 0.5), (0.8, 2.5), (1.5, 1.0))
     )

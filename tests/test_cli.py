@@ -321,6 +321,58 @@ def test_estimate_counts_samples_with_degenerate_angles_as_skipped(tmp_path):
     assert len(rows) == 1 + results["n_samples"]
 
 
+@pytest.mark.parametrize("command", ["estimate", "test"])
+def test_far_hyperbolic_triangles_whose_legs_miss_their_vertex_are_skipped(tmp_path, command):
+    # about 10 units out, a minimal geodesic's end rounds up to 2e-8 from its
+    # vertex, more than the ladder's 10 PT: those samples raise LadderError
+    option = "--criteria" if command == "estimate" else "--criterion"
+    assert run([
+        command, "--space", '{"type":"hyperbolic","k":-1.0}',
+        "--region", "center=[5946.0,9260.8,11013.2],radius=0.3", option, "triangle",
+        "--samples", "40", "--seed", "1", "--out", str(tmp_path),
+    ]) == 0
+    results = read_summary(tmp_path, command)["results"]
+    assert results["skipped_by"]["LadderError"] > 0
+    measured = results["n_samples"] if command == "estimate" else results["rows"]
+    assert measured + results["skipped"] == 40
+
+
+def test_tol_scale_sets_only_the_verdict_tolerance(tmp_path):
+    # measuring reads no setting: every run measures the same samples, and
+    # only each row's tolerance, max(1e-9, c scale^2), and verdict follow c
+    runs = {}
+    for c in (None, 0.0, 1e-2):
+        out = tmp_path / f"test-{c}"
+        assert run([
+            "test", "--space", SPHERE, "--criterion", "pythagorean", "--k-grid=-1,0,1",
+            "--samples", "20", "--seed", "2", "--out", str(out),
+            *([] if c is None else [f"--tol-scale={c}"]),
+        ]) == 0
+        lines = (out / "test_rows.csv").read_text().splitlines()
+        runs[c] = read_summary(out, "test")["results"], [line.split(",") for line in lines[1:]]
+    default_results, default_rows = runs[None]
+    assert default_rows
+    for c, (results, rows) in runs.items():
+        quad = 1e-4 if c is None else c
+        # sample, k, scale, cbb_defect, cba_defect
+        assert [row[:5] for row in rows] == [row[:5] for row in default_rows]
+        for row in rows:
+            scale = float(row[2])
+            assert float(row[5]) == max(1e-9, quad * scale * scale)
+        assert results["rejected"] == default_results["rejected"]
+        assert results["skipped_by"] == default_results["skipped_by"]
+    counts = []
+    for c in (None, 1e-2):
+        out = tmp_path / f"estimate-{c}"
+        assert run([
+            "estimate", "--space", SPHERE, "--samples", "30", "--seed", "2", "--out", str(out),
+            *([] if c is None else [f"--tol-scale={c}"]),
+        ]) == 0
+        results = read_summary(out, "estimate")["results"]
+        counts.append((results["n_samples"], results["skipped"], results["rejected"]))
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # exit codes and validation
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cmpk import criteria, estimator, spaces
-from cmpk.config import DEFAULT_TOL
 from cmpk.errors import DegenerateRegionError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -59,7 +58,7 @@ def drawn(space, center, radius, seed, n):
 def measured(name, space, config, columns=None):
     """repr of the criterion's measurement, or what measuring it raised."""
     try:
-        return repr(estimator.CRITERIA[name].measure(space, config, DEFAULT_TOL, columns))
+        return repr(estimator.CRITERIA[name].measure(space, config, columns))
     except Exception as e:
         return type(e), str(e)
 
@@ -69,7 +68,7 @@ def check_columns(space, configs):
     the number of configurations each criterion leaves to the scalar probes."""
     left = {}
     for name in NAMES:
-        columns = estimator.CRITERIA[name].columns(space, configs, DEFAULT_TOL)
+        columns = estimator.CRITERIA[name].columns(space, configs)
         assert len(columns) == len(configs)
         for config, cols in zip(configs, columns):
             if cols is not None:
@@ -137,9 +136,9 @@ def _crafted():
         # q 1e-9 from the start: a vanishing triangle side, DegenerateConfigError
         "vanishing-side": (plane, _config(plane, np.array([0.0, 0.0]), np.array([1.0, 0.0]),
                                           np.array([0.0, 1e-9]))),
-        # a side of 5e-8: the ladder's sides are below 10 tol.geo, LadderError
+        # a side of 5e-8: the ladder's sides are below 10 GEO, LadderError
         "degenerate-ladder": (cone, _config(cone, (1.0, 0.2), (1.3, 0.5), (1.0, 0.2 + 5e-8))),
-        # 10 units out: a reversed leg does not emanate from its vertex, ValueError
+        # 10 units out: a reversed leg does not emanate from its vertex, LadderError
         "not-emanating": (_hyp, _config(_hyp, hyp_far[0], hyp_far[1], hyp_far[2])),
     }
 
@@ -148,7 +147,7 @@ CRAFTED = _crafted()
 RAISES = {"foot-at-endpoint": ("pythagorean", "DegenerateConfigError"),
           "vanishing-side": ("triangle", "DegenerateConfigError"),
           "degenerate-ladder": ("triangle", "LadderError"),
-          "not-emanating": ("triangle", "ValueError")}
+          "not-emanating": ("triangle", "LadderError")}
 
 
 @pytest.mark.parametrize("kind", list(CRAFTED))
@@ -157,14 +156,14 @@ def test_crafted_rows_raise_what_the_scalar_probes_raise(kind):
     name, error = RAISES[kind]
     want = measured(name, space, config)
     assert want[0].__name__ == error
-    columns = estimator.CRITERIA[name].columns(space, [config] * 3, DEFAULT_TOL)
+    columns = estimator.CRITERIA[name].columns(space, [config] * 3)
     for cols in columns:  # raised from its columns, or left to the scalar probes
         assert measured(name, space, config, cols) == want
 
 
 def feeding(configs, error=None):
     """A stand-in for criteria.foot_configs that yields configs, then raises error."""
-    def foot_configs(space, center, radius, rng, n, *, tol_cfg=DEFAULT_TOL, rejected=None):
+    def foot_configs(space, center, radius, rng, n, *, rejected=None):
         yield from configs
         if error is not None:
             raise error
@@ -175,7 +174,9 @@ def feeding(configs, error=None):
 @pytest.mark.parametrize("draw_error", [None, DegenerateRegionError("no valid foot configuration")])
 def test_measurement_and_draw_errors_keep_their_order(monkeypatch, kind, draw_error):
     space, bad = CRAFTED[kind]
-    center, radius = CASES["hyperbolic-far" if space is _hyp else "sphere"][1:]
+    # the good configurations of the far crafted row are drawn near the
+    # origin: 10 units out, some of them skip with LadderError too
+    center, radius = CASES["hyperbolic" if space is _hyp else "sphere"][1:]
     if space.name == "plane":
         center = np.zeros(2)
     elif space.name == "cone":
@@ -188,9 +189,7 @@ def test_measurement_and_draw_errors_keep_their_order(monkeypatch, kind, draw_er
         want = outcome(oracles.sample_measurements, *args)
         assert outcome(estimator.sample_measurements, *args) == want
         raised = want[0] if isinstance(want[0], type) else None
-        if kind == "not-emanating":
-            assert raised is ValueError  # ends the run before the draw error
-        elif draw_error is not None:
+        if draw_error is not None:
             assert raised is DegenerateRegionError
         else:
             assert want[1] == {RAISES[kind][1]: 1}

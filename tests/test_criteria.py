@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpk import criteria, spaces
+from cmpk import config, criteria, spaces
 from cmpk.errors import (
     DegenerateConfigError,
     FootOnBoundary,
@@ -106,7 +106,7 @@ def test_batched_foot_search_matches_looping(make, seed, radius):
     if isinstance(batched, type):
         assert looped is batched
         return
-    target = space.tol.foot_refine_rel * seg.length
+    target = config.FOOT_REFINE_REL * seg.length
     assert looped.t_star == pytest.approx(batched.t_star, abs=target)
     assert looped.d_star == pytest.approx(batched.d_star, abs=target)
 
@@ -140,7 +140,7 @@ def _check_feet_against_scalar(space, qs, segs):
             continue
         assert outcome[i] == criteria.FOOT_OK
         if lockstep and seg.row is not None:
-            target = space.tol.foot_refine_rel * seg.length
+            target = config.FOOT_REFINE_REL * seg.length
             assert t[i] == pytest.approx(scalar.t_star, abs=target)
             assert d[i] == pytest.approx(scalar.d_star, abs=target)
         else:
@@ -646,7 +646,7 @@ RUNG_CASES = {
     "sphere": (spaces.make_sphere(1.0), np.array([0.0, 0.0, 1.0])),
     "hyperbolic": (spaces.make_hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
 }
-# at 1e-4 and 5e-5 the ladder's sides straddle 10 tol.geo; at 3e-6 the legs
+# at 1e-4 and 5e-5 the ladder's sides straddle 10 GEO; at 3e-6 the legs
 # are near 1e-6 and every ladder is under it
 RUNG_EPS = (1.0, 0.25, 0.03, 1e-4, 5e-5, 3e-6)
 
@@ -661,7 +661,7 @@ def rung(chi, space, x, eps, n, rng):
 
 
 def array_rung(space, x, eps, n, rng):
-    return criteria._chi_rows(space, x, eps, n, rng, criteria.DEFAULT_TOL)
+    return criteria._chi_rows(space, x, eps, n, rng)
 
 
 @pytest.mark.parametrize("case", list(RUNG_CASES))
@@ -709,8 +709,7 @@ def test_array_rung_draws_p_from_the_ball_where_its_shot_is_unavailable():
 def decided_rows(space, p, beta, l1, l2):
     """`_right_angle_rows`' outcomes, after checking each row it decides
     against `build_right_angle_config`."""
-    angle, ratio, outcome = criteria._right_angle_rows(space, p, beta, l1, l2,
-                                                       criteria.DEFAULT_TOL)
+    angle, ratio, outcome = criteria._right_angle_rows(space, p, beta, l1, l2)
     assert np.isnan(angle[outcome == criteria.RA_BACK]).all()
     assert np.isnan(ratio[outcome != criteria.RA_BUILT]).all()
     for i in np.flatnonzero(outcome != criteria.RA_BACK).tolist():

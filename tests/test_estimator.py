@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cmpk import criteria, estimator, mesh as mesh_mod, spaces, vector
+from cmpk import config, criteria, estimator, mesh as mesh_mod, spaces, vector
 from cmpk.config import DEFAULT_TOL
 from cmpk.errors import DegenerateConfigError, DegenerateRegionError, LadderError
 from cmpk.kernels import SERIES_EPS
@@ -357,10 +357,10 @@ def test_a_sample_that_raises_a_skip_error_is_left_out_of_every_list(monkeypatch
     calls = itertools.count()
     triangle = estimator.CRITERIA["triangle"]
 
-    def measure(space, c, tol_cfg, columns=None):
+    def measure(space, c, columns=None):
         if next(calls) % 3 == 0:
             raise LadderError("sides degenerate")
-        return triangle.measure(space, c, tol_cfg, columns)
+        return triangle.measure(space, c, columns)
 
     monkeypatch.setitem(estimator.CRITERIA, "triangle", triangle._replace(measure=measure))
     ms = estimator.sample_measurements(sp, center, 0.2, names, 9, 4)
@@ -386,11 +386,6 @@ def test_unknown_criterion_rejected():
     sp = spaces.make_euclidean_plane()
     with pytest.raises(ValueError):
         estimator.sample_measurements(sp, sp.default_center(), 0.2, ("bogus",), 1, 0)
-
-
-def test_noise_floor_is_tiny():
-    floor = estimator.estimate_profile_noise_floor((0.2, 0.1, 0.05), 16, 2)
-    assert floor <= 1e-10
 
 
 def test_region_report_cone_apex_vs_off_apex():
@@ -476,7 +471,7 @@ def test_foot_stream_accepts_the_tries_of_the_one_at_a_time_loop(name, seed):
     assert len(new) == n
     for a, b in zip(new, old):
         assert _same_try(a, b)
-        target = space.tol.foot_refine_rel * a[1].length
+        target = config.FOOT_REFINE_REL * a[1].length
         assert a[2].t_star == pytest.approx(b[2].t_star, abs=target)
         assert a[2].d_star == pytest.approx(b[2].d_star, abs=target)
 

@@ -148,16 +148,16 @@ def test_right_angle_constructions_read_the_reference_angle(kind, monkeypatch):
 
     real_rows = criteria._right_angle_rows
 
-    def rows_built_one_at_a_time(space, p, beta, l1, l2, tol_cfg):
+    def rows_built_one_at_a_time(space, p, beta, l1, l2):
         # the cone rungs of `chi_at_scale` decide their angles over arrays: each
         # row the arrays decide is built again one at a time, reading its angle
         # through `checked`, and must have the same outcome, angle and ratio
-        angle, ratio, outcome = real_rows(space, p, beta, l1, l2, tol_cfg)
+        angle, ratio, outcome = real_rows(space, p, beta, l1, l2)
         for i in np.flatnonzero(outcome != criteria.RA_BACK).tolist():
             b, n_read = float(beta[i]), len(read)
             try:
                 cfg = criteria.build_right_angle_config(
-                    space, p[i], b, b + PI / 2, float(l1[i]), float(l2[i]), tol_cfg=tol_cfg)
+                    space, p[i], b, b + PI / 2, float(l1[i]), float(l2[i]))
                 assert outcome[i] == criteria.RA_BUILT
                 assert repr(float(ratio[i])) == repr(cfg.ratio_defect)
             except criteria.RightAngleUnavailable:

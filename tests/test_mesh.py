@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmpk import criteria, mesh as mesh_mod
+from cmpk import config, criteria, mesh as mesh_mod
 from cmpk.errors import DisconnectedGraphError, MeshFormatError
 from cmpk.spaces import space_from_descriptor
 
@@ -268,7 +268,7 @@ def _argmin_nodes(space, x, y):
 
 def test_segment_evaluator_matches_argmin(octa_path, rng):
     space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=3)
-    slack = space.tol.geo
+    slack = config.GEO
     n = space.graph.n_nodes
     pairs = [(0, 1), (2, 3)] + [tuple(int(a) for a in rng.integers(0, n, 2)) for _ in range(20)]
     for x, y in pairs:

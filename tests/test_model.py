@@ -189,7 +189,7 @@ def test_distance_at_octant_apex():
 def test_distance_at_rejects_t_outside_the_segment():
     with pytest.raises(ModelDomainError, match=r"^t=0\.6 outside \[0, 0\.5\]$"):
         model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.6)
-    # within tol.geo of an endpoint clamps onto it
+    # within GEO of an endpoint clamps onto it
     assert model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.5 + 5e-10) == 0.4
 
 

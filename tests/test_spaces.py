@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpk import criteria, spaces
+from cmpk import config, criteria, spaces
 from cmpk.errors import ShootUnavailable, SpaceDescriptorError
 
 import oracles
@@ -50,12 +50,12 @@ def test_metric_axioms(space, rng):
         for b in range(len(pts)):
             d[a, b] = space.distance(pts[a], pts[b])
     for a in range(len(pts)):
-        assert d[a, a] == pytest.approx(0.0, abs=space.tol.geo)
+        assert d[a, a] == pytest.approx(0.0, abs=config.GEO)
     for _ in range(10_000):
         i, j, k = rng.integers(0, len(pts), 3)
         assert d[i, j] >= 0.0
-        assert d[i, j] == pytest.approx(d[j, i], abs=space.tol.geo)
-        assert d[i, j] <= d[i, k] + d[k, j] + space.tol.geo
+        assert d[i, j] == pytest.approx(d[j, i], abs=config.GEO)
+        assert d[i, j] <= d[i, k] + d[k, j] + config.GEO
 
 
 @pytest.mark.parametrize("space", all_analytic_spaces(), ids=lambda s: s.descriptor().__str__())
@@ -65,14 +65,14 @@ def test_geodesic_minimality_along_segments(space, rng):
         i, j = rng.integers(0, len(pts), 2)
         x, y = pts[i], pts[j]
         for seg in space.minimal_geodesics(x, y):
-            assert seg.length == pytest.approx(space.distance(x, y), abs=space.tol.geo)
+            assert seg.length == pytest.approx(space.distance(x, y), abs=config.GEO)
             assert space.points_equal(seg.at(0.0), x)
             assert space.points_equal(seg.at(seg.length), y)
             if seg.length == 0.0:
                 continue
             s, t = sorted(rng.uniform(0.0, seg.length, 2))
             d = space.distance(seg.at(s), seg.at(t))
-            assert d == pytest.approx(t - s, abs=space.tol.geo * (1.0 + seg.length))
+            assert d == pytest.approx(t - s, abs=config.GEO * (1.0 + seg.length))
 
 
 @pytest.mark.parametrize("space", all_analytic_spaces(), ids=lambda s: s.descriptor().__str__())
@@ -81,7 +81,7 @@ def test_sample_ball_stays_in_ball(space, rng):
     for radius in (0.05, 0.4):
         for _ in range(200):
             p = space.sample_ball(c, radius, rng)
-            assert space.distance(c, p) <= radius + space.tol.geo
+            assert space.distance(c, p) <= radius + config.GEO
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +608,13 @@ def test_cone_route_evaluators_match_numpy_formula(P, r1, r2, a1, a2, fracs):
             assert _ulps(rho, rho_old) <= 2.0 and th == th_old
         # the row reaches the points `at` reaches: each lies on its own grid point
         got = cone.row_distances([seg.at(t) for t in ts], [seg.row] * len(ts))(np.array([ts]))
-        assert (got <= cone.tol.pt).all()
+        assert (got <= config.PT).all()
     # every minimal geodesic with a row, as `minimal_geodesics` builds it
     for seg in cone.minimal_geodesics(x, y):
         if seg.row is not None:
             ts = [f * seg.length for f in fracs]
             got = cone.row_distances([seg.at(t) for t in ts], [seg.row] * len(ts))(np.array([ts]))
-            assert (got <= cone.tol.pt).all()
+            assert (got <= config.PT).all()
 
 
 @given(P=cone_perimeters, r=cone_radii, a=cone_turns, phi=st.floats(-7.0, 7.0),
@@ -633,7 +633,7 @@ def test_cone_shoot_matches_numpy_formula(P, r, a, phi, length):
         return
     q = np.array([r0 + length * math.cos(phi), length * math.sin(phi)])
     rho_old = float(np.hypot(q[0], q[1]))
-    if rho_old <= cone.tol.pt:
+    if rho_old <= config.PT:
         assert rho is None
         return
     assert _ulps(rho, rho_old) <= 2.0
@@ -746,7 +746,7 @@ def test_sample_balls_equal_sample_ball_bitwise(case, pairs, radius):
 
 def test_batched_draw_raises_at_the_unavailable_shot():
     # phi = pi exactly from the center (0.5, 0): the shot of length 0.5 ends
-    # 6e-17 from the apex, within tol.pt, so `shoot` raises there
+    # 6e-17 from the apex, within PT, so `shoot` raises there
     cone, center = spaces.make_cone(7.0), (0.5, 0.0)
     doubles = [0.1, 0.3, 0.7, 0.9, 0.5, 0.5, 0.2, 0.2, 0.4, 0.6, 0.8, 0.1]
     scalar = Replay(doubles)
