@@ -10,14 +10,13 @@ configuration set.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from cmpk import model
+from cmpk import model, rounds
 from cmpk.config import (
     CLAMP,
     DEFAULT_TOL,
@@ -43,6 +42,7 @@ from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace, _each
 PI = math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 FOOT_GRID = 64  # grid intervals of the foot search, before the golden section
+_GRID_STEP = 5  # grid points per distance call of the lockstep search
 
 
 def verdict_from_defects(cbb_defect: float, cba_defect: float, tol: float) -> str:
@@ -168,61 +168,37 @@ def foot_of_perpendicular(space: GeodesicSpace, q, seg: GeodesicSegment) -> Foot
 FOOT_OK, FOOT_BOUNDARY, FOOT_DEGENERATE = 0, 1, 2
 
 
-def feet_of_perpendicular(
-    space: GeodesicSpace, qs: Sequence, segs: Sequence[GeodesicSegment],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`foot_of_perpendicular` of each pair (qs[i], segs[i]), without raising.
+def feet_of_perpendicular(space: GeodesicSpace, qs, rows, lengths: np.ndarray):
+    """`foot_of_perpendicular` of each qs[i] on the segment whose `row` is rows[i]
+    and length lengths[i] > 0, without raising: the searches run in lockstep
+    over arrays, with the scalar search's grid, bracket, target, comparisons,
+    polish and checks applied row by row.
 
     Returns arrays t*, d* and outcome: FOOT_OK, or FOOT_BOUNDARY /
     FOOT_DEGENERATE where the scalar search raises FootOnBoundary /
     DegenerateConfigError; t* and d* are nan unless the outcome is FOOT_OK.
-    When two or more segments have a row form (`GeodesicSegment.row`), their
-    searches run in lockstep over arrays, with the scalar search's grid,
-    bracket, target, comparisons, polish and checks applied row by row; every
-    other pair goes through `foot_of_perpendicular`.
     """
-    n = len(segs)
-    t_star, d_star = np.full(n, np.nan), np.full(n, np.nan)
-    outcome = np.full(n, FOOT_OK)
-    rows = [i for i, seg in enumerate(segs) if seg.row is not None and seg.length > 0.0]
-    if len(rows) < 2:  # one search alone is faster on floats
-        rows = []
-    for i in sorted(set(range(n)).difference(rows)):
-        t_star[i], d_star[i], outcome[i] = _scalar_foot(space, qs[i], segs[i])
-    if rows:
-        f = space.row_distances([qs[i] for i in rows], [segs[i].row for i in rows])
-        L = np.array([segs[i].length for i in rows])
-        t, d, code = _feet_lockstep(f, L)
-        t_star[rows], d_star[rows], outcome[rows] = t, d, code
-        t_star[outcome != FOOT_OK] = d_star[outcome != FOOT_OK] = np.nan
-    return t_star, d_star, outcome
-
-
-def _scalar_foot(space: GeodesicSpace, q, seg: GeodesicSegment):
-    """(t*, d*, outcome) of `foot_of_perpendicular`, as `feet_of_perpendicular` gives them."""
-    try:
-        foot = foot_of_perpendicular(space, q, seg)
-    except FootOnBoundary:
-        return math.nan, math.nan, FOOT_BOUNDARY
-    except DegenerateConfigError:
-        return math.nan, math.nan, FOOT_DEGENERATE
-    return float(foot.t_star), float(foot.d_star), FOOT_OK
-
-
-def _feet_lockstep(f, L: np.ndarray):
-    """The scalar search of each row at once; f maps arclengths (..., rows) to distances."""
+    f, L = space.row_distances(qs, rows), lengths
     ts = np.linspace(0.0, L, FOOT_GRID + 1)  # one grid per column
-    # a few grid points per call: the temporaries of the whole grid would add
-    # about a megabyte to the process's peak memory
-    i = np.argmin(np.concatenate([f(ts[k:k + 13]) for k in range(0, FOOT_GRID + 1, 13)]), axis=0)
     cols = np.arange(len(L))
+    # the grid's first minimum of each column, a few grid points per call: the
+    # temporaries of the whole grid would add megabytes to the peak memory
+    i, low = np.zeros(len(L), dtype=int), np.full(len(L), np.inf)
+    for k in range(0, FOOT_GRID + 1, _GRID_STEP):
+        grid = f(ts[k:k + _GRID_STEP])
+        j = np.argmin(grid, axis=0)
+        fj = grid[j, cols]
+        lower = fj < low
+        i, low = np.where(lower, k + j, i), np.where(lower, fj, low)
     t, ft = _golden_rows(f, ts[np.maximum(i - 1, 0), cols],
                          ts[np.minimum(i + 1, FOOT_GRID), cols], FOOT_REFINE_REL * L)
     t, ft = _polish_rows(f, t, ft, L, FOOT_POLISH_REL * L)
     margin = FOOT_MARGIN_REL * L
     interior = (margin <= t) & (t <= L - margin)
-    return t, ft, np.where(ft <= GEO, FOOT_DEGENERATE,
-                           np.where(interior, FOOT_OK, FOOT_BOUNDARY))
+    outcome = np.where(ft <= GEO, FOOT_DEGENERATE, np.where(interior, FOOT_OK, FOOT_BOUNDARY))
+    failed = outcome != FOOT_OK
+    t[failed] = ft[failed] = np.nan
+    return t, ft, outcome
 
 
 def _golden_rows(f, a: np.ndarray, b: np.ndarray, target: np.ndarray):
@@ -985,36 +961,13 @@ MIN_SEG_REL = 0.7
 # Why `foot_configs` rejects a try, in the order a try is checked.
 REJECTIONS = ("short_segment", "several_geodesics", "foot_on_boundary", "degenerate",
               "low_height", "endpoint_snap")
-_FOOT_REJECTION = {FOOT_BOUNDARY: "foot_on_boundary", FOOT_DEGENERATE: "degenerate"}
+# Why a lockstep foot search rejects a try, by outcome code.
+FOOT_REJECTIONS = {FOOT_BOUNDARY: "foot_on_boundary", FOOT_DEGENERATE: "degenerate"}
 
 
-def _ball_points(space: GeodesicSpace, center, radius: float, rng: np.random.Generator,
-                 block: int):
-    """The points `space.sample_ball` draws one after the other for a round of
-    `block` searches, as a generator to close after the last point taken.
-
-    With `sample_balls`, points are mapped from blocks of uniforms drawn ahead,
-    three points per search and more when they run out; closing sets the rng
-    back and advances it by the uniforms of the points taken, so it ends where
-    sample_ball would have left it.  A point whose shot is unavailable raises
-    when it is taken.  A round of one search draws one point at a time: for
-    its few points that costs less than one `sample_balls` call.
-    """
-    if space.sample_balls is None or block == 1:
-        while True:
-            yield space.sample_ball(center, radius, rng)
-    state = rng.bit_generator.state
-    taken = 0
-    try:
-        while True:
-            for p in space.sample_balls(center, radius, rng.random(6 * block)):
-                taken += 2
-                if isinstance(p, ShootUnavailable):
-                    raise p
-                yield p
-    finally:
-        rng.bit_generator.state = state
-        rng.random(taken)
+# A round searches at most ROUND_SEARCHES feet: its points, its tries and the
+# lockstep search's arrays stay this small however many samples are wanted
+ROUND_SEARCHES = 400
 
 
 def foot_configs(
@@ -1025,83 +978,88 @@ def foot_configs(
     height of at least min_height_rel * radius.
 
     A try draws a and b from the ball, then q; its configuration is accepted
-    when it passes every check, in the order of REJECTIONS.  Nothing reads the
-    rng between a try's draws and its foot, so tries are drawn in rounds and a
-    round's feet searched together by `feet_of_perpendicular`; its tries are
-    then accepted or rejected in the order they were drawn.  The first round
-    searches as many tries as configurations are wanted, a later one that many
-    times the searches per acceptance so far; on a space without
-    `row_distances` each round is one search, by `foot_of_perpendicular`.  A
-    round also stops drawing where max_tries failures in a row become
-    possible, and DegenerateRegionError is raised at the try that completes
-    them.  A round's points come from `_ball_points`: on a space with
-    `sample_balls` and in a round of more than one search, mapped from one
-    block of uniforms drawn ahead, with the rng then put where drawing them
-    one at a time leaves it.  So the
-    configurations, and the try that raises, are those of trying one at a
-    time; the rng ends after the n-th accepted try's draws when n is 1, and
-    may end past later tries otherwise.  `rejected`, when given, counts the
+    when it passes every check, in the order of REJECTIONS, and
+    DegenerateRegionError is raised at the try that completes max_tries
+    failures in a row.  Nothing reads the rng between a try's draws and its
+    foot, so tries are drawn in rounds, each round's tries decided together
+    and then accepted or rejected in the order they were drawn.  The first
+    round holds as many searches as configurations are wanted, a later one
+    that many times the searches per acceptance so far plus the square root
+    of that, and none more than ROUND_SEARCHES.
+
+    A round of one search, and every round on a space without
+    `sample_balls`, is the one-at-a-time loop (`rounds.scalar_round`).  A
+    larger round is decided over arrays (`rounds.array_round`): its pair
+    checks read `pair_distances` of adjacent ball points, its searched
+    segments are rows of `row_segments` searched in lockstep, and a segment
+    is built only for a try that is accepted.  Short and several-geodesics
+    tries are certain failures and a searched try may be accepted, so such a
+    round stops drawing only at its searches or where max_tries failures in
+    a row are certain; a point whose shot is unavailable ends it, and raises
+    where the stream reaches its try.  `rejected`, when given, counts the
     rejected tries by reason.
+
+    The configurations, the rejections and the try that raises are those of
+    trying one at a time.  When the stream returns, raises or is closed, the
+    rng is where that loop leaves it: a round's uniforms are drawn ahead, and
+    the rng is then set back and advanced by the uniforms of the tries taken.
+    While the stream is suspended at a yield it is past the round's points.
     """
     if rejected is None:
         rejected = dict.fromkeys(REJECTIONS, 0)
-    lockstep = space.row_distances is not None
+    min_height = min_height_rel * radius
     accepted = searched = fails = 0
     while accepted < n:
         wanted = n - accepted
-        if not lockstep:
+        if space.sample_balls is None:
             block = 1
         elif accepted:
+            # the searches expected to give the wanted acceptances, and their
+            # square root more: a round that falls short costs another round
             block = -(-wanted * searched // accepted)
+            block = min(block + math.isqrt(block), ROUND_SEARCHES)
         else:
-            block = wanted
-        tries: list = []  # each a rejection reason or a (q, seg) to search
-        n_search = 0
-        with contextlib.closing(_ball_points(space, center, radius, rng, block)) as points:
-            while n_search < block and fails + len(tries) < max_tries:
-                a, b = next(points), next(points)
-                if space.distance(a, b) < MIN_SEG_REL * radius:
-                    tries.append("short_segment")
-                    continue
-                geods = space.minimal_geodesics(a, b)
-                if len(geods) > 1:
-                    tries.append("several_geodesics")
-                    continue
-                tries.append((next(points), geods[0]))
-                n_search += 1
-        pairs = [x for x in tries if isinstance(x, tuple)]
-        if block == 1:  # one search: without the round's arrays
-            feet = iter([_scalar_foot(space, q, seg) for q, seg in pairs])
-        else:
-            feet = iter(zip(*(a.tolist() for a in feet_of_perpendicular(
-                space, [q for q, _ in pairs], [seg for _, seg in pairs]))))
-        for x in tries:
-            reason = x
-            if isinstance(x, tuple):
-                q, seg = x
-                t, d, code = next(feet)
-                searched += 1
-                reason = _FOOT_REJECTION.get(code)
-                if reason is None and d < min_height_rel * radius:
-                    reason = "low_height"
-                if reason is None:
-                    p = seg.at(t)
-                    # node-resolution spaces can snap an interior t* onto an endpoint
-                    if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= GEO:
-                        reason = "endpoint_snap"
+            block = min(wanted, ROUND_SEARCHES)
+        state = taken = None  # where the rng is set back to after the round, if anywhere
+        try:
+            if block == 1:
+                tries = rounds.scalar_round(space, center, radius, rng, fails, max_tries,
+                                            min_height)
+            else:
+                state, taken = rng.bit_generator.state, 0
+                tries = rounds.array_round(space, center, radius, rng, block, fails, max_tries,
+                                           min_height)
+            for end, reason, config in tries:
+                if state is not None:
+                    taken = end
+                if reason is rounds.UNAVAILABLE:
+                    # drawn again, one at a time: it raises as the loop's draw did
+                    rng.bit_generator.state, state = state, None
+                    rng.random(end)
+                    space.sample_ball(center, radius, rng)
+                    raise AssertionError("sample_ball drew a point sample_balls found unavailable")
+                if reason not in _UNSEARCHED:
+                    searched += 1
                 if reason is None:
                     accepted += 1
                     fails = 0
-                    yield q, seg, FootResult(t, d)
+                    yield config
                     if accepted == n:
                         return
                     continue
-            rejected[reason] += 1
-            fails += 1
-            if fails == max_tries:
-                raise DegenerateRegionError(
-                    f"no valid foot configuration in {max_tries} tries (radius {radius})"
-                )
+                rejected[reason] += 1
+                fails += 1
+                if fails == max_tries:
+                    raise DegenerateRegionError(
+                        f"no valid foot configuration in {max_tries} tries (radius {radius})"
+                    )
+        finally:
+            if state is not None:  # the uniforms of the tries taken, and no more
+                rng.bit_generator.state = state
+                rng.random(taken)
+
+
+_UNSEARCHED = ("short_segment", "several_geodesics")  # tries that are not searched
 
 
 def sample_foot_config(

@@ -79,11 +79,12 @@ class GeodesicSpace(ABC):
     # at arclength ts[..., i] of the segment whose `row` is rows[i], for arrays ts
     # whose last axis runs over the block; None where segments have no row form
     row_distances: Callable | None = None
-    # sample_balls(center, radius, us) -> the points sample_ball draws from the
-    # uniforms us, read as (direction, radius fraction) pairs, bit for bit; a
-    # point whose shot would raise is that ShootUnavailable.  A call of `shots`
-    # on the sphere, the hyperbolic plane and the cone; None on the spaces
-    # without row_distances, whose foot-search rounds hold one try
+    # sample_balls(center, radius, us) -> (points, available): the points
+    # sample_ball draws from the uniforms us, read as (direction, radius
+    # fraction) pairs, bit for bit, as the rows of a float array; available is
+    # False where sample_ball raises ShootUnavailable.  A call of `shots` on the
+    # sphere, the hyperbolic plane and the cone; None on the spaces without
+    # row_distances, whose foot-search rounds hold one try
     sample_balls: Callable | None = None
     # The array forms of `shoot`, `distance` and `geodesic`, each bit for bit the
     # scalar method row by row, with every transcendental sent through `math`
@@ -102,6 +103,11 @@ class GeodesicSpace(ABC):
     # antipodal pair) or is not the only minimal geodesic (tied cone chords),
     # and at's rows there are finite placeholders
     geodesic_rows: Callable | None = None
+    # row_segments(xs, ys) -> (lengths, rows, starts, ends, exact): the same
+    # geodesics where exact is True, as their lengths, their `row`s and their
+    # start and end points, float rows bit for bit the segment's; a segment
+    # needs no more (`segment_of_row`).  On the spaces with row_distances
+    row_segments: Callable | None = None
     # segment_rows(rows) -> at: at(ts)[i] is `seg.at(ts[i])` of the segment whose
     # `row` is rows[i]; None where segments have no row form
     segment_rows: Callable | None = None
@@ -145,6 +151,15 @@ class GeodesicSpace(ABC):
 
     def _segment(self, start, end, length, evaluator, row=None) -> GeodesicSegment:
         return GeodesicSegment(self, start, end, float(length), evaluator, row)
+
+    def handle(self, row):
+        """The point handle of a float row of the array forms."""
+        return row
+
+    def segment_of_row(self, start, end, length: float, row: tuple) -> GeodesicSegment:
+        """The segment from the handle start to end whose `row` is row, on the
+        spaces with row_distances (`_row_eval` gives its points)."""
+        return self._segment(start, end, length, self._row_eval(row), row)
 
     def _finite(self, data) -> np.ndarray:
         """Point data as a new float array; ValueError unless every entry is finite."""
@@ -229,7 +244,8 @@ class _Quadric(GeodesicSpace):
     at arclength t from x along the unit tangent w is cf(a) x + sf(a) w with
     a = t / radius, where (cf, sf) is (cos, sin) on the sphere and (cosh, sinh)
     on the hyperboloid.  A subclass sets cf, sf and its own metric: `_check`,
-    `distance`, the tangent `_basis`, `row_distances` and `minimal_geodesics`.
+    `distance`, the tangent `_basis`, the tangents of `_tangent_rows`,
+    `row_distances` and `minimal_geodesics`.
     """
 
     cf: Callable[[float], float]
@@ -240,11 +256,10 @@ class _Quadric(GeodesicSpace):
         self.radius = 1.0 / math.sqrt(abs(k))
         self.known_curvature = self.k
 
-    def _arc(self, x, w, length) -> GeodesicSegment:
+    def _row_eval(self, row):
         # per-point calls (the foot refinement) combine unpacked floats: numpy's
         # per-call overhead on 3-vectors would dominate
-        x0, x1, x2 = x.tolist()
-        w0, w1, w2 = w.tolist()
+        x0, x1, x2, w0, w1, w2 = row
         radius, cf, sf = self.radius, self.cf, self.sf
 
         def ev(t):
@@ -252,7 +267,12 @@ class _Quadric(GeodesicSpace):
             c, s = cf(a), sf(a)
             return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
 
-        return self._segment(x, ev(length), length, ev, (x0, x1, x2, w0, w1, w2))
+        return ev
+
+    def _arc(self, x, w, length) -> GeodesicSegment:
+        row = (*x.tolist(), *w.tolist())
+        ev = self._row_eval(row)
+        return self._segment(x, ev(length), length, ev, row)
 
     def shoot(self, p, phi: float, length: float):
         p0, p1, p2 = self._check(p).tolist()
@@ -279,9 +299,17 @@ class _Quadric(GeodesicSpace):
 
     def sample_balls(self, center, radius, us):
         """The points `sample_ball` draws from the uniforms us, as the rows of an
-        array.  rng.uniform(0, h) is h * rng.random(), so the uniforms of the
-        scalar draws give its points."""
-        return self.shots(center, TWO_PI * us[0::2], radius * us[1::2])[0]
+        array, all available.  rng.uniform(0, h) is h * rng.random(), so the
+        uniforms of the scalar draws give its points."""
+        return self.shots(center, TWO_PI * us[0::2], radius * us[1::2])
+
+    def geodesic_rows(self, xs, ys):
+        d, xs, ws, exact = self._tangent_rows(xs, ys)
+        return d, self._arc_rows(xs, ws), exact
+
+    def row_segments(self, xs, ys):
+        d, xs, ws, exact = self._tangent_rows(xs, ys)
+        return d, np.concatenate([xs, ws], axis=1), xs, self._arc_rows(xs, ws)(d), exact
 
     def _check_rows(self, xs) -> np.ndarray:
         """The rows as a float array, after `_check` of each: rows that `_inside`
@@ -375,7 +403,8 @@ class Sphere(_Quadric):
         return self.radius * _each(
             math.atan2, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2)
 
-    def geodesic_rows(self, xs, ys):
+    def _tangent_rows(self, xs, ys):
+        """The distances, checked starts, unit tangents and exact flags of `geodesic_rows`."""
         xs, ys = self._check_rows(xs), self._check_rows(ys)
         d = self.pair_distances(xs, ys)
         exact = (d != 0.0) & ~(math.pi * self.radius - d <= TIE)
@@ -384,7 +413,7 @@ class Sphere(_Quadric):
         ws = np.zeros_like(xs)
         ws[exact] = np.array([_unit(y - float(np.dot(x, y)) * x)
                               for x, y in zip(xs[exact], ys[exact])]).reshape(-1, 3)
-        return d, self._arc_rows(xs, ws), exact
+        return d, xs, ws, exact
 
     def row_distances(self, qs, rows):
         # the formulas of `_arc`'s `ev` and of `distance`, over arrays in
@@ -461,7 +490,8 @@ class Hyperbolic(_Quadric):
         q = np.where(q < 0.0, 0.0, q)  # max(q, 0.0), which keeps a -0.0
         return self.radius * 2.0 * _each(math.asinh, 0.5 * np.sqrt(q))
 
-    def geodesic_rows(self, xs, ys):
+    def _tangent_rows(self, xs, ys):
+        """The distances, checked starts, unit tangents and exact flags of `geodesic_rows`."""
         xs, ys = self._check_rows(xs), self._check_rows(ys)
         d = self.pair_distances(xs, ys)
         x0, x1, x2 = xs.T
@@ -472,7 +502,7 @@ class Hyperbolic(_Quadric):
         n = np.sqrt(np.where(n < 0.0, 0.0, n))
         exact = (d != 0.0) & (n != 0.0)
         n = np.where(exact, n, 1.0)
-        return d, self._arc_rows(xs, np.stack([w0 / n, w1 / n, w2 / n], axis=1)), exact
+        return d, xs, np.stack([w0 / n, w1 / n, w2 / n], axis=1), exact
 
     def row_distances(self, qs, rows):
         # the formulas of `_arc`'s `ev` and of `distance`, over arrays in components
@@ -606,13 +636,17 @@ class Cone(GeodesicSpace):
         length = math.hypot(d0, d1)
         # a separation below rounding (theta 1e-17 from the seam) leaves no chord to walk
         u0, u1 = (d0 / length, d1 / length) if length > 0.0 else (0.0, 0.0)
+        return self.segment_of_row((r1, t1), (r2, t2), length, (r1, t1, u0, u1))
+
+    def _row_eval(self, row):
+        r1, t1, u0, u1 = row
         period = self.perimeter
 
         def ev(t):
             q0, q1 = r1 + t * u0, t * u1
             return (math.hypot(q0, q1), (t1 + math.atan2(q1, q0)) % period)
 
-        return self._segment((r1, t1), (r2, t2), length, ev, (r1, t1, u0, u1))
+        return ev
 
     def pair_distances(self, xs, ys):
         r1, t1 = np.asarray(xs, dtype=float).T
@@ -626,6 +660,10 @@ class Cone(GeodesicSpace):
         return np.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
 
     def geodesic_rows(self, xs, ys):
+        lengths, rows, _, _, exact = self.row_segments(xs, ys)
+        return lengths, self.segment_rows(rows), exact
+
+    def row_segments(self, xs, ys):
         # `minimal_geodesics` where its first route is an unrolled chord and the
         # apex route is not a candidate: the chords of both turns, as it computes
         # them, and the first within tie of the shorter
@@ -646,8 +684,10 @@ class Cone(GeodesicSpace):
                  & ~(np.maximum(la, lb) <= best + TIE))
         length = np.where(exact, length, 0.0)
         u0, u1 = d0 / np.where(exact, length, 1.0), d1 / np.where(exact, length, 1.0)
-        # `_unrolled_route` normalizes the start once more
-        return length, self.segment_rows(np.stack([r1, t1 % period, u0, u1], axis=1)), exact
+        # `_unrolled_route` normalizes both ends once more
+        starts, ends = np.stack([r1, t1 % period], axis=1), np.stack([r2, t2 % period], axis=1)
+        rows = np.concatenate([starts, np.stack([u0, u1], axis=1)], axis=1)
+        return length, rows, starts, ends, exact
 
     def segment_rows(self, rows):
         # `_unrolled_route`'s `ev` of rows (r1, t1, u0, u1)
@@ -746,14 +786,12 @@ class Cone(GeodesicSpace):
         return points, apex | ~(rho <= PT)
 
     def sample_balls(self, center, radius, us):
-        """The points `sample_ball` draws from the uniforms us, as a list of
-        handles; a point whose shot would raise is that ShootUnavailable."""
         r, _ = self._norm(center)
         phis = (self.perimeter if r == 0.0 else TWO_PI) * us[0::2]
-        points, available = self.shots(center, phis, radius * us[1::2])
-        unavailable = ShootUnavailable("geodesic through the cone apex is not extendable")
-        return [tuple(p) if ok else unavailable
-                for p, ok in zip(points.tolist(), available.tolist())]
+        return self.shots(center, phis, radius * us[1::2])
+
+    def handle(self, row):
+        return tuple(row.tolist())
 
     def point_to_data(self, x):
         r, th = self._norm(x)

@@ -461,27 +461,42 @@ def sample_foot_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
     min_seg_rel: float = 0.7,
     min_height_rel: float = 0.15, unique_only: bool = True, max_tries: int = 200,
+    rejected: dict | None = None,
 ):
-    """Draw (q, seg, foot) with an interior foot and non-degenerate height."""
+    """Draw (q, seg, foot) with an interior foot and non-degenerate height;
+    `rejected`, when given, counts the rejected tries by reason."""
+    counts = {} if rejected is None else rejected
+
+    def reject(reason):
+        counts[reason] = counts.get(reason, 0) + 1
+
     for _ in range(max_tries):
         a = space.sample_ball(center, radius, rng)
         b = space.sample_ball(center, radius, rng)
         if space.distance(a, b) < min_seg_rel * radius:
+            reject("short_segment")
             continue
         geods = space.minimal_geodesics(a, b)
         if unique_only and len(geods) > 1:
+            reject("several_geodesics")
             continue
         seg = geods[0]
         q = space.sample_ball(center, radius, rng)
         try:
             foot = foot_of_perpendicular(space, q, seg)
-        except (FootOnBoundary, DegenerateConfigError):
+        except FootOnBoundary:
+            reject("foot_on_boundary")
+            continue
+        except DegenerateConfigError:
+            reject("degenerate")
             continue
         if foot.d_star < min_height_rel * radius:
+            reject("low_height")
             continue
         p = seg.at(foot.t_star)
         # node-resolution spaces can snap an interior t* onto an endpoint
         if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= config.GEO:
+            reject("endpoint_snap")
             continue
         return q, seg, foot
     raise DegenerateRegionError(

@@ -122,29 +122,34 @@ def test_batched_foot_search_matches_looping_on_a_plateau(sphere):
 
 
 _OUTCOME = {FootOnBoundary: criteria.FOOT_BOUNDARY, DegenerateConfigError: criteria.FOOT_DEGENERATE}
+EPS = np.finfo(float).eps
 
 
 def _check_feet_against_scalar(space, qs, segs):
-    """feet_of_perpendicular against foot_of_perpendicular, pair by pair.
-
-    Rows searched in lockstep keep the scalar outcome and agree within the
-    golden-section target; the others must equal the scalar search exactly.
-    """
-    t, d, outcome = criteria.feet_of_perpendicular(space, qs, segs)
-    lockstep = sum(seg.row is not None and seg.length > 0.0 for seg in segs) >= 2
-    for i, (q, seg) in enumerate(zip(qs, segs)):
-        scalar = _foot_or_error(space, q, seg)
+    """feet_of_perpendicular of the segments with a row against
+    foot_of_perpendicular, pair by pair: each row keeps the scalar outcome and
+    agrees within the golden-section target, or is a minimum to rounding."""
+    idx = [i for i, seg in enumerate(segs) if seg.row is not None and seg.length > 0.0]
+    if not idx:
+        return
+    t, d, outcome = criteria.feet_of_perpendicular(
+        space, [qs[i] for i in idx], [segs[i].row for i in idx],
+        np.array([segs[i].length for i in idx]))
+    for k, i in enumerate(idx):
+        scalar = _foot_or_error(space, qs[i], segs[i])
         if isinstance(scalar, type):
-            assert outcome[i] == _OUTCOME[scalar]
-            assert math.isnan(t[i]) and math.isnan(d[i])
+            assert outcome[k] == _OUTCOME[scalar]
+            assert math.isnan(t[k]) and math.isnan(d[k])
             continue
-        assert outcome[i] == criteria.FOOT_OK
-        if lockstep and seg.row is not None:
-            target = config.FOOT_REFINE_REL * seg.length
-            assert t[i] == pytest.approx(scalar.t_star, abs=target)
-            assert d[i] == pytest.approx(scalar.d_star, abs=target)
-        else:
-            assert (t[i], d[i]) == (scalar.t_star, scalar.d_star)
+        assert outcome[k] == criteria.FOOT_OK
+        target = config.FOOT_REFINE_REL * segs[i].length
+        assert d[k] == pytest.approx(scalar.d_star, abs=target)
+        if abs(t[k] - scalar.t_star) > target:
+            # q far from a short segment: the distance is flat to rounding over
+            # more than the target, and each search stops somewhere on that
+            # stretch, so the lockstep foot must be a minimum to rounding too
+            at_foot = space.distance(qs[i], segs[i].at(float(t[k])))
+            assert at_foot <= scalar.d_star * (1.0 + 8 * EPS)
 
 
 @pytest.mark.parametrize("make", ROW_SPACES, ids=ROW_SPACE_IDS)
@@ -167,7 +172,8 @@ def test_lockstep_feet_on_the_pole_over_equator_plateau(sphere):
     equator = sphere.geodesic(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     other = sphere.geodesic(sphere.point_from_data([0.3, 0.0, 0.95]),
                             sphere.point_from_data([0.0, 0.3, 0.95]))
-    t, d, outcome = criteria.feet_of_perpendicular(sphere, [pole, pole], [equator, equator])
+    t, d, outcome = criteria.feet_of_perpendicular(sphere, [pole, pole], [equator.row] * 2,
+                                                   np.array([equator.length] * 2))
     scalar = criteria.foot_of_perpendicular(sphere, pole, equator)
     assert t.tolist() == [scalar.t_star] * 2 and d.tolist() == [scalar.d_star] * 2
     assert outcome.tolist() == [criteria.FOOT_OK] * 2
@@ -175,17 +181,25 @@ def test_lockstep_feet_on_the_pole_over_equator_plateau(sphere):
     _check_feet_against_scalar(sphere, [pole, pole, equator.midpoint()], [equator, other, equator])
 
 
-def test_blocks_with_scalar_rows_equal_the_scalar_search(tripod):
-    cone = spaces.make_cone(PI)
-    apex_route = cone.geodesic((0.0, 0.0), (0.6, PI / 2))  # from the apex
-    chord = cone.geodesic((0.5, 0.1), (0.6, 1.2))
-    assert apex_route.row is None and chord.row is not None
-    _check_feet_against_scalar(
-        cone, [(0.3, 2.5), (0.4, 0.6), (0.2, 2.0), (0.5, 0.7)],
-        [apex_route, chord, apex_route, chord],
-    )
-    segs = [tripod.geodesic((0, 1.0), (1, 1.0)), tripod.geodesic((0, 1.0), (0, 0.2))]
-    _check_feet_against_scalar(tripod, [(2, 1.0), (0, 2.0)], segs)
+def test_blocks_with_scalar_rows_equal_the_scalar_search():
+    # around the 7-cone's apex many pairs are joined through the apex, a route
+    # with no row: in a round searched over arrays those tries take the scalar
+    # search itself, and the chords of the same rounds the lockstep one
+    cone, center, radius = spaces.make_cone(7.0), (0.0, 0.0), 0.5
+    n = 40
+    new = list(criteria.foot_configs(cone, center, radius, np.random.default_rng(4), n))
+    rng = np.random.default_rng(4)
+    old = [oracles.sample_foot_config(cone, center, radius, rng) for _ in range(n)]
+    assert sum(seg.row is None for _, seg, _ in new) >= 3
+    assert sum(seg.row is not None for _, seg, _ in new) >= 3
+    for (q, seg, foot), (q_old, seg_old, foot_old) in zip(new, old):
+        assert q == q_old and (seg.start, seg.end, seg.row) == (seg_old.start, seg_old.end,
+                                                                 seg_old.row)
+        if seg.row is None:
+            assert foot == foot_old
+        else:
+            target = config.FOOT_REFINE_REL * seg.length
+            assert foot.t_star == pytest.approx(foot_old.t_star, abs=target)
 
 
 def test_foot_tripod_branch_kink(tripod):

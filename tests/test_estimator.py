@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cmpk import config, criteria, estimator, mesh as mesh_mod, spaces, vector
 from cmpk.config import DEFAULT_TOL
-from cmpk.errors import DegenerateConfigError, DegenerateRegionError, LadderError
+from cmpk.errors import (
+    CmpkError,
+    DegenerateConfigError,
+    DegenerateRegionError,
+    LadderError,
+    ShootUnavailable,
+)
 from cmpk.kernels import SERIES_EPS
 from meshgen import icosphere
 
@@ -466,8 +472,10 @@ def test_foot_stream_accepts_the_tries_of_the_one_at_a_time_loop(name, seed):
     n = 80
     rng = np.random.default_rng(seed)
     new = list(criteria.foot_configs(space, center, radius, rng, n))
-    rng = np.random.default_rng(seed)
-    old = [oracles.sample_foot_config(space, center, radius, rng) for _ in range(n)]
+    rng_old = np.random.default_rng(seed)
+    old = [oracles.sample_foot_config(space, center, radius, rng_old) for _ in range(n)]
+    # the rounds draw ahead, and the stream puts the rng back after the n-th acceptance
+    assert rng.bit_generator.state == rng_old.bit_generator.state
     assert len(new) == n
     for a, b in zip(new, old):
         assert _same_try(a, b)
@@ -573,3 +581,195 @@ def test_rejected_tries_and_samples_add_up_to_the_tries_drawn(name):
     assert counts["minimal_geodesics"] == tries - rejected["short_segment"]
     searched = counts["minimal_geodesics"] - rejected["several_geodesics"]
     assert counts["sample_ball"] == 2 * tries + searched
+
+
+# ---------------------------------------------------------------------------
+# rounds decided over arrays against the one-at-a-time loop, try by try
+
+
+def _stream_against_the_loop(space, center, radius, make_rng, n, **kwargs):
+    """foot_configs and the one-at-a-time loop from equal generators: the same
+    configurations (q and segment ends bit for bit, feet within the golden-section
+    target), the same rejections by reason, the same error at the end if any,
+    and the generators left alike.  Returns the configurations and the rejections."""
+    rng_new, rng_old = make_rng(), make_rng()
+    rejected = dict.fromkeys(criteria.REJECTIONS, 0)
+    old_rejected = dict.fromkeys(criteria.REJECTIONS, 0)
+    new, new_error = [], None
+    try:
+        for drawn in criteria.foot_configs(space, center, radius, rng_new, n, rejected=rejected,
+                                           **kwargs):
+            new.append(drawn)
+    except CmpkError as e:
+        new_error = e
+    old, old_error = [], None
+    try:
+        for _ in range(n):
+            old.append(oracles.sample_foot_config(space, center, radius, rng_old,
+                                                  rejected=old_rejected, **kwargs))
+    except CmpkError as e:
+        old_error = e
+    assert type(new_error) is type(old_error) and str(new_error) == str(old_error)
+    assert len(new) == len(old)
+    for (q, seg, foot), b in zip(new, old):
+        assert _same_try((q, seg, foot), b)
+        target = config.FOOT_REFINE_REL * seg.length
+        assert foot.d_star == pytest.approx(b[2].d_star, abs=target)
+        if abs(foot.t_star - b[2].t_star) > target:
+            # where the distance is flat to rounding over more than the target,
+            # each foot must be a minimum to rounding
+            at_foot = space.distance(q, seg.at(foot.t_star))
+            assert at_foot <= b[2].d_star * (1.0 + 8 * np.finfo(float).eps)
+    assert rejected == old_rejected
+    if isinstance(rng_new, oracles.Replay):
+        assert rng_new.state == rng_old.state
+    else:
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    return new, rejected
+
+
+def _replay(prefix, seed=0):
+    """A Replay of the given doubles followed by plenty of random ones."""
+    return lambda: oracles.Replay([*prefix, *np.random.default_rng(seed).random(20000).tolist()])
+
+
+def test_round_with_an_antipodal_sphere_pair():
+    # a quarter turn each way from the pole: a and b are antipodal, joined by
+    # a continuum of minimal geodesics
+    sphere, radius = spaces.make_sphere(1.0), 1.6
+    quarter = (PI / 2) / radius
+    for n in (2, 5):
+        _, rejected = _stream_against_the_loop(sphere, sphere.default_center(), radius,
+                                               _replay([0.0, quarter, 0.5, quarter], n), n)
+        assert rejected["several_geodesics"] >= 1
+
+
+def test_round_with_a_pi_cone_chord_tie():
+    # from the apex of the pi-cone, points at angles pi/4 and 3pi/4 and one
+    # radius: the chords both ways round are equally short
+    cone = spaces.make_cone(PI)
+    for n in (2, 5):
+        _, rejected = _stream_against_the_loop(cone, (0.0, 0.0), 0.25,
+                                               _replay([0.25, 0.8, 0.75, 0.8] * 3, n), n)
+        assert rejected["several_geodesics"] >= 1
+
+
+def test_round_with_cone_apex_routes():
+    # a pair from the apex itself, and a pair on opposite sides of the
+    # 7-cone's apex: both are joined through the apex, a route with no row,
+    # whose foot takes the scalar search within a round searched over arrays.
+    # Each q is placed so that its try is accepted
+    cases = [(spaces.make_cone(PI), [0.3, 0.0, 0.6, 0.9, (0.6 * PI + 0.3) / PI, 0.6]),
+             (spaces.make_cone(7.0), [0.0, 0.8, 0.5, 0.8, 0.25, 0.4])]
+    for cone, prefix in cases:
+        for n in (2, 5):
+            new, _ = _stream_against_the_loop(cone, (0.0, 0.0), 0.25, _replay(prefix, n), n)
+            assert new[0][1].row is None
+
+
+def test_round_with_a_short_pair_where_its_uniforms_run_out():
+    # a round of two searches maps six points ahead: a long pair and its q,
+    # a short pair, then a short pair of the sixth point and the first one
+    # mapped after it
+    sphere = spaces.make_sphere(1.0)
+    long_pair, q, short = [0.0, 0.9, 0.5, 0.9], [0.3, 0.4], [0.1, 0.5, 0.1, 0.5]
+    prefix = [*long_pair, *q, *short, 0.2, 0.5, 0.2, 0.5]
+    for n in (2, 3):
+        _, rejected = _stream_against_the_loop(sphere, sphere.default_center(), 0.3,
+                                               _replay(prefix, n), n)
+        assert rejected["short_segment"] >= 2
+
+
+STREAM_PROPERTY_CASES = {
+    "sphere-0.3": (lambda: spaces.make_sphere(1.0), None, 0.3),
+    "sphere-1.6": (lambda: spaces.make_sphere(1.0), None, 1.6),
+    "hyperbolic-off-origin": STREAM_CASES["hyperbolic-off-origin"],
+    "pi-cone-apex": STREAM_CASES["pi-cone-apex"],
+    "pi-cone-off-apex": STREAM_CASES["pi-cone-off-apex"],
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_PROPERTY_CASES))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), fussy=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_foot_stream_equals_the_loop_try_by_try(name, seed, n, fussy):
+    make, data, radius = STREAM_PROPERTY_CASES[name]
+    space = make()
+    center = space.default_center() if data is None else space.point_from_data(data)
+    # a fussy height bound rejects most searched tries, and may exhaust the region
+    kwargs = {"min_height_rel": 0.45, "max_tries": 25} if fussy else {}
+    _stream_against_the_loop(space, center, radius, lambda: np.random.default_rng(seed), n,
+                             **kwargs)
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic-off-origin", "pi-cone-off-apex"])
+def test_foot_stream_snaps_and_degenerates_as_the_loop_does_at_a_tiny_radius(name):
+    # 1e-7 across, GEO (1e-9) is more than the interior margin of a segment:
+    # feet near an end snap onto it, and some q lie on their segment
+    make, data, _ = STREAM_CASES[name]
+    space = make()
+    center = space.default_center() if data is None else space.point_from_data(data)
+    _, rejected = _stream_against_the_loop(space, center, 1e-7,
+                                           lambda: np.random.default_rng(1), 100)
+    assert rejected["endpoint_snap"] >= 1 and rejected["degenerate"] >= 1
+
+
+class _BlockedSphere(spaces.Sphere):
+    """The unit sphere with the shots of one length unavailable, to `shoot` and
+    to `shots` alike; `seen` records that `shots` met that length."""
+
+    def __init__(self, blocked):
+        super().__init__(1.0)
+        self.blocked, self.seen = blocked, False
+
+    def shoot(self, p, phi, length):
+        if length == self.blocked:
+            raise ShootUnavailable("blocked")
+        return super().shoot(p, phi, length)
+
+    def shots(self, p, phis, lengths):
+        points, available = super().shots(p, phis, lengths)
+        blocked = lengths == self.blocked
+        self.seen |= bool(blocked.any())
+        return points, available & ~blocked
+
+
+def test_unavailable_draw_raises_at_its_try_and_not_past_the_last_acceptance():
+    radius, doubles = 0.3, np.random.default_rng(12).random(20000).tolist()
+    free, center = _BlockedSphere(None), np.array([0.0, 0.0, 1.0])
+    replay, ends = oracles.Replay(doubles), []
+    for _ in range(8):
+        oracles.sample_foot_config(free, center, radius, replay)
+        ends.append(replay.state)  # the doubles up to each acceptance
+    # the point right after the n-th acceptance: rounds that reach it map it
+    # ahead, and the stream returns before it
+    drawn_past = 0
+    for n in range(2, 9):
+        blocked = _BlockedSphere(radius * doubles[ends[n - 1] + 1])
+        _stream_against_the_loop(blocked, center, radius, lambda: oracles.Replay(doubles), n)
+        drawn_past += blocked.seen
+    assert drawn_past >= 1
+    # the point right after the second acceptance: the stream yields two
+    # configurations, then raises where the loop's third draw raised
+    blocked = _BlockedSphere(radius * doubles[ends[1] + 1])
+    _stream_against_the_loop(blocked, center, radius, lambda: oracles.Replay(doubles), 5)
+    rng = oracles.Replay(doubles)
+    stream = criteria.foot_configs(blocked, center, radius, rng, 5)
+    assert len([next(stream), next(stream)]) == 2
+    with pytest.raises(ShootUnavailable):
+        next(stream)
+    assert rng.state == ends[1] + 2
+
+
+def test_a_long_stream_hands_the_lockstep_search_no_more_than_a_round(monkeypatch):
+    sizes = []
+
+    def recorded(space, qs, rows, lengths, _feet=criteria.feet_of_perpendicular):
+        sizes.append(len(lengths))
+        return _feet(space, qs, rows, lengths)
+
+    monkeypatch.setattr(criteria, "feet_of_perpendicular", recorded)
+    space, center, radius = _case("sphere")
+    stream = criteria.foot_configs(space, center, radius, np.random.default_rng(8), 5000)
+    assert sum(1 for _ in stream) == 5000
+    assert max(sizes) == criteria.ROUND_SEARCHES

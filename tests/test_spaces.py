@@ -717,12 +717,14 @@ def _scalar_draw(space, center, radius, rng):
         return e
 
 
-def _same_point(got, want):
+def _same_point(space, row, ok, want):
+    """A row and flag of sample_balls against what sample_ball drew or raised."""
     if isinstance(want, ShootUnavailable):
-        return isinstance(got, ShootUnavailable) and str(got) == str(want)
+        return not ok
+    got = space.handle(row)
     if isinstance(want, tuple):
-        return got == want
-    return np.array_equal(got, want)
+        return ok and got == want
+    return ok and np.array_equal(got, want)
 
 
 def test_sample_balls_on_exactly_the_row_spaces():
@@ -737,11 +739,11 @@ def test_sample_balls_on_exactly_the_row_spaces():
 def test_sample_balls_equal_sample_ball_bitwise(case, pairs, radius):
     space, center = BALL_CASES[case]
     us = np.array(pairs, dtype=float).ravel()
-    got = space.sample_balls(center, radius, us)
+    points, available = space.sample_balls(center, radius, us)
     replay = Replay(us)
     want = [_scalar_draw(space, center, radius, replay) for _ in pairs]
-    assert len(got) == len(want)
-    assert all(_same_point(g, w) for g, w in zip(got, want))
+    assert len(points) == len(available) == len(want)
+    assert all(_same_point(space, *got, w) for *got, w in zip(points, available, want))
 
 
 def test_batched_draw_raises_at_the_unavailable_shot():
@@ -753,13 +755,14 @@ def test_batched_draw_raises_at_the_unavailable_shot():
     want = [cone.sample_ball(center, 1.0, scalar) for _ in range(2)]
     with pytest.raises(ShootUnavailable):
         cone.sample_ball(center, 1.0, scalar)
-    assert isinstance(cone.sample_balls(center, 1.0, np.array(doubles))[2], ShootUnavailable)
-    batched = Replay(doubles)
-    # a round of two searches: its six points are mapped ahead in one call
-    points = criteria._ball_points(cone, center, 1.0, batched, 2)
-    assert [next(points), next(points)] == want
+    points, available = cone.sample_balls(center, 1.0, np.array(doubles))
+    assert available.tolist() == [True, True, False, True, True, True]
+    assert [cone.handle(p) for p in points[:2]] == want
+    # a round of two searches maps these six points ahead in one call, and
+    # raises at the third, where the one-at-a-time draw does
+    batched = Replay(doubles + [0.5] * 20)
     with pytest.raises(ShootUnavailable):
-        next(points)
+        list(criteria.foot_configs(cone, center, 1.0, batched, 2))
     assert batched.state == scalar.state == 6
 
 
@@ -800,6 +803,10 @@ def assert_rows_equal_the_scalar_methods(space, starts, ends, fracs):
     ts = np.where(exact, fracs * lengths, 0.0)
     points = at(ts)
     assert np.isfinite(points).all()
+    with_rows = space.row_segments is not None  # the plane's segments have no row
+    if with_rows:
+        row_lengths, rows, row_starts, row_ends, row_exact = space.row_segments(starts, ends)
+        assert _bits(row_lengths) == _bits(lengths) and row_exact.tolist() == exact.tolist()
     for i, (x, y) in enumerate(zip(starts, ends)):
         x, y = _handle(space, x), _handle(space, y)
         assert repr(float(d[i])) == repr(space.distance(x, y))
@@ -808,6 +815,15 @@ def assert_rows_equal_the_scalar_methods(space, starts, ends, fracs):
             seg = space.geodesic(x, y)
             assert repr(float(lengths[i])) == repr(seg.length)
             assert _bits(points[i]) == _bits(seg.at(float(ts[i])))
+            if not with_rows:
+                continue
+            # what a segment is built from, and the segment built from it
+            assert repr(tuple(rows[i].tolist())) == repr(seg.row)
+            assert _bits(row_starts[i]) == _bits(seg.start)
+            assert _bits(row_ends[i]) == _bits(seg.end)
+            built = space.segment_of_row(space.handle(row_starts[i]), space.handle(row_ends[i]),
+                                         float(row_lengths[i]), tuple(rows[i].tolist()))
+            assert _bits(built.at(float(ts[i]))) == _bits(seg.at(float(ts[i])))
 
 
 @pytest.mark.parametrize("case", list(SHOT_CASES))
