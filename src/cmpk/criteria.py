@@ -10,6 +10,7 @@ configuration set.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -1001,9 +1002,10 @@ def foot_configs(
 
     The configurations, the rejections and the try that raises are those of
     trying one at a time.  When the stream returns, raises or is closed, the
-    rng is where that loop leaves it: a round's uniforms are drawn ahead, and
-    the rng is then set back and advanced by the uniforms of the tries taken.
-    While the stream is suspended at a yield it is past the round's points.
+    rng is where that loop leaves it: an array round draws its uniforms ahead,
+    and when it is closed it sets the rng back and advances it by the uniforms
+    of the tries taken.  While the stream is suspended at a yield it is past
+    the round's points.
     """
     if rejected is None:
         rejected = dict.fromkeys(REJECTIONS, 0)
@@ -1020,26 +1022,14 @@ def foot_configs(
             block = min(block + math.isqrt(block), ROUND_SEARCHES)
         else:
             block = min(wanted, ROUND_SEARCHES)
-        state = taken = None  # where the rng is set back to after the round, if anywhere
-        try:
-            if block == 1:
-                tries = rounds.scalar_round(space, center, radius, rng, fails, max_tries,
-                                            min_height)
-            else:
-                state, taken = rng.bit_generator.state, 0
-                tries = rounds.array_round(space, center, radius, rng, block, fails, max_tries,
-                                           min_height)
-            for end, reason, config in tries:
-                if state is not None:
-                    taken = end
-                if reason is rounds.UNAVAILABLE:
-                    # drawn again, one at a time: it raises as the loop's draw did
-                    rng.bit_generator.state, state = state, None
-                    rng.random(end)
-                    space.sample_ball(center, radius, rng)
-                    raise AssertionError("sample_ball drew a point sample_balls found unavailable")
-                if reason not in _UNSEARCHED:
-                    searched += 1
+        if block == 1:
+            tries = rounds.scalar_round(space, center, radius, rng, min_height)
+        else:
+            tries = rounds.array_round(space, center, radius, rng, block, fails, max_tries,
+                                       min_height)
+        with contextlib.closing(tries):
+            for reason, config in tries:
+                searched += reason not in REJECTIONS[:2]  # the tries rejected before a search
                 if reason is None:
                     accepted += 1
                     fails = 0
@@ -1053,13 +1043,6 @@ def foot_configs(
                     raise DegenerateRegionError(
                         f"no valid foot configuration in {max_tries} tries (radius {radius})"
                     )
-        finally:
-            if state is not None:  # the uniforms of the tries taken, and no more
-                rng.bit_generator.state = state
-                rng.random(taken)
-
-
-_UNSEARCHED = ("short_segment", "several_geodesics")  # tries that are not searched
 
 
 def sample_foot_config(

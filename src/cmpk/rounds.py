@@ -1,10 +1,12 @@
 """Rounds of the foot-configuration try stream (`criteria.foot_configs`).
 
-A round draws tries and decides each one: rejected by a reason of
-`criteria.REJECTIONS`, accepted with its configuration (q, seg, foot), or
-raising where a ball point's shot is unavailable.  `scalar_round` is the
-one-at-a-time loop; `array_round` decides a round of many searches over
-arrays, try for try as that loop does.
+A round is a generator of its tries' decisions in the order they are drawn:
+(reason, None) for a try rejected by a reason of `criteria.REJECTIONS`, and
+(None, (q, seg, foot)) for an accepted one.  However it ends (run out,
+closed, or raising where a ball point's shot is unavailable), it leaves the
+rng where the one-at-a-time loop leaves it after the tries it yielded.
+`scalar_round` is that loop; `array_round` decides a round of many searches
+over arrays, try for try as the loop does.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from cmpk.errors import DegenerateConfigError, FootOnBoundary
 from cmpk.spaces import GeodesicSegment, GeodesicSpace
 
 
-UNAVAILABLE = "unavailable"  # a try with a point whose shot sample_ball raises on
+_UNAVAILABLE = "unavailable"  # a try with a point whose shot sample_ball raises on
 
 
 def _searched_try(space: GeodesicSpace, q, seg: GeodesicSegment, min_height: float):
@@ -42,34 +44,27 @@ def _searched_try(space: GeodesicSpace, q, seg: GeodesicSegment, min_height: flo
 
 
 def scalar_round(space: GeodesicSpace, center, radius: float, rng: np.random.Generator,
-                 fails: int, max_tries: int, min_height: float) -> list:
-    """The tries (end, reason, config) of a round of one search: points drawn one
-    at a time by `sample_ball`, checked by `distance` and `minimal_geodesics`,
-    the foot searched by `foot_of_perpendicular`.  The round ends at its search
-    or where max_tries failures in a row become possible, so it never draws a
-    try the stream does not take."""
-    tries: list = []
-    while fails + len(tries) < max_tries:
+                 min_height: float):
+    """The tries of a round of one search: points drawn one at a time by
+    `sample_ball`, checked by `distance` and `minimal_geodesics`, the foot
+    searched by `foot_of_perpendicular`.  Each try is drawn when the one
+    before it has been taken, and the round ends at its search."""
+    while True:
         a, b = space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng)
         if space.distance(a, b) < criteria.MIN_SEG_REL * radius:
-            tries.append((None, "short_segment", None))
+            yield "short_segment", None
             continue
         geods = space.minimal_geodesics(a, b)
         if len(geods) > 1:
-            tries.append((None, "several_geodesics", None))
+            yield "several_geodesics", None
             continue
-        tries.append((None, *_searched_try(space, space.sample_ball(center, radius, rng),
-                                           geods[0], min_height)))
-        break
-    return tries
+        yield _searched_try(space, space.sample_ball(center, radius, rng), geods[0], min_height)
+        return
 
 
 def array_round(space: GeodesicSpace, center, radius: float, rng: np.random.Generator,
                 block: int, run: int, max_tries: int, min_height: float):
-    """The tries (end, reason, config) of a round of up to `block` searches,
-    decided over arrays, as a generator that builds an accepted try's
-    configuration when it reaches it; end is the number of uniforms up to the
-    try's last point.
+    """The tries of a round of up to `block` searches, decided over arrays.
 
     Points are mapped by `sample_balls` from blocks of uniforms drawn ahead,
     and the pair checks read `pair_distances` of every two adjacent points.
@@ -77,12 +72,20 @@ def array_round(space: GeodesicSpace, center, radius: float, rng: np.random.Gene
     searched try may be accepted, so the round draws tries until it holds
     `block` searches, `run` (the failures in a row before it) reaches
     max_tries, or a point is unavailable, which ends the round as a try that
-    raises.  A searched pair's segment comes from `row_segments`, or from
-    `minimal_geodesics` where that gives none (the cone's apex routes); a pair
-    found there to have several geodesics is walked again.  Feet with a row
-    are searched by `feet_of_perpendicular` and their endpoint-snap check is
-    `segment_rows` and `pair_distances`; the others take `_searched_try`.
+    raises: that point is drawn again by `sample_ball`, which raises the
+    loop's own ShootUnavailable.  A searched pair's segment comes from
+    `row_segments`, or from `minimal_geodesics` where that gives none (the
+    cone's apex routes); a pair found there to have several geodesics is
+    walked again.  Where two or more have a row, those feet are searched by
+    `feet_of_perpendicular` and their endpoint-snap check is `segment_rows`
+    and `pair_distances`; the others take `_searched_try`.  A
+    `GeodesicSegment` is built only for a try searched alone or accepted,
+    when the round reaches it.  The rng is past the round's points while the
+    round is suspended, and is then set back to the round's start and
+    advanced by the uniforms of the tries taken.
     """
+    state = rng.bit_generator.state
+    taken = 0  # the uniforms up to the last point of the last try taken
     points = None
     available: list = []
     short: list = []  # of each pair of adjacent points
@@ -98,9 +101,22 @@ def array_round(space: GeodesicSpace, center, radius: float, rng: np.random.Gene
         available.extend(ok.tolist())
         short.extend((d < criteria.MIN_SEG_REL * radius).tolist())
 
+    def settle(at: np.ndarray):
+        """`row_segments` of the pairs at positions `at`, with each pair it leaves
+        inexact put in `several` or `segs` by `minimal_geodesics`."""
+        segments = space.row_segments(points[at], points[at + 1])
+        for pos in at[~segments[4]].tolist():
+            geods = space.minimal_geodesics(space.handle(points[pos]),
+                                            space.handle(points[pos + 1]))
+            if len(geods) > 1:
+                several.add(pos)
+            else:
+                segs[pos] = geods[0]
+        return segments
+
     def walk():
         """The uniforms up to each try's last point, each try's kind (a
-        rejection reason, UNAVAILABLE, or None where it is searched) and the
+        rejection reason, _UNAVAILABLE, or None where it is searched) and the
         searched pairs' positions, drawing points as the tries need them."""
         used, kinds, at = [], [], []
         pos = n_search = 0
@@ -113,8 +129,11 @@ def array_round(space: GeodesicSpace, center, radius: float, rng: np.random.Gene
                 draw(min(-(-left * pos // n_search), 10 * left) + 3 if n_search else 3 * left)
             if not (available[pos] and available[pos + 1]):
                 used.append(2 * pos if not available[pos] else 2 * pos + 2)
-                kinds.append(UNAVAILABLE)
+                kinds.append(_UNAVAILABLE)
                 break
+            if not (short[pos] or available[pos + 2]):
+                # the loop checks the pair's geodesics before it draws q
+                settle(np.array([pos]))
             if short[pos] or pos in several:
                 used.append(2 * pos + 4)
                 kinds.append("short_segment" if short[pos] else "several_geodesics")
@@ -123,7 +142,7 @@ def array_round(space: GeodesicSpace, center, radius: float, rng: np.random.Gene
                 continue
             if not available[pos + 2]:
                 used.append(2 * pos + 4)
-                kinds.append(UNAVAILABLE)
+                kinds.append(_UNAVAILABLE)
                 break
             used.append(2 * pos + 6)
             kinds.append(None)
@@ -133,52 +152,60 @@ def array_round(space: GeodesicSpace, center, radius: float, rng: np.random.Gene
             fails = 0
         return used, kinds, np.array(at, dtype=int)
 
-    while True:
-        used, kinds, at = walk()
-        lengths, rows, starts, ends, exact = space.row_segments(points[at], points[at + 1])
-        for pos in at[~exact].tolist():
-            geods = space.minimal_geodesics(space.handle(points[pos]),
-                                            space.handle(points[pos + 1]))
-            if len(geods) > 1:
-                several.add(pos)
-            else:
-                segs[pos] = geods[0]
-        if several.isdisjoint(at.tolist()):
-            break
-    reasons: list = [None] * len(at)
-    configs: list = [None] * len(at)
-    t, d = np.full(len(at), np.nan), np.full(len(at), np.nan)
-    lock = np.flatnonzero(exact)
-    if len(lock):
-        t[lock], d[lock], code = criteria.feet_of_perpendicular(
-            space, points[at[lock] + 2], rows[lock], lengths[lock])
-        for i, c in zip(lock.tolist(), code.tolist()):
-            reasons[i] = criteria.FOOT_REJECTIONS.get(c, "low_height")
-        kept = lock[(code == criteria.FOOT_OK) & ~(d[lock] < min_height)]
-        p = space.segment_rows(rows[kept])(t[kept])
-        # within GEO of an endpoint, as an interior t* can be at radii near GEO
-        snap = ((space.pair_distances(p, starts[kept]) <= GEO)
-                | (space.pair_distances(p, ends[kept]) <= GEO))
-        for i, s in zip(kept.tolist(), snap.tolist()):
-            reasons[i] = "endpoint_snap" if s else None
-    for i in np.flatnonzero(~exact).tolist():
-        pos = int(at[i])
-        reasons[i], configs[i] = _searched_try(space, space.handle(points[pos + 2]), segs[pos],
-                                               min_height)
-    t, d, lengths = t.tolist(), d.tolist(), lengths.tolist()
-
-    def decided():
+    try:
+        while True:
+            used, kinds, at = walk()
+            lengths, rows, starts, ends, exact = settle(at)
+            if several.isdisjoint(at.tolist()):
+                break
+        reasons: list = [None] * len(at)
+        configs: list = [None] * len(at)
+        t, d = np.full(len(at), np.nan), np.full(len(at), np.nan)
+        lock = np.flatnonzero(exact)
+        if len(lock) < 2:  # one search alone is faster on floats
+            lock = lock[:0]
+        if len(lock):
+            t[lock], d[lock], code = criteria.feet_of_perpendicular(
+                space, points[at[lock] + 2], rows[lock], lengths[lock])
+            for i, c in zip(lock.tolist(), code.tolist()):
+                reasons[i] = criteria.FOOT_REJECTIONS.get(c, "low_height")
+            kept = lock[(code == criteria.FOOT_OK) & ~(d[lock] < min_height)]
+            p = space.segment_rows(rows[kept])(t[kept])
+            # within GEO of an endpoint, as an interior t* can be at radii near GEO
+            snap = ((space.pair_distances(p, starts[kept]) <= GEO)
+                    | (space.pair_distances(p, ends[kept]) <= GEO))
+            for i, s in zip(kept.tolist(), snap.tolist()):
+                reasons[i] = "endpoint_snap" if s else None
+        alone = np.ones(len(at), dtype=bool)
+        alone[lock] = False
+        for i in np.flatnonzero(alone).tolist():
+            pos = int(at[i])
+            seg = segs[pos] if not exact[i] else space.segment_of_row(
+                space.handle(starts[i]), space.handle(ends[i]), float(lengths[i]),
+                tuple(rows[i].tolist()))
+            reasons[i], configs[i] = _searched_try(space, space.handle(points[pos + 2]), seg,
+                                                   min_height)
+        t, d, lengths = t.tolist(), d.tolist(), lengths.tolist()
         i = 0
         for end, kind in zip(used, kinds):
+            taken = end
+            if kind is _UNAVAILABLE:
+                break
             if kind is not None:
-                yield end, kind, None
+                yield kind, None
                 continue
             reason, config = reasons[i], configs[i]
             if reason is None and config is None:  # accepted, with a row
                 seg = space.segment_of_row(space.handle(starts[i]), space.handle(ends[i]),
                                            lengths[i], tuple(rows[i].tolist()))
                 config = space.handle(points[at[i] + 2]), seg, criteria.FootResult(t[i], d[i])
-            yield end, reason, config
+            yield reason, config
             i += 1
-
-    return decided()
+        else:
+            return
+    finally:  # the uniforms of the tries taken, and no more
+        rng.bit_generator.state = state
+        rng.random(taken)
+    # drawn again, one at a time: it raises as the loop's draw did
+    space.sample_ball(center, radius, rng)
+    raise AssertionError("sample_ball drew a point sample_balls found unavailable")

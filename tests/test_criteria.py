@@ -122,13 +122,12 @@ def test_batched_foot_search_matches_looping_on_a_plateau(sphere):
 
 
 _OUTCOME = {FootOnBoundary: criteria.FOOT_BOUNDARY, DegenerateConfigError: criteria.FOOT_DEGENERATE}
-EPS = np.finfo(float).eps
 
 
 def _check_feet_against_scalar(space, qs, segs):
     """feet_of_perpendicular of the segments with a row against
-    foot_of_perpendicular, pair by pair: each row keeps the scalar outcome and
-    agrees within the golden-section target, or is a minimum to rounding."""
+    foot_of_perpendicular, pair by pair: rows searched in lockstep keep the
+    scalar outcome and agree within the golden-section target."""
     idx = [i for i, seg in enumerate(segs) if seg.row is not None and seg.length > 0.0]
     if not idx:
         return
@@ -143,13 +142,8 @@ def _check_feet_against_scalar(space, qs, segs):
             continue
         assert outcome[k] == criteria.FOOT_OK
         target = config.FOOT_REFINE_REL * segs[i].length
+        assert t[k] == pytest.approx(scalar.t_star, abs=target)
         assert d[k] == pytest.approx(scalar.d_star, abs=target)
-        if abs(t[k] - scalar.t_star) > target:
-            # q far from a short segment: the distance is flat to rounding over
-            # more than the target, and each search stops somewhere on that
-            # stretch, so the lockstep foot must be a minimum to rounding too
-            at_foot = space.distance(qs[i], segs[i].at(float(t[k])))
-            assert at_foot <= scalar.d_star * (1.0 + 8 * EPS)
 
 
 @pytest.mark.parametrize("make", ROW_SPACES, ids=ROW_SPACE_IDS)
@@ -165,6 +159,19 @@ def test_lockstep_feet_match_the_scalar_search(make, seed, radius, size):
         qs.append(q)
         segs.append(space.geodesic(a, b))
     _check_feet_against_scalar(space, qs, segs)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a lockstep foot can stop outside the golden-section target "
+                          "where the distance is flat to rounding")
+def test_lockstep_foot_on_a_flat_stretch_misses_the_target():
+    # the hyperbolic plane k = -0.5, radius 1: a 0.0061-long segment with q
+    # 0.80 away, where both searches find d* bit for bit but their feet lie
+    # 9.3e-10 apart, 15 times the target
+    space = spaces.make_hyperbolic(-0.5)
+    rng = np.random.default_rng(1348484)
+    a, b, q = (space.sample_ball(space.default_center(), 1.0, rng) for _ in range(3))
+    _check_feet_against_scalar(space, [q, q], [space.geodesic(a, b)] * 2)
 
 
 def test_lockstep_feet_on_the_pole_over_equator_plateau(sphere):
