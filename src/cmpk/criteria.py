@@ -38,7 +38,7 @@ from cmpk.errors import (
     RightAngleUnavailable,
     ShootUnavailable,
 )
-from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace, _each
+from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace, RowSpace, _each
 
 PI = math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -562,7 +562,7 @@ def _row_configs(space: GeodesicSpace, configs: Sequence):
     """The indices of the configurations whose segment has a row, with their q,
     segment starts, ends and rows as float arrays; None when there are none."""
     idx = [i for i, c in enumerate(configs) if c[1].row is not None]
-    if not idx or space.segment_rows is None:
+    if not idx:  # only a `RowSpace`'s segments have a row
         return None
     segs = [configs[i][1] for i in idx]
     return (idx, np.array([configs[i][0] for i in idx], dtype=float),
@@ -600,38 +600,52 @@ def point_segment_columns(space: GeodesicSpace, configs: Sequence) -> list:
     return out
 
 
-def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
-    """`measure_triangle(space, seg.start, q, seg.end)`'s sides and ladders of
-    each configuration whose three geodesics `geodesic_rows` gives exactly (so
-    each is the only minimal geodesic) and on which no check of
-    `measure_triangle` or `measure_angle_ladder` raises.  A reversed leg's
-    point at s is its geodesic's at L + (-1.0) s, as `reversed()` evaluates it."""
-    n = len(configs)
-    if not n or space.geodesic_rows is None:
-        return [None] * n
-    p, q, r = (np.array(x, dtype=float)
-               for x in zip(*((c[1].start, c[0], c[1].end) for c in configs)))
+def _ladder_rows(space: RowSpace, v: np.ndarray, legs, live: np.ndarray):
+    """`measure_angle_ladder` at each v[i] over arrays, with its formulas and
+    checks.  A leg is (at, lengths, back): `geodesic_rows`' point map and
+    lengths, and whether the segment is that geodesic reversed (its point at
+    s then at L + (-1.0) s, as `reversed()` evaluates it).  Returns the sides
+    (|va|, |vb|, |ab|) and `live` less the rows where the ladder raises; rows
+    not live are measured at t = 0, so nothing on them warns.  Only a
+    reversed leg is checked to emanate from v: a forward leg's `at(0)` is
+    v's own normal form."""
     dist = space.pair_distances
-    (l_pq, pq, ok_pq), (l_pr, pr, ok_pr), (l_qr, qr, ok_qr) = (
-        space.geodesic_rows(x, y) for x, y in ((p, q), (p, r), (q, r)))
-    ok = ok_pq & ok_pr & ok_qr & ~(np.minimum(np.minimum(l_pq, l_pr), l_qr) <= 10.0 * GEO)
-    columns = [l_qr, l_pr, l_pq]
 
     def along(leg, s):
         at, length, back = leg
         return at(length + (-1.0) * s if back else s)
 
+    for at, length, back in legs:
+        if back:
+            live = live & ~(dist(at(length), v) > 10.0 * PT)
+    t = 0.1 * np.minimum(legs[0][1], legs[1][1]) * 0.5**7
+    live = live & ~(t <= 0.0)
+    t = np.where(live, t, 0.0)
+    a, b = along(legs[0], t), along(legs[1], t)
+    d_va, d_vb = dist(v, a), dist(v, b)
+    live = live & ~(np.minimum(d_va, d_vb) < 10.0 * GEO)
+    return d_va, d_vb, dist(a, b), live
+
+
+def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
+    """`measure_triangle(space, seg.start, q, seg.end)`'s sides and ladders of
+    each configuration on a `RowSpace` whose three geodesics `geodesic_rows`
+    gives exactly (so each is the only minimal geodesic) and on which no
+    check of `measure_triangle` or `measure_angle_ladder` raises."""
+    n = len(configs)
+    if not n or not isinstance(space, RowSpace):
+        return [None] * n
+    p, q, r = (np.array(x, dtype=float)
+               for x in zip(*((c[1].start, c[0], c[1].end) for c in configs)))
+    (l_pq, pq, ok_pq), (l_pr, pr, ok_pr), (l_qr, qr, ok_qr) = (
+        space.geodesic_rows(x, y) for x, y in ((p, q), (p, r), (q, r)))
+    ok = ok_pq & ok_pr & ok_qr & ~(np.minimum(np.minimum(l_pq, l_pr), l_qr) <= 10.0 * GEO)
+    columns = [l_qr, l_pr, l_pq]
     for v, legs in ((p, ((pq, l_pq, False), (pr, l_pr, False))),
                     (q, ((pq, l_pq, True), (qr, l_qr, False))),
                     (r, ((pr, l_pr, True), (qr, l_qr, True)))):
-        for leg in legs:  # LadderError: the segment does not emanate from v
-            ok &= ~(dist(along(leg, np.zeros(n)), v) > 10.0 * PT)
-        t = 0.1 * np.minimum(legs[0][1], legs[1][1]) * 0.5**7
-        ok &= ~(t <= 0.0)  # LadderError
-        a, b = along(legs[0], t), along(legs[1], t)
-        d_va, d_vb = dist(v, a), dist(v, b)
-        ok &= ~(np.minimum(d_va, d_vb) < 10.0 * GEO)  # LadderError
-        columns += [d_va, d_vb, dist(a, b)]
+        *sides, ok = _ladder_rows(space, v, legs, ok)
+        columns += sides
     out = [None] * n
     for i, row in zip(np.flatnonzero(ok).tolist(), zip(*(c[ok].tolist() for c in columns))):
         out[i] = (row[:3], {"p": [row[3:6]], "q": [row[6:9]], "r": [row[9:]]})
@@ -756,24 +770,28 @@ def chi_at_scale(space: GeodesicSpace, x, eps: float, n: int, seed: int) -> tupl
 
     Each configuration draws five uniforms: p is shot from x (drawn from the
     ball with `sample_ball` where that shot is unavailable), and its legs are
-    shot from p at a right angle (`build_right_angle_config`).  On a space
-    with `shots` (the plane, the sphere, the hyperbolic plane and the cone)
-    the configurations are decided over arrays (`_right_angle_rows`), bit
-    for bit as one at a time; only a configuration whose p shot is
-    unavailable, whose leg geodesic is not an unrolled chord or arc (a route
-    through the cone apex, an antipodal pair), whose keep-or-skip comparison
-    lies within `_ROWS_BAND` of its threshold, or whose angle check would
-    raise is built by `build_right_angle_config`.  Should the array path
-    raise, the rung is run one configuration at a time, which raises what the
-    first failing configuration raises.  The tripod, meshes and triangle
+    shot from p at a right angle (`build_right_angle_config`).  On a
+    `RowSpace` (the sphere, the hyperbolic plane and the cone) the
+    configurations are decided over arrays (`_right_angle_rows`), bit for bit
+    as one at a time; only a configuration whose p shot is unavailable, whose
+    leg geodesic is not an unrolled chord or arc (a route through the cone
+    apex, an antipodal pair), or whose angle check would raise is built by
+    `build_right_angle_config`.  Should the array path raise, the rung is run
+    one configuration at a time (`_chi_loop`), which raises what the first
+    failing configuration raises.  The plane, the tripod, meshes and triangle
     domains always build one configuration at a time.
     """
-    if space.shots is not None:
+    if isinstance(space, RowSpace):
         try:
             return _chi_rows(space, x, eps, n, np.random.default_rng(seed))
         except (ArithmeticError, ValueError, CmpkError):
             pass  # the arrays may meet another configuration's error first
-    rng = np.random.default_rng(seed)
+    return _chi_loop(space, x, eps, n, np.random.default_rng(seed))
+
+
+def _chi_loop(space: GeodesicSpace, x, eps: float, n: int,
+              rng: np.random.Generator) -> tuple[float, int]:
+    """`chi_at_scale` one configuration at a time, drawing from rng."""
     chi_max = 0.0
     skipped = 0
     for _ in range(n):
@@ -795,10 +813,10 @@ def chi_at_scale(space: GeodesicSpace, x, eps: float, n: int, seed: int) -> tupl
     return chi_max, skipped
 
 
-def _chi_rows(space: GeodesicSpace, x, eps: float, n: int,
+def _chi_rows(space: RowSpace, x, eps: float, n: int,
               rng: np.random.Generator) -> tuple[float, int]:
-    """`chi_at_scale`'s loop over arrays, drawing from rng.  rng.uniform(lo, hi)
-    is lo + (hi - lo) * rng.random(), so one block of 5 n doubles holds the
+    """`_chi_loop` over arrays, drawing from rng.  rng.uniform(lo, hi) is
+    lo + (hi - lo) * rng.random(), so one block of 5 n doubles holds the
     loop's draws up to the first unavailable p shot; there the generator is
     put back, advanced past that configuration's five, and p drawn by
     `sample_ball`, and the configurations after it take a new block.  So the
@@ -835,69 +853,53 @@ def _chi_rows(space: GeodesicSpace, x, eps: float, n: int,
 # outcome codes of `_right_angle_rows`: the row's configuration is built, the
 # scalar build raises RightAngleUnavailable, or the row is left to it
 RA_BUILT, RA_SKIPPED, RA_BACK = 0, 1, 2
-# A keep-or-skip comparison of `_right_angle_rows` within this band of its
-# threshold (relative to the lengths compared, absolute for the angle) is left
-# to `build_right_angle_config`
-_ROWS_BAND = 1e-12
 
 
-def _right_angle_rows(space: GeodesicSpace, p: np.ndarray, beta: np.ndarray, l1: np.ndarray,
+def _right_angle_rows(space: RowSpace, p: np.ndarray, beta: np.ndarray, l1: np.ndarray,
                       l2: np.ndarray):
     """`build_right_angle_config(space, p[i], beta[i], beta[i] + PI / 2, l1[i],
-    l2[i])` of every row over arrays, with its formulas and comparisons, on a
-    space with `shots`.
+    l2[i])` of every row over arrays, with its formulas and comparisons.
+    Every value a comparison reads is bit for bit the scalar build's, so each
+    row it decides is decided as the scalar build decides it.
 
     Returns arrays of the angle at p that `angle_at` reads, the configuration's
     `ratio_defect` (each nan where not reached) and the outcome: RA_BUILT,
     RA_SKIPPED, or RA_BACK for a row left to the scalar build.  Those are the
-    rows with a leg whose geodesic `geodesic_rows` does not reproduce, a
-    keep-or-skip comparison within `_ROWS_BAND` of its threshold, or a check
-    on which the scalar build would raise another error.  Rows no longer live
-    are kept finite, so nothing computed on them warns.
+    rows with a leg whose geodesic `geodesic_rows` does not reproduce, or a
+    check on which the scalar build would raise another error.  Rows no
+    longer live are kept finite, so nothing computed on them warns.
     """
     q, q_ok = space.shots(p, beta, l1)
     r, r_ok = space.shots(p, beta + PI / 2, l2)
     live = q_ok & r_ok  # else ShootUnavailable: skipped
     back = np.zeros(len(p), bool)
 
-    def settle(fails, near):
+    def settle(near):
         nonlocal live
         back[live & near] = True
-        live = live & ~(fails | near)
+        live = live & ~near
 
     d_pq, d_pr = space.pair_distances(p, q), space.pair_distances(p, r)
     for d, leg in ((d_pq, l1), (d_pr, l2)):  # the shot legs must be minimal
-        short = leg * (1.0 - 1e-9)
-        settle(d < short, np.abs(d - short) <= _ROWS_BAND * leg)
-    # `angle_at` through `measure_angle_ladder`.  Its check that each leg
-    # emanates from p compares an exact zero on these spaces: `at(0)` of a
-    # geodesic from p is p's own normal form
+        live &= ~(d < leg * (1.0 - 1e-9))
+    # `angle_at` through `measure_angle_ladder`, whose LadderError skips
     len_q, at_q, exact_q = space.geodesic_rows(p, q)
     len_r, at_r, exact_r = space.geodesic_rows(p, r)
-    settle(False, ~(exact_q & exact_r))
-    t = 0.1 * np.minimum(len_q, len_r) * 0.5**7
-    settle(t <= 0.0, False)  # LadderError
-    t = np.where(live, t, 0.0)
-    a, b = at_q(t), at_r(t)
-    d_pa, d_pb = space.pair_distances(p, a), space.pair_distances(p, b)
-    d_ab = space.pair_distances(a, b)
-    floor = 10.0 * GEO
-    shortest = np.minimum(d_pa, d_pb)
-    settle(shortest < floor, np.abs(shortest - floor) <= _ROWS_BAND * floor)  # LadderError
+    settle(~(exact_q & exact_r))
+    d_pa, d_pb, d_ab, live = _ladder_rows(space, p, ((at_q, len_q, False), (at_r, len_r, False)),
+                                          live)
     # model.comparison_angle(0.0, (d_pa, d_pb, d_ab)): its checks raise, so
     # their rows go back; at k = 0 its kernel is this law of cosines
     slack = TRI_REL * (d_pa + d_pb + d_ab)
     side_floor = 1e-12 * np.maximum(d_pa + d_pb + d_ab, 1e-300)
     raises = ((d_pa > d_pb + d_ab + slack) | (d_pb > d_ab + d_pa + slack)
               | (d_ab > d_pa + d_pb + slack) | (d_pa <= side_floor) | (d_pb <= side_floor))
-    settle(False, raises)
+    settle(raises)
     cos = (d_pa * d_pa * 0.5 + d_pb * d_pb * 0.5 - d_ab * d_ab * 0.5) / np.where(
         live, d_pa * d_pb, 1.0)
-    settle(False, np.abs(cos) > 1.0 + CLAMP)
+    settle(np.abs(cos) > 1.0 + CLAMP)
     angle = np.where(live, _each(math.acos, np.clip(cos, -1.0, 1.0)), np.nan)
-    deviation = np.abs(angle - PI / 2)
-    settle(deviation > RIGHT_ANGLE_TOL,
-           np.abs(deviation - RIGHT_ANGLE_TOL) <= _ROWS_BAND)  # RightAngleUnavailable
+    live &= ~(np.abs(angle - PI / 2) > RIGHT_ANGLE_TOL)  # RightAngleUnavailable
     angle[back] = np.nan
     ratio = np.full(len(p), np.nan)
     d_qr = space.pair_distances(q[live], r[live])
@@ -988,17 +990,18 @@ def foot_configs(
     that many times the searches per acceptance so far plus the square root
     of that, and none more than ROUND_SEARCHES.
 
-    A round of one search, and every round on a space without
-    `sample_balls`, is the one-at-a-time loop (`rounds.scalar_round`).  A
-    larger round is decided over arrays (`rounds.array_round`): its pair
-    checks read `pair_distances` of adjacent ball points, its searched
-    segments are rows of `row_segments` searched in lockstep, and a segment
-    is built only for a try that is accepted.  Short and several-geodesics
-    tries are certain failures and a searched try may be accepted, so such a
-    round stops drawing only at its searches or where max_tries failures in
-    a row are certain; a point whose shot is unavailable ends it, and raises
-    where the stream reaches its try.  `rejected`, when given, counts the
-    rejected tries by reason.
+    A round of one search, and every round on a space that is not a
+    `RowSpace` (the plane, the tripod, meshes and triangle domains), is the
+    one-at-a-time loop (`rounds.scalar_round`).  A larger round is decided
+    over arrays (`rounds.array_round`): its points come from `sample_balls`,
+    its pair checks read `pair_distances` of adjacent ball points, its
+    searched segments are rows of `row_segments` searched in lockstep, and a
+    segment is built only for a try that is accepted.  Short and
+    several-geodesics tries are certain failures and a searched try may be
+    accepted, so such a round stops drawing only at its searches or where
+    max_tries failures in a row are certain; a point whose shot is
+    unavailable ends it, and raises where the stream reaches its try.
+    `rejected`, when given, counts the rejected tries by reason.
 
     The configurations, the rejections and the try that raises are those of
     trying one at a time.  When the stream returns, raises or is closed, the
@@ -1013,7 +1016,7 @@ def foot_configs(
     accepted = searched = fails = 0
     while accepted < n:
         wanted = n - accepted
-        if space.sample_balls is None:
+        if not isinstance(space, RowSpace):
             block = 1
         elif accepted:
             # the searches expected to give the wanted acceptances, and their

@@ -5,8 +5,10 @@ A round is a generator of its tries' decisions in the order they are drawn:
 (None, (q, seg, foot)) for an accepted one.  However it ends (run out,
 closed, or raising where a ball point's shot is unavailable), it leaves the
 rng where the one-at-a-time loop leaves it after the tries it yielded.
-`scalar_round` is that loop; `array_round` decides a round of many searches
-over arrays, try for try as the loop does.
+`scalar_round` is that loop, and every round on a space that is not a
+`spaces.RowSpace`; `array_round` decides a round of many searches on a
+`RowSpace` over arrays (its `sample_balls`, `pair_distances`,
+`row_segments` and `segment_rows`), try for try as the loop does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from cmpk import criteria
 from cmpk.config import GEO
 from cmpk.errors import DegenerateConfigError, FootOnBoundary
-from cmpk.spaces import GeodesicSegment, GeodesicSpace
+from cmpk.spaces import GeodesicSegment, GeodesicSpace, RowSpace
 
 
 _UNAVAILABLE = "unavailable"  # a try with a point whose shot sample_ball raises on
@@ -62,7 +64,7 @@ def scalar_round(space: GeodesicSpace, center, radius: float, rng: np.random.Gen
         return
 
 
-def array_round(space: GeodesicSpace, center, radius: float, rng: np.random.Generator,
+def array_round(space: RowSpace, center, radius: float, rng: np.random.Generator,
                 block: int, run: int, max_tries: int, min_height: float):
     """The tries of a round of up to `block` searches, decided over arrays.
 

@@ -26,11 +26,11 @@ TWO_PI = 2.0 * math.pi
 class GeodesicSegment:
     """A minimal geodesic, arclength-parametrized on [0, length].
 
-    ``_eval`` maps one arclength to a point.  ``row``, where the space has
-    `row_distances`, is the segment's point form as floats (start and tangent
-    on the sphere and the hyperboloid, the unrolled chord on the cone): the
-    one batched form, through which the foot searches walk the segment.
-    Subsegments have no row.
+    ``_eval`` maps one arclength to a point.  ``row``, on a `RowSpace`, is the
+    segment's point form as floats (start and tangent on the sphere and the
+    hyperboloid, the unrolled chord on the cone): the one batched form,
+    through which the foot searches walk the segment.  Subsegments have no
+    row.
     """
 
     space: "GeodesicSpace"
@@ -75,42 +75,6 @@ class GeodesicSpace(ABC):
 
     name: str = "abstract"
     known_curvature: float | None = None
-    # row_distances(qs, rows) -> f: f(ts) is the distance from qs[i] to the point
-    # at arclength ts[..., i] of the segment whose `row` is rows[i], for arrays ts
-    # whose last axis runs over the block; None where segments have no row form
-    row_distances: Callable | None = None
-    # sample_balls(center, radius, us) -> (points, available): the points
-    # sample_ball draws from the uniforms us, read as (direction, radius
-    # fraction) pairs, bit for bit, as the rows of a float array; available is
-    # False where sample_ball raises ShootUnavailable.  A call of `shots` on the
-    # sphere, the hyperbolic plane and the cone; None on the spaces without
-    # row_distances, whose foot-search rounds hold one try
-    sample_balls: Callable | None = None
-    # The array forms of `shoot`, `distance` and `geodesic`, each bit for bit the
-    # scalar method row by row, with every transcendental sent through `math`
-    # (`_each`); points are the rows of a float array.  None on the spaces
-    # without them, whose right-angle profiles build one configuration at a time.
-    # shots(p, phis, lengths) -> (points, available): the shots from p (one point
-    # handle, or one row per shot) in directions phis over lengths; available
-    # is False where shoot raises ShootUnavailable
-    shots: Callable | None = None
-    # pair_distances(xs, ys) -> distance(xs[i], ys[i]) for each row
-    pair_distances: Callable | None = None
-    # geodesic_rows(xs, ys) -> (lengths, at, exact): geodesic(xs[i], ys[i]) for
-    # each row where exact is True, as its lengths and the map at(ts) from
-    # arclengths within them to its points; exact is False where that geodesic
-    # has zero length or another form (the cone's apex route, the sphere's
-    # antipodal pair) or is not the only minimal geodesic (tied cone chords),
-    # and at's rows there are finite placeholders
-    geodesic_rows: Callable | None = None
-    # row_segments(xs, ys) -> (lengths, rows, starts, ends, exact): the same
-    # geodesics where exact is True, as their lengths, their `row`s and their
-    # start and end points, float rows bit for bit the segment's; a segment
-    # needs no more (`segment_of_row`).  On the spaces with row_distances
-    row_segments: Callable | None = None
-    # segment_rows(rows) -> at: at(ts)[i] is `seg.at(ts[i])` of the segment whose
-    # `row` is rows[i]; None where segments have no row form
-    segment_rows: Callable | None = None
 
     @abstractmethod
     def distance(self, x, y) -> float: ...
@@ -125,7 +89,11 @@ class GeodesicSpace(ABC):
 
     def sample_ball(self, center, radius: float, rng: np.random.Generator):
         """Draw a point of the closed metric ball (uniform direction, uniform radius)."""
-        return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
+        return self.shoot(center, rng.uniform(0.0, self._turn(center)), radius * rng.uniform())
+
+    def _turn(self, center) -> float:
+        """The range of the directions a ball draw shoots in from center."""
+        return TWO_PI
 
     @abstractmethod
     def point_to_data(self, x): ...
@@ -152,21 +120,77 @@ class GeodesicSpace(ABC):
     def _segment(self, start, end, length, evaluator, row=None) -> GeodesicSegment:
         return GeodesicSegment(self, start, end, float(length), evaluator, row)
 
-    def handle(self, row):
-        """The point handle of a float row of the array forms."""
-        return row
-
-    def segment_of_row(self, start, end, length: float, row: tuple) -> GeodesicSegment:
-        """The segment from the handle start to end whose `row` is row, on the
-        spaces with row_distances (`_row_eval` gives its points)."""
-        return self._segment(start, end, length, self._row_eval(row), row)
-
     def _finite(self, data) -> np.ndarray:
         """Point data as a new float array; ValueError unless every entry is finite."""
         x = np.array(data, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError(f"{self.name} point data must be finite, got {x.tolist()}")
         return x
+
+
+class RowSpace(GeodesicSpace):
+    """A space whose segments have a row form and whose `shoot`, `distance` and
+    `geodesic` have array forms: the sphere, the hyperbolic plane and the cone.
+
+    Each array form is bit for bit the scalar method row by row, with every
+    transcendental sent through `math` (`_each`); points are the rows of a
+    float array.  On these spaces a round of the foot-configuration stream
+    and a right-angle profile rung are decided over arrays; on the others
+    they run one try or one configuration at a time.
+    """
+
+    @abstractmethod
+    def row_distances(self, qs, rows):
+        """The map f with f(ts) the distance from qs[i] to the point at arclength
+        ts[..., i] of the segment whose `row` is rows[i], for arrays ts whose
+        last axis runs over the block."""
+
+    @abstractmethod
+    def shots(self, p, phis, lengths):
+        """(points, available): the shots from p (one point handle, or one row
+        per shot) in directions phis over lengths; available is False where
+        `shoot` raises ShootUnavailable."""
+
+    @abstractmethod
+    def pair_distances(self, xs, ys):
+        """distance(xs[i], ys[i]) of each row."""
+
+    @abstractmethod
+    def row_segments(self, xs, ys):
+        """(lengths, rows, starts, ends, exact): geodesic(xs[i], ys[i]) of each
+        row where exact is True, as its length, its `row` and its start and
+        end points, float rows bit for bit the segment's; a segment needs no
+        more (`segment_of_row`).  exact is False where that geodesic has zero
+        length or another form (the cone's apex route, the sphere's antipodal
+        pair) or is not the only minimal geodesic (tied cone chords)."""
+
+    @abstractmethod
+    def segment_rows(self, rows):
+        """The map at with at(ts)[i] `seg.at(ts[i])` of the segment whose `row`
+        is rows[i]."""
+
+    def geodesic_rows(self, xs, ys):
+        """(lengths, at, exact): the geodesics of `row_segments`, as their lengths
+        and the map at(ts) from arclengths within them to their points; at's
+        rows where exact is False are finite placeholders."""
+        lengths, rows, _, _, exact = self.row_segments(xs, ys)
+        return lengths, self.segment_rows(rows), exact
+
+    def sample_balls(self, center, radius, us):
+        """(points, available): the points `sample_ball` draws from the uniforms
+        us, read as (direction, radius fraction) pairs, bit for bit, and False
+        where it raises ShootUnavailable.  rng.uniform(0, h) is h * rng.random(),
+        so the uniforms of the scalar draws give its points."""
+        return self.shots(center, self._turn(center) * us[0::2], radius * us[1::2])
+
+    def handle(self, row):
+        """The point handle of a float row of the array forms."""
+        return row
+
+    def segment_of_row(self, start, end, length: float, row: tuple) -> GeodesicSegment:
+        """The segment from the handle start to end whose `row` is row
+        (`_row_eval` gives its points)."""
+        return self._segment(start, end, length, self._row_eval(row), row)
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +217,6 @@ class EuclideanPlane(GeodesicSpace):
         return np.asarray(p, dtype=float) + length * np.array(
             [math.cos(phi), math.sin(phi)]
         )
-
-    def shots(self, p, phis, lengths):
-        steps = np.stack([_each(math.cos, phis), _each(math.sin, phis)], axis=1)
-        return np.asarray(p, dtype=float) + lengths[:, None] * steps, np.ones(len(phis), bool)
-
-    def pair_distances(self, xs, ys):
-        # numpy's hypot rounds as it does on the scalars `distance` passes it
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        return np.hypot(ys[..., 0] - xs[..., 0], ys[..., 1] - xs[..., 1])
-
-    def geodesic_rows(self, xs, ys):
-        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        d = self.pair_distances(xs, ys)
-        exact = d != 0.0
-        u = (ys - xs) / np.where(exact, d, 1.0)[:, None]
-        return d, lambda ts: xs + ts[:, None] * u, exact
 
     def point_to_data(self, x):
         return [float(x[0]), float(x[1])]
@@ -239,7 +247,7 @@ def _each(f, *xs: np.ndarray) -> np.ndarray:
     return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=float)
 
 
-class _Quadric(GeodesicSpace):
+class _Quadric(RowSpace):
     """The sphere and the hyperbolic plane share one geodesic formula: the point
     at arclength t from x along the unit tangent w is cf(a) x + sf(a) w with
     a = t / radius, where (cf, sf) is (cos, sin) on the sphere and (cosh, sinh)
@@ -296,16 +304,6 @@ class _Quadric(GeodesicSpace):
         w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
         points = np.stack([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2], axis=1)
         return points, np.ones(len(phis), bool)
-
-    def sample_balls(self, center, radius, us):
-        """The points `sample_ball` draws from the uniforms us, as the rows of an
-        array, all available.  rng.uniform(0, h) is h * rng.random(), so the
-        uniforms of the scalar draws give its points."""
-        return self.shots(center, TWO_PI * us[0::2], radius * us[1::2])
-
-    def geodesic_rows(self, xs, ys):
-        d, xs, ws, exact = self._tangent_rows(xs, ys)
-        return d, self._arc_rows(xs, ws), exact
 
     def row_segments(self, xs, ys):
         d, xs, ws, exact = self._tangent_rows(xs, ys)
@@ -404,7 +402,7 @@ class Sphere(_Quadric):
             math.atan2, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2)
 
     def _tangent_rows(self, xs, ys):
-        """The distances, checked starts, unit tangents and exact flags of `geodesic_rows`."""
+        """The distances, checked starts, unit tangents and exact flags of `row_segments`."""
         xs, ys = self._check_rows(xs), self._check_rows(ys)
         d = self.pair_distances(xs, ys)
         exact = (d != 0.0) & ~(math.pi * self.radius - d <= TIE)
@@ -491,7 +489,7 @@ class Hyperbolic(_Quadric):
         return self.radius * 2.0 * _each(math.asinh, 0.5 * np.sqrt(q))
 
     def _tangent_rows(self, xs, ys):
-        """The distances, checked starts, unit tangents and exact flags of `geodesic_rows`."""
+        """The distances, checked starts, unit tangents and exact flags of `row_segments`."""
         xs, ys = self._check_rows(xs), self._check_rows(ys)
         d = self.pair_distances(xs, ys)
         x0, x1, x2 = xs.T
@@ -572,7 +570,7 @@ class Hyperbolic(_Quadric):
 # Euclidean cone over a circle of given perimeter
 
 
-class Cone(GeodesicSpace):
+class Cone(RowSpace):
     """Cone over a circle with perimeter L: points (r, theta), theta in [0, L).
 
     L < 2*pi is the lower-curvature-bound counterexample space; L > 2*pi is
@@ -658,10 +656,6 @@ class Cone(GeodesicSpace):
         sep = np.where(sep > 0.5 * period, period - sep, sep)
         chord = _each(math.hypot, r1 - r2, np.sqrt(r1 * r2) * (2.0 * _each(math.sin, 0.5 * sep)))
         return np.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
-
-    def geodesic_rows(self, xs, ys):
-        lengths, rows, _, _, exact = self.row_segments(xs, ys)
-        return lengths, self.segment_rows(rows), exact
 
     def row_segments(self, xs, ys):
         # `minimal_geodesics` where its first route is an unrolled chord and the
@@ -764,10 +758,9 @@ class Cone(GeodesicSpace):
             raise ShootUnavailable("geodesic through the cone apex is not extendable")
         return (rho, (th + math.atan2(q1, q0)) % self.perimeter)
 
-    def sample_ball(self, center, radius, rng):
-        r, _ = self._norm(center)
-        phi = rng.uniform(0.0, self.perimeter if r == 0.0 else TWO_PI)
-        return self.shoot(center, phi, radius * rng.uniform())
+    def _turn(self, center) -> float:
+        # the apex's directions run round the whole perimeter
+        return self.perimeter if self._norm(center)[0] == 0.0 else TWO_PI
 
     def shots(self, p, phis, lengths):
         period = self.perimeter
@@ -784,11 +777,6 @@ class Cone(GeodesicSpace):
         points = np.stack([np.where(apex, lengths, rho), np.where(apex, phis % period, theta)],
                           axis=1)
         return points, apex | ~(rho <= PT)
-
-    def sample_balls(self, center, radius, us):
-        r, _ = self._norm(center)
-        phis = (self.perimeter if r == 0.0 else TWO_PI) * us[0::2]
-        return self.shots(center, phis, radius * us[1::2])
 
     def handle(self, row):
         return tuple(row.tolist())

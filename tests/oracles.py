@@ -525,9 +525,9 @@ def sample_measurements(space: GeodesicSpace, center, radius: float, names: Sequ
 
 
 # The sphere's and the hyperbolic plane's shots, arcs and tangents, and the
-# plane's ball draw, as each space wrote them out before the sphere and the
-# hyperbolic plane shared one copy and `sample_ball` one default.  `self` is
-# the space.
+# plane's and the cone's ball draws, as each space wrote them out before the
+# sphere and the hyperbolic plane shared one copy and `sample_ball` one
+# default.  `self` is the space.
 
 
 def sphere_shoot(self, p, phi: float, length: float):
@@ -591,6 +591,12 @@ def plane_sample_ball(self, center, radius, rng):
     return self.shoot(center, rng.uniform(0.0, TWO_PI), radius * rng.uniform())
 
 
+def cone_sample_ball(self, center, radius, rng):
+    r, _ = self._norm(center)
+    phi = rng.uniform(0.0, self.perimeter if r == 0.0 else TWO_PI)
+    return self.shoot(center, phi, radius * rng.uniform())
+
+
 
 # `criteria.chi_at_scale` as it built every configuration of a rung one at a
 # time, drawing from the given generator instead of one seeded from `seed`.
@@ -620,7 +626,8 @@ def chi_at_scale(space: GeodesicSpace, x, eps: float, n: int, rng) -> tuple[floa
 
 class Replay:
     """A generator stand-in that hands out the given doubles in order: `random`
-    as numpy's does, and `uniform(low, high)` as low + (high - low) * random()."""
+    as numpy's does, `uniform(low, high)` as low + (high - low) * random(), and
+    `integers(high)` as int(high * random())."""
 
     def __init__(self, doubles):
         self.doubles = list(doubles)
@@ -634,3 +641,6 @@ class Replay:
 
     def uniform(self, low=0.0, high=1.0):
         return low + (high - low) * float(self.random(1)[0])
+
+    def integers(self, high):
+        return int(high * float(self.random(1)[0]))

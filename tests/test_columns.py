@@ -104,18 +104,37 @@ def test_sampling_pass_equals_measuring_each_sample_as_drawn(case):
 
 
 def test_columns_cover_the_smooth_rows_and_leave_the_others():
-    # segments without a row (the plane's) and triangles whose legs stop
-    # emanating from their vertex (10 units out) are measured one at a time
+    # configurations off the row spaces (the plane's) and triangles whose legs
+    # stop emanating from their vertex (10 units out) are measured one at a time
     cases = {name: CASES[name] for name in ("plane", "sphere", "hyperbolic", "hyperbolic-far",
                                             "pi-cone-off", "7-cone-apex")}
     left = {name: check_columns(space, drawn(space, center, radius, 61000, 30))
             for name, (space, center, radius) in cases.items()}
-    assert left["plane"] == {"pythagorean": 30, "point_segment": 30, "triangle": 0}
+    assert left["plane"] == dict.fromkeys(NAMES, 30)
     for name in ("sphere", "hyperbolic", "pi-cone-off"):
         assert left[name] == dict.fromkeys(NAMES, 0)
     far = left["hyperbolic-far"]
     assert far["pythagorean"] == far["point_segment"] == 0 and far["triangle"] > 0
     assert left["7-cone-apex"]["triangle"] > 0  # routes through the apex
+
+
+def test_columns_that_raise_leave_their_batch_to_the_scalar_probes(monkeypatch):
+    calls = []
+
+    def raising(space, configs):
+        calls.append(len(configs))
+        raise ValueError("columns raised")
+
+    for name in NAMES:
+        monkeypatch.setitem(estimator.CRITERIA, name,
+                            estimator.CRITERIA[name]._replace(columns=raising))
+    for case in ("sphere", "pi-cone-off"):
+        space, center, radius = CASES[case]
+        args = (space, center, radius, NAMES, 40, 61000)
+        want = outcome(oracles.sample_measurements, *args)
+        assert isinstance(want[0], str)  # measured, not raised
+        assert outcome(estimator.sample_measurements, *args) == want
+    assert calls == [40] * (2 * len(NAMES))
 
 
 # crafted configurations (q, seg, foot) on which a measurement raises

@@ -658,7 +658,6 @@ def test_profile_rejects_a_bad_eps_ladder(plane, ladder):
 # configuration at a time
 
 RUNG_CASES = {
-    "plane": (spaces.make_euclidean_plane(), np.zeros(2)),
     "pi-cone-apex": (spaces.make_cone(PI), (0.0, 0.0)),
     "pi-cone-off": (spaces.make_cone(PI), (1.0, 0.5)),
     "pi-cone-near-apex": (spaces.make_cone(PI), (0.04, 3.0)),
@@ -706,6 +705,46 @@ def test_array_rung_equals_the_loop_on_seeded_generators(case, eps):
         want = rung(oracles.chi_at_scale, space, x, eps, 40, np.random.default_rng(seed))
         assert rung(array_rung, space, x, eps, 40, np.random.default_rng(seed)) == want
         assert criteria.chi_at_scale(space, x, eps, 40, seed) == (float(want[0]), want[1])
+
+
+# the spaces that are not row spaces, whose rungs are the loop itself: the
+# plane's shots all land, some of the octant's leave it, and the tripod
+# shoots none, so each of its p is drawn from the ball and each rung skipped
+LOOP_RUNG_CASES = {
+    "plane": (spaces.make_euclidean_plane(), np.zeros(2)),
+    "octant": (spaces.make_octant(1.0), spaces.make_octant(1.0).default_center()),
+    "tripod": (spaces.make_tripod(), (0, 0.5)),
+}
+
+
+def loop_rung(space, x, eps, n, rng):
+    return criteria._chi_loop(space, x, eps, n, rng)
+
+
+@pytest.mark.parametrize("case", list(LOOP_RUNG_CASES))
+@given(eps=st.sampled_from(RUNG_EPS), doubles=st.data())
+@settings(max_examples=30, deadline=None)
+def test_loop_rung_equals_the_reference_loop_on_replayed_draws(case, eps, doubles):
+    space, x = LOOP_RUNG_CASES[case]
+    n = doubles.draw(st.integers(1, 24))
+    # the octant's ball draw repeats until its point lies inside: plenty more
+    us = [*doubles.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                 min_size=7 * n, max_size=7 * n)),
+          *np.random.default_rng(n).random(2000).tolist()]
+    want = rung(oracles.chi_at_scale, space, x, eps, n, oracles.Replay(us))
+    assert rung(loop_rung, space, x, eps, n, oracles.Replay(us)) == want
+
+
+@pytest.mark.parametrize("case", list(LOOP_RUNG_CASES))
+@pytest.mark.parametrize("eps", RUNG_EPS)
+def test_loop_rung_equals_the_reference_loop_on_seeded_generators(case, eps):
+    space, x = LOOP_RUNG_CASES[case]
+    for seed in (0, 7, 61000):
+        want = rung(oracles.chi_at_scale, space, x, eps, 40, np.random.default_rng(seed))
+        assert rung(loop_rung, space, x, eps, 40, np.random.default_rng(seed)) == want
+        assert criteria.chi_at_scale(space, x, eps, 40, seed) == (float(want[0]), want[1])
+        if case == "tripod":
+            assert want[:2] == (repr(0.0), 40)
 
 
 def test_array_rung_draws_p_from_the_ball_where_its_shot_is_unavailable():
@@ -757,15 +796,15 @@ def test_array_rows_leave_routes_through_the_apex_to_the_scalar_build():
         criteria.RA_BACK, criteria.RA_SKIPPED, criteria.RA_BUILT, criteria.RA_BUILT]
 
 
-def test_array_rows_leave_the_minimality_band_to_the_scalar_build():
+def test_array_rows_decide_the_minimality_threshold_as_the_scalar_build():
     # from (0.5, 0) on the pi-cone, legs of 0.8 in these directions turn just
     # far enough round the apex that the other way round is shorter: by 1e-7
-    # of the leg (not minimal), and by 1e-9 of it within 1.4e-16 (the band)
+    # of the leg, and by 1e-9 of it within 1.4e-16; both are not minimal
     cone = spaces.make_cone(PI)
     p = np.array([[0.5, 0.0]] * 3)
     beta = np.array([2.2459279622139454, 2.2459278607567486, 2.0])
     assert decided_rows(cone, p, beta, np.full(3, 0.8), np.full(3, 0.3)) == [
-        criteria.RA_SKIPPED, criteria.RA_BACK, criteria.RA_BUILT]
+        criteria.RA_SKIPPED, criteria.RA_SKIPPED, criteria.RA_BUILT]
     with pytest.raises(RightAngleUnavailable, match="not a minimal geodesic"):
         criteria.build_right_angle_config(cone, (0.5, 0.0), beta[1], beta[1] + PI / 2, 0.8, 0.3)
 

@@ -195,6 +195,32 @@ def test_residual_pass_walks_every_sample_when_a_vector_defect_strays(kind, monk
             oracles.first_worst_defect(ms, k, o, DEFAULT_TOL) for o in ("cbb", "cba"))
 
 
+class _SureBatch:
+    """A stand-in `vector.Batch` whose margins call every sample a sure pass,
+    and the samples that fail the claim the surest of all."""
+
+    def __init__(self, name, ms):
+        self.name, self.ms = name, ms
+
+    def margins(self, k, orientation):
+        return np.array([-0.5 if not oracles.orientation_pass({self.name: [m]}, k, orientation,
+                                                               DEFAULT_TOL) else -1.0
+                         for m in self.ms])
+
+
+@pytest.mark.parametrize("kind", PROPERTY_SETS)
+def test_orientation_pass_walks_every_sample_when_a_sure_pass_fails(kind):
+    ms = property_set(kind)[3]
+    batches = {name: _SureBatch(name, batch) for name, batch in ms.items()}
+    decisions = []
+    for k in (-2.0, 0.0, 2.0):
+        for orientation in ("cbb", "cba"):
+            want = oracles.orientation_pass(ms, k, orientation, DEFAULT_TOL)
+            assert estimator._orientation_pass(ms, k, orientation, DEFAULT_TOL, batches) == want
+            decisions.append(want)
+    assert False in decisions  # some confirmed sure pass failed
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(PROPERTY_SETS), k=K_VALUES)
 def test_vector_margins_match_scalar_far_inside_the_guard(kind, k):
@@ -638,6 +664,26 @@ def test_round_with_an_antipodal_sphere_pair():
         _, rejected = _stream_against_the_loop(sphere, sphere.default_center(), radius,
                                                _replay([0.0, quarter, 0.5, quarter], n), n)
         assert rejected["several_geodesics"] >= 1
+
+
+@pytest.mark.parametrize("space, center, radius, prefix", [
+    # from the pi-cone apex, points at angles pi/4 and 3pi/4 and one radius:
+    # the chords both ways round are equally short
+    (spaces.make_cone(PI), (0.0, 0.0), 0.25, [0.25, 0.8, 0.75, 0.8]),
+    # a quarter turn each way from the pole: antipodes
+    (spaces.make_sphere(1.0), np.array([0.0, 0.0, 1.0]), 1.6,
+     [0.0, (PI / 2) / 1.6, 0.5, (PI / 2) / 1.6]),
+])
+def test_one_search_stream_rejects_a_pair_with_several_geodesics(space, center, radius, prefix):
+    # one configuration wanted: the stream's first round is one search, the
+    # one-at-a-time loop
+    (rng_new, rejected_new), (rng_old, rejected_old) = (
+        (_replay(prefix)(), dict.fromkeys(criteria.REJECTIONS, 0)) for _ in range(2))
+    new = criteria.sample_foot_config(space, center, radius, rng_new, rejected=rejected_new)
+    old = oracles.sample_foot_config(space, center, radius, rng_old, rejected=rejected_old)
+    assert _same_try(new, old)
+    assert rejected_new == rejected_old and rejected_new["several_geodesics"] == 1
+    assert rng_new.state == rng_old.state
 
 
 @pytest.mark.parametrize("center, radius, prefix, max_tries", [

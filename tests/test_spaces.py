@@ -263,6 +263,17 @@ def test_tripod_no_shoot():
         spaces.make_tripod().shoot((0, 1.0), 0.3, 0.5)
 
 
+def test_tripod_ball_draw_crosses_the_branch_point():
+    # from 0.25 out on ray 0, a radius of 0.75 drawn inward passes the branch
+    # point and ends 0.5 out on the other ray the third double picks
+    tri, center = spaces.make_tripod(), (0, 0.25)
+    for pick, ray in ((0.2, 1), (0.6, 2)):
+        replay = Replay([0.75, 0.9, pick])
+        point = tri.sample_ball(center, 1.0, replay)
+        assert point == (ray, 0.5) and replay.state == 3
+        assert tri.distance(center, point) == 0.75
+
+
 # ---------------------------------------------------------------------------
 # spherical triangle domain
 
@@ -409,7 +420,7 @@ seeds = st.integers(0, 2**32 - 1)
 
 def row_spaces():
     """The spaces whose segments have a row form: sphere, hyperbolic plane, cone."""
-    return [s for s in all_analytic_spaces() if s.row_distances is not None]
+    return [s for s in all_analytic_spaces() if isinstance(s, spaces.RowSpace)]
 
 
 @functools.cache
@@ -710,9 +721,13 @@ BALL_CASES = {
 }
 
 
-def _scalar_draw(space, center, radius, rng):
+def _scalar_draw(space, center, radius, rng, draw=None):
+    """What sample_ball, or a copy `draw` of it, draws from rng, or the
+    ShootUnavailable it raises."""
     try:
-        return space.sample_ball(center, radius, rng)
+        if draw is None:
+            return space.sample_ball(center, radius, rng)
+        return draw(space, center, radius, rng)
     except ShootUnavailable as e:
         return e
 
@@ -728,8 +743,10 @@ def _same_point(space, row, ok, want):
 
 
 def test_sample_balls_on_exactly_the_row_spaces():
+    assert [s.name for s in row_spaces()] == ["sphere", "sphere", "hyperbolic", "hyperbolic",
+                                             "cone", "cone"]
     for space in all_analytic_spaces():
-        assert (space.sample_balls is None) == (space.row_distances is None)
+        assert hasattr(space, "sample_balls") == isinstance(space, spaces.RowSpace)
 
 
 @pytest.mark.parametrize("case", list(BALL_CASES))
@@ -771,8 +788,6 @@ def test_batched_draw_raises_at_the_unavailable_shot():
 
 SHOT_CASES = {
     **BALL_CASES,
-    "plane-origin": (spaces.make_euclidean_plane(), np.zeros(2)),
-    "plane-off": (spaces.make_euclidean_plane(), np.array([0.7, -1.3])),
     # a shot in direction pi over 0.5 ends 6e-17 from the apex: unavailable
     "pi-cone-half": (spaces.make_cone(PI), (0.5, 0.0)),
     "7-cone-half": (spaces.make_cone(7.0), (0.5, 0.0)),
@@ -803,10 +818,8 @@ def assert_rows_equal_the_scalar_methods(space, starts, ends, fracs):
     ts = np.where(exact, fracs * lengths, 0.0)
     points = at(ts)
     assert np.isfinite(points).all()
-    with_rows = space.row_segments is not None  # the plane's segments have no row
-    if with_rows:
-        row_lengths, rows, row_starts, row_ends, row_exact = space.row_segments(starts, ends)
-        assert _bits(row_lengths) == _bits(lengths) and row_exact.tolist() == exact.tolist()
+    row_lengths, rows, row_starts, row_ends, row_exact = space.row_segments(starts, ends)
+    assert _bits(row_lengths) == _bits(lengths) and row_exact.tolist() == exact.tolist()
     for i, (x, y) in enumerate(zip(starts, ends)):
         x, y = _handle(space, x), _handle(space, y)
         assert repr(float(d[i])) == repr(space.distance(x, y))
@@ -815,8 +828,6 @@ def assert_rows_equal_the_scalar_methods(space, starts, ends, fracs):
             seg = space.geodesic(x, y)
             assert repr(float(lengths[i])) == repr(seg.length)
             assert _bits(points[i]) == _bits(seg.at(float(ts[i])))
-            if not with_rows:
-                continue
             # what a segment is built from, and the segment built from it
             assert repr(tuple(rows[i].tolist())) == repr(seg.row)
             assert _bits(row_starts[i]) == _bits(seg.start)
@@ -907,17 +918,26 @@ MERGED_CASES = {
 }
 OLD_SHOOT = {"sphere": oracles.sphere_shoot, "hyperbolic": oracles.hyperbolic_shoot}
 OLD_ARC = {"sphere": oracles.sphere_arc_segment, "hyperbolic": oracles.hyperbolic_arc_segment}
+# the plane's and the cone's shoot are their own, unchanged
+OLD_BALL = {"plane": oracles.plane_sample_ball, "cone": oracles.cone_sample_ball}
+DRAW_CASES = {
+    **MERGED_CASES,
+    **{name: BALL_CASES[name] for name in BALL_CASES if "cone" in name},
+}
 
 
-@pytest.mark.parametrize("case", list(MERGED_CASES))
+@pytest.mark.parametrize("case", list(DRAW_CASES))
 @given(phi=st.floats(-7.0, 7.0), length=st.floats(0.0, 3.0), u=st.tuples(uniforms, uniforms),
        radius=st.floats(0.05, 1.5))
 @settings(max_examples=60, deadline=None)
 def test_shoot_and_sample_ball_equal_the_unmerged_copies_bitwise(case, phi, length, u, radius):
-    space, center = MERGED_CASES[case]
-    got = space.sample_ball(center, radius, Replay(u))
-    if space.name == "plane":  # the plane's shoot is its own, unchanged
-        want = oracles.plane_sample_ball(space, center, radius, Replay(u))
+    space, center = DRAW_CASES[case]
+    got = _scalar_draw(space, center, radius, Replay(u))
+    if space.name in OLD_BALL:
+        want = _scalar_draw(space, center, radius, Replay(u), OLD_BALL[space.name])
+        if isinstance(want, ShootUnavailable):
+            assert isinstance(got, ShootUnavailable)
+            return
     else:  # each space's own sample_ball had the plane's body, with its own shoot
         old_shoot = OLD_SHOOT[space.name]
         np.testing.assert_array_equal(
