@@ -8,6 +8,7 @@ diagnostic only and reports carry an error-bar field.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -165,11 +166,24 @@ class GeodesicGraph:
         """Exact shortest-path distances, one row per source (batched, compiled)."""
         return csgraph_dijkstra(self.matrix, indices=list(sources))
 
+    def distances_within(self, source: int, limit: float) -> np.ndarray:
+        """The Dijkstra row of `source` computed only out to distance `limit`.
+
+        Nodes farther than `limit` read inf; a node exactly at it is finite.
+        Every finite value is the unbounded row's (`distances_from`) bit for
+        bit: Dijkstra settles nodes in order of distance, so by the time it
+        stops at `limit` it has relaxed every arc into a node within it.
+        """
+        return csgraph_dijkstra(self.matrix, indices=source, limit=limit)
+
     def shortest_path(self, src: int, dst: int,
                       row: np.ndarray | None = None) -> tuple[list[int], float]:
         """Shortest path src -> dst recovered from the Dijkstra row of `src`.
 
-        `row` is `distances_from([src])[0]` (computed here when not given).
+        `row` is `distances_from([src])[0]` (computed here when not given), or
+        a row from `distances_within` that is finite at `dst`: each step goes
+        to a node closer to `src`, whose value is exact, never to one beyond
+        the row's limit, which reads inf.
         The path is walked back from `dst`: the predecessor of node v is the
         smallest-id neighbour u with ``row[u] + w(u, v) == row[v]``, which is
         the path a heap Dijkstra with lexicographic (distance, node-id)
@@ -202,20 +216,24 @@ def nearest_index(cum: list[float], t: float) -> int:
     return i
 
 
+# factor by which a Dijkstra row's limit exceeds the distance a read needs it to reach
+_ROW_GROWTH = 1.25
+
+
 class MeshSpace(GeodesicSpace):
     """Geodesic space over a GeodesicGraph; point handles are node ids."""
 
     name = "mesh"
     # Dijkstra rows kept up to this many bytes of rows (8 per node), least recently
     # used evicted first: a few thousand rows of a benchmark-sized mesh, so a run
-    # computes each row it needs once
+    # evicts none, and computes a row again only to extend its limit
     ROW_CACHE_BYTES = 32 * 2**20
 
     def __init__(self, mesh: TriMesh, steiner: int = 4, *, path: str | None = None):
         self.graph = GeodesicGraph(mesh, steiner)
         self.steiner = int(steiner)
         self.source_path = path
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._cache: OrderedDict[int, tuple[np.ndarray, float]] = OrderedDict()
         self.known_curvature = None
 
     @property
@@ -223,28 +241,66 @@ class MeshSpace(GeodesicSpace):
         """Length scale below which graph geodesics cannot resolve anything."""
         return self.graph.max_arc
 
-    def _row(self, src: int) -> np.ndarray:
-        src = int(src)
-        row = self._cache.get(src)
-        if row is None:
+    def _row(self, src: int, reach: float) -> np.ndarray:
+        """The Dijkstra row of `src`, exact at every node within `reach` of it.
+
+        Rows are computed only out to a limit (`GeodesicGraph.distances_within`)
+        and read inf beyond it: the probes read distances in a small region, and
+        a bounded row costs a fraction of a full one. Each row is cached with its
+        limit, least recently used evicted first. A row whose limit falls short
+        of `reach` is computed again out to _ROW_GROWTH times `reach` (and at
+        least one longest arc, so that a row read only at its source still
+        grows). Finite values equal the full row's, so no answer depends on the
+        limits or on the order of the reads.
+        """
+        entry = self._cache.get(src)
+        if entry is None:
             if len(self._cache) >= max(self.ROW_CACHE_BYTES // (8 * self.graph.n_nodes), 1):
                 self._cache.popitem(last=False)
-            row = self._cache[src] = self.graph.distances_from([src])[0]
         else:
             self._cache.move_to_end(src)
+            if entry[1] >= reach:
+                return entry[0]
+        limit = _ROW_GROWTH * max(reach, self.graph.max_arc)
+        row = self.graph.distances_within(src, limit)
+        self._cache[src] = (row, limit)
+        return row
+
+    def _chord(self, x: int, ys) -> float:
+        """Longest 3-space chord from node x to node(s) ys: arcs are chords, so
+        no graph distance is shorter."""
+        pos = self.graph.positions
+        return float(np.sqrt(((pos[ys] - pos[x]) ** 2).sum(axis=-1)).max(initial=0.0))
+
+    def _row_to(self, x: int, ys) -> np.ndarray:
+        """The row of x, finite at node ys (an int) or at every node of ys.
+
+        A new row reaches the longest chord to ys; a read that lands beyond a
+        row's limit computes the row again past that limit.
+        """
+        entry = self._cache.get(x)
+        if entry is None:
+            row = self._row(x, self._chord(x, ys))
+        else:
+            self._cache.move_to_end(x)
+            row = entry[0]
+        while row[ys] == math.inf if isinstance(ys, int) else np.isinf(row[ys]).any():
+            beyond = math.nextafter(self._cache[x][1], math.inf)
+            row = self._row(x, max(self._chord(x, ys), beyond))
         return row
 
     def distance(self, x, y) -> float:
-        return float(self._row(int(x))[int(y)])
+        x, y = int(x), int(y)
+        return float(self._row_to(x, y)[y])
 
     def distances(self, x, ys) -> np.ndarray:
-        return self._row(int(x))[ys]
+        return self._row_to(int(x), ys)[ys]
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = int(x), int(y)
         if x == y:
             return [GeodesicSegment(self, x, y, 0.0, lambda t: x)]
-        path, total = self.graph.shortest_path(x, y, self._row(x))
+        path, total = self.graph.shortest_path(x, y, self._row_to(x, y))
         pos = self.graph.positions
         cum = np.concatenate(
             [[0.0], np.cumsum(np.linalg.norm(np.diff(pos[path], axis=0), axis=1))]
@@ -256,7 +312,7 @@ class MeshSpace(GeodesicSpace):
         return [GeodesicSegment(self, x, y, total, ev)]
 
     def sample_ball(self, center, radius, rng):
-        row = self._row(int(center))
+        row = self._row(int(center), radius)
         nodes = np.flatnonzero(row <= radius)
         return int(nodes[int(rng.integers(len(nodes)))])
 

@@ -4,14 +4,15 @@ These deliberately avoid the package's kernel formulas: side lengths come
 from explicit point constructions (rotations on the embedded sphere,
 Minkowski hyperboloid vectors, planar coordinates) and angles from bisection
 against those constructions.  The exceptions are reference copies of code
-the package has since rewritten (the heap Dijkstra search, the per-k
-evaluators, the angle ladders, the all-scalar bisection predicate and
-residual, the cone geodesics that built every candidate route, the
-one-try-at-a-time foot sampler, the sampling pass that measured each
-configuration as it was drawn, the sphere's and the hyperbolic plane's
-own shots and arcs, and the Riemannian-point rung that built one right-angle
-configuration at a time), which tests compare the rewrites against; and
-`Replay`, a generator stand-in that hands out given doubles.
+the package has since rewritten (the heap Dijkstra search, the mesh's full
+Dijkstra rows, the per-k evaluators, the angle ladders, the all-scalar
+bisection predicate and residual, the cone geodesics that built every
+candidate route, the one-try-at-a-time foot sampler, the sampling pass that
+measured each configuration as it was drawn, the sphere's and the
+hyperbolic plane's own shots and arcs, and the Riemannian-point rung that
+built one right-angle configuration at a time), which tests compare the
+rewrites against; and `Replay`, a generator stand-in that hands out given
+doubles.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cmpk import config, criteria, estimator, model
+from cmpk import config, criteria, estimator, mesh, model
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.criteria import (
     PI,
@@ -232,6 +233,27 @@ def heap_shortest_path(matrix, src: int, dst: int) -> tuple[list[int], float]:
     while path[-1] != src:
         path.append(int(pred[path[-1]]))
     return path[::-1], float(dist[dst])
+
+
+class MeshSpace(mesh.MeshSpace):
+    """The mesh space as it was before rows were computed only as far as they
+    are read: every Dijkstra row is the full single-source run over the graph,
+    cached least recently used within ROW_CACHE_BYTES. The readers are the
+    package's; a full row reaches every node, so `reach` is not read."""
+
+    def _row(self, src: int, reach: float = math.inf) -> np.ndarray:
+        src = int(src)
+        row = self._cache.get(src)
+        if row is None:
+            if len(self._cache) >= max(self.ROW_CACHE_BYTES // (8 * self.graph.n_nodes), 1):
+                self._cache.popitem(last=False)
+            row = self._cache[src] = self.graph.distances_from([src])[0]
+        else:
+            self._cache.move_to_end(src)
+        return row
+
+    def _row_to(self, x: int, ys) -> np.ndarray:
+        return self._row(x)
 
 
 # Angles and triangles as they were measured and evaluated before each angle

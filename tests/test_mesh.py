@@ -11,7 +11,7 @@ from cmpk.errors import DisconnectedGraphError, MeshFormatError
 from cmpk.spaces import space_from_descriptor
 
 from meshgen import grid_mesh, icosphere, octahedron, write_obj
-from oracles import heap_shortest_path
+from oracles import MeshSpace as FullRowMeshSpace, heap_shortest_path
 
 
 @pytest.fixture
@@ -173,16 +173,19 @@ def test_distances_equal_scalar_distances(octa_path, rng):
     assert space.distances(5, grid).tolist() == [space.distance(5, y) for y in grid]
 
 
-def _counted_rows(space) -> list[int]:
-    """Record the source of every Dijkstra row the space computes from now on."""
+def _counted_rows(space, limits: list[float] | None = None) -> list[int]:
+    """Record the source of every Dijkstra row the space computes from now on,
+    and its limit in `limits` when given."""
     sources: list[int] = []
-    compute = space.graph.distances_from
+    compute = space.graph.distances_within
 
-    def counted(srcs):
-        sources.extend(int(s) for s in srcs)
-        return compute(srcs)
+    def counted(src, limit):
+        sources.append(int(src))
+        if limits is not None:
+            limits.append(limit)
+        return compute(src, limit)
 
-    space.graph.distances_from = counted
+    space.graph.distances_within = counted
     return sources
 
 
@@ -205,19 +208,47 @@ def test_row_cache_evicts_least_recently_used(octa_path):
     assert 3 not in space._cache and len(space._cache) == cap
 
 
-def test_default_row_cache_computes_each_row_of_a_run_once(tmp_path):
+def test_default_row_cache_recomputes_a_row_only_to_extend_it(tmp_path):
     # the benchmark's icosphere (level 2, steiner 4): 2,082 nodes, so the
     # default cap keeps 2,014 rows
     path = tmp_path / "ico2.obj"
     write_obj(path, *icosphere(2))
     space = mesh_mod.mesh_space(mesh_mod.load_obj(path), steiner=4)
     assert space.ROW_CACHE_BYTES // (8 * space.graph.n_nodes) == 2014
-    computed = _counted_rows(space)
+    limits: list[float] = []
+    computed = _counted_rows(space, limits)
     rng = np.random.default_rng(61004)
     for _ in range(40):
         q, seg, foot = criteria.sample_foot_config(space, 0, 0.8, rng)
         criteria.measure_pythagorean(space, q, seg, foot=foot)
-    assert len(computed) == len(set(computed)) > 65
+    assert len(set(computed)) > 65
+    assert set(space._cache) == set(computed)  # none evicted
+    # each source's rows were computed out to ever larger limits, the last
+    # of them the cached one
+    for src in set(computed):
+        own = [limit for s, limit in zip(computed, limits) if s == src]
+        assert own == sorted(set(own)) and space._cache[src][1] == own[-1], src
+
+
+def test_read_beyond_the_limit_extends_the_row():
+    space = mesh_mod.mesh_space(mesh_mod.TriMesh(*icosphere(2)), steiner=4)
+    full = space.graph.distances_from([0])[0]
+    limits: list[float] = []
+    computed = _counted_rows(space, limits)
+    near = int(np.argsort(full)[5])
+    far = int(np.argmax(full))  # the antipode, about pi away
+    assert space.distance(0, near) == full[near]
+    (first,) = limits
+    row = space._cache[0][0]
+    assert first < full[far] and np.isinf(row[far])
+    assert (row[np.isfinite(row)] == full[np.isfinite(row)]).all()
+    assert space.distance(0, far) == full[far]
+    assert computed == [0] * len(limits) and len(limits) >= 2
+    assert limits == sorted(limits) and limits[-2] < full[far] <= limits[-1]
+    assert space._cache[0][0].tolist() == full.tolist()  # the limit passed the farthest node
+    n_rows = len(computed)
+    assert space.distances(0, [near, far]).tolist() == [full[near], full[far]]
+    assert len(computed) == n_rows
 
 
 @given(st.lists(st.integers(0, 77), max_size=400))  # the 78 nodes of the octahedron, steiner 6
@@ -238,6 +269,124 @@ def test_row_cache_hits_whenever_clearing_cache_would(sources):
         space.distance(src, 0)
         if hit_before:
             assert len(computed) == n_rows, f"row {src} recomputed"
+
+
+# Bounded rows against full rows: every answer of the space, whose Dijkstra
+# rows reach only as far as the reads so far needed, equals the answer of the
+# full-row space, whatever the order of the reads and the cache's cap.
+
+_OCTA_NODE = st.integers(0, 77)  # the 78 nodes of the octahedron, steiner 6
+_ROW_READS = st.one_of(
+    st.tuples(st.just("distance"), _OCTA_NODE, _OCTA_NODE),
+    st.tuples(st.just("distances"), _OCTA_NODE, st.lists(_OCTA_NODE, max_size=6)),
+    st.tuples(st.just("geodesic"), _OCTA_NODE, _OCTA_NODE),
+    st.tuples(st.just("ball"), _OCTA_NODE, st.floats(0.0, 3.5)),
+    # a ball through a node: the radius is a graph distance, exactly
+    st.tuples(st.just("ball_to"), _OCTA_NODE, _OCTA_NODE),
+)
+
+
+def _octahedron_spaces(rows: int | None):
+    """The space under test and the full-row reference, with room for `rows`
+    rows (the default cap when None)."""
+    pair = []
+    for cls in (mesh_mod.MeshSpace, FullRowMeshSpace):
+        space = cls(mesh_mod.TriMesh(*octahedron()), steiner=6)
+        if rows is not None:
+            space.ROW_CACHE_BYTES = 8 * space.graph.n_nodes * rows
+        pair.append(space)
+    return pair
+
+
+@given(st.lists(_ROW_READS, max_size=30), st.sampled_from([None, 2]))
+@example([("distance", 0, 0), ("distance", 0, 1)], None)  # first read at the source
+@example([("distance", 0, 2), ("ball", 0, 2.9)], None)  # a ball past the limit
+# a far read after the row of 0 was evicted
+@example([("distance", 0, 4), ("distance", 2, 0), ("distance", 3, 0), ("distance", 0, 1)], 2)
+@settings(max_examples=120, deadline=None)
+def test_bounded_rows_answer_as_full_rows_do(reads, rows):
+    space, full = _octahedron_spaces(rows)
+    for i, (op, x, arg) in enumerate(reads):
+        if op == "distance":
+            assert space.distance(x, arg) == full.distance(x, arg), (i, op, x, arg)
+        elif op == "distances":
+            assert space.distances(x, arg).tolist() == full.distances(x, arg).tolist(), i
+        elif op == "geodesic":
+            (seg,) = space.minimal_geodesics(x, arg)
+            (want,) = full.minimal_geodesics(x, arg)
+            assert seg.length == want.length, (i, op, x, arg)
+            if x != arg:
+                cum, nearest = _argmin_nodes(full, x, arg)
+                path = [nearest(t) for t in cum]
+                assert [seg.at(t) for t in cum] == [want.at(t) for t in cum] == path, i
+        else:
+            radius = arg if op == "ball" else full.distance(x, arg)
+            rng, rng_full = np.random.default_rng(i), np.random.default_rng(i)
+            node = space.sample_ball(x, radius, rng)
+            assert node == full.sample_ball(x, radius, rng_full), (i, op, x, arg)
+            assert rng.bit_generator.state == rng_full.bit_generator.state, i
+            if op == "ball_to":
+                assert space.distance(x, arg) == radius
+
+
+def test_row_first_read_at_its_source_still_grows():
+    space, full = _octahedron_spaces(None)
+    limits: list[float] = []
+    computed = _counted_rows(space, limits)
+    assert space.distance(0, 0) == 0.0  # the read reaches no distance at all
+    assert limits[0] > 0.0
+    assert space.distance(0, 1) == full.distance(0, 1)  # the antipode
+    assert computed == [0] * len(limits) and len(limits) >= 2
+    assert limits == sorted(limits) and limits[-2] < full.distance(0, 1) <= limits[-1]
+
+
+def test_ball_beyond_the_limit_extends_the_row():
+    space, full = _octahedron_spaces(None)
+    limits: list[float] = []
+    computed = _counted_rows(space, limits)
+    space.distance(0, 2)
+    radius = 2.9  # past the first limit: the antipode, 2 sqrt(2) away, is inside
+    assert limits[-1] < radius
+    rng, rng_full = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(20):
+        assert space.sample_ball(0, radius, rng) == full.sample_ball(0, radius, rng_full)
+    assert computed == [0, 0] and limits[-1] >= radius
+    row = space._cache[0][0]
+    assert np.flatnonzero(row <= radius).tolist() == np.flatnonzero(full._row(0) <= radius).tolist()
+
+
+def test_node_exactly_at_the_limit_is_read_without_extending():
+    space, full = _octahedron_spaces(None)
+    row = full._row(0)
+    # a node whose distance d is the limit of the row of a ball of radius d / growth
+    growth = mesh_mod._ROW_GROWTH
+    node = next(
+        k for k in np.argsort(row).tolist()
+        if row[k] / growth >= space.resolution and growth * (row[k] / growth) == row[k]
+    )
+    d = float(row[node])
+    limits: list[float] = []
+    computed = _counted_rows(space, limits)
+    rng, rng_full = np.random.default_rng(3), np.random.default_rng(3)
+    assert space.sample_ball(0, d / growth, rng) == full.sample_ball(0, d / growth, rng_full)
+    assert limits == [d] and space._cache[0][1] == d
+    assert space.distance(0, node) == d
+    for _ in range(20):
+        assert space.sample_ball(0, d, rng) == full.sample_ball(0, d, rng_full)
+    assert computed == [0]  # the node at the limit is finite: nothing recomputed
+
+
+def test_far_read_after_eviction_recomputes_the_row():
+    space, full = _octahedron_spaces(2)
+    computed = _counted_rows(space)
+    space.distance(0, 4)  # a short read: the row of 0 stops well short of node 1
+    assert np.isinf(space._cache[0][0][1])
+    space.distance(2, 0)
+    space.distance(3, 0)  # evicts the row of 0
+    assert 0 not in space._cache
+    assert space.distance(0, 1) == full.distance(0, 1)
+    assert computed[:3] == [0, 2, 3] and set(computed[3:]) == {0}
+    assert np.isfinite(space._cache[0][0][1])
 
 
 def test_shortest_path_deterministic_ties():
