@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from cmpk import __version__, criteria, estimator, model
-from cmpk.config import DEFAULT_TOL, PT, Tolerances
+from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import (
     CmpkError,
     DegenerateConfigError,
@@ -178,24 +178,19 @@ def cmd_model(args) -> int:
 # cmpk test
 
 
-def _test_rows_header(criterion: str) -> list[str]:
-    if criterion.replace("-", "_") in estimator.CRITERIA:
-        return ["sample", "k", "scale", "cbb_defect", "cba_defect", "tolerance", "verdict"]
-    if criterion == "first-variation":
-        return ["sample", "t_star", "angle", "target", "h", "slope", "error"]
-    if criterion == "angle-sum":
-        return ["sample", "t_interior", "angle_r1", "angle_r2", "total", "excess"]
-    return ["sample", "n_geodesics"]
-
-
-def _admissible_outcome(criterion: str, m, k: float, tol: Tolerances):
-    """The outcome of a measurement at k, or None when its model triangle is
-    inadmissible at k (a side or the perimeter beyond what curvature k allows)."""
-    try:
-        return estimator.evaluate_measurement(criterion, m, k, tol_cfg=tol)
-    except ModelDomainError as e:
-        log.debug("k=%r inadmissible: %s", k, e)
-        return None
+def _verdict_rows(name: str, m, ks: list[float], tol: Tolerances):
+    """The cells, defects and verdict of a measurement's row at each k; at a k
+    where its model triangle is inadmissible (a side or the perimeter beyond
+    what curvature k allows) the row has no defects and reads inadmissible."""
+    for k in ks:
+        try:
+            out = estimator.evaluate_measurement(name, m, k, tol_cfg=tol)
+        except ModelDomainError as e:
+            log.debug("k=%r inadmissible: %s", k, e)
+            yield (k, m.scale, None, None, None, "inadmissible"), (), "inadmissible"
+            continue
+        yield ((out.k, out.scale, out.cbb_defect, out.cba_defect, out.tolerance, out.verdict),
+               (out.cbb_defect, out.cba_defect), out.verdict)
 
 
 def cmd_test(args) -> int:
@@ -208,63 +203,21 @@ def cmd_test(args) -> int:
     if not all(map(math.isfinite, ks)):
         option = "--k-grid" if args.k_grid else "--k"
         raise ValueError(f"{option} must be finite, got {args.k_grid or args.k}")
-    rng = np.random.default_rng(args.seed)
+    name = args.criterion.replace("-", "_")
+    crit = estimator.CRITERIA[name]
+    ms = estimator.sample_measurements(space, center, radius, (name,),
+                                       _at_least_one(args.samples, "--samples"), args.seed)
     rows: list[list] = []
-    skipped_by: dict[str, int] = {}
-    rejected = dict.fromkeys(criteria.REJECTIONS, 0)
     verdict_counts: dict[str, int] = {}
     defects: list[float] = []
-    verdict = estimator.CRITERIA.get(args.criterion.replace("-", "_"))
-
-    # every row of a sample is appended after its last call that can raise
-    for i in range(_at_least_one(args.samples, "--samples")):
-        try:
-            if args.criterion == "multiplicity":
-                x = space.sample_ball(center, radius, rng)
-                y = space.sample_ball(center, radius, rng)
-                if space.distance(x, y) <= PT:
-                    raise DegenerateConfigError("the two points coincide")
-                n_geo = len(space.minimal_geodesics(x, y))
-                rows.append([i, n_geo])
-                key = "multi" if n_geo > 1 else "unique"
-                verdict_counts[key] = verdict_counts.get(key, 0) + 1
-            elif args.criterion == "first-variation":
-                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng,
-                                                           rejected=rejected)
-                h_max = 1e-2 * seg.length
-                steps = (h_max, h_max * 0.1, h_max * 0.01)
-                t_star = min(foot.t_star, seg.length - h_max * 1.5)
-                rep = criteria.first_variation_check(space, q, seg, t_star, steps)
-                rows.append([
-                    i, rep.t_star, rep.angle, rep.target, rep.steps[-1],
-                    rep.slopes[-1], rep.errors[-1],
-                ])
-                defects.append(rep.errors[-1])
-            elif args.criterion == "angle-sum":
-                q, seg, foot = criteria.sample_foot_config(space, center, radius, rng,
-                                                           rejected=rejected)
-                rep = criteria.angle_sum_check(space, q, seg, foot.t_star)
-                rows.append([i, rep.t_interior, rep.angle_r1, rep.angle_r2, rep.total, rep.excess])
-                defects.append(rep.excess)
-            else:
-                # measure the sample once, then read that measurement at every k
-                drawn = verdict.sample(space, center, radius, rng, rejected)
-                m = verdict.measure(space, drawn)
-                outs = [_admissible_outcome(args.criterion, m, k, tol) for k in ks]
-                for k, out in zip(ks, outs):
-                    if out is None:
-                        rows.append([i, k, m.scale, None, None, None, "inadmissible"])
-                        verdict_counts["inadmissible"] = verdict_counts.get("inadmissible", 0) + 1
-                        continue
-                    rows.append([
-                        i, out.k, out.scale, out.cbb_defect, out.cba_defect,
-                        out.tolerance, out.verdict,
-                    ])
-                    verdict_counts[out.verdict] = verdict_counts.get(out.verdict, 0) + 1
-                    defects.extend([out.cbb_defect, out.cba_defect])
-        except estimator.SKIPPED_SAMPLE as e:
-            log.debug("sample %d skipped: %s", i, e)
-            skipped_by[type(e).__name__] = skipped_by.get(type(e).__name__, 0) + 1
+    # a verdict criterion's measurement is read at every k, a check's reported once
+    for i, m in zip(ms.index, ms[name]):
+        for cells, ds, verdict in (_verdict_rows(name, m, ks, tol) if crit.evaluate
+                                   else [crit.report(m)]):
+            rows.append([i, *cells])
+            defects.extend(ds)
+            if verdict is not None:
+                verdict_counts[verdict] = verdict_counts.get(verdict, 0) + 1
 
     out_dir = _out_dir(args)
     config = {
@@ -278,15 +231,15 @@ def cmd_test(args) -> int:
     }
     results = {
         "rows": len(rows),
-        "skipped": sum(skipped_by.values()),
-        "skipped_by": skipped_by,
-        "rejected": rejected,
+        "skipped": sum(ms.skipped_by.values()),
+        "skipped_by": ms.skipped_by,
+        "rejected": ms.rejected,
         "verdicts": verdict_counts,
         "fail_count": verdict_counts.get("fail", 0),
         "min_defect": min(defects) if defects else None,
         "max_defect": max(defects) if defects else None,
     }
-    write_rows(out_dir, "test", _test_rows_header(args.criterion), rows)
+    write_rows(out_dir, "test", ["sample", *crit.header], rows)
     write_summary(out_dir, "test", envelope("test", config, results))
     return EXIT_OK
 
@@ -304,6 +257,10 @@ def cmd_estimate(args) -> int:
     if len(bracket) != 2:
         raise ValueError("--bracket needs k_lo,k_hi")
     estimator.check_bracket(bracket, args.resolution)  # before the sampling pass
+    for name in names:
+        if name.replace("-", "_") not in estimator.ESTIMATE_CRITERIA:
+            raise ValueError(f"criterion {name!r} cannot be estimated; choose from "
+                             f"{estimator.ESTIMATE_CRITERIA}")
     measurements = estimator.sample_measurements(
         space, center, radius, names, _at_least_one(args.samples, "--samples"), args.seed,
     )
@@ -468,10 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="run a sampled criterion batch")
     common(p_test, 100)
-    p_test.add_argument("--criterion", required=True, choices=[
-        *(n.replace("_", "-") for n in estimator.CRITERIA),
-        "first-variation", "angle-sum", "multiplicity",
-    ])
+    p_test.add_argument("--criterion", required=True,
+                        choices=[n.replace("_", "-") for n in estimator.CRITERIA])
     p_test.add_argument("--k", type=float, default=0.0)
     p_test.add_argument("--k-grid", dest="k_grid", help=(
         "comma list of k values; write --k-grid=-1,0,1 when the first is negative"))

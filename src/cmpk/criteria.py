@@ -279,14 +279,6 @@ def evaluate_pythagorean(
     return _outcome("pythagorean", k, m.scale, max(d1, d2), max(-d1, -d2), tol_cfg)
 
 
-def pythagorean_test(
-    space: GeodesicSpace, k: float, q, seg: GeodesicSegment, *,
-    tol_cfg: Tolerances = DEFAULT_TOL, foot: FootResult | None = None,
-) -> TestOutcome:
-    m = measure_pythagorean(space, q, seg, foot=foot)
-    return evaluate_pythagorean(m, k, tol_cfg=tol_cfg)
-
-
 # ---------------------------------------------------------------------------
 # right-angle configurations and the right-angle Pythagorean test
 
@@ -386,14 +378,6 @@ def evaluate_right_angle(
     return _outcome("right_angle", k, cfg.scale, defect, -defect, tol_cfg)
 
 
-def right_angle_pythagorean_test(
-    space: GeodesicSpace, k: float, p, dir_q: float, dir_r: float,
-    leg1: float, leg2: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
-) -> TestOutcome:
-    cfg = build_right_angle_config(space, p, dir_q, dir_r, leg1, leg2)
-    return evaluate_right_angle(cfg, k, tol_cfg=tol_cfg)
-
-
 # ---------------------------------------------------------------------------
 # point-to-segment comparison (condition 1.1)
 
@@ -438,14 +422,6 @@ def evaluate_point_segment(
     cbb = -min(defects)  # lower bound requires real >= model everywhere
     cba = max(defects)
     return _outcome("point_segment", k, m.scale, cbb, cba, tol_cfg)
-
-
-def point_segment_test(
-    space: GeodesicSpace, k: float, q, seg: GeodesicSegment, *,
-    tol_cfg: Tolerances = DEFAULT_TOL,
-) -> TestOutcome:
-    m = measure_point_segment(space, q, seg)
-    return evaluate_point_segment(m, k, tol_cfg=tol_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +517,6 @@ def evaluate_triangle(
         cbb = max(cbb, model_angles[v] - min(angles))
         cba = max(cba, max(angles) - model_angles[v])
     return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg)
-
-
-def triangle_comparison_test(
-    space: GeodesicSpace, k: float, p, q, r, *, tol_cfg: Tolerances = DEFAULT_TOL,
-) -> TestOutcome:
-    m = measure_triangle(space, p, q, r)
-    return evaluate_triangle(m, k, tol_cfg=tol_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +633,6 @@ class FirstVariationReport:
     steps: tuple[float, ...]
     slopes: tuple[float, ...]
     errors: tuple[float, ...]
-    ratios: tuple[float, ...]  # successive error ratios; expected to decay
-
-    @property
-    def decaying(self) -> bool:
-        return all(r < 1.0 for r in self.ratios) if self.ratios else True
 
 
 def first_variation_check(
@@ -686,10 +650,7 @@ def first_variation_check(
     d0 = space.distance(q, p)
     slopes = tuple((space.distance(q, seg.at(t_star + h)) - d0) / h for h in steps)
     errors = tuple(abs(s - target) for s in slopes)
-    ratios = tuple(
-        errors[i + 1] / errors[i] if errors[i] > 0 else 0.0 for i in range(len(errors) - 1)
-    )
-    return FirstVariationReport(t_star, angle, target, tuple(steps), slopes, errors, ratios)
+    return FirstVariationReport(t_star, angle, target, tuple(steps), slopes, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +692,6 @@ class MultiplicityReport:
 
 def geodesic_multiplicity_probe(
     space: GeodesicSpace, region: tuple, n_pairs: int, rng: np.random.Generator,
-    extra_pairs: Sequence[tuple] = (),
 ) -> MultiplicityReport:
     """Count sampled point pairs joined by more than one minimal geodesic."""
     center, radius = region
@@ -739,7 +699,6 @@ def geodesic_multiplicity_probe(
         (space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng))
         for _ in range(n_pairs)
     ]
-    pairs.extend(extra_pairs)
     multi = sum(
         1 for x, y in pairs
         if space.distance(x, y) > PT and len(space.minimal_geodesics(x, y)) > 1
@@ -1003,9 +962,11 @@ def foot_configs(
     unavailable ends it, and raises where the stream reaches its try.
     `rejected`, when given, counts the rejected tries by reason.
 
-    The configurations, the rejections and the try that raises are those of
-    trying one at a time.  When the stream returns, raises or is closed, the
-    rng is where that loop leaves it: an array round draws its uniforms ahead,
+    The accepted tries, the rejections and the try that raises are those of
+    trying one at a time, and a lockstep foot agrees with that loop's scalar
+    foot within the golden-section target (FOOT_REFINE_REL of the segment).
+    When the stream returns, raises or is closed, the rng is where that loop
+    leaves it: an array round draws its uniforms ahead,
     and when it is closed it sets the rng back and advances it by the uniforms
     of the tries taken.  While the stream is suspended at a yield it is past
     the round's points.
@@ -1048,20 +1009,6 @@ def foot_configs(
                     )
 
 
-def sample_foot_config(
-    space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
-    min_height_rel: float = 0.15, max_tries: int = 200, rejected: dict | None = None,
-):
-    """Draw (q, seg, foot) with an interior foot and non-degenerate height.
-
-    The first configuration of `foot_configs`, which leaves the rng right
-    after the accepted try's draws.  `rejected`, when given, counts the tries
-    rejected before it by reason.
-    """
-    return next(foot_configs(space, center, radius, rng, 1, min_height_rel=min_height_rel,
-                             max_tries=max_tries, rejected=rejected))
-
-
 def sample_right_angle_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
     rejected: dict | None = None,
@@ -1082,8 +1029,8 @@ def sample_right_angle_config(
         if not isinstance(e.__cause__, ShootUnavailable):
             raise RightAngleUnavailable(f"no right-angle configuration: {e}")
     try:
-        q, seg, foot = sample_foot_config(space, center, radius, rng, max_tries=20,
-                                          rejected=rejected)
+        q, seg, foot = next(foot_configs(space, center, radius, rng, 1, max_tries=20,
+                                         rejected=rejected))
         return right_angle_from_foot(space, q, seg, foot=foot)
     except (DegenerateRegionError, RightAngleUnavailable) as e:
         raise RightAngleUnavailable(f"no right-angle configuration: {e}")

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from cmpk import criteria, vector
-from cmpk.config import DEFAULT_TOL, Tolerances
+from cmpk.config import DEFAULT_TOL, PT, Tolerances
 from cmpk.errors import (
     BracketExpansionError,
     CmpkError,
@@ -57,35 +57,57 @@ class CurvatureEstimate:
 
 
 class Criterion(NamedTuple):
-    """A verdict criterion: draw one configuration, measure it once, evaluate at any k."""
+    """A criterion of `cmpk test`: draw one configuration and measure it once.
 
-    # (space, center, radius, rng, rejected) -> configuration; `rejected`
+    A verdict criterion evaluates the measurement at any k; a check, which
+    has no `evaluate`, reports it as it is (`report`).
+    """
+
+    # (space, center, radius, rng, rejected) -> configuration, or None for a
+    # foot configuration, which `criteria.foot_configs` draws; `rejected`
     # counts the tries the draw rejects by reason (criteria.REJECTIONS)
-    sample: Callable
+    sample: Callable | None
     # (space, configuration, columns=None) -> measurement, from the
     # configuration's column values where given
     measure: Callable
-    evaluate: Callable  # criteria.evaluate_*(measurement, k, *, tol_cfg) -> TestOutcome
+    # criteria.evaluate_*(measurement, k, *, tol_cfg) -> TestOutcome; None for a check
+    evaluate: Callable | None = None
     batch: Callable | None = None  # (measurements, tol_cfg) -> vector.Batch, for bisection
     # (space, configurations) -> the column values of each configuration over
     # arrays, None where it is measured one at a time
     columns: Callable | None = None
-
-
-def _foot_config(space, center, radius, rng, rejected):
-    return criteria.sample_foot_config(space, center, radius, rng, rejected=rejected)
+    # the columns of a `cmpk test` row after "sample", and for a check,
+    # measurement -> (the row's cells, its defects, its verdict or None)
+    header: tuple[str, ...] = ("k", "scale", "cbb_defect", "cba_defect", "tolerance", "verdict")
+    report: Callable | None = None
 
 
 def _right_angle_config(space, center, radius, rng, rejected):
     return criteria.sample_right_angle_config(space, center, radius, rng, rejected=rejected)
 
 
+def _point_pair(space, center, radius, rng, rejected):
+    x, y = space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng)
+    if space.distance(x, y) <= PT:
+        raise DegenerateConfigError("the two points coincide")
+    return x, y
+
+
+def _first_variation(space, c, columns=None):
+    """`first_variation_check` at the foot, with steps of 1e-2, 1e-3 and 1e-4
+    of the segment, the foot moved back where the largest would pass its end."""
+    q, seg, foot = c
+    h_max = 1e-2 * seg.length
+    return criteria.first_variation_check(space, q, seg, min(foot.t_star, seg.length - h_max * 1.5),
+                                          (h_max, h_max * 0.1, h_max * 0.01))
+
+
 # Keyed by the names measurements and outcomes carry; the command line spells
-# them with '-'.  Criteria drawn by `_foot_config` can share one configuration
-# per sample, which is what `estimate` bisects over.
+# them with '-'.  Foot-drawn criteria can share one configuration per sample;
+# those with a `batch` are what `estimate` bisects over.
 CRITERIA: dict[str, Criterion] = {
     "pythagorean": Criterion(
-        _foot_config,
+        None,
         lambda space, c, columns=None: criteria.measure_pythagorean(
             space, c[0], c[1], foot=c[2], columns=columns),
         criteria.evaluate_pythagorean,
@@ -93,7 +115,7 @@ CRITERIA: dict[str, Criterion] = {
         lambda space, cs: criteria.pythagorean_columns(space, cs),
     ),
     "point_segment": Criterion(
-        _foot_config,
+        None,
         lambda space, c, columns=None: criteria.measure_point_segment(
             space, c[0], c[1], columns=columns),
         criteria.evaluate_point_segment,
@@ -101,7 +123,7 @@ CRITERIA: dict[str, Criterion] = {
         lambda space, cs: criteria.point_segment_columns(space, cs),
     ),
     "triangle": Criterion(
-        _foot_config,
+        None,
         lambda space, c, columns=None: criteria.measure_triangle(
             space, c[1].start, c[0], c[1].end, columns=columns),
         criteria.evaluate_triangle,
@@ -110,11 +132,30 @@ CRITERIA: dict[str, Criterion] = {
     ),
     "right_angle": Criterion(
         _right_angle_config,
-        lambda space, cfg: cfg,
+        lambda space, cfg, columns=None: cfg,
         criteria.evaluate_right_angle,
     ),
+    "first_variation": Criterion(
+        None, _first_variation,
+        header=("t_star", "angle", "target", "h", "slope", "error"),
+        report=lambda r: ((r.t_star, r.angle, r.target, r.steps[-1], r.slopes[-1], r.errors[-1]),
+                          (r.errors[-1],), None),
+    ),
+    "angle_sum": Criterion(
+        None,
+        lambda space, c, columns=None: criteria.angle_sum_check(space, c[0], c[1], c[2].t_star),
+        header=("t_interior", "angle_r1", "angle_r2", "total", "excess"),
+        report=lambda r: ((r.t_interior, r.angle_r1, r.angle_r2, r.total, r.excess),
+                          (r.excess,), None),
+    ),
+    "multiplicity": Criterion(
+        _point_pair,
+        lambda space, c, columns=None: len(space.minimal_geodesics(*c)),
+        header=("n_geodesics",),
+        report=lambda n: ((n,), (), "multi" if n > 1 else "unique"),
+    ),
 }
-ESTIMATE_CRITERIA = tuple(n for n, c in CRITERIA.items() if c.sample is _foot_config)
+ESTIMATE_CRITERIA = tuple(n for n, c in CRITERIA.items() if c.batch is not None)
 
 # A sample whose draw or measurement raises one of these is left out and
 # counted as skipped, by `cmpk test` and `estimate` alike; any other error
@@ -125,32 +166,42 @@ SKIPPED_SAMPLE = (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError, 
 # Criterion, and the samplers and measurements above look their `criteria`
 # function up at each call, so wrapping module attributes and dict values
 # (as a tracer does) reaches every call.
-_EVALUATORS: dict[str, Callable] = {name: c.evaluate for name, c in CRITERIA.items()}
+_EVALUATORS: dict[str, Callable] = {
+    name: c.evaluate for name, c in CRITERIA.items() if c.evaluate is not None}
 
 
 def _normalize_criteria(names: Sequence[str]) -> tuple[str, ...]:
     out = []
     for name in names:
         canon = name.replace("-", "_")
-        if canon not in ESTIMATE_CRITERIA:
-            raise ValueError(f"unknown criterion {name!r}; choose from {ESTIMATE_CRITERIA}")
+        if canon not in CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}; choose from {tuple(CRITERIA)}")
         if canon in out:
             raise ValueError(f"criterion {name!r} is named more than once")
         out.append(canon)
+    if len(out) > 1 and any(CRITERIA[name].batch is None for name in out):
+        raise ValueError(f"criteria {tuple(out)} include one that is measured alone;"
+                         f" measure together only {ESTIMATE_CRITERIA}")
     return tuple(out)
 
 
 class Measurements(dict):
     """Measurement lists by criterion name, with the counts of what was left out.
 
+    ``index`` holds each measured sample's index among the drawn samples,
     ``skipped_by`` counts the skipped samples by exception type name,
     ``rejected`` the sampler's rejected tries by reason.
     """
 
     def __init__(self, lists: dict[str, list]):
         super().__init__(lists)
+        self.index: list[int] = []
         self.skipped_by: dict[str, int] = {}
         self.rejected: dict[str, int] = dict.fromkeys(criteria.REJECTIONS, 0)
+
+    def skip(self, error: Exception) -> None:
+        kind = type(error).__name__
+        self.skipped_by[kind] = self.skipped_by.get(kind, 0) + 1
 
 
 # Configurations measured together: a larger batch costs fewer array passes
@@ -162,13 +213,17 @@ def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
     n_samples: int, seed: int,
 ) -> Measurements:
-    """Measure n_samples shared foot configurations for the named criteria.
+    """Draw n_samples configurations from the seed's generator and measure
+    each once for the named criteria.
 
-    The configurations are those `_foot_config` draws one after the other
-    from the seed's generator; `criteria.foot_configs` draws them in rounds.
-    A sample that raises one of SKIPPED_SAMPLE for any criterion is left out
-    of every list, so the lists stay aligned and hold n_samples minus the
-    skipped samples each.
+    Foot configurations are those `criteria.foot_configs` yields, which
+    draws them in rounds, shared by every named criterion.  A criterion with
+    its own `sample` (right-angle configurations, point pairs) is measured
+    alone and draws one configuration at a time; a draw that raises one of
+    SKIPPED_SAMPLE is a skipped sample.  A sample that raises one of
+    SKIPPED_SAMPLE for any criterion is left out of every list, so the lists
+    stay aligned and hold n_samples minus the skipped samples each, and
+    ``index`` holds each measured sample's index among the n_samples drawn.
 
     Configurations are drawn in batches of COLUMN_BATCH, each measured once
     it is drawn: each criterion's probes of the batch are computed once over
@@ -181,30 +236,47 @@ def sample_measurements(
     names = _normalize_criteria(names)
     rng = np.random.default_rng(seed)
     out = Measurements({name: [] for name in names})
-    configs = criteria.foot_configs(space, center, radius, rng, n_samples,
-                                    rejected=out.rejected)
+    draw = CRITERIA[names[0]].sample
+    if draw is None:
+        configs = enumerate(criteria.foot_configs(space, center, radius, rng, n_samples,
+                                                  rejected=out.rejected))
+    else:
+        configs = _one_at_a_time(draw, space, center, radius, rng, n_samples, out)
     while True:
         drawn, draw_error = [], None
         try:
-            for config in itertools.islice(configs, COLUMN_BATCH):
-                drawn.append(config)
+            for item in itertools.islice(configs, COLUMN_BATCH):
+                drawn.append(item)
         except Exception as e:  # raised once the configurations before it are measured
             draw_error = e
-        columns = [_columns(name, space, drawn) for name in names]
-        for config, cols in zip(drawn, zip(*columns)):
+        columns = [_columns(name, space, [config for _, config in drawn]) for name in names]
+        for (i, config), cols in zip(drawn, zip(*columns)):
             try:
                 sample = [CRITERIA[name].measure(space, config, c)
                           for name, c in zip(names, cols)]
             except SKIPPED_SAMPLE as e:
-                kind = type(e).__name__
-                out.skipped_by[kind] = out.skipped_by.get(kind, 0) + 1
+                out.skip(e)
                 continue
+            out.index.append(i)
             for ms, m in zip(out.values(), sample):
                 ms.append(m)
         if draw_error is not None:
             raise draw_error
         if len(drawn) < COLUMN_BATCH:
             return out
+
+
+def _one_at_a_time(draw: Callable, space: GeodesicSpace, center, radius: float,
+                   rng: np.random.Generator, n: int, out: Measurements):
+    """(index, configuration) of each of n draws that raises none of
+    SKIPPED_SAMPLE; out counts the others as skipped."""
+    for i in range(n):
+        try:
+            config = draw(space, center, radius, rng, out.rejected)
+        except SKIPPED_SAMPLE as e:
+            out.skip(e)
+            continue
+        yield i, config
 
 
 def _columns(name: str, space: GeodesicSpace, configs: list) -> list:
@@ -350,8 +422,12 @@ def _expand(passes: Callable[[float], bool], k0: float, step0: float, want: bool
 
 def _bisect(passes: Callable[[float], bool], k_pass: float, k_fail: float,
             resolution: float) -> tuple[float, float]:
+    """Halve [k_pass, k_fail] until it is within resolution, or until the two
+    ends are adjacent floats, with no midpoint between them."""
     while abs(k_fail - k_pass) > resolution:
         mid = 0.5 * (k_pass + k_fail)
+        if mid == k_pass or mid == k_fail:
+            break
         if passes(mid):
             k_pass = mid
         else:

@@ -201,32 +201,3 @@ def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts) ->
             out.append(c)
     return out
 
-
-def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float, t: float) -> float:
-    """Model distance from q~ to the point at arclength t along [p~ r~]."""
-    return comparison_distances(k, d_qp, d_qr, d_pr, (t,))[0]
-
-
-@dataclass(frozen=True)
-class ComparisonTriangle:
-    """Side triple with its three model angles; angles[i] is opposite sides[i]."""
-
-    k: float
-    sides: SideTriple
-    angles: tuple[float, float, float]
-
-    def angle_sum_excess(self) -> float:
-        """Angle sum minus pi; its sign matches the sign of k."""
-        return sum(self.angles) - PI
-
-
-def build_comparison_triangle(k: float, sides) -> ComparisonTriangle:
-    """Realize a SideTriple in the curvature-k model surface."""
-    triple = _as_triple(sides)
-    a, b, c = triple.as_tuple()
-    angles = (
-        comparison_angle(k, (b, c, a)),
-        comparison_angle(k, (c, a, b)),
-        comparison_angle(k, (a, b, c)),
-    )
-    return ComparisonTriangle(k, triple, angles)

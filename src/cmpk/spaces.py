@@ -110,9 +110,6 @@ class GeodesicSpace(ABC):
     def geodesic(self, x, y) -> GeodesicSegment:
         return self.minimal_geodesics(x, y)[0]
 
-    def points_equal(self, x, y) -> bool:
-        return self.distance(x, y) <= PT
-
     def shoot(self, p, phi: float, length: float):
         """Endpoint of the unit-speed geodesic from p in direction angle phi."""
         raise ShootUnavailable(f"{self.name} has no angle-parametrized directions")

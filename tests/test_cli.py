@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from cmpk import cli, criteria, estimator
+from cmpk import cli, criteria, estimator, spaces
+from cmpk.errors import ModelDomainError
 
 from meshgen import icosphere, octahedron, write_obj
 
@@ -202,7 +204,7 @@ def test_first_variation_and_angle_sum_commands(tmp_path):
     (TRIPOD, "center=[0,0.0],radius=1.0"),
 ], ids=["sphere", "hyperbolic", "pi-cone", "tripod"])
 def test_test_and_estimate_reject_the_same_tries(tmp_path, space, region):
-    # `test` draws one configuration at a time, `estimate` draws them in rounds
+    # `test` and `estimate` draw through one sampling pass, in rounds where they can
     for seed in ("1", "5", "61000"):
         common = ["--space", space, "--region", region, "--samples", "40", "--seed", seed]
         out = tmp_path / seed
@@ -321,6 +323,9 @@ def test_estimate_counts_samples_with_degenerate_angles_as_skipped(tmp_path):
     assert len(rows) == 1 + results["n_samples"]
 
 
+FAR_HYPERBOLIC = "center=[5946.0,9260.8,11013.2],radius=0.3"
+
+
 @pytest.mark.parametrize("command", ["estimate", "test"])
 def test_far_hyperbolic_triangles_whose_legs_miss_their_vertex_are_skipped(tmp_path, command):
     # about 10 units out, a minimal geodesic's end rounds up to 2e-8 from its
@@ -328,13 +333,98 @@ def test_far_hyperbolic_triangles_whose_legs_miss_their_vertex_are_skipped(tmp_p
     option = "--criteria" if command == "estimate" else "--criterion"
     assert run([
         command, "--space", '{"type":"hyperbolic","k":-1.0}',
-        "--region", "center=[5946.0,9260.8,11013.2],radius=0.3", option, "triangle",
+        "--region", FAR_HYPERBOLIC, option, "triangle",
         "--samples", "40", "--seed", "1", "--out", str(tmp_path),
     ]) == 0
     results = read_summary(tmp_path, command)["results"]
     assert results["skipped_by"]["LadderError"] > 0
     measured = results["n_samples"] if command == "estimate" else results["rows"]
     assert measured + results["skipped"] == 40
+
+
+def test_measured_sample_indices_are_the_test_rows_sample_column(tmp_path):
+    # the far hyperbolic triangles above: LadderError skips leave gaps
+    space = spaces.space_from_descriptor('{"type":"hyperbolic","k":-1.0}')
+    center, radius = cli._parse_region(space, FAR_HYPERBOLIC)
+    ms = estimator.sample_measurements(space, center, radius, ("triangle",), 40, 1)
+    assert run(["test", "--space", '{"type":"hyperbolic","k":-1.0}', "--region", FAR_HYPERBOLIC,
+                "--criterion", "triangle", "--samples", "40", "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    results = read_summary(tmp_path, "test")["results"]
+    assert results["skipped_by"] == ms.skipped_by and results["skipped_by"]["LadderError"] > 0
+    assert all(a < b for a, b in zip(ms.index, ms.index[1:]))
+    assert len(ms.index) == len(ms["triangle"]) == 40 - results["skipped"]
+    # the samples the scalar probes measure without a skip error, in draw order
+    measured = []
+    for i, (q, seg, _) in enumerate(criteria.foot_configs(space, center, radius,
+                                                          np.random.default_rng(1), 40)):
+        try:
+            criteria.measure_triangle(space, seg.start, q, seg.end)
+        except estimator.SKIPPED_SAMPLE:
+            continue
+        measured.append(i)
+    assert ms.index == measured
+    rows = (tmp_path / "test_rows.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == ms.index
+
+
+def test_right_angle_rows_keep_the_indices_of_skipped_draws(tmp_path):
+    # near the apex some right-angle draws are unavailable: their indices are gaps
+    region = "center=[0.0,0.0],radius=0.5"
+    assert run(["test", "--space", CONE, "--region", region, "--criterion", "right-angle",
+                "--samples", "30", "--seed", "1", "--out", str(tmp_path)]) == 0
+    cone = spaces.space_from_descriptor(CONE)
+    center, radius = cli._parse_region(cone, region)
+    rng = np.random.default_rng(1)
+    drawn = []
+    for i in range(30):
+        try:
+            criteria.sample_right_angle_config(cone, center, radius, rng)
+        except estimator.SKIPPED_SAMPLE:
+            continue
+        drawn.append(i)
+    rows = (tmp_path / "test_rows.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == drawn and len(drawn) < 30
+
+
+@pytest.mark.parametrize("space, region", [
+    (SPHERE, "center=[0.0,0.0,1.0],radius=0.3"),
+    ('{"type":"hyperbolic","k":-1.0}', "center=[0.0,0.0,1.0],radius=0.5"),
+    (CONE, "center=[0.0,0.0],radius=0.5"),
+], ids=["sphere", "hyperbolic", "pi-cone"])
+def test_test_rows_evaluate_the_measurements_estimate_bisects_over(tmp_path, space, region):
+    ks = [-1.0, 0.0, 1.0, 200.0]  # the sides are inadmissible at k = 200
+    sp = spaces.space_from_descriptor(space)
+    center, radius = cli._parse_region(sp, region)
+    for seed in (1, 61000):
+        out = tmp_path / str(seed)
+        assert run(["test", "--space", space, "--region", region, "--criterion", "pythagorean",
+                    "--k-grid=-1,0,1,200", "--samples", "40", "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        ms = estimator.sample_measurements(sp, center, radius, ("pythagorean",), 40, seed)
+        want = []
+        for i, m in zip(ms.index, ms["pythagorean"]):
+            for k in ks:
+                try:
+                    o = estimator.evaluate_measurement("pythagorean", m, k)
+                except ModelDomainError:
+                    want.append((i, k, m.scale, None, None, None, "inadmissible"))
+                    continue
+                want.append((i, o.k, o.scale, o.cbb_defect, o.cba_defect, o.tolerance, o.verdict))
+        lines = (out / "test_rows.csv").read_text().splitlines()[1:]
+        # a float's repr reads back as the same float, bit for bit
+        got = [(int(r[0]), *(None if x == "" else float(x) for x in r[1:6]), r[6])
+               for r in (line.split(",") for line in lines)]
+        assert got == want
+        assert any(w[-1] == "inadmissible" for w in want)
+
+
+def test_resolution_below_the_float_spacing_ends(tmp_path):
+    # bisection stops where the bracket's ends are adjacent floats
+    assert run(["estimate", "--space", SPHERE, "--samples", "3", "--resolution", "1e-300",
+                "--out", str(tmp_path)]) == 0
+    results = read_summary(tmp_path, "estimate")["results"]
+    assert results["resolution"] == 1e-300 and results["k_cbb"] is not None
 
 
 def test_tol_scale_sets_only_the_verdict_tolerance(tmp_path):
@@ -449,6 +539,11 @@ def test_bracket_and_resolution_errors_come_before_sampling(tmp_path, capsys, mo
         (["--bracket=-inf,2"], "k_bracket must be finite"),
         (["--resolution", "0"], "resolution must be finite and > 0"),
         (["--resolution", "nan"], "resolution must be finite and > 0"),
+        # criteria that `test` runs but estimate has no bisection for
+        *((["--criteria", names], f"criterion {name!r} cannot be estimated")
+          for names, name in (("right-angle", "right-angle"), ("multiplicity", "multiplicity"),
+                              ("pythagorean,first-variation", "first-variation"),
+                              ("bogus", "bogus"))),
     ]
     for i, (extra, message) in enumerate(cases):
         out = tmp_path / str(i)

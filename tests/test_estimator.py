@@ -60,6 +60,24 @@ def test_bisection_soundness_on_fixed_samples():
     assert not estimator._orientation_pass(ms, est.k_cba - est.resolution, "cba", DEFAULT_TOL)
 
 
+def test_bisection_below_the_float_spacing_stops_at_adjacent_floats():
+    # at a resolution finer than the spacing of floats near the flip, the
+    # midpoint of two adjacent floats is one of them: bisection stops there
+    probes = []
+
+    def passes(k):
+        probes.append(k)
+        return k < 0.7
+
+    k_pass, k_fail = estimator._bisect(passes, -2.0, 2.0, 1e-300)
+    assert len(probes) < 100
+    assert k_pass < 0.7 <= k_fail and math.nextafter(k_pass, math.inf) == k_fail
+    # at a resolution the floats resolve, bisection stops at the resolution
+    probes.clear()
+    k_pass, k_fail = estimator._bisect(passes, -2.0, 2.0, 0.01)
+    assert len(probes) == 9 and 0.0 < k_fail - k_pass <= 0.01
+
+
 @functools.cache
 def region(kind):
     sp, center, radius = {
@@ -418,6 +436,10 @@ def test_unknown_criterion_rejected():
     sp = spaces.make_euclidean_plane()
     with pytest.raises(ValueError):
         estimator.sample_measurements(sp, sp.default_center(), 0.2, ("bogus",), 1, 0)
+    # a criterion without a batch is measured alone
+    for names in (("pythagorean", "right_angle"), ("angle_sum", "first_variation")):
+        with pytest.raises(ValueError, match="measured alone"):
+            estimator.sample_measurements(sp, sp.default_center(), 0.2, names, 1, 0)
 
 
 def test_region_report_cone_apex_vs_off_apex():
@@ -511,11 +533,11 @@ def test_foot_stream_accepts_the_tries_of_the_one_at_a_time_loop(name, seed):
 
 
 @pytest.mark.parametrize("name", list(STREAM_CASES))
-def test_sample_foot_config_leaves_the_rng_where_the_old_loop_did(name):
+def test_first_foot_config_leaves_the_rng_where_the_old_loop_did(name):
     space, center, radius = _case(name)
     rng_new, rng_old = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(12):
-        new = criteria.sample_foot_config(space, center, radius, rng_new)
+        new = next(criteria.foot_configs(space, center, radius, rng_new, 1))
         old = oracles.sample_foot_config(space, center, radius, rng_old)
         # one try per round: the scalar search, so the feet are equal too
         assert _same_try(new, old) and new[2] == old[2]
@@ -561,7 +583,7 @@ def test_foot_stream_on_other_bit_generators(bits, name, seed):
 
     rng_new, rng_old = make(), make()
     for _ in range(5):
-        new = criteria.sample_foot_config(space, center, radius, rng_new)
+        new = next(criteria.foot_configs(space, center, radius, rng_new, 1))
         old = oracles.sample_foot_config(space, center, radius, rng_old)
         assert _same_try(new, old) and new[2] == old[2]
         assert _same_next_draws(rng_new, rng_old)
@@ -679,7 +701,7 @@ def test_one_search_stream_rejects_a_pair_with_several_geodesics(space, center, 
     # one-at-a-time loop
     (rng_new, rejected_new), (rng_old, rejected_old) = (
         (_replay(prefix)(), dict.fromkeys(criteria.REJECTIONS, 0)) for _ in range(2))
-    new = criteria.sample_foot_config(space, center, radius, rng_new, rejected=rejected_new)
+    new = next(criteria.foot_configs(space, center, radius, rng_new, 1, rejected=rejected_new))
     old = oracles.sample_foot_config(space, center, radius, rng_old, rejected=rejected_old)
     assert _same_try(new, old)
     assert rejected_new == rejected_old and rejected_new["several_geodesics"] == 1

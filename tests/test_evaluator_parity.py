@@ -65,7 +65,7 @@ def stored(kind):
     sp, center, radius = region(kind)
     rng = np.random.default_rng(3)
     out = {"triangle": [], "point_segment": [], "reference triangle": []}
-    configs = [criteria.sample_foot_config(sp, center, radius, rng)[:2] for _ in range(10)]
+    configs = [next(criteria.foot_configs(sp, center, radius, rng, 1))[:2] for _ in range(10)]
     for q, seg in configs:
         out["point_segment"].append(criteria.measure_point_segment(sp, q, seg))
     triangles = [(seg.start, q, seg.end) for q, seg in configs]
@@ -175,7 +175,7 @@ def test_right_angle_constructions_read_the_reference_angle(kind, monkeypatch):
             criteria.sample_right_angle_config(sp, center, radius, rng)
         except criteria.RightAngleUnavailable:
             pass
-        q, seg, foot = criteria.sample_foot_config(sp, center, radius, rng)
+        q, seg, foot = next(criteria.foot_configs(sp, center, radius, rng, 1))
         try:
             criteria.right_angle_from_foot(sp, q, seg, foot=foot)
         except criteria.RightAngleUnavailable:

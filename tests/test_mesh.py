@@ -219,7 +219,7 @@ def test_default_row_cache_recomputes_a_row_only_to_extend_it(tmp_path):
     computed = _counted_rows(space, limits)
     rng = np.random.default_rng(61004)
     for _ in range(40):
-        q, seg, foot = criteria.sample_foot_config(space, 0, 0.8, rng)
+        q, seg, foot = next(criteria.foot_configs(space, 0, 0.8, rng, 1))
         criteria.measure_pythagorean(space, q, seg, foot=foot)
     assert len(set(computed)) > 65
     assert set(space._cache) == set(computed)  # none evicted

@@ -167,30 +167,34 @@ def test_defect_signs():
 
 
 # ---------------------------------------------------------------------------
-# comparison_distance_at
+# comparison_distances at one t
+
+
+def distance_at(k, d_qp, d_qr, d_pr, t):
+    return model.comparison_distances(k, d_qp, d_qr, d_pr, (t,))[0]
 
 
 def test_distance_at_endpoints():
-    assert model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.0) == 0.3
-    assert model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.5) == 0.4
+    assert distance_at(0.7, 0.3, 0.4, 0.5, 0.0) == 0.3
+    assert distance_at(0.7, 0.3, 0.4, 0.5, 0.5) == 0.4
 
 
 def test_distance_at_planar_right_angle():
-    d = model.comparison_distance_at(0.0, 1.0, math.sqrt(2.0), 1.0, 0.5)
+    d = distance_at(0.0, 1.0, math.sqrt(2.0), 1.0, 0.5)
     assert d == pytest.approx(math.sqrt(1.25), rel=1e-12)
 
 
 def test_distance_at_octant_apex():
     # every point of the far side of an octant is a quarter circle from the apex
-    d = model.comparison_distance_at(1.0, PI / 2, PI / 2, PI / 2, PI / 4)
+    d = distance_at(1.0, PI / 2, PI / 2, PI / 2, PI / 4)
     assert d == pytest.approx(PI / 2, rel=1e-12)
 
 
 def test_distance_at_rejects_t_outside_the_segment():
     with pytest.raises(ModelDomainError, match=r"^t=0\.6 outside \[0, 0\.5\]$"):
-        model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.6)
+        distance_at(0.7, 0.3, 0.4, 0.5, 0.6)
     # within GEO of an endpoint clamps onto it
-    assert model.comparison_distance_at(0.7, 0.3, 0.4, 0.5, 0.5 + 5e-10) == 0.4
+    assert distance_at(0.7, 0.3, 0.4, 0.5, 0.5 + 5e-10) == 0.4
 
 
 def _distances_or_error(fn):
@@ -212,7 +216,7 @@ def test_comparison_distances_equal_a_loop_of_distance_at(k, sides, fractions, e
     ts = [f * d_pr for f in fractions + endpoints]  # t = 0 and t = d_pr included
     batched = _distances_or_error(lambda: model.comparison_distances(k, d_qp, d_qr, d_pr, ts))
     looped = _distances_or_error(
-        lambda: [model.comparison_distance_at(k, d_qp, d_qr, d_pr, t) for t in ts])
+        lambda: [distance_at(k, d_qp, d_qr, d_pr, t) for t in ts])
     assert batched == looped
 
 
@@ -259,6 +263,12 @@ def test_right_angle_identity_relative(rng):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def model_angles(k, a, b, c):
+    """The model triangle's angles opposite the sides a, b and c."""
+    return (model.comparison_angle(k, (b, c, a)), model.comparison_angle(k, (c, a, b)),
+            model.comparison_angle(k, (a, b, c)))
+
+
 def test_angle_sum_sign_matches_k(rng):
     for k in (-2.0, -0.5, 0.5, 2.0):
         for _ in range(50):
@@ -266,19 +276,18 @@ def test_angle_sum_sign_matches_k(rng):
             a, b = rng.uniform(0.2, cap), rng.uniform(0.2, cap)
             gamma = rng.uniform(0.5, PI - 0.5)
             c = model.side_from_angle(k, a, b, gamma)
-            tri = model.build_comparison_triangle(k, (a, b, c))
-            assert math.copysign(1.0, tri.angle_sum_excess()) == math.copysign(1.0, k)
+            excess = sum(model_angles(k, a, b, c)) - PI
+            assert math.copysign(1.0, excess) == math.copysign(1.0, k)
     # flat triangles sum to pi
-    tri = model.build_comparison_triangle(0.0, (3.0, 4.0, 5.0))
-    assert tri.angle_sum_excess() == pytest.approx(0.0, abs=1e-12)
+    assert sum(model_angles(0.0, 3.0, 4.0, 5.0)) - PI == pytest.approx(0.0, abs=1e-12)
 
 
 def test_comparison_triangle_reproduces_sides():
-    tri = model.build_comparison_triangle(0.7, (0.3, 0.4, 0.5))
-    a, b, c = tri.sides.as_tuple()
-    assert model.side_from_angle(0.7, b, c, tri.angles[0]) == pytest.approx(a, abs=1e-12)
-    assert model.side_from_angle(0.7, c, a, tri.angles[1]) == pytest.approx(b, abs=1e-12)
-    assert model.side_from_angle(0.7, a, b, tri.angles[2]) == pytest.approx(c, abs=1e-12)
+    a, b, c = 0.3, 0.4, 0.5
+    angles = model_angles(0.7, a, b, c)
+    assert model.side_from_angle(0.7, b, c, angles[0]) == pytest.approx(a, abs=1e-12)
+    assert model.side_from_angle(0.7, c, a, angles[1]) == pytest.approx(b, abs=1e-12)
+    assert model.side_from_angle(0.7, a, b, angles[2]) == pytest.approx(c, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
