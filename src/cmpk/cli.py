@@ -266,8 +266,7 @@ def cmd_estimate(args) -> int:
     )
     first = names[0].replace("-", "_")
     est = estimator.estimate_bounds(
-        space, center, radius, measurements, seed=args.seed,
-        skipped=args.samples - len(measurements[first]), k_bracket=bracket,
+        space, center, radius, measurements, seed=args.seed, k_bracket=bracket,
         resolution=args.resolution, tol_cfg=tol,
     )
     # one pass per distinct bound; both column pairs read it when k_cbb == k_cba
@@ -323,7 +322,6 @@ def cmd_profile(args) -> int:
         space, centers, radius, n_samples=_at_least_one(args.samples, "--samples"),
         seed=args.seed, eps_ladder=ladder,
         n_per_eps=_at_least_one(args.per_eps, "--per-eps"), tol_cfg=tol,
-        diagnostic_only=space.name == "mesh",
     )
     csv_rows = []
     for row in rows_data:
@@ -356,7 +354,7 @@ def cmd_mesh(args) -> int:
 
     n_pairs = _at_least_one(args.pairs, "--pairs")
     tri = mesh_mod.load_obj(args.obj)
-    space = mesh_mod.mesh_space(tri, args.steiner, path=str(args.obj))
+    space = mesh_mod.MeshSpace(tri, args.steiner, path=str(args.obj))
     rng = np.random.default_rng(args.seed)
     n = space.graph.n_nodes
     pairs = rng.integers(0, n, size=(n_pairs, 2))

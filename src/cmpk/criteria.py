@@ -524,7 +524,8 @@ def evaluate_triangle(
 # configurations (q, seg, foot) over arrays, bit for bit the scalar probes,
 # through `segment_rows`, `pair_distances` and `geodesic_rows`.  Each returns,
 # per configuration, the `columns` its `measure_*` takes, or None where that
-# configuration is left to the scalar probes.
+# configuration is left to the scalar probes; `multiplicity_columns` does the
+# same for point pairs.
 
 
 def _row_configs(space: GeodesicSpace, configs: Sequence):
@@ -621,6 +622,15 @@ def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
     return out
 
 
+def multiplicity_columns(space: GeodesicSpace, pairs: Sequence) -> list:
+    """1 for each point pair on a `RowSpace` that `row_segments` joins exactly
+    (so by its only minimal geodesic), None where `minimal_geodesics` counts."""
+    if not pairs or not isinstance(space, RowSpace):
+        return [None] * len(pairs)
+    xs, ys = (np.array(x, dtype=float) for x in zip(*pairs))
+    return [1 if e else None for e in space.row_segments(xs, ys)[4].tolist()]
+
+
 # ---------------------------------------------------------------------------
 # first variation
 
@@ -678,32 +688,6 @@ def angle_sum_check(
     a1 = angle_at(space, p, toward_q, back)
     a2 = angle_at(space, p, toward_q, ahead)
     return AngleSumReport(a1, a2, a1 + a2, a1 + a2 - PI, t_interior)
-
-
-# ---------------------------------------------------------------------------
-# multiplicity probe
-
-
-@dataclass(frozen=True)
-class MultiplicityReport:
-    n_pairs: int
-    multi_pairs: int
-
-
-def geodesic_multiplicity_probe(
-    space: GeodesicSpace, region: tuple, n_pairs: int, rng: np.random.Generator,
-) -> MultiplicityReport:
-    """Count sampled point pairs joined by more than one minimal geodesic."""
-    center, radius = region
-    pairs = [
-        (space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng))
-        for _ in range(n_pairs)
-    ]
-    multi = sum(
-        1 for x, y in pairs
-        if space.distance(x, y) > PT and len(space.minimal_geodesics(x, y)) > 1
-    )
-    return MultiplicityReport(len(pairs), multi)
 
 
 # ---------------------------------------------------------------------------
@@ -873,14 +857,11 @@ def _right_angle_rows(space: RowSpace, p: np.ndarray, beta: np.ndarray, l1: np.n
 PROFILE_THRESHOLD = 1e-12
 
 
-def classify_profile(
-    eps_ladder: Sequence[float], chi: Sequence[float], skip_fraction: Sequence[float],
-    threshold: float,
-) -> str:
+def classify_profile(chi: Sequence[float], skip_fraction: Sequence[float]) -> str:
     if any(s > 0.5 for s in skip_fraction[-2:]):
         return "inconclusive"
     v_prev, v_min = chi[-2], chi[-1]
-    if v_min <= threshold or v_min <= 0.5 * v_prev:
+    if v_min <= PROFILE_THRESHOLD or v_min <= 0.5 * v_prev:
         return "vanishing"
     if abs(v_min - v_prev) <= 0.2 * max(v_min, v_prev):
         return "non_vanishing"
@@ -909,7 +890,7 @@ def riemannian_point_profile(
         c, s = chi_at_scale(space, x, eps, n_per_eps, seed)
         chi.append(c)
         skips.append(s / n_per_eps)
-    cls = classify_profile(ladder, chi, skips, PROFILE_THRESHOLD)
+    cls = classify_profile(chi, skips)
     return DefectProfile(ladder, tuple(chi), tuple(skips), n_per_eps, seed, PROFILE_THRESHOLD, cls)
 
 

@@ -150,7 +150,9 @@ CRITERIA: dict[str, Criterion] = {
     ),
     "multiplicity": Criterion(
         _point_pair,
-        lambda space, c, columns=None: len(space.minimal_geodesics(*c)),
+        lambda space, c, columns=None: (
+            len(space.minimal_geodesics(*c)) if columns is None else columns),
+        columns=lambda space, cs: criteria.multiplicity_columns(space, cs),
         header=("n_geodesics",),
         report=lambda n: ((n,), (), "multi" if n > 1 else "unique"),
     ),
@@ -211,7 +213,7 @@ COLUMN_BATCH = 100
 
 def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
-    n_samples: int, seed: int,
+    n_samples: int, seed: int | Sequence[int],
 ) -> Measurements:
     """Draw n_samples configurations from the seed's generator and measure
     each once for the named criteria.
@@ -450,27 +452,27 @@ def check_bracket(k_bracket: tuple[float, float], resolution: float) -> None:
 
 
 def estimate_bounds(
-    space: GeodesicSpace, center, radius: float, measurements: dict[str, list], *,
-    seed: int, skipped: int = 0, k_bracket: tuple[float, float] = (-2.0, 2.0),
+    space: GeodesicSpace, center, radius: float, measurements: Measurements, *,
+    seed: int, k_bracket: tuple[float, float] = (-2.0, 2.0),
     resolution: float = 0.01, expansion_limit: float = 1024.0,
     tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> CurvatureEstimate:
     """Largest lower bound and smallest upper bound passing on a fixed sample set.
 
     ``measurements`` comes from `sample_measurements` (drawn with ``seed``,
-    which the estimate records, as it records ``skipped``, the number of
-    drawn samples that call left out, and the `Measurements` counts of
-    skipped samples and rejected tries; a plain dict has none).  ``k_cbb`` is
-    the largest k whose lower-bound claim passes every sample (bisection to
-    `resolution`), ``k_cba`` the smallest passing upper bound; either is None
-    with a note when bracket expansion hits the limit (e.g. no lower curvature
-    bound at a branch point) or when no sample was measured.
+    which the estimate records, as it records the counts of skipped samples
+    and rejected tries the measurements hold).  ``k_cbb`` is the largest k
+    whose lower-bound claim passes every sample (bisection to `resolution`),
+    ``k_cba`` the smallest passing upper bound; either is None with a note
+    when bracket expansion hits the limit (e.g. no lower curvature bound at a
+    branch point) or when no sample was measured.
     """
     names = tuple(measurements)
     if not names:
         raise ValueError("no criterion measurements to bisect over")
-    counts = {"skipped_by": dict(getattr(measurements, "skipped_by", {})),
-              "rejected": dict(getattr(measurements, "rejected", {}))}
+    skipped = sum(measurements.skipped_by.values())
+    counts = {"skipped_by": dict(measurements.skipped_by),
+              "rejected": dict(measurements.rejected)}
     check_bracket(k_bracket, resolution)
     k_lo, k_hi = k_bracket
     if not measurements[names[0]]:
@@ -526,28 +528,28 @@ def estimate_bounds(
 
 def region_report(
     space: GeodesicSpace, centers: Sequence, radius: float, *, n_samples: int = 120,
-    seed: int = 0, resolution: float = 0.01, eps_ladder: Sequence[float] | None = None,
-    n_per_eps: int = 128, probe_pairs: int = 200, diagnostic_only: bool = False,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    seed: int = 0, eps_ladder: Sequence[float] | None = None,
+    n_per_eps: int = 128, probe_pairs: int = 200, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> list[dict]:
     """Per-center Pythagorean bound estimates, Riemannian-point profiles, multiplicity counts.
 
-    Per-center failures are recorded in the row and the run continues.
+    A center's multiplicity count draws probe_pairs point pairs (the
+    `multiplicity` criterion, seeded [seed, index]); a pair whose points
+    coincide is skipped, and is not counted as multi.  Rows on a mesh are
+    marked diagnostic_only.  Per-center failures are recorded in the row and
+    the run continues.
     """
     if eps_ladder is None:
         eps_ladder = tuple(radius * f for f in (1.0, 0.5, 0.25, 0.125))
     rows = []
     for idx, center in enumerate(centers):
         row: dict = {"index": idx, "center": space.point_to_data(center)}
-        if diagnostic_only:
+        if space.name == "mesh":
             row["diagnostic_only"] = True
         try:
             ms = sample_measurements(space, center, radius, ("pythagorean",), n_samples, seed)
-            est = estimate_bounds(
-                space, center, radius, ms, seed=seed, resolution=resolution, tol_cfg=tol_cfg,
-                skipped=n_samples - len(ms["pythagorean"]),
-            )
-            row["estimate"] = asdict(est)
+            row["estimate"] = asdict(estimate_bounds(space, center, radius, ms, seed=seed,
+                                                     tol_cfg=tol_cfg))
         except (CmpkError, ValueError) as e:
             row["estimate_error"] = f"{type(e).__name__}: {e}"
         try:
@@ -556,9 +558,10 @@ def region_report(
         except (CmpkError, ValueError) as e:
             row["profile_error"] = f"{type(e).__name__}: {e}"
         try:
-            rng = np.random.default_rng([seed, idx])
-            probe = criteria.geodesic_multiplicity_probe(space, (center, radius), probe_pairs, rng)
-            row["multiplicity"] = {"n_pairs": probe.n_pairs, "multi_pairs": probe.multi_pairs}
+            ms = sample_measurements(space, center, radius, ("multiplicity",), probe_pairs,
+                                     [seed, idx])
+            row["multiplicity"] = {"n_pairs": probe_pairs,
+                                   "multi_pairs": sum(n > 1 for n in ms["multiplicity"])}
         except (CmpkError, ValueError) as e:
             row["multiplicity_error"] = f"{type(e).__name__}: {e}"
         rows.append(row)

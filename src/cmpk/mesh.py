@@ -334,6 +334,3 @@ class MeshSpace(GeodesicSpace):
             d["path"] = self.source_path
         return d
 
-
-def mesh_space(mesh: TriMesh, steiner: int = 4, *, path: str | None = None) -> MeshSpace:
-    return MeshSpace(mesh, steiner, path=path)

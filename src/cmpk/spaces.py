@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -948,34 +949,6 @@ class SphericalTriangleDomain(GeodesicSpace):
 # Constructors and the JSON descriptor interface
 
 
-def make_euclidean_plane() -> EuclideanPlane:
-    return EuclideanPlane()
-
-
-def make_sphere(k: float) -> Sphere:
-    if k == 0.0:
-        raise SpaceDescriptorError("k = 0 is the plane; use make_euclidean_plane")
-    return Sphere(k)
-
-
-def make_hyperbolic(k: float) -> Hyperbolic:
-    if k == 0.0:
-        raise SpaceDescriptorError("k = 0 is the plane; use make_euclidean_plane")
-    return Hyperbolic(k)
-
-
-def make_cone(perimeter: float) -> Cone:
-    return Cone(perimeter)
-
-
-def make_tripod() -> Tripod:
-    return Tripod()
-
-
-def make_spherical_triangle_domain(k: float, vertices: Sequence) -> SphericalTriangleDomain:
-    return SphericalTriangleDomain(k, vertices)
-
-
 def make_octant(k: float = 1.0) -> SphericalTriangleDomain:
     """Octant of S^2_k: vertices pairwise at distance pi/(2 sqrt(k))."""
     eye = np.eye(3)
@@ -985,24 +958,44 @@ def make_octant(k: float = 1.0) -> SphericalTriangleDomain:
 DESCRIPTOR_VERSION = 1
 
 
+def _is_number(v) -> bool:
+    """Whether v is a JSON number within float range (bool is not one)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _param(d: dict, key: str, what: str = "a finite number", ok: Callable = _is_number):
+    """d[key]; SpaceDescriptorError unless ok(d[key])."""
+    value = d[key]
+    if not ok(value):
+        raise SpaceDescriptorError(f"{d['type']} {key} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _mesh_from_descriptor(d: dict) -> GeodesicSpace:
     # imported on first use: cmpk.mesh pulls in scipy.sparse
-    from cmpk.mesh import load_obj, mesh_space
+    from cmpk.mesh import MeshSpace, load_obj
 
-    return mesh_space(load_obj(d["path"]), int(d.get("steiner", 4)), path=d["path"])
+    path = _param(d, "path", "a string", lambda v: isinstance(v, str))
+    steiner = 4 if "steiner" not in d else _param(
+        d, "steiner", "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+    return MeshSpace(load_obj(path), steiner, path=path)
+
+
+def _vertices(d: dict) -> list:
+    return _param(d, "vertices", "a list of 3 points of 3 finite numbers each", lambda v: (
+        isinstance(v, list) and len(v) == 3
+        and all(isinstance(p, list) and len(p) == 3 and all(map(_is_number, p)) for p in v)))
 
 
 # type name -> (constructor from descriptor dict, keys besides "type" and "version")
 _SPACE_TYPES: dict[str, tuple[Callable[..., GeodesicSpace], set[str]]] = {
-    "plane": (lambda d: make_euclidean_plane(), set()),
-    "sphere": (lambda d: make_sphere(d["k"]), {"k"}),
-    "hyperbolic": (lambda d: make_hyperbolic(d["k"]), {"k"}),
-    "cone": (lambda d: make_cone(d["perimeter"]), {"perimeter"}),
-    "tripod": (lambda d: make_tripod(), set()),
+    "plane": (lambda d: EuclideanPlane(), set()),
+    "sphere": (lambda d: Sphere(_param(d, "k")), {"k"}),
+    "hyperbolic": (lambda d: Hyperbolic(_param(d, "k")), {"k"}),
+    "cone": (lambda d: Cone(_param(d, "perimeter")), {"perimeter"}),
+    "tripod": (lambda d: Tripod(), set()),
     "spherical_triangle": (
-        lambda d: make_spherical_triangle_domain(d["k"], d["vertices"]),
-        {"k", "vertices"},
-    ),
+        lambda d: SphericalTriangleDomain(_param(d, "k"), _vertices(d)), {"k", "vertices"}),
     "mesh": (_mesh_from_descriptor, {"path", "steiner"}),
 }
 

@@ -107,10 +107,10 @@ def _ground_truth_suite(space, k_true, k_pass_list, k_fail, seed):
 def test_03_sphere_hyperbolic_ground_truth():
     t0 = time.perf_counter()
     ok_s, msg_s = _ground_truth_suite(
-        spaces.make_sphere(1.0), 1.0, (0.0, 0.5, 0.9), 1.2, seed=103
+        spaces.Sphere(1.0), 1.0, (0.0, 0.5, 0.9), 1.2, seed=103
     )
     ok_h, msg_h = _ground_truth_suite(
-        spaces.make_hyperbolic(-1.0), -1.0, (-2.0, -1.5, -1.1), -0.8, seed=203
+        spaces.Hyperbolic(-1.0), -1.0, (-2.0, -1.5, -1.1), -0.8, seed=203
     )
     report(
         "3 ground truth both directions", ok_s and ok_h,
@@ -140,11 +140,11 @@ def _compatible(a: str, b: str) -> bool:
 def test_04_criterion_equivalence():
     t0 = time.perf_counter()
     cases = [
-        (spaces.make_euclidean_plane(), None),
-        (spaces.make_sphere(1.0), None),
-        (spaces.make_hyperbolic(-1.0), None),
-        (spaces.make_cone(PI), (2.0, 0.5)),
-        (spaces.make_tripod(), (0, 0.0)),
+        (spaces.EuclideanPlane(), None),
+        (spaces.Sphere(1.0), None),
+        (spaces.Hyperbolic(-1.0), None),
+        (spaces.Cone(PI), (2.0, 0.5)),
+        (spaces.Tripod(), (0, 0.0)),
         (spaces.make_octant(1.0), None),
     ]
     total = agreements = 0
@@ -189,9 +189,9 @@ def test_04_criterion_equivalence():
 def test_05_estimator_accuracy():
     t0 = time.perf_counter()
     targets = [
-        (spaces.make_sphere(1.0), 1.0),
-        (spaces.make_euclidean_plane(), 0.0),
-        (spaces.make_hyperbolic(-1.0), -1.0),
+        (spaces.Sphere(1.0), 1.0),
+        (spaces.EuclideanPlane(), 0.0),
+        (spaces.Hyperbolic(-1.0), -1.0),
     ]
     details = []
     ok = True
@@ -217,7 +217,7 @@ def test_05_estimator_accuracy():
 
 def test_06a_tripod():
     t0 = time.perf_counter()
-    tripod = spaces.make_tripod()
+    tripod = spaces.Tripod()
     pyth = estimator.sample_measurements(tripod, (0, 0.0), 0.5, ("pythagorean",), 60, 106)
     est = estimator.estimate_bounds(tripod, (0, 0.0), 0.5, pyth, seed=106)
     no_lower = est.k_cbb is None and "no pass endpoint" in est.cbb_note
@@ -241,7 +241,7 @@ def test_06a_tripod():
 
 def test_06b_cone_profile():
     t0 = time.perf_counter()
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     ladder = (0.25, 0.125, 0.0625, 0.03125)
     apex = criteria.riemannian_point_profile(cone, (0.0, 0.0), ladder, 128, 106)
     v0, v1 = apex.chi[-2], apex.chi[-1]
@@ -286,9 +286,9 @@ def test_06c_octant_rigidity():
 def test_07_first_variation_and_angle_sum():
     t0 = time.perf_counter()
     smooth = [
-        spaces.make_euclidean_plane(),
-        spaces.make_sphere(1.0),
-        spaces.make_hyperbolic(-1.0),
+        spaces.EuclideanPlane(),
+        spaces.Sphere(1.0),
+        spaces.Hyperbolic(-1.0),
     ]
     rng = np.random.default_rng(107)
     worst_slope = 0.0
@@ -323,7 +323,7 @@ def test_07_first_variation_and_angle_sum():
 def test_08_mesh_diagnostics(tmp_path):
     t0 = time.perf_counter()
     v, f = icosphere(3)
-    space = mesh_mod.mesh_space(mesh_mod.TriMesh(v, np.asarray(f)), steiner=4)
+    space = mesh_mod.MeshSpace(mesh_mod.TriMesh(v, np.asarray(f)), steiner=4)
     rng = np.random.default_rng(108)
     nv = len(v)
     pairs = rng.integers(0, nv, size=(520, 2))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmpk import config, criteria, spaces
+from cmpk import config, criteria, estimator, spaces
 from cmpk.errors import (
     DegenerateConfigError,
     FootOnBoundary,
@@ -24,22 +24,22 @@ PI = math.pi
 
 @pytest.fixture
 def plane():
-    return spaces.make_euclidean_plane()
+    return spaces.EuclideanPlane()
 
 
 @pytest.fixture
 def sphere():
-    return spaces.make_sphere(1.0)
+    return spaces.Sphere(1.0)
 
 
 @pytest.fixture
 def hyper():
-    return spaces.make_hyperbolic(-1.0)
+    return spaces.Hyperbolic(-1.0)
 
 
 @pytest.fixture
 def tripod():
-    return spaces.make_tripod()
+    return spaces.Tripod()
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +69,9 @@ def test_foot_sphere_pole_over_equator(sphere):
 
 
 # every space whose segments have a row, at curvatures or perimeters of either kind
-ROW_SPACES = [lambda: spaces.make_sphere(1.0), lambda: spaces.make_sphere(4.0),
-              lambda: spaces.make_hyperbolic(-1.0), lambda: spaces.make_hyperbolic(-0.5),
-              lambda: spaces.make_cone(PI), lambda: spaces.make_cone(7.0)]
+ROW_SPACES = [lambda: spaces.Sphere(1.0), lambda: spaces.Sphere(4.0),
+              lambda: spaces.Hyperbolic(-1.0), lambda: spaces.Hyperbolic(-0.5),
+              lambda: spaces.Cone(PI), lambda: spaces.Cone(7.0)]
 ROW_SPACE_IDS = ["sphere", "sphere-k4", "hyperbolic", "hyperbolic-k0.5", "pi-cone", "7-cone"]
 
 
@@ -168,7 +168,7 @@ def test_lockstep_foot_on_a_flat_stretch_misses_the_target():
     # the hyperbolic plane k = -0.5, radius 1: a 0.0061-long segment with q
     # 0.80 away, where both searches find d* bit for bit but their feet lie
     # 9.3e-10 apart, 15 times the target
-    space = spaces.make_hyperbolic(-0.5)
+    space = spaces.Hyperbolic(-0.5)
     rng = np.random.default_rng(1348484)
     a, b, q = (space.sample_ball(space.default_center(), 1.0, rng) for _ in range(3))
     _check_feet_against_scalar(space, [q, q], [space.geodesic(a, b)] * 2)
@@ -192,7 +192,7 @@ def test_blocks_with_scalar_rows_equal_the_scalar_search():
     # around the 7-cone's apex many pairs are joined through the apex, a route
     # with no row: in a round searched over arrays those tries take the scalar
     # search itself, and the chords of the same rounds the lockstep one
-    cone, center, radius = spaces.make_cone(7.0), (0.0, 0.0), 0.5
+    cone, center, radius = spaces.Cone(7.0), (0.0, 0.0), 0.5
     n = 40
     new = list(criteria.foot_configs(cone, center, radius, np.random.default_rng(4), n))
     rng = np.random.default_rng(4)
@@ -321,7 +321,7 @@ def test_right_angle_unavailable_on_tripod(tripod):
 
 
 def test_right_angle_rejected_when_leg_crosses_apex():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     # a leg aimed at the apex overshoots it; the wrapped path is shorter than
     # the shot length, so the construction must refuse
     with pytest.raises(RightAngleUnavailable):
@@ -329,7 +329,7 @@ def test_right_angle_rejected_when_leg_crosses_apex():
 
 
 def test_right_angle_near_apex_feels_the_cone():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     # both legs minimal, genuine right angle at p, but [qr] wraps behind the
     # apex: the squared-ratio defect is strictly positive
     cfg = criteria.build_right_angle_config(cone, (0.2, 1.0), 2.0, 2.0 + PI / 2, 0.19, 0.19)
@@ -338,7 +338,7 @@ def test_right_angle_near_apex_feels_the_cone():
 
 
 def test_right_angle_accepted_far_from_apex():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     cfg = criteria.build_right_angle_config(cone, (2.0, 0.5), 1.0, 1.0 + PI / 2, 0.1, 0.1)
     assert cfg.d_qr == pytest.approx(math.hypot(0.1, 0.1), rel=1e-9)
 
@@ -364,7 +364,7 @@ def test_point_segment_sphere_cbb_at_zero(sphere, rng):
 
 
 def test_point_segment_cone_cbb_near_apex():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     seg = cone.geodesic((0.5, 0.2), (0.5, PI / 2 + 0.2))
     m = criteria.measure_point_segment(cone, (0.8, PI - 0.5), seg)
     out = criteria.evaluate_point_segment(m, 0.0)
@@ -395,7 +395,7 @@ def test_angle_at_octant_vertex(sphere):
 
 
 def test_angle_at_cone_apex_sector(rng):
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     apex = (0.0, 0.0)
     for dth in (0.4, PI / 2, 1.2):
         sa = cone.geodesic(apex, (1.0, 0.0))
@@ -534,7 +534,7 @@ def test_angle_sum_tripod_branch(tripod):
 
 @pytest.mark.parametrize(
     "make,k_true",
-    [(lambda: spaces.make_sphere(1.0), 1.0), (lambda: spaces.make_hyperbolic(-1.0), -1.0)],
+    [(lambda: spaces.Sphere(1.0), 1.0), (lambda: spaces.Hyperbolic(-1.0), -1.0)],
     ids=("sphere", "hyperbolic"),
 )
 def test_all_three_criteria_flip_at_the_true_curvature(make, k_true, rng):
@@ -562,10 +562,10 @@ def test_known_curvature_spaces_pass_their_own_bound(rng):
     # cross-module property: every space advertising its curvature passes the
     # criteria at that curvature, with equality on the smooth ones
     for space in (
-        spaces.make_euclidean_plane(),
-        spaces.make_sphere(1.0),
-        spaces.make_sphere(4.0),
-        spaces.make_hyperbolic(-1.0),
+        spaces.EuclideanPlane(),
+        spaces.Sphere(1.0),
+        spaces.Sphere(4.0),
+        spaces.Hyperbolic(-1.0),
         spaces.make_octant(1.0),
     ):
         k0 = space.known_curvature
@@ -580,7 +580,7 @@ def test_known_curvature_spaces_pass_their_own_bound(rng):
 
 
 def test_interior_foot_is_perpendicular_on_smooth_spaces(rng):
-    for space in (spaces.make_euclidean_plane(), spaces.make_sphere(1.0), spaces.make_hyperbolic(-1.0)):
+    for space in (spaces.EuclideanPlane(), spaces.Sphere(1.0), spaces.Hyperbolic(-1.0)):
         for _ in range(5):
             q, seg, foot = next(criteria.foot_configs(space, space.default_center(), 0.3, rng, 1))
             rep = criteria.angle_sum_check(space, q, seg, foot.t_star)
@@ -589,32 +589,38 @@ def test_interior_foot_is_perpendicular_on_smooth_spaces(rng):
 
 
 # ---------------------------------------------------------------------------
-# multiplicity probe
+# multiplicity
 
 
-def _multi(space, x, y):
-    """Whether x and y are distinct and joined by several minimal geodesics,
-    as the probe counts a pair."""
-    return space.distance(x, y) > config.PT and len(space.minimal_geodesics(x, y)) > 1
+def _multiplicity(space, center, radius, n, seed=20240811):
+    """The `multiplicity` measurements of n point pairs drawn from the ball."""
+    return estimator.sample_measurements(space, center, radius, ("multiplicity",), n, seed)
 
 
-def test_multiplicity_plane_zero(plane, rng):
-    rep = criteria.geodesic_multiplicity_probe(plane, (np.zeros(2), 1.0), 300, rng)
-    assert rep.multi_pairs == 0
+def _n_geodesics(space, x, y):
+    """The `multiplicity` measurement of the pair (x, y), from its column where it has one."""
+    columns = estimator.CRITERIA["multiplicity"].columns(space, [(x, y)])
+    return estimator.CRITERIA["multiplicity"].measure(space, (x, y), columns[0])
 
 
-def test_multiplicity_cone_tie_locus(rng):
-    cone = spaces.make_cone(PI)
+def test_multiplicity_plane_zero(plane):
+    ms = _multiplicity(plane, np.zeros(2), 1.0, 300)
+    assert len(ms["multiplicity"]) + sum(ms.skipped_by.values()) == 300
+    assert set(ms["multiplicity"]) == {1}
+
+
+def test_multiplicity_cone_tie_locus():
+    cone = spaces.Cone(PI)
     tie_pair = ((1.0, 0.3), (1.0, 0.3 + PI / 2))  # separation exactly L/2
-    rep = criteria.geodesic_multiplicity_probe(cone, ((1.0, 0.0), 0.8), 200, rng)
-    assert rep.multi_pairs + _multi(cone, *tie_pair) >= 1
-    assert rep.n_pairs == 200
+    ms = _multiplicity(cone, (1.0, 0.0), 0.8, 200)
+    assert sum(n > 1 for n in ms["multiplicity"]) + (_n_geodesics(cone, *tie_pair) > 1) >= 1
+    assert len(ms["multiplicity"]) + sum(ms.skipped_by.values()) == 200
 
 
-def test_multiplicity_sphere_antipodes(sphere, rng):
+def test_multiplicity_sphere_antipodes(sphere):
     n = np.array([0.0, 0.0, 1.0])
-    rep = criteria.geodesic_multiplicity_probe(sphere, (n, 0.5), 50, rng)
-    assert rep.multi_pairs + _multi(sphere, n, -n) >= 1
+    ms = _multiplicity(sphere, n, 0.5, 50)
+    assert sum(m > 1 for m in ms["multiplicity"]) + (_n_geodesics(sphere, n, -n) > 1) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +642,7 @@ def test_profile_sphere_vanishing_by_decay(sphere):
 
 
 def test_profile_cone_apex_non_vanishing():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     prof = criteria.riemannian_point_profile(cone, (0.0, 0.0), (0.2, 0.1, 0.05, 0.025), 32, 7)
     assert prof.classification == "non_vanishing"
     assert prof.chi[-1] > 0.05
@@ -645,7 +651,7 @@ def test_profile_cone_apex_non_vanishing():
 
 
 def test_profile_cone_off_apex_vanishing():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     prof = criteria.riemannian_point_profile(cone, (1.0, 0.5), (0.2, 0.1, 0.05, 0.025), 16, 7)
     assert prof.classification == "vanishing"
 
@@ -669,13 +675,13 @@ def test_profile_rejects_a_bad_eps_ladder(plane, ladder):
 # configuration at a time
 
 RUNG_CASES = {
-    "pi-cone-apex": (spaces.make_cone(PI), (0.0, 0.0)),
-    "pi-cone-off": (spaces.make_cone(PI), (1.0, 0.5)),
-    "pi-cone-near-apex": (spaces.make_cone(PI), (0.04, 3.0)),
-    "7-cone-apex": (spaces.make_cone(7.0), (0.0, 0.0)),
-    "7-cone-near-apex": (spaces.make_cone(7.0), (0.04, 0.2)),
-    "sphere": (spaces.make_sphere(1.0), np.array([0.0, 0.0, 1.0])),
-    "hyperbolic": (spaces.make_hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
+    "pi-cone-apex": (spaces.Cone(PI), (0.0, 0.0)),
+    "pi-cone-off": (spaces.Cone(PI), (1.0, 0.5)),
+    "pi-cone-near-apex": (spaces.Cone(PI), (0.04, 3.0)),
+    "7-cone-apex": (spaces.Cone(7.0), (0.0, 0.0)),
+    "7-cone-near-apex": (spaces.Cone(7.0), (0.04, 0.2)),
+    "sphere": (spaces.Sphere(1.0), np.array([0.0, 0.0, 1.0])),
+    "hyperbolic": (spaces.Hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
 }
 # at 1e-4 and 5e-5 the ladder's sides straddle 10 GEO; at 3e-6 the legs
 # are near 1e-6 and every ladder is under it
@@ -722,9 +728,9 @@ def test_array_rung_equals_the_loop_on_seeded_generators(case, eps):
 # plane's shots all land, some of the octant's leave it, and the tripod
 # shoots none, so each of its p is drawn from the ball and each rung skipped
 LOOP_RUNG_CASES = {
-    "plane": (spaces.make_euclidean_plane(), np.zeros(2)),
+    "plane": (spaces.EuclideanPlane(), np.zeros(2)),
     "octant": (spaces.make_octant(1.0), spaces.make_octant(1.0).default_center()),
-    "tripod": (spaces.make_tripod(), (0, 0.5)),
+    "tripod": (spaces.Tripod(), (0, 0.5)),
 }
 
 
@@ -760,7 +766,7 @@ def test_loop_rung_equals_the_reference_loop_on_seeded_generators(case, eps):
 
 def test_array_rung_draws_p_from_the_ball_where_its_shot_is_unavailable():
     # p shot from (0.5, 0) in direction pi over 0.5 ends 6e-17 from the apex
-    cone, x = spaces.make_cone(7.0), (0.5, 0.0)
+    cone, x = spaces.Cone(7.0), (0.5, 0.0)
     u = 0.5
     eps = 0.5 / (0.1 + (0.45 - 0.1) * u)
     with pytest.raises(criteria.ShootUnavailable):
@@ -799,7 +805,7 @@ def test_array_rows_leave_routes_through_the_apex_to_the_scalar_build():
     # from (0.5, 0) in direction pi the leg of 0.5 + 1e-9 ends just past the
     # 7-cone's apex, so its geodesic is the apex route; the leg of 0.5 exactly
     # ends 6e-17 from the apex and is unavailable
-    cone = spaces.make_cone(7.0)
+    cone = spaces.Cone(7.0)
     p = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.8, 1.0]])
     beta, l2 = np.array([PI, PI, 0.3, 2.0]), np.full(4, 0.3)
     l1 = np.array([0.5 + 1e-9, 0.5, 0.2, 0.1])
@@ -811,7 +817,7 @@ def test_array_rows_decide_the_minimality_threshold_as_the_scalar_build():
     # from (0.5, 0) on the pi-cone, legs of 0.8 in these directions turn just
     # far enough round the apex that the other way round is shorter: by 1e-7
     # of the leg, and by 1e-9 of it within 1.4e-16; both are not minimal
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     p = np.array([[0.5, 0.0]] * 3)
     beta = np.array([2.2459279622139454, 2.2459278607567486, 2.0])
     assert decided_rows(cone, p, beta, np.full(3, 0.8), np.full(3, 0.3)) == [

@@ -31,7 +31,7 @@ def estimate(sp, center, radius, n_samples, seed, names=("pythagorean",), **kw):
 
 
 def test_sphere_bounds_bracket_unit_curvature():
-    sp = spaces.make_sphere(1.0)
+    sp = spaces.Sphere(1.0)
     est = estimate(sp, sp.default_center(), 0.2, 120, 3)
     assert est.k_cbb is not None and abs(est.k_cbb - 1.0) <= 0.05
     assert est.k_cba is not None and abs(est.k_cba - 1.0) <= 0.05
@@ -39,19 +39,19 @@ def test_sphere_bounds_bracket_unit_curvature():
 
 
 def test_plane_bounds_near_zero():
-    sp = spaces.make_euclidean_plane()
+    sp = spaces.EuclideanPlane()
     est = estimate(sp, sp.default_center(), 0.2, 120, 3)
     assert abs(est.k_cbb) <= 0.05 and abs(est.k_cba) <= 0.05
 
 
 def test_hyperbolic_bounds_near_minus_one():
-    sp = spaces.make_hyperbolic(-1.0)
+    sp = spaces.Hyperbolic(-1.0)
     est = estimate(sp, sp.default_center(), 0.2, 120, 3)
     assert abs(est.k_cbb + 1.0) <= 0.05 and abs(est.k_cba + 1.0) <= 0.05
 
 
 def test_bisection_soundness_on_fixed_samples():
-    sp = spaces.make_sphere(1.0)
+    sp = spaces.Sphere(1.0)
     ms = estimator.sample_measurements(sp, sp.default_center(), 0.2, ("pythagorean",), 80, 5)
     est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, ms, seed=5)
     assert estimator._orientation_pass(ms, est.k_cbb, "cbb", DEFAULT_TOL)
@@ -81,9 +81,9 @@ def test_bisection_below_the_float_spacing_stops_at_adjacent_floats():
 @functools.cache
 def region(kind):
     sp, center, radius = {
-        "sphere": (spaces.make_sphere(1.0), None, 0.2),
-        "hyperbolic": (spaces.make_hyperbolic(-1.0), None, 0.2),
-        "cone": (spaces.make_cone(PI), (0.0, 0.0), 0.25),
+        "sphere": (spaces.Sphere(1.0), None, 0.2),
+        "hyperbolic": (spaces.Hyperbolic(-1.0), None, 0.2),
+        "cone": (spaces.Cone(PI), (0.0, 0.0), 0.25),
     }[kind]
     return sp, sp.default_center() if center is None else center, radius
 
@@ -121,13 +121,13 @@ def property_set(kind, degenerate=False):
     """
     if kind == "icosphere":
         v, f = icosphere(2)
-        sp = mesh_mod.mesh_space(mesh_mod.TriMesh(v, f), steiner=4)
+        sp = mesh_mod.MeshSpace(mesh_mod.TriMesh(v, f), steiner=4)
         center, radius = 0, 0.5
         ms = estimator.sample_measurements(sp, center, radius, ("pythagorean",), 16, 8)
     else:
         sp, center, radius = region(kind)
         ms = stored_measurements(kind)
-    ms = {name: list(batch) for name, batch in ms.items()}
+    ms = estimator.Measurements({name: list(batch) for name, batch in ms.items()})
     if kind == "cone":
         for p, q, r in (((0.2, 0.0), (0.2, PI / 2), (0.1, 0.3)),
                         ((0.15, 0.1), (0.15, 0.1 + PI / 2), (0.1, 1.0))):
@@ -366,14 +366,14 @@ def test_witness_sample_fixes_the_residual(kind):
 
 
 def test_no_bound_has_no_witness():
-    tri = spaces.make_tripod()
+    tri = spaces.Tripod()
     est = estimate(tri, (0, 0.0), 0.5, 40, 3)
     assert est.k_cbb is None and est.cbb_witness is None
     assert est.k_cba is None and est.cba_witness is None
 
 
 def test_estimates_deterministic_for_fixed_seed():
-    sp = spaces.make_sphere(1.0)
+    sp = spaces.Sphere(1.0)
     a = estimate(sp, sp.default_center(), 0.2, 40, 9)
     b = estimate(sp, sp.default_center(), 0.2, 40, 9)
     assert a == b
@@ -382,7 +382,7 @@ def test_estimates_deterministic_for_fixed_seed():
 
 
 def test_criterion_sets_agree_on_sphere():
-    sp = spaces.make_sphere(1.0)
+    sp = spaces.Sphere(1.0)
     kw = dict(resolution=0.01)
     by_pyth = estimate(sp, sp.default_center(), 0.2, 40, 4, ("pythagorean",), **kw)
     by_tri = estimate(sp, sp.default_center(), 0.2, 40, 4, ("triangle",), **kw)
@@ -393,14 +393,14 @@ def test_criterion_sets_agree_on_sphere():
 
 
 def test_tripod_has_no_lower_bound_and_cba_never_fails():
-    tri = spaces.make_tripod()
+    tri = spaces.Tripod()
     est = estimate(tri, (0, 0.0), 0.5, 40, 3)
     assert est.k_cbb is None and "no pass endpoint" in est.cbb_note
     assert est.k_cba is None and "no fail endpoint" in est.cba_note
 
 
 def test_a_sample_that_raises_a_skip_error_is_left_out_of_every_list(monkeypatch):
-    sp = spaces.make_sphere(1.0)
+    sp = spaces.Sphere(1.0)
     center = sp.default_center()
     names = ("pythagorean", "triangle")
     full = estimator.sample_measurements(sp, center, 0.2, names, 9, 4)
@@ -417,7 +417,7 @@ def test_a_sample_that_raises_a_skip_error_is_left_out_of_every_list(monkeypatch
     # samples 0, 3 and 6 are skipped; the others are drawn from the same stream as before
     for name in names:
         assert ms[name] == [m for i, m in enumerate(full[name]) if i % 3]
-    est = estimator.estimate_bounds(sp, center, 0.2, ms, seed=4, skipped=3)
+    est = estimator.estimate_bounds(sp, center, 0.2, ms, seed=4)
     assert (est.n_samples, est.skipped) == (6, 3)
     assert ms.skipped_by == est.skipped_by == {"LadderError": 3}
     assert est.rejected == ms.rejected == full.rejected
@@ -425,15 +425,18 @@ def test_a_sample_that_raises_a_skip_error_is_left_out_of_every_list(monkeypatch
 
 
 def test_every_sample_skipped_leaves_nothing_to_bisect():
-    sp = spaces.make_sphere(1.0)
-    est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, {"pythagorean": []},
-                                    seed=1, skipped=5)
+    sp = spaces.Sphere(1.0)
+    ms = estimator.Measurements({"pythagorean": []})
+    for _ in range(5):
+        ms.skip(LadderError("sides degenerate"))
+    est = estimator.estimate_bounds(sp, sp.default_center(), 0.2, ms, seed=1)
     assert (est.k_cbb, est.k_cba, est.n_samples, est.skipped) == (None, None, 0, 5)
+    assert est.skipped_by == {"LadderError": 5}
     assert est.cbb_note == est.cba_note == "no measured samples to bisect over (5 skipped)"
 
 
 def test_unknown_criterion_rejected():
-    sp = spaces.make_euclidean_plane()
+    sp = spaces.EuclideanPlane()
     with pytest.raises(ValueError):
         estimator.sample_measurements(sp, sp.default_center(), 0.2, ("bogus",), 1, 0)
     # a criterion without a batch is measured alone
@@ -443,7 +446,7 @@ def test_unknown_criterion_rejected():
 
 
 def test_region_report_cone_apex_vs_off_apex():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     rows = estimator.region_report(
         cone, [(0.0, 0.0), (1.0, 0.5)], 0.25,
         n_samples=30, seed=6, n_per_eps=128, probe_pairs=50,
@@ -463,7 +466,7 @@ def test_region_report_cone_apex_vs_off_apex():
 
 
 def test_region_report_records_errors_and_continues():
-    tri = spaces.make_tripod()
+    tri = spaces.Tripod()
     rows = estimator.region_report(
         tri, [(0, 0.0), (0, 3.0)], 0.4, n_samples=10, seed=2, n_per_eps=8, probe_pairs=20
     )
@@ -475,12 +478,54 @@ def test_region_report_records_errors_and_continues():
 
 
 def test_sphere_region_report_profiles_vanish():
-    sp = spaces.make_sphere(1.0)
+    sp = spaces.Sphere(1.0)
     rows = estimator.region_report(
         sp, [sp.default_center()], 0.2, n_samples=20, seed=6, n_per_eps=32, probe_pairs=30
     )
     assert rows[0]["profile"]["classification"] == "vanishing"
     assert abs(rows[0]["estimate"]["k_cbb"] - 1.0) <= 0.05
+
+
+def _snapped(space, snap):
+    """A copy of space whose ball draws are snapped by snap, so that pairs which
+    coincide, tie or are antipodal, all but never drawn at random, come often."""
+    out = copy.copy(space)
+    out.sample_ball = lambda center, radius, rng: snap(space.sample_ball(center, radius, rng))
+    return out
+
+
+def _snap_cone(x):
+    return (round(4.0 * x[0]) / 4.0, round(x[1] / (PI / 4)) * (PI / 4) % PI)
+
+
+def _snap_axis(x):
+    i = int(np.argmax(np.abs(x)))
+    return math.copysign(1.0, x[i]) * np.eye(3)[i]
+
+
+# (space with snapped draws, centers, radius): ties on the pi-cone at
+# separation L/2, antipodes on the sphere, and coincident pairs on all four
+SNAPPED_REGIONS = {
+    "pi-cone": (_snapped(spaces.Cone(PI), _snap_cone), [(1.0, 0.0), (0.0, 0.0)], 0.8),
+    "sphere": (_snapped(spaces.Sphere(1.0), _snap_axis),
+               [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])], 2.0),
+    "plane": (_snapped(spaces.EuclideanPlane(), lambda x: np.round(4.0 * x) / 4.0),
+              [np.zeros(2), np.ones(2)], 0.5),
+    "tripod": (_snapped(spaces.Tripod(), lambda x: (x[0], round(4.0 * x[1]) / 4.0)),
+               [(0, 0.0), (1, 0.3)], 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", list(SNAPPED_REGIONS))
+def test_region_report_counts_the_pairs_the_probe_loop_counted(kind):
+    space, centers, radius = SNAPPED_REGIONS[kind]
+    rows = estimator.region_report(space, centers, radius, n_samples=2, seed=5, n_per_eps=2,
+                                   probe_pairs=100)
+    for idx, (center, row) in enumerate(zip(centers, rows)):
+        rng = np.random.default_rng([5, idx])
+        assert row["multiplicity"] == oracles.geodesic_multiplicity_probe(
+            space, (center, radius), 100, rng)
+    assert (rows[0]["multiplicity"]["multi_pairs"] > 0) == (kind in ("pi-cone", "sphere"))
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +535,12 @@ def test_sphere_region_report_profiles_vanish():
 # cone and the off-origin hyperbolic center take the draws' hypot, atan2 and
 # tangent basis paths, which the apex and the origin skip or simplify
 STREAM_CASES = {
-    "sphere": (lambda: spaces.make_sphere(1.0), None, 0.3),
-    "hyperbolic": (lambda: spaces.make_hyperbolic(-1.0), None, 0.2),
-    "hyperbolic-off-origin": (lambda: spaces.make_hyperbolic(-1.0), [0.3, -0.2, 0.0], 0.2),
-    "pi-cone-apex": (lambda: spaces.make_cone(PI), [0.0, 0.0], 0.25),
-    "pi-cone-off-apex": (lambda: spaces.make_cone(PI), [1.0, 0.5], 0.25),
-    "tripod": (spaces.make_tripod, None, 0.5),
+    "sphere": (lambda: spaces.Sphere(1.0), None, 0.3),
+    "hyperbolic": (lambda: spaces.Hyperbolic(-1.0), None, 0.2),
+    "hyperbolic-off-origin": (lambda: spaces.Hyperbolic(-1.0), [0.3, -0.2, 0.0], 0.2),
+    "pi-cone-apex": (lambda: spaces.Cone(PI), [0.0, 0.0], 0.25),
+    "pi-cone-off-apex": (lambda: spaces.Cone(PI), [1.0, 0.5], 0.25),
+    "tripod": (spaces.Tripod, None, 0.5),
 }
 LOCKSTEP_CASES = [name for name in STREAM_CASES if name != "tripod"]  # with row_distances
 
@@ -680,7 +725,7 @@ def _replay(prefix, seed=0):
 def test_round_with_an_antipodal_sphere_pair():
     # a quarter turn each way from the pole: a and b are antipodal, joined by
     # a continuum of minimal geodesics
-    sphere, radius = spaces.make_sphere(1.0), 1.6
+    sphere, radius = spaces.Sphere(1.0), 1.6
     quarter = (PI / 2) / radius
     for n in (2, 5):
         _, rejected = _stream_against_the_loop(sphere, sphere.default_center(), radius,
@@ -691,9 +736,9 @@ def test_round_with_an_antipodal_sphere_pair():
 @pytest.mark.parametrize("space, center, radius, prefix", [
     # from the pi-cone apex, points at angles pi/4 and 3pi/4 and one radius:
     # the chords both ways round are equally short
-    (spaces.make_cone(PI), (0.0, 0.0), 0.25, [0.25, 0.8, 0.75, 0.8]),
+    (spaces.Cone(PI), (0.0, 0.0), 0.25, [0.25, 0.8, 0.75, 0.8]),
     # a quarter turn each way from the pole: antipodes
-    (spaces.make_sphere(1.0), np.array([0.0, 0.0, 1.0]), 1.6,
+    (spaces.Sphere(1.0), np.array([0.0, 0.0, 1.0]), 1.6,
      [0.0, (PI / 2) / 1.6, 0.5, (PI / 2) / 1.6]),
 ])
 def test_one_search_stream_rejects_a_pair_with_several_geodesics(space, center, radius, prefix):
@@ -720,7 +765,7 @@ def test_one_search_stream_rejects_a_pair_with_several_geodesics(space, center, 
     ((0.25, 0.0), 0.5, [0.25, 0.5, 0.75, 0.5, 0.5, 0.5], 200),
 ])
 def test_round_with_a_pi_cone_chord_tie(center, radius, prefix, max_tries):
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     for n in (2, 5):
         _, rejected = _stream_against_the_loop(cone, cone.point_from_data(center), radius,
                                                _replay(prefix, n), n, max_tries=max_tries)
@@ -732,8 +777,8 @@ def test_round_with_cone_apex_routes():
     # 7-cone's apex: both are joined through the apex, a route with no row,
     # whose foot takes the scalar search within a round searched over arrays.
     # Each q is placed so that its try is accepted
-    cases = [(spaces.make_cone(PI), [0.3, 0.0, 0.6, 0.9, (0.6 * PI + 0.3) / PI, 0.6]),
-             (spaces.make_cone(7.0), [0.0, 0.8, 0.5, 0.8, 0.25, 0.4])]
+    cases = [(spaces.Cone(PI), [0.3, 0.0, 0.6, 0.9, (0.6 * PI + 0.3) / PI, 0.6]),
+             (spaces.Cone(7.0), [0.0, 0.8, 0.5, 0.8, 0.25, 0.4])]
     for cone, prefix in cases:
         for n in (2, 5):
             new, _ = _stream_against_the_loop(cone, (0.0, 0.0), 0.25, _replay(prefix, n), n)
@@ -744,7 +789,7 @@ def test_round_with_a_short_pair_where_its_uniforms_run_out():
     # a round of two searches maps six points ahead: a long pair and its q,
     # a short pair, then a short pair of the sixth point and the first one
     # mapped after it
-    sphere = spaces.make_sphere(1.0)
+    sphere = spaces.Sphere(1.0)
     long_pair, q, short = [0.0, 0.9, 0.5, 0.9], [0.3, 0.4], [0.1, 0.5, 0.1, 0.5]
     prefix = [*long_pair, *q, *short, 0.2, 0.5, 0.2, 0.5]
     for n in (2, 3):
@@ -754,8 +799,8 @@ def test_round_with_a_short_pair_where_its_uniforms_run_out():
 
 
 STREAM_PROPERTY_CASES = {
-    "sphere-0.3": (lambda: spaces.make_sphere(1.0), None, 0.3),
-    "sphere-1.6": (lambda: spaces.make_sphere(1.0), None, 1.6),
+    "sphere-0.3": (lambda: spaces.Sphere(1.0), None, 0.3),
+    "sphere-1.6": (lambda: spaces.Sphere(1.0), None, 1.6),
     "hyperbolic-off-origin": STREAM_CASES["hyperbolic-off-origin"],
     "pi-cone-apex": STREAM_CASES["pi-cone-apex"],
     "pi-cone-off-apex": STREAM_CASES["pi-cone-off-apex"],

@@ -30,10 +30,10 @@ EVALUATORS = {
 }
 
 SPACES = {
-    "sphere": (spaces.make_sphere(1.0), None, 0.3),
-    "hyperbolic": (spaces.make_hyperbolic(-1.0), None, 0.3),
-    "tripod": (spaces.make_tripod(), (0, 0.0), 0.5),
-    "cone": (spaces.make_cone(PI), (0.0, 0.0), 0.25),
+    "sphere": (spaces.Sphere(1.0), None, 0.3),
+    "hyperbolic": (spaces.Hyperbolic(-1.0), None, 0.3),
+    "tripod": (spaces.Tripod(), (0, 0.0), 0.5),
+    "cone": (spaces.Cone(PI), (0.0, 0.0), 0.25),
 }
 
 

@@ -99,7 +99,7 @@ def test_out_of_range_index_rejected(tmp_path):
 
 def test_octahedron_opposite_vertices_two_edges(octa_path):
     m = mesh_mod.load_obj(octa_path)
-    space = mesh_mod.mesh_space(m, steiner=0)
+    space = mesh_mod.MeshSpace(m, steiner=0)
     # antipodal vertices: two graph edges of length sqrt(2)
     assert space.distance(0, 1) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
@@ -108,7 +108,7 @@ def test_grid_diagonal(tmp_path):
     v, f = grid_mesh(8)
     p = tmp_path / "grid.obj"
     write_obj(p, v, f)
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(p), steiner=4)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(p), steiner=4)
     corner_a = 0
     corner_b = len(v) - 1
     assert space.distance(corner_a, corner_b) == pytest.approx(math.sqrt(2.0), rel=0.05)
@@ -118,7 +118,7 @@ def test_graph_distance_monotone_in_steiner(octa_path):
     m = mesh_mod.load_obj(octa_path)
     prev = None
     for s in (0, 2, 4, 8):
-        space = mesh_mod.mesh_space(m, steiner=s)
+        space = mesh_mod.MeshSpace(m, steiner=s)
         d = space.distance(0, 1)
         if prev is not None:
             assert d <= prev + 1e-12
@@ -127,7 +127,7 @@ def test_graph_distance_monotone_in_steiner(octa_path):
 
 def test_icosphere_distance_error_vs_analytic(rng):
     v, f = icosphere(2)
-    space = mesh_mod.mesh_space(mesh_mod.TriMesh(v, f), steiner=4)
+    space = mesh_mod.MeshSpace(mesh_mod.TriMesh(v, f), steiner=4)
     nv = len(v)
     pairs = rng.integers(0, nv, size=(100, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
@@ -140,7 +140,7 @@ def test_icosphere_distance_error_vs_analytic(rng):
 
 
 def test_metric_axioms_exact(octa_path, rng):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=2)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path), steiner=2)
     n = space.graph.n_nodes
     for _ in range(200):
         x, y, z = (int(v) for v in rng.integers(0, n, 3))
@@ -150,7 +150,7 @@ def test_metric_axioms_exact(octa_path, rng):
 
 
 def test_geodesic_paths_and_resolution(octa_path, rng):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=3)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path), steiner=3)
     seg = space.geodesic(0, 1)
     assert seg.length == pytest.approx(space.distance(0, 1), abs=1e-12)
     # node-resolution evaluation: positions along the path are within one arc
@@ -160,7 +160,7 @@ def test_geodesic_paths_and_resolution(octa_path, rng):
 
 
 def test_distances_equal_scalar_distances(octa_path, rng):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=3)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path), steiner=3)
     n = space.graph.n_nodes
     for _ in range(20):
         x = int(rng.integers(n))
@@ -190,7 +190,7 @@ def _counted_rows(space, limits: list[float] | None = None) -> list[int]:
 
 
 def test_row_cache_evicts_least_recently_used(octa_path):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=6)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path), steiner=6)
     cap = 65
     space.ROW_CACHE_BYTES = 8 * space.graph.n_nodes * (cap + 1) - 1  # room for 65 rows, not 66
     assert space.graph.n_nodes > cap + 1
@@ -213,7 +213,7 @@ def test_default_row_cache_recomputes_a_row_only_to_extend_it(tmp_path):
     # default cap keeps 2,014 rows
     path = tmp_path / "ico2.obj"
     write_obj(path, *icosphere(2))
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(path), steiner=4)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(path), steiner=4)
     assert space.ROW_CACHE_BYTES // (8 * space.graph.n_nodes) == 2014
     limits: list[float] = []
     computed = _counted_rows(space, limits)
@@ -231,7 +231,7 @@ def test_default_row_cache_recomputes_a_row_only_to_extend_it(tmp_path):
 
 
 def test_read_beyond_the_limit_extends_the_row():
-    space = mesh_mod.mesh_space(mesh_mod.TriMesh(*icosphere(2)), steiner=4)
+    space = mesh_mod.MeshSpace(mesh_mod.TriMesh(*icosphere(2)), steiner=4)
     full = space.graph.distances_from([0])[0]
     limits: list[float] = []
     computed = _counted_rows(space, limits)
@@ -255,7 +255,7 @@ def test_read_beyond_the_limit_extends_the_row():
 @settings(max_examples=40, deadline=None)
 def test_row_cache_hits_whenever_clearing_cache_would(sources):
     # reference: the replaced policy, a dict emptied whenever a 66th row is added
-    space = mesh_mod.mesh_space(mesh_mod.TriMesh(*octahedron()), steiner=6)
+    space = mesh_mod.MeshSpace(mesh_mod.TriMesh(*octahedron()), steiner=6)
     assert space.graph.n_nodes == 78
     computed = _counted_rows(space)
     old: set[int] = set()
@@ -416,7 +416,7 @@ def _argmin_nodes(space, x, y):
 
 
 def test_segment_evaluator_matches_argmin(octa_path, rng):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=3)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path), steiner=3)
     slack = config.GEO
     n = space.graph.n_nodes
     pairs = [(0, 1), (2, 3)] + [tuple(int(a) for a in rng.integers(0, n, 2)) for _ in range(20)]
@@ -449,7 +449,7 @@ def test_nearest_index_matches_argmin(cum, extra):
 
 
 def test_sample_ball_within_radius(octa_path, rng):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path), steiner=2)
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path), steiner=2)
     for _ in range(50):
         node = space.sample_ball(0, 1.2, rng)
         assert space.distance(0, node) <= 1.2
@@ -463,11 +463,11 @@ def test_disconnected_graph_rejected(tmp_path):
         "f 1 2 3\nf 4 5 6\n"
     )
     with pytest.raises(DisconnectedGraphError):
-        mesh_mod.mesh_space(mesh_mod.load_obj(p), steiner=1)
+        mesh_mod.MeshSpace(mesh_mod.load_obj(p), steiner=1)
 
 
 def test_point_from_data_rejects_non_finite_node_ids(octa_path):
-    space = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path))
+    space = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path))
     assert space.point_from_data(3.0) == 3
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="mesh point data must be finite"):
@@ -505,5 +505,5 @@ def test_cli_import_leaves_mesh_unloaded_until_a_mesh_is_built(octa_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    n_nodes = mesh_mod.mesh_space(mesh_mod.load_obj(octa_path)).graph.n_nodes
+    n_nodes = mesh_mod.MeshSpace(mesh_mod.load_obj(octa_path)).graph.n_nodes
     assert json.loads(proc.stdout) == [False, False, "MeshSpace", n_nodes]

@@ -21,14 +21,14 @@ PI = math.pi
 
 def all_analytic_spaces():
     return [
-        spaces.make_euclidean_plane(),
-        spaces.make_sphere(1.0),
-        spaces.make_sphere(4.0),
-        spaces.make_hyperbolic(-1.0),
-        spaces.make_hyperbolic(-0.5),
-        spaces.make_cone(PI),
-        spaces.make_cone(7.0),
-        spaces.make_tripod(),
+        spaces.EuclideanPlane(),
+        spaces.Sphere(1.0),
+        spaces.Sphere(4.0),
+        spaces.Hyperbolic(-1.0),
+        spaces.Hyperbolic(-0.5),
+        spaces.Cone(PI),
+        spaces.Cone(7.0),
+        spaces.Tripod(),
         spaces.make_octant(1.0),
     ]
 
@@ -89,19 +89,19 @@ def test_sample_ball_stays_in_ball(space, rng):
 
 
 def test_plane_345():
-    plane = spaces.make_euclidean_plane()
+    plane = spaces.EuclideanPlane()
     assert plane.distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
 
 def test_sphere_pole_to_equator():
-    sph = spaces.make_sphere(1.0)
+    sph = spaces.Sphere(1.0)
     assert sph.distance(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])) == pytest.approx(
         PI / 2, rel=1e-14
     )
 
 
 def test_sphere_scaling():
-    sph = spaces.make_sphere(4.0)
+    sph = spaces.Sphere(4.0)
     assert sph.distance(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])) == pytest.approx(
         PI / 4, rel=1e-14
     )
@@ -109,7 +109,7 @@ def test_sphere_scaling():
 
 def test_hyperbolic_orthogonal_unit_legs():
     # Pythagorean ground truth: cosh(c) = cosh(1) * cosh(1)
-    hyp = spaces.make_hyperbolic(-1.0)
+    hyp = spaces.Hyperbolic(-1.0)
     p = hyp.default_center()
     q = hyp.shoot(p, 0.0, 1.0)
     r = hyp.shoot(p, PI / 2, 1.0)
@@ -118,7 +118,7 @@ def test_hyperbolic_orthogonal_unit_legs():
 
 @pytest.mark.parametrize("k", [1.0, 2.5, -1.0, -0.3])
 def test_shoot_right_angle_matches_model_oracle(k, rng):
-    space = spaces.make_sphere(k) if k > 0 else spaces.make_hyperbolic(k)
+    space = spaces.Sphere(k) if k > 0 else spaces.Hyperbolic(k)
     for _ in range(50):
         p = space.sample_ball(space.default_center(), 0.5, rng)
         phi = rng.uniform(0.0, 2.0 * PI)
@@ -130,7 +130,7 @@ def test_shoot_right_angle_matches_model_oracle(k, rng):
 
 
 def test_sphere_antipodal_multiplicity():
-    sph = spaces.make_sphere(1.0)
+    sph = spaces.Sphere(1.0)
     n = np.array([0.0, 0.0, 1.0])
     segs = sph.minimal_geodesics(n, -n)
     assert len(segs) == 2
@@ -143,12 +143,12 @@ def test_sphere_antipodal_multiplicity():
 
 
 def test_cone_same_ray():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     assert cone.distance((1.0, 0.3), (2.0, 0.3)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cone_quarter_turn_matches_oracles():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     p1, p2 = (1.0, 0.0), (1.0, PI / 2)
     d = cone.distance(p1, p2)
     assert d == pytest.approx(math.sqrt(2.0), rel=1e-12)  # law of cosines at sep pi/2
@@ -158,7 +158,7 @@ def test_cone_quarter_turn_matches_oracles():
 
 def test_cone_distance_matches_winding_oracle(rng):
     for L in (1.5, PI, 5.0, 7.5):
-        cone = spaces.make_cone(L)
+        cone = spaces.Cone(L)
         for _ in range(300):
             p1 = (rng.uniform(0.0, 2.0), rng.uniform(0.0, L))
             p2 = (rng.uniform(0.0, 2.0), rng.uniform(0.0, L))
@@ -168,7 +168,7 @@ def test_cone_distance_matches_winding_oracle(rng):
 
 
 def test_cone_apex_routes():
-    cone = spaces.make_cone(7.0)  # L > 2 pi: separations beyond pi go through the apex
+    cone = spaces.Cone(7.0)  # L > 2 pi: separations beyond pi go through the apex
     p1, p2 = (1.0, 0.0), (2.0, 3.49)  # sep ~ 3.49 > pi
     assert cone.distance(p1, p2) == pytest.approx(3.0, abs=1e-12)
     seg = cone.geodesic(p1, p2)
@@ -176,7 +176,7 @@ def test_cone_apex_routes():
 
 
 def test_cone_tie_pair_two_geodesics():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     segs = cone.minimal_geodesics((1.0, 0.0), (1.0, PI / 2))  # sep = L/2 both ways
     assert len(segs) == 2
     m1, m2 = segs[0].midpoint(), segs[1].midpoint()
@@ -197,11 +197,11 @@ CONE_ANGLE = st.one_of(st.floats(0.0, 8.0), st.sampled_from([0.0, 1e-17, -1e-17,
 @given(P=st.sampled_from([PI, 2.0, 5.0, 7.0]), r1=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 2.0),
        r2=st.floats(0.0, 2.0), a1=CONE_ANGLE, a2=CONE_ANGLE)
 def test_cone_geodesics_equal_the_all_routes_reference(P, r1, r2, a1, a2):
-    assert_same_routes(spaces.make_cone(P), (r1, a1), (r2, a2))
+    assert_same_routes(spaces.Cone(P), (r1, a1), (r2, a2))
 
 
 def test_cone_builds_only_the_routes_it_returns(monkeypatch):
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     built = []
     route = cone._unrolled_route
     monkeypatch.setattr(cone, "_unrolled_route", lambda *a: built.append(a) or route(*a))
@@ -221,7 +221,7 @@ def test_cone_builds_only_the_routes_it_returns(monkeypatch):
 
 
 def test_cone_apex_point_handles():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     apex = (0.0, 0.0)
     assert cone.distance(apex, (0.7, 1.1)) == pytest.approx(0.7)
     seg = cone.geodesic((0.5, 0.2), apex)
@@ -231,7 +231,7 @@ def test_cone_apex_point_handles():
 
 def test_cone_separation_below_rounding_gives_a_point_segment():
     # ccw = (0 - 1e-17) mod pi rounds to pi, so the clockwise chord has no length
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     (seg,) = cone.minimal_geodesics((1.0, 1e-17), (1.0, 0.0))
     assert seg.length == 0.0
     assert seg.at(0.0) == (1.0, 1e-17)
@@ -247,26 +247,26 @@ def test_cone_separation_below_rounding_gives_a_point_segment():
 
 
 def test_tripod_distances():
-    tri = spaces.make_tripod()
+    tri = spaces.Tripod()
     assert tri.distance((0, 2.0), (0, 5.0)) == 3.0
     assert tri.distance((0, 2.0), (1, 3.0)) == 5.0
 
 
 def test_tripod_midpoint_through_branch():
-    tri = spaces.make_tripod()
+    tri = spaces.Tripod()
     seg = tri.geodesic((0, 1.0), (1, 1.0))
     assert tri.distance(seg.midpoint(), (0, 0.0)) <= config.PT
 
 
 def test_tripod_no_shoot():
     with pytest.raises(ShootUnavailable):
-        spaces.make_tripod().shoot((0, 1.0), 0.3, 0.5)
+        spaces.Tripod().shoot((0, 1.0), 0.3, 0.5)
 
 
 def test_tripod_ball_draw_crosses_the_branch_point():
     # from 0.25 out on ray 0, a radius of 0.75 drawn inward passes the branch
     # point and ends 0.5 out on the other ray the third double picks
-    tri, center = spaces.make_tripod(), (0, 0.25)
+    tri, center = spaces.Tripod(), (0, 0.25)
     for pick, ray in ((0.2, 1), (0.6, 2)):
         replay = Replay([0.75, 0.9, pick])
         point = tri.sample_ball(center, 1.0, replay)
@@ -280,7 +280,7 @@ def test_tripod_ball_draw_crosses_the_branch_point():
 
 def test_octant_interior_distances_are_ambient():
     oct_dom = spaces.make_octant(1.0)
-    sph = spaces.make_sphere(1.0)
+    sph = spaces.Sphere(1.0)
     a = oct_dom.point_from_data([1.0, 1.0, 1.0])
     b = oct_dom.point_from_data([1.0, 2.0, 1.5])
     assert oct_dom.distance(a, b) == pytest.approx(sph.distance(a, b), rel=1e-14)
@@ -312,7 +312,7 @@ def test_octant_rejects_exterior_points():
 
 def test_degenerate_vertices_rejected():
     with pytest.raises(SpaceDescriptorError):
-        spaces.make_spherical_triangle_domain(
+        spaces.SphericalTriangleDomain(
             1.0, [[1, 0, 0], [0, 1, 0], [-1, 1e-4, 0]]
         )
 
@@ -340,10 +340,16 @@ def test_descriptor_validation():
         spaces.space_from_descriptor('{"type": "plane", "version": 99}')
     with pytest.raises(SpaceDescriptorError):
         spaces.space_from_descriptor("not json")
+    # mistyped parameters
+    for desc in ('{"type": "sphere", "k": "1"}', '{"type": "sphere", "k": null}',
+                 '{"type": "sphere", "k": [1]}', '{"type": "cone", "perimeter": "3"}',
+                 '{"type": "spherical_triangle", "k": 1, "vertices": 5}'):
+        with pytest.raises(SpaceDescriptorError, match="must be"):
+            spaces.space_from_descriptor(desc)
 
 
 def test_hyperbolic_point_from_data_leaves_input_unchanged():
-    hyp = spaces.make_hyperbolic(-1.0)
+    hyp = spaces.Hyperbolic(-1.0)
     data = np.array([0.3, -0.2, 5.0])
     p = hyp.point_from_data(data)
     assert data.tolist() == [0.3, -0.2, 5.0]
@@ -362,18 +368,18 @@ def test_point_from_data_rejects_non_finite_data(bad):
 def test_handle_checks_fail_on_nan():
     # each check is written so that a nan comparison fails it
     with pytest.raises(ValueError, match="sphere handle must be a unit 3-vector"):
-        spaces.make_sphere(1.0)._check([math.nan, 0.0, 1.0])
+        spaces.Sphere(1.0)._check([math.nan, 0.0, 1.0])
     with pytest.raises(ValueError, match="hyperboloid handle"):
-        spaces.make_hyperbolic(-1.0)._check([math.nan, 0.0, 1.0])
+        spaces.Hyperbolic(-1.0)._check([math.nan, 0.0, 1.0])
     with pytest.raises(ValueError, match="cone radius must be >= 0"):
-        spaces.make_cone(PI)._norm((math.nan, 0.0))
+        spaces.Cone(PI)._norm((math.nan, 0.0))
     with pytest.raises(ValueError, match="tripod radius must be >= 0"):
-        spaces.make_tripod()._norm((0, math.nan))
+        spaces.Tripod()._norm((0, math.nan))
     # the cases that used to come back as nan handles
     with pytest.raises(ValueError, match="sphere point data must be finite"):
-        spaces.make_sphere(1.0).point_from_data([math.nan, 0.0, 1.0])
+        spaces.Sphere(1.0).point_from_data([math.nan, 0.0, 1.0])
     with pytest.raises(ValueError, match="cone point data must be finite"):
-        spaces.make_cone(PI).point_from_data([1.0, math.inf])
+        spaces.Cone(PI).point_from_data([1.0, math.inf])
 
 
 def test_point_data_round_trip(rng):
@@ -388,7 +394,7 @@ def test_point_data_round_trip(rng):
 
 
 def test_subsegment_and_reversal():
-    plane = spaces.make_euclidean_plane()
+    plane = spaces.EuclideanPlane()
     seg = plane.geodesic(np.array([0.0, 0.0]), np.array([4.0, 0.0]))
     sub = seg.subsegment(1.0, 3.0)
     assert sub.length == 2.0
@@ -430,8 +436,8 @@ def _mesh(name):
     from meshgen import icosphere, octahedron
 
     if name == "octahedron":
-        return mesh.mesh_space(mesh.TriMesh(*octahedron()), 3)
-    return mesh.mesh_space(mesh.TriMesh(*icosphere(2)), 4)
+        return mesh.MeshSpace(mesh.TriMesh(*octahedron()), 3)
+    return mesh.MeshSpace(mesh.TriMesh(*icosphere(2)), 4)
 
 
 # only the meshes override the looping `GeodesicSpace.distances`; the foot
@@ -479,18 +485,18 @@ def test_row_distances_match_scalar_distance(space, seed, size, n, radius):
 
 
 def test_every_segment_off_the_cone_apex_has_a_row(rng):
-    for space in (spaces.make_sphere(1.0), spaces.make_hyperbolic(-1.0)):
+    for space in (spaces.Sphere(1.0), spaces.Hyperbolic(-1.0)):
         for _ in range(20):
             a, b = sample_points(space, 2, rng, radius=1.5)
             assert all(seg.row is not None for seg in space.minimal_geodesics(a, b))
     # off the apex every cone geodesic is an unrolled chord
-    for space in (spaces.make_cone(PI), spaces.make_cone(7.0)):
+    for space in (spaces.Cone(PI), spaces.Cone(7.0)):
         for _ in range(20):
             a, b = (space.sample_ball((1.0, 0.5), 0.5, rng) for _ in range(2))
             assert all(seg.row is not None for seg in space.minimal_geodesics(a, b))
         # routes through the apex have none
         assert space.geodesic((0.0, 0.0), (0.6, 1.0)).row is None
-    assert spaces.make_cone(7.0).geodesic((1.0, 0.0), (1.0, 3.5)).row is None
+    assert spaces.Cone(7.0).geodesic((1.0, 0.0), (1.0, 3.5)).row is None
 
 
 def _row_check(cone, qs, seg):
@@ -503,7 +509,7 @@ def _row_check(cone, qs, seg):
 
 
 def test_cone_row_distances_normalize_as_scalar_distance():
-    cone = spaces.make_cone(PI)
+    cone = spaces.Cone(PI)
     qs = [
         (0.0, 0.0), (0.0, 2.5),         # the apex, with any theta
         (1.0, 0.25 + PI / 2),           # separation pi/2 = P/2, the largest on the pi-cone
@@ -520,7 +526,7 @@ def test_cone_row_distances_normalize_as_scalar_distance():
         radii = [seg.at(t)[0] for t in np.linspace(0.0, seg.length, 65)]
         np.testing.assert_allclose(got[:, 0], radii, rtol=ROW_RTOL, atol=ROW_ATOL)
     # separation >= pi goes through the apex: on the 7-cone, opposite rays are 3.5 apart
-    wide = spaces.make_cone(7.0)
+    wide = spaces.Cone(7.0)
     seg = wide.geodesic((1.0, 3.2), (2.0, 3.8))
     far = [(1.0, 0.0), (1.0, 14.0), (2.0, -7.0), (1.0, 0.3), (1.0, 6.9)]
     got = _row_check(wide, far, seg)
@@ -545,7 +551,7 @@ unit_vectors = (
        kind=st.sampled_from(["any", "same", "antipode"]), k=st.sampled_from([1.0, 4.0, 0.01]))
 @settings(max_examples=300, deadline=None)
 def test_sphere_distance_matches_cross_product_formula(x, v, eps, kind, k):
-    sphere = spaces.make_sphere(k)
+    sphere = spaces.Sphere(k)
     if kind == "any":
         y = v
     else:
@@ -559,7 +565,7 @@ def test_sphere_distance_matches_cross_product_formula(x, v, eps, kind, k):
 @given(p=unit_vectors)
 @settings(max_examples=200, deadline=None)
 def test_sphere_basis_matches_cross_product_formula(p):
-    sphere = spaces.make_sphere(1.0)
+    sphere = spaces.Sphere(1.0)
     ref = np.array([0.0, 0.0, 1.0]) if abs(p[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     u_old = np.cross(ref, p) / np.linalg.norm(np.cross(ref, p))
     u, v = sphere._basis(p)
@@ -598,7 +604,7 @@ def _old_unrolled_ev(cone, x, signed_sep, r2, length):
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_cone_route_evaluators_match_numpy_formula(P, r1, r2, a1, a2, fracs):
-    cone = spaces.make_cone(P)
+    cone = spaces.Cone(P)
     x, y = (r1, a1 * P), (r2, a2 * P)
     routes = []
     if r1 > 0.0 and r2 > 0.0 and cone.distance(x, y) > 0.0:  # as `minimal_geodesics` calls it
@@ -632,7 +638,7 @@ def test_cone_route_evaluators_match_numpy_formula(P, r1, r2, a1, a2, fracs):
        length=st.floats(0.0, 3.0))
 @settings(max_examples=300, deadline=None)
 def test_cone_shoot_matches_numpy_formula(P, r, a, phi, length):
-    cone = spaces.make_cone(P)
+    cone = spaces.Cone(P)
     p = (r, a * P)
     try:
         rho, th = cone.shoot(p, phi, length)
@@ -677,7 +683,7 @@ def _old_shoot(space, p, phi, length, u, v, cos, sin):
 @settings(max_examples=100, deadline=None)
 def test_sphere_and_hyperbolic_evaluators_are_bit_equal_to_numpy_formula(
         k, seed, phi, length, fracs):
-    space = spaces.make_sphere(k) if k > 0 else spaces.make_hyperbolic(k)
+    space = spaces.Sphere(k) if k > 0 else spaces.Hyperbolic(k)
     cos, sin = (math.cos, math.sin) if k > 0 else (math.cosh, math.sinh)
     rng = np.random.default_rng(seed)
     p = space.sample_ball(space.default_center(), 1.0, rng)
@@ -702,22 +708,22 @@ def test_sphere_and_hyperbolic_evaluators_are_bit_equal_to_numpy_formula(
 BELOW_ONE = np.nextafter(1.0, 0.0)
 uniforms = st.one_of(st.just(0.0), st.just(BELOW_ONE),
                      st.floats(0.0, 1.0, exclude_max=True))
-_hyperbolic_off_origin = spaces.make_hyperbolic(-1.0).point_from_data([0.3, -1.2, 0.0])
+_hyperbolic_off_origin = spaces.Hyperbolic(-1.0).point_from_data([0.3, -1.2, 0.0])
 BALL_CASES = {
-    "sphere-k1-pole": (spaces.make_sphere(1.0), np.array([0.0, 0.0, 1.0])),
-    "sphere-k4-equator": (spaces.make_sphere(4.0), np.array([1.0, 0.0, 0.0])),
-    "sphere-k4-pole": (spaces.make_sphere(4.0), np.array([0.0, 0.0, 1.0])),
-    "sphere-k1-equator": (spaces.make_sphere(1.0), np.array([1.0, 0.0, 0.0])),
-    "hyperbolic-k-1-origin": (spaces.make_hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
-    "hyperbolic-k-1-off": (spaces.make_hyperbolic(-1.0), _hyperbolic_off_origin),
-    "hyperbolic-k-0.5-origin": (spaces.make_hyperbolic(-0.5), np.array([0.0, 0.0, 1.0])),
-    "hyperbolic-k-0.5-off": (spaces.make_hyperbolic(-0.5), _hyperbolic_off_origin),
-    "pi-cone-apex": (spaces.make_cone(PI), (0.0, 0.0)),
-    "pi-cone-off": (spaces.make_cone(PI), (1.0, 0.5)),
-    "pi-cone-near-apex": (spaces.make_cone(PI), (0.04, 3.0)),
-    "7-cone-apex": (spaces.make_cone(7.0), (0.0, 0.0)),
-    "7-cone-off": (spaces.make_cone(7.0), (1.0, 6.9)),
-    "7-cone-near-apex": (spaces.make_cone(7.0), (0.04, 0.2)),
+    "sphere-k1-pole": (spaces.Sphere(1.0), np.array([0.0, 0.0, 1.0])),
+    "sphere-k4-equator": (spaces.Sphere(4.0), np.array([1.0, 0.0, 0.0])),
+    "sphere-k4-pole": (spaces.Sphere(4.0), np.array([0.0, 0.0, 1.0])),
+    "sphere-k1-equator": (spaces.Sphere(1.0), np.array([1.0, 0.0, 0.0])),
+    "hyperbolic-k-1-origin": (spaces.Hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
+    "hyperbolic-k-1-off": (spaces.Hyperbolic(-1.0), _hyperbolic_off_origin),
+    "hyperbolic-k-0.5-origin": (spaces.Hyperbolic(-0.5), np.array([0.0, 0.0, 1.0])),
+    "hyperbolic-k-0.5-off": (spaces.Hyperbolic(-0.5), _hyperbolic_off_origin),
+    "pi-cone-apex": (spaces.Cone(PI), (0.0, 0.0)),
+    "pi-cone-off": (spaces.Cone(PI), (1.0, 0.5)),
+    "pi-cone-near-apex": (spaces.Cone(PI), (0.04, 3.0)),
+    "7-cone-apex": (spaces.Cone(7.0), (0.0, 0.0)),
+    "7-cone-off": (spaces.Cone(7.0), (1.0, 6.9)),
+    "7-cone-near-apex": (spaces.Cone(7.0), (0.04, 0.2)),
 }
 
 
@@ -766,7 +772,7 @@ def test_sample_balls_equal_sample_ball_bitwise(case, pairs, radius):
 def test_batched_draw_raises_at_the_unavailable_shot():
     # phi = pi exactly from the center (0.5, 0): the shot of length 0.5 ends
     # 6e-17 from the apex, within PT, so `shoot` raises there
-    cone, center = spaces.make_cone(7.0), (0.5, 0.0)
+    cone, center = spaces.Cone(7.0), (0.5, 0.0)
     doubles = [0.1, 0.3, 0.7, 0.9, 0.5, 0.5, 0.2, 0.2, 0.4, 0.6, 0.8, 0.1]
     scalar = Replay(doubles)
     want = [cone.sample_ball(center, 1.0, scalar) for _ in range(2)]
@@ -789,8 +795,8 @@ def test_batched_draw_raises_at_the_unavailable_shot():
 SHOT_CASES = {
     **BALL_CASES,
     # a shot in direction pi over 0.5 ends 6e-17 from the apex: unavailable
-    "pi-cone-half": (spaces.make_cone(PI), (0.5, 0.0)),
-    "7-cone-half": (spaces.make_cone(7.0), (0.5, 0.0)),
+    "pi-cone-half": (spaces.Cone(PI), (0.5, 0.0)),
+    "7-cone-half": (spaces.Cone(7.0), (0.5, 0.0)),
 }
 directions = st.one_of(st.just(0.0), st.just(PI), st.floats(-7.0, 7.0))
 lengths = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 3.0))
@@ -865,7 +871,7 @@ def test_shots_equal_shoot_bitwise(case, shots):
 
 def test_shots_mark_the_shot_through_the_apex_unavailable():
     for perimeter in (PI, 7.0):
-        cone = spaces.make_cone(perimeter)
+        cone = spaces.Cone(perimeter)
         starts = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.0]])
         points, available = cone.shots(starts, np.array([PI, 0.0, PI]), np.array([0.5, 0.5, 0.5]))
         assert available.tolist() == [False, True, True]
@@ -876,7 +882,7 @@ def test_shots_mark_the_shot_through_the_apex_unavailable():
 
 
 def test_geodesic_rows_leave_apex_routes_and_antipodes_inexact():
-    cone7, cone_pi, sphere = spaces.make_cone(7.0), spaces.make_cone(PI), spaces.make_sphere(1.0)
+    cone7, cone_pi, sphere = spaces.Cone(7.0), spaces.Cone(PI), spaces.Sphere(1.0)
     cases = [
         # 3.5 either way round the 7-cone: the route through the apex
         (cone7, [[0.3, 0.0], [0.3, 3.5]], False),
@@ -901,8 +907,8 @@ def test_geodesic_rows_leave_apex_routes_and_antipodes_inexact():
 # the sphere's and the hyperbolic plane's shared methods, and the default
 # sample_ball, against each space's own copy before they were merged
 
-_plane, _s1, _s4 = spaces.make_euclidean_plane(), spaces.make_sphere(1.0), spaces.make_sphere(4.0)
-_h1, _h05 = spaces.make_hyperbolic(-1.0), spaces.make_hyperbolic(-0.5)
+_plane, _s1, _s4 = spaces.EuclideanPlane(), spaces.Sphere(1.0), spaces.Sphere(4.0)
+_h1, _h05 = spaces.Hyperbolic(-1.0), spaces.Hyperbolic(-0.5)
 _sphere_off = _s1.point_from_data([0.3, -0.5, 0.8])
 MERGED_CASES = {
     "plane-origin": (_plane, np.zeros(2)),
