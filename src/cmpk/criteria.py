@@ -524,8 +524,7 @@ def evaluate_triangle(
 # configurations (q, seg, foot) over arrays, bit for bit the scalar probes,
 # through `segment_rows`, `pair_distances` and `geodesic_rows`.  Each returns,
 # per configuration, the `columns` its `measure_*` takes, or None where that
-# configuration is left to the scalar probes; `multiplicity_columns` does the
-# same for point pairs.
+# configuration is left to the scalar probes.
 
 
 def _row_configs(space: GeodesicSpace, configs: Sequence):
@@ -620,15 +619,6 @@ def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
     for i, row in zip(np.flatnonzero(ok).tolist(), zip(*(c[ok].tolist() for c in columns))):
         out[i] = (row[:3], {"p": [row[3:6]], "q": [row[6:9]], "r": [row[9:]]})
     return out
-
-
-def multiplicity_columns(space: GeodesicSpace, pairs: Sequence) -> list:
-    """1 for each point pair on a `RowSpace` that `row_segments` joins exactly
-    (so by its only minimal geodesic), None where `minimal_geodesics` counts."""
-    if not pairs or not isinstance(space, RowSpace):
-        return [None] * len(pairs)
-    xs, ys = (np.array(x, dtype=float) for x in zip(*pairs))
-    return [1 if e else None for e in space.row_segments(xs, ys)[4].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +889,10 @@ def riemannian_point_profile(
 
 
 # A try's two endpoints must lie at least MIN_SEG_REL * radius apart and be
-# joined by one minimal geodesic before q is drawn and the foot searched.
+# joined by one minimal geodesic before q is drawn and the foot searched; its
+# foot is accepted at a height of at least MIN_HEIGHT_REL * radius.
 MIN_SEG_REL = 0.7
+MIN_HEIGHT_REL = 0.15
 # Why `foot_configs` rejects a try, in the order a try is checked.
 REJECTIONS = ("short_segment", "several_geodesics", "foot_on_boundary", "degenerate",
               "low_height", "endpoint_snap")
@@ -915,10 +907,10 @@ ROUND_SEARCHES = 400
 
 def foot_configs(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, n: int, *,
-    min_height_rel: float = 0.15, max_tries: int = 200, rejected: dict | None = None,
+    max_tries: int = 200, rejected: dict | None = None,
 ):
     """Yield n configurations (q, seg, foot), each with an interior foot and a
-    height of at least min_height_rel * radius.
+    height of at least MIN_HEIGHT_REL * radius.
 
     A try draws a and b from the ball, then q; its configuration is accepted
     when it passes every check, in the order of REJECTIONS, and
@@ -954,7 +946,7 @@ def foot_configs(
     """
     if rejected is None:
         rejected = dict.fromkeys(REJECTIONS, 0)
-    min_height = min_height_rel * radius
+    min_height = MIN_HEIGHT_REL * radius
     accepted = searched = fails = 0
     while accepted < n:
         wanted = n - accepted

@@ -150,9 +150,7 @@ CRITERIA: dict[str, Criterion] = {
     ),
     "multiplicity": Criterion(
         _point_pair,
-        lambda space, c, columns=None: (
-            len(space.minimal_geodesics(*c)) if columns is None else columns),
-        columns=lambda space, cs: criteria.multiplicity_columns(space, cs),
+        lambda space, c, columns=None: len(space.minimal_geodesics(*c)),
         header=("n_geodesics",),
         report=lambda n: ((n,), (), "multi" if n > 1 else "unique"),
     ),
@@ -408,16 +406,19 @@ def _scalar_worst(measurements: dict[str, list], k: float, tol_cfg: Tolerances,
     return tuple(worst)
 
 
-def _expand(passes: Callable[[float], bool], k0: float, step0: float, want: bool,
-            limit: float) -> float:
-    """Walk k by doubling steps until passes(k) == want; raise past the limit."""
+# A bracket end is searched no further out than |k| = EXPANSION_LIMIT.
+EXPANSION_LIMIT = 1024.0
+
+
+def _expand(passes: Callable[[float], bool], k0: float, step0: float, want: bool) -> float:
+    """Walk k by doubling steps until passes(k) == want; raise past EXPANSION_LIMIT."""
     k, step = k0, step0
     while passes(k) != want:
         k += step
         step *= 2.0
-        if abs(k) > limit:
+        if abs(k) > EXPANSION_LIMIT:
             raise BracketExpansionError(
-                f"no {'pass' if want else 'fail'} endpoint found within |k| <= {limit}"
+                f"no {'pass' if want else 'fail'} endpoint found within |k| <= {EXPANSION_LIMIT}"
             )
     return k
 
@@ -454,8 +455,7 @@ def check_bracket(k_bracket: tuple[float, float], resolution: float) -> None:
 def estimate_bounds(
     space: GeodesicSpace, center, radius: float, measurements: Measurements, *,
     seed: int, k_bracket: tuple[float, float] = (-2.0, 2.0),
-    resolution: float = 0.01, expansion_limit: float = 1024.0,
-    tol_cfg: Tolerances = DEFAULT_TOL,
+    resolution: float = 0.01, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> CurvatureEstimate:
     """Largest lower bound and smallest upper bound passing on a fixed sample set.
 
@@ -464,8 +464,8 @@ def estimate_bounds(
     and rejected tries the measurements hold).  ``k_cbb`` is the largest k
     whose lower-bound claim passes every sample (bisection to `resolution`),
     ``k_cba`` the smallest passing upper bound; either is None with a note
-    when bracket expansion hits the limit (e.g. no lower curvature bound at a
-    branch point) or when no sample was measured.
+    when bracket expansion passes EXPANSION_LIMIT (e.g. no lower curvature
+    bound at a branch point) or when no sample was measured.
     """
     names = tuple(measurements)
     if not names:
@@ -482,41 +482,27 @@ def estimate_bounds(
             space.descriptor(), space.point_to_data(center), radius, names, 0, seed,
             resolution, None, None, None, None, note, note, skipped, **counts,
         )
-    step = k_hi - k_lo
     batches = batch_measurements(measurements, tol_cfg)
+    bounds, worst, worst_at = [], None, None
+    # the lower-bound claim holds for all k below a threshold, the upper-bound
+    # claim for all k above one: each end is expanded away from the other
+    for o, (claim, k_pass, k_fail) in enumerate((("cbb", k_lo, k_hi), ("cba", k_hi, k_lo))):
+        def passes(k: float, claim=claim) -> bool:
+            return _orientation_pass(measurements, k, claim, tol_cfg, batches)
 
-    k_cbb = cbb_residual = cbb_witness = worst = None
-    cbb_note = ""
-
-    def passes_cbb(k: float) -> bool:
-        return _orientation_pass(measurements, k, "cbb", tol_cfg, batches)
-
-    try:
-        # the lower-bound claim holds for all k below a threshold
-        lo_pass = _expand(passes_cbb, k_lo, -step, True, expansion_limit)
-        hi_fail = _expand(passes_cbb, k_hi, step, False, expansion_limit)
-        k_cbb, _ = _bisect(passes_cbb, lo_pass, hi_fail, resolution)
-        worst = _worst_defect(measurements, k_cbb, tol_cfg, batches)
-        cbb_residual, cbb_witness = worst[0]
-    except BracketExpansionError as e:
-        cbb_note = str(e)
-
-    k_cba = cba_residual = cba_witness = None
-    cba_note = ""
-
-    def passes_cba(k: float) -> bool:
-        return _orientation_pass(measurements, k, "cba", tol_cfg, batches)
-
-    try:
-        # the upper-bound claim holds for all k above a threshold
-        hi_pass = _expand(passes_cba, k_hi, step, True, expansion_limit)
-        lo_fail = _expand(passes_cba, k_lo, -step, False, expansion_limit)
-        k_cba, _ = _bisect(passes_cba, hi_pass, lo_fail, resolution)
-        if worst is None or k_cba != k_cbb:  # the pass at k_cbb has both residuals
-            worst = _worst_defect(measurements, k_cba, tol_cfg, batches)
-        cba_residual, cba_witness = worst[1]
-    except BracketExpansionError as e:
-        cba_note = str(e)
+        away = k_pass - k_fail
+        try:
+            k_pass = _expand(passes, k_pass, away, True)
+            k_fail = _expand(passes, k_fail, -away, False)
+        except BracketExpansionError as e:
+            bounds.append((None, None, None, str(e)))
+            continue
+        k, _ = _bisect(passes, k_pass, k_fail, resolution)
+        if worst is None or k != worst_at:  # the pass at k_cbb has both residuals
+            worst, worst_at = _worst_defect(measurements, k, tol_cfg, batches), k
+        bounds.append((k, *worst[o], ""))
+    (k_cbb, cbb_residual, cbb_witness, cbb_note), (k_cba, cba_residual, cba_witness, cba_note) = \
+        bounds
 
     return CurvatureEstimate(
         space.descriptor(), space.point_to_data(center), radius, names,
@@ -529,15 +515,12 @@ def estimate_bounds(
 def region_report(
     space: GeodesicSpace, centers: Sequence, radius: float, *, n_samples: int = 120,
     seed: int = 0, eps_ladder: Sequence[float] | None = None,
-    n_per_eps: int = 128, probe_pairs: int = 200, tol_cfg: Tolerances = DEFAULT_TOL,
+    n_per_eps: int = 128, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> list[dict]:
-    """Per-center Pythagorean bound estimates, Riemannian-point profiles, multiplicity counts.
+    """Per-center Pythagorean bound estimates and Riemannian-point profiles.
 
-    A center's multiplicity count draws probe_pairs point pairs (the
-    `multiplicity` criterion, seeded [seed, index]); a pair whose points
-    coincide is skipped, and is not counted as multi.  Rows on a mesh are
-    marked diagnostic_only.  Per-center failures are recorded in the row and
-    the run continues.
+    Rows on a mesh are marked diagnostic_only.  Per-center failures are
+    recorded in the row and the run continues.
     """
     if eps_ladder is None:
         eps_ladder = tuple(radius * f for f in (1.0, 0.5, 0.25, 0.125))
@@ -557,12 +540,5 @@ def region_report(
             row["profile"] = asdict(prof)
         except (CmpkError, ValueError) as e:
             row["profile_error"] = f"{type(e).__name__}: {e}"
-        try:
-            ms = sample_measurements(space, center, radius, ("multiplicity",), probe_pairs,
-                                     [seed, idx])
-            row["multiplicity"] = {"n_pairs": probe_pairs,
-                                   "multi_pairs": sum(n > 1 for n in ms["multiplicity"])}
-        except (CmpkError, ValueError) as e:
-            row["multiplicity_error"] = f"{type(e).__name__}: {e}"
         rows.append(row)
     return rows

@@ -224,6 +224,7 @@ class MeshSpace(GeodesicSpace):
     """Geodesic space over a GeodesicGraph; point handles are node ids."""
 
     name = "mesh"
+    point_shape, point_ints, point_form = (), (0,), "one integer node id"
     # Dijkstra rows kept up to this many bytes of rows (8 per node), least recently
     # used evicted first: a few thousand rows of a benchmark-sized mesh, so a run
     # evicts none, and computes a row again only to extend its limit

@@ -76,6 +76,11 @@ class GeodesicSpace(ABC):
 
     name: str = "abstract"
     known_curvature: float | None = None
+    # point data (`point_from_data`): its shape, the flat indices of the
+    # entries that must be integers, and how an error names the two
+    point_shape = (2,)
+    point_ints = ()
+    point_form = "2 numbers [x, y]"
 
     @abstractmethod
     def distance(self, x, y) -> float: ...
@@ -119,11 +124,19 @@ class GeodesicSpace(ABC):
         return GeodesicSegment(self, start, end, float(length), evaluator, row)
 
     def _finite(self, data) -> np.ndarray:
-        """Point data as a new float array; ValueError unless every entry is finite."""
-        x = np.array(data, dtype=float)
-        if not np.isfinite(x).all():
-            raise ValueError(f"{self.name} point data must be finite, got {x.tolist()}")
-        return x
+        """Point data as a new float array; ValueError unless it has point_shape,
+        every entry is finite and the point_ints entries are integers."""
+        try:
+            x = np.array(data, dtype=float)
+        except (TypeError, ValueError):
+            x = None
+        if x is not None and x.shape == self.point_shape:
+            if not np.isfinite(x).all():
+                raise ValueError(f"{self.name} point data must be finite, got {x.tolist()}")
+            ints = x.reshape(-1)[list(self.point_ints)]
+            if (ints == np.round(ints)).all():
+                return x
+        raise ValueError(f"{self.name} point data must be {self.point_form}, got {data!r}")
 
 
 class RowSpace(GeodesicSpace):
@@ -239,6 +252,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _direction(space: GeodesicSpace, data) -> np.ndarray:
+    """Point data of a sphere scaled to a unit vector; ValueError at the zero vector."""
+    x = space._finite(data)
+    if not x.any():
+        raise ValueError(f"{space.name} point data must be {space.point_form}, got {data!r}")
+    return _unit(x)
+
+
 def _each(f, *xs: np.ndarray) -> np.ndarray:
     """f entry by entry through `math`: numpy's SIMD cosh, sinh, atan2 and hypot
     may not round as libm does, and the batched draws must equal the scalar ones"""
@@ -256,6 +277,7 @@ class _Quadric(RowSpace):
 
     cf: Callable[[float], float]
     sf: Callable[[float], float]
+    point_shape, point_form = (3,), "3 numbers [x, y, z]"
 
     def __init__(self, k: float):
         self.k = float(k)
@@ -344,6 +366,7 @@ class _Quadric(RowSpace):
 
 class Sphere(_Quadric):
     name = "sphere"
+    point_form = "3 numbers [x, y, z], not all 0"
     cf, sf = staticmethod(math.cos), staticmethod(math.sin)
 
     def __init__(self, k: float):
@@ -444,7 +467,7 @@ class Sphere(_Quadric):
         return [self._arc(x, w, d)]
 
     def point_from_data(self, data):
-        return self._check(_unit(self._finite(data)))
+        return self._check(_direction(self, data))
 
 
 def _mdot(u: np.ndarray, v: np.ndarray) -> float:
@@ -576,6 +599,7 @@ class Cone(RowSpace):
     """
 
     name = "cone"
+    point_form = "2 numbers [r, theta]"
 
     def __init__(self, perimeter: float):
         if not (perimeter > 0.0 and math.isfinite(perimeter)):
@@ -802,6 +826,7 @@ class Tripod(GeodesicSpace):
     """Union of three rays from a common branch point; handles are (ray, r)."""
 
     name = "tripod"
+    point_ints, point_form = (0,), "2 numbers [ray, r], the ray an integer"
 
     def _norm(self, x) -> tuple[int, float]:
         ray, r = int(x[0]), float(x[1])
@@ -876,6 +901,7 @@ class SphericalTriangleDomain(GeodesicSpace):
     """
 
     name = "spherical_triangle"
+    point_shape, point_form = (3,), "3 numbers [x, y, z], not all 0"
 
     def __init__(self, k: float, vertices: Sequence):
         self._sphere = Sphere(k)
@@ -932,7 +958,7 @@ class SphericalTriangleDomain(GeodesicSpace):
         return [float(c) for c in x]
 
     def point_from_data(self, data):
-        return self._require_inside(_unit(self._finite(data)))
+        return self._require_inside(_direction(self, data))
 
     def default_center(self):
         return _unit(self.vertices[0] + self.vertices[1] + self.vertices[2])

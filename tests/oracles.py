@@ -8,8 +8,7 @@ the package has since rewritten (the heap Dijkstra search, the mesh's full
 Dijkstra rows, the per-k evaluators, the angle ladders, the all-scalar
 bisection predicate and residual, the cone geodesics that built every
 candidate route, the one-try-at-a-time foot sampler, the sampling pass that
-measured each configuration as it was drawn, the multiplicity probe that
-counted a profile's point pairs in its own loop, the sphere's and the
+measured each configuration as it was drawn, the sphere's and the
 hyperbolic plane's own shots and arcs, and the Riemannian-point rung that
 built one right-angle configuration at a time), which tests compare the
 rewrites against; and `Replay`, a generator stand-in that hands out given
@@ -525,18 +524,6 @@ def sample_foot_config(
     raise DegenerateRegionError(
         f"no valid foot configuration in {max_tries} tries (radius {radius})"
     )
-
-
-def geodesic_multiplicity_probe(space: GeodesicSpace, region: tuple, n_pairs: int,
-                                rng: np.random.Generator) -> dict:
-    """`region_report`'s multiplicity count as its own loop made it: the
-    sampled point pairs joined by more than one minimal geodesic."""
-    center, radius = region
-    pairs = [(space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng))
-             for _ in range(n_pairs)]
-    multi = sum(1 for x, y in pairs
-                if space.distance(x, y) > config.PT and len(space.minimal_geodesics(x, y)) > 1)
-    return {"n_pairs": len(pairs), "multi_pairs": multi}
 
 
 def sample_measurements(space: GeodesicSpace, center, radius: float, names: Sequence[str],

@@ -283,7 +283,8 @@ def test_06c_octant_rigidity():
 # 7. first variation and angle sums
 
 
-def test_07_first_variation_and_angle_sum():
+def test_07_first_variation_and_angle_sum(monkeypatch):
+    monkeypatch.setattr(criteria, "MIN_HEIGHT_REL", 0.3)
     t0 = time.perf_counter()
     smooth = [
         spaces.EuclideanPlane(),
@@ -296,9 +297,7 @@ def test_07_first_variation_and_angle_sum():
     n_configs = 0
     while n_configs < 100:
         space = smooth[n_configs % 3]
-        q, seg, foot = next(criteria.foot_configs(
-            space, space.default_center(), 0.5, rng, 1, min_height_rel=0.3
-        ))
+        q, seg, foot = next(criteria.foot_configs(space, space.default_center(), 0.5, rng, 1))
         t_star = float(rng.uniform(0.25, 0.6)) * seg.length
         rep = criteria.first_variation_check(
             space, q, seg, t_star, steps=(1e-2, 1e-3, 1e-4)

@@ -1,6 +1,7 @@
 """CLI: output formats, exit codes, report schema, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -526,6 +527,55 @@ def test_bad_region_exit_2(tmp_path, capsys):
         assert run([*argv, "--out", str(out)]) == 2, argv
         assert capsys.readouterr().err.startswith(f"config error: {message}"), argv
         assert not out.exists() or not any(out.iterdir()), argv
+
+
+HYPERBOLIC = '{"type":"hyperbolic","k":-1.0}'
+OCTANT = '{"type":"spherical_triangle","k":1.0,"vertices":[[1,0,0],[0,1,0],[0,0,1]]}'
+# (space, point data, the form the error names, or None for a valid point)
+POINT_DATA = [
+    (HYPERBOLIC, "[0,0]", "3 numbers [x, y, z]"),
+    (HYPERBOLIC, "[0.1,-0.2,0.0]", None),
+    (SPHERE, "1", "3 numbers [x, y, z], not all 0"),
+    (SPHERE, "[0,0,0]", "3 numbers [x, y, z], not all 0"),
+    (SPHERE, "[0,0.6,0.8]", None),
+    (PLANE, "[0,0,0]", "2 numbers [x, y]"),
+    (PLANE, "[0.5,0.5]", None),
+    (CONE, "[1,2,3]", "2 numbers [r, theta]"),
+    (CONE, "[1,2]", None),
+    (TRIPOD, "[1.5,0.3]", "2 numbers [ray, r], the ray an integer"),
+    (TRIPOD, "[1,0.3]", None),
+    (OCTANT, "[0,0,0]", "3 numbers [x, y, z], not all 0"),
+    (OCTANT, "[1,1]", "3 numbers [x, y, z], not all 0"),
+    (OCTANT, "[1,1,1]", None),
+    ("mesh", "[0,1]", "one integer node id"),
+    ("mesh", "0.7", "one integer node id"),
+    ("mesh", "3", None),
+]
+
+
+@pytest.mark.parametrize("command", ["estimate", "profile"])
+@pytest.mark.parametrize("space,data,form", POINT_DATA)
+def test_point_data_of_the_wrong_shape_exit_2(tmp_path, capsys, command, space, data, form):
+    if space == "mesh":
+        obj = tmp_path / "octa.obj"
+        write_obj(obj, *octahedron())
+        space = json.dumps({"type": "mesh", "steiner": 2, "path": str(obj)})
+    if command == "estimate":
+        argv = ["estimate", "--region", f"center={data},radius=0.8", "--samples", "5"]
+    else:
+        argv = ["profile", "--centers", f"[{data}]", "--samples", "3", "--per-eps", "2"]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--space", space, "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    if form is None:
+        assert code == 0, err
+        return
+    name = json.loads(space)["type"]
+    assert code == 2
+    assert err.startswith(f"config error: {name} point data must be {form}, got "), err
+    assert not out.exists()
 
 
 def test_bracket_and_resolution_errors_come_before_sampling(tmp_path, capsys, monkeypatch):

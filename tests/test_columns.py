@@ -4,8 +4,7 @@ Each criterion's `columns` must give, for every configuration it does not
 leave to the scalar probes, the measurement `measure_*` gives without them,
 bit for bit (compared by repr), or the same error; `sample_measurements`
 must equal the pass that measured each configuration as it was drawn, and a
-traced estimate must pass the benchmark's tracer cross-check.  The
-`multiplicity` columns of point pairs must be what `minimal_geodesics` counts.
+traced estimate must pass the benchmark's tracer cross-check.
 """
 
 import math
@@ -234,65 +233,3 @@ def test_traced_estimate_passes_the_tracer_cross_check():
         assert by[f"criteria.{fn}"]["calls"] == 20
     assert "criteria.measure_angle_ladder" not in by  # every ladder came from the columns
 
-
-# point pairs counted as columns: `multiplicity` is 1 where `row_segments`
-# joins a pair exactly, and must then be what `minimal_geodesics` counts
-
-MULTIPLICITY = estimator.CRITERIA["multiplicity"]
-# (space, center, radius) of balls wide enough for antipodes and apex routes
-PAIR_BALLS = {
-    "sphere": (spaces.Sphere(1.0), _origin, 3.0),
-    "hyperbolic": (_hyp, _origin, 2.0),
-    "pi-cone": (spaces.Cone(PI), (0.0, 0.0), 1.0),
-    "5-cone": (spaces.Cone(5.0), (0.3, 1.0), 1.0),
-    "7-cone": (spaces.Cone(7.0), (0.0, 0.0), 1.0),
-}
-
-
-def check_multiplicity_columns(space, pairs):
-    """Each pair's column against `minimal_geodesics`; returns the columns."""
-    columns = MULTIPLICITY.columns(space, pairs)
-    assert len(columns) == len(pairs)
-    for (x, y), col in zip(pairs, columns):
-        assert col is None or col == len(space.minimal_geodesics(x, y)) == 1
-    return columns
-
-
-def _crafted_pairs(space):
-    """Antipodes, cone ties within and just outside the tie window, apex
-    points and coincident points."""
-    if space.name == "sphere":
-        n = _origin
-        return [(n, n), (n, -n), *((n, space.shoot(n, 0.3, PI - d))
-                                   for d in (0.0, 1e-10, 1e-9, 2e-9, 1e-8))]
-    if space.name == "hyperbolic":
-        return [(_origin, _origin), (_origin, _hyp.shoot(_origin, 1.0, 1e-10)),
-                (_origin, _hyp.shoot(_origin, 1.0, 2.0))]
-    L = space.perimeter
-    return [((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.5, 1.0)), ((0.5, 1.0), (0.0, 0.0)),
-            ((1.0, 0.3), (1.0, 0.3)), ((1.0, 0.3), (1.0, 0.3 + L)),
-            *(((1.0, 0.3), (r, 0.3 + sep + d)) for r in (1.0, 0.7) for sep in (L / 2, PI)
-              for d in (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9))]
-
-
-@pytest.mark.parametrize("ball", list(PAIR_BALLS))
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=20, deadline=None)
-def test_multiplicity_columns_equal_the_geodesic_count(ball, seed):
-    space, center, radius = PAIR_BALLS[ball]
-    rng = np.random.default_rng(seed)
-    pairs = [(space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng))
-             for _ in range(50)]
-    assert check_multiplicity_columns(space, pairs).count(None) < 50
-
-
-@pytest.mark.parametrize("ball", list(PAIR_BALLS))
-def test_crafted_pairs_leave_ties_to_the_geodesic_count(ball):
-    space = PAIR_BALLS[ball][0]
-    pairs = _crafted_pairs(space)
-    columns = check_multiplicity_columns(space, pairs)
-    counts = [len(space.minimal_geodesics(x, y)) for x, y in pairs]
-    # some pair is tied, but on the hyperbolic plane, whose geodesics are unique
-    assert (max(counts) > 1) == (space.name != "hyperbolic")
-    assert all(MULTIPLICITY.measure(space, pair, col) == n
-               for pair, col, n in zip(pairs, columns, counts))

@@ -537,14 +537,13 @@ def test_angle_sum_tripod_branch(tripod):
     [(lambda: spaces.Sphere(1.0), 1.0), (lambda: spaces.Hyperbolic(-1.0), -1.0)],
     ids=("sphere", "hyperbolic"),
 )
-def test_all_three_criteria_flip_at_the_true_curvature(make, k_true, rng):
+def test_all_three_criteria_flip_at_the_true_curvature(make, k_true, rng, monkeypatch):
+    monkeypatch.setattr(criteria, "MIN_HEIGHT_REL", 0.3)
     space = make()
     center = space.default_center()
     below, above = k_true - 0.2, k_true + 0.2
     for _ in range(30):
-        q, seg, foot = next(criteria.foot_configs(
-            space, center, 0.14, rng, 1, min_height_rel=0.3
-        ))
+        q, seg, foot = next(criteria.foot_configs(space, center, 0.14, rng, 1))
         measured = [
             (criteria.evaluate_pythagorean, criteria.measure_pythagorean(space, q, seg, foot=foot)),
             (criteria.evaluate_point_segment, criteria.measure_point_segment(space, q, seg)),
@@ -598,9 +597,8 @@ def _multiplicity(space, center, radius, n, seed=20240811):
 
 
 def _n_geodesics(space, x, y):
-    """The `multiplicity` measurement of the pair (x, y), from its column where it has one."""
-    columns = estimator.CRITERIA["multiplicity"].columns(space, [(x, y)])
-    return estimator.CRITERIA["multiplicity"].measure(space, (x, y), columns[0])
+    """The `multiplicity` measurement of the pair (x, y)."""
+    return estimator.CRITERIA["multiplicity"].measure(space, (x, y))
 
 
 def test_multiplicity_plane_zero(plane):

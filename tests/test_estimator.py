@@ -449,7 +449,7 @@ def test_region_report_cone_apex_vs_off_apex():
     cone = spaces.Cone(PI)
     rows = estimator.region_report(
         cone, [(0.0, 0.0), (1.0, 0.5)], 0.25,
-        n_samples=30, seed=6, n_per_eps=128, probe_pairs=50,
+        n_samples=30, seed=6, n_per_eps=128,
     )
     apex, off = rows
     assert apex["profile"]["classification"] == "non_vanishing"
@@ -457,10 +457,8 @@ def test_region_report_cone_apex_vs_off_apex():
     # flat away from the apex: both bounds near zero
     assert abs(off["estimate"]["k_cbb"]) <= 0.05
     assert abs(off["estimate"]["k_cba"]) <= 0.05
-    # the apex region carries tie pairs on the cut locus occasionally; the
-    # row structure must be intact either way
-    assert {"index", "center", "multiplicity"} <= set(apex)
     for row in rows:
+        assert set(row) == {"index", "center", "estimate", "profile"}
         assert set(row["estimate"]["rejected"]) == set(criteria.REJECTIONS)
         assert row["estimate"]["skipped_by"] == {}
 
@@ -468,7 +466,7 @@ def test_region_report_cone_apex_vs_off_apex():
 def test_region_report_records_errors_and_continues():
     tri = spaces.Tripod()
     rows = estimator.region_report(
-        tri, [(0, 0.0), (0, 3.0)], 0.4, n_samples=10, seed=2, n_per_eps=8, probe_pairs=20
+        tri, [(0, 0.0), (0, 3.0)], 0.4, n_samples=10, seed=2, n_per_eps=8
     )
     assert len(rows) == 2
     # branch-point region: estimate exists but has no finite bounds
@@ -480,52 +478,10 @@ def test_region_report_records_errors_and_continues():
 def test_sphere_region_report_profiles_vanish():
     sp = spaces.Sphere(1.0)
     rows = estimator.region_report(
-        sp, [sp.default_center()], 0.2, n_samples=20, seed=6, n_per_eps=32, probe_pairs=30
+        sp, [sp.default_center()], 0.2, n_samples=20, seed=6, n_per_eps=32
     )
     assert rows[0]["profile"]["classification"] == "vanishing"
     assert abs(rows[0]["estimate"]["k_cbb"] - 1.0) <= 0.05
-
-
-def _snapped(space, snap):
-    """A copy of space whose ball draws are snapped by snap, so that pairs which
-    coincide, tie or are antipodal, all but never drawn at random, come often."""
-    out = copy.copy(space)
-    out.sample_ball = lambda center, radius, rng: snap(space.sample_ball(center, radius, rng))
-    return out
-
-
-def _snap_cone(x):
-    return (round(4.0 * x[0]) / 4.0, round(x[1] / (PI / 4)) * (PI / 4) % PI)
-
-
-def _snap_axis(x):
-    i = int(np.argmax(np.abs(x)))
-    return math.copysign(1.0, x[i]) * np.eye(3)[i]
-
-
-# (space with snapped draws, centers, radius): ties on the pi-cone at
-# separation L/2, antipodes on the sphere, and coincident pairs on all four
-SNAPPED_REGIONS = {
-    "pi-cone": (_snapped(spaces.Cone(PI), _snap_cone), [(1.0, 0.0), (0.0, 0.0)], 0.8),
-    "sphere": (_snapped(spaces.Sphere(1.0), _snap_axis),
-               [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])], 2.0),
-    "plane": (_snapped(spaces.EuclideanPlane(), lambda x: np.round(4.0 * x) / 4.0),
-              [np.zeros(2), np.ones(2)], 0.5),
-    "tripod": (_snapped(spaces.Tripod(), lambda x: (x[0], round(4.0 * x[1]) / 4.0)),
-               [(0, 0.0), (1, 0.3)], 0.5),
-}
-
-
-@pytest.mark.parametrize("kind", list(SNAPPED_REGIONS))
-def test_region_report_counts_the_pairs_the_probe_loop_counted(kind):
-    space, centers, radius = SNAPPED_REGIONS[kind]
-    rows = estimator.region_report(space, centers, radius, n_samples=2, seed=5, n_per_eps=2,
-                                   probe_pairs=100)
-    for idx, (center, row) in enumerate(zip(centers, rows)):
-        rng = np.random.default_rng([5, idx])
-        assert row["multiplicity"] == oracles.geodesic_multiplicity_probe(
-            space, (center, radius), 100, rng)
-    assert (rows[0]["multiplicity"]["multi_pairs"] > 0) == (kind in ("pi-cone", "sphere"))
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +547,16 @@ def test_first_foot_config_leaves_the_rng_where_the_old_loop_did(name):
 
 @pytest.mark.parametrize("name", list(STREAM_CASES))
 @pytest.mark.parametrize("n", [1, 5])
-def test_foot_stream_raises_at_the_try_the_old_loop_raised(name, n):
+def test_foot_stream_raises_at_the_try_the_old_loop_raised(name, n, monkeypatch):
     # no foot is 10 radii above its segment: every try fails, and after
     # max_tries of them both samplers give up with the rng at the same place
+    monkeypatch.setattr(criteria, "MIN_HEIGHT_REL", 10.0)
     space, center, radius = _case(name)
     rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
     rejected = dict.fromkeys(criteria.REJECTIONS, 0)
     with pytest.raises(DegenerateRegionError) as new:
-        list(criteria.foot_configs(space, center, radius, rng_new, n, min_height_rel=10.0,
-                                   max_tries=37, rejected=rejected))
+        list(criteria.foot_configs(space, center, radius, rng_new, n, max_tries=37,
+                                   rejected=rejected))
     with pytest.raises(DegenerateRegionError) as old:
         oracles.sample_foot_config(space, center, radius, rng_old, min_height_rel=10.0,
                                    max_tries=37)
@@ -620,7 +577,7 @@ def _same_next_draws(rng_a, rng_b):
 @pytest.mark.parametrize("name", ["sphere", "hyperbolic-off-origin", "pi-cone-off-apex",
                                   "tripod"])
 @pytest.mark.parametrize("seed", [2, 61000])
-def test_foot_stream_on_other_bit_generators(bits, name, seed):
+def test_foot_stream_on_other_bit_generators(bits, name, seed, monkeypatch):
     space, center, radius = _case(name)
 
     def make():
@@ -637,9 +594,9 @@ def test_foot_stream_on_other_bit_generators(bits, name, seed):
     old = [oracles.sample_foot_config(space, center, radius, rng_old) for _ in range(20)]
     assert all(_same_try(a, b) for a, b in zip(new, old))
     rng_new, rng_old = make(), make()
+    monkeypatch.setattr(criteria, "MIN_HEIGHT_REL", 10.0)
     with pytest.raises(DegenerateRegionError):
-        list(criteria.foot_configs(space, center, radius, rng_new, 5, min_height_rel=10.0,
-                                   max_tries=37))
+        list(criteria.foot_configs(space, center, radius, rng_new, 5, max_tries=37))
     with pytest.raises(DegenerateRegionError):
         oracles.sample_foot_config(space, center, radius, rng_old, min_height_rel=10.0,
                                    max_tries=37)
@@ -680,26 +637,31 @@ def test_rejected_tries_and_samples_add_up_to_the_tries_drawn(name):
 # rounds decided over arrays against the one-at-a-time loop, try by try
 
 
-def _stream_against_the_loop(space, center, radius, make_rng, n, **kwargs):
-    """foot_configs and the one-at-a-time loop from equal generators: the same
-    configurations (q and segment ends bit for bit, feet within the golden-section
-    target), the same rejections by reason, the same error at the end if any,
-    and the generators left alike.  Returns the configurations and the rejections."""
+def _stream_against_the_loop(space, center, radius, make_rng, n, *,
+                             min_height_rel=criteria.MIN_HEIGHT_REL, max_tries=200):
+    """foot_configs, with MIN_HEIGHT_REL set to min_height_rel, and the
+    one-at-a-time loop from equal generators: the same configurations (q and
+    segment ends bit for bit, feet within the golden-section target), the same
+    rejections by reason, the same error at the end if any, and the generators
+    left alike.  Returns the configurations and the rejections."""
     rng_new, rng_old = make_rng(), make_rng()
     rejected = dict.fromkeys(criteria.REJECTIONS, 0)
     old_rejected = dict.fromkeys(criteria.REJECTIONS, 0)
     new, new_error = [], None
     try:
-        for drawn in criteria.foot_configs(space, center, radius, rng_new, n, rejected=rejected,
-                                           **kwargs):
-            new.append(drawn)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "MIN_HEIGHT_REL", min_height_rel)
+            for drawn in criteria.foot_configs(space, center, radius, rng_new, n,
+                                               max_tries=max_tries, rejected=rejected):
+                new.append(drawn)
     except CmpkError as e:
         new_error = e
     old, old_error = [], None
     try:
         for _ in range(n):
             old.append(oracles.sample_foot_config(space, center, radius, rng_old,
-                                                  rejected=old_rejected, **kwargs))
+                                                  min_height_rel=min_height_rel,
+                                                  max_tries=max_tries, rejected=old_rejected))
     except CmpkError as e:
         old_error = e
     assert type(new_error) is type(old_error) and str(new_error) == str(old_error)

@@ -142,6 +142,32 @@ def test_sphere_antipodal_multiplicity():
 # cone
 
 
+def test_minimal_geodesic_counts_of_crafted_pairs():
+    """Antipodes, cone chords tied in length, apex points and coincident points."""
+    sphere, hyp = spaces.Sphere(1.0), spaces.Hyperbolic(-1.0)
+    n, o = np.array([0.0, 0.0, 1.0]), hyp.default_center()
+    cases = [
+        (sphere, n, n, 1),
+        *((sphere, n, sphere.shoot(n, 0.3, PI - d), count)
+          for d, count in ((0.0, 2), (1e-10, 2), (2e-9, 1), (1e-8, 1))),
+        # geodesics of the hyperbolic plane are unique
+        (hyp, o, o, 1), (hyp, o, hyp.shoot(o, 1.0, 1e-10), 1), (hyp, o, hyp.shoot(o, 1.0, 2.0), 1),
+    ]
+    # the two chords round a cone to a point d past half its perimeter tie when
+    # their lengths are within TIE = 1e-9: they differ by 1.15-1.41 d on the
+    # pi-cone and by 0.52-0.63 d on the 5-cone; on the 7-cone a half turn,
+    # 3.5 > pi, goes through the apex
+    for L, window in ((PI, 1e-10), (5.0, 1e-9), (7.0, -1.0)):
+        cone = spaces.Cone(L)
+        cases += [(cone, x, y, 1) for x, y in (
+            ((0.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.5, 1.0)), ((0.5, 1.0), (0.0, 0.0)),
+            ((1.0, 0.3), (1.0, 0.3)), ((1.0, 0.3), (1.0, 0.3 + L)))]
+        cases += [(cone, (1.0, 0.3), (r, 0.3 + L / 2 + d), 1 + (abs(d) <= window))
+                  for r in (1.0, 0.7) for d in (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9)]
+    for space, x, y, count in cases:
+        assert len(space.minimal_geodesics(x, y)) == count, (space.name, x, y)
+
+
 def test_cone_same_ray():
     cone = spaces.Cone(PI)
     assert cone.distance((1.0, 0.3), (2.0, 0.3)) == pytest.approx(1.0, abs=1e-15)
