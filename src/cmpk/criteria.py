@@ -203,24 +203,28 @@ def feet_of_perpendicular(space: GeodesicSpace, qs, rows, lengths: np.ndarray):
 
 
 def _golden_rows(f, a: np.ndarray, b: np.ndarray, target: np.ndarray):
-    """`_golden` on every row; a row stops moving once its bracket is within its target."""
+    """`_golden` on every row: all rows step together, and each row's result is
+    what `_golden` returns at the step where its bracket is first within its target."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    active = (b - a) > target
-    while active.any():
+    t, ft = np.empty_like(c), np.empty_like(fc)
+    todo = np.ones(len(c), dtype=bool)
+    while True:
+        done = todo & ~((b - a) > target)
+        if done.any():
+            pick = fc <= fd
+            t[done], ft[done] = np.where(pick, c, d)[done], np.where(pick, fc, fd)[done]
+            todo &= ~done
+        if not todo.any():
+            return t, ft
         lower = fc < fd
-        left, right = active & lower, active & ~lower
-        a = np.where(right, c, a)
-        b = np.where(left, d, b)
-        c, d = (np.where(left, b - _INVPHI * (b - a), np.where(right, d, c)),
-                np.where(right, a + _INVPHI * (b - a), np.where(left, c, d)))
-        fnew = f(np.where(left, c, d))
-        fc, fd = (np.where(left, fnew, np.where(right, fd, fc)),
-                  np.where(right, fnew, np.where(left, fc, fd)))
-        active = (b - a) > target
-    pick = fc <= fd
-    return np.where(pick, c, d), np.where(pick, fc, fd)
+        a, b = np.where(lower, a, c), np.where(lower, d, b)
+        step = _INVPHI * (b - a)
+        new = np.where(lower, b - step, a + step)
+        fnew = f(new)
+        c, d = np.where(lower, new, d), np.where(lower, c, new)
+        fc, fd = np.where(lower, fnew, fd), np.where(lower, fc, fnew)
 
 
 def _polish_rows(f, t: np.ndarray, ft: np.ndarray, L: np.ndarray, h: np.ndarray):

@@ -249,7 +249,10 @@ class EuclideanPlane(GeodesicSpace):
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    """The 3-vector v scaled to unit length, its squares summed term by term:
+    np.linalg.norm goes through BLAS, whose rounding depends on the CPU."""
+    v0, v1, v2 = v.tolist()
+    return v / math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
 
 
 def _direction(space: GeodesicSpace, data) -> np.ndarray:
@@ -329,6 +332,10 @@ class _Quadric(RowSpace):
         d, xs, ws, exact = self._tangent_rows(xs, ys)
         return d, np.concatenate([xs, ws], axis=1), xs, self._arc_rows(xs, ws)(d), exact
 
+    def geodesic_rows(self, xs, ys):
+        d, xs, ws, exact = self._tangent_rows(xs, ys)  # no end points, no row array
+        return d, self._arc_rows(xs, ws), exact
+
     def _check_rows(self, xs) -> np.ndarray:
         """The rows as a float array, after `_check` of each: rows that `_inside`
         clears pass over arrays, any other row goes through `_check`."""
@@ -376,7 +383,8 @@ class Sphere(_Quadric):
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not abs(np.dot(x, x) - 1.0) <= 1e-10:  # written so that nan fails
+        x0, x1, x2 = x.tolist()
+        if not abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 1e-10:  # written so that nan fails
             raise ValueError("sphere handle must be a unit 3-vector")
         return x
 
@@ -393,8 +401,7 @@ class Sphere(_Quadric):
         )
 
     def _inside(self, x0, x1, x2):
-        # np.dot in `_check` may round the sum otherwise: clear only rows well inside
-        return np.abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 0.5e-10
+        return np.abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 1e-10
 
     def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         p0, p1, p2 = p
@@ -427,12 +434,21 @@ class Sphere(_Quadric):
         xs, ys = self._check_rows(xs), self._check_rows(ys)
         d = self.pair_distances(xs, ys)
         exact = (d != 0.0) & ~(math.pi * self.radius - d <= TIE)
-        # the tangent of `minimal_geodesics` row by row: its np.dot and norm go
-        # through BLAS, whose rounding an array formula need not share
         ws = np.zeros_like(xs)
-        ws[exact] = np.array([_unit(y - float(np.dot(x, y)) * x)
-                              for x, y in zip(xs[exact], ys[exact])]).reshape(-1, 3)
+        ws[exact] = np.stack(self._toward(xs[exact].T, ys[exact].T, np.sqrt), axis=1)
         return d, xs, ws, exact
+
+    @staticmethod
+    def _toward(x, y, sqrt=math.sqrt):
+        """The unit tangent at x toward y, y - (x . y) x normalized, on floats or
+        on arrays of coordinates: sqrt rounds alike in numpy and math, so both
+        are one arithmetic."""
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        m = x0 * y0 + x1 * y1 + x2 * y2
+        v0, v1, v2 = y0 - m * x0, y1 - m * x1, y2 - m * x2
+        n = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+        return v0 / n, v1 / n, v2 / n
 
     def row_distances(self, qs, rows):
         # the formulas of `_arc`'s `ev` and of `distance`, over arrays in
@@ -463,8 +479,7 @@ class Sphere(_Quadric):
             # antipodal: a continuum of minimal geodesics; report two of them
             u = np.array(self._basis(x.tolist())[0])
             return [self._arc(x, u, d), self._arc(x, -u, d)]
-        w = _unit(y - float(np.dot(x, y)) * x)
-        return [self._arc(x, w, d)]
+        return [self._arc(x, np.array(self._toward(x.tolist(), y.tolist())), d)]
 
     def point_from_data(self, data):
         return self._check(_direction(self, data))
@@ -907,9 +922,15 @@ class SphericalTriangleDomain(GeodesicSpace):
         self._sphere = Sphere(k)
         self.k = self._sphere.k
         self.known_curvature = self.k
-        vs = [np.asarray(_unit(np.asarray(v, dtype=float))) for v in vertices]
-        if len(vs) != 3:
+        if len(vertices) != 3:
             raise SpaceDescriptorError("spherical triangle needs exactly 3 vertices")
+        vs = []
+        for v in vertices:  # checked as point data before any arithmetic
+            try:
+                vs.append(_direction(self, v))
+            except ValueError:
+                raise SpaceDescriptorError(
+                    f"{self.name} vertices must each be {self.point_form}, got {v!r}") from None
         det = float(np.linalg.det(np.stack(vs)))
         if abs(det) < 1e-9:
             raise SpaceDescriptorError(

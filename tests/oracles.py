@@ -7,12 +7,12 @@ against those constructions.  The exceptions are reference copies of code
 the package has since rewritten (the heap Dijkstra search, the mesh's full
 Dijkstra rows, the per-k evaluators, the angle ladders, the all-scalar
 bisection predicate and residual, the cone geodesics that built every
-candidate route, the one-try-at-a-time foot sampler, the sampling pass that
-measured each configuration as it was drawn, the sphere's and the
-hyperbolic plane's own shots and arcs, and the Riemannian-point rung that
-built one right-angle configuration at a time), which tests compare the
-rewrites against; and `Replay`, a generator stand-in that hands out given
-doubles.
+candidate route, the one-try-at-a-time foot sampler, the lockstep golden
+section that masked each row's step, the sampling pass that measured each
+configuration as it was drawn, the sphere's and the hyperbolic plane's own
+shots and arcs, and the Riemannian-point rung that built one right-angle
+configuration at a time), which tests compare the rewrites against; and
+`Replay`, a generator stand-in that hands out given doubles.
 """
 
 from __future__ import annotations
@@ -524,6 +524,29 @@ def sample_foot_config(
     raise DegenerateRegionError(
         f"no valid foot configuration in {max_tries} tries (radius {radius})"
     )
+
+
+def golden_rows_masked(f, a: np.ndarray, b: np.ndarray, target: np.ndarray):
+    """`criteria._golden_rows` as it stepped only the rows whose bracket was
+    still wider than their target, through masks."""
+    invphi = criteria._INVPHI
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    active = (b - a) > target
+    while active.any():
+        lower = fc < fd
+        left, right = active & lower, active & ~lower
+        a = np.where(right, c, a)
+        b = np.where(left, d, b)
+        c, d = (np.where(left, b - invphi * (b - a), np.where(right, d, c)),
+                np.where(right, a + invphi * (b - a), np.where(left, c, d)))
+        fnew = f(np.where(left, c, d))
+        fc, fd = (np.where(left, fnew, np.where(right, fd, fc)),
+                  np.where(right, fnew, np.where(left, fc, fd)))
+        active = (b - a) > target
+    pick = fc <= fd
+    return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
 def sample_measurements(space: GeodesicSpace, center, radius: float, names: Sequence[str],

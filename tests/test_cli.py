@@ -473,6 +473,23 @@ def test_bad_descriptor_exit_3():
                 "--out", "/tmp/x"]) == 3
 
 
+@pytest.mark.parametrize("vertex,form", [
+    ("[0,0,0]", "each be 3 numbers [x, y, z], not all 0"),
+    ("[0,1]", "be a list of 3 points of 3 finite numbers each"),
+    ("[0,0,Infinity]", "be a list of 3 points of 3 finite numbers each"),
+], ids=["zero", "two-numbers", "non-finite"])
+def test_bad_triangle_vertex_exit_3(tmp_path, capsys, vertex, form):
+    # each vertex is checked as point data before it is normalized
+    space = '{"type":"spherical_triangle","k":1,"vertices":[%s,[0,1,0],[0,0,1]]}' % vertex
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["estimate", "--space", space, "--samples", "3", "--out", str(out)])
+    assert code == 3
+    assert f"spherical_triangle vertices must {form}, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_obj_exit_1(tmp_path):
     assert run(["mesh", "--obj", str(tmp_path / "missing.obj"), "--out", str(tmp_path)]) == 1
 

@@ -188,6 +188,61 @@ def test_lockstep_feet_on_the_pole_over_equator_plateau(sphere):
     _check_feet_against_scalar(sphere, [pole, pole, equator.midpoint()], [equator, other, equator])
 
 
+# the row spaces above, the cones also around a point off their apex
+BLOCK_CASES = {
+    **{name: (make(), None) for make, name in zip(ROW_SPACES, ROW_SPACE_IDS)},
+    "pi-cone-off-apex": (spaces.Cone(PI), (1.0, 0.5)),
+    "7-cone-off-apex": (spaces.Cone(7.0), (1.0, 0.5)),
+}
+
+
+def _row_block(space, center, rng, n, radius=0.6):
+    """n (q, row, length) of segments with a row, drawn from the ball."""
+    center = space.default_center() if center is None else center
+    qs, rows, lengths = [], [], []
+    while len(rows) < n:
+        a, b, q = (space.sample_ball(center, radius, rng) for _ in range(3))
+        seg = space.geodesic(a, b)
+        if seg.row is not None and seg.length > 0.0:
+            qs.append(q)
+            rows.append(seg.row)
+            lengths.append(seg.length)
+    return qs, rows, np.array(lengths)
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_golden_rows_equal_the_masked_loop_bitwise(case, seed):
+    space, center = BLOCK_CASES[case]
+    rng = np.random.default_rng(seed)
+    qs, rows, lengths = _row_block(space, center, rng, 30)
+    f = space.row_distances(qs, rows)
+    # brackets from a whole segment down to below the target: rows stop at different steps
+    a = rng.uniform(0.0, 1.0, len(lengths)) * lengths
+    b = a + 10.0 ** rng.uniform(-10.0, 0.0, len(lengths)) * (lengths - a)
+    target = config.FOOT_REFINE_REL * lengths
+    got = criteria._golden_rows(f, a, b, target)
+    want = oracles.golden_rows_masked(f, a, b, target)
+    assert repr([x.tolist() for x in got]) == repr([x.tolist() for x in want])
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_feet_of_a_block_equal_the_feet_of_its_sub_blocks(case, seed):
+    # what a row's foot is cannot depend on how many rows a round searches with it
+    space, center = BLOCK_CASES[case]
+    qs, rows, lengths = _row_block(space, center, np.random.default_rng(seed), 21)
+    whole = criteria.feet_of_perpendicular(space, qs, rows, lengths)
+    for size in (2, 3, 7):
+        parts = [criteria.feet_of_perpendicular(space, qs[i:i + size], rows[i:i + size],
+                                                lengths[i:i + size])
+                 for i in range(0, len(lengths), size)]
+        for j, column in enumerate(whole):
+            assert repr(np.concatenate([p[j] for p in parts]).tolist()) == repr(column.tolist())
+
+
 def test_blocks_with_scalar_rows_equal_the_scalar_search():
     # around the 7-cone's apex many pairs are joined through the apex, a route
     # with no row: in a round searched over arrays those tries take the scalar

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,6 +342,16 @@ def test_degenerate_vertices_rejected():
         spaces.SphericalTriangleDomain(
             1.0, [[1, 0, 0], [0, 1, 0], [-1, 1e-4, 0]]
         )
+
+
+def test_bad_vertices_rejected_before_any_arithmetic():
+    good = [[0, 1, 0], [0, 0, 1]]
+    for vertices in ([[0, 0, 0], *good], [[0, 1], *good], [[0, 0, math.inf], *good],
+                     [[math.nan, 0, 1], *good], good, [[1, 0, 0], *good, [1, 1, 1]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpaceDescriptorError, match="vertices"):
+                spaces.SphericalTriangleDomain(1.0, vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +938,56 @@ def test_geodesic_rows_leave_apex_routes_and_antipodes_inexact():
         assert_rows_equal_the_scalar_methods(space, starts, ends, np.array([0.3]))
     (a, b) = cone_pi.minimal_geodesics((1.0, 0.0), (1.0, PI / 2))
     assert a.length == b.length
+
+
+def _sphere_pairs(space, rng, n):
+    """Pairs of sphere points where rounding is hardest on the row forms: in
+    the polar caps (the e1 frame of `_basis`), a shot just short of the
+    antipodal TIE, and separations near 1e-8."""
+    cap = [space.point_from_data([*rng.uniform(-0.3, 0.3, 2), rng.choice([-1.0, 1.0])])
+           for _ in range(n)]
+    starts, ends = [], []
+    for x in cap:
+        phi, tie = rng.uniform(0.0, spaces.TWO_PI), config.TIE
+        for length in (rng.uniform(0.0, 0.3), PI * space.radius - tie * rng.uniform(1.5, 50.0),
+                       1e-8 * rng.uniform(0.5, 2.0)):
+            starts.append(x)
+            ends.append(space.shoot(x, phi, length))
+    return np.array(starts), np.array(ends)
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0, 0.3])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_sphere_rows_equal_the_scalar_methods_at_caps_ties_and_short_pairs(k, seed):
+    space, rng = spaces.Sphere(k), np.random.default_rng(seed)
+    starts, ends = _sphere_pairs(space, rng, 5)
+    assert (np.abs(starts[:, 2]) >= 0.9).all()
+    assert_rows_equal_the_scalar_methods(space, starts, ends, rng.uniform(0.0, 1.0, len(starts)))
+    # both orders: caps at the end too
+    assert_rows_equal_the_scalar_methods(space, ends, starts, rng.uniform(0.0, 1.0, len(starts)))
+
+
+def test_sphere_check_rows_raises_where_check_does():
+    sphere, rng = spaces.Sphere(1.0), np.random.default_rng(5)
+    outcomes = set()
+    for side in (-1.0, 1.0):
+        for j in range(-40, 41):
+            u = rng.normal(size=3)
+            x = u / math.sqrt(float(u @ u)) * math.sqrt(1.0 + side * (1e-10 + j * 2e-17))
+            try:
+                sphere._check(x)
+                want = True
+            except ValueError:
+                want = False
+            try:
+                sphere._check_rows(np.array([[0.0, 0.0, 1.0], x]))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
