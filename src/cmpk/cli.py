@@ -179,18 +179,19 @@ def cmd_model(args) -> int:
 
 
 def _verdict_rows(name: str, m, ks: list[float], tol: Tolerances):
-    """The cells, defects and verdict of a measurement's row at each k; at a k
-    where its model triangle is inadmissible (a side or the perimeter beyond
-    what curvature k allows) the row has no defects and reads inadmissible."""
+    """The cells and defects of a measurement's row at each k, the verdict its
+    last cell; at a k where its model triangle is inadmissible (a side or the
+    perimeter beyond what curvature k allows) the row has no defects and reads
+    inadmissible."""
     for k in ks:
         try:
             out = estimator.evaluate_measurement(name, m, k, tol_cfg=tol)
         except ModelDomainError as e:
             log.debug("k=%r inadmissible: %s", k, e)
-            yield (k, m.scale, None, None, None, "inadmissible"), (), "inadmissible"
+            yield (k, m.scale, None, None, None, "inadmissible"), ()
             continue
         yield ((out.k, out.scale, out.cbb_defect, out.cba_defect, out.tolerance, out.verdict),
-               (out.cbb_defect, out.cba_defect), out.verdict)
+               (out.cbb_defect, out.cba_defect))
 
 
 def cmd_test(args) -> int:
@@ -212,12 +213,12 @@ def cmd_test(args) -> int:
     defects: list[float] = []
     # a verdict criterion's measurement is read at every k, a check's reported once
     for i, m in zip(ms.index, ms[name]):
-        for cells, ds, verdict in (_verdict_rows(name, m, ks, tol) if crit.evaluate
-                                   else [crit.report(m)]):
+        for cells, ds in (_verdict_rows(name, m, ks, tol) if crit.evaluate
+                          else [crit.report(m)]):
             rows.append([i, *cells])
             defects.extend(ds)
-            if verdict is not None:
-                verdict_counts[verdict] = verdict_counts.get(verdict, 0) + 1
+            if crit.evaluate:
+                verdict_counts[cells[-1]] = verdict_counts.get(cells[-1], 0) + 1
 
     out_dir = _out_dir(args)
     config = {

@@ -25,7 +25,7 @@ TRI_REL = 1e-9          # triangle-inequality slack, relative to perimeter
 CLAMP = 1e-9            # max arccos-argument excursion silently clamped
 GEO = 1e-9              # metric / geodesic-minimality slack (length)
 PT = 1e-10              # point-equality tolerance (length)
-TIE = 1e-9              # multiplicity tie window (length)
+TIE = 1e-9              # minimal-geodesic tie window (length)
 VERDICT_ABS = 1e-9      # absolute floor of the verdict tolerance (rad / length)
 FOOT_MARGIN_REL = 1e-3  # interior-foot margin, fraction of segment length
 FOOT_REFINE_REL = 1e-8  # golden-section bracket target, fraction of length

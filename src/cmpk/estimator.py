@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from cmpk import criteria, vector
-from cmpk.config import DEFAULT_TOL, PT, Tolerances
+from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import (
     BracketExpansionError,
     CmpkError,
@@ -77,20 +77,13 @@ class Criterion(NamedTuple):
     # arrays, None where it is measured one at a time
     columns: Callable | None = None
     # the columns of a `cmpk test` row after "sample", and for a check,
-    # measurement -> (the row's cells, its defects, its verdict or None)
+    # measurement -> (the row's cells, its defects)
     header: tuple[str, ...] = ("k", "scale", "cbb_defect", "cba_defect", "tolerance", "verdict")
     report: Callable | None = None
 
 
 def _right_angle_config(space, center, radius, rng, rejected):
     return criteria.sample_right_angle_config(space, center, radius, rng, rejected=rejected)
-
-
-def _point_pair(space, center, radius, rng, rejected):
-    x, y = space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng)
-    if space.distance(x, y) <= PT:
-        raise DegenerateConfigError("the two points coincide")
-    return x, y
 
 
 def _first_variation(space, c, columns=None):
@@ -139,20 +132,14 @@ CRITERIA: dict[str, Criterion] = {
         None, _first_variation,
         header=("t_star", "angle", "target", "h", "slope", "error"),
         report=lambda r: ((r.t_star, r.angle, r.target, r.steps[-1], r.slopes[-1], r.errors[-1]),
-                          (r.errors[-1],), None),
+                          (r.errors[-1],)),
     ),
     "angle_sum": Criterion(
         None,
         lambda space, c, columns=None: criteria.angle_sum_check(space, c[0], c[1], c[2].t_star),
         header=("t_interior", "angle_r1", "angle_r2", "total", "excess"),
         report=lambda r: ((r.t_interior, r.angle_r1, r.angle_r2, r.total, r.excess),
-                          (r.excess,), None),
-    ),
-    "multiplicity": Criterion(
-        _point_pair,
-        lambda space, c, columns=None: len(space.minimal_geodesics(*c)),
-        header=("n_geodesics",),
-        report=lambda n: ((n,), (), "multi" if n > 1 else "unique"),
+                          (r.excess,)),
     ),
 }
 ESTIMATE_CRITERIA = tuple(n for n, c in CRITERIA.items() if c.batch is not None)
@@ -218,12 +205,12 @@ def sample_measurements(
 
     Foot configurations are those `criteria.foot_configs` yields, which
     draws them in rounds, shared by every named criterion.  A criterion with
-    its own `sample` (right-angle configurations, point pairs) is measured
-    alone and draws one configuration at a time; a draw that raises one of
-    SKIPPED_SAMPLE is a skipped sample.  A sample that raises one of
-    SKIPPED_SAMPLE for any criterion is left out of every list, so the lists
-    stay aligned and hold n_samples minus the skipped samples each, and
-    ``index`` holds each measured sample's index among the n_samples drawn.
+    its own `sample` (right-angle configurations) is measured alone and draws
+    one configuration at a time; a draw that raises one of SKIPPED_SAMPLE is
+    a skipped sample.  A sample that raises one of SKIPPED_SAMPLE for any
+    criterion is left out of every list, so the lists stay aligned and hold
+    n_samples minus the skipped samples each, and ``index`` holds each
+    measured sample's index among the n_samples drawn.
 
     Configurations are drawn in batches of COLUMN_BATCH, each measured once
     it is drawn: each criterion's probes of the batch are computed once over

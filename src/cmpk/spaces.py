@@ -255,6 +255,16 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
 
 
+def _dot(u, v) -> float:
+    """u . v of two 3-sequences of floats, summed term by term (np.dot goes through BLAS)."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v) -> list[float]:
+    """u x v of two 3-sequences of floats."""
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
 def _direction(space: GeodesicSpace, data) -> np.ndarray:
     """Point data of a sphere scaled to a unit vector; ValueError at the zero vector."""
     x = space._finite(data)
@@ -931,23 +941,24 @@ class SphericalTriangleDomain(GeodesicSpace):
             except ValueError:
                 raise SpaceDescriptorError(
                     f"{self.name} vertices must each be {self.point_form}, got {v!r}") from None
-        det = float(np.linalg.det(np.stack(vs)))
-        if abs(det) < 1e-9:
+        # the determinant, cross and dot products as explicit sums: BLAS and
+        # LAPACK round by the CPU's kernel, and the region must not depend on it
+        a, b, c = (v.tolist() for v in vs)
+        crosses = [_cross(b, c), _cross(c, a), _cross(a, b)]
+        if abs(_dot(a, crosses[0])) < 1e-9:
             raise SpaceDescriptorError(
                 "vertices are degenerate (coplanar with the center); no open hemisphere"
             )
         self.vertices = vs
-        # inward normal of each edge great circle; orient toward the third vertex
+        # inward unit normal of each edge great circle, toward the third vertex
         self._normals = []
-        for i in range(3):
-            n = np.cross(vs[(i + 1) % 3], vs[(i + 2) % 3])
-            if float(np.dot(n, vs[i])) < 0.0:
-                n = -n
-            self._normals.append(n / np.linalg.norm(n))
+        for v, n in zip((a, b, c), crosses):
+            n = np.array(n)
+            self._normals.append(_unit(-n if _dot(n, v) < 0.0 else n).tolist())
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return all(float(np.dot(n, x)) >= -1e-12 for n in self._normals)
+        x = np.asarray(x, dtype=float).tolist()
+        return all(_dot(n, x) >= -1e-12 for n in self._normals)
 
     def _require_inside(self, x):
         if not self.contains(x):

@@ -169,18 +169,6 @@ def test_k_grid_rows_share_one_configuration(tmp_path, space, criterion, region)
         assert cba == sorted(cba, reverse=True)
 
 
-def test_multiplicity_command(tmp_path):
-    assert run([
-        "test", "--space", '{"type":"cone","perimeter":3.141592653589793}',
-        "--criterion", "multiplicity", "--region", "center=[1.0,0.0],radius=0.6",
-        "--samples", "30", "--seed", "4", "--out", str(tmp_path),
-    ]) == 0
-    payload = read_summary(tmp_path, "test")
-    assert payload["results"]["rows"] + payload["results"]["skipped"] == 30
-    # no foot configuration is drawn, so no try is rejected
-    assert payload["results"]["rejected"] == dict.fromkeys(criteria.REJECTIONS, 0)
-
-
 def test_first_variation_and_angle_sum_commands(tmp_path):
     for crit in ("first-variation", "angle-sum"):
         out = tmp_path / crit
@@ -619,10 +607,13 @@ def test_bracket_and_resolution_errors_come_before_sampling(tmp_path, capsys, mo
         assert capsys.readouterr().err.startswith(f"config error: {message}"), extra
 
 
-def test_unknown_criterion_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run(["test", "--space", PLANE, "--criterion", "bogus", "--out", "/tmp/x"])
-    assert exc.value.code == 2
+def test_unknown_criterion_usage_error(tmp_path):
+    # no criterion counts a random point pair's minimal geodesics: a pair has
+    # two with probability 0
+    for name in ("bogus", "multiplicity"):
+        with pytest.raises(SystemExit) as exc:
+            run(["test", "--space", PLANE, "--criterion", name, "--out", str(tmp_path)])
+        assert exc.value.code == 2, name
 
 
 def test_space_descriptor_from_file(tmp_path):

@@ -643,40 +643,6 @@ def test_interior_foot_is_perpendicular_on_smooth_spaces(rng):
 
 
 # ---------------------------------------------------------------------------
-# multiplicity
-
-
-def _multiplicity(space, center, radius, n, seed=20240811):
-    """The `multiplicity` measurements of n point pairs drawn from the ball."""
-    return estimator.sample_measurements(space, center, radius, ("multiplicity",), n, seed)
-
-
-def _n_geodesics(space, x, y):
-    """The `multiplicity` measurement of the pair (x, y)."""
-    return estimator.CRITERIA["multiplicity"].measure(space, (x, y))
-
-
-def test_multiplicity_plane_zero(plane):
-    ms = _multiplicity(plane, np.zeros(2), 1.0, 300)
-    assert len(ms["multiplicity"]) + sum(ms.skipped_by.values()) == 300
-    assert set(ms["multiplicity"]) == {1}
-
-
-def test_multiplicity_cone_tie_locus():
-    cone = spaces.Cone(PI)
-    tie_pair = ((1.0, 0.3), (1.0, 0.3 + PI / 2))  # separation exactly L/2
-    ms = _multiplicity(cone, (1.0, 0.0), 0.8, 200)
-    assert sum(n > 1 for n in ms["multiplicity"]) + (_n_geodesics(cone, *tie_pair) > 1) >= 1
-    assert len(ms["multiplicity"]) + sum(ms.skipped_by.values()) == 200
-
-
-def test_multiplicity_sphere_antipodes(sphere):
-    n = np.array([0.0, 0.0, 1.0])
-    ms = _multiplicity(sphere, n, 0.5, 50)
-    assert sum(m > 1 for m in ms["multiplicity"]) + (_n_geodesics(sphere, n, -n) > 1) >= 1
-
-
-# ---------------------------------------------------------------------------
 # Riemannian-point profile
 
 

@@ -337,6 +337,31 @@ def test_octant_rejects_exterior_points():
         oct_dom.distances(inside, [inside, np.array([0.0, 0.0, -1.0])])
 
 
+def test_triangle_domain_sums_match_blas_products():
+    """The edge normals, summed term by term, match those of np.cross, np.dot
+    and np.linalg.norm to 1 ulp per coordinate, and `contains` agrees with
+    np.dot's half-spaces at points more than 1e-9 from every edge."""
+    rng = np.random.default_rng(7)
+    skewed = [[0.9, 0.1, 0.2], [0.2, -0.5, 1.2], [-0.3, 1.0, 0.4]]  # clockwise: normals flip
+    for space in (spaces.make_octant(1.0), spaces.SphericalTriangleDomain(2.0, skewed)):
+        vs = space.vertices
+        normals = []
+        for i in range(3):
+            n = np.cross(vs[(i + 1) % 3], vs[(i + 2) % 3])
+            if np.dot(n, vs[i]) < 0.0:
+                n = -n
+            normals.append(n / np.linalg.norm(n))
+        normals = np.array(normals)
+        np.testing.assert_array_max_ulp(np.array(space._normals), normals, maxulp=1)
+        xs = rng.normal(size=(4000, 3))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        dots = np.array([[np.dot(n, x) for n in normals] for x in xs])
+        far = (np.abs(dots) > 1e-9).all(axis=1)  # asin |n . x| is the distance to edge n
+        inside = [space.contains(x) for x in xs[far]]
+        assert inside == (dots[far] >= -1e-12).all(axis=1).tolist()
+        assert 100 < sum(inside) < len(inside)
+
+
 def test_degenerate_vertices_rejected():
     with pytest.raises(SpaceDescriptorError):
         spaces.SphericalTriangleDomain(
