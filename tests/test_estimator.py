@@ -435,6 +435,22 @@ def test_every_sample_skipped_leaves_nothing_to_bisect():
     assert est.cbb_note == est.cba_note == "no measured samples to bisect over (5 skipped)"
 
 
+def test_check_reports_are_cells_and_defects():
+    """A check (no `evaluate`) reports a row of its header's cells and its
+    defects, and no verdict: the CLI counts verdicts of verdict criteria only."""
+    sp = spaces.Sphere(1.0)
+    checks = [n for n, c in estimator.CRITERIA.items() if c.evaluate is None]
+    assert sorted(checks) == ["angle_sum", "first_variation"]
+    for name in checks:
+        crit = estimator.CRITERIA[name]
+        ms = estimator.sample_measurements(sp, sp.default_center(), 0.3, (name,), 4, 5)
+        assert len(ms[name]) == 4
+        for m in ms[name]:
+            cells, defects = crit.report(m)
+            assert len(cells) == len(crit.header)
+            assert len(defects) == 1 and math.isfinite(defects[0])
+
+
 def test_unknown_criterion_rejected():
     sp = spaces.EuclideanPlane()
     with pytest.raises(ValueError):

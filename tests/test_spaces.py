@@ -169,6 +169,21 @@ def test_minimal_geodesic_counts_of_crafted_pairs():
         assert len(space.minimal_geodesics(x, y)) == count, (space.name, x, y)
 
 
+@pytest.mark.parametrize("space, center, radius", [
+    (spaces.EuclideanPlane(), np.zeros(2), 1.0),
+    (spaces.Cone(PI), (0.0, 0.0), 0.5),
+    (spaces.Tripod(), (0, 0.0), 1.0),
+    (spaces.Sphere(1.0), np.array([0.0, 0.0, 1.0]), 1.5),
+], ids=["plane", "pi-cone-apex", "tripod", "sphere"])
+def test_random_point_pairs_have_one_minimal_geodesic(space, center, radius):
+    """A second minimal geodesic between two random ball points is a null-set
+    event, so no criterion counts them; the ties are the crafted pairs above."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x, y = space.sample_ball(center, radius, rng), space.sample_ball(center, radius, rng)
+        assert len(space.minimal_geodesics(x, y)) == 1, (x, y)
+
+
 def test_cone_same_ray():
     cone = spaces.Cone(PI)
     assert cone.distance((1.0, 0.3), (2.0, 0.3)) == pytest.approx(1.0, abs=1e-15)
