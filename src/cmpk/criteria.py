@@ -710,13 +710,14 @@ def chi_at_scale(space: GeodesicSpace, x, eps: float, n: int, seed: int) -> tupl
     shot from p at a right angle (`build_right_angle_config`).  On a
     `RowSpace` (the sphere, the hyperbolic plane and the cone) the
     configurations are decided over arrays (`_right_angle_rows`), bit for bit
-    as one at a time; only a configuration whose p shot is unavailable, whose
-    leg geodesic is not an unrolled chord or arc (a route through the cone
-    apex, an antipodal pair), or whose angle check would raise is built by
-    `build_right_angle_config`.  Should the array path raise, the rung is run
-    one configuration at a time (`_chi_loop`), which raises what the first
-    failing configuration raises.  The plane, the tripod, meshes and triangle
-    domains always build one configuration at a time.
+    as one at a time; only a configuration whose leg geodesic is not an
+    unrolled chord or arc (a route through the cone apex, an antipodal pair),
+    or whose angle check would raise, is built by `build_right_angle_config`.
+    Should the array path raise, as it does where a p shot is unavailable (an
+    event of probability 0: none of 214,321 cone shots around the apex was),
+    the rung is run one configuration at a time (`_chi_loop`), which raises
+    what the first failing configuration raises.  The plane, the tripod,
+    meshes and triangle domains always build one configuration at a time.
     """
     if isinstance(space, RowSpace):
         try:
@@ -754,36 +755,26 @@ def _chi_rows(space: RowSpace, x, eps: float, n: int,
               rng: np.random.Generator) -> tuple[float, int]:
     """`_chi_loop` over arrays, drawing from rng.  rng.uniform(lo, hi) is
     lo + (hi - lo) * rng.random(), so one block of 5 n doubles holds the
-    loop's draws up to the first unavailable p shot; there the generator is
-    put back, advanced past that configuration's five, and p drawn by
-    `sample_ball`, and the configurations after it take a new block.  So the
-    generator ends where the loop leaves it."""
-    chi_max, skipped, done = 0.0, 0, 0
-    while done < n:
-        state = rng.bit_generator.state
-        omega, u, beta, v1, v2 = rng.random(5 * (n - done)).reshape(-1, 5).T
-        p, available = space.shots(x, TWO_PI * omega, (0.1 + (0.45 - 0.1) * u) * eps)
-        stop = len(p) if available.all() else int(np.argmin(available))
-        beta = TWO_PI * beta
-        l1, l2 = eps * (0.1 + (0.45 - 0.1) * v1), eps * (0.1 + (0.45 - 0.1) * v2)
-        _, ratio, outcome = _right_angle_rows(space, p[:stop], beta[:stop], l1[:stop], l2[:stop])
-        skipped += int(np.count_nonzero(outcome == RA_SKIPPED))
-        chi_max = max([chi_max, *ratio[outcome == RA_BUILT].tolist()])
-        configs = [(p[i], i) for i in np.flatnonzero(outcome == RA_BACK).tolist()]
-        if stop < len(p):
-            rng.bit_generator.state = state
-            rng.random(5 * (stop + 1))
-            configs.append((space.sample_ball(x, 0.45 * eps, rng), stop))
-        for point, i in configs:
-            b = float(beta[i])
-            try:
-                cfg = build_right_angle_config(space, point, b, b + PI / 2, float(l1[i]),
-                                               float(l2[i]))
-            except RightAngleUnavailable:
-                skipped += 1
-                continue
-            chi_max = max(chi_max, cfg.ratio_defect)
-        done += stop + 1
+    loop's draws as long as every p shot is available; ShootUnavailable is
+    raised where one is not, for the loop draws p from the ball there."""
+    omega, u, beta, v1, v2 = rng.random(5 * n).reshape(-1, 5).T
+    p, available = space.shots(x, TWO_PI * omega, (0.1 + (0.45 - 0.1) * u) * eps)
+    if not available.all():
+        raise ShootUnavailable("a p shot of the rung is unavailable")
+    beta = TWO_PI * beta
+    l1, l2 = eps * (0.1 + (0.45 - 0.1) * v1), eps * (0.1 + (0.45 - 0.1) * v2)
+    _, ratio, outcome = _right_angle_rows(space, p, beta, l1, l2)
+    skipped = int(np.count_nonzero(outcome == RA_SKIPPED))
+    chi_max = max([0.0, *ratio[outcome == RA_BUILT].tolist()])
+    for i in np.flatnonzero(outcome == RA_BACK).tolist():
+        b = float(beta[i])
+        try:
+            cfg = build_right_angle_config(space, p[i], b, b + PI / 2, float(l1[i]),
+                                           float(l2[i]))
+        except RightAngleUnavailable:
+            skipped += 1
+            continue
+        chi_max = max(chi_max, cfg.ratio_defect)
     return chi_max, skipped
 
 
@@ -932,11 +923,13 @@ def foot_configs(
     over arrays (`rounds.array_round`): its points come from `sample_balls`,
     its pair checks read `pair_distances` of adjacent ball points, its
     searched segments are rows of `row_segments` searched in lockstep, and a
-    segment is built only for a try that is accepted.  Short and
-    several-geodesics tries are certain failures and a searched try may be
-    accepted, so such a round stops drawing only at its searches or where
-    max_tries failures in a row are certain; a point whose shot is
-    unavailable ends it, and raises where the stream reaches its try.
+    segment is built only for a try that is accepted.  Short tries are
+    certain failures and a searched try may be accepted, so such a round
+    stops drawing only at its searches or where max_tries failures in a row
+    are certain.  A round that draws a point whose shot is unavailable, or
+    searches a pair with several minimal geodesics, events of probability 0,
+    raises `rounds.LoopRound` before its first try, and every later round of
+    the stream is the loop.
     `rejected`, when given, counts the rejected tries by reason.
 
     The accepted tries, the rejections and the try that raises are those of
@@ -952,9 +945,10 @@ def foot_configs(
         rejected = dict.fromkeys(REJECTIONS, 0)
     min_height = MIN_HEIGHT_REL * radius
     accepted = searched = fails = 0
+    arrays = isinstance(space, RowSpace)  # rounds over arrays, until one hands back
     while accepted < n:
         wanted = n - accepted
-        if not isinstance(space, RowSpace):
+        if not arrays:
             block = 1
         elif accepted:
             # the searches expected to give the wanted acceptances, and their
@@ -969,21 +963,24 @@ def foot_configs(
             tries = rounds.array_round(space, center, radius, rng, block, fails, max_tries,
                                        min_height)
         with contextlib.closing(tries):
-            for reason, config in tries:
-                searched += reason not in REJECTIONS[:2]  # the tries rejected before a search
-                if reason is None:
-                    accepted += 1
-                    fails = 0
-                    yield config
-                    if accepted == n:
-                        return
-                    continue
-                rejected[reason] += 1
-                fails += 1
-                if fails == max_tries:
-                    raise DegenerateRegionError(
-                        f"no valid foot configuration in {max_tries} tries (radius {radius})"
-                    )
+            try:
+                for reason, config in tries:
+                    searched += reason not in REJECTIONS[:2]  # rejected before a search
+                    if reason is None:
+                        accepted += 1
+                        fails = 0
+                        yield config
+                        if accepted == n:
+                            return
+                        continue
+                    rejected[reason] += 1
+                    fails += 1
+                    if fails == max_tries:
+                        raise DegenerateRegionError(
+                            f"no valid foot configuration in {max_tries} tries (radius {radius})"
+                        )
+            except rounds.LoopRound:
+                arrays = False
 
 
 def sample_right_angle_config(

@@ -112,7 +112,6 @@ class GeodesicGraph:
         self.steiner = int(steiner)
         nv = len(mesh.vertices)
         edges = mesh.edges
-        edge_index = {tuple(e): i for i, e in enumerate(edges.tolist())}
         s = self.steiner
 
         pos = [mesh.vertices]
@@ -123,24 +122,16 @@ class GeodesicGraph:
             pos.append((v0 + frac * (v1 - v0)).reshape(-1, 3))
         self.positions = np.vstack(pos)
 
-        def edge_nodes(i: int, j: int) -> list[int]:
-            a, b = (i, j) if i < j else (j, i)
-            k = edge_index[(a, b)]
-            ids = [nv + k * s + m for m in range(s)]
-            return ids if (i, j) == (a, b) else ids[::-1]
-
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        for f in mesh.faces.tolist():
-            nodes = list(f)
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                nodes.extend(edge_nodes(f[i], f[j]))
-            nodes = np.array(nodes)
-            ii, jj = np.triu_indices(len(nodes), k=1)
-            rows.append(nodes[ii])
-            cols.append(nodes[jj])
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
+        # each face's nodes: its vertices, then the Steiner points of its three
+        # edges (edge k's are nv + k s ...); every pair of them is an arc, so
+        # their order within the face does not matter
+        faces = mesh.faces
+        ends = np.sort(np.stack([faces, np.roll(faces, -1, axis=1)], axis=2), axis=2)
+        k = np.searchsorted(edges[:, 0] * nv + edges[:, 1], ends[..., 0] * nv + ends[..., 1])
+        steiner_ids = nv + k[..., None] * s + np.arange(s)
+        nodes = np.concatenate([faces, steiner_ids.reshape(len(faces), -1)], axis=1)
+        ii, jj = np.triu_indices(nodes.shape[1], k=1)
+        r, c = nodes[:, ii].ravel(), nodes[:, jj].ravel()
         w = np.linalg.norm(self.positions[r] - self.positions[c], axis=1)
         # drop duplicate arcs (pairs on a shared edge appear once per face)
         n = len(self.positions)

@@ -11,7 +11,6 @@ parametrization throughout.  The curvature constant k is any finite real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from cmpk.config import CLAMP, GEO, MAX_HYPERBOLIC_ARG, SPHERE_MARGIN, TRI_REL
 from cmpk.errors import DegenerateConfigError, ModelDomainError
@@ -68,43 +67,22 @@ def generalized_sin(k: float, d: float) -> float:
     return kernels.sn(k, d)
 
 
-@dataclass(frozen=True)
-class SideTriple:
-    """Nonnegative side lengths (a, b, c); c is opposite the angle of interest."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            _require_finite(a=a, b=b, c=c)
-        if a < 0.0 or b < 0.0 or c < 0.0:
-            raise ModelDomainError(f"sides must be >= 0, got {self.as_tuple()}")
-        slack = TRI_REL * (a + b + c)
-        if a > b + c + slack or b > c + a + slack or c > a + b + slack:
-            raise ModelDomainError(f"triangle inequality violated by {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
-
-    def perimeter(self) -> float:
-        return self.a + self.b + self.c
-
-
-def _as_triple(sides) -> SideTriple:
-    if isinstance(sides, SideTriple):
-        return sides
-    return SideTriple(*sides)
-
-
-def _check_triple(k: float, sides: SideTriple) -> None:
-    _check_length(k, sides.a, "a")
-    _check_length(k, sides.b, "b")
-    _check_length(k, sides.c, "c")
+def _check_sides(k: float, a: float, b: float, c: float) -> None:
+    """Sides (a, b, c) of a model triangle at k: finite, >= 0, within the
+    triangle inequality up to TRI_REL of the perimeter, each within its
+    bound at k and, for k > 0, a perimeter below the admissible bound."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        _require_finite(a=a, b=b, c=c)
+    if a < 0.0 or b < 0.0 or c < 0.0:
+        raise ModelDomainError(f"sides must be >= 0, got {(a, b, c)}")
+    slack = TRI_REL * (a + b + c)
+    if a > b + c + slack or b > c + a + slack or c > a + b + slack:
+        raise ModelDomainError(f"triangle inequality violated by {(a, b, c)}")
+    _check_length(k, a, "a")
+    _check_length(k, b, "b")
+    _check_length(k, c, "c")
     if k > 0.0:
-        perimeter = sides.a + sides.b + sides.c
+        perimeter = a + b + c
         bound = _perimeter_bound(k)
         if perimeter >= bound:
             raise ModelDomainError(
@@ -129,14 +107,12 @@ def comparison_angle(k: float, sides) -> float:
 
     Inverse of :func:`side_from_angle` in its angle argument.
     """
-    triple = _as_triple(sides)
-    _check_triple(k, triple)
-    floor = 1e-12 * max(triple.perimeter(), 1e-300)
-    if triple.a <= floor or triple.b <= floor:
-        raise DegenerateConfigError(
-            f"sides adjacent to the angle must be > 0, got {triple.as_tuple()}"
-        )
-    raw = kernels.cos_angle_from_sides(k, triple.a, triple.b, triple.c)
+    a, b, c = sides
+    _check_sides(k, a, b, c)
+    floor = 1e-12 * max(a + b + c, 1e-300)
+    if a <= floor or b <= floor:
+        raise DegenerateConfigError(f"sides adjacent to the angle must be > 0, got {(a, b, c)}")
+    raw = kernels.cos_angle_from_sides(k, a, b, c)
     return _clamped_acos(raw)
 
 
@@ -181,8 +157,7 @@ def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts) ->
     """
     if len(ts) == 0:
         return []
-    triple = SideTriple(d_qp, d_pr, d_qr)
-    _check_triple(k, triple)
+    _check_sides(k, d_qp, d_pr, d_qr)
     cos_alpha = None
     out = []
     for t in ts:
@@ -195,7 +170,7 @@ def comparison_distances(k: float, d_qp: float, d_qr: float, d_pr: float, ts) ->
             out.append(d_qr)
         else:
             if cos_alpha is None:
-                cos_alpha = math.cos(comparison_angle(k, triple))
+                cos_alpha = math.cos(comparison_angle(k, (d_qp, d_pr, d_qr)))
             c = kernels.side_from_angle_cos(k, d_qp, t, cos_alpha)
             _check_resulting_perimeter(k, d_qp, t, c)
             out.append(c)

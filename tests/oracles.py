@@ -5,13 +5,14 @@ from explicit point constructions (rotations on the embedded sphere,
 Minkowski hyperboloid vectors, planar coordinates) and angles from bisection
 against those constructions.  The exceptions are reference copies of code
 the package has since rewritten (the heap Dijkstra search, the mesh's full
-Dijkstra rows, the per-k evaluators, the angle ladders, the all-scalar
-bisection predicate and residual, the cone geodesics that built every
-candidate route, the one-try-at-a-time foot sampler, the lockstep golden
-section that masked each row's step, the sampling pass that measured each
-configuration as it was drawn, the sphere's and the hyperbolic plane's own
-shots and arcs, and the Riemannian-point rung that built one right-angle
-configuration at a time), which tests compare the rewrites against; and
+Dijkstra rows, the chord graph built one face at a time, the per-k
+evaluators, the angle ladders, the all-scalar bisection predicate and
+residual, the cone geodesics that built every candidate route, the
+one-try-at-a-time foot sampler, the lockstep golden section that masked each
+row's step, the sampling pass that measured each configuration as it was
+drawn, the sphere's and the hyperbolic plane's own shots and arcs, and the
+Riemannian-point rung that built one right-angle configuration at a time),
+which tests compare the rewrites against; and
 `Replay`, a generator stand-in that hands out given doubles.
 """
 
@@ -23,6 +24,7 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from cmpk import config, criteria, estimator, mesh, model
 from cmpk.config import DEFAULT_TOL, Tolerances
@@ -235,6 +237,50 @@ def heap_shortest_path(matrix, src: int, dst: int) -> tuple[list[int], float]:
     return path[::-1], float(dist[dst])
 
 
+def chord_graph(tri: mesh.TriMesh, steiner: int):
+    """(matrix, max_arc) of `GeodesicGraph(tri, steiner)`, its arcs gathered
+    one face at a time: the build before it was done over arrays."""
+    nv, s = len(tri.vertices), steiner
+    edges = tri.edges
+    edge_index = {tuple(e): i for i, e in enumerate(edges.tolist())}
+    pos = [tri.vertices]
+    if s > 0:
+        frac = (np.arange(1, s + 1) / (s + 1.0))[None, :, None]
+        v0 = tri.vertices[edges[:, 0]][:, None, :]
+        v1 = tri.vertices[edges[:, 1]][:, None, :]
+        pos.append((v0 + frac * (v1 - v0)).reshape(-1, 3))
+    positions = np.vstack(pos)
+
+    def edge_nodes(i: int, j: int) -> list[int]:
+        a, b = (i, j) if i < j else (j, i)
+        k = edge_index[(a, b)]
+        ids = [nv + k * s + m for m in range(s)]
+        return ids if (i, j) == (a, b) else ids[::-1]
+
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    for f in tri.faces.tolist():
+        nodes = list(f)
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            nodes.extend(edge_nodes(f[i], f[j]))
+        nodes = np.array(nodes)
+        ii, jj = np.triu_indices(len(nodes), k=1)
+        rows.append(nodes[ii])
+        cols.append(nodes[jj])
+    r = np.concatenate(rows)
+    c = np.concatenate(cols)
+    w = np.linalg.norm(positions[r] - positions[c], axis=1)
+    n = len(positions)
+    key = np.minimum(r, c) * n + np.maximum(r, c)
+    _, keep = np.unique(key, return_index=True)
+    r, c, w = r[keep], c[keep], w[keep]
+    matrix = csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([r, c]), np.concatenate([c, r]))),
+        shape=(n, n),
+    )
+    return matrix, float(w.max())
+
+
 class MeshSpace(mesh.MeshSpace):
     """The mesh space as it was before rows were computed only as far as they
     are read: every Dijkstra row is the full single-source run over the graph,
@@ -367,8 +413,7 @@ def measure_triangle(space: GeodesicSpace, p, q, r, *, rungs: int = 8) -> Triang
 
 def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float, t: float) -> float:
     """Model distance from q~ to the point at arclength t along [p~ r~]."""
-    triple = model.SideTriple(d_qp, d_pr, d_qr)
-    model._check_triple(k, triple)
+    model._check_sides(k, d_qp, d_pr, d_qr)
     if not -config.GEO <= t <= d_pr + config.GEO:
         raise ModelDomainError(f"t={t} outside [0, {d_pr}]")
     t = min(max(t, 0.0), d_pr)
@@ -376,7 +421,7 @@ def comparison_distance_at(k: float, d_qp: float, d_qr: float, d_pr: float, t: f
         return d_qp
     if t == d_pr:
         return d_qr
-    alpha = model.comparison_angle(k, triple)
+    alpha = model.comparison_angle(k, (d_qp, d_pr, d_qr))
     return model.side_from_angle(k, d_qp, t, alpha)
 
 

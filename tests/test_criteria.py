@@ -717,7 +717,14 @@ def rung(chi, space, x, eps, n, rng):
 
 
 def array_rung(space, x, eps, n, rng):
-    return criteria._chi_rows(space, x, eps, n, rng)
+    """`chi_at_scale` on rng: the rung over arrays, or where that raises, the
+    loop on rng put back at its start."""
+    start = rng.bit_generator.state
+    try:
+        return criteria._chi_rows(space, x, eps, n, rng)
+    except (ArithmeticError, ValueError, criteria.CmpkError):
+        rng.bit_generator.state = start
+        return criteria._chi_loop(space, x, eps, n, rng)
 
 
 @pytest.mark.parametrize("case", list(RUNG_CASES))
@@ -800,6 +807,16 @@ def test_array_rung_draws_p_from_the_ball_where_its_shot_is_unavailable():
         want = rung(oracles.chi_at_scale, cone, x, eps, 4, oracles.Replay(doubles))
         assert rung(array_rung, cone, x, eps, 4, oracles.Replay(doubles)) == want
         assert want[2] == ends if ends else want[0] is criteria.ShootUnavailable
+
+
+def test_array_rung_hands_an_unavailable_p_shot_to_the_loop():
+    # as above: the third configuration's p shot ends 6e-17 from the apex, so
+    # the array rung raises what chi_at_scale answers with the loop
+    cone, x, u = spaces.Cone(7.0), (0.5, 0.0), 0.5
+    eps = 0.5 / (0.1 + (0.45 - 0.1) * u)
+    doubles = [*[0.1, 0.3, 0.7, 0.9, 0.5] * 2, 0.5, u, 0.2, 0.4, 0.6, 0.35, 0.5]
+    with pytest.raises(criteria.ShootUnavailable):
+        criteria._chi_rows(cone, x, eps, 3, oracles.Replay(doubles))
 
 
 def decided_rows(space, p, beta, l1, l2):

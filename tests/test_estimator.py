@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cmpk import config, criteria, estimator, mesh as mesh_mod, spaces, vector
+from cmpk import config, criteria, estimator, mesh as mesh_mod, rounds, spaces, vector
 from cmpk.config import DEFAULT_TOL
 from cmpk.errors import (
     CmpkError,
@@ -855,6 +855,63 @@ def test_unavailable_draw_raises_at_its_try_and_not_past_the_last_acceptance():
     with pytest.raises(ShootUnavailable):
         next(stream)
     assert rng.state == ends[1] + 2
+
+
+# the pi-cone's chord tie: from the apex, points at angles pi/4 and 3pi/4 and
+# one radius, the first pair of each round of a stream on that prefix
+CHORD_TIE = (spaces.Cone(PI), (0.0, 0.0), 0.25, [0.25, 0.8, 0.75, 0.8] * 3)
+
+
+def test_array_round_hands_back_before_its_first_try():
+    # a round that maps an unavailable point or searches a tied pair raises
+    # LoopRound from its first step, with the generator back at its start
+    first = np.random.default_rng(3).random(2)  # the first point's uniforms
+    cone, data, tie_radius, prefix = CHORD_TIE
+    cases = [(_BlockedSphere(0.3 * first[1]), np.array([0.0, 0.0, 1.0]), 0.3,
+              np.random.default_rng(3)),
+             (cone, cone.point_from_data(data), tie_radius, _replay(prefix)())]
+    for space, center, radius, rng in cases:
+        start = rng.bit_generator.state
+        tries = rounds.array_round(space, center, radius, rng, 5, 0, 200,
+                                   criteria.MIN_HEIGHT_REL * radius)
+        with pytest.raises(rounds.LoopRound):
+            next(tries)
+        assert rng.bit_generator.state == start
+
+
+def test_a_stream_calls_no_array_round_after_one_hands_back(monkeypatch):
+    calls = []
+
+    def recorded(*args, _round=rounds.array_round):
+        assert "handed back" not in calls
+        calls.append("round")
+        try:
+            yield from _round(*args)
+        except rounds.LoopRound:
+            calls.append("handed back")
+            raise
+
+    monkeypatch.setattr(rounds, "array_round", recorded)
+    radius, center = 0.3, np.array([0.0, 0.0, 1.0])
+    doubles = np.random.default_rng(12).random(20000).tolist()
+    replay, ends = oracles.Replay(doubles), []
+    for _ in range(4):
+        oracles.sample_foot_config(_BlockedSphere(None), center, radius, replay)
+        ends.append(replay.state)  # the doubles up to each acceptance
+    cone, data, tie_radius, prefix = CHORD_TIE
+    cases = [(cone, cone.point_from_data(data), tie_radius, _replay(prefix, 5))]
+    # a first point that is unavailable, and the first point after the fourth
+    # acceptance of five, which the second round maps
+    for at in (1, ends[3] + 1):
+        cases.append((_BlockedSphere(radius * doubles[at]), center, radius,
+                      lambda: oracles.Replay(doubles)))
+    handed_later = False
+    for space, center, radius, make_rng in cases:
+        calls.clear()
+        _stream_against_the_loop(space, center, radius, make_rng, 5)
+        assert calls[-1] == "handed back"
+        handed_later |= len(calls) > 2
+    assert handed_later
 
 
 def test_a_long_stream_hands_the_lockstep_search_no_more_than_a_round(monkeypatch):

@@ -11,7 +11,7 @@ from cmpk.errors import DisconnectedGraphError, MeshFormatError
 from cmpk.spaces import space_from_descriptor
 
 from meshgen import grid_mesh, icosphere, octahedron, write_obj
-from oracles import MeshSpace as FullRowMeshSpace, heap_shortest_path
+from oracles import MeshSpace as FullRowMeshSpace, chord_graph, heap_shortest_path
 
 
 @pytest.fixture
@@ -123,6 +123,20 @@ def test_graph_distance_monotone_in_steiner(octa_path):
         if prev is not None:
             assert d <= prev + 1e-12
         prev = d
+
+
+def test_graph_built_over_arrays_equals_the_face_by_face_build():
+    # the face-by-face build reads an edge's Steiner points in the order each
+    # face runs along it; the arrays read them in one order
+    cases = [octahedron(), grid_mesh(4), icosphere(1), icosphere(2), icosphere(3)]
+    for v, f in cases:
+        tri = mesh_mod.TriMesh(v, f)
+        for steiner in (0, 1, 4):
+            graph = mesh_mod.GeodesicGraph(tri, steiner)
+            want, max_arc = chord_graph(tri, steiner)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(graph.matrix, name), getattr(want, name))
+            assert graph.max_arc == max_arc
 
 
 def test_icosphere_distance_error_vs_analytic(rng):

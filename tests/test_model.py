@@ -392,21 +392,24 @@ VALIDATION_CASES = [
      "sqrt(-k)*b = 101 exceeds the representable range"),
     (model.side_from_angle, (1.0, 3.0, 3.0, PI), ModelDomainError,
      "resulting triangle perimeter 6.283185307179587 is inadmissible for k=1.0"),
-    (model.SideTriple, (NAN, 1.0, 1.0), ModelDomainError, "a must be finite, got nan"),
-    (model.SideTriple, (1.0, INF, 1.0), ModelDomainError, "b must be finite, got inf"),
-    (model.SideTriple, (1.0, 1.0, -INF), ModelDomainError, "c must be finite, got -inf"),
-    (model.SideTriple, (-1.0, 1.0, 1.0), ModelDomainError,
+    (model.comparison_angle, (0.0, (NAN, 1.0, 1.0)), ModelDomainError,
+     "a must be finite, got nan"),
+    (model.comparison_angle, (0.0, (1.0, INF, 1.0)), ModelDomainError,
+     "b must be finite, got inf"),
+    (model.comparison_angle, (0.0, (1.0, 1.0, -INF)), ModelDomainError,
+     "c must be finite, got -inf"),
+    (model.comparison_angle, (0.0, (-1.0, 1.0, 1.0)), ModelDomainError,
      "sides must be >= 0, got (-1.0, 1.0, 1.0)"),
-    (model.SideTriple, (1.0, 1.0, -0.1), ModelDomainError,
+    (model.comparison_angle, (0.0, (1.0, 1.0, -0.1)), ModelDomainError,
      "sides must be >= 0, got (1.0, 1.0, -0.1)"),
-    (model.SideTriple, (1.0, 1.0, 2.1), ModelDomainError,
+    (model.comparison_angle, (0.0, (1.0, 1.0, 2.1)), ModelDomainError,
      "triangle inequality violated by (1.0, 1.0, 2.1)"),
-    (model.SideTriple, (2.1, 1.0, 1.0), ModelDomainError,
+    (model.comparison_angle, (0.0, (2.1, 1.0, 1.0)), ModelDomainError,
      "triangle inequality violated by (2.1, 1.0, 1.0)"),
-    (model.SideTriple, (1.0, 2.1, 1.0), ModelDomainError,
+    (model.comparison_angle, (0.0, (1.0, 2.1, 1.0)), ModelDomainError,
      "triangle inequality violated by (1.0, 2.1, 1.0)"),
     # just beyond the relative slack of 1e-9 * perimeter (4e-9 here)
-    (model.SideTriple, (1.0, 1.0, 2.0 + 5e-9), ModelDomainError,
+    (model.comparison_angle, (0.0, (1.0, 1.0, 2.0 + 5e-9)), ModelDomainError,
      "triangle inequality violated by (1.0, 1.0, 2.000000005)"),
 ]
 
@@ -420,4 +423,4 @@ def test_validation_exception_and_message(fn, args, exc, message):
 
 
 def test_side_triple_accepts_the_triangle_inequality_slack():
-    assert model.SideTriple(1.0, 1.0, 2.0 + 3e-9).as_tuple() == (1.0, 1.0, 2.0 + 3e-9)
+    assert model._check_sides(0.0, 1.0, 1.0, 2.0 + 3e-9) is None
