@@ -277,8 +277,8 @@ def cmd_estimate(args) -> int:
             at[k] = [estimator.evaluate_measurement(first, m, k, tol_cfg=tol)
                      for m in measurements[first]]
     rows = []
-    for i in range(len(measurements[first])):
-        row = [i]
+    for i, sample in enumerate(measurements.index):
+        row = [sample]
         for k in (est.k_cbb, est.k_cba):
             row.extend([None, None] if k is None else [at[k][i].cbb_defect, at[k][i].cba_defect])
         rows.append(row)

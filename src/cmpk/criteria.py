@@ -385,13 +385,15 @@ def evaluate_right_angle(
 # ---------------------------------------------------------------------------
 # point-to-segment comparison (condition 1.1)
 
+CHEBYSHEV_NODES = 9  # the probes of [p r] in every point-segment measurement
+
 
 @dataclass(frozen=True)
 class PointSegmentMeasurement:
     d_qp: float
     d_qr: float
     length: float
-    probes: tuple[tuple[float, float], ...]  # (t, measured distance)
+    probes: tuple[tuple[float, float], ...]  # (t, measured distance) at each Chebyshev node
     scale: float
 
 
@@ -412,7 +414,7 @@ def measure_point_segment(
     if columns is None:
         columns = (space.distance(q, seg.start), space.distance(q, seg.end),
                    tuple((t, space.distance(q, seg.at(t)))
-                         for t in chebyshev_nodes(9, seg.length)))
+                         for t in chebyshev_nodes(CHEBYSHEV_NODES, seg.length)))
     d_qp, d_qr, probes = columns
     scale = max(d_qp, d_qr, seg.length)
     return PointSegmentMeasurement(d_qp, d_qr, seg.length, probes, scale)
@@ -478,48 +480,44 @@ def angle_at(
 @dataclass(frozen=True)
 class TriangleMeasurement:
     sides: tuple[float, float, float]  # (d_qr, d_pr, d_pq): side opposite p, q, r
-    angle_sides: dict  # vertex name -> `measure_angle_ladder` triples, one per geodesic pair
+    ladders: tuple  # the `measure_angle_ladder` triples at p, q and r
     scale: float
 
 
 def measure_triangle(
     space: GeodesicSpace, p, q, r, *, columns: tuple | None = None,
 ) -> TriangleMeasurement:
-    """`columns`, when given, holds the sides (d_qr, d_pr, d_pq) and the
-    angle_sides this would measure, as `triangle_columns` computes them."""
+    """Sides and ladders of the triangle whose sides are the first minimal
+    geodesics (`space.geodesic`); `columns`, when given, holds the sides (d_qr,
+    d_pr, d_pq) and ladders this would measure, as `triangle_columns` does."""
     if columns is None:
-        g_pq = space.minimal_geodesics(p, q)
-        g_pr = space.minimal_geodesics(p, r)
-        g_qr = space.minimal_geodesics(q, r)
-        d_pq, d_pr, d_qr = g_pq[0].length, g_pr[0].length, g_qr[0].length
+        g_pq, g_pr, g_qr = space.geodesic(p, q), space.geodesic(p, r), space.geodesic(q, r)
+        d_pq, d_pr, d_qr = g_pq.length, g_pr.length, g_qr.length
         if min(d_pq, d_pr, d_qr) <= 10.0 * GEO:
             raise DegenerateConfigError("triangle has a vanishing side")
-        columns = ((d_qr, d_pr, d_pq), {
-            "p": [measure_angle_ladder(space, p, ga, gb) for ga in g_pq for gb in g_pr],
-            "q": [measure_angle_ladder(space, q, ga.reversed(), gb) for ga in g_pq for gb in g_qr],
-            "r": [measure_angle_ladder(space, r, ga.reversed(), gb.reversed())
-                  for ga in g_pr for gb in g_qr],
-        })
-    (d_qr, d_pr, d_pq), angle_sides = columns
-    return TriangleMeasurement((d_qr, d_pr, d_pq), angle_sides, max(d_pq, d_pr, d_qr))
+        columns = ((d_qr, d_pr, d_pq), (
+            measure_angle_ladder(space, p, g_pq, g_pr),
+            measure_angle_ladder(space, q, g_pq.reversed(), g_qr),
+            measure_angle_ladder(space, r, g_pr.reversed(), g_qr.reversed()),
+        ))
+    (d_qr, d_pr, d_pq), ladders = columns
+    return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, max(d_pq, d_pr, d_qr))
 
 
 def evaluate_triangle(
     m: TriangleMeasurement, k: float, *, tol_cfg: Tolerances = DEFAULT_TOL,
 ) -> TestOutcome:
     d_qr, d_pr, d_pq = m.sides
-    model_angles = {
-        "p": model.comparison_angle(k, (d_pq, d_pr, d_qr)),
-        "q": model.comparison_angle(k, (d_pq, d_qr, d_pr)),
-        "r": model.comparison_angle(k, (d_pr, d_qr, d_pq)),
-    }
+    model_angles = (model.comparison_angle(k, (d_pq, d_pr, d_qr)),
+                    model.comparison_angle(k, (d_pq, d_qr, d_pr)),
+                    model.comparison_angle(k, (d_pr, d_qr, d_pq)))
     cbb = -math.inf
     cba = -math.inf
-    for v, triples in m.angle_sides.items():
-        angles = [model.comparison_angle(k, sides) for sides in triples]
-        # lower bound needs angle >= model angle for every geodesic pair
-        cbb = max(cbb, model_angles[v] - min(angles))
-        cba = max(cba, max(angles) - model_angles[v])
+    for model_angle, sides in zip(model_angles, m.ladders):
+        angle = model.comparison_angle(k, sides)
+        # lower bound needs angle >= model angle at every vertex
+        cbb = max(cbb, model_angle - angle)
+        cba = max(cba, angle - model_angle)
     return _outcome("triangle", k, m.scale, cbb, cba, tol_cfg)
 
 
@@ -564,7 +562,7 @@ def point_segment_columns(space: GeodesicSpace, configs: Sequence) -> list:
     if found is not None:
         idx, q, start, end, rows = found
         at = space.segment_rows(rows)
-        ts = chebyshev_nodes(9, np.array([configs[i][1].length for i in idx]))
+        ts = chebyshev_nodes(CHEBYSHEV_NODES, np.array([configs[i][1].length for i in idx]))
         probes = [space.pair_distances(q, at(t)) for t in ts]
         for i, d_qp, d_qr, t, d in zip(idx, space.pair_distances(q, start).tolist(),
                                        space.pair_distances(q, end).tolist(),
@@ -603,7 +601,7 @@ def _ladder_rows(space: RowSpace, v: np.ndarray, legs, live: np.ndarray):
 def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
     """`measure_triangle(space, seg.start, q, seg.end)`'s sides and ladders of
     each configuration on a `RowSpace` whose three geodesics `geodesic_rows`
-    gives exactly (so each is the only minimal geodesic) and on which no
+    gives exactly (so each is `space.geodesic`) and on which no
     check of `measure_triangle` or `measure_angle_ladder` raises."""
     n = len(configs)
     if not n or not isinstance(space, RowSpace):
@@ -621,7 +619,7 @@ def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
         columns += sides
     out = [None] * n
     for i, row in zip(np.flatnonzero(ok).tolist(), zip(*(c[ok].tolist() for c in columns))):
-        out[i] = (row[:3], {"p": [row[3:6]], "q": [row[6:9]], "r": [row[9:]]})
+        out[i] = (row[:3], (row[3:6], row[6:9], row[9:]))
     return out
 
 
@@ -647,7 +645,7 @@ def first_variation_check(
     if t_star + max(steps) > seg.length:
         raise ValueError("t_star too close to the segment end for the step ladder")
     p = seg.at(t_star)
-    toward_q = space.minimal_geodesics(p, q)[0]
+    toward_q = space.geodesic(p, q)
     forward = seg.subsegment(t_star, seg.length)
     angle = angle_at(space, p, toward_q, forward)
     target = -math.cos(angle)
@@ -676,7 +674,7 @@ def angle_sum_check(
     if not 0.0 < t_interior < seg.length:
         raise ValueError("t_interior must be strictly inside the segment")
     p = seg.at(t_interior)
-    toward_q = space.minimal_geodesics(p, q)[0]
+    toward_q = space.geodesic(p, q)
     back = seg.subsegment(t_interior, 0.0)
     ahead = seg.subsegment(t_interior, seg.length)
     a1 = angle_at(space, p, toward_q, back)

@@ -46,7 +46,7 @@ class CurvatureEstimate:
     cbb_note: str = ""
     cba_note: str = ""
     skipped: int = 0  # drawn samples left out under SKIPPED_SAMPLE; n_samples were measured
-    # {"criterion": name, "sample": index among the measured samples} of the first
+    # {"criterion": name, "sample": index among the drawn samples} of the first
     # sample whose defect is the residual; None when the residual is None
     cbb_witness: dict | None = None
     cba_witness: dict | None = None
@@ -149,6 +149,10 @@ ESTIMATE_CRITERIA = tuple(n for n, c in CRITERIA.items() if c.batch is not None)
 # ends the run.
 SKIPPED_SAMPLE = (RightAngleUnavailable, FootOnBoundary, DegenerateConfigError, LadderError)
 
+# Criteria that read angles at a vertex, which a mesh's graph geodesics do not
+# resolve (every sample would be skipped), so a mesh refuses them.
+ANGLE_CRITERIA = ("triangle", "right_angle", "first_variation", "angle_sum")
+
 # Every evaluation goes through this dict of plain functions, never through a
 # Criterion, and the samplers and measurements above look their `criteria`
 # function up at each call, so wrapping module attributes and dict values
@@ -210,7 +214,8 @@ def sample_measurements(
     a skipped sample.  A sample that raises one of SKIPPED_SAMPLE for any
     criterion is left out of every list, so the lists stay aligned and hold
     n_samples minus the skipped samples each, and ``index`` holds each
-    measured sample's index among the n_samples drawn.
+    measured sample's index among the n_samples drawn.  On a mesh, any of
+    ANGLE_CRITERIA raises ValueError before the first draw.
 
     Configurations are drawn in batches of COLUMN_BATCH, each measured once
     it is drawn: each criterion's probes of the batch are computed once over
@@ -221,6 +226,10 @@ def sample_measurements(
     sample as it is drawn meets.
     """
     names = _normalize_criteria(names)
+    angled = [name.replace("_", "-") for name in names if name in ANGLE_CRITERIA]
+    if angled and space.name == "mesh":
+        raise ValueError(f"{', '.join(angled)} reads angles, which a mesh does not resolve:"
+                         f" its graph geodesics have resolution {space.resolution!r}")
     rng = np.random.default_rng(seed)
     out = Measurements({name: [] for name in names})
     draw = CRITERIA[names[0]].sample
@@ -487,7 +496,9 @@ def estimate_bounds(
         k, _ = _bisect(passes, k_pass, k_fail, resolution)
         if worst is None or k != worst_at:  # the pass at k_cbb has both residuals
             worst, worst_at = _worst_defect(measurements, k, tol_cfg, batches), k
-        bounds.append((k, *worst[o], ""))
+        residual, witness = worst[o]
+        witness = {**witness, "sample": measurements.index[witness["sample"]]}  # drawn index
+        bounds.append((k, residual, witness, ""))
     (k_cbb, cbb_residual, cbb_witness, cbb_note), (k_cba, cba_residual, cba_witness, cba_note) = \
         bounds
 

@@ -8,6 +8,11 @@ of `cmpk.kernels` term by term, with the SERIES_EPS branch chosen per
 element, so each value differs from the scalar evaluator's by a few rounding
 errors of the trig functions.
 
+Every measurement of a criterion has one shape, so a batch is plain arrays:
+a triangle's model and ladder angle triples at p, q and r as (6, n) side
+arrays, a point-segment sample's probes as (n, CHEBYSHEV_NODES) arrays.
+Measurements of any other shape raise ValueError.
+
 A defect reads nan where the arrays do not decide the sample: where the
 scalar evaluation could raise (side, perimeter or hyperbolic-range bounds,
 the triangle inequality, the adjacent-side floor, a point-segment probe that
@@ -25,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from cmpk.config import MAX_HYPERBOLIC_ARG, TRI_REL, Tolerances
+from cmpk.criteria import CHEBYSHEV_NODES
 from cmpk.kernels import SERIES_EPS
 from cmpk.model import PI, _perimeter_bound
 
@@ -97,11 +103,6 @@ def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return np.arccos(raw), ok
 
 
-def _starts(sizes: Sequence[int]) -> np.ndarray:
-    """Offsets of consecutive non-empty groups of the given sizes, for `ufunc.reduceat`."""
-    return np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
-
-
 class Batch:
     """One criterion's stored measurements as arrays; subclasses define `_defects`."""
 
@@ -150,49 +151,35 @@ class PointSegmentBatch(Batch):
         super().__init__(ms, tol_cfg)
         self.qp, self.qr, self.length = np.array(
             [(m.d_qp, m.d_qr, m.length) for m in ms], float).reshape(-1, 3).T
-        # a sample without probes gets one nan probe, which leaves it undecided
-        probes = [m.probes or ((math.nan, math.nan),) for m in ms]
-        self.t, self.real = np.array([p for ps in probes for p in ps], float).reshape(-1, 2).T
-        sizes = [len(ps) for ps in probes]
-        self.sample = np.repeat(np.arange(self.n), sizes)
-        self.starts = _starts(sizes)
+        # (n, CHEBYSHEV_NODES) arrays of the probes' t and measured distance
+        self.t, self.real = np.array([m.probes for m in ms], float).reshape(
+            self.n, CHEBYSHEV_NODES, 2).transpose(2, 0, 1)
 
     def _defects(self, k):
-        qp, t, g = self.qp, self.t, self.sample
-        alpha, ok = comparison_angles(k, qp, self.length, self.qr)
+        alpha, ok = comparison_angles(k, self.qp, self.length, self.qr)
+        qp, length, t = self.qp[:, None], self.length[:, None], self.t
         # `model.comparison_distances`: the model side from q~ to each probe of [p~ r~]
-        v = (vcs(k, qp)[g] + cs(k, qp)[g] * vcs(k, t)
-             - sn(k, qp)[g] * sn(k, t) * np.cos(alpha)[g])
+        v = vcs(k, qp) + cs(k, qp) * vcs(k, t) - sn(k, qp) * sn(k, t) * np.cos(alpha)[:, None]
         model_d, ill = arc_from_vcs(k, v)
-        probe_ok = (0.0 < t) & (t < self.length[g]) & ~ill
+        probe_ok = (0.0 < t) & (t < length) & ~ill
         if k > 0.0:
-            probe_ok &= qp[g] + t + model_d < _perimeter_bound(k)
+            probe_ok &= qp + t + model_d < _perimeter_bound(k)
         defect = self.real - model_d
-        ok &= np.logical_and.reduceat(probe_ok, self.starts)
-        return (-np.minimum.reduceat(defect, self.starts),
-                np.maximum.reduceat(defect, self.starts), ok)
+        return -defect.min(axis=1), defect.max(axis=1), ok & probe_ok.all(axis=1)
 
 
 class TriangleBatch(Batch):
     def __init__(self, ms: Sequence, tol_cfg: Tolerances):
         super().__init__(ms, tol_cfg)
-        qr, pr, pq = np.array([m.sides for m in ms], float).reshape(-1, 3).T
-        # one group per (sample, vertex), sample-major; an empty one gets a nan triple
-        groups = [m.angle_sides[v] or [(math.nan,) * 3] for m in ms for v in "pqr"]
-        ladder = np.array([s for g in groups for s in g], float).reshape(-1, 3).T
-        self.starts = _starts([len(g) for g in groups])
-        # the model angles at p, q and r of every sample, then every ladder triple
-        self.sides = tuple(np.concatenate(cols) for cols in (
-            (pq, pq, pr, ladder[0]), (pr, qr, qr, ladder[1]), (qr, pr, pq, ladder[2])))
+        qr, pr, pq = np.array([m.sides for m in ms], float).reshape(self.n, 3).T
+        ladder = np.array([m.ladders for m in ms], float).reshape(self.n, 3, 3).T
+        # (6, n): the model angles at p, q and r of every sample, then its ladder
+        # angles there (`ladder` is indexed by side, vertex and sample)
+        self.sides = tuple(np.vstack((*main, *lad)) for main, lad in zip(
+            ((pq, pq, pr), (pr, qr, qr), (qr, pr, pq)), ladder))
 
     def _defects(self, k):
-        n = self.n
         angle, ok = comparison_angles(k, *self.sides)
-        model = angle[:3 * n].reshape(3, n)
-        ladder, ladder_ok = angle[3 * n:], ok[3 * n:]
-        lo = np.minimum.reduceat(ladder, self.starts).reshape(n, 3).T
-        hi = np.maximum.reduceat(ladder, self.starts).reshape(n, 3).T
-        decided = (ok[:3 * n].reshape(3, n).all(axis=0)
-                   & np.logical_and.reduceat(ladder_ok, self.starts).reshape(n, 3).all(axis=1))
-        # lower bound needs angle >= model angle for every geodesic pair
-        return (model - lo).max(axis=0), (hi - model).max(axis=0), decided
+        model, ladder = angle.reshape(2, 3, -1)
+        # lower bound needs angle >= model angle at every vertex
+        return (model - ladder).max(axis=0), (ladder - model).max(axis=0), ok.all(axis=0)

@@ -1,7 +1,11 @@
 """CLI: output formats, exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,39 +281,27 @@ def test_mesh_command(tmp_path):
     assert payload["results"]["error_bar"] > 0
 
 
-@pytest.mark.parametrize("criterion", ["triangle", "angle-sum", "first-variation"])
-def test_mesh_samples_with_degenerate_angles_are_skipped(tmp_path, criterion):
-    # angles are measured 1/1280 of a leg from the vertex, below the mesh's
-    # node spacing, so these samples raise LadderError; each is counted skipped
+@pytest.mark.parametrize("command, criteria_", [
+    ("test", "triangle"), ("test", "right-angle"), ("test", "first-variation"),
+    ("test", "angle-sum"), ("estimate", "triangle"), ("estimate", "pythagorean,triangle"),
+])
+def test_angle_criteria_on_a_mesh_are_a_config_error(tmp_path, capsys, command, criteria_):
+    # angles are measured 1/1280 of a leg from the vertex, far below the mesh's
+    # resolution, so every sample would be skipped: the run is refused before
+    # its first draw and writes no report
     obj = tmp_path / "icosphere2.obj"
     write_obj(obj, *icosphere(2))
     space = json.dumps({"type": "mesh", "path": str(obj), "steiner": 4})
     out = tmp_path / "report"
+    option = "--criteria" if command == "estimate" else "--criterion"
     assert run([
-        "test", "--space", space, "--criterion", criterion,
+        command, "--space", space, option, criteria_,
         "--region", "center=0,radius=0.8", "--samples", "20", "--seed", "3", "--out", str(out),
-    ]) == 0
-    results = read_summary(out, "test")["results"]
-    assert results["rows"] + results["skipped"] == 20
-    # the summary says why: every skip is a LadderError
-    assert results["skipped_by"] == {"LadderError": results["skipped"]}
-
-
-def test_estimate_counts_samples_with_degenerate_angles_as_skipped(tmp_path):
-    obj = tmp_path / "icosphere2.obj"
-    write_obj(obj, *icosphere(2))
-    space = json.dumps({"type": "mesh", "path": str(obj), "steiner": 4})
-    out = tmp_path / "report"
-    assert run([
-        "estimate", "--space", space, "--criteria", "triangle",
-        "--region", "center=0,radius=0.8", "--samples", "20", "--seed", "3", "--out", str(out),
-    ]) == 0
-    results = read_summary(out, "estimate")["results"]
-    assert results["n_samples"] + results["skipped"] == 20 and results["skipped"] > 0
-    assert results["skipped_by"] == {"LadderError": results["skipped"]}
-    assert list(results["rejected"]) == sorted(criteria.REJECTIONS)
-    rows = (out / "estimate_rows.csv").read_text().splitlines()
-    assert len(rows) == 1 + results["n_samples"]
+    ]) == 2
+    err = capsys.readouterr().err
+    resolution = spaces.space_from_descriptor(space).resolution
+    assert "a mesh does not resolve" in err and repr(resolution) in err
+    assert not out.exists()
 
 
 FAR_HYPERBOLIC = "center=[5946.0,9260.8,11013.2],radius=0.3"
@@ -355,6 +347,24 @@ def test_measured_sample_indices_are_the_test_rows_sample_column(tmp_path):
     assert ms.index == measured
     rows = (tmp_path / "test_rows.csv").read_text().splitlines()[1:]
     assert [int(row.split(",")[0]) for row in rows] == ms.index
+
+
+def test_estimate_rows_and_witnesses_name_the_drawn_sample(tmp_path):
+    # the far hyperbolic triangles above: the estimate's sample column is the
+    # test's, with gaps where samples were skipped
+    argv = ["--space", '{"type":"hyperbolic","k":-1.0}', "--region", FAR_HYPERBOLIC,
+            "--samples", "40", "--seed", "1"]
+    assert run(["test", *argv, "--criterion", "triangle", "--out", str(tmp_path / "t")]) == 0
+    assert run(["estimate", *argv, "--criteria", "triangle", "--out", str(tmp_path / "e")]) == 0
+    est = read_summary(tmp_path / "e", "estimate")["results"]
+    assert est["skipped"] == 24
+    tested = [int(row.split(",")[0])
+              for row in (tmp_path / "t" / "test_rows.csv").read_text().splitlines()[1:]]
+    estimated = [int(row.split(",")[0])
+                 for row in (tmp_path / "e" / "estimate_rows.csv").read_text().splitlines()[1:]]
+    assert estimated == sorted(set(tested)) and len(estimated) == 40 - 24
+    for o in ("cbb", "cba"):
+        assert est[f"{o}_witness"]["sample"] in estimated
 
 
 def test_right_angle_rows_keep_the_indices_of_skipped_draws(tmp_path):
@@ -650,3 +660,40 @@ def test_byte_identical_reruns(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     for name in ("test_rows.csv", "test_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# numpy's AVX-512 dispatch targets, which some ufuncs round differently from the
+# targets below them
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def avx512_dispatched() -> tuple[str, ...]:
+    """The AVX-512 targets numpy has compiled in and can run here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return tuple(t for t in AVX512_TARGETS
+                 if t in umath.__cpu_dispatch__ and umath.__cpu_features__.get(t))
+
+
+@pytest.mark.skipif(not avx512_dispatched(), reason="numpy dispatches to no AVX-512 target here")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the hyperbolic row distances call np.cosh, np.sinh and np.arcsinh, "
+                          "whose last bits depend on the SIMD target numpy dispatches to")
+def test_reports_do_not_depend_on_simd_dispatch(tmp_path):
+    # the benchmark's hyperbolic three-criteria estimate, as is and with numpy's
+    # AVX-512 targets switched off
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    off = {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(avx512_dispatched())}
+    for name, run_env in (("as-is", env), ("no-avx512", off)):
+        subprocess.run([
+            sys.executable, "-m", "cmpk", "estimate", "--space", '{"type":"hyperbolic","k":-1.0}',
+            "--criteria", "pythagorean,point-segment,triangle",
+            "--region", "center=[0.0,0.0,1.0],radius=0.2", "--samples", "300", "--seed", "1000",
+            "--out", str(tmp_path / name),
+        ], env=run_env, check=True)
+    for report in ("estimate_rows.csv", "estimate_summary.json"):
+        assert ((tmp_path / "as-is" / report).read_bytes()
+                == (tmp_path / "no-avx512" / report).read_bytes())

@@ -115,9 +115,10 @@ def test_orientation_pass_is_monotone_in_k(kind, ks):
 def property_set(kind, degenerate=False):
     """(space, center, radius, measurements) for the vector-path property tests.
 
-    The pi-cone set adds triangles with a tie pair, whose vertices carry two
-    geodesic pairs; `degenerate` puts a Pythagorean sample with a zero leg,
-    whose evaluation raises DegenerateConfigError, in the middle of the list.
+    The pi-cone set adds triangles with a tie pair, measured on the first
+    minimal geodesic of each side; `degenerate` puts a Pythagorean sample with
+    a zero leg, whose evaluation raises DegenerateConfigError, in the middle
+    of the list.  Sample positions stand in for the drawn indices.
     """
     if kind == "icosphere":
         v, f = icosphere(2)
@@ -131,9 +132,8 @@ def property_set(kind, degenerate=False):
     if kind == "cone":
         for p, q, r in (((0.2, 0.0), (0.2, PI / 2), (0.1, 0.3)),
                         ((0.15, 0.1), (0.15, 0.1 + PI / 2), (0.1, 1.0))):
-            m = criteria.measure_triangle(sp, p, q, r)
-            assert max(len(t) for t in m.angle_sides.values()) == 2
-            ms["triangle"].append(m)
+            ms["triangle"].append(criteria.measure_triangle(sp, p, q, r))
+    ms.index = list(range(max(map(len, ms.values()))))
     if degenerate:
         pyth = ms["pythagorean"]
         pyth.insert(len(pyth) // 2, criteria.PythagoreanMeasurement(0.1, 0.0, 0.1, 0.1, 0.15, 0.2))
@@ -273,11 +273,13 @@ def pythagorean(d_qp, d_pr, d_qr):
 
 
 def point_segment(probes, d_qp=0.3, d_qr=0.3, length=0.4):
+    """The probes given, then interior probes up to CHEBYSHEV_NODES."""
+    probes = (*probes, *((0.2, 0.25),) * (criteria.CHEBYSHEV_NODES - len(probes)))
     return criteria.PointSegmentMeasurement(d_qp, d_qr, length, probes, 0.4)
 
 
-def triangle(p, q=((0.01, 0.01, 0.01),), sides=(0.3, 0.3, 0.3)):
-    return criteria.TriangleMeasurement(sides, {"p": list(p), "q": list(q), "r": [(0.01,) * 3]}, 0.3)
+def triangle(p, q=(0.01, 0.01, 0.01), sides=(0.3, 0.3, 0.3)):
+    return criteria.TriangleMeasurement(sides, (p, q, (0.01,) * 3), 0.3)
 
 
 RIGHT = (0.5, 0.5, math.hypot(0.5, 0.5))
@@ -298,14 +300,10 @@ UNDECIDED = {
     "cosine next to -1": ("pythagorean", pythagorean(0.1, 0.1, 0.2 - 1e-13), 0.5),
     "probe before the segment": ("point_segment", point_segment(((-0.1, 0.3), (0.2, 0.25))), 0.5),
     "probe at an endpoint": ("point_segment", point_segment(((0.0, 0.3), (0.2, 0.25))), 0.5),
-    "no probes": ("point_segment", point_segment(()), 0.5),
-    "point-segment triple past the side bound": (
-        "point_segment", point_segment(((0.2, 0.25),)), 100.0),
-    "ladder triple on the adjacent-side floor": (
-        "triangle", triangle([(0.01, 0.01, 0.01), (1e-16, 0.01, 0.01)]), 0.5),
-    "vertex without a ladder triple": ("triangle", triangle([]), 0.5),
+    "point-segment triple past the side bound": ("point_segment", point_segment(()), 100.0),
+    "ladder triple on the adjacent-side floor": ("triangle", triangle((1e-16, 0.01, 0.01)), 0.5),
     "main triangle past the perimeter bound": (
-        "triangle", triangle([(0.01,) * 3], sides=(0.6, 0.6, 0.6)), 16.0),
+        "triangle", triangle((0.01,) * 3, sides=(0.6, 0.6, 0.6)), 16.0),
 }
 
 
@@ -319,6 +317,22 @@ def test_vector_path_leaves_raising_and_ill_conditioned_samples_to_the_scalar_pa
         ms = {name: [m]}
         assert (outcome(estimator._orientation_pass, ms, k, orientation, DEFAULT_TOL)
                 == outcome(oracles.orientation_pass, ms, k, orientation, DEFAULT_TOL))
+
+
+def n_probes(n):
+    return criteria.PointSegmentMeasurement(0.3, 0.3, 0.4, ((0.2, 0.25),) * n, 0.4)
+
+
+@pytest.mark.parametrize("name, ms", [
+    ("point_segment", [point_segment(()), n_probes(3)]),
+    # the same number of probes each, 36 values in all: 2 samples' worth of 9
+    ("point_segment", [n_probes(6)] * 3),
+    ("triangle", [triangle((0.01,) * 3), criteria.TriangleMeasurement(
+        (0.3,) * 3, ((0.01,) * 3,) * 2, 0.3)]),
+], ids=["mixed probe counts", "six probes each", "two ladder triples"])
+def test_a_batch_of_measurements_of_another_shape_raises(name, ms):
+    with pytest.raises(ValueError):
+        estimator.CRITERIA[name].batch(ms, DEFAULT_TOL)
 
 
 def test_degenerate_sample_raises_as_the_scalar_path_does():

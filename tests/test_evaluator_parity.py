@@ -57,11 +57,20 @@ def region(kind):
     return sp, sp.default_center() if center is None else center, radius
 
 
+def first_geodesics(ref_m):
+    """The reference measurement read on the first minimal geodesic of each
+    side: the first ladder it measures at each vertex, its only one where
+    each side has one minimal geodesic."""
+    first = {v: raws[:1] for v, raws in ref_m.ladders.items()}
+    return oracles.TriangleMeasurement(ref_m.sides, first, ref_m.scale, False)
+
+
 @functools.cache
 def stored(kind):
     """Ten foot configurations measured by the package, and each triangle also
     by the reference (under "reference triangle").  The cone adds a triangle
-    with two minimal geodesics from p to q, a quarter turn apart."""
+    with two minimal geodesics from p to q, a quarter turn apart, whose
+    reference is read on the first."""
     sp, center, radius = region(kind)
     rng = np.random.default_rng(3)
     out = {"triangle": [], "point_segment": [], "reference triangle": []}
@@ -73,15 +82,14 @@ def stored(kind):
         triangles.append(((0.2, 0.0), (0.2, PI / 2), (0.3, 0.4)))
     for p, q, r in triangles:
         out["triangle"].append(criteria.measure_triangle(sp, p, q, r))
-        out["reference triangle"].append(oracles.measure_triangle(sp, p, q, r))
+        out["reference triangle"].append(first_geodesics(oracles.measure_triangle(sp, p, q, r)))
     return out
 
 
 def lengths(m, criterion):
     """(perimeter of the main triple, lengths whose k * d^2 picks a kernel branch)."""
     if criterion == "triangle":
-        triples = [s for ss in m.angle_sides.values() for s in ss]
-        ds = [*m.sides, *(d for sides in triples for d in sides)]
+        ds = [*m.sides, *(d for sides in m.ladders for d in sides)]
         return sum(m.sides), [d for d in ds if d > 0.0]
     ds = [m.d_qp, m.d_qr, m.length, *(t for t, _ in m.probes)]
     return m.d_qp + m.length + m.d_qr, [d for d in ds if d > 0.0]
@@ -114,14 +122,14 @@ def test_stored_measurements_match_the_references(kind, criterion, data):
 
 
 def test_triangle_evaluation_makes_one_comparison_angle_per_triple(monkeypatch):
-    # one comparison angle per main vertex and one per stored triple, at any k
+    # one comparison angle per main vertex and one per ladder triple, at any k
     calls = []
     real = criteria.model.comparison_angle
     monkeypatch.setattr(criteria.model, "comparison_angle",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     m = stored("sphere")["triangle"][0]
     criteria.evaluate_triangle(m, 0.5)
-    assert len(calls) == 3 + sum(len(ss) for ss in m.angle_sides.values())
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("kind", ["cone", "tripod"])
@@ -203,11 +211,11 @@ KS = (-1e4, -4.0, -0.7, -0.5, 0.0, 0.5, 4.3, 30.0, 1e4, math.nan)
 
 
 def triangle(triple, side=1.0):
-    """Equilateral main triangle whose q vertex carries `triple` second, and the
+    """Equilateral main triangle whose q vertex carries `triple`, and the
     reference measurement that reads each triple as a one-rung ladder."""
     good = (0.1 * side,) * 3
-    sides = {"p": [good], "q": [good, triple], "r": [good]}
-    ladders = {v: [((0.0, *s),) for s in ss] for v, ss in sides.items()}
+    sides = (good, triple, good)
+    ladders = {v: [((0.0, *s),)] for v, s in zip("pqr", sides)}
     return (TriangleMeasurement((side,) * 3, sides, side),
             oracles.TriangleMeasurement((side,) * 3, ladders, side, False))
 
