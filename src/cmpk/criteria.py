@@ -25,7 +25,6 @@ from cmpk.config import (
     FOOT_POLISH_REL,
     FOOT_REFINE_REL,
     GEO,
-    PT,
     TRI_REL,
     Tolerances,
 )
@@ -442,15 +441,9 @@ def measure_angle_ladder(
     a and b lie at arclength t = 0.1 * min(leg lengths) * 0.5**7, 1/1280 of
     the shorter leg, along the two segments.  On a smooth surface the
     comparison angle of this triangle is within O(t^2) of the Alexandrov
-    angle; on a flat sector it is exact.  LadderError when a segment starts
-    more than 10 PT from p (about 10/sqrt(-k) out on the hyperbolic plane a
-    geodesic's end rounds that far off its vertex, which at the ladder's
-    scale is an angle error far above the verdict tolerance) or when |pa| or
-    |pb| is under 10 GEO.
+    angle; on a flat sector it is exact.  Both segments start at p.
+    LadderError when |pa| or |pb| is under 10 GEO.
     """
-    for seg in (toward_q, toward_r):
-        if space.distance(seg.at(0.0), p) > 10.0 * PT:
-            raise LadderError("segment does not emanate from p")
     t = 0.1 * min(toward_q.length, toward_r.length) * 0.5**7
     if t <= 0.0:
         raise LadderError("zero-length segment")
@@ -487,9 +480,11 @@ class TriangleMeasurement:
 def measure_triangle(
     space: GeodesicSpace, p, q, r, *, columns: tuple | None = None,
 ) -> TriangleMeasurement:
-    """Sides and ladders of the triangle whose sides are the first minimal
-    geodesics (`space.geodesic`); `columns`, when given, holds the sides (d_qr,
-    d_pr, d_pq) and ladders this would measure, as `triangle_columns` does."""
+    """Sides and ladders of the triangle: its sides are the lengths of the first
+    minimal geodesics (`space.geodesic`) from p to q and r and from q to r,
+    and the angle at each vertex is read on the first minimal geodesics that
+    leave it; `columns`, when given, holds the sides (d_qr, d_pr, d_pq) and
+    ladders this would measure, as `triangle_columns` does."""
     if columns is None:
         g_pq, g_pr, g_qr = space.geodesic(p, q), space.geodesic(p, r), space.geodesic(q, r)
         d_pq, d_pr, d_qr = g_pq.length, g_pr.length, g_qr.length
@@ -497,8 +492,8 @@ def measure_triangle(
             raise DegenerateConfigError("triangle has a vanishing side")
         columns = ((d_qr, d_pr, d_pq), (
             measure_angle_ladder(space, p, g_pq, g_pr),
-            measure_angle_ladder(space, q, g_pq.reversed(), g_qr),
-            measure_angle_ladder(space, r, g_pr.reversed(), g_qr.reversed()),
+            measure_angle_ladder(space, q, space.geodesic(q, p), g_qr),
+            measure_angle_ladder(space, r, space.geodesic(r, p), space.geodesic(r, q)),
         ))
     (d_qr, d_pr, d_pq), ladders = columns
     return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, max(d_pq, d_pr, d_qr))
@@ -573,26 +568,16 @@ def point_segment_columns(space: GeodesicSpace, configs: Sequence) -> list:
 
 def _ladder_rows(space: RowSpace, v: np.ndarray, legs, live: np.ndarray):
     """`measure_angle_ladder` at each v[i] over arrays, with its formulas and
-    checks.  A leg is (at, lengths, back): `geodesic_rows`' point map and
-    lengths, and whether the segment is that geodesic reversed (its point at
-    s then at L + (-1.0) s, as `reversed()` evaluates it).  Returns the sides
-    (|va|, |vb|, |ab|) and `live` less the rows where the ladder raises; rows
-    not live are measured at t = 0, so nothing on them warns.  Only a
-    reversed leg is checked to emanate from v: a forward leg's `at(0)` is
-    v's own normal form."""
+    checks.  A leg is (at, lengths): the point map and lengths of
+    `geodesic_rows` from v.  Returns the sides (|va|, |vb|, |ab|) and `live`
+    less the rows where the ladder raises; rows not live are measured at
+    t = 0, so nothing on them warns."""
     dist = space.pair_distances
-
-    def along(leg, s):
-        at, length, back = leg
-        return at(length + (-1.0) * s if back else s)
-
-    for at, length, back in legs:
-        if back:
-            live = live & ~(dist(at(length), v) > 10.0 * PT)
-    t = 0.1 * np.minimum(legs[0][1], legs[1][1]) * 0.5**7
+    (at_a, len_a), (at_b, len_b) = legs
+    t = 0.1 * np.minimum(len_a, len_b) * 0.5**7
     live = live & ~(t <= 0.0)
     t = np.where(live, t, 0.0)
-    a, b = along(legs[0], t), along(legs[1], t)
+    a, b = at_a(t), at_b(t)
     d_va, d_vb = dist(v, a), dist(v, b)
     live = live & ~(np.minimum(d_va, d_vb) < 10.0 * GEO)
     return d_va, d_vb, dist(a, b), live
@@ -600,9 +585,9 @@ def _ladder_rows(space: RowSpace, v: np.ndarray, legs, live: np.ndarray):
 
 def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
     """`measure_triangle(space, seg.start, q, seg.end)`'s sides and ladders of
-    each configuration on a `RowSpace` whose three geodesics `geodesic_rows`
-    gives exactly (so each is `space.geodesic`) and on which no
-    check of `measure_triangle` or `measure_angle_ladder` raises."""
+    each configuration on a `RowSpace` whose six geodesics from its vertices
+    `geodesic_rows` gives exactly (so each is `space.geodesic`) and on which
+    no check of `measure_triangle` or `measure_angle_ladder` raises."""
     n = len(configs)
     if not n or not isinstance(space, RowSpace):
         return [None] * n
@@ -610,11 +595,13 @@ def triangle_columns(space: GeodesicSpace, configs: Sequence) -> list:
                for x in zip(*((c[1].start, c[0], c[1].end) for c in configs)))
     (l_pq, pq, ok_pq), (l_pr, pr, ok_pr), (l_qr, qr, ok_qr) = (
         space.geodesic_rows(x, y) for x, y in ((p, q), (p, r), (q, r)))
-    ok = ok_pq & ok_pr & ok_qr & ~(np.minimum(np.minimum(l_pq, l_pr), l_qr) <= 10.0 * GEO)
+    (l_qp, qp, ok_qp), (l_rp, rp, ok_rp), (l_rq, rq, ok_rq) = (
+        space.geodesic_rows(x, y) for x, y in ((q, p), (r, p), (r, q)))
+    ok = (ok_pq & ok_pr & ok_qr & ok_qp & ok_rp & ok_rq
+          & ~(np.minimum(np.minimum(l_pq, l_pr), l_qr) <= 10.0 * GEO))
     columns = [l_qr, l_pr, l_pq]
-    for v, legs in ((p, ((pq, l_pq, False), (pr, l_pr, False))),
-                    (q, ((pq, l_pq, True), (qr, l_qr, False))),
-                    (r, ((pr, l_pr, True), (qr, l_qr, True)))):
+    for v, legs in ((p, ((pq, l_pq), (pr, l_pr))), (q, ((qp, l_qp), (qr, l_qr))),
+                    (r, ((rp, l_rp), (rq, l_rq)))):
         *sides, ok = _ladder_rows(space, v, legs, ok)
         columns += sides
     out = [None] * n
@@ -812,8 +799,7 @@ def _right_angle_rows(space: RowSpace, p: np.ndarray, beta: np.ndarray, l1: np.n
     len_q, at_q, exact_q = space.geodesic_rows(p, q)
     len_r, at_r, exact_r = space.geodesic_rows(p, r)
     settle(~(exact_q & exact_r))
-    d_pa, d_pb, d_ab, live = _ladder_rows(space, p, ((at_q, len_q, False), (at_r, len_r, False)),
-                                          live)
+    d_pa, d_pb, d_ab, live = _ladder_rows(space, p, ((at_q, len_q), (at_r, len_r)), live)
     # model.comparison_angle(0.0, (d_pa, d_pb, d_ab)): its checks raise, so
     # their rows go back; at k = 0 its kernel is this law of cosines
     slack = TRI_REL * (d_pa + d_pb + d_ab)

@@ -64,9 +64,6 @@ class GeodesicSegment:
             lambda s, _t0=t0, _sign=sign: self._eval(_t0 + _sign * s),
         )
 
-    def reversed(self) -> "GeodesicSegment":
-        return self.subsegment(self.length, 0.0)
-
     def midpoint(self):
         return self.at(0.5 * self.length)
 
@@ -1035,7 +1032,8 @@ def _mesh_from_descriptor(d: dict) -> GeodesicSpace:
 
     path = _param(d, "path", "a string", lambda v: isinstance(v, str))
     steiner = 4 if "steiner" not in d else _param(
-        d, "steiner", "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+        d, "steiner", "a non-negative integer",
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0)
     return MeshSpace(load_obj(path), steiner, path=path)
 
 

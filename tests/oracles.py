@@ -324,10 +324,7 @@ def measure_angle_ladder(
     space: GeodesicSpace, p, toward_q: GeodesicSegment, toward_r: GeodesicSegment, *,
     t0: float | None = None, ratio: float = 0.5, rungs: int = 8,
 ) -> tuple[tuple[float, float, float, float], ...]:
-    """Raw ladder of (t_j, |p a_j|, |p b_j|, |a_j b_j|)."""
-    for seg in (toward_q, toward_r):
-        if space.distance(seg.at(0.0), p) > 10.0 * config.PT:
-            raise LadderError("segment does not emanate from p")
+    """Raw ladder of (t_j, |p a_j|, |p b_j|, |a_j b_j|) on two segments from p."""
     if t0 is None:
         t0 = 0.1 * min(toward_q.length, toward_r.length)
     if t0 <= 0.0:
@@ -388,6 +385,9 @@ class TriangleMeasurement:
 
 
 def measure_triangle(space: GeodesicSpace, p, q, r, *, rungs: int = 8) -> TriangleMeasurement:
+    """The sides are the first minimal geodesics' lengths from p to q and r and
+    from q to r; each vertex has a ladder for every pair of minimal geodesics
+    that leave it toward the other two, the first pair's first."""
     g_pq = space.minimal_geodesics(p, q)
     g_pr = space.minimal_geodesics(p, r)
     g_qr = space.minimal_geodesics(q, r)
@@ -395,18 +395,11 @@ def measure_triangle(space: GeodesicSpace, p, q, r, *, rungs: int = 8) -> Triang
     if min(d_pq, d_pr, d_qr) <= 10.0 * config.GEO:
         raise DegenerateConfigError("triangle has a vanishing side")
     multi = max(len(g_pq), len(g_pr), len(g_qr)) > 1
-    ladders = {"p": [], "q": [], "r": []}
-    for ga in g_pq:
-        for gb in g_pr:
-            ladders["p"].append(measure_angle_ladder(space, p, ga, gb, rungs=rungs))
-    for ga in g_pq:
-        for gb in g_qr:
-            ladders["q"].append(measure_angle_ladder(space, q, ga.reversed(), gb, rungs=rungs))
-    for ga in g_pr:
-        for gb in g_qr:
-            ladders["r"].append(
-                measure_angle_ladder(space, r, ga.reversed(), gb.reversed(), rungs=rungs)
-            )
+    ladders = {}
+    for name, v, a, b in (("p", p, q, r), ("q", q, p, r), ("r", r, p, q)):
+        ladders[name] = [measure_angle_ladder(space, v, ga, gb, rungs=rungs)
+                         for ga in space.minimal_geodesics(v, a)
+                         for gb in space.minimal_geodesics(v, b)]
     scale = max(d_pq, d_pr, d_qr)
     return TriangleMeasurement((d_qr, d_pr, d_pq), ladders, scale, multi)
 

@@ -1,6 +1,7 @@
 """CLI: output formats, exit codes, report schema, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -308,9 +309,10 @@ FAR_HYPERBOLIC = "center=[5946.0,9260.8,11013.2],radius=0.3"
 
 
 @pytest.mark.parametrize("command", ["estimate", "test"])
-def test_far_hyperbolic_triangles_whose_legs_miss_their_vertex_are_skipped(tmp_path, command):
-    # about 10 units out, a minimal geodesic's end rounds up to 2e-8 from its
-    # vertex, more than the ladder's 10 PT: those samples raise LadderError
+def test_far_hyperbolic_triangles_are_all_measured(tmp_path, command):
+    # about 10 units out a minimal geodesic's end rounds up to 2e-8 from its
+    # vertex; each angle is read on geodesics that leave its vertex, so no
+    # sample is skipped, and the bounds bracket the true curvature
     option = "--criteria" if command == "estimate" else "--criterion"
     assert run([
         command, "--space", '{"type":"hyperbolic","k":-1.0}',
@@ -318,19 +320,30 @@ def test_far_hyperbolic_triangles_whose_legs_miss_their_vertex_are_skipped(tmp_p
         "--samples", "40", "--seed", "1", "--out", str(tmp_path),
     ]) == 0
     results = read_summary(tmp_path, command)["results"]
-    assert results["skipped_by"]["LadderError"] > 0
-    measured = results["n_samples"] if command == "estimate" else results["rows"]
-    assert measured + results["skipped"] == 40
+    assert results["skipped"] == 0 and results["skipped_by"] == {}
+    if command == "estimate":
+        assert results["n_samples"] == 40
+        assert results["k_cbb"] <= -1.0 <= results["k_cba"]
+    else:
+        assert results["rows"] == 40
+
+
+# 16 units out the coordinates keep too few digits for the ladder's scale:
+# some triangles' ladder sides round below 10 GEO, and LadderError skips them
+FARTHER_HYPERBOLIC = f"center=[{math.sinh(16.0)!r},0.0,0.0],radius=0.3"
+# a region so small that the ladders of triangles with a short leg are below
+# 10 GEO: LadderError skips them, and the bounds and witnesses are read on the rest
+TINY_HYPERBOLIC = "center=[0.0,0.0,1.0],radius=3e-5"
 
 
 def test_measured_sample_indices_are_the_test_rows_sample_column(tmp_path):
-    # the far hyperbolic triangles above: LadderError skips leave gaps
+    # LadderError skips leave gaps
     space = spaces.space_from_descriptor('{"type":"hyperbolic","k":-1.0}')
-    center, radius = cli._parse_region(space, FAR_HYPERBOLIC)
+    center, radius = cli._parse_region(space, FARTHER_HYPERBOLIC)
     ms = estimator.sample_measurements(space, center, radius, ("triangle",), 40, 1)
-    assert run(["test", "--space", '{"type":"hyperbolic","k":-1.0}', "--region", FAR_HYPERBOLIC,
-                "--criterion", "triangle", "--samples", "40", "--seed", "1",
-                "--out", str(tmp_path)]) == 0
+    assert run(["test", "--space", '{"type":"hyperbolic","k":-1.0}',
+                "--region", FARTHER_HYPERBOLIC, "--criterion", "triangle", "--samples", "40",
+                "--seed", "1", "--out", str(tmp_path)]) == 0
     results = read_summary(tmp_path, "test")["results"]
     assert results["skipped_by"] == ms.skipped_by and results["skipped_by"]["LadderError"] > 0
     assert all(a < b for a, b in zip(ms.index, ms.index[1:]))
@@ -350,19 +363,20 @@ def test_measured_sample_indices_are_the_test_rows_sample_column(tmp_path):
 
 
 def test_estimate_rows_and_witnesses_name_the_drawn_sample(tmp_path):
-    # the far hyperbolic triangles above: the estimate's sample column is the
-    # test's, with gaps where samples were skipped
-    argv = ["--space", '{"type":"hyperbolic","k":-1.0}', "--region", FAR_HYPERBOLIC,
+    # the estimate's sample column is the test's, with gaps where samples were
+    # skipped (16 units out the triangle bounds are absent, so this region
+    # is one whose skips leave witnesses)
+    argv = ["--space", '{"type":"hyperbolic","k":-1.0}', "--region", TINY_HYPERBOLIC,
             "--samples", "40", "--seed", "1"]
     assert run(["test", *argv, "--criterion", "triangle", "--out", str(tmp_path / "t")]) == 0
     assert run(["estimate", *argv, "--criteria", "triangle", "--out", str(tmp_path / "e")]) == 0
     est = read_summary(tmp_path / "e", "estimate")["results"]
-    assert est["skipped"] == 24
+    assert est["skipped"] == 10
     tested = [int(row.split(",")[0])
               for row in (tmp_path / "t" / "test_rows.csv").read_text().splitlines()[1:]]
     estimated = [int(row.split(",")[0])
                  for row in (tmp_path / "e" / "estimate_rows.csv").read_text().splitlines()[1:]]
-    assert estimated == sorted(set(tested)) and len(estimated) == 40 - 24
+    assert estimated == sorted(set(tested)) and len(estimated) == 40 - 10
     for o in ("cbb", "cba"):
         assert est[f"{o}_witness"]["sample"] in estimated
 

@@ -28,8 +28,8 @@ NAMES = estimator.ESTIMATE_CRITERIA
 _hyp = spaces.Hyperbolic(-1.0)
 _origin = np.array([0.0, 0.0, 1.0])
 # (space, center, radius) of regions of every kind: smooth, wide enough for
-# antipodes, 10 units out on the hyperboloid (where the triangle's reversed
-# legs stop emanating from their vertex), and at, near and off cone apexes
+# antipodes, 10 units out on the hyperboloid (coordinates near 1e4, where
+# short distances lose digits), and at, near and off cone apexes
 CASES = {
     "plane": (spaces.EuclideanPlane(), np.zeros(2), 0.5),
     "sphere": (spaces.Sphere(1.0), _origin, 0.3),
@@ -104,17 +104,16 @@ def test_sampling_pass_equals_measuring_each_sample_as_drawn(case):
 
 
 def test_columns_cover_the_smooth_rows_and_leave_the_others():
-    # configurations off the row spaces (the plane's) and triangles whose legs
-    # stop emanating from their vertex (10 units out) are measured one at a time
+    # configurations off the row spaces (the plane's) and triangles with a
+    # route through a cone apex are measured one at a time; 10 units out on
+    # the hyperboloid every triangle is measured from the columns
     cases = {name: CASES[name] for name in ("plane", "sphere", "hyperbolic", "hyperbolic-far",
                                             "pi-cone-off", "7-cone-apex")}
     left = {name: check_columns(space, drawn(space, center, radius, 61000, 30))
             for name, (space, center, radius) in cases.items()}
     assert left["plane"] == dict.fromkeys(NAMES, 30)
-    for name in ("sphere", "hyperbolic", "pi-cone-off"):
+    for name in ("sphere", "hyperbolic", "hyperbolic-far", "pi-cone-off"):
         assert left[name] == dict.fromkeys(NAMES, 0)
-    far = left["hyperbolic-far"]
-    assert far["pythagorean"] == far["point_segment"] == 0 and far["triangle"] > 0
     assert left["7-cone-apex"]["triangle"] > 0  # routes through the apex
 
 
@@ -146,7 +145,8 @@ def _config(space, a, b, q, t_frac=0.5):
 
 def _crafted():
     plane, sphere, cone = spaces.EuclideanPlane(), spaces.Sphere(1.0), spaces.Cone(PI)
-    hyp_far = [_hyp.shoot(CASES["hyperbolic-far"][1], phi, 0.3) for phi in (0.1, 2.0, 4.0)]
+    far = _hyp.shoot(_origin, 1.0, 16.0)
+    hyp_far = [_hyp.shoot(far, phi, 0.3) for phi in (4.0, 1.7, 0.3)]
     unit = sphere.point_from_data
     return {
         # the foot 1e-10 from the segment's start: DegenerateConfigError in pythagorean
@@ -157,8 +157,9 @@ def _crafted():
                                           np.array([0.0, 1e-9]))),
         # a side of 5e-8: the ladder's sides are below 10 GEO, LadderError
         "degenerate-ladder": (cone, _config(cone, (1.0, 0.2), (1.3, 0.5), (1.0, 0.2 + 5e-8))),
-        # 10 units out: a reversed leg does not emanate from its vertex, LadderError
-        "not-emanating": (_hyp, _config(_hyp, hyp_far[0], hyp_far[1], hyp_far[2])),
+        # 16 units out the coordinates keep too few digits for the ladder's
+        # scale: a ladder's sides round below 10 GEO, LadderError
+        "far-degenerate-ladder": (_hyp, _config(_hyp, hyp_far[0], hyp_far[1], hyp_far[2])),
     }
 
 
@@ -166,7 +167,7 @@ CRAFTED = _crafted()
 RAISES = {"foot-at-endpoint": ("pythagorean", "DegenerateConfigError"),
           "vanishing-side": ("triangle", "DegenerateConfigError"),
           "degenerate-ladder": ("triangle", "LadderError"),
-          "not-emanating": ("triangle", "LadderError")}
+          "far-degenerate-ladder": ("triangle", "LadderError")}
 
 
 @pytest.mark.parametrize("kind", list(CRAFTED))
@@ -194,7 +195,7 @@ def feeding(configs, error=None):
 def test_measurement_and_draw_errors_keep_their_order(monkeypatch, kind, draw_error):
     space, bad = CRAFTED[kind]
     # the good configurations of the far crafted row are drawn near the
-    # origin: 10 units out, some of them skip with LadderError too
+    # origin: 16 units out, some of them skip with LadderError too
     center, radius = CASES["hyperbolic" if space is _hyp else "sphere"][1:]
     if space.name == "plane":
         center = np.zeros(2)

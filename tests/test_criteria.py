@@ -508,20 +508,25 @@ def test_triangle_tripod_tips(tripod):
 
 def test_a_tied_side_is_measured_on_its_first_minimal_geodesic():
     # on the pi-cone, two points a quarter turn apart at one radius are joined
-    # by two chords, one each way round the apex
+    # by two chords, one each way round the apex; each vertex's angle is read
+    # on the first minimal geodesics that leave it
     cone = spaces.Cone(PI)
     p, q, r = (0.2, 0.0), (0.2, PI / 2), (0.3, 0.4)
     first, second = cone.minimal_geodesics(p, q)
-    g_pq, g_pr, g_qr = cone.geodesic(p, q), cone.geodesic(p, r), cone.geodesic(q, r)
+    g_pq, g_pr = cone.geodesic(p, q), cone.geodesic(p, r)
     assert (g_pq.start, g_pq.end, g_pq.length) == (first.start, first.end, first.length)
+    assert len(cone.minimal_geodesics(q, p)) == 2
     m = criteria.measure_triangle(cone, p, q, r)
     assert m.ladders == (
         criteria.measure_angle_ladder(cone, p, g_pq, g_pr),
-        criteria.measure_angle_ladder(cone, q, g_pq.reversed(), g_qr),
-        criteria.measure_angle_ladder(cone, r, g_pr.reversed(), g_qr.reversed()),
+        criteria.measure_angle_ladder(cone, q, cone.geodesic(q, p), cone.geodesic(q, r)),
+        criteria.measure_angle_ladder(cone, r, cone.geodesic(r, p), cone.geodesic(r, q)),
     )
     # the second chord leaves p in another direction, so it reads another angle
     assert criteria.measure_angle_ladder(cone, p, second, g_pr) != m.ladders[0]
+    # and so does the second chord from q
+    assert criteria.measure_angle_ladder(
+        cone, q, cone.minimal_geodesics(q, p)[1], cone.geodesic(q, r)) != m.ladders[1]
 
 
 def test_triangle_rigidity_on_sphere(sphere, rng):
