@@ -135,9 +135,11 @@ def _parabolic_polish(f, t: float, ft: float, lo: float, hi: float, h: float):
 def foot_of_perpendicular(space: GeodesicSpace, q, seg: GeodesicSegment) -> FootResult:
     """Global minimizer of distance(q, seg.at(t)) over the segment.
 
-    Dense grid of FOOT_GRID intervals (one `row_distances` call where the
-    segment has a row, else one `distances` call), golden-section refinement
-    in the bracket around the grid minimum, then a guarded parabolic polish.
+    On a mesh path (`seg.nodes`, which `at` steps through), the first path
+    node nearest q.  Elsewhere a dense grid of FOOT_GRID intervals (one
+    `row_distances` call where the segment has a row, else one `distances`
+    call), golden-section refinement in the bracket around the grid
+    minimum, then a guarded parabolic polish.
     Raises FootOnBoundary when the minimizer sits within the interiorness
     margin of an endpoint.
     """
@@ -148,14 +150,21 @@ def foot_of_perpendicular(space: GeodesicSpace, q, seg: GeodesicSegment) -> Foot
     def f(t: float) -> float:
         return space.distance(q, seg.at(t))
 
-    ts = np.linspace(0.0, L, FOOT_GRID + 1)
-    if seg.row is not None:
-        grid = space.row_distances([q], [seg.row])(ts[:, None])[:, 0]
+    if seg.nodes is not None:
+        path, cum = seg.nodes
+        d = space.distances(q, path)
+        i = int(np.argmin(d))
+        t_star, d_star = cum[i], float(d[i])
     else:
-        grid = space.distances(q, [seg.at(t) for t in ts.tolist()])
-    i = int(np.argmin(grid))
-    t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)], FOOT_REFINE_REL * L)
-    t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, FOOT_POLISH_REL * L)
+        ts = np.linspace(0.0, L, FOOT_GRID + 1)
+        if seg.row is not None:
+            grid = space.row_distances([q], [seg.row])(ts[:, None])[:, 0]
+        else:
+            grid = space.distances(q, [seg.at(t) for t in ts.tolist()])
+        i = int(np.argmin(grid))
+        t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)],
+                           FOOT_REFINE_REL * L)
+        t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, FOOT_POLISH_REL * L)
     if d_star <= GEO:
         raise DegenerateConfigError("q lies on the segment")
     margin = FOOT_MARGIN_REL * L

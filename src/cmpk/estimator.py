@@ -461,7 +461,8 @@ def estimate_bounds(
     whose lower-bound claim passes every sample (bisection to `resolution`),
     ``k_cba`` the smallest passing upper bound; either is None with a note
     when bracket expansion passes EXPANSION_LIMIT (e.g. no lower curvature
-    bound at a branch point) or when no sample was measured.
+    bound at a branch point) or when no sample was measured, and both notes
+    say so when k_cbb > k_cba.
     """
     names = tuple(measurements)
     if not names:
@@ -501,6 +502,9 @@ def estimate_bounds(
         bounds.append((k, residual, witness, ""))
     (k_cbb, cbb_residual, cbb_witness, cbb_note), (k_cba, cba_residual, cba_witness, cba_note) = \
         bounds
+    if k_cbb is not None and k_cba is not None and k_cbb > k_cba:
+        cbb_note = cba_note = ("k_cbb > k_cba: both claims pass over the whole band, so the "
+                               "region does not resolve curvature at this verdict tolerance")
 
     return CurvatureEstimate(
         space.descriptor(), space.point_to_data(center), radius, names,

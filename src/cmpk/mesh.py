@@ -301,7 +301,7 @@ class MeshSpace(GeodesicSpace):
         def ev(t, path=path, cum=cum):
             return path[nearest_index(cum, t)]
 
-        return [GeodesicSegment(self, x, y, total, ev)]
+        return [GeodesicSegment(self, x, y, total, ev, nodes=(path, cum))]
 
     def sample_ball(self, center, radius, rng):
         row = self._row(int(center), radius)

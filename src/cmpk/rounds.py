@@ -47,8 +47,8 @@ def _searched_try(space: GeodesicSpace, q, seg: GeodesicSegment, min_height: flo
     if foot.d_star < min_height:
         return "low_height", None
     p = seg.at(foot.t_star)
-    # node-resolution spaces can snap an interior t* onto an endpoint
-    if min(space.distance(p, seg.start), space.distance(p, seg.end)) <= GEO:
+    # at radii near GEO an interior t* can lie within GEO of an endpoint
+    if space.distances(p, [seg.start, seg.end]).min() <= GEO:
         return "endpoint_snap", None
     return None, (q, seg, criteria.FootResult(float(foot.t_star), float(foot.d_star)))
 

@@ -30,8 +30,9 @@ class GeodesicSegment:
     ``_eval`` maps one arclength to a point.  ``row``, on a `RowSpace`, is the
     segment's point form as floats (start and tangent on the sphere and the
     hyperboloid, the unrolled chord on the cone): the one batched form,
-    through which the foot searches walk the segment.  Subsegments have no
-    row.
+    through which the foot searches walk the segment.  ``nodes``, on a mesh,
+    is the path ``at`` steps through and its arclengths.  Subsegments have
+    neither.
     """
 
     space: "GeodesicSpace"
@@ -40,6 +41,7 @@ class GeodesicSegment:
     length: float
     _eval: Callable[[float], object]
     row: tuple[float, ...] | None = None
+    nodes: tuple[list[int], list[float]] | None = None
 
     def at(self, t: float):
         """Point at arclength t from the start (tiny overshoot clamped)."""

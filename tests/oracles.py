@@ -8,8 +8,9 @@ the package has since rewritten (the heap Dijkstra search, the mesh's full
 Dijkstra rows, the chord graph built one face at a time, the per-k
 evaluators, the angle ladders, the all-scalar bisection predicate and
 residual, the cone geodesics that built every candidate route, the
-one-try-at-a-time foot sampler, the lockstep golden section that masked each
-row's step, the sampling pass that measured each configuration as it was
+one-try-at-a-time foot sampler, the foot search that refined a mesh path's
+step function by golden section, the lockstep golden section that masked
+each row's step, the sampling pass that measured each configuration as it was
 drawn, the sphere's and the hyperbolic plane's own shots and arcs, and the
 Riemannian-point rung that built one right-angle configuration at a time),
 which tests compare the rewrites against; and
@@ -517,14 +518,43 @@ def cone_minimal_geodesics(cone, x, y) -> list[GeodesicSegment]:
     return dedup
 
 
+def searched_foot(space: GeodesicSpace, q, seg: GeodesicSegment) -> criteria.FootResult:
+    """`criteria.foot_of_perpendicular` as it searched every segment, a mesh
+    path too: the grid minimum, golden-section refinement around it and a
+    guarded parabolic polish, with the same checks."""
+    L = seg.length
+    if L <= 0.0:
+        raise DegenerateConfigError("segment has zero length")
+
+    def f(t: float) -> float:
+        return space.distance(q, seg.at(t))
+
+    ts = np.linspace(0.0, L, criteria.FOOT_GRID + 1)
+    if seg.row is not None:
+        grid = space.row_distances([q], [seg.row])(ts[:, None])[:, 0]
+    else:
+        grid = space.distances(q, [seg.at(t) for t in ts.tolist()])
+    i = int(np.argmin(grid))
+    t_g, f_g = criteria._golden(f, ts[max(i - 1, 0)], ts[min(i + 1, criteria.FOOT_GRID)],
+                                config.FOOT_REFINE_REL * L)
+    t_star, d_star = criteria._parabolic_polish(f, t_g, f_g, 0.0, L, config.FOOT_POLISH_REL * L)
+    if d_star <= config.GEO:
+        raise DegenerateConfigError("q lies on the segment")
+    margin = config.FOOT_MARGIN_REL * L
+    if not margin <= t_star <= L - margin:
+        raise FootOnBoundary(t_star, d_star, L)
+    return criteria.FootResult(t_star, d_star)
+
+
 def sample_foot_config(
     space: GeodesicSpace, center, radius: float, rng: np.random.Generator, *,
     min_seg_rel: float = 0.7,
     min_height_rel: float = 0.15, unique_only: bool = True, max_tries: int = 200,
-    rejected: dict | None = None,
+    rejected: dict | None = None, search=foot_of_perpendicular,
 ):
     """Draw (q, seg, foot) with an interior foot and non-degenerate height;
-    `rejected`, when given, counts the rejected tries by reason."""
+    `rejected`, when given, counts the rejected tries by reason, and
+    `search(space, q, seg)` finds the foot."""
     counts = {} if rejected is None else rejected
 
     def reject(reason):
@@ -543,7 +573,7 @@ def sample_foot_config(
         seg = geods[0]
         q = space.sample_ball(center, radius, rng)
         try:
-            foot = foot_of_perpendicular(space, q, seg)
+            foot = search(space, q, seg)
         except FootOnBoundary:
             reject("foot_on_boundary")
             continue

@@ -381,6 +381,19 @@ def test_estimate_rows_and_witnesses_name_the_drawn_sample(tmp_path):
         assert est[f"{o}_witness"]["sample"] in estimated
 
 
+def test_an_inverted_interval_says_so_in_both_notes(tmp_path):
+    # so small a region that both claims pass over a band of k: k_cbb > k_cba
+    assert run(["estimate", "--space", '{"type":"hyperbolic","k":-1.0}', "--criteria",
+                "triangle", "--region", TINY_HYPERBOLIC, "--samples", "40", "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    est = read_summary(tmp_path, "estimate")["results"]
+    assert (est["k_cbb"], est["k_cba"]) == (2.4609375, -4.4609375)
+    note = ("k_cbb > k_cba: both claims pass over the whole band, so the region does not "
+            "resolve curvature at this verdict tolerance")
+    assert est["cbb_note"] == est["cba_note"] == note
+    assert est["cbb_witness"] == est["cba_witness"] == {"criterion": "triangle", "sample": 19}
+
+
 def test_right_angle_rows_keep_the_indices_of_skipped_draws(tmp_path):
     # near the apex some right-angle draws are unavailable: their indices are gaps
     region = "center=[0.0,0.0],radius=0.5"

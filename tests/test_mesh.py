@@ -6,12 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cmpk import config, criteria, mesh as mesh_mod
-from cmpk.errors import DisconnectedGraphError, MeshFormatError
+from cmpk import config, criteria, mesh as mesh_mod, rounds
+from cmpk.errors import (
+    DegenerateConfigError,
+    DisconnectedGraphError,
+    FootOnBoundary,
+    MeshFormatError,
+)
 from cmpk.spaces import space_from_descriptor
 
 from meshgen import grid_mesh, icosphere, octahedron, write_obj
-from oracles import MeshSpace as FullRowMeshSpace, chord_graph, heap_shortest_path
+from oracles import (
+    MeshSpace as FullRowMeshSpace,
+    chord_graph,
+    heap_shortest_path,
+    sample_foot_config,
+    searched_foot,
+)
 
 
 @pytest.fixture
@@ -445,6 +456,110 @@ def test_segment_evaluator_matches_argmin(octa_path, rng):
         assert seg.at(seg.length + 0.5 * slack) == nearest(seg.length)
         with pytest.raises(ValueError):
             seg.at(seg.length + 2 * slack)
+
+
+# ---------------------------------------------------------------------------
+# the graph foot: the path node nearest q
+
+
+def _benchmark_icosphere():
+    """The benchmark's mesh: the level-2 icosphere with 4 Steiner points per edge."""
+    return mesh_mod.MeshSpace(mesh_mod.TriMesh(*icosphere(2)), steiner=4)
+
+
+def _foot(search, space, q, seg):
+    """(t*, d*) of a foot search, read off FootOnBoundary too; None where the
+    search finds q on the segment."""
+    try:
+        foot = search(space, q, seg)
+    except FootOnBoundary as e:
+        return e.t_star, e.d_star
+    except DegenerateConfigError:
+        return None
+    return foot.t_star, foot.d_star
+
+
+@pytest.mark.parametrize("make, radius", [
+    (_benchmark_icosphere, 0.8),
+    (lambda: mesh_mod.MeshSpace(mesh_mod.TriMesh(*octahedron()), steiner=4), 3.0),
+])
+def test_graph_foot_is_the_nearest_path_node(make, radius):
+    space = make()
+    rng = np.random.default_rng(30)
+    for _ in range(150):
+        x, y, q = (space.sample_ball(0, radius, rng) for _ in range(3))
+        seg = space.geodesic(x, y)
+        if seg.length == 0.0:
+            continue
+        path, cum = seg.nodes
+        d = space.distances(q, path)
+        found = _foot(criteria.foot_of_perpendicular, space, q, seg)
+        if found is None:
+            assert d.min() <= config.GEO and q in path
+            continue
+        t, d_star = found
+        i = int(np.argmin(d))
+        assert seg.at(t) == path[i] and t == cum[i]
+        assert d_star == d.min()
+        searched = _foot(searched_foot, space, q, seg)
+        assert searched is not None and d_star <= searched[1], (x, y, q)
+
+
+def test_graph_foot_takes_the_first_of_tied_path_nodes():
+    # the octahedron's vertex 0 to the Steiner point (0.2, 0.8, 0) on its edge
+    # to vertex 2 runs through (0.8, 0.2, 0), and the apex (0, 0, 1) is as far
+    # from both Steiner points
+    space = mesh_mod.MeshSpace(mesh_mod.TriMesh(*octahedron()), steiner=4)
+    seg = space.geodesic(0, 9)
+    path, cum = seg.nodes
+    assert path == [0, 6, 9]
+    assert np.allclose(space.graph.positions[path], [[1, 0, 0], [0.8, 0.2, 0], [0.2, 0.8, 0]])
+    d = space.distances(4, path)
+    assert d[1] == d[2] < d[0]
+    foot = criteria.foot_of_perpendicular(space, 4, seg)
+    assert (foot.t_star, foot.d_star) == (cum[1], d[1])
+
+
+@pytest.mark.parametrize("seed", [3, 1000, 61004])
+def test_foot_stream_accepts_what_the_searched_foot_accepts(seed):
+    # on the benchmark's mesh, every try of the graph foot ends as the searched
+    # foot's did, but for one whose nearest node is an end: the graph foot
+    # rejects that as foot_on_boundary, where the search's golden section
+    # stopped inside the margin and the try snapped onto the end
+    space, n, radius = _benchmark_icosphere(), 20, 0.8
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rejected = dict.fromkeys(criteria.REJECTIONS, 0)
+    got = [(q, seg.start, seg.end, seg.at(foot.t_star), foot.d_star)
+           for q, seg, foot in criteria.foot_configs(space, 0, radius, rng, n,
+                                                     rejected=rejected)]
+    rejected_ref: dict = {}
+    want = []
+    for _ in range(n):
+        q, seg, foot = sample_foot_config(space, 0, radius, rng_ref, rejected=rejected_ref,
+                                          search=searched_foot)
+        want.append((q, seg.start, seg.end, seg.at(foot.t_star), foot.d_star))
+    assert got == want
+    assert sum(rejected.values()) == sum(rejected_ref.values())
+    assert rejected["endpoint_snap"] == 0 < rejected_ref["endpoint_snap"]
+    assert rng.random() == rng_ref.random()
+
+
+def test_endpoint_snap_check_computes_the_foot_nodes_row_at_most_once():
+    space = _benchmark_icosphere()
+    computed = _counted_rows(space)
+    min_height = criteria.MIN_HEIGHT_REL * 0.8
+    twice = 0  # tries whose two one-end reads would compute the foot's row twice
+    for q, seg, foot in criteria.foot_configs(space, 0, 0.8, np.random.default_rng(61000), 30):
+        p = seg.at(foot.t_star)
+        space._cache.clear()
+        computed.clear()
+        assert rounds._searched_try(space, q, seg, min_height)[0] is None
+        assert computed.count(p) == 1
+        space._cache.clear()
+        computed.clear()
+        min(space.distance(p, seg.start), space.distance(p, seg.end))
+        twice += computed.count(p) == 2
+    assert twice >= 1
 
 
 @given(
