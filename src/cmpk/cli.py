@@ -266,22 +266,16 @@ def cmd_estimate(args) -> int:
         space, center, radius, names, _at_least_one(args.samples, "--samples"), args.seed,
     )
     first = names[0].replace("-", "_")
+    # the first criterion's defects at each bound, from the pass that gives its residuals
+    at: dict[float, dict] = {}
     est = estimator.estimate_bounds(
         space, center, radius, measurements, seed=args.seed, k_bracket=bracket,
-        resolution=args.resolution, tol_cfg=tol,
+        resolution=args.resolution, tol_cfg=tol, defects=at,
     )
-    # one pass per distinct bound; both column pairs read it when k_cbb == k_cba
-    at: dict[float, list] = {}
+    columns, n = [], len(measurements.index)
     for k in (est.k_cbb, est.k_cba):
-        if k is not None and k not in at:
-            at[k] = [estimator.evaluate_measurement(first, m, k, tol_cfg=tol)
-                     for m in measurements[first]]
-    rows = []
-    for i, sample in enumerate(measurements.index):
-        row = [sample]
-        for k in (est.k_cbb, est.k_cba):
-            row.extend([None, None] if k is None else [at[k][i].cbb_defect, at[k][i].cba_defect])
-        rows.append(row)
+        columns += [[None] * n] * 2 if k is None else [d.tolist() for d in at[k][first]]
+    rows = [[sample, *cells] for sample, *cells in zip(measurements.index, *columns)]
     out_dir = _out_dir(args)
     config = {
         "space": space.descriptor(),

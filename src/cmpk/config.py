@@ -1,8 +1,8 @@
 """Numeric constants of the toolkit, and the one setting a run may change.
 
 Measuring a configuration reads only fixed slacks, the module constants
-below: GEO, PT, TIE, CLAMP, TRI_REL and the foot-search fractions
-FOOT_MARGIN_REL, FOOT_REFINE_REL and FOOT_POLISH_REL.  Evaluating a
+below: GEO, PT, TIE, CLAMP, TRI_REL and the interior-foot fraction
+FOOT_MARGIN_REL.  Evaluating a
 measurement at some k also reads the verdict tolerance
 max(VERDICT_ABS, c * scale**2), whose quadratic coefficient c is the one
 setting: `Tolerances.verdict_quad`, which `--tol-scale` sets.
@@ -28,8 +28,6 @@ PT = 1e-10              # point-equality tolerance (length)
 TIE = 1e-9              # minimal-geodesic tie window (length)
 VERDICT_ABS = 1e-9      # absolute floor of the verdict tolerance (rad / length)
 FOOT_MARGIN_REL = 1e-3  # interior-foot margin, fraction of segment length
-FOOT_REFINE_REL = 1e-8  # golden-section bracket target, fraction of length
-FOOT_POLISH_REL = 5e-6  # parabolic-polish probe spacing, fraction of length
 
 
 @dataclass(frozen=True)

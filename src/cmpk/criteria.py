@@ -22,8 +22,6 @@ from cmpk.config import (
     CLAMP,
     DEFAULT_TOL,
     FOOT_MARGIN_REL,
-    FOOT_POLISH_REL,
-    FOOT_REFINE_REL,
     GEO,
     TRI_REL,
     Tolerances,
@@ -40,9 +38,6 @@ from cmpk.errors import (
 from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace, RowSpace, _each
 
 PI = math.pi
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-FOOT_GRID = 64  # grid intervals of the foot search, before the golden section
-_GRID_STEP = 5  # grid points per distance call of the lockstep search
 
 
 def verdict_from_defects(cbb_defect: float, cba_defect: float, tol: float) -> str:
@@ -92,79 +87,34 @@ class FootResult:
     d_star: float
 
 
-def _golden(f, a: float, b: float, target: float) -> tuple[float, float]:
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > target:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _parabolic_polish(f, t: float, ft: float, lo: float, hi: float, h: float):
-    """One guarded parabolic step; keeps t when the fit does not help.
-
-    Distance-only golden section bottoms out at sqrt(eps)-level foot error;
-    on smooth spaces the parabola recovers ~eps^(2/3).  Kinked minima reject
-    the fit through the value guard.
-    """
-    t1, t3 = t - h, t + h
-    if t1 < lo or t3 > hi:
-        return t, ft
-    f1, f3 = f(t1), f(t3)
-    denom = (t - t1) * (ft - f3) - (t - t3) * (ft - f1)
-    if denom == 0.0:
-        return t, ft
-    tv = t - 0.5 * (((t - t1) ** 2) * (ft - f3) - ((t - t3) ** 2) * (ft - f1)) / denom
-    if not (t1 <= tv <= t3):
-        return t, ft
-    fv = f(tv)
-    noise = 4.0 * 2.2e-16 * (abs(ft) + (hi - lo))
-    if fv <= ft + noise:
-        return tv, fv
-    return t, ft
-
-
 def foot_of_perpendicular(space: GeodesicSpace, q, seg: GeodesicSegment) -> FootResult:
-    """Global minimizer of distance(q, seg.at(t)) over the segment.
+    """Global minimizer of distance(q, seg.at(t)) over the segment, exact.
 
     On a mesh path (`seg.nodes`, which `at` steps through), the first path
-    node nearest q.  Elsewhere a dense grid of FOOT_GRID intervals (one
-    `row_distances` call where the segment has a row, else one `distances`
-    call), golden-section refinement in the bracket around the grid
-    minimum, then a guarded parabolic polish.
-    Raises FootOnBoundary when the minimizer sits within the interiorness
-    margin of an endpoint.
+    node nearest q.  On a segment with a row, `feet_of_perpendicular` of that
+    one row.  Elsewhere the first of the space's closed-form
+    `foot_candidates`, each clamped to the segment, nearest q.
+    Raises DegenerateConfigError when q lies on the segment, and
+    FootOnBoundary when the minimizer sits within the interiorness margin of
+    an endpoint.
     """
     L = seg.length
     if L <= 0.0:
         raise DegenerateConfigError("segment has zero length")
-
-    def f(t: float) -> float:
-        return space.distance(q, seg.at(t))
-
-    if seg.nodes is not None:
+    if seg.row is not None:
+        t_star, d_star = (float(x[0]) for x in _row_feet(space, np.array([q], dtype=float),
+                                                          np.array([seg.row]), np.array([L])))
+    elif seg.nodes is not None:
         path, cum = seg.nodes
         d = space.distances(q, path)
         i = int(np.argmin(d))
         t_star, d_star = cum[i], float(d[i])
     else:
-        ts = np.linspace(0.0, L, FOOT_GRID + 1)
-        if seg.row is not None:
-            grid = space.row_distances([q], [seg.row])(ts[:, None])[:, 0]
-        else:
-            grid = space.distances(q, [seg.at(t) for t in ts.tolist()])
-        i = int(np.argmin(grid))
-        t_g, f_g = _golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)],
-                           FOOT_REFINE_REL * L)
-        t_star, d_star = _parabolic_polish(f, t_g, f_g, 0.0, L, FOOT_POLISH_REL * L)
+        for i, t in enumerate(space.foot_candidates(q, seg)):
+            t = min(max(t, 0.0), L)
+            d = space.distance(q, seg.at(t))
+            if i == 0 or d < d_star:
+                t_star, d_star = t, d
     if d_star <= GEO:
         raise DegenerateConfigError("q lies on the segment")
     margin = FOOT_MARGIN_REL * L
@@ -177,77 +127,38 @@ def foot_of_perpendicular(space: GeodesicSpace, q, seg: GeodesicSegment) -> Foot
 FOOT_OK, FOOT_BOUNDARY, FOOT_DEGENERATE = 0, 1, 2
 
 
-def feet_of_perpendicular(space: GeodesicSpace, qs, rows, lengths: np.ndarray):
+def _row_feet(space: RowSpace, qs: np.ndarray, rows: np.ndarray, lengths: np.ndarray):
+    """(t*, d*) of each row: the first of its `foot_rows` candidates, each
+    clamped to the segment, nearest q by `pair_distances`."""
+    at = space.segment_rows(rows)
+    for i, t in enumerate(space.foot_rows(qs, rows, lengths)):
+        t = np.clip(t, 0.0, lengths)
+        d = space.pair_distances(qs, at(t))
+        if i == 0:
+            t_star, d_star = t, d
+        else:
+            lower = d < d_star
+            t_star, d_star = np.where(lower, t, t_star), np.where(lower, d, d_star)
+    return t_star, d_star
+
+
+def feet_of_perpendicular(space: RowSpace, qs, rows, lengths: np.ndarray):
     """`foot_of_perpendicular` of each qs[i] on the segment whose `row` is rows[i]
-    and length lengths[i] > 0, without raising: the searches run in lockstep
-    over arrays, with the scalar search's grid, bracket, target, comparisons,
-    polish and checks applied row by row.
+    and length lengths[i] > 0, over arrays and without raising; the feet and
+    outcomes are the scalar form's bit for bit.
 
     Returns arrays t*, d* and outcome: FOOT_OK, or FOOT_BOUNDARY /
-    FOOT_DEGENERATE where the scalar search raises FootOnBoundary /
+    FOOT_DEGENERATE where the scalar form raises FootOnBoundary /
     DegenerateConfigError; t* and d* are nan unless the outcome is FOOT_OK.
     """
-    f, L = space.row_distances(qs, rows), lengths
-    ts = np.linspace(0.0, L, FOOT_GRID + 1)  # one grid per column
-    cols = np.arange(len(L))
-    # the grid's first minimum of each column, a few grid points per call: the
-    # temporaries of the whole grid would add megabytes to the peak memory
-    i, low = np.zeros(len(L), dtype=int), np.full(len(L), np.inf)
-    for k in range(0, FOOT_GRID + 1, _GRID_STEP):
-        grid = f(ts[k:k + _GRID_STEP])
-        j = np.argmin(grid, axis=0)
-        fj = grid[j, cols]
-        lower = fj < low
-        i, low = np.where(lower, k + j, i), np.where(lower, fj, low)
-    t, ft = _golden_rows(f, ts[np.maximum(i - 1, 0), cols],
-                         ts[np.minimum(i + 1, FOOT_GRID), cols], FOOT_REFINE_REL * L)
-    t, ft = _polish_rows(f, t, ft, L, FOOT_POLISH_REL * L)
+    L = np.asarray(lengths, dtype=float)
+    t, d = _row_feet(space, np.asarray(qs, dtype=float), np.asarray(rows, dtype=float), L)
     margin = FOOT_MARGIN_REL * L
     interior = (margin <= t) & (t <= L - margin)
-    outcome = np.where(ft <= GEO, FOOT_DEGENERATE, np.where(interior, FOOT_OK, FOOT_BOUNDARY))
+    outcome = np.where(d <= GEO, FOOT_DEGENERATE, np.where(interior, FOOT_OK, FOOT_BOUNDARY))
     failed = outcome != FOOT_OK
-    t[failed] = ft[failed] = np.nan
-    return t, ft, outcome
-
-
-def _golden_rows(f, a: np.ndarray, b: np.ndarray, target: np.ndarray):
-    """`_golden` on every row: all rows step together, and each row's result is
-    what `_golden` returns at the step where its bracket is first within its target."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    t, ft = np.empty_like(c), np.empty_like(fc)
-    todo = np.ones(len(c), dtype=bool)
-    while True:
-        done = todo & ~((b - a) > target)
-        if done.any():
-            pick = fc <= fd
-            t[done], ft[done] = np.where(pick, c, d)[done], np.where(pick, fc, fd)[done]
-            todo &= ~done
-        if not todo.any():
-            return t, ft
-        lower = fc < fd
-        a, b = np.where(lower, a, c), np.where(lower, d, b)
-        step = _INVPHI * (b - a)
-        new = np.where(lower, b - step, a + step)
-        fnew = f(new)
-        c, d = np.where(lower, new, d), np.where(lower, c, new)
-        fc, fd = np.where(lower, fnew, fd), np.where(lower, fc, fnew)
-
-
-def _polish_rows(f, t: np.ndarray, ft: np.ndarray, L: np.ndarray, h: np.ndarray):
-    """`_parabolic_polish` on [0, L] on every row: a row keeps t wherever the scalar step would."""
-    t1, t3 = t - h, t + h
-    f1, f3 = f(t1), f(t3)
-    denom = (t - t1) * (ft - f3) - (t - t3) * (ft - f1)
-    ok = ~(t1 < 0.0) & ~(t3 > L) & (denom != 0.0)
-    tv = t - 0.5 * (((t - t1) ** 2) * (ft - f3) - ((t - t3) ** 2) * (ft - f1)) / np.where(
-        ok, denom, 1.0)
-    ok &= (t1 <= tv) & (tv <= t3)
-    tv = np.where(ok, tv, t)
-    fv = f(tv)
-    ok &= fv <= ft + 4.0 * 2.2e-16 * (np.abs(ft) + L)
-    return np.where(ok, tv, t), np.where(ok, fv, ft)
+    t[failed] = d[failed] = np.nan
+    return t, d, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -884,12 +795,12 @@ MIN_HEIGHT_REL = 0.15
 # Why `foot_configs` rejects a try, in the order a try is checked.
 REJECTIONS = ("short_segment", "several_geodesics", "foot_on_boundary", "degenerate",
               "low_height", "endpoint_snap")
-# Why a lockstep foot search rejects a try, by outcome code.
+# Why `feet_of_perpendicular` rejects a try, by outcome code.
 FOOT_REJECTIONS = {FOOT_BOUNDARY: "foot_on_boundary", FOOT_DEGENERATE: "degenerate"}
 
 
-# A round searches at most ROUND_SEARCHES feet: its points, its tries and the
-# lockstep search's arrays stay this small however many samples are wanted
+# A round searches at most ROUND_SEARCHES feet: its points, its tries and its
+# arrays of feet stay this small however many samples are wanted
 ROUND_SEARCHES = 400
 
 
@@ -914,9 +825,9 @@ def foot_configs(
     `RowSpace` (the plane, the tripod, meshes and triangle domains), is the
     one-at-a-time loop (`rounds.scalar_round`).  A larger round is decided
     over arrays (`rounds.array_round`): its points come from `sample_balls`,
-    its pair checks read `pair_distances` of adjacent ball points, its
-    searched segments are rows of `row_segments` searched in lockstep, and a
-    segment is built only for a try that is accepted.  Short tries are
+    its pair checks read `pair_distances` of adjacent ball points, the feet
+    on its segments, rows of `row_segments`, are `feet_of_perpendicular`, and
+    a segment is built only for a try that is accepted.  Short tries are
     certain failures and a searched try may be accepted, so such a round
     stops drawing only at its searches or where max_tries failures in a row
     are certain.  A round that draws a point whose shot is unavailable, or
@@ -925,14 +836,12 @@ def foot_configs(
     the stream is the loop.
     `rejected`, when given, counts the rejected tries by reason.
 
-    The accepted tries, the rejections and the try that raises are those of
-    trying one at a time, and a lockstep foot agrees with that loop's scalar
-    foot within the golden-section target (FOOT_REFINE_REL of the segment).
-    When the stream returns, raises or is closed, the rng is where that loop
-    leaves it: an array round draws its uniforms ahead,
-    and when it is closed it sets the rng back and advances it by the uniforms
-    of the tries taken.  While the stream is suspended at a yield it is past
-    the round's points.
+    The accepted tries, their feet, the rejections and the try that raises
+    are those of trying one at a time, bit for bit.  When the stream
+    returns, raises or is closed, the rng is where that loop leaves it: an
+    array round draws its uniforms ahead, and when it is closed it sets the
+    rng back and advances it by the uniforms of the tries taken.  While the
+    stream is suspended at a yield it is past the round's points.
     """
     if rejected is None:
         rejected = dict.fromkeys(REJECTIONS, 0)

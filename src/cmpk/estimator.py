@@ -297,11 +297,6 @@ def evaluate_measurement(name: str, measurement, k: float, *,
 # A vector margin (defect - tolerance) below -MARGIN_GUARD is a sure pass.  The
 # vector and scalar defects differ by rounding noise, orders of magnitude less.
 MARGIN_GUARD = 1e-9
-# The residual pass evaluates a decided sample only when its vector defect is
-# within RESIDUAL_BAND of the largest one: twice the 1e-11 vector/scalar
-# agreement the property tests assert, so the sample whose scalar defect is the
-# residual is always among them.
-RESIDUAL_BAND = 2e-11
 
 
 def batch_measurements(measurements: dict[str, list], tol_cfg: Tolerances) -> dict:
@@ -353,52 +348,40 @@ def _orientation_pass(measurements: dict[str, list], k: float, orientation: str,
     return True
 
 
-def _worst_defect(measurements: dict[str, list], k: float, tol_cfg: Tolerances,
-                  batches: dict | None = None):
-    """Largest cbb and cba defects at k over every sample.
+def sample_defects(measurements: dict[str, list], k: float, tol_cfg: Tolerances,
+                   batches: dict | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each criterion's (cbb, cba) defect arrays at k, bit for bit the scalar
+    evaluator's: one array pass with `vector.MATH`, and the scalar evaluator,
+    in order, for each sample the arrays leave undecided.  Only those can
+    raise, so the error raised is that of one scalar pass over every sample."""
+    if batches is None:
+        batches = batch_measurements(measurements, tol_cfg)
+    out = {}
+    for name, ms in measurements.items():
+        batch, nan = batches.get(name), np.full(len(ms), np.nan)
+        cbb, cba = batch.defects(k, vector.MATH) if batch is not None else (nan, nan.copy())
+        ev = _EVALUATORS[name]
+        for i in np.flatnonzero(np.isnan(cbb)).tolist():
+            outcome = ev(ms[i], k, tol_cfg=tol_cfg)
+            cbb[i], cba[i] = outcome.cbb_defect, outcome.cba_defect
+        out[name] = (cbb, cba)
+    return out
+
+
+def _worst_defect(defects: dict[str, tuple[np.ndarray, np.ndarray]]):
+    """Largest cbb and cba defects of `sample_defects`' arrays.
 
     Returns ((cbb residual, cbb witness), (cba residual, cba witness)); a
     witness names the first sample, in evaluation order, whose defect is the
-    residual.  The scalar evaluator walks, in evaluation order, only the
-    undecided samples and those whose vector defect of either orientation is
-    within RESIDUAL_BAND of that orientation's largest.  Only undecided
-    samples can raise, so residuals, witnesses and errors are those of one
-    scalar pass over every sample.  Should a walked sample's scalar defect
-    stray more than RESIDUAL_BAND / 2 from its vector defect, that full pass
-    decides.
-    """
-    if batches is None:
-        batches = batch_measurements(measurements, tol_cfg)
-    vectors = {}
-    for name, ms in measurements.items():
-        batch, nan = batches.get(name), np.full(len(ms), np.nan)
-        vectors[name] = batch.defects(k) if batch is not None else (nan, nan)
-    top_cbb, top_cba = (max(np.fmax.reduce(v[o], initial=-np.inf) for v in vectors.values())
-                        for o in (0, 1))
-    walk = {name: np.flatnonzero(np.isnan(cbb) | (cbb >= top_cbb - RESIDUAL_BAND)
-                                 | (cba >= top_cba - RESIDUAL_BAND))
-            for name, (cbb, cba) in vectors.items()}
-    worst = _scalar_worst(measurements, k, tol_cfg, walk, vectors)
-    return worst if worst is not None else _scalar_worst(measurements, k, tol_cfg)
-
-
-def _scalar_worst(measurements: dict[str, list], k: float, tol_cfg: Tolerances,
-                  walk: dict | None = None, vectors: dict | None = None):
-    """`_worst_defect` over ms[walk[name]], or over every sample when walk is None.
-
-    Returns None at the first walked sample whose scalar defect is more than
-    RESIDUAL_BAND / 2 from its vector defect in `vectors`.
+    residual.
     """
     worst = [(-math.inf, None), (-math.inf, None)]
-    for name, ms in measurements.items():
-        ev = _EVALUATORS[name]
-        for i in range(len(ms)) if walk is None else walk[name]:
-            out = ev(ms[i], k, tol_cfg=tol_cfg)
-            for o, defect in enumerate((out.cbb_defect, out.cba_defect)):
-                if vectors is not None and abs(defect - vectors[name][o][i]) > RESIDUAL_BAND / 2:
-                    return None
-                if defect > worst[o][0]:
-                    worst[o] = (defect, {"criterion": name, "sample": int(i)})
+    for name, pair in defects.items():
+        for o, defect in enumerate(pair):
+            if len(defect):
+                i = int(np.argmax(defect))
+                if defect[i] > worst[o][0]:
+                    worst[o] = (float(defect[i]), {"criterion": name, "sample": i})
     return tuple(worst)
 
 
@@ -451,7 +434,7 @@ def check_bracket(k_bracket: tuple[float, float], resolution: float) -> None:
 def estimate_bounds(
     space: GeodesicSpace, center, radius: float, measurements: Measurements, *,
     seed: int, k_bracket: tuple[float, float] = (-2.0, 2.0),
-    resolution: float = 0.01, tol_cfg: Tolerances = DEFAULT_TOL,
+    resolution: float = 0.01, tol_cfg: Tolerances = DEFAULT_TOL, defects: dict | None = None,
 ) -> CurvatureEstimate:
     """Largest lower bound and smallest upper bound passing on a fixed sample set.
 
@@ -462,7 +445,9 @@ def estimate_bounds(
     ``k_cba`` the smallest passing upper bound; either is None with a note
     when bracket expansion passes EXPANSION_LIMIT (e.g. no lower curvature
     bound at a branch point) or when no sample was measured, and both notes
-    say so when k_cbb > k_cba.
+    say so when k_cbb > k_cba.  The residuals and witnesses are read off
+    `sample_defects` at each bound; `defects`, when given, is filled with
+    those arrays by bound.
     """
     names = tuple(measurements)
     if not names:
@@ -480,7 +465,9 @@ def estimate_bounds(
             resolution, None, None, None, None, note, note, skipped, **counts,
         )
     batches = batch_measurements(measurements, tol_cfg)
-    bounds, worst, worst_at = [], None, None
+    if defects is None:
+        defects = {}
+    bounds = []
     # the lower-bound claim holds for all k below a threshold, the upper-bound
     # claim for all k above one: each end is expanded away from the other
     for o, (claim, k_pass, k_fail) in enumerate((("cbb", k_lo, k_hi), ("cba", k_hi, k_lo))):
@@ -495,9 +482,9 @@ def estimate_bounds(
             bounds.append((None, None, None, str(e)))
             continue
         k, _ = _bisect(passes, k_pass, k_fail, resolution)
-        if worst is None or k != worst_at:  # the pass at k_cbb has both residuals
-            worst, worst_at = _worst_defect(measurements, k, tol_cfg, batches), k
-        residual, witness = worst[o]
+        if k not in defects:  # the pass at k_cbb has both residuals
+            defects[k] = sample_defects(measurements, k, tol_cfg, batches)
+        residual, witness = _worst_defect(defects[k])[o]
         witness = {**witness, "sample": measurements.index[witness["sample"]]}  # drawn index
         bounds.append((k, residual, witness, ""))
     (k_cbb, cbb_residual, cbb_witness, cbb_note), (k_cba, cba_residual, cba_witness, cba_note) = \

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# criteria imports this module before it defines the foot search, so its
+# criteria imports this module before it defines the feet, so its
 # names are read through the module as a round runs (where a tracer's
 # wrappers of them see these calls too)
 from cmpk import criteria
@@ -36,7 +36,7 @@ class LoopRound(Exception):
 
 
 def _searched_try(space: GeodesicSpace, q, seg: GeodesicSegment, min_height: float):
-    """The rejection reason of the try (q, seg) under the scalar search, or None
+    """The rejection reason of the try (q, seg) under `foot_of_perpendicular`, or None
     and its configuration."""
     try:
         foot = criteria.foot_of_perpendicular(space, q, seg)
@@ -82,11 +82,11 @@ def array_round(space: RowSpace, center, radius: float, rng: np.random.Generator
     the round draws tries until it holds `block` searches or `run` (the
     failures in a row before it) reaches max_tries.  A searched pair's
     segment comes from `row_segments`, or from `minimal_geodesics` where
-    that gives none (the cone's apex routes).  Where two or more have a row,
-    those feet are searched by `feet_of_perpendicular` and their
-    endpoint-snap check is `segment_rows` and `pair_distances`; the others
-    take `_searched_try`.  A `GeodesicSegment` is built only for a try
-    searched alone or accepted, when the round reaches it.  A point whose
+    that gives none (the cone's apex routes).  The feet of those with a row
+    are `feet_of_perpendicular`, and their endpoint-snap check is
+    `segment_rows` and `pair_distances`; the others take `_searched_try`.
+    A `GeodesicSegment` is built only for a try without a row or accepted,
+    when the round reaches it.  A point whose
     shot is unavailable, or a searched pair that `minimal_geodesics` joins
     more than once, raises `LoopRound` before the first try.  The rng is past
     the round's points while the round is suspended, and is then set back to
@@ -147,30 +147,23 @@ def array_round(space: RowSpace, center, radius: float, rng: np.random.Generator
         reasons: list = [None] * len(at)
         configs: list = [None] * len(at)
         t, d = np.full(len(at), np.nan), np.full(len(at), np.nan)
-        lock = np.flatnonzero(exact)
-        if len(lock) < 2:  # one search alone is faster on floats
-            lock = lock[:0]
-        if len(lock):
-            t[lock], d[lock], code = criteria.feet_of_perpendicular(
-                space, points[at[lock] + 2], rows[lock], lengths[lock])
-            for i, c in zip(lock.tolist(), code.tolist()):
+        rowed = np.flatnonzero(exact)
+        if len(rowed):
+            t[rowed], d[rowed], code = criteria.feet_of_perpendicular(
+                space, points[at[rowed] + 2], rows[rowed], lengths[rowed])
+            for i, c in zip(rowed.tolist(), code.tolist()):
                 reasons[i] = criteria.FOOT_REJECTIONS.get(c, "low_height")
-            kept = lock[(code == criteria.FOOT_OK) & ~(d[lock] < min_height)]
+            kept = rowed[(code == criteria.FOOT_OK) & ~(d[rowed] < min_height)]
             p = space.segment_rows(rows[kept])(t[kept])
             # within GEO of an endpoint, as an interior t* can be at radii near GEO
             snap = ((space.pair_distances(p, starts[kept]) <= GEO)
                     | (space.pair_distances(p, ends[kept]) <= GEO))
             for i, s in zip(kept.tolist(), snap.tolist()):
                 reasons[i] = "endpoint_snap" if s else None
-        alone = np.ones(len(at), dtype=bool)
-        alone[lock] = False
-        for i in np.flatnonzero(alone).tolist():
+        for i in np.flatnonzero(~exact).tolist():
             pos = int(at[i])
-            seg = segs[pos] if not exact[i] else space.segment_of_row(
-                space.handle(starts[i]), space.handle(ends[i]), float(lengths[i]),
-                tuple(rows[i].tolist()))
-            reasons[i], configs[i] = _searched_try(space, space.handle(points[pos + 2]), seg,
-                                                   min_height)
+            reasons[i], configs[i] = _searched_try(space, space.handle(points[pos + 2]),
+                                                   segs[pos], min_height)
         t, d, lengths = t.tolist(), d.tolist(), lengths.tolist()
         i = 0
         for end, kind in zip(used, kinds):

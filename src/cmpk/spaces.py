@@ -30,7 +30,7 @@ class GeodesicSegment:
     ``_eval`` maps one arclength to a point.  ``row``, on a `RowSpace`, is the
     segment's point form as floats (start and tangent on the sphere and the
     hyperboloid, the unrolled chord on the cone): the one batched form,
-    through which the foot searches walk the segment.  ``nodes``, on a mesh,
+    from which `foot_rows` computes its feet.  ``nodes``, on a mesh,
     is the path ``at`` steps through and its arclengths.  Subsegments have
     neither.
     """
@@ -48,7 +48,7 @@ class GeodesicSegment:
         length = self.length
         if t < -GEO or t > length + GEO:
             raise ValueError(f"t={t} outside [0, {length}]")
-        # clamped by comparisons: this runs once per point of every foot refinement
+        # clamped by comparisons, as np.clip clamps the array forms' arclengths
         if t < 0.0:
             t = 0.0
         elif t > length:
@@ -119,6 +119,14 @@ class GeodesicSpace(ABC):
         """Endpoint of the unit-speed geodesic from p in direction angle phi."""
         raise ShootUnavailable(f"{self.name} has no angle-parametrized directions")
 
+    def foot_candidates(self, q, seg: GeodesicSegment) -> list[float]:
+        """Arclengths, in closed form, one of which, clamped to [0, seg.length],
+        minimizes distance(q, seg.at(t)) on a segment without a row or nodes:
+        `criteria.foot_of_perpendicular` scores each by that distance.  A
+        row's are `RowSpace.foot_rows`; a mesh path's foot is read off its
+        nodes."""
+        raise NotImplementedError(f"{self.name} has no closed-form foot off its rows")
+
     def _segment(self, start, end, length, evaluator, row=None) -> GeodesicSegment:
         return GeodesicSegment(self, start, end, float(length), evaluator, row)
 
@@ -150,10 +158,10 @@ class RowSpace(GeodesicSpace):
     """
 
     @abstractmethod
-    def row_distances(self, qs, rows):
-        """The map f with f(ts) the distance from qs[i] to the point at arclength
-        ts[..., i] of the segment whose `row` is rows[i], for arrays ts whose
-        last axis runs over the block."""
+    def foot_rows(self, qs, rows, lengths):
+        """`foot_candidates` of each qs[i] on the segment whose `row` is rows[i]
+        and length lengths[i], as a list of arrays: the i-th entries of the
+        arrays are the candidates of row i."""
 
     @abstractmethod
     def shots(self, p, phis, lengths):
@@ -228,6 +236,12 @@ class EuclideanPlane(GeodesicSpace):
             [math.cos(phi), math.sin(phi)]
         )
 
+    def foot_candidates(self, q, seg):
+        # the projection of q onto the segment's line
+        (x0, x1), (y0, y1) = seg.start.tolist(), seg.end.tolist()
+        q0, q1 = np.asarray(q, dtype=float).tolist()
+        return [((q0 - x0) * (y0 - x0) + (q1 - x1) * (y1 - x1)) / seg.length]
+
     def point_to_data(self, x):
         return [float(x[0]), float(x[1])]
 
@@ -283,8 +297,8 @@ class _Quadric(RowSpace):
     at arclength t from x along the unit tangent w is cf(a) x + sf(a) w with
     a = t / radius, where (cf, sf) is (cos, sin) on the sphere and (cosh, sinh)
     on the hyperboloid.  A subclass sets cf, sf and its own metric: `_check`,
-    `distance`, the tangent `_basis`, the tangents of `_tangent_rows`,
-    `row_distances` and `minimal_geodesics`.
+    `distance`, the tangent `_basis`, the tangents of `_tangent_rows`, the
+    feet of `foot_rows` and `minimal_geodesics`.
     """
 
     cf: Callable[[float], float]
@@ -459,25 +473,22 @@ class Sphere(_Quadric):
         n = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
         return v0 / n, v1 / n, v2 / n
 
-    def row_distances(self, qs, rows):
-        # the formulas of `_arc`'s `ev` and of `distance`, over arrays in
-        # components: np.cross on small blocks costs more than the whole search step
-        q0, q1, q2 = np.array(qs, dtype=float).T
-        x0, x1, x2, w0, w1, w2 = np.array(rows, dtype=float).T
-        radius = self.radius
-
-        def f(ts):
-            a = ts / radius
-            c, s = np.cos(a), np.sin(a)
-            y0, y1, y2 = c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2
-            c0 = q1 * y2 - q2 * y1
-            c1 = q2 * y0 - q0 * y2
-            c2 = q0 * y1 - q1 * y0
-            return radius * np.arctan2(
-                np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), q0 * y0 + q1 * y1 + q2 * y2
-            )
-
-        return f
+    def foot_rows(self, qs, rows, lengths):
+        # q = A x + B w + C (x × w): the point of the great circle at arclength t
+        # is nearest q where t / radius is the angle of (A, B), and off the arc
+        # the nearer end round the circle is.  B is taken on the part of w
+        # orthogonal to x: on a short arc, rounding leaves w off orthogonal by a
+        # part of the arc's length.  Where A = B = 0, q is a pole of the arc's
+        # great circle and every point is a foot: the midpoint is taken
+        q0, q1, q2 = np.asarray(qs, dtype=float).T
+        x0, x1, x2, w0, w1, w2 = np.asarray(rows, dtype=float).T
+        lengths = np.asarray(lengths, dtype=float)
+        a = q0 * x0 + q1 * x1 + q2 * x2
+        b = q0 * w0 + q1 * w1 + q2 * w2 - a * (x0 * w0 + x1 * w1 + x2 * w2)
+        t = self.radius * _each(math.atan2, b, a)
+        turn = TWO_PI * self.radius
+        t = np.where(t + t < lengths - turn, t + turn, t)
+        return [np.where((a == 0.0) & (b == 0.0), 0.5 * lengths, t)]
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = self._check(x), self._check(y)
@@ -547,22 +558,20 @@ class Hyperbolic(_Quadric):
         n = np.where(exact, n, 1.0)
         return d, xs, np.stack([w0 / n, w1 / n, w2 / n], axis=1), exact
 
-    def row_distances(self, qs, rows):
-        # the formulas of `_arc`'s `ev` and of `distance`, over arrays in components
-        q0, q1, q2 = np.array(qs, dtype=float).T
-        x0, x1, x2, w0, w1, w2 = np.array(rows, dtype=float).T
-        radius = self.radius
-
-        def f(ts):
-            a = ts / radius
-            c, s = np.cosh(a), np.sinh(a)
-            d0 = c * x0 + s * w0 - q0
-            d1 = c * x1 + s * w1 - q1
-            d2 = c * x2 + s * w2 - q2
-            q = np.maximum(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
-            return radius * 2.0 * np.arcsinh(0.5 * np.sqrt(q))
-
-        return f
+    def foot_rows(self, qs, rows, lengths):
+        # with A = -<q, x> and B = -<q, w>, cosh(distance / radius) from q to the
+        # point at arclength t is A cosh(t / radius) + B sinh(t / radius), least
+        # where tanh(t / radius) = -B / A.  B is taken on the part of w orthogonal
+        # to x, as on the sphere.  A^2 - B^2 = 1 + <q, n>^2 for the unit normal
+        # n, so |B / A| < 1 but for rounding, far off the segment: there the
+        # foot is taken past the end
+        q0, q1, q2 = np.asarray(qs, dtype=float).T
+        x0, x1, x2, w0, w1, w2 = np.asarray(rows, dtype=float).T
+        a = -(q0 * x0 + q1 * x1 - q2 * x2)
+        ratio = (q0 * w0 + q1 * w1 - q2 * w2 - a * (x0 * w0 + x1 * w1 - x2 * w2)) / a
+        inside = np.abs(ratio) < 1.0
+        t = self.radius * _each(math.atanh, np.where(inside, ratio, 0.0))
+        return [np.where(inside, t, np.where(ratio < 0.0, -np.inf, np.inf))]
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x, y = self._check(x), self._check(y)
@@ -741,23 +750,33 @@ class Cone(RowSpace):
 
         return at
 
-    def row_distances(self, qs, rows):
-        # the formulas of `_unrolled_route`'s `ev` and of `distance`, over arrays:
-        # theta is reduced once by `ev` and again as `distance` reads a handle
-        qr, qt = np.array([self._norm(q) for q in qs], dtype=float).T
-        r1, t1, u0, u1 = np.array(rows, dtype=float).T
+    def foot_rows(self, qs, rows, lengths):
+        # In the development of the chord, which starts at (r1, 0) and runs along
+        # u, q's images lie at radius rq and angles delta + j P, and each is
+        # projected onto the chord's line.  The chord turns through at most
+        # P / 2 and less than pi, so the images within P of its start, j = -1, 0
+        # and 1, hold the nearest image of every point on it that is within pi.
+        # Past a perimeter of 2 pi a point may be nearest through the apex: the
+        # point of the chord nearest the apex is a candidate too
+        rq, qt = self._norm_rows(qs)
+        r1, t1, u0, u1 = np.asarray(rows, dtype=float).T
         period = self.perimeter
+        delta = (qt - t1) % period
+        c, s = np.cos(delta), np.sin(delta)
+        out = [-r1 * u0] if period > TWO_PI else []
+        for j in (-1, 0, 1):
+            cj, sj = math.cos(j * period), math.sin(j * period)
+            out.append(rq * ((c * cj - s * sj) * u0 + (s * cj + c * sj) * u1) - r1 * u0)
+        return out
 
-        def f(ts):
-            p0, p1 = r1 + ts * u0, ts * u1
-            r2 = np.hypot(p0, p1)
-            t2 = np.where(r2 == 0.0, 0.0, ((t1 + np.arctan2(p1, p0)) % period) % period)
-            sep = np.abs(qt - t2)
-            sep = np.minimum(sep, period - sep)
-            chord = np.hypot(qr - r2, np.sqrt(qr * r2) * (2.0 * np.sin(0.5 * sep)))
-            return np.where((qr == 0.0) | (r2 == 0.0) | (sep >= math.pi), qr + r2, chord)
-
-        return f
+    def foot_candidates(self, q, seg):
+        # a route through the apex: on each leg, the point whose radius is q's
+        # radius times the cosine of its angle to the leg, and the apex
+        rq, tq = self._norm(q)
+        (r1, t1), (_, t2) = self._norm(seg.start), self._norm(seg.end)
+        seps = [abs(tq - t) for t in (t1, t2)]
+        c1, c2 = (math.cos(min(sep, self.perimeter - sep)) for sep in seps)
+        return [r1 - rq * c1, r1, r1 + rq * c2]
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         r1, t1 = self._norm(x)
@@ -885,6 +904,16 @@ class Tripod(GeodesicSpace):
 
         return [self._segment((i, r1), (j, r2), r1 + r2, ev)]
 
+    def foot_candidates(self, q, seg):
+        # along a ray q sits at its radius on its own ray, and at minus its radius
+        # (through the branch point) on another: the foot is q's position clamped
+        k, rq = self._norm(q)
+        (i, r1), (j, r2) = self._norm(seg.start), self._norm(seg.end)
+        if i == j:
+            rho = rq if k == i else -rq
+            return [rho - r1 if r2 >= r1 else r1 - rho]
+        return [r1 - rq if k == i else r1 + rq if k == j else r1]
+
     def sample_ball(self, center, radius, rng):
         i, r0 = self._norm(center)
         s = radius * rng.uniform()
@@ -970,6 +999,14 @@ class SphericalTriangleDomain(GeodesicSpace):
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         segs = self._sphere.minimal_geodesics(self._require_inside(x), self._require_inside(y))
         return [self._segment(s.start, s.end, s.length, s._eval) for s in segs]
+
+    def foot_candidates(self, q, seg):
+        # the sphere's foot on the arc's start and tangent, as `minimal_geodesics` builds them
+        x, y = (self._require_inside(p).tolist() for p in (seg.start, seg.end))
+        row = [*x, *Sphere._toward(x, y)]
+        (t,) = self._sphere.foot_rows(np.array([q], dtype=float), np.array([row]),
+                                      np.array([seg.length]))
+        return t.tolist()
 
     def shoot(self, p, phi: float, length: float):
         q = self._sphere.shoot(self._require_inside(p), phi, length)

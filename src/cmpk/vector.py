@@ -2,11 +2,14 @@
 
 `estimate` bisects over k on one fixed sample set.  A batch turns one
 criterion's stored measurements into arrays once; its `defects` gives every
-sample's two oriented defects at any k in a few numpy passes, and `margins`
+sample's two oriented defects at any k in a few array passes, and `margins`
 one of them minus its tolerance.  The kernels below are the scalar kernels
 of `cmpk.kernels` term by term, with the SERIES_EPS branch chosen per
-element, so each value differs from the scalar evaluator's by a few rounding
-errors of the trig functions.
+element.  Their transcendentals come from a `Trig`: with NUMPY's ufuncs
+each value differs from the scalar evaluator's by a few rounding errors of
+the trig functions; with MATH's, which go through `math` entry by entry,
+each value is the scalar evaluator's bit for bit.  cos, sin and sqrt are
+numpy's in both: they round as `math` does.
 
 Every measurement of a criterion has one shape, so a batch is plain arrays:
 a triangle's model and ladder angle triples at p, q and r as (6, n) side
@@ -25,7 +28,7 @@ samples with the scalar evaluator.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,57 +36,85 @@ from cmpk.config import MAX_HYPERBOLIC_ARG, TRI_REL, Tolerances
 from cmpk.criteria import CHEBYSHEV_NODES
 from cmpk.kernels import SERIES_EPS
 from cmpk.model import PI, _perimeter_bound
+from cmpk.spaces import _each
 
 ILL = 1e-6  # conditioning band left to the scalar path (see the module docstring)
 
 
-def cs(k: float, d: np.ndarray) -> np.ndarray:
+class Trig(NamedTuple):
+    """The transcendentals of the kernels that numpy may round otherwise than `math`."""
+
+    cosh: Callable
+    sinh: Callable
+    asin: Callable
+    asinh: Callable
+    acos: Callable
+
+
+def _math(f, lo: float = -math.inf, hi: float = math.inf) -> Callable:
+    """f of every entry through `math`, nan outside [lo, hi], where it would raise."""
+    def each(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        inside = (x >= lo) & (x <= hi)
+        return np.where(inside, _each(f, np.where(inside, x, 0.0).ravel()).reshape(x.shape),
+                        np.nan)
+    return each
+
+
+NUMPY = Trig(np.cosh, np.sinh, np.arcsin, np.arcsinh, np.arccos)
+MATH = Trig(_math(math.cosh, -700.0, 700.0), _math(math.sinh, -700.0, 700.0),
+            _math(math.asin, -1.0, 1.0), _math(math.asinh), _math(math.acos, -1.0, 1.0))
+
+
+def cs(k: float, d: np.ndarray, trig: Trig = NUMPY) -> np.ndarray:
     """`cs_k(d)` per element of d."""
     w = k * d * d
-    full = np.cos(math.sqrt(k) * d) if k > 0.0 else np.cosh(math.sqrt(-k) * d)
+    full = np.cos(math.sqrt(k) * d) if k > 0.0 else trig.cosh(math.sqrt(-k) * d)
     return np.where(np.abs(w) < SERIES_EPS,
                     1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0, full)
 
 
-def sn(k: float, d: np.ndarray) -> np.ndarray:
+def sn(k: float, d: np.ndarray, trig: Trig = NUMPY) -> np.ndarray:
     """`sn_k(d)` per element of d."""
     w = k * d * d
     rk = math.sqrt(abs(k))  # 0 at k = 0, where every element takes the series
-    full = np.sin(rk * d) / rk if k > 0.0 else np.sinh(rk * d) / rk
+    full = np.sin(rk * d) / rk if k > 0.0 else trig.sinh(rk * d) / rk
     return np.where(np.abs(w) < SERIES_EPS,
                     d * (1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0), full)
 
 
-def vcs(k: float, d: np.ndarray) -> np.ndarray:
+def vcs(k: float, d: np.ndarray, trig: Trig = NUMPY) -> np.ndarray:
     """`vcs_k(d)` per element of d."""
     w = k * d * d
     if k > 0.0:
         s = np.sin(0.5 * math.sqrt(k) * d)
         full = 2.0 * s * s / k
     else:
-        s = np.sinh(0.5 * math.sqrt(-k) * d)
+        s = trig.sinh(0.5 * math.sqrt(-k) * d)
         full = 2.0 * s * s / (-k)
     return np.where(np.abs(w) < SERIES_EPS, d * d * (0.5 - w / 24.0 + w * w / 720.0), full)
 
 
-def arc_from_vcs(k: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def arc_from_vcs(k: float, v: np.ndarray,
+                 trig: Trig = NUMPY) -> tuple[np.ndarray, np.ndarray]:
     """`arc_from_vcs(k, v)` per element of v, and where that value is ill-conditioned."""
     v = np.where(v < 0.0, 0.0, v)
     x2 = 0.5 * k * v
     series = np.sqrt(2.0 * v) * (1.0 + k * v / 12.0 + 3.0 * k * k * v * v / 160.0)
     if k > 0.0:
         s2 = np.minimum(x2, 1.0)  # antipodal limit
-        full = np.where(s2 <= 0.5, 2.0 * np.arcsin(np.sqrt(s2)) / math.sqrt(k),
-                        (PI - 2.0 * np.arcsin(np.sqrt(1.0 - s2))) / math.sqrt(k))
+        full = np.where(s2 <= 0.5, 2.0 * trig.asin(np.sqrt(s2)) / math.sqrt(k),
+                        (PI - 2.0 * trig.asin(np.sqrt(1.0 - s2))) / math.sqrt(k))
         ill = (np.abs(s2 - 0.5) < ILL) | (s2 > 1.0 - ILL)
     else:
-        full = 2.0 * np.arcsinh(np.sqrt(-x2)) / math.sqrt(-k)
+        full = 2.0 * trig.asinh(np.sqrt(-x2)) / math.sqrt(-k)
         ill = np.zeros(v.shape, bool)
     series_branch = np.abs(x2) < 0.25 * SERIES_EPS
     return np.where(series_branch, series, full), ill & ~series_branch
 
 
-def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                      trig: Trig = NUMPY):
     """`model.comparison_angle(k, (a, b, c))` per element, and where it is decided."""
     perimeter = a + b + c
     slack = TRI_REL * perimeter
@@ -98,9 +129,10 @@ def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray):
                & (rk * c <= MAX_HYPERBOLIC_ARG))
     floor = 1e-12 * np.maximum(perimeter, 1e-300)
     ok &= (a > floor) & (b > floor)
-    raw = (vcs(k, a) + cs(k, a) * vcs(k, b) - vcs(k, c)) / (sn(k, a) * sn(k, b))
+    raw = ((vcs(k, a, trig) + cs(k, a, trig) * vcs(k, b, trig) - vcs(k, c, trig))
+           / (sn(k, a, trig) * sn(k, b, trig)))
     ok &= np.abs(raw) < 1.0 - ILL
-    return np.arccos(raw), ok
+    return trig.acos(raw), ok
 
 
 class Batch:
@@ -110,12 +142,13 @@ class Batch:
         self.n = len(ms)
         self.tolerance = np.array([tol_cfg.verdict_tolerance(m.scale) for m in ms], float)
 
-    def defects(self, k: float) -> tuple[np.ndarray, np.ndarray]:
-        """Each sample's (cbb, cba) defects at k; nan where undecided."""
+    def defects(self, k: float, trig: Trig = NUMPY) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's (cbb, cba) defects at k; nan where undecided.  With
+        trig MATH every decided defect is the scalar evaluator's bit for bit."""
         if self.n == 0 or not math.isfinite(k):
             return np.full(self.n, np.nan), np.full(self.n, np.nan)  # the scalar path decides
         with np.errstate(all="ignore"):  # masked elements may overflow or divide by 0
-            cbb, cba, ok = self._defects(float(k))
+            cbb, cba, ok = self._defects(float(k), trig)
             ok &= np.isfinite(cbb) & np.isfinite(cba)
             return np.where(ok, cbb, np.nan), np.where(ok, cba, np.nan)
 
@@ -126,7 +159,7 @@ class Batch:
         cbb, cba = self.defects(k)
         return (cbb if orientation == "cbb" else cba) - self.tolerance
 
-    def _defects(self, k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _defects(self, k: float, trig: Trig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cbb defects, cba defects, decided) per sample at k."""
         raise NotImplementedError
 
@@ -140,8 +173,8 @@ class PythagoreanBatch(Batch):
         self.sides = (np.concatenate((qp, qp)), np.concatenate((pr1, pr2)),
                       np.concatenate((qr1, qr2)))
 
-    def _defects(self, k):
-        angle, ok = comparison_angles(k, *self.sides)
+    def _defects(self, k, trig):
+        angle, ok = comparison_angles(k, *self.sides, trig)
         d1, d2 = (angle - 0.5 * PI).reshape(2, -1)
         return np.maximum(d1, d2), np.maximum(-d1, -d2), ok.reshape(2, -1).all(axis=0)
 
@@ -155,12 +188,13 @@ class PointSegmentBatch(Batch):
         self.t, self.real = np.array([m.probes for m in ms], float).reshape(
             self.n, CHEBYSHEV_NODES, 2).transpose(2, 0, 1)
 
-    def _defects(self, k):
-        alpha, ok = comparison_angles(k, self.qp, self.length, self.qr)
+    def _defects(self, k, trig):
+        alpha, ok = comparison_angles(k, self.qp, self.length, self.qr, trig)
         qp, length, t = self.qp[:, None], self.length[:, None], self.t
         # `model.comparison_distances`: the model side from q~ to each probe of [p~ r~]
-        v = vcs(k, qp) + cs(k, qp) * vcs(k, t) - sn(k, qp) * sn(k, t) * np.cos(alpha)[:, None]
-        model_d, ill = arc_from_vcs(k, v)
+        v = (vcs(k, qp, trig) + cs(k, qp, trig) * vcs(k, t, trig)
+             - sn(k, qp, trig) * sn(k, t, trig) * np.cos(alpha)[:, None])
+        model_d, ill = arc_from_vcs(k, v, trig)
         probe_ok = (0.0 < t) & (t < length) & ~ill
         if k > 0.0:
             probe_ok &= qp + t + model_d < _perimeter_bound(k)
@@ -178,8 +212,8 @@ class TriangleBatch(Batch):
         self.sides = tuple(np.vstack((*main, *lad)) for main, lad in zip(
             ((pq, pq, pr), (pr, qr, qr), (qr, pr, pq)), ladder))
 
-    def _defects(self, k):
-        angle, ok = comparison_angles(k, *self.sides)
+    def _defects(self, k, trig):
+        angle, ok = comparison_angles(k, *self.sides, trig)
         model, ladder = angle.reshape(2, 3, -1)
         # lower bound needs angle >= model angle at every vertex
         return (model - ladder).max(axis=0), (ladder - model).max(axis=0), ok.all(axis=0)

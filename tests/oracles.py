@@ -8,9 +8,9 @@ the package has since rewritten (the heap Dijkstra search, the mesh's full
 Dijkstra rows, the chord graph built one face at a time, the per-k
 evaluators, the angle ladders, the all-scalar bisection predicate and
 residual, the cone geodesics that built every candidate route, the
-one-try-at-a-time foot sampler, the foot search that refined a mesh path's
-step function by golden section, the lockstep golden section that masked
-each row's step, the sampling pass that measured each configuration as it was
+one-try-at-a-time foot sampler, the foot search by grid, golden section
+and parabolic polish, on one segment and in lockstep over rows, with the
+numpy row distances it read, the sampling pass that measured each configuration as it was
 drawn, the sphere's and the hyperbolic plane's own shots and arcs, and the
 Riemannian-point rung that built one right-angle configuration at a time),
 which tests compare the rewrites against; and
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from cmpk import config, criteria, estimator, mesh, model
+from cmpk import config, criteria, estimator, mesh, model, spaces
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.criteria import (
     PI,
@@ -518,6 +518,100 @@ def cone_minimal_geodesics(cone, x, y) -> list[GeodesicSegment]:
     return dedup
 
 
+# The foot search that `criteria.foot_of_perpendicular` ran before every
+# foot was exact: a grid of FOOT_GRID intervals, golden-section refinement to
+# FOOT_REFINE_REL of the segment around the grid minimum and a guarded
+# parabolic polish, one foot at a time or in lockstep over rows, reading the
+# distances along a row through `row_distances`.
+FOOT_GRID = 64
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+FOOT_REFINE_REL = 1e-8  # golden-section bracket target, fraction of length
+FOOT_POLISH_REL = 5e-6  # parabolic-polish probe spacing, fraction of length
+
+
+def golden(f, a: float, b: float, target: float) -> tuple[float, float]:
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > target:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def parabolic_polish(f, t: float, ft: float, lo: float, hi: float, h: float):
+    """One guarded parabolic step; keeps t when the fit does not help."""
+    t1, t3 = t - h, t + h
+    if t1 < lo or t3 > hi:
+        return t, ft
+    f1, f3 = f(t1), f(t3)
+    denom = (t - t1) * (ft - f3) - (t - t3) * (ft - f1)
+    if denom == 0.0:
+        return t, ft
+    tv = t - 0.5 * (((t - t1) ** 2) * (ft - f3) - ((t - t3) ** 2) * (ft - f1)) / denom
+    if not (t1 <= tv <= t3):
+        return t, ft
+    fv = f(tv)
+    noise = 4.0 * 2.2e-16 * (abs(ft) + (hi - lo))
+    if fv <= ft + noise:
+        return tv, fv
+    return t, ft
+
+
+def row_distances(space: GeodesicSpace, qs, rows):
+    """The map f with f(ts) the distance from qs[i] to the point at arclength
+    ts[..., i] of the segment whose `row` is rows[i], in numpy's trig: the
+    sphere's, the hyperbolic plane's and the cone's formulas of `distance` and
+    of their segments' points, over arrays."""
+    radius = getattr(space, "radius", None)
+    if isinstance(space, spaces.Cone):
+        qr, qt = np.array([space._norm(q) for q in qs], dtype=float).T
+        r1, t1, u0, u1 = np.array(rows, dtype=float).T
+        period = space.perimeter
+
+        def f(ts):
+            p0, p1 = r1 + ts * u0, ts * u1
+            r2 = np.hypot(p0, p1)
+            t2 = np.where(r2 == 0.0, 0.0, ((t1 + np.arctan2(p1, p0)) % period) % period)
+            sep = np.abs(qt - t2)
+            sep = np.minimum(sep, period - sep)
+            chord = np.hypot(qr - r2, np.sqrt(qr * r2) * (2.0 * np.sin(0.5 * sep)))
+            return np.where((qr == 0.0) | (r2 == 0.0) | (sep >= math.pi), qr + r2, chord)
+
+        return f
+    q0, q1, q2 = np.array(qs, dtype=float).T
+    x0, x1, x2, w0, w1, w2 = np.array(rows, dtype=float).T
+    if isinstance(space, spaces.Sphere):
+        def f(ts):
+            a = ts / radius
+            c, s = np.cos(a), np.sin(a)
+            y0, y1, y2 = c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2
+            c0 = q1 * y2 - q2 * y1
+            c1 = q2 * y0 - q0 * y2
+            c2 = q0 * y1 - q1 * y0
+            return radius * np.arctan2(
+                np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), q0 * y0 + q1 * y1 + q2 * y2)
+
+        return f
+
+    def f(ts):
+        a = ts / radius
+        c, s = np.cosh(a), np.sinh(a)
+        d0 = c * x0 + s * w0 - q0
+        d1 = c * x1 + s * w1 - q1
+        d2 = c * x2 + s * w2 - q2
+        q = np.maximum(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
+        return radius * 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+
+    return f
+
+
 def searched_foot(space: GeodesicSpace, q, seg: GeodesicSegment) -> criteria.FootResult:
     """`criteria.foot_of_perpendicular` as it searched every segment, a mesh
     path too: the grid minimum, golden-section refinement around it and a
@@ -529,21 +623,80 @@ def searched_foot(space: GeodesicSpace, q, seg: GeodesicSegment) -> criteria.Foo
     def f(t: float) -> float:
         return space.distance(q, seg.at(t))
 
-    ts = np.linspace(0.0, L, criteria.FOOT_GRID + 1)
+    ts = np.linspace(0.0, L, FOOT_GRID + 1)
     if seg.row is not None:
-        grid = space.row_distances([q], [seg.row])(ts[:, None])[:, 0]
+        grid = row_distances(space, [q], [seg.row])(ts[:, None])[:, 0]
     else:
         grid = space.distances(q, [seg.at(t) for t in ts.tolist()])
     i = int(np.argmin(grid))
-    t_g, f_g = criteria._golden(f, ts[max(i - 1, 0)], ts[min(i + 1, criteria.FOOT_GRID)],
-                                config.FOOT_REFINE_REL * L)
-    t_star, d_star = criteria._parabolic_polish(f, t_g, f_g, 0.0, L, config.FOOT_POLISH_REL * L)
+    t_g, f_g = golden(f, ts[max(i - 1, 0)], ts[min(i + 1, FOOT_GRID)], FOOT_REFINE_REL * L)
+    t_star, d_star = parabolic_polish(f, t_g, f_g, 0.0, L, FOOT_POLISH_REL * L)
     if d_star <= config.GEO:
         raise DegenerateConfigError("q lies on the segment")
     margin = config.FOOT_MARGIN_REL * L
     if not margin <= t_star <= L - margin:
         raise FootOnBoundary(t_star, d_star, L)
     return criteria.FootResult(t_star, d_star)
+
+
+def lockstep_feet(space: GeodesicSpace, qs, rows, lengths: np.ndarray):
+    """`criteria.feet_of_perpendicular` as it searched in lockstep over rows:
+    the scalar search's grid, bracket, target, comparisons, polish and checks
+    applied row by row.  Returns t*, d* (nan unless FOOT_OK) and outcomes."""
+    f, L = row_distances(space, qs, rows), lengths
+    ts = np.linspace(0.0, L, FOOT_GRID + 1)
+    i = np.argmin(f(ts), axis=0)
+    cols = np.arange(len(L))
+    t, ft = golden_rows(f, ts[np.maximum(i - 1, 0), cols],
+                        ts[np.minimum(i + 1, FOOT_GRID), cols], FOOT_REFINE_REL * L)
+    t, ft = polish_rows(f, t, ft, L, FOOT_POLISH_REL * L)
+    margin = config.FOOT_MARGIN_REL * L
+    interior = (margin <= t) & (t <= L - margin)
+    outcome = np.where(ft <= config.GEO, criteria.FOOT_DEGENERATE,
+                       np.where(interior, criteria.FOOT_OK, criteria.FOOT_BOUNDARY))
+    failed = outcome != criteria.FOOT_OK
+    t[failed] = ft[failed] = np.nan
+    return t, ft, outcome
+
+
+def golden_rows(f, a: np.ndarray, b: np.ndarray, target: np.ndarray):
+    """`golden` on every row: all rows step together, and each row's result is
+    what `golden` returns at the step where its bracket is first within its target."""
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    t, ft = np.empty_like(c), np.empty_like(fc)
+    todo = np.ones(len(c), dtype=bool)
+    while True:
+        done = todo & ~((b - a) > target)
+        if done.any():
+            pick = fc <= fd
+            t[done], ft[done] = np.where(pick, c, d)[done], np.where(pick, fc, fd)[done]
+            todo &= ~done
+        if not todo.any():
+            return t, ft
+        lower = fc < fd
+        a, b = np.where(lower, a, c), np.where(lower, d, b)
+        step = INVPHI * (b - a)
+        new = np.where(lower, b - step, a + step)
+        fnew = f(new)
+        c, d = np.where(lower, new, d), np.where(lower, c, new)
+        fc, fd = np.where(lower, fnew, fd), np.where(lower, fc, fnew)
+
+
+def polish_rows(f, t: np.ndarray, ft: np.ndarray, L: np.ndarray, h: np.ndarray):
+    """`parabolic_polish` on [0, L] on every row: a row keeps t wherever the scalar step would."""
+    t1, t3 = t - h, t + h
+    f1, f3 = f(t1), f(t3)
+    denom = (t - t1) * (ft - f3) - (t - t3) * (ft - f1)
+    ok = ~(t1 < 0.0) & ~(t3 > L) & (denom != 0.0)
+    tv = t - 0.5 * (((t - t1) ** 2) * (ft - f3) - ((t - t3) ** 2) * (ft - f1)) / np.where(
+        ok, denom, 1.0)
+    ok &= (t1 <= tv) & (tv <= t3)
+    tv = np.where(ok, tv, t)
+    fv = f(tv)
+    ok &= fv <= ft + 4.0 * 2.2e-16 * (np.abs(ft) + L)
+    return np.where(ok, tv, t), np.where(ok, fv, ft)
 
 
 def sample_foot_config(
@@ -592,29 +745,6 @@ def sample_foot_config(
     raise DegenerateRegionError(
         f"no valid foot configuration in {max_tries} tries (radius {radius})"
     )
-
-
-def golden_rows_masked(f, a: np.ndarray, b: np.ndarray, target: np.ndarray):
-    """`criteria._golden_rows` as it stepped only the rows whose bracket was
-    still wider than their target, through masks."""
-    invphi = criteria._INVPHI
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    active = (b - a) > target
-    while active.any():
-        lower = fc < fd
-        left, right = active & lower, active & ~lower
-        a = np.where(right, c, a)
-        b = np.where(left, d, b)
-        c, d = (np.where(left, b - invphi * (b - a), np.where(right, d, c)),
-                np.where(right, a + invphi * (b - a), np.where(left, c, d)))
-        fnew = f(np.where(left, c, d))
-        fc, fd = (np.where(left, fnew, np.where(right, fd, fc)),
-                  np.where(right, fnew, np.where(left, fc, fd)))
-        active = (b - a) > target
-    pick = fc <= fd
-    return np.where(pick, c, d), np.where(pick, fc, fd)
 
 
 def sample_measurements(space: GeodesicSpace, center, radius: float, names: Sequence[str],

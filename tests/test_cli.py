@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cmpk import cli, criteria, estimator, spaces
+from cmpk.config import DEFAULT_TOL
 from cmpk.errors import ModelDomainError
 
 from meshgen import icosphere, octahedron, write_obj
@@ -224,12 +225,19 @@ def test_estimate_sphere(tmp_path):
     assert abs(payload["results"]["k_cba"] - 1.0) <= 0.05
 
 
-def test_estimate_rows_evaluate_each_sample_once_when_the_bounds_agree(tmp_path, monkeypatch):
-    calls = []
+def test_estimate_rows_come_from_the_residual_pass_when_the_bounds_agree(tmp_path, monkeypatch):
+    # one exact pass at the one bound gives the residuals and every CSV row;
+    # nothing is evaluated after the estimate
+    passes, calls = [], []
+    sample_defects = estimator.sample_defects
     evaluate = estimator._EVALUATORS["pythagorean"]
 
+    def counted_pass(ms, k, *args, **kwargs):
+        passes.append(k)
+        return sample_defects(ms, k, *args, **kwargs)
+
     def counted(m, k, *, tol_cfg):
-        calls.append((id(m), k))
+        calls.append(k)
         return evaluate(m, k, tol_cfg=tol_cfg)
 
     bounded = []
@@ -240,6 +248,7 @@ def test_estimate_rows_evaluate_each_sample_once_when_the_bounds_agree(tmp_path,
         bounded.append(len(calls))
         return est
 
+    monkeypatch.setattr(estimator, "sample_defects", counted_pass)
     monkeypatch.setitem(estimator._EVALUATORS, "pythagorean", counted)
     monkeypatch.setattr(estimator, "estimate_bounds", counted_bounds)
     assert run([
@@ -248,9 +257,14 @@ def test_estimate_rows_evaluate_each_sample_once_when_the_bounds_agree(tmp_path,
     ]) == 0
     results = read_summary(tmp_path, "estimate")["results"]
     assert results["k_cbb"] == results["k_cba"]
-    rows = calls[bounded[0]:]
-    assert {k for _, k in rows} == {results["k_cbb"]}
-    assert len(rows) == len({i for i, _ in rows}) == results["n_samples"]
+    assert passes == [results["k_cbb"]] and len(calls) == bounded[0]
+    rows = (tmp_path / "estimate_rows.csv").read_text().splitlines()[1:]
+    ms = estimator.sample_measurements(
+        spaces.Sphere(1.0), np.array([0.0, 0.0, 1.0]), 0.3, ("pythagorean",), 40, 63)
+    k = results["k_cbb"]
+    want = [evaluate(m, k, tol_cfg=DEFAULT_TOL) for m in ms["pythagorean"]]
+    assert rows == [",".join([str(i), *[repr(o.cbb_defect), repr(o.cba_defect)] * 2])
+                    for i, o in zip(ms.index, want)]
 
 
 def test_profile_cone(tmp_path):
@@ -705,9 +719,6 @@ def avx512_dispatched() -> tuple[str, ...]:
 
 
 @pytest.mark.skipif(not avx512_dispatched(), reason="numpy dispatches to no AVX-512 target here")
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the hyperbolic row distances call np.cosh, np.sinh and np.arcsinh, "
-                          "whose last bits depend on the SIMD target numpy dispatches to")
 def test_reports_do_not_depend_on_simd_dispatch(tmp_path):
     # the benchmark's hyperbolic three-criteria estimate, as is and with numpy's
     # AVX-512 targets switched off

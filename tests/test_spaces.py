@@ -309,8 +309,8 @@ def test_cone_separation_below_rounding_gives_a_point_segment():
     # its row walks nowhere: every arclength reads the start
     assert seg.row == (1.0, 1e-17, 0.0, 0.0)
     q = (0.5, 2.0)
-    got = cone.row_distances([q], [seg.row])(np.array([[0.0], [1e-3]]))
-    assert got[:, 0].tolist() == [cone.distance(q, seg.at(0.0))] * 2
+    got = cone.pair_distances([q, q], cone.segment_rows([seg.row] * 2)(np.array([0.0, 1e-3])))
+    assert got.tolist() == [cone.distance(q, seg.at(0.0))] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +518,12 @@ def test_subsegment_and_reversal():
 
 
 # ---------------------------------------------------------------------------
-# batched measurement: row_distances and the `distances` overrides against the
-# scalar calls
+# batched measurement: the feet over rows and the `distances` overrides against
+# the scalar calls
 
-# The row forms compute their points with numpy's cos / cosh / arctan2, which may
-# differ from libm's in the last bits.  On the hyperboloid the coordinates grow as
-# cosh of the distance from the origin, and a last-bit difference in them can
-# move a distance by several 1e-15 (5.4e-15 seen at d = 0.043, radius 1.5):
-# hence an absolute term well above that.
-ROW_RTOL, ROW_ATOL = 1e-13, 1e-13
+# A foot is checked against the scalar distances to a grid of its segment: its
+# distance is at most each of theirs, to the rounding of two distances.
+ROW_ATOL = 1e-13
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -546,8 +543,8 @@ def _mesh(name):
     return mesh.MeshSpace(mesh.TriMesh(*icosphere(2)), 4)
 
 
-# only the meshes override the looping `GeodesicSpace.distances`; the foot
-# search's grid reads it on every segment without a row
+# only the meshes override the looping `GeodesicSpace.distances`; a mesh foot
+# reads it on its path
 @pytest.mark.parametrize("name", ["octahedron", "icosphere2"])
 @given(seed=seeds, n=st.integers(0, 40), radius=st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
@@ -565,10 +562,19 @@ def test_distances_match_scalar_distance(name, seed, n, radius):
     assert got.tolist() == [space.distance(x, y) for y in ys]
 
 
+def _nearest_on_grid(space, qs, segs, ts, t, d):
+    """Each foot (t[i], d[i]) is the scalar distance at seg.at(t[i]) and no
+    farther from q than any point of the grid ts (rows of arclengths)."""
+    for i, (q, seg) in enumerate(zip(qs, segs)):
+        assert d[i] == space.distance(q, seg.at(t[i]))
+        grid = [space.distance(q, seg.at(x)) for x in ts[:, i].tolist()]
+        assert d[i] <= min(grid) + ROW_ATOL
+
+
 @pytest.mark.parametrize("space", row_spaces(), ids=lambda s: s.descriptor().__str__())
 @given(seed=seeds, size=st.integers(1, 6), n=st.integers(0, 8), radius=st.floats(0.05, 1.5))
 @settings(max_examples=40, deadline=None)
-def test_row_distances_match_scalar_distance(space, seed, size, n, radius):
+def test_row_feet_are_the_nearest_points_of_their_segments(space, seed, size, n, radius):
     rng = np.random.default_rng(seed)
     c = space.default_center()
     qs, segs = [], []
@@ -581,13 +587,11 @@ def test_row_distances_match_scalar_distance(space, seed, size, n, radius):
     if not segs:
         return
     L = np.array([seg.length for seg in segs])
-    # the foot search's grid, its two endpoints among them, then random arclengths
+    t, d = criteria._row_feet(space, np.array(qs, dtype=float),
+                              np.array([seg.row for seg in segs]), L)
+    # a grid of 64 intervals, its two endpoints among them, then random arclengths
     ts = np.concatenate([np.linspace(0.0, L, 65), rng.uniform(0.0, 1.0, (n, len(L))) * L])
-    got = space.row_distances(qs, [seg.row for seg in segs])(ts)
-    want = [[space.distance(q, seg.at(t)) for q, seg, t in zip(qs, segs, row)]
-            for row in ts.tolist()]
-    assert got.shape == ts.shape
-    np.testing.assert_allclose(got, want, rtol=ROW_RTOL, atol=ROW_ATOL)
+    _nearest_on_grid(space, qs, segs, ts, t.tolist(), d.tolist())
 
 
 def test_every_segment_off_the_cone_apex_has_a_row(rng):
@@ -605,16 +609,7 @@ def test_every_segment_off_the_cone_apex_has_a_row(rng):
     assert spaces.Cone(7.0).geodesic((1.0, 0.0), (1.0, 3.5)).row is None
 
 
-def _row_check(cone, qs, seg):
-    """row_distances from each q to the grid of seg against the scalar distance."""
-    ts = np.linspace(0.0, seg.length, 65)[:, None]
-    got = cone.row_distances(qs, [seg.row] * len(qs))(np.repeat(ts, len(qs), axis=1))
-    want = [[cone.distance(q, seg.at(t)) for q in qs] for t in ts[:, 0].tolist()]
-    np.testing.assert_allclose(got, want, rtol=ROW_RTOL, atol=ROW_ATOL)
-    return got
-
-
-def test_cone_row_distances_normalize_as_scalar_distance():
+def test_cone_feet_normalize_as_scalar_distance():
     cone = spaces.Cone(PI)
     qs = [
         (0.0, 0.0), (0.0, 2.5),         # the apex, with any theta
@@ -623,22 +618,26 @@ def test_cone_row_distances_normalize_as_scalar_distance():
         (2.0, 1.0 + 2 * PI), (1.5, 1.0 - 2 * PI),                  # theta outside [0, P)
         (1.0, 0.25),
     ]
-    # a chord from (1, 0.25) and one across the seam theta ~ 0 ~ P
-    for a, b in (((1.0, 0.25), (0.7, 1.4)), ((0.8, PI - 0.1), (0.9, 0.2))):
-        seg = cone.geodesic(a, b)
-        got = _row_check(cone, qs, seg)
-        # from the apex: the radius of each point, whatever theta the apex was given
-        assert got[:, 0].tolist() == got[:, 1].tolist()
-        radii = [seg.at(t)[0] for t in np.linspace(0.0, seg.length, 65)]
-        np.testing.assert_allclose(got[:, 0], radii, rtol=ROW_RTOL, atol=ROW_ATOL)
-    # separation >= pi goes through the apex: on the 7-cone, opposite rays are 3.5 apart
+    # a chord from (1, 0.25) and one across the seam theta ~ 0 ~ P; on the
+    # 7-cone, separation >= pi goes through the apex
     wide = spaces.Cone(7.0)
-    seg = wide.geodesic((1.0, 3.2), (2.0, 3.8))
     far = [(1.0, 0.0), (1.0, 14.0), (2.0, -7.0), (1.0, 0.3), (1.0, 6.9)]
-    got = _row_check(wide, far, seg)
-    assert got[0, :3].tolist() == [2.0, 2.0, 3.0]  # r1 + r2 from the start (1.0, 3.2)
+    for space, points, (a, b) in ((cone, qs, ((1.0, 0.25), (0.7, 1.4))),
+                                  (cone, qs, ((0.8, PI - 0.1), (0.9, 0.2))),
+                                  (wide, far, ((1.0, 3.2), (2.0, 3.8)))):
+        seg = space.geodesic(a, b)
+        t, d = criteria._row_feet(space, np.array(points, dtype=float),
+                                  np.array([seg.row] * len(points)),
+                                  np.full(len(points), seg.length))
+        ts = np.repeat(np.linspace(0.0, seg.length, 65)[:, None], len(points), axis=1)
+        _nearest_on_grid(space, points, [seg] * len(points), ts, t.tolist(), d.tolist())
+        # the foot of a handle is the foot of its normal form
+        normal = [space.point_from_data(space.point_to_data(p)) for p in points]
+        assert criteria._row_feet(space, np.array(normal, dtype=float),
+                                  np.array([seg.row] * len(points)),
+                                  np.full(len(points), seg.length))[1].tolist() == d.tolist()
     with pytest.raises(ValueError, match="radius"):
-        cone.row_distances([(-1.0, 0.0)], [seg.row])
+        cone.foot_rows([(-1.0, 0.0)], [seg.row], [seg.length])
 
 
 def _old_sphere_distance(sphere, x, y):
@@ -729,14 +728,16 @@ def test_cone_route_evaluators_match_numpy_formula(P, r1, r2, a1, a2, fracs):
         for t in ts:
             (rho, th), (rho_old, th_old) = seg._eval(t), old(t)
             assert _ulps(rho, rho_old) <= 2.0 and th == th_old
-        # the row reaches the points `at` reaches: each lies on its own grid point
-        got = cone.row_distances([seg.at(t) for t in ts], [seg.row] * len(ts))(np.array([ts]))
+        # the row reaches the points `at` reaches
+        got = cone.pair_distances([seg.at(t) for t in ts],
+                                  cone.segment_rows([seg.row] * len(ts))(np.array(ts)))
         assert (got <= config.PT).all()
     # every minimal geodesic with a row, as `minimal_geodesics` builds it
     for seg in cone.minimal_geodesics(x, y):
         if seg.row is not None:
             ts = [f * seg.length for f in fracs]
-            got = cone.row_distances([seg.at(t) for t in ts], [seg.row] * len(ts))(np.array([ts]))
+            got = cone.pair_distances([seg.at(t) for t in ts],
+                                      cone.segment_rows([seg.row] * len(ts))(np.array(ts)))
             assert (got <= config.PT).all()
 
 
