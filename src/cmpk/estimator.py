@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -308,20 +308,22 @@ def batch_measurements(measurements: dict[str, list], tol_cfg: Tolerances) -> di
     return out
 
 
-def _scalar_fail(ev: Callable, ms: list, indices, k: float, orientation: str,
-                 tol_cfg: Tolerances) -> bool:
-    """True at the first of ms[indices], in order, that fails the claim or is inadmissible."""
-    for i in indices:
+def _scalar_fail(measurements: dict[str, list], walk: Iterable[tuple[str, int]], k: float,
+                 orientation: str, tol_cfg: Tolerances) -> tuple[str, int] | None:
+    """The first (criterion, index) of walk, in order, whose sample fails the
+    claim or is inadmissible; None when none does."""
+    for name, i in walk:
         try:
-            if not ev(ms[i], k, tol_cfg=tol_cfg).passes(orientation):
-                return True
+            if not _EVALUATORS[name](measurements[name][i], k, tol_cfg=tol_cfg).passes(orientation):
+                return name, int(i)
         except ModelDomainError:
-            return True
-    return False
+            return name, int(i)
+    return None
 
 
 def _orientation_pass(measurements: dict[str, list], k: float, orientation: str,
-                      tol_cfg: Tolerances, batches: dict | None = None) -> bool:
+                      tol_cfg: Tolerances, batches: dict | None = None,
+                      last: list | None = None) -> bool:
     """True when every sample passes the claim at k; inadmissible counts as fail.
 
     The vector margins mark the samples that surely pass.  The scalar evaluator
@@ -330,22 +332,41 @@ def _orientation_pass(measurements: dict[str, list], k: float, orientation: str,
     passing probe confirms, per criterion, the sure pass with the largest
     margin through the scalar evaluator; should one ever disagree, the whole
     claim is decided by the scalar walk over every sample.
+
+    ``last``, a list one claim's probes share, holds the (criterion, index) of
+    the sample that decided its last False probe.  That sample goes first: if
+    it fails or is inadmissible, the probe is False.  The scalar walk could
+    differ only where a sample ahead of it raised first.  But besides
+    ModelDomainError, an evaluation raises only the DegenerateConfigError of
+    the adjacent-side floor in `model.comparison_angle`, which reads no k, and
+    each sample ahead was, at the probe that found it, a sure pass (its `ok`
+    mask holds that floor) or passed the scalar evaluator.
     """
+    if last:
+        try:
+            if _scalar_fail(measurements, last, k, orientation, tol_cfg):
+                return False
+        except Exception:  # the walk below raises it, or a sample ahead of it decides
+            pass
     if batches is None:
         batches = batch_measurements(measurements, tol_cfg)
-    confirm = []
+    failed, confirm = None, []
     for name, ms in measurements.items():
-        ev, batch = _EVALUATORS[name], batches.get(name)
+        batch = batches.get(name)
         margin = batch.margins(k, orientation) if batch is not None else np.full(len(ms), np.nan)
         sure = margin < -MARGIN_GUARD
-        if _scalar_fail(ev, ms, np.flatnonzero(~sure), k, orientation, tol_cfg):
-            return False
+        failed = _scalar_fail(measurements, ((name, i) for i in np.flatnonzero(~sure)), k,
+                              orientation, tol_cfg)
+        if failed:
+            break
         if sure.any():
-            confirm.append((ev, ms, [int(np.argmax(np.where(sure, margin, -np.inf)))]))
-    if any(_scalar_fail(ev, ms, i, k, orientation, tol_cfg) for ev, ms, i in confirm):
-        return not any(_scalar_fail(_EVALUATORS[name], ms, range(len(ms)), k, orientation, tol_cfg)
-                       for name, ms in measurements.items())
-    return True
+            confirm.append((name, int(np.argmax(np.where(sure, margin, -np.inf)))))
+    if not failed and _scalar_fail(measurements, confirm, k, orientation, tol_cfg):
+        every = ((name, i) for name, ms in measurements.items() for i in range(len(ms)))
+        failed = _scalar_fail(measurements, every, k, orientation, tol_cfg)
+    if failed and last is not None:
+        last[:] = [failed]
+    return not failed
 
 
 def sample_defects(measurements: dict[str, list], k: float, tol_cfg: Tolerances,
@@ -445,9 +466,10 @@ def estimate_bounds(
     ``k_cba`` the smallest passing upper bound; either is None with a note
     when bracket expansion passes EXPANSION_LIMIT (e.g. no lower curvature
     bound at a branch point) or when no sample was measured, and both notes
-    say so when k_cbb > k_cba.  The residuals and witnesses are read off
-    `sample_defects` at each bound; `defects`, when given, is filled with
-    those arrays by bound.
+    say so when k_cbb > k_cba.  Each probe of a claim tries first the sample
+    that decided its last False probe (`_orientation_pass`).  The residuals
+    and witnesses are read off `sample_defects` at each bound; `defects`, when
+    given, is filled with those arrays by bound.
     """
     names = tuple(measurements)
     if not names:
@@ -471,8 +493,10 @@ def estimate_bounds(
     # the lower-bound claim holds for all k below a threshold, the upper-bound
     # claim for all k above one: each end is expanded away from the other
     for o, (claim, k_pass, k_fail) in enumerate((("cbb", k_lo, k_hi), ("cba", k_hi, k_lo))):
-        def passes(k: float, claim=claim) -> bool:
-            return _orientation_pass(measurements, k, claim, tol_cfg, batches)
+        last: list = []  # the sample that decided this claim's last False probe
+
+        def passes(k: float, claim=claim, last=last) -> bool:
+            return _orientation_pass(measurements, k, claim, tol_cfg, batches, last)
 
         away = k_pass - k_fail
         try:

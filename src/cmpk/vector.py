@@ -12,8 +12,8 @@ each value is the scalar evaluator's bit for bit.  cos, sin and sqrt are
 numpy's in both: they round as `math` does.
 
 Every measurement of a criterion has one shape, so a batch is plain arrays:
-a triangle's model and ladder angle triples at p, q and r as (6, n) side
-arrays, a point-segment sample's probes as (n, CHEBYSHEV_NODES) arrays.
+a triangle's sides and its ladder triples' sides as one (12, n) array, a
+point-segment sample's probes as (n, CHEBYSHEV_NODES) arrays.
 Measurements of any other shape raise ValueError.
 
 A defect reads nan where the arrays do not decide the sample: where the
@@ -114,8 +114,12 @@ def arc_from_vcs(k: float, v: np.ndarray,
 
 
 def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                      trig: Trig = NUMPY):
-    """`model.comparison_angle(k, (a, b, c))` per element, and where it is decided."""
+                      trig: Trig = NUMPY, raw: np.ndarray | None = None):
+    """`model.comparison_angle(k, (a, b, c))` per element, and where it is decided;
+    `raw`, when given, is the angle's cosine from the caller's side kernels."""
+    if raw is None:
+        raw = ((vcs(k, a, trig) + cs(k, a, trig) * vcs(k, b, trig) - vcs(k, c, trig))
+               / (sn(k, a, trig) * sn(k, b, trig)))
     perimeter = a + b + c
     slack = TRI_REL * perimeter
     ok = (np.isfinite(perimeter) & (a >= 0.0) & (b >= 0.0) & (c >= 0.0)
@@ -128,10 +132,7 @@ def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
         ok &= ((rk * a <= MAX_HYPERBOLIC_ARG) & (rk * b <= MAX_HYPERBOLIC_ARG)
                & (rk * c <= MAX_HYPERBOLIC_ARG))
     floor = 1e-12 * np.maximum(perimeter, 1e-300)
-    ok &= (a > floor) & (b > floor)
-    raw = ((vcs(k, a, trig) + cs(k, a, trig) * vcs(k, b, trig) - vcs(k, c, trig))
-           / (sn(k, a, trig) * sn(k, b, trig)))
-    ok &= np.abs(raw) < 1.0 - ILL
+    ok &= (a > floor) & (b > floor) & (np.abs(raw) < 1.0 - ILL)
     return trig.acos(raw), ok
 
 
@@ -203,17 +204,22 @@ class PointSegmentBatch(Batch):
 
 
 class TriangleBatch(Batch):
+    # `sides` rows: pq, pr, the ladders' first sides at p, q, r, qr, their second, their
+    # third; the model angles at p, q, r, then the ladders', are between A and B, opposite C
+    A, B, C = [0, 0, 1, 2, 3, 4], [1, 5, 5, 6, 7, 8], [5, 1, 0, 9, 10, 11]
+
     def __init__(self, ms: Sequence, tol_cfg: Tolerances):
         super().__init__(ms, tol_cfg)
         qr, pr, pq = np.array([m.sides for m in ms], float).reshape(self.n, 3).T
         ladder = np.array([m.ladders for m in ms], float).reshape(self.n, 3, 3).T
-        # (6, n): the model angles at p, q and r of every sample, then its ladder
-        # angles there (`ladder` is indexed by side, vertex and sample)
-        self.sides = tuple(np.vstack((*main, *lad)) for main, lad in zip(
-            ((pq, pq, pr), (pr, qr, qr), (qr, pr, pq)), ladder))
+        self.sides = np.vstack((pq, pr, ladder[0], qr, ladder[1], ladder[2]))
 
     def _defects(self, k, trig):
-        angle, ok = comparison_angles(k, *self.sides, trig)
+        # each side's kernels once: cs of rows A, sn of rows A and B, vcs of all
+        x, a, b = self.sides, self.A, self.B
+        v, s = vcs(k, x, trig), sn(k, x[:9], trig)
+        raw = (v[a] + cs(k, x[:5], trig)[a] * v[b] - v[self.C]) / (s[a] * s[b])
+        angle, ok = comparison_angles(k, x[a], x[b], x[self.C], trig, raw)
         model, ladder = angle.reshape(2, 3, -1)
         # lower bound needs angle >= model angle at every vertex
         return (model - ladder).max(axis=0), (ladder - model).max(axis=0), ok.all(axis=0)

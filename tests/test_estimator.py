@@ -374,12 +374,89 @@ def test_degenerate_sample_raises_as_the_scalar_path_does():
     assert str(new.value) == str(ref.value)
 
 
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(PROPERTY_SETS), degenerate=st.booleans(),
+       orientation=st.sampled_from(["cbb", "cba"]), ks=st.lists(K_VALUES, min_size=2, max_size=25))
+def test_remembered_failing_sample_leaves_every_decision_the_scalar_reference(
+        kind, degenerate, orientation, ks):
+    ms = property_set(kind, degenerate)[3]
+    batches = estimator.batch_measurements(ms, DEFAULT_TOL)
+    last = []
+    for k in ks:
+        assert (outcome(estimator._orientation_pass, ms, k, orientation, DEFAULT_TOL, batches, last)
+                == outcome(oracles.orientation_pass, ms, k, orientation, DEFAULT_TOL))
+
+
+def test_a_remembered_sample_that_passes_leaves_the_probe_to_the_walk():
+    # flat right triangles fail the lower-bound claim at k > 0 and pass it at
+    # k < 0, where the larger one is past the hyperbolic range at k = -1e5
+    ms = {"pythagorean": [pythagorean(0.01, 0.01, math.hypot(0.01, 0.01)), pythagorean(*RIGHT)]}
+    last = []
+    for k, want, remembered in ((1.0, False, 0), (-1e5, False, 1), (-1.0, True, 1)):
+        assert oracles.orientation_pass(ms, k, "cbb", DEFAULT_TOL) == want
+        assert estimator._orientation_pass(ms, k, "cbb", DEFAULT_TOL, last=last) == want
+        assert last == [("pythagorean", remembered)]
+
+
+# main sides past the perimeter bound at k = 16, a ladder triple on the
+# adjacent-side floor: inadmissible at 16, DegenerateConfigError at 0.5
+FLOORED = triangle((1e-16, 0.01, 0.01), sides=(0.6, 0.6, 0.6))
+# an equilateral triangle whose ladder angles, 1.15, are above its model angle
+# at k = 0.5 (1.054) and below it at 16 (1.302): it passes the upper-bound
+# claim at 16 and fails it at 0.5
+WIDE = criteria.TriangleMeasurement(
+    (0.3,) * 3, ((0.01, 0.01, 0.02 * math.sin(0.575)),) * 3, 0.3)
+
+
+@pytest.mark.parametrize("orientation", ["cbb", "cba"])
+def test_a_remembered_sample_that_then_raises_leaves_the_error_to_the_walk(orientation):
+    ms = {"triangle": [FLOORED]}
+    last = []
+    assert not estimator._orientation_pass(ms, 16.0, orientation, DEFAULT_TOL, last=last)
+    assert last == [("triangle", 0)]
+    got = outcome(estimator._orientation_pass, ms, 0.5, orientation, DEFAULT_TOL, None, last)
+    assert got == outcome(oracles.orientation_pass, ms, 0.5, orientation, DEFAULT_TOL)
+    assert got[0] is DegenerateConfigError
+
+
+def test_a_remembered_sample_that_then_raises_yields_to_an_earlier_failure():
+    ms = {"triangle": [WIDE, FLOORED]}
+    last = []
+    assert oracles.orientation_pass({"triangle": [WIDE]}, 16.0, "cba", DEFAULT_TOL)
+    assert not estimator._orientation_pass(ms, 16.0, "cba", DEFAULT_TOL, last=last)
+    assert last == [("triangle", 1)]
+    assert not oracles.orientation_pass(ms, 0.5, "cba", DEFAULT_TOL)
+    assert not estimator._orientation_pass(ms, 0.5, "cba", DEFAULT_TOL, last=last)
+    assert last == [("triangle", 0)]
+
+
+@pytest.mark.parametrize("space, radius, names, most", [
+    (spaces.Sphere(1.0), 0.3, ("pythagorean",), 8),
+    (spaces.Hyperbolic(-1.0), 0.2, ("pythagorean", "point_segment", "triangle"), 18),
+], ids=["sphere", "hyperbolic-3crit"])
+def test_failing_probes_are_mostly_decided_without_the_margins(space, radius, names, most,
+                                                               monkeypatch):
+    # the benchmark's sphere and three-criteria hyperbolic estimates at seed
+    # 61000: without the remembered sample, their 22 probes, 17 of them
+    # failing, take 22 and 32 margin passes
+    ms = estimator.sample_measurements(space, [0.0, 0.0, 1.0], radius, names, 300, 61000)
+    margins, calls = vector.Batch.margins, []
+
+    def counted(batch, k, orientation):
+        calls.append(k)
+        return margins(batch, k, orientation)
+
+    monkeypatch.setattr(vector.Batch, "margins", counted)
+    estimator.estimate_bounds(space, [0.0, 0.0, 1.0], radius, ms, seed=61000)
+    assert len(calls) <= most
+
+
 @pytest.mark.parametrize("kind", PROPERTY_SETS)
 def test_estimate_equals_the_all_scalar_bisection(kind, monkeypatch):
     sp, center, radius, ms = property_set(kind)
     est = estimator.estimate_bounds(sp, center, radius, ms, seed=8)
     monkeypatch.setattr(estimator, "_orientation_pass",
-                        lambda ms, k, o, tol_cfg, batches=None:
+                        lambda ms, k, o, tol_cfg, batches=None, last=None:
                         oracles.orientation_pass(ms, k, o, tol_cfg))
     ref = estimator.estimate_bounds(sp, center, radius, ms, seed=8)
     assert est == ref
