@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -387,6 +388,7 @@ def cmd_mesh(args) -> int:
 # parser and entry point
 
 
+@functools.cache  # built once per process, however many commands `main` runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmpk",
@@ -455,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("CMPK_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpaceDescriptorError, MeshFormatError, DisconnectedGraphError) as e:

@@ -1,15 +1,14 @@
-"""Numpy forms of the model trig, and verdict-criterion measurements as arrays.
+"""Verdict-criterion measurements as arrays, evaluated by the kernels of `cmpk.kernels`.
 
 `estimate` bisects over k on one fixed sample set.  A batch turns one
 criterion's stored measurements into arrays once; its `defects` gives every
 sample's two oriented defects at any k in a few array passes, and `margins`
-one of them minus its tolerance.  The kernels below are the scalar kernels
-of `cmpk.kernels` term by term, with the SERIES_EPS branch chosen per
-element.  Their transcendentals come from a `Trig`: with NUMPY's ufuncs
-each value differs from the scalar evaluator's by a few rounding errors of
-the trig functions; with MATH's, which go through `math` entry by entry,
-each value is the scalar evaluator's bit for bit.  cos, sin and sqrt are
-numpy's in both: they round as `math` does.
+one of them minus its tolerance.  The passes run the scalar evaluator's
+kernels on arrays, with one of two `Trig`s: with NUMPY's ufuncs each value
+differs from the scalar evaluator's by a few rounding errors of the trig
+functions; with MATH's, which go through `math` entry by entry, each value
+is the scalar evaluator's bit for bit.  cos, sin and sqrt are numpy's in
+both: they round as `math` does.
 
 Every measurement of a criterion has one shape, so a batch is plain arrays:
 a triangle's sides and its ladder triples' sides as one (12, n) array, a
@@ -28,27 +27,17 @@ samples with the scalar evaluator.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from cmpk.config import MAX_HYPERBOLIC_ARG, TRI_REL, Tolerances
 from cmpk.criteria import CHEBYSHEV_NODES
-from cmpk.kernels import SERIES_EPS
+from cmpk import kernels
 from cmpk.model import PI, _perimeter_bound
 from cmpk.spaces import _each
 
 ILL = 1e-6  # conditioning band left to the scalar path (see the module docstring)
-
-
-class Trig(NamedTuple):
-    """The transcendentals of the kernels that numpy may round otherwise than `math`."""
-
-    cosh: Callable
-    sinh: Callable
-    asin: Callable
-    asinh: Callable
-    acos: Callable
 
 
 def _math(f, lo: float = -math.inf, hi: float = math.inf) -> Callable:
@@ -61,65 +50,25 @@ def _math(f, lo: float = -math.inf, hi: float = math.inf) -> Callable:
     return each
 
 
-NUMPY = Trig(np.cosh, np.sinh, np.arcsin, np.arcsinh, np.arccos)
-MATH = Trig(_math(math.cosh, -700.0, 700.0), _math(math.sinh, -700.0, 700.0),
-            _math(math.asin, -1.0, 1.0), _math(math.asinh), _math(math.acos, -1.0, 1.0))
+NUMPY = kernels.Trig(np.cos, np.sin, np.sqrt, np.cosh, np.sinh, np.arcsin, np.arcsinh,
+                     np.arccos, np.where)
+MATH = NUMPY._replace(cosh=_math(math.cosh, -700.0, 700.0), sinh=_math(math.sinh, -700.0, 700.0),
+                      asin=_math(math.asin, -1.0, 1.0), asinh=_math(math.asinh),
+                      acos=_math(math.acos, -1.0, 1.0))
 
 
-def cs(k: float, d: np.ndarray, trig: Trig = NUMPY) -> np.ndarray:
-    """`cs_k(d)` per element of d."""
-    w = k * d * d
-    full = np.cos(math.sqrt(k) * d) if k > 0.0 else trig.cosh(math.sqrt(-k) * d)
-    return np.where(np.abs(w) < SERIES_EPS,
-                    1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0, full)
-
-
-def sn(k: float, d: np.ndarray, trig: Trig = NUMPY) -> np.ndarray:
-    """`sn_k(d)` per element of d."""
-    w = k * d * d
-    rk = math.sqrt(abs(k))  # 0 at k = 0, where every element takes the series
-    full = np.sin(rk * d) / rk if k > 0.0 else trig.sinh(rk * d) / rk
-    return np.where(np.abs(w) < SERIES_EPS,
-                    d * (1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0), full)
-
-
-def vcs(k: float, d: np.ndarray, trig: Trig = NUMPY) -> np.ndarray:
-    """`vcs_k(d)` per element of d."""
-    w = k * d * d
-    if k > 0.0:
-        s = np.sin(0.5 * math.sqrt(k) * d)
-        full = 2.0 * s * s / k
-    else:
-        s = trig.sinh(0.5 * math.sqrt(-k) * d)
-        full = 2.0 * s * s / (-k)
-    return np.where(np.abs(w) < SERIES_EPS, d * d * (0.5 - w / 24.0 + w * w / 720.0), full)
-
-
-def arc_from_vcs(k: float, v: np.ndarray,
-                 trig: Trig = NUMPY) -> tuple[np.ndarray, np.ndarray]:
-    """`arc_from_vcs(k, v)` per element of v, and where that value is ill-conditioned."""
-    v = np.where(v < 0.0, 0.0, v)
+def _ill(k: float, v: np.ndarray) -> np.ndarray:
+    """Where `arc_from_vcs(k, v)` is within ILL of its branch switch or its antipodal clamp."""
     x2 = 0.5 * k * v
-    series = np.sqrt(2.0 * v) * (1.0 + k * v / 12.0 + 3.0 * k * k * v * v / 160.0)
-    if k > 0.0:
-        s2 = np.minimum(x2, 1.0)  # antipodal limit
-        full = np.where(s2 <= 0.5, 2.0 * trig.asin(np.sqrt(s2)) / math.sqrt(k),
-                        (PI - 2.0 * trig.asin(np.sqrt(1.0 - s2))) / math.sqrt(k))
-        ill = (np.abs(s2 - 0.5) < ILL) | (s2 > 1.0 - ILL)
-    else:
-        full = 2.0 * trig.asinh(np.sqrt(-x2)) / math.sqrt(-k)
-        ill = np.zeros(v.shape, bool)
-    series_branch = np.abs(x2) < 0.25 * SERIES_EPS
-    return np.where(series_branch, series, full), ill & ~series_branch
+    return (k > 0.0) & ((np.abs(x2 - 0.5) < ILL) | (x2 > 1.0 - ILL))
 
 
 def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                      trig: Trig = NUMPY, raw: np.ndarray | None = None):
+                      trig: kernels.Trig = NUMPY, raw: np.ndarray | None = None):
     """`model.comparison_angle(k, (a, b, c))` per element, and where it is decided;
     `raw`, when given, is the angle's cosine from the caller's side kernels."""
     if raw is None:
-        raw = ((vcs(k, a, trig) + cs(k, a, trig) * vcs(k, b, trig) - vcs(k, c, trig))
-               / (sn(k, a, trig) * sn(k, b, trig)))
+        raw = kernels.cos_angle_from_sides(k, a, b, c, trig)
     perimeter = a + b + c
     slack = TRI_REL * perimeter
     ok = (np.isfinite(perimeter) & (a >= 0.0) & (b >= 0.0) & (c >= 0.0)
@@ -143,7 +92,7 @@ class Batch:
         self.n = len(ms)
         self.tolerance = np.array([tol_cfg.verdict_tolerance(m.scale) for m in ms], float)
 
-    def defects(self, k: float, trig: Trig = NUMPY) -> tuple[np.ndarray, np.ndarray]:
+    def defects(self, k: float, trig: kernels.Trig = NUMPY) -> tuple[np.ndarray, np.ndarray]:
         """Each sample's (cbb, cba) defects at k; nan where undecided.  With
         trig MATH every decided defect is the scalar evaluator's bit for bit."""
         if self.n == 0 or not math.isfinite(k):
@@ -160,7 +109,7 @@ class Batch:
         cbb, cba = self.defects(k)
         return (cbb if orientation == "cbb" else cba) - self.tolerance
 
-    def _defects(self, k: float, trig: Trig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _defects(self, k: float, trig: kernels.Trig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cbb defects, cba defects, decided) per sample at k."""
         raise NotImplementedError
 
@@ -193,10 +142,10 @@ class PointSegmentBatch(Batch):
         alpha, ok = comparison_angles(k, self.qp, self.length, self.qr, trig)
         qp, length, t = self.qp[:, None], self.length[:, None], self.t
         # `model.comparison_distances`: the model side from q~ to each probe of [p~ r~]
-        v = (vcs(k, qp, trig) + cs(k, qp, trig) * vcs(k, t, trig)
-             - sn(k, qp, trig) * sn(k, t, trig) * np.cos(alpha)[:, None])
-        model_d, ill = arc_from_vcs(k, v, trig)
-        probe_ok = (0.0 < t) & (t < length) & ~ill
+        v = (kernels.vcs(k, qp, trig) + kernels.cs(k, qp, trig) * kernels.vcs(k, t, trig)
+             - kernels.sn(k, qp, trig) * kernels.sn(k, t, trig) * trig.cos(alpha)[:, None])
+        model_d = kernels.arc_from_vcs(k, v, trig)
+        probe_ok = (0.0 < t) & (t < length) & ~_ill(k, v)
         if k > 0.0:
             probe_ok &= qp + t + model_d < _perimeter_bound(k)
         defect = self.real - model_d
@@ -217,8 +166,8 @@ class TriangleBatch(Batch):
     def _defects(self, k, trig):
         # each side's kernels once: cs of rows A, sn of rows A and B, vcs of all
         x, a, b = self.sides, self.A, self.B
-        v, s = vcs(k, x, trig), sn(k, x[:9], trig)
-        raw = (v[a] + cs(k, x[:5], trig)[a] * v[b] - v[self.C]) / (s[a] * s[b])
+        v, s = kernels.vcs(k, x, trig), kernels.sn(k, x[:9], trig)
+        raw = (v[a] + kernels.cs(k, x[:5], trig)[a] * v[b] - v[self.C]) / (s[a] * s[b])
         angle, ok = comparison_angles(k, x[a], x[b], x[self.C], trig, raw)
         model, ladder = angle.reshape(2, 3, -1)
         # lower bound needs angle >= model angle at every vertex

@@ -703,6 +703,29 @@ def test_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_one_parser_serves_every_command_of_a_process(tmp_path):
+    # `main` builds its parser once; an estimate then a test in one process
+    # write the reports of fresh processes
+    commands = {
+        "estimate": ["estimate", "--space", SPHERE, "--region", "center=[0.0,0.0,1.0],radius=0.3",
+                     "--samples", "30", "--seed", "5"],
+        "test": ["test", "--space", SPHERE, "--criterion", "point-segment", "--k-grid=0,1",
+                 "--samples", "10", "--seed", "5"],
+    }
+    cli.build_parser.cache_clear()
+    for name, argv in commands.items():
+        assert run(argv + ["--out", str(tmp_path / "one" / name)]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for name, argv in commands.items():
+        subprocess.run([sys.executable, "-m", "cmpk", *argv, "--out", str(tmp_path / "fresh" / name)],
+                       env=env, check=True)
+        for report in (f"{name}_rows.csv", f"{name}_summary.json"):
+            assert ((tmp_path / "one" / name / report).read_bytes()
+                    == (tmp_path / "fresh" / name / report).read_bytes())
+
+
 # numpy's AVX-512 dispatch targets, which some ufuncs round differently from the
 # targets below them
 AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")

@@ -17,6 +17,7 @@ from cmpk.errors import (
     DegenerateConfigError,
     DegenerateRegionError,
     LadderError,
+    ModelDomainError,
     ShootUnavailable,
 )
 from cmpk.kernels import SERIES_EPS
@@ -597,6 +598,23 @@ def test_region_report_cone_apex_vs_off_apex():
         assert set(row) == {"index", "center", "estimate", "profile"}
         assert set(row["estimate"]["rejected"]) == set(criteria.REJECTIONS)
         assert row["estimate"]["skipped_by"] == {}
+
+
+def test_inadmissible_samples_fail_the_upper_bound_claim_at_the_cone_apex():
+    # the apex row of the benchmark's cone profile (radius 0.25, 120 samples,
+    # seed 3): at |k| = 1024 every sample's triangle is inadmissible, and since
+    # that fails the claim, the upper bound has no pass endpoint.  A vacuous pass
+    # would end the expansion there and the bisection in an inadmissible k.
+    cone, apex = spaces.Cone(PI), (0.0, 0.0)
+    ms = estimator.sample_measurements(cone, apex, 0.25, ("pythagorean",), 120, 3)
+    assert len(ms["pythagorean"]) == 120
+    for m in ms["pythagorean"]:
+        with pytest.raises(ModelDomainError):
+            estimator.evaluate_measurement("pythagorean", m, estimator.EXPANSION_LIMIT)
+    assert not estimator._orientation_pass(ms, estimator.EXPANSION_LIMIT, "cba", DEFAULT_TOL)
+    est = estimator.estimate_bounds(cone, apex, 0.25, ms, seed=3)
+    assert est.k_cba is None and est.cba_witness is None
+    assert est.cba_note == "no pass endpoint found within |k| <= 1024.0"
 
 
 def test_region_report_records_errors_and_continues():

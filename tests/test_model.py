@@ -291,7 +291,7 @@ def test_comparison_triangle_reproduces_sides():
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels against their numpy forms in cmpk.vector
+# the kernels on floats and on arrays
 
 
 def kernel_grid(rng):
@@ -305,17 +305,71 @@ def kernel_grid(rng):
         yield k, d
 
 
-@pytest.mark.parametrize("fn", ["cs", "sn", "vcs", "arc_from_vcs"])
+def parity_grid(rng):
+    """`kernel_grid`, and k = +-0, subnormal k and d either side of |k| d^2 = SERIES_EPS."""
+    yield from kernel_grid(rng)
+    for k in (0.0, -0.0, 5e-324, -5e-324, 1e-3, -1e-3, 2.5, -2.5):
+        d = rng.uniform(0.0, 1.2, 24)
+        d[0] = 0.0
+        if abs(k) > 1e-300:
+            cut = math.sqrt(kernels.SERIES_EPS / abs(k))
+            d[1:5] = cut * np.array([1.0 - 1e-6, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 + 1e-6])
+        yield k, d
+
+
+def arc_inputs(k, d):
+    """vcs of every d, and for normal k > 0 values with x2 = k v / 2 at 0.5 +- ILL and near 1."""
+    v = [kernels.vcs(k, float(x)) for x in d] + [-1e-18, 0.0]
+    if k > 1e-300:
+        ill = vector.ILL
+        x2 = [0.5 - 2 * ill, 0.5 - ill, 0.5, 0.5 + ill, 0.5 + 2 * ill,
+              1.0 - 2 * ill, 1.0 - ill, 1.0 - 1e-12, 1.0, 1.0 + 1e-12]
+        v += [2.0 * x / k for x in x2]
+    return np.array(v)
+
+
+def kernel_args(fn, k, d, rng):
+    """Arrays of arguments of the named kernel at k, from the grid's d."""
+    a = d[d > 0.0]
+    b, c = rng.permutation(a), rng.permutation(a)
+    return {"arc_from_vcs": (arc_inputs(k, d),), "cos_angle_from_sides": (a, b, c),
+            "side_from_angle_cos": (a, b, rng.uniform(-1.0, 1.0, a.size))}.get(fn, (d,))
+
+
+@pytest.mark.parametrize("fn", ["cs", "sn", "vcs", "arc_from_vcs", "cos_angle_from_sides",
+                                "side_from_angle_cos"])
 def test_vector_kernels_match_scalar_kernels(rng, fn):
-    for k, d in kernel_grid(rng):
-        # at k = 0 numpy also evaluates the discarded non-series branch, 0/0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = vector.vcs(k, d) if fn == "arc_from_vcs" else d
-            got = getattr(vector, fn)(k, x)
-        if fn == "arc_from_vcs":
-            got = got[0]
-        want = np.array([getattr(kernels, fn)(k, float(v)) for v in x])
-        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0, err_msg=f"k={k}")
+    # one kernel on floats (SCALAR, the scalar evaluator's) and on arrays: bit for
+    # bit with vector.MATH (the exact pass's), to a few roundings with vector.NUMPY
+    # (the screens'), where the composites may cancel
+    kernel = getattr(kernels, fn)
+    for k, d in parity_grid(rng):
+        args = kernel_args(fn, k, d, rng)
+        want = np.array([kernel(k, *map(float, xs)) for xs in zip(*args)])
+        got = kernel(k, *args, vector.MATH)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), f"k={k}"
+        if fn in ("cs", "sn", "vcs", "arc_from_vcs"):
+            np.testing.assert_allclose(kernel(k, *args, vector.NUMPY), want,
+                                       rtol=2e-15, atol=0.0, err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize("k", [0.0, -0.0])
+def test_scalar_kernels_take_the_series_at_k_zero(k):
+    assert (kernels.cs(k, 3.0), kernels.sn(k, 3.0), kernels.vcs(k, 3.0)) == (1.0, 3.0, 4.5)
+    assert kernels.arc_from_vcs(k, 4.5) == 3.0
+    assert kernels.cos_angle_from_sides(k, 3.0, 4.0, 5.0) == 0.0
+    assert kernels.side_from_angle_cos(k, 3.0, 4.0, 0.0) == 5.0
+
+
+def test_arcs_near_the_branch_switch_or_the_antipodal_clamp_are_ill_conditioned():
+    ill = vector.ILL
+    x2 = np.array([0.25, 0.5 - 2 * ill, 0.5 - ill / 2, 0.5 + ill / 2, 0.5 + 2 * ill,
+                   1.0 - 2 * ill, 1.0 - ill / 2, 1.0, 1.5, np.nan])
+    want = [False, False, True, True, False, False, True, True, True, False]
+    for k in (0.5, 2.0):
+        assert vector._ill(k, 2.0 * x2 / k).tolist() == want
+    for k in (0.0, -0.0, -2.0):  # no branch switch, no clamp
+        assert not vector._ill(k, 2.0 * x2).any()
 
 
 def test_arc_from_vcs_inverts_vcs(rng):
