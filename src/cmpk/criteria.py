@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cmpk import model, rounds
+from cmpk import kernels, model, rounds
 from cmpk.config import (
     CLAMP,
     DEFAULT_TOL,
@@ -700,7 +700,7 @@ def _right_angle_rows(space: RowSpace, p: np.ndarray, beta: np.ndarray, l1: np.n
     RA_SKIPPED, or RA_BACK for a row left to the scalar build.  Those are the
     rows with a leg whose geodesic `geodesic_rows` does not reproduce, or a
     check on which the scalar build would raise another error.  Rows no
-    longer live are kept finite, so nothing computed on them warns.
+    longer live are kept finite, and only their cosine may divide by 0.
     """
     q, q_ok = space.shots(p, beta, l1)
     r, r_ok = space.shots(p, beta + PI / 2, l2)
@@ -721,14 +721,16 @@ def _right_angle_rows(space: RowSpace, p: np.ndarray, beta: np.ndarray, l1: np.n
     settle(~(exact_q & exact_r))
     d_pa, d_pb, d_ab, live = _ladder_rows(space, p, ((at_q, len_q), (at_r, len_r)), live)
     # model.comparison_angle(0.0, (d_pa, d_pb, d_ab)): its checks raise, so
-    # their rows go back; at k = 0 its kernel is this law of cosines
+    # their rows go back
     slack = TRI_REL * (d_pa + d_pb + d_ab)
     side_floor = 1e-12 * np.maximum(d_pa + d_pb + d_ab, 1e-300)
     raises = ((d_pa > d_pb + d_ab + slack) | (d_pb > d_ab + d_pa + slack)
               | (d_ab > d_pa + d_pb + slack) | (d_pa <= side_floor) | (d_pb <= side_floor))
     settle(raises)
-    cos = (d_pa * d_pa * 0.5 + d_pb * d_pb * 0.5 - d_ab * d_ab * 0.5) / np.where(
-        live, d_pa * d_pb, 1.0)
+    # at k = 0 every kernel is its series, plain arithmetic, so arrays take the
+    # default Trig
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = kernels.cos_angle_from_sides(0.0, d_pa, d_pb, d_ab)
     settle(np.abs(cos) > 1.0 + CLAMP)
     angle = np.where(live, _each(math.acos, np.clip(cos, -1.0, 1.0)), np.nan)
     live &= ~(np.abs(angle - PI / 2) > RIGHT_ANGLE_TOL)  # RightAngleUnavailable

@@ -12,7 +12,10 @@ import json
 import math
 import sys
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,15 +149,35 @@ class GeodesicSpace(ABC):
         raise ValueError(f"{self.name} point data must be {self.point_form}, got {data!r}")
 
 
+def _each(f, *xs: np.ndarray) -> np.ndarray:
+    """f entry by entry through `math`: numpy's SIMD cosh, sinh, atan2 and hypot
+    may not round as libm does, and the batched draws must equal the scalar ones"""
+    return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=float)
+
+
+# What a row-space body computes with: the `math` functions it calls, sqrt,
+# where(cond, a, b) (a where cond, else b) and the reductions all and any of a
+# condition.  FLOATS is `math` on floats, raising where math raises; ROWS
+# applies the same `math` functions to arrays entry by entry (`_each`), with
+# numpy's sqrt, which rounds as math's does
+Form = namedtuple("Form", "cos sin cosh sinh asinh atan2 hypot sqrt where all any")
+FLOATS = Form(math.cos, math.sin, math.cosh, math.sinh, math.asinh, math.atan2, math.hypot,
+              math.sqrt, lambda cond, a, b: a if cond else b, bool, bool)
+ROWS = Form(*(partial(_each, g) for g in FLOATS[:7]), np.sqrt, np.where,
+            lambda cond: cond.all(), lambda cond: cond.any())
+
+
 class RowSpace(GeodesicSpace):
     """A space whose segments have a row form and whose `shoot`, `distance` and
     `geodesic` have array forms: the sphere, the hyperbolic plane and the cone.
 
-    Each array form is bit for bit the scalar method row by row, with every
-    transcendental sent through `math` (`_each`); points are the rows of a
-    float array.  On these spaces a round of the foot-configuration stream
-    and a right-angle profile rung are decided over arrays; on the others
-    they run one try or one configuration at a time.
+    Each operation of these spaces is written once, as a body over a `Form`:
+    the scalar method runs it on floats (`FLOATS`), its array form on arrays
+    of coordinates (`ROWS`), every transcendental through `math` in both.  So
+    each array form is bit for bit the scalar method row by row; points are
+    the rows of a float array.  On these spaces a round of the
+    foot-configuration stream and a right-angle profile rung are decided over
+    arrays; on the others they run one try or one configuration at a time.
     """
 
     @abstractmethod
@@ -286,23 +309,19 @@ def _direction(space: GeodesicSpace, data) -> np.ndarray:
     return _unit(x)
 
 
-def _each(f, *xs: np.ndarray) -> np.ndarray:
-    """f entry by entry through `math`: numpy's SIMD cosh, sinh, atan2 and hypot
-    may not round as libm does, and the batched draws must equal the scalar ones"""
-    return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=float)
-
-
 class _Quadric(RowSpace):
     """The sphere and the hyperbolic plane share one geodesic formula: the point
     at arclength t from x along the unit tangent w is cf(a) x + sf(a) w with
     a = t / radius, where (cf, sf) is (cos, sin) on the sphere and (cosh, sinh)
-    on the hyperboloid.  A subclass sets cf, sf and its own metric: `_check`,
-    `distance`, the tangent `_basis`, the tangents of `_tangent_rows`, the
-    feet of `foot_rows` and `minimal_geodesics`.
+    on the hyperboloid, as `trig` takes them from a `Form`.  A subclass sets
+    trig and its own metric: `_inside`, `_distance`, the tangent `_basis`, the
+    tangents of `_tangent_rows`, the feet of `foot_rows` and
+    `minimal_geodesics`.  The bodies take points as 3-sequences of
+    coordinates: floats, or arrays over rows.
     """
 
-    cf: Callable[[float], float]
-    sf: Callable[[float], float]
+    trig: Callable[[Form], tuple[Callable, Callable]]
+    bad_handle: str  # the ValueError of `_check`
     point_shape, point_form = (3,), "3 numbers [x, y, z]"
 
     def __init__(self, k: float):
@@ -310,46 +329,52 @@ class _Quadric(RowSpace):
         self.radius = 1.0 / math.sqrt(abs(k))
         self.known_curvature = self.k
 
+    def _along(self, x, w, t, f: Form):
+        """The point at arclength t from x along the unit tangent w."""
+        x0, x1, x2 = x
+        w0, w1, w2 = w
+        cf, sf = self.trig(f)
+        a = t / self.radius
+        c, s = cf(a), sf(a)
+        return c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2
+
     def _row_eval(self, row):
         # per-point calls (the foot refinement) combine unpacked floats: numpy's
         # per-call overhead on 3-vectors would dominate
-        x0, x1, x2, w0, w1, w2 = row
-        radius, cf, sf = self.radius, self.cf, self.sf
-
-        def ev(t):
-            a = t / radius
-            c, s = cf(a), sf(a)
-            return np.array([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2])
-
-        return ev
+        x, w = row[:3], row[3:]
+        return lambda t: np.array(self._along(x, w, t, FLOATS))
 
     def _arc(self, x, w, length) -> GeodesicSegment:
         row = (*x.tolist(), *w.tolist())
         ev = self._row_eval(row)
         return self._segment(x, ev(length), length, ev, row)
 
+    def _shot(self, p, basis, phi, length, f: Form):
+        """The point `shoot(p, phi, length)`, from p's tangent basis (u, v)."""
+        (u0, u1, u2), (v0, v1, v2) = basis
+        cp, sp = f.cos(phi), f.sin(phi)
+        return self._along(p, (cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2), length, f)
+
     def shoot(self, p, phi: float, length: float):
-        p0, p1, p2 = self._check(p).tolist()
-        (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
-        cp, sp = math.cos(phi), math.sin(phi)
-        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
-        a = length / self.radius
-        c, s = self.cf(a), self.sf(a)
-        return np.array([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2])
+        p = self._check(p).tolist()
+        return np.array(self._shot(p, self._basis(p), phi, length, FLOATS))
 
     def shots(self, p, phis, lengths):
         if np.ndim(p) == 1:  # one center: checked and its tangent basis built once
-            p0, p1, p2 = self._check(p).tolist()
-            (u0, u1, u2), (v0, v1, v2) = self._basis((p0, p1, p2))
+            p = self._check(p).tolist()
+            basis = self._basis(p)
         else:
-            p0, p1, p2 = self._check_rows(p).T
-            (u0, u1, u2), (v0, v1, v2) = self._basis_rows(p0, p1, p2)
-        cp, sp = _each(math.cos, phis), _each(math.sin, phis)
-        a = lengths / self.radius
-        c, s = _each(self.cf, a), _each(self.sf, a)
-        w0, w1, w2 = cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2
-        points = np.stack([c * p0 + s * w0, c * p1 + s * w1, c * p2 + s * w2], axis=1)
-        return points, np.ones(len(phis), bool)
+            p = self._check_rows(p).T
+            basis = self._basis_rows(p)
+        return (np.stack(self._shot(p, basis, phis, lengths, ROWS), axis=1),
+                np.ones(len(phis), bool))
+
+    def distance(self, x, y) -> float:
+        # on unpacked floats: at three coordinates numpy's per-call overhead would dominate
+        return self._distance(np.asarray(x, float).tolist(), np.asarray(y, float).tolist(), FLOATS)
+
+    def pair_distances(self, xs, ys):
+        return self._distance(np.asarray(xs, dtype=float).T, np.asarray(ys, dtype=float).T, ROWS)
 
     def row_segments(self, xs, ys):
         d, xs, ws, exact = self._tangent_rows(xs, ys)
@@ -359,6 +384,12 @@ class _Quadric(RowSpace):
         d, xs, ws, exact = self._tangent_rows(xs, ys)  # no end points, no row array
         return d, self._arc_rows(xs, ws), exact
 
+    def _check(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if not self._inside(*x.tolist()):
+            raise ValueError(self.bad_handle)
+        return x
+
     def _check_rows(self, xs) -> np.ndarray:
         """The rows as a float array, after `_check` of each: rows that `_inside`
         clears pass over arrays, any other row goes through `_check`."""
@@ -367,18 +398,14 @@ class _Quadric(RowSpace):
             self._check(x)
         return xs
 
+    def _basis_rows(self, p):
+        """`_basis` of the rows whose coordinates are the arrays p."""
+        return self._basis(p, ROWS)
+
     def _arc_rows(self, xs, ws):
         """The point map of `_arc(xs[i], ws[i], length)` of each row."""
-        x0, x1, x2 = xs.T
-        w0, w1, w2 = ws.T
-        radius, cf, sf = self.radius, self.cf, self.sf
-
-        def at(ts):
-            a = ts / radius
-            c, s = _each(cf, a), _each(sf, a)
-            return np.stack([c * x0 + s * w0, c * x1 + s * w1, c * x2 + s * w2], axis=1)
-
-        return at
+        x, w = xs.T, ws.T
+        return lambda ts: np.stack(self._along(x, w, ts, ROWS), axis=1)
 
     def segment_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
@@ -397,60 +424,37 @@ class _Quadric(RowSpace):
 class Sphere(_Quadric):
     name = "sphere"
     point_form = "3 numbers [x, y, z], not all 0"
-    cf, sf = staticmethod(math.cos), staticmethod(math.sin)
+    trig = attrgetter("cos", "sin")
+    bad_handle = "sphere handle must be a unit 3-vector"
 
     def __init__(self, k: float):
         if not (1e-6 <= k <= 1e6):
             raise SpaceDescriptorError(f"sphere requires k in [1e-6, 1e6], got {k}")
         super().__init__(k)
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        x0, x1, x2 = x.tolist()
-        if not abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 1e-10:  # written so that nan fails
-            raise ValueError("sphere handle must be a unit 3-vector")
-        return x
+    @staticmethod
+    def _inside(x0, x1, x2):
+        return abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 1e-10  # written so that nan fails
 
-    def distance(self, x, y) -> float:
-        # atan2(|x × y|, x · y) on unpacked floats: at three coordinates numpy's
-        # per-call overhead would dominate, and the foot refinement calls this often
-        x0, x1, x2 = np.asarray(x, float).tolist()
-        y0, y1, y2 = np.asarray(y, float).tolist()
+    def _distance(self, x, y, f: Form):
+        """The radius times atan2(|x × y|, x · y)."""
+        x0, x1, x2 = x
+        y0, y1, y2 = y
         c0 = x1 * y2 - x2 * y1
         c1 = x2 * y0 - x0 * y2
         c2 = x0 * y1 - x1 * y0
-        return self.radius * math.atan2(
-            math.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2
-        )
+        return self.radius * f.atan2(
+            f.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2)
 
-    def _inside(self, x0, x1, x2):
-        return np.abs(x0 * x0 + x1 * x1 + x2 * x2 - 1.0) <= 1e-10
-
-    def _basis(self, p) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    def _basis(self, p, f: Form = FLOATS):
+        # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u.  On
+        # floats: np.cross on 3-vectors costs tens of µs, and every shot calls this
         p0, p1, p2 = p
-        # u = unit(ref × p) with ref = e3, or e1 near the poles; v = p × u.  Scalar
-        # math: np.cross on 3-vectors costs tens of µs, and every shot calls this
-        u0, u1, u2 = (-p1, p0, 0.0) if abs(p2) < 0.9 else (0.0, -p2, p1)
-        n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        equator = abs(p2) < 0.9
+        u0, u1, u2 = f.where(equator, -p1, 0.0), f.where(equator, p0, -p2), f.where(equator, 0.0, p1)
+        n = f.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
         u0, u1, u2 = u0 / n, u1 / n, u2 / n
         return (u0, u1, u2), (p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0)
-
-    def _basis_rows(self, p0, p1, p2):
-        """`_basis` over arrays of coordinates."""
-        polar = ~(np.abs(p2) < 0.9)
-        u0, u1, u2 = np.where(polar, 0.0, -p1), np.where(polar, -p2, p0), np.where(polar, p1, 0.0)
-        n = np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
-        u0, u1, u2 = u0 / n, u1 / n, u2 / n
-        return (u0, u1, u2), (p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0)
-
-    def pair_distances(self, xs, ys):
-        x0, x1, x2 = np.asarray(xs, dtype=float).T
-        y0, y1, y2 = np.asarray(ys, dtype=float).T
-        c0 = x1 * y2 - x2 * y1
-        c1 = x2 * y0 - x0 * y2
-        c2 = x0 * y1 - x1 * y0
-        return self.radius * _each(
-            math.atan2, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), x0 * y0 + x1 * y1 + x2 * y2)
 
     def _tangent_rows(self, xs, ys):
         """The distances, checked starts, unit tangents and exact flags of `row_segments`."""
@@ -458,19 +462,17 @@ class Sphere(_Quadric):
         d = self.pair_distances(xs, ys)
         exact = (d != 0.0) & ~(math.pi * self.radius - d <= TIE)
         ws = np.zeros_like(xs)
-        ws[exact] = np.stack(self._toward(xs[exact].T, ys[exact].T, np.sqrt), axis=1)
+        ws[exact] = np.stack(self._toward(xs[exact].T, ys[exact].T, ROWS), axis=1)
         return d, xs, ws, exact
 
     @staticmethod
-    def _toward(x, y, sqrt=math.sqrt):
-        """The unit tangent at x toward y, y - (x . y) x normalized, on floats or
-        on arrays of coordinates: sqrt rounds alike in numpy and math, so both
-        are one arithmetic."""
+    def _toward(x, y, f: Form = FLOATS):
+        """The unit tangent at x toward y, y - (x . y) x normalized."""
         x0, x1, x2 = x
         y0, y1, y2 = y
         m = x0 * y0 + x1 * y1 + x2 * y2
         v0, v1, v2 = y0 - m * x0, y1 - m * x1, y2 - m * x2
-        n = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+        n = f.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
         return v0 / n, v1 / n, v2 / n
 
     def foot_rows(self, qs, rows, lengths):
@@ -505,55 +507,46 @@ class Sphere(_Quadric):
         return self._check(_direction(self, data))
 
 
-def _mdot(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
-
-
 class Hyperbolic(_Quadric):
     name = "hyperbolic"
-    cf, sf = staticmethod(math.cosh), staticmethod(math.sinh)
+    trig = attrgetter("cosh", "sinh")
+    bad_handle = "hyperboloid handle must satisfy <x,x> = -1, x2 > 0"
 
     def __init__(self, k: float):
         if not (1e-6 <= -k <= 1e6):
             raise SpaceDescriptorError(f"hyperbolic requires -k in [1e-6, 1e6], got {k}")
         super().__init__(k)
 
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    @staticmethod
+    def _inside(x0, x1, x2):
         # relative to x2^2, as <x,x> rounds; written so that nan fails
-        if not (abs(_mdot(x, x) + 1.0) <= 1e-9 * x[2] * x[2] and x[2] > 0.0):
-            raise ValueError("hyperboloid handle must satisfy <x,x> = -1, x2 > 0")
-        return x
+        return (abs(x0 * x0 + x1 * x1 - x2 * x2 + 1.0) <= 1e-9 * x2 * x2) & (x2 > 0.0)
 
-    def distance(self, x, y) -> float:
-        x0, x1, x2 = np.asarray(x, float).tolist()
-        y0, y1, y2 = np.asarray(y, float).tolist()
+    def _distance(self, x, y, f: Form):
+        x0, x1, x2 = x
+        y0, y1, y2 = y
         d0, d1, d2 = y0 - x0, y1 - x1, y2 - x2
         # <y-x, y-x> = 4 sinh^2(theta/2); stable for nearby points
-        q = max(d0 * d0 + d1 * d1 - d2 * d2, 0.0)
-        return self.radius * 2.0 * math.asinh(0.5 * math.sqrt(q))
-
-    def _inside(self, x0, x1, x2):
-        return (np.abs(x0 * x0 + x1 * x1 - x2 * x2 + 1.0) <= 1e-9 * x2 * x2) & (x2 > 0.0)
-
-    def pair_distances(self, xs, ys):
-        x0, x1, x2 = np.asarray(xs, dtype=float).T
-        y0, y1, y2 = np.asarray(ys, dtype=float).T
-        d0, d1, d2 = y0 - x0, y1 - x1, y2 - x2
         q = d0 * d0 + d1 * d1 - d2 * d2
-        q = np.where(q < 0.0, 0.0, q)  # max(q, 0.0), which keeps a -0.0
-        return self.radius * 2.0 * _each(math.asinh, 0.5 * np.sqrt(q))
+        q = f.where(q < 0.0, 0.0, q)  # max(q, 0.0), which keeps a -0.0
+        return self.radius * 2.0 * f.asinh(0.5 * f.sqrt(q))
+
+    @staticmethod
+    def _tangent(x, y, f: Form = FLOATS):
+        """The tangent at x toward y, y + <x, y> x = y - cosh(theta) x, and its
+        Minkowski norm, 0 where rounding leaves its square negative."""
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        m = x0 * y0 + x1 * y1 - x2 * y2
+        w0, w1, w2 = y0 + m * x0, y1 + m * x1, y2 + m * x2
+        n = w0 * w0 + w1 * w1 - w2 * w2
+        return (w0, w1, w2), f.sqrt(f.where(n < 0.0, 0.0, n))
 
     def _tangent_rows(self, xs, ys):
         """The distances, checked starts, unit tangents and exact flags of `row_segments`."""
         xs, ys = self._check_rows(xs), self._check_rows(ys)
         d = self.pair_distances(xs, ys)
-        x0, x1, x2 = xs.T
-        y0, y1, y2 = ys.T
-        m = x0 * y0 + x1 * y1 - x2 * y2
-        w0, w1, w2 = y0 + m * x0, y1 + m * x1, y2 + m * x2
-        n = w0 * w0 + w1 * w1 - w2 * w2
-        n = np.sqrt(np.where(n < 0.0, 0.0, n))
+        (w0, w1, w2), n = self._tangent(xs.T, ys.T, ROWS)
         exact = (d != 0.0) & (n != 0.0)
         n = np.where(exact, n, 1.0)
         return d, xs, np.stack([w0 / n, w1 / n, w2 / n], axis=1), exact
@@ -578,38 +571,39 @@ class Hyperbolic(_Quadric):
         d = self.distance(x, y)
         if d == 0.0:
             return [self._segment(x, y, 0.0, lambda t: x)]
-        w = y + _mdot(x, y) * x  # y - cosh(theta) x, tangent at x toward y
-        return [self._arc(x, w / math.sqrt(max(_mdot(w, w), 0.0)), d)]
+        w, n = self._tangent(x.tolist(), y.tolist())
+        return [self._arc(x, np.array(w) / n, d)]
 
     # Past x2 = FAR cancellation breaks the Gram-Schmidt frame (18/sqrt(-k) out
     # v rounds onto a multiple of u), so points there take the polar frame
     FAR = 100.0
 
-    def _basis(self, p, sqrt=math.sqrt) -> tuple[tuple[float, float, float],
-                                                 tuple[float, float, float]]:
+    def _basis(self, p, f: Form = FLOATS) -> tuple[tuple[float, float, float],
+                                                   tuple[float, float, float]]:
         p0, p1, p2 = p
         if np.ndim(p2) == 0 and p2 > self.FAR:  # the unit radial and angular tangents
-            rho = sqrt(p0 * p0 + p1 * p1)
+            rho = f.sqrt(p0 * p0 + p1 * p1)
             return (p0 / rho * p2, p1 / rho * p2, rho), (-p1 / rho, p0 / rho, 0.0)
         # Gram-Schmidt on T_p in the Minkowski product: u = e1 + <e1,p> p, normalized;
         # v = e2 + <e2,p> p - <e2,u> u, normalized.  <e1,p> = p0, <e2,p> = p1, <e2,u> = u1.
         # Written term by term (the 0.0 + included) so every coordinate rounds, signed
         # zeros too, as the 3-vector formula does
         u0, u1, u2 = 1.0 + p0 * p0, 0.0 + p0 * p1, 0.0 + p0 * p2
-        n = sqrt(u0 * u0 + u1 * u1 - u2 * u2)
+        n = f.sqrt(u0 * u0 + u1 * u1 - u2 * u2)
         u0, u1, u2 = u0 / n, u1 / n, u2 / n
         v0 = 0.0 + p1 * p0 - u1 * u0
         v1 = 1.0 + p1 * p1 - u1 * u1
         v2 = 0.0 + p1 * p2 - u1 * u2
-        n = sqrt(v0 * v0 + v1 * v1 - v2 * v2)
+        n = f.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
         return (u0, u1, u2), (v0 / n, v1 / n, v2 / n)
 
-    def _basis_rows(self, p0, p1, p2):
-        """`_basis` over arrays of coordinates (sqrt rounds alike in numpy and math),
-        rows past FAR one at a time."""
+    def _basis_rows(self, p):
+        """`_basis` of the rows whose coordinates are the arrays p, rows past FAR
+        one at a time."""
+        p0, p1, p2 = p
         far = p2 > self.FAR
-        basis = np.array(self._basis([np.where(far, c, x) for c, x in zip((0.0, 0.0, 1.0),
-                                                                          (p0, p1, p2))], np.sqrt))
+        basis = np.array(self._basis([np.where(far, c, x) for c, x in zip((0.0, 0.0, 1.0), p)],
+                                     ROWS))
         for i in np.flatnonzero(far).tolist():
             basis[:, :, i] = self._basis((p0[i], p1[i], p2[i]))
         return basis
@@ -639,36 +633,36 @@ class Cone(RowSpace):
             raise SpaceDescriptorError(f"cone perimeter must be > 0, got {perimeter}")
         self.perimeter = float(perimeter)
 
-    def _norm(self, x) -> tuple[float, float]:
-        r, th = float(x[0]), float(x[1])
-        if not r >= 0.0:  # written so that nan fails
+    def _normed(self, r, th, f: Form):
+        """The point (r, th) with th reduced mod the perimeter, and (0, 0) at the apex."""
+        if not f.all(r >= 0.0):  # written so that nan fails
             raise ValueError("cone radius must be >= 0")
-        if r == 0.0:
-            return (0.0, 0.0)
-        return (r, th % self.perimeter)
+        # r + 0.0 is r, but 0.0 at r = -0.0
+        return r + 0.0, f.where(r == 0.0, 0.0, th % self.perimeter)
+
+    def _norm(self, x) -> tuple[float, float]:
+        return self._normed(float(x[0]), float(x[1]), FLOATS)
 
     def _norm_rows(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """`_norm` of each row, as arrays of radii and angles."""
-        r, th = np.asarray(xs, dtype=float).T
-        if not (r >= 0.0).all():  # written so that nan fails
+        return self._normed(*np.asarray(xs, dtype=float).T, ROWS)
+
+    def _distance(self, r1, t1, r2, t2, f: Form):
+        if f.any((r1 < 0.0) | (r2 < 0.0)):
             raise ValueError("cone radius must be >= 0")
-        return r, np.where(r == 0.0, 0.0, th % self.perimeter)
+        period = self.perimeter
+        sep = abs(t1 % period - t2 % period)
+        # shorter the other way round; period - sep is exact here
+        sep = f.where(sep > 0.5 * period, period - sep, sep)
+        # planar law of cosines; hypot form avoids cancellation for small angles
+        chord = f.hypot(r1 - r2, f.sqrt(r1 * r2) * (2.0 * f.sin(0.5 * sep)))
+        return f.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
 
     def distance(self, x, y) -> float:
-        # straight-line code on floats: this is the hot call of every cone workload
-        r1, r2 = float(x[0]), float(y[0])
-        if r1 < 0.0 or r2 < 0.0:
-            raise ValueError("cone radius must be >= 0")
-        if r1 == 0.0 or r2 == 0.0:
-            return r1 + r2
-        period = self.perimeter
-        sep = abs(float(x[1]) % period - float(y[1]) % period)
-        if sep > 0.5 * period:  # shorter the other way round; period - sep is exact here
-            sep = period - sep
-        if sep >= math.pi:
-            return r1 + r2
-        # planar law of cosines; hypot form avoids cancellation for small angles
-        return math.hypot(r1 - r2, math.sqrt(r1 * r2) * (2.0 * math.sin(0.5 * sep)))
+        return self._distance(float(x[0]), float(x[1]), float(y[0]), float(y[1]), FLOATS)
+
+    def pair_distances(self, xs, ys):
+        return self._distance(*np.asarray(xs, dtype=float).T, *np.asarray(ys, dtype=float).T, ROWS)
 
     def _apex_route(self, x, y) -> GeodesicSegment:
         r1, t1 = self._norm(x)
@@ -685,32 +679,27 @@ class Cone(RowSpace):
         """The chord from x to y in the sector unrolled to put x at angle 0, y at signed_sep."""
         r1, t1 = self._norm(x)
         r2, t2 = self._norm(y)
-        d0, d1 = r2 * math.cos(signed_sep) - r1, r2 * math.sin(signed_sep)
-        length = math.hypot(d0, d1)
+        d0, d1, length = self._chord(r1, r2, signed_sep, FLOATS)
         # a separation below rounding (theta 1e-17 from the seam) leaves no chord to walk
         u0, u1 = (d0 / length, d1 / length) if length > 0.0 else (0.0, 0.0)
         return self.segment_of_row((r1, t1), (r2, t2), length, (r1, t1, u0, u1))
 
-    def _row_eval(self, row):
+    @staticmethod
+    def _chord(r1, r2, signed_sep, f: Form):
+        """(d0, d1, length): the chord from (r1, 0) to the point r2 out at angle
+        signed_sep, in the plane of the unrolled sector."""
+        d0, d1 = r2 * f.cos(signed_sep) - r1, r2 * f.sin(signed_sep)
+        return d0, d1, f.hypot(d0, d1)
+
+    def _along(self, row, t, f: Form):
+        """The point at arclength t along the chord of row (r1, t1, u0, u1): from
+        (r1, 0) along the unit vector u, in the sector unrolled from angle t1."""
         r1, t1, u0, u1 = row
-        period = self.perimeter
+        q0, q1 = r1 + t * u0, t * u1
+        return f.hypot(q0, q1), (t1 + f.atan2(q1, q0)) % self.perimeter
 
-        def ev(t):
-            q0, q1 = r1 + t * u0, t * u1
-            return (math.hypot(q0, q1), (t1 + math.atan2(q1, q0)) % period)
-
-        return ev
-
-    def pair_distances(self, xs, ys):
-        r1, t1 = np.asarray(xs, dtype=float).T
-        r2, t2 = np.asarray(ys, dtype=float).T
-        if (r1 < 0.0).any() or (r2 < 0.0).any():
-            raise ValueError("cone radius must be >= 0")
-        period = self.perimeter
-        sep = np.abs(t1 % period - t2 % period)
-        sep = np.where(sep > 0.5 * period, period - sep, sep)
-        chord = _each(math.hypot, r1 - r2, np.sqrt(r1 * r2) * (2.0 * _each(math.sin, 0.5 * sep)))
-        return np.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
+    def _row_eval(self, row):
+        return lambda t: self._along(row, t, FLOATS)
 
     def row_segments(self, xs, ys):
         # `minimal_geodesics` where its first route is an unrolled chord and the
@@ -722,9 +711,8 @@ class Cone(RowSpace):
         ccw = (t2 - t1) % period
         chords = []
         for mag, signed in ((ccw, ccw), (period - ccw, ccw - period)):
-            d0, d1 = r2 * _each(math.cos, signed) - r1, r2 * _each(math.sin, signed)
-            length = np.where(mag < math.pi, _each(math.hypot, d0, d1), np.inf)
-            chords.append((d0, d1, length))
+            d0, d1, length = self._chord(r1, r2, signed, ROWS)
+            chords.append((d0, d1, np.where(mag < math.pi, length, np.inf)))
         (a0, a1, la), (b0, b1, lb) = chords
         best = np.minimum(la, lb)
         first = la <= best + TIE
@@ -739,16 +727,8 @@ class Cone(RowSpace):
         return length, rows, starts, ends, exact
 
     def segment_rows(self, rows):
-        # `_unrolled_route`'s `ev` of rows (r1, t1, u0, u1)
-        r1, t1, u0, u1 = np.asarray(rows, dtype=float).T
-        period = self.perimeter
-
-        def at(ts):
-            q0, q1 = r1 + ts * u0, ts * u1
-            return np.stack([_each(math.hypot, q0, q1),
-                             (t1 + _each(math.atan2, q1, q0)) % period], axis=1)
-
-        return at
+        rows = np.asarray(rows, dtype=float).T
+        return lambda ts: np.stack(self._along(rows, ts, ROWS), axis=1)
 
     def foot_rows(self, qs, rows, lengths):
         # In the development of the chord, which starts at (r1, 0) and runs along
@@ -791,8 +771,7 @@ class Cone(RowSpace):
         routes: list[tuple[float, float | None]] = []
         for mag, signed in ((ccw, ccw), (self.perimeter - ccw, ccw - self.perimeter)):
             if mag < math.pi:
-                routes.append(
-                    (math.hypot(r2 * math.cos(signed) - r1, r2 * math.sin(signed)), signed))
+                routes.append((self._chord(r1, r2, signed, FLOATS)[2], signed))
         apex_len = r1 + r2
         if not routes or apex_len <= min(length for length, _ in routes) + TIE:
             routes.append((apex_len, None))
@@ -813,35 +792,38 @@ class Cone(RowSpace):
                 dedup.append(seg)
         return dedup
 
+    def _shot(self, r, th, phi, length, f: Form):
+        """(point, blocked): `shoot` from the normalized point (r, th), and whether
+        it raises ShootUnavailable, ending off the apex but within PT of it.
+        Off the apex the point is `_along` the chord in direction phi, written
+        out: the call would add a seventh to the time of the scalar shot."""
+        q0, q1 = r + length * f.cos(phi), length * f.sin(phi)
+        rho = f.hypot(q0, q1)
+        apex = r == 0.0
+        point = (f.where(apex, length, rho),
+                 f.where(apex, phi % self.perimeter, (th + f.atan2(q1, q0)) % self.perimeter))
+        return point, (rho <= PT) & (r != 0.0)
+
     def shoot(self, p, phi: float, length: float):
         r, th = self._norm(p)
-        if r == 0.0:
-            return (length, phi % self.perimeter)
-        q0, q1 = r + length * math.cos(phi), length * math.sin(phi)
-        rho = math.hypot(q0, q1)
-        if rho <= PT:
+        point, blocked = self._shot(r, th, phi, length, FLOATS)
+        if blocked:
             raise ShootUnavailable("geodesic through the cone apex is not extendable")
-        return (rho, (th + math.atan2(q1, q0)) % self.perimeter)
+        return point
 
     def _turn(self, center) -> float:
         # the apex's directions run round the whole perimeter
         return self.perimeter if self._norm(center)[0] == 0.0 else TWO_PI
 
     def shots(self, p, phis, lengths):
-        period = self.perimeter
         if np.ndim(p) == 1:
             r, th = self._norm(p)
-            if r == 0.0:
-                return np.stack([lengths, phis % period], axis=1), np.ones(len(phis), bool)
+            if r == 0.0:  # from the apex every shot is available, and needs no trig
+                return np.stack([lengths, phis % self.perimeter], axis=1), np.ones(len(phis), bool)
         else:
             r, th = self._norm_rows(p)
-        q0, q1 = r + lengths * _each(math.cos, phis), lengths * _each(math.sin, phis)
-        rho = _each(math.hypot, q0, q1)
-        theta = (th + _each(math.atan2, q1, q0)) % period
-        apex = r == 0.0
-        points = np.stack([np.where(apex, lengths, rho), np.where(apex, phis % period, theta)],
-                          axis=1)
-        return points, apex | ~(rho <= PT)
+        points, blocked = self._shot(r, th, phis, lengths, ROWS)
+        return np.stack(points, axis=1), ~blocked
 
     def handle(self, row):
         return tuple(row.tolist())

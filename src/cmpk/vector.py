@@ -139,11 +139,17 @@ class PointSegmentBatch(Batch):
             self.n, CHEBYSHEV_NODES, 2).transpose(2, 0, 1)
 
     def _defects(self, k, trig):
-        alpha, ok = comparison_angles(k, self.qp, self.length, self.qr, trig)
-        qp, length, t = self.qp[:, None], self.length[:, None], self.t
+        # the kernels of d_qp once, for the angle at p~ and for the probes
+        qp, length, qr = self.qp, self.length, self.qr
+        v_qp, c_qp, s_qp = (f(k, qp, trig) for f in (kernels.vcs, kernels.cs, kernels.sn))
+        raw = ((v_qp + c_qp * kernels.vcs(k, length, trig) - kernels.vcs(k, qr, trig))
+               / (s_qp * kernels.sn(k, length, trig)))
+        alpha, ok = comparison_angles(k, qp, length, qr, trig, raw)
+        v_qp, c_qp, s_qp, cos_alpha, qp, length = (
+            x[:, None] for x in (v_qp, c_qp, s_qp, trig.cos(alpha), qp, length))
+        t = self.t
         # `model.comparison_distances`: the model side from q~ to each probe of [p~ r~]
-        v = (kernels.vcs(k, qp, trig) + kernels.cs(k, qp, trig) * kernels.vcs(k, t, trig)
-             - kernels.sn(k, qp, trig) * kernels.sn(k, t, trig) * trig.cos(alpha)[:, None])
+        v = v_qp + c_qp * kernels.vcs(k, t, trig) - s_qp * kernels.sn(k, t, trig) * cos_alpha
         model_d = kernels.arc_from_vcs(k, v, trig)
         probe_ok = (0.0 < t) & (t < length) & ~_ill(k, v)
         if k > 0.0:

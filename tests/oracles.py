@@ -639,17 +639,24 @@ def searched_foot(space: GeodesicSpace, q, seg: GeodesicSegment) -> criteria.Foo
     return criteria.FootResult(t_star, d_star)
 
 
-def lockstep_feet(space: GeodesicSpace, qs, rows, lengths: np.ndarray):
-    """`criteria.feet_of_perpendicular` as it searched in lockstep over rows:
-    the scalar search's grid, bracket, target, comparisons, polish and checks
-    applied row by row.  Returns t*, d* (nan unless FOOT_OK) and outcomes."""
+def lockstep_search(space: GeodesicSpace, qs, rows, lengths: np.ndarray):
+    """The (t, distance) at which the lockstep search of `lockstep_feet` stops
+    on each row, before its checks."""
     f, L = row_distances(space, qs, rows), lengths
     ts = np.linspace(0.0, L, FOOT_GRID + 1)
     i = np.argmin(f(ts), axis=0)
     cols = np.arange(len(L))
     t, ft = golden_rows(f, ts[np.maximum(i - 1, 0), cols],
                         ts[np.minimum(i + 1, FOOT_GRID), cols], FOOT_REFINE_REL * L)
-    t, ft = polish_rows(f, t, ft, L, FOOT_POLISH_REL * L)
+    return polish_rows(f, t, ft, L, FOOT_POLISH_REL * L)
+
+
+def lockstep_feet(space: GeodesicSpace, qs, rows, lengths: np.ndarray):
+    """`criteria.feet_of_perpendicular` as it searched in lockstep over rows:
+    the scalar search's grid, bracket, target, comparisons, polish and checks
+    applied row by row.  Returns t*, d* (nan unless FOOT_OK) and outcomes."""
+    L = lengths
+    t, ft = lockstep_search(space, qs, rows, L)
     margin = config.FOOT_MARGIN_REL * L
     interior = (margin <= t) & (t <= L - margin)
     outcome = np.where(ft <= config.GEO, criteria.FOOT_DEGENERATE,

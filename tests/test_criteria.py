@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmpk import config, criteria, estimator, spaces
 from cmpk.errors import (
@@ -238,17 +238,36 @@ def _row_block(space, center, rng, n, radius=0.6):
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=872)
+@example(seed=196)
 @settings(max_examples=10, deadline=None)
 def test_feet_of_a_block_match_the_lockstep_search(case, seed):
     # over arrays the exact feet decide every row as the lockstep search did,
-    # and each is at least as near its q, to rounding
+    # and each is at least as near its q, to rounding.  Where the distance
+    # along a row has a plateau or a kink, the lockstep search may stop at an
+    # end while the exact foot is interior (pi-cone, seed 872: row 17 is flat
+    # to 4e-6 from t = 0.19 to its end at 0.396), or stop inside while the
+    # exact foot is at an end (seed 196, row 28).  Its grid nodes are
+    # h = L / FOOT_GRID apart and distance is 1-Lipschitz in t: its least node
+    # is within h / 2 of d*, and it stops within h of that node.  So where the
+    # outcomes differ, the search must have stopped at another point than the
+    # exact foot, farther than its polish step, no nearer, and within its
+    # resolution, 1.5 h, of the exact foot's distance
     space, center = BLOCK_CASES[case]
     qs, rows, lengths = _row_block(space, center, np.random.default_rng(seed), 30)
     t, d, outcome = criteria.feet_of_perpendicular(space, qs, rows, lengths)
     t_old, d_old, outcome_old = oracles.lockstep_feet(space, qs, rows, lengths)
-    assert outcome.tolist() == outcome_old.tolist()
-    ok = outcome == criteria.FOOT_OK
+    same = outcome == outcome_old
+    ok = same & (outcome == criteria.FOOT_OK)
     assert (d[ok] <= d_old[ok] + 1e-15).all()
+    if not same.all():
+        t_exact, d_exact = (x[~same] for x in criteria._row_feet(
+            space, np.array(qs, dtype=float), np.array(rows), lengths))
+        t_stop, d_stop = (x[~same] for x in oracles.lockstep_search(space, qs, rows, lengths))
+        L = lengths[~same]
+        assert (np.abs(t_stop - t_exact) > oracles.FOOT_POLISH_REL * L).all()
+        assert (d_exact <= d_stop + 1e-15).all()
+        assert (d_stop - d_exact <= 1.5 * L / oracles.FOOT_GRID).all()
 
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmpk import config, criteria, spaces
 from cmpk.errors import ShootUnavailable, SpaceDescriptorError
@@ -707,10 +707,19 @@ def _old_unrolled_ev(cone, x, signed_sep, r2, length):
 
 @given(P=cone_perimeters, r1=cone_radii, r2=cone_radii, a1=cone_turns, a2=cone_turns,
        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+# the branch points of the cone's bodies: the apex, the seam, and separations
+# of exactly P / 2 (two chords tie on the pi-cone, the apex route on the
+# 7-cone) and pi
+@example(P=PI, r1=0.0, r2=0.7, a1=0.0, a2=0.3, fracs=[0.5])
+@example(P=7.0, r1=0.5, r2=0.6, a1=-1e-12, a2=1e-12, fracs=[0.0, 0.5, 1.0])
+@example(P=PI, r1=0.5, r2=0.8, a1=0.0, a2=0.5, fracs=[0.25, 1.0])
+@example(P=7.0, r1=0.5, r2=0.8, a1=0.0, a2=0.5, fracs=[0.25, 1.0])
+@example(P=7.0, r1=0.5, r2=0.8, a1=0.0, a2=PI / 7.0, fracs=[0.25, 1.0])
 @settings(max_examples=300, deadline=None)
 def test_cone_route_evaluators_match_numpy_formula(P, r1, r2, a1, a2, fracs):
     cone = spaces.Cone(P)
     x, y = (r1, a1 * P), (r2, a2 * P)
+    assert repr(float(cone.pair_distances([x], [y])[0])) == repr(cone.distance(x, y))
     routes = []
     if r1 > 0.0 and r2 > 0.0 and cone.distance(x, y) > 0.0:  # as `minimal_geodesics` calls it
         ccw = (cone._norm(y)[1] - cone._norm(x)[1]) % P
@@ -816,21 +825,32 @@ BELOW_ONE = np.nextafter(1.0, 0.0)
 uniforms = st.one_of(st.just(0.0), st.just(BELOW_ONE),
                      st.floats(0.0, 1.0, exclude_max=True))
 _hyperbolic_off_origin = spaces.Hyperbolic(-1.0).point_from_data([0.3, -1.2, 0.0])
+_below_cap = np.nextafter(0.9, 0.0)
 BALL_CASES = {
     "sphere-k1-pole": (spaces.Sphere(1.0), np.array([0.0, 0.0, 1.0])),
     "sphere-k4-equator": (spaces.Sphere(4.0), np.array([1.0, 0.0, 0.0])),
     "sphere-k4-pole": (spaces.Sphere(4.0), np.array([0.0, 0.0, 1.0])),
     "sphere-k1-equator": (spaces.Sphere(1.0), np.array([1.0, 0.0, 0.0])),
+    # either side of |p2| = 0.9, where `Sphere._basis` switches frames
+    "sphere-k1-cap-edge": (spaces.Sphere(1.0), np.array([math.sqrt(1.0 - 0.81), 0.0, 0.9])),
+    "sphere-k1-below-cap": (spaces.Sphere(1.0),
+                            np.array([0.0, -math.sqrt(1.0 - _below_cap**2), _below_cap])),
     "hyperbolic-k-1-origin": (spaces.Hyperbolic(-1.0), np.array([0.0, 0.0, 1.0])),
     "hyperbolic-k-1-off": (spaces.Hyperbolic(-1.0), _hyperbolic_off_origin),
     "hyperbolic-k-0.5-origin": (spaces.Hyperbolic(-0.5), np.array([0.0, 0.0, 1.0])),
     "hyperbolic-k-0.5-off": (spaces.Hyperbolic(-0.5), _hyperbolic_off_origin),
+    # past `Hyperbolic.FAR`, in the polar frame
+    "hyperbolic-k-1-far": (spaces.Hyperbolic(-1.0),
+                           spaces.Hyperbolic(-1.0).point_from_data([80.0, -70.0, 0.0])),
     "pi-cone-apex": (spaces.Cone(PI), (0.0, 0.0)),
     "pi-cone-off": (spaces.Cone(PI), (1.0, 0.5)),
     "pi-cone-near-apex": (spaces.Cone(PI), (0.04, 3.0)),
     "7-cone-apex": (spaces.Cone(7.0), (0.0, 0.0)),
     "7-cone-off": (spaces.Cone(7.0), (1.0, 6.9)),
     "7-cone-near-apex": (spaces.Cone(7.0), (0.04, 0.2)),
+    # on the seam: -1e-17 reduces to the perimeter itself
+    "pi-cone-seam": (spaces.Cone(PI), (0.5, -1e-17)),
+    "7-cone-seam": (spaces.Cone(7.0), (0.3, 7.0 - 1e-15)),
 }
 
 
@@ -906,7 +926,9 @@ SHOT_CASES = {
     "7-cone-half": (spaces.Cone(7.0), (0.5, 0.0)),
 }
 directions = st.one_of(st.just(0.0), st.just(PI), st.floats(-7.0, 7.0))
-lengths = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 3.0))
+# shots of length 0 start the second shots at the center itself; those of
+# length 2 pi, halved there, end at (near-)antipodes on the unit sphere
+lengths = st.one_of(st.just(0.0), st.just(0.5), st.just(2.0 * PI), st.floats(0.0, 3.0))
 
 
 def _bits(point):
@@ -1033,30 +1055,62 @@ def test_sphere_rows_equal_the_scalar_methods_at_caps_ties_and_short_pairs(k, se
     space, rng = spaces.Sphere(k), np.random.default_rng(seed)
     starts, ends = _sphere_pairs(space, rng, 5)
     assert (np.abs(starts[:, 2]) >= 0.9).all()
+    # points either side of |p2| = 0.9, where `_basis` switches frames, each
+    # paired with its antipode and with a point shot from it
+    z = np.array([0.9, -0.9, _below_cap, -_below_cap])
+    phi = rng.uniform(0.0, spaces.TWO_PI, len(z))
+    edge = np.stack([np.sqrt(1.0 - z * z) * np.cos(phi), np.sqrt(1.0 - z * z) * np.sin(phi), z],
+                    axis=1)
+    shot = [space.shoot(x, rng.uniform(0.0, spaces.TWO_PI), rng.uniform(0.0, 3.0)) for x in edge]
+    starts, ends = np.concatenate([starts, edge, edge]), np.concatenate([ends, -edge, shot])
     assert_rows_equal_the_scalar_methods(space, starts, ends, rng.uniform(0.0, 1.0, len(starts)))
     # both orders: caps at the end too
     assert_rows_equal_the_scalar_methods(space, ends, starts, rng.uniform(0.0, 1.0, len(starts)))
 
 
-def test_sphere_check_rows_raises_where_check_does():
-    sphere, rng = spaces.Sphere(1.0), np.random.default_rng(5)
+def _near_handles(name, rng):
+    """(check, check_rows, a handle check passes, handles to try): the sphere's
+    and the hyperboloid's either side of `_check`'s tolerance and some that it
+    rejects outright, and the cone's radii either side of 0."""
+    bad = [[math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+    if name == "sphere":
+        space, xs = spaces.Sphere(1.0), []
+        for side in (-1.0, 1.0):
+            for j in range(-40, 41):
+                u = rng.normal(size=3)
+                xs.append(u / math.sqrt(float(u @ u)) * math.sqrt(1.0 + side * (1e-10 + j * 2e-17)))
+        return space._check, space._check_rows, [0.0, 0.0, 1.0], xs + bad
+    if name == "hyperbolic":
+        space, xs = spaces.Hyperbolic(-1.0), []
+        for side in (-1.0, 1.0):
+            for j in range(-40, 41):
+                # <x, x> + 1 = -e, against the tolerance 1e-9 x2^2; some past FAR
+                x0, x1 = rng.normal(size=2) * (1.0 if j % 2 else 90.0)
+                e = side * 1e-9 * (1.0 + x0 * x0 + x1 * x1) * (1.0 + j * 1e-8)
+                xs.append([x0, x1, math.sqrt(1.0 + x0 * x0 + x1 * x1 + e)])
+        return space._check, space._check_rows, [0.0, 0.0, 1.0], xs + bad
+    cone = spaces.Cone(PI)
+    radii = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, math.nan]
+    return cone._norm, cone._norm_rows, [1.0, 0.5], [[r, 0.3] for r in radii]
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic", "cone"])
+def test_check_rows_raises_where_check_does(name):
+    check, check_rows, good, xs = _near_handles(name, np.random.default_rng(5))
     outcomes = set()
-    for side in (-1.0, 1.0):
-        for j in range(-40, 41):
-            u = rng.normal(size=3)
-            x = u / math.sqrt(float(u @ u)) * math.sqrt(1.0 + side * (1e-10 + j * 2e-17))
-            try:
-                sphere._check(x)
-                want = True
-            except ValueError:
-                want = False
-            try:
-                sphere._check_rows(np.array([[0.0, 0.0, 1.0], x]))
-                got = True
-            except ValueError:
-                got = False
-            assert got == want
-            outcomes.add(want)
+    for x in xs:
+        try:
+            check(x)
+            want = True
+        except ValueError:
+            want = False
+        try:
+            check_rows(np.array([good, x], dtype=float))
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+        outcomes.add(want)
     assert outcomes == {True, False}
 
 
