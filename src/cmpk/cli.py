@@ -48,19 +48,12 @@ EXIT_SPACE = 3
 # report plumbing
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def write_rows(out_dir: Path, name: str, header: list[str], rows: list[list]) -> Path:
     path = out_dir / f"{name}_rows.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)  # a float as str, which is its repr
     return path
 
 

@@ -17,15 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from cmpk import kernels, model, rounds
-from cmpk.config import (
-    CLAMP,
-    DEFAULT_TOL,
-    FOOT_MARGIN_REL,
-    GEO,
-    TRI_REL,
-    Tolerances,
-)
+from cmpk import model, rounds
+from cmpk.config import DEFAULT_TOL, FOOT_MARGIN_REL, GEO, Tolerances
 from cmpk.errors import (
     CmpkError,
     DegenerateConfigError,
@@ -35,7 +28,8 @@ from cmpk.errors import (
     RightAngleUnavailable,
     ShootUnavailable,
 )
-from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace, RowSpace, _each
+from cmpk.kernels import FLOATS, MATH
+from cmpk.spaces import TWO_PI, GeodesicSegment, GeodesicSpace, RowSpace
 
 PI = math.pi
 
@@ -320,7 +314,7 @@ def chebyshev_nodes(n: int, length):
     """Interior Chebyshev points mapped to [0, length] (an array of lengths
     gives the points of each)."""
     return [
-        0.5 * length * (1.0 - math.cos((2.0 * i - 1.0) * PI / (2.0 * n)))
+        0.5 * length * (1.0 - FLOATS.cos((2.0 * i - 1.0) * PI / (2.0 * n)))
         for i in range(1, n + 1)
     ]
 
@@ -555,7 +549,7 @@ def first_variation_check(
     toward_q = space.geodesic(p, q)
     forward = seg.subsegment(t_star, seg.length)
     angle = angle_at(space, p, toward_q, forward)
-    target = -math.cos(angle)
+    target = -FLOATS.cos(angle)
     d0 = space.distance(q, p)
     slopes = tuple((space.distance(q, seg.at(t_star + h)) - d0) / h for h in steps)
     errors = tuple(abs(s - target) for s in slopes)
@@ -698,9 +692,10 @@ def _right_angle_rows(space: RowSpace, p: np.ndarray, beta: np.ndarray, l1: np.n
     Returns arrays of the angle at p that `angle_at` reads, the configuration's
     `ratio_defect` (each nan where not reached) and the outcome: RA_BUILT,
     RA_SKIPPED, or RA_BACK for a row left to the scalar build.  Those are the
-    rows with a leg whose geodesic `geodesic_rows` does not reproduce, or a
-    check on which the scalar build would raise another error.  Rows no
-    longer live are kept finite, and only their cosine may divide by 0.
+    rows with a leg whose geodesic `geodesic_rows` does not reproduce, a
+    check on which the scalar build would raise another error, or a model
+    cosine within `model.ILL` of +-1.  Rows no longer live are kept finite,
+    and only their cosine may divide by 0.
     """
     q, q_ok = space.shots(p, beta, l1)
     r, r_ok = space.shots(p, beta + PI / 2, l2)
@@ -720,21 +715,13 @@ def _right_angle_rows(space: RowSpace, p: np.ndarray, beta: np.ndarray, l1: np.n
     len_r, at_r, exact_r = space.geodesic_rows(p, r)
     settle(~(exact_q & exact_r))
     d_pa, d_pb, d_ab, live = _ladder_rows(space, p, ((at_q, len_q), (at_r, len_r)), live)
-    # model.comparison_angle(0.0, (d_pa, d_pb, d_ab)): its checks raise, so
-    # their rows go back
-    slack = TRI_REL * (d_pa + d_pb + d_ab)
-    side_floor = 1e-12 * np.maximum(d_pa + d_pb + d_ab, 1e-300)
-    raises = ((d_pa > d_pb + d_ab + slack) | (d_pb > d_ab + d_pa + slack)
-              | (d_ab > d_pa + d_pb + slack) | (d_pa <= side_floor) | (d_pb <= side_floor))
-    settle(raises)
-    # at k = 0 every kernel is its series, plain arithmetic, so arrays take the
-    # default Trig
+    # model.comparison_angle(0.0, (d_pa, d_pb, d_ab)): the rows it raises on, or
+    # whose cosine is ill-conditioned, go back
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos = kernels.cos_angle_from_sides(0.0, d_pa, d_pb, d_ab)
-    settle(np.abs(cos) > 1.0 + CLAMP)
-    angle = np.where(live, _each(math.acos, np.clip(cos, -1.0, 1.0)), np.nan)
+        angle, ok = model.comparison_angles(0.0, d_pa, d_pb, d_ab, MATH)
+    settle(~ok)
+    angle[~live] = np.nan
     live &= ~(np.abs(angle - PI / 2) > RIGHT_ANGLE_TOL)  # RightAngleUnavailable
-    angle[back] = np.nan
     ratio = np.full(len(p), np.nan)
     d_qr = space.pair_distances(q[live], r[live])
     ratio[live] = [abs(qr**2 / (pq**2 + pr**2) - 1.0)  # RightAngleConfig.ratio_defect

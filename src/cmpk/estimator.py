@@ -7,14 +7,13 @@ monotonicity in k and bisection over k is sound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from cmpk import criteria, vector
+from cmpk import criteria, kernels, vector
 from cmpk.config import DEFAULT_TOL, Tolerances
 from cmpk.errors import (
     BracketExpansionError,
@@ -195,11 +194,6 @@ class Measurements(dict):
         self.skipped_by[kind] = self.skipped_by.get(kind, 0) + 1
 
 
-# Configurations measured together: a larger batch costs fewer array passes
-# but holds more configurations and columns in memory at once
-COLUMN_BATCH = 100
-
-
 def sample_measurements(
     space: GeodesicSpace, center, radius: float, names: Sequence[str],
     n_samples: int, seed: int | Sequence[int],
@@ -217,13 +211,13 @@ def sample_measurements(
     measured sample's index among the n_samples drawn.  On a mesh, any of
     ANGLE_CRITERIA raises ValueError before the first draw.
 
-    Configurations are drawn in batches of COLUMN_BATCH, each measured once
-    it is drawn: each criterion's probes of the batch are computed once over
-    arrays (its `columns`), and each sample is then measured by one call of
-    its `measure`, from its column values or, where it has none, by the
-    scalar probes.  An error of the draw is raised after the samples drawn
-    before it are measured, so the first error is the one measuring each
-    sample as it is drawn meets.
+    The whole stream is drawn first, and each drawn configuration is then
+    measured once per criterion: each criterion's probes of every
+    configuration are computed once over arrays (its `columns`), and each
+    sample is measured by one call of its `measure`, from its column values
+    or, where it has none, by the scalar probes.  An error of the draw is
+    raised after the samples drawn before it are measured, so the first
+    error is the one measuring each sample as it is drawn meets.
     """
     names = _normalize_criteria(names)
     angled = [name.replace("_", "-") for name in names if name in ANGLE_CRITERIA]
@@ -238,28 +232,25 @@ def sample_measurements(
                                                   rejected=out.rejected))
     else:
         configs = _one_at_a_time(draw, space, center, radius, rng, n_samples, out)
-    while True:
-        drawn, draw_error = [], None
+    drawn, draw_error = [], None
+    try:
+        for item in configs:
+            drawn.append(item)
+    except Exception as e:  # raised once the configurations before it are measured
+        draw_error = e
+    columns = [_columns(name, space, [config for _, config in drawn]) for name in names]
+    for (i, config), cols in zip(drawn, zip(*columns)):
         try:
-            for item in itertools.islice(configs, COLUMN_BATCH):
-                drawn.append(item)
-        except Exception as e:  # raised once the configurations before it are measured
-            draw_error = e
-        columns = [_columns(name, space, [config for _, config in drawn]) for name in names]
-        for (i, config), cols in zip(drawn, zip(*columns)):
-            try:
-                sample = [CRITERIA[name].measure(space, config, c)
-                          for name, c in zip(names, cols)]
-            except SKIPPED_SAMPLE as e:
-                out.skip(e)
-                continue
-            out.index.append(i)
-            for ms, m in zip(out.values(), sample):
-                ms.append(m)
-        if draw_error is not None:
-            raise draw_error
-        if len(drawn) < COLUMN_BATCH:
-            return out
+            sample = [CRITERIA[name].measure(space, config, c) for name, c in zip(names, cols)]
+        except SKIPPED_SAMPLE as e:
+            out.skip(e)
+            continue
+        out.index.append(i)
+        for ms, m in zip(out.values(), sample):
+            ms.append(m)
+    if draw_error is not None:
+        raise draw_error
+    return out
 
 
 def _one_at_a_time(draw: Callable, space: GeodesicSpace, center, radius: float,
@@ -372,7 +363,7 @@ def _orientation_pass(measurements: dict[str, list], k: float, orientation: str,
 def sample_defects(measurements: dict[str, list], k: float, tol_cfg: Tolerances,
                    batches: dict | None = None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each criterion's (cbb, cba) defect arrays at k, bit for bit the scalar
-    evaluator's: one array pass with `vector.MATH`, and the scalar evaluator,
+    evaluator's: one array pass with `kernels.MATH`, and the scalar evaluator,
     in order, for each sample the arrays leave undecided.  Only those can
     raise, so the error raised is that of one scalar pass over every sample."""
     if batches is None:
@@ -380,7 +371,7 @@ def sample_defects(measurements: dict[str, list], k: float, tol_cfg: Tolerances,
     out = {}
     for name, ms in measurements.items():
         batch, nan = batches.get(name), np.full(len(ms), np.nan)
-        cbb, cba = batch.defects(k, vector.MATH) if batch is not None else (nan, nan.copy())
+        cbb, cba = batch.defects(k, kernels.MATH) if batch is not None else (nan, nan.copy())
         ev = _EVALUATORS[name]
         for i in np.flatnonzero(np.isnan(cbb)).tolist():
             outcome = ev(ms[i], k, tol_cfg=tol_cfg)

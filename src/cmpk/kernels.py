@@ -1,10 +1,23 @@
-"""Trig kernels for the constant-curvature model surfaces, on floats and arrays.
+"""Trig kernels for the constant-curvature model surfaces, and the `Form`s
+that every body written once for floats and arrays runs on.
 
 All functions are raw number crunching: domain validation, clamping policy
 and error types live in ``cmpk.model``.  Each kernel takes its
-transcendentals and its branch choice from a `Trig`: `SCALAR` runs it on
-floats through `math`; ``cmpk.vector`` has the array forms.  The curvature k
-is a float throughout.
+transcendentals and its branch choice from a `Form`, as do the row spaces'
+geometry in ``cmpk.spaces`` and the right-angle rows of ``cmpk.criteria``.
+The curvature k is a float throughout.
+
+A report must be the same bit for bit on every machine, and numpy's
+transcendentals other than cos, sin and sqrt round by the SIMD target numpy
+dispatches to.  So the exact Forms send those through `math` entry by entry:
+
+- `FLOATS`: `math` on floats, raising where `math` raises;
+- `ROWS`: arrays, bit for bit `FLOATS` entry by entry, raising where it
+  raises.  cos, sin and sqrt are numpy's, which round as `math`'s do;
+- `MATH`: `ROWS`, except that cosh, sinh, asin and acos read nan outside
+  their domain: an array pass evaluates entries that it then masks.
+
+``cmpk.vector`` has `NUMPY`, numpy's ufuncs throughout, for the screens.
 
 The Law of Cosines on the model surface of curvature k is evaluated in
 "generalized versine" form,
@@ -18,36 +31,56 @@ cancellation-free uniformly in k and reduces exactly to
 c^2/2 = a^2/2 + b^2/2 - a b cos(gamma) at k = 0.
 
 Each kernel computes its Taylor branch and its closed form and picks one per
-value with `Trig.where`; at k = 0, where the closed form would divide by 0,
+value with `Form.where`; at k = 0, where the closed form would divide by 0,
 it returns the Taylor branch at once.
 """
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
+
+import numpy as np
 
 # |k| * d^2 below which the Taylor branches engage (continuity through k = 0).
 SERIES_EPS = 1e-8
 
-
-class Trig(NamedTuple):
-    """The transcendentals the kernels call, and `where(cond, a, b)`: a where cond, else b."""
-
-    cos: Callable
-    sin: Callable
-    sqrt: Callable
-    cosh: Callable
-    sinh: Callable
-    asin: Callable
-    asinh: Callable
-    acos: Callable
-    where: Callable
+# What a body computes with: its transcendentals, sqrt, hypot, where(cond, a,
+# b) (a where cond, else b) and the reductions all and any of a condition
+Form = namedtuple("Form",
+                  "cos sin sqrt cosh sinh asin asinh atanh acos atan2 hypot where all any")
 
 
-SCALAR = Trig(math.cos, math.sin, math.sqrt, math.cosh, math.sinh, math.asin, math.asinh,
-              math.acos, lambda cond, a, b: a if cond else b)
+def _each(g):
+    """g of every entry of arrays of one shape, through `math`."""
+    def each(*xs):
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        out = np.array(list(map(g, *(x.ravel().tolist() for x in xs))), dtype=float)
+        return out.reshape(xs[0].shape)
+    return each
 
 
-def cs(k: float, d, f: Trig = SCALAR):
+def _nan_outside(g, lo: float, hi: float):
+    """`_each(g)`, nan outside [lo, hi], where g would raise."""
+    each = _each(g)
+
+    def masked(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x >= lo) & (x <= hi)
+        return np.where(inside, each(np.where(inside, x, 0.0)), np.nan)
+    return masked
+
+
+FLOATS = Form(math.cos, math.sin, math.sqrt, math.cosh, math.sinh, math.asin, math.asinh,
+              math.atanh, math.acos, math.atan2, math.hypot, lambda cond, a, b: a if cond else b,
+              bool, bool)
+ROWS = Form(np.cos, np.sin, np.sqrt, *map(_each, FLOATS[3:11]), np.where,
+            lambda cond: cond.all(), lambda cond: cond.any())
+MATH = ROWS._replace(cosh=_nan_outside(math.cosh, -700.0, 700.0),
+                     sinh=_nan_outside(math.sinh, -700.0, 700.0),
+                     asin=_nan_outside(math.asin, -1.0, 1.0),
+                     acos=_nan_outside(math.acos, -1.0, 1.0))
+
+
+def cs(k: float, d, f: Form = FLOATS):
     """Generalized cosine cs_k(d): cos for k>0, cosh for k<0, series near 0."""
     w = k * d * d
     series = 1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0
@@ -57,7 +90,7 @@ def cs(k: float, d, f: Trig = SCALAR):
     return f.where(abs(w) < SERIES_EPS, series, full)
 
 
-def sn(k: float, d, f: Trig = SCALAR):
+def sn(k: float, d, f: Form = FLOATS):
     """Generalized sine sn_k(d) in length units: sin(sqrt(k) d)/sqrt(k), etc."""
     w = k * d * d
     series = d * (1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0)
@@ -68,7 +101,7 @@ def sn(k: float, d, f: Trig = SCALAR):
     return f.where(abs(w) < SERIES_EPS, series, full)
 
 
-def vcs(k: float, d, f: Trig = SCALAR):
+def vcs(k: float, d, f: Form = FLOATS):
     """Generalized versine (1 - cs_k(d))/k >= 0, with limit d^2/2 at k = 0."""
     w = k * d * d
     series = d * d * (0.5 - w / 24.0 + w * w / 720.0)
@@ -83,7 +116,7 @@ def vcs(k: float, d, f: Trig = SCALAR):
     return f.where(abs(w) < SERIES_EPS, series, full)
 
 
-def arc_from_vcs(k: float, v, f: Trig = SCALAR):
+def arc_from_vcs(k: float, v, f: Form = FLOATS):
     """Inverse of vcs in d.  v may carry -0-level rounding; treated as 0."""
     v = f.where(v < 0.0, 0.0, v)
     series = f.sqrt(2.0 * v) * (1.0 + k * v / 12.0 + 3.0 * k * k * v * v / 160.0)
@@ -100,7 +133,7 @@ def arc_from_vcs(k: float, v, f: Trig = SCALAR):
     return f.where(abs(x2) < 0.25 * SERIES_EPS, series, full)
 
 
-def cos_angle_from_sides(k: float, a, b, c, f: Trig = SCALAR):
+def cos_angle_from_sides(k: float, a, b, c, f: Form = FLOATS):
     """Raw cosine of the model angle between sides a and b (c opposite).
 
     May fall epsilon outside [-1, 1] for near-degenerate triples; the caller
@@ -110,7 +143,7 @@ def cos_angle_from_sides(k: float, a, b, c, f: Trig = SCALAR):
             / (sn(k, a, f) * sn(k, b, f)))
 
 
-def side_from_angle_cos(k: float, a, b, cos_gamma, f: Trig = SCALAR):
+def side_from_angle_cos(k: float, a, b, cos_gamma, f: Form = FLOATS):
     """Third side of the model triangle with sides a, b enclosing angle gamma."""
     v = vcs(k, a, f) + cs(k, a, f) * vcs(k, b, f) - sn(k, a, f) * sn(k, b, f) * cos_gamma
     return arc_from_vcs(k, v, f)

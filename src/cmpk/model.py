@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from cmpk.config import CLAMP, GEO, MAX_HYPERBOLIC_ARG, SPHERE_MARGIN, TRI_REL
 from cmpk.errors import DegenerateConfigError, ModelDomainError
 from cmpk import kernels
 
 PI = math.pi
+ILL = 1e-6  # conditioning band that the array passes leave to the scalar path
 
 
 def _require_finite(**values: float) -> None:
@@ -114,6 +117,29 @@ def comparison_angle(k: float, sides) -> float:
         raise DegenerateConfigError(f"sides adjacent to the angle must be > 0, got {(a, b, c)}")
     raw = kernels.cos_angle_from_sides(k, a, b, c)
     return _clamped_acos(raw)
+
+
+def comparison_angles(k: float, a, b, c, f: kernels.Form, raw=None):
+    """`comparison_angle(k, (a, b, c))` per entry of arrays, with the Form f,
+    and ok, where it is decided: where its checks hold and the cosine is not
+    within ILL of +-1.  `raw`, when given, is the angle's cosine from the
+    caller's side kernels."""
+    if raw is None:
+        raw = kernels.cos_angle_from_sides(k, a, b, c, f)
+    perimeter = a + b + c
+    slack = TRI_REL * perimeter
+    ok = (np.isfinite(perimeter) & (a >= 0.0) & (b >= 0.0) & (c >= 0.0)
+          & (a <= b + c + slack) & (b <= c + a + slack) & (c <= a + b + slack))
+    if k > 0.0:
+        bound = PI / math.sqrt(k)
+        ok &= (a < bound) & (b < bound) & (c < bound) & (perimeter < _perimeter_bound(k))
+    elif k < 0.0:
+        rk = math.sqrt(-k)
+        ok &= ((rk * a <= MAX_HYPERBOLIC_ARG) & (rk * b <= MAX_HYPERBOLIC_ARG)
+               & (rk * c <= MAX_HYPERBOLIC_ARG))
+    floor = 1e-12 * np.maximum(perimeter, 1e-300)
+    ok &= (a > floor) & (b > floor) & (np.abs(raw) < 1.0 - ILL)
+    return f.acos(raw), ok
 
 
 def side_from_angle(k: float, a: float, b: float, gamma: float) -> float:

@@ -12,9 +12,7 @@ import json
 import math
 import sys
 from abc import ABC, abstractmethod
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -22,6 +20,7 @@ import numpy as np
 
 from cmpk.config import DEFAULT_TOL, GEO, PT, TIE, Tolerances
 from cmpk.errors import CmpkError, ShootUnavailable, SpaceDescriptorError
+from cmpk.kernels import FLOATS, ROWS, Form
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,35 +148,17 @@ class GeodesicSpace(ABC):
         raise ValueError(f"{self.name} point data must be {self.point_form}, got {data!r}")
 
 
-def _each(f, *xs: np.ndarray) -> np.ndarray:
-    """f entry by entry through `math`: numpy's SIMD cosh, sinh, atan2 and hypot
-    may not round as libm does, and the batched draws must equal the scalar ones"""
-    return np.array(list(map(f, *(x.tolist() for x in xs))), dtype=float)
-
-
-# What a row-space body computes with: the `math` functions it calls, sqrt,
-# where(cond, a, b) (a where cond, else b) and the reductions all and any of a
-# condition.  FLOATS is `math` on floats, raising where math raises; ROWS
-# applies the same `math` functions to arrays entry by entry (`_each`), with
-# numpy's sqrt, which rounds as math's does
-Form = namedtuple("Form", "cos sin cosh sinh asinh atan2 hypot sqrt where all any")
-FLOATS = Form(math.cos, math.sin, math.cosh, math.sinh, math.asinh, math.atan2, math.hypot,
-              math.sqrt, lambda cond, a, b: a if cond else b, bool, bool)
-ROWS = Form(*(partial(_each, g) for g in FLOATS[:7]), np.sqrt, np.where,
-            lambda cond: cond.all(), lambda cond: cond.any())
-
-
 class RowSpace(GeodesicSpace):
     """A space whose segments have a row form and whose `shoot`, `distance` and
     `geodesic` have array forms: the sphere, the hyperbolic plane and the cone.
 
-    Each operation of these spaces is written once, as a body over a `Form`:
-    the scalar method runs it on floats (`FLOATS`), its array form on arrays
-    of coordinates (`ROWS`), every transcendental through `math` in both.  So
-    each array form is bit for bit the scalar method row by row; points are
-    the rows of a float array.  On these spaces a round of the
-    foot-configuration stream and a right-angle profile rung are decided over
-    arrays; on the others they run one try or one configuration at a time.
+    Each operation of these spaces is written once, as a body over a
+    `kernels.Form`: the scalar method runs it on floats (`FLOATS`), its array
+    form on arrays of coordinates (`ROWS`).  So each array form is bit for
+    bit the scalar method row by row; points are the rows of a float array.
+    On these spaces a round of the foot-configuration stream and a
+    right-angle profile rung are decided over arrays; on the others they run
+    one try or one configuration at a time.
     """
 
     @abstractmethod
@@ -256,7 +237,7 @@ class EuclideanPlane(GeodesicSpace):
 
     def shoot(self, p, phi: float, length: float):
         return np.asarray(p, dtype=float) + length * np.array(
-            [math.cos(phi), math.sin(phi)]
+            [FLOATS.cos(phi), FLOATS.sin(phi)]
         )
 
     def foot_candidates(self, q, seg):
@@ -487,7 +468,7 @@ class Sphere(_Quadric):
         lengths = np.asarray(lengths, dtype=float)
         a = q0 * x0 + q1 * x1 + q2 * x2
         b = q0 * w0 + q1 * w1 + q2 * w2 - a * (x0 * w0 + x1 * w1 + x2 * w2)
-        t = self.radius * _each(math.atan2, b, a)
+        t = self.radius * ROWS.atan2(b, a)
         turn = TWO_PI * self.radius
         t = np.where(t + t < lengths - turn, t + turn, t)
         return [np.where((a == 0.0) & (b == 0.0), 0.5 * lengths, t)]
@@ -563,7 +544,7 @@ class Hyperbolic(_Quadric):
         a = -(q0 * x0 + q1 * x1 - q2 * x2)
         ratio = (q0 * w0 + q1 * w1 - q2 * w2 - a * (x0 * w0 + x1 * w1 - x2 * w2)) / a
         inside = np.abs(ratio) < 1.0
-        t = self.radius * _each(math.atanh, np.where(inside, ratio, 0.0))
+        t = self.radius * ROWS.atanh(np.where(inside, ratio, 0.0))
         return [np.where(inside, t, np.where(ratio < 0.0, -np.inf, np.inf))]
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
@@ -742,10 +723,10 @@ class Cone(RowSpace):
         r1, t1, u0, u1 = np.asarray(rows, dtype=float).T
         period = self.perimeter
         delta = (qt - t1) % period
-        c, s = np.cos(delta), np.sin(delta)
+        c, s = ROWS.cos(delta), ROWS.sin(delta)
         out = [-r1 * u0] if period > TWO_PI else []
         for j in (-1, 0, 1):
-            cj, sj = math.cos(j * period), math.sin(j * period)
+            cj, sj = FLOATS.cos(j * period), FLOATS.sin(j * period)
             out.append(rq * ((c * cj - s * sj) * u0 + (s * cj + c * sj) * u1) - r1 * u0)
         return out
 
@@ -755,7 +736,7 @@ class Cone(RowSpace):
         rq, tq = self._norm(q)
         (r1, t1), (_, t2) = self._norm(seg.start), self._norm(seg.end)
         seps = [abs(tq - t) for t in (t1, t2)]
-        c1, c2 = (math.cos(min(sep, self.perimeter - sep)) for sep in seps)
+        c1, c2 = (FLOATS.cos(min(sep, self.perimeter - sep)) for sep in seps)
         return [r1 - rq * c1, r1, r1 + rq * c2]
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:

@@ -4,11 +4,10 @@
 criterion's stored measurements into arrays once; its `defects` gives every
 sample's two oriented defects at any k in a few array passes, and `margins`
 one of them minus its tolerance.  The passes run the scalar evaluator's
-kernels on arrays, with one of two `Trig`s: with NUMPY's ufuncs each value
-differs from the scalar evaluator's by a few rounding errors of the trig
-functions; with MATH's, which go through `math` entry by entry, each value
-is the scalar evaluator's bit for bit.  cos, sin and sqrt are numpy's in
-both: they round as `math` does.
+kernels on arrays, with one of two `kernels.Form`s: with `NUMPY`, numpy's
+ufuncs, each value differs from the scalar evaluator's by a few rounding
+errors of the trig functions; with `kernels.MATH`, the exact pass's, each
+value is the scalar evaluator's bit for bit.
 
 Every measurement of a criterion has one shape, so a batch is plain arrays:
 a triangle's sides and its ladder triples' sides as one (12, n) array, a
@@ -19,70 +18,33 @@ A defect reads nan where the arrays do not decide the sample: where the
 scalar evaluation could raise (side, perimeter or hyperbolic-range bounds,
 the triangle inequality, the adjacent-side floor, a point-segment probe that
 is not strictly interior, a non-finite result), and where the value is
-ill-conditioned (a cosine within ILL of +-1 before acos, an arc within ILL
-of its branch switch or its antipodal clamp).  The estimator evaluates those
-samples with the scalar evaluator.
+ill-conditioned (a cosine within `model.ILL` of +-1 before acos, an arc
+within ILL of its branch switch or its antipodal clamp).  The estimator
+evaluates those samples with the scalar evaluator.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from cmpk.config import MAX_HYPERBOLIC_ARG, TRI_REL, Tolerances
+from cmpk.config import Tolerances
 from cmpk.criteria import CHEBYSHEV_NODES
 from cmpk import kernels
-from cmpk.model import PI, _perimeter_bound
-from cmpk.spaces import _each
+from cmpk.kernels import Form
+from cmpk.model import ILL, PI, _perimeter_bound, comparison_angles
 
-ILL = 1e-6  # conditioning band left to the scalar path (see the module docstring)
-
-
-def _math(f, lo: float = -math.inf, hi: float = math.inf) -> Callable:
-    """f of every entry through `math`, nan outside [lo, hi], where it would raise."""
-    def each(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = (x >= lo) & (x <= hi)
-        return np.where(inside, _each(f, np.where(inside, x, 0.0).ravel()).reshape(x.shape),
-                        np.nan)
-    return each
-
-
-NUMPY = kernels.Trig(np.cos, np.sin, np.sqrt, np.cosh, np.sinh, np.arcsin, np.arcsinh,
-                     np.arccos, np.where)
-MATH = NUMPY._replace(cosh=_math(math.cosh, -700.0, 700.0), sinh=_math(math.sinh, -700.0, 700.0),
-                      asin=_math(math.asin, -1.0, 1.0), asinh=_math(math.asinh),
-                      acos=_math(math.acos, -1.0, 1.0))
+# numpy's ufuncs throughout: the screens' Form
+NUMPY = Form(np.cos, np.sin, np.sqrt, np.cosh, np.sinh, np.arcsin, np.arcsinh, np.arctanh,
+             np.arccos, np.arctan2, np.hypot, np.where, np.all, np.any)
 
 
 def _ill(k: float, v: np.ndarray) -> np.ndarray:
     """Where `arc_from_vcs(k, v)` is within ILL of its branch switch or its antipodal clamp."""
     x2 = 0.5 * k * v
     return (k > 0.0) & ((np.abs(x2 - 0.5) < ILL) | (x2 > 1.0 - ILL))
-
-
-def comparison_angles(k: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                      trig: kernels.Trig = NUMPY, raw: np.ndarray | None = None):
-    """`model.comparison_angle(k, (a, b, c))` per element, and where it is decided;
-    `raw`, when given, is the angle's cosine from the caller's side kernels."""
-    if raw is None:
-        raw = kernels.cos_angle_from_sides(k, a, b, c, trig)
-    perimeter = a + b + c
-    slack = TRI_REL * perimeter
-    ok = (np.isfinite(perimeter) & (a >= 0.0) & (b >= 0.0) & (c >= 0.0)
-          & (a <= b + c + slack) & (b <= c + a + slack) & (c <= a + b + slack))
-    if k > 0.0:
-        bound = PI / math.sqrt(k)
-        ok &= (a < bound) & (b < bound) & (c < bound) & (perimeter < _perimeter_bound(k))
-    elif k < 0.0:
-        rk = math.sqrt(-k)
-        ok &= ((rk * a <= MAX_HYPERBOLIC_ARG) & (rk * b <= MAX_HYPERBOLIC_ARG)
-               & (rk * c <= MAX_HYPERBOLIC_ARG))
-    floor = 1e-12 * np.maximum(perimeter, 1e-300)
-    ok &= (a > floor) & (b > floor) & (np.abs(raw) < 1.0 - ILL)
-    return trig.acos(raw), ok
 
 
 class Batch:
@@ -92,9 +54,9 @@ class Batch:
         self.n = len(ms)
         self.tolerance = np.array([tol_cfg.verdict_tolerance(m.scale) for m in ms], float)
 
-    def defects(self, k: float, trig: kernels.Trig = NUMPY) -> tuple[np.ndarray, np.ndarray]:
+    def defects(self, k: float, trig: Form = NUMPY) -> tuple[np.ndarray, np.ndarray]:
         """Each sample's (cbb, cba) defects at k; nan where undecided.  With
-        trig MATH every decided defect is the scalar evaluator's bit for bit."""
+        trig `kernels.MATH` every decided defect is the scalar evaluator's bit for bit."""
         if self.n == 0 or not math.isfinite(k):
             return np.full(self.n, np.nan), np.full(self.n, np.nan)  # the scalar path decides
         with np.errstate(all="ignore"):  # masked elements may overflow or divide by 0
@@ -109,7 +71,7 @@ class Batch:
         cbb, cba = self.defects(k)
         return (cbb if orientation == "cbb" else cba) - self.tolerance
 
-    def _defects(self, k: float, trig: kernels.Trig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _defects(self, k: float, trig: Form) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cbb defects, cba defects, decided) per sample at k."""
         raise NotImplementedError
 

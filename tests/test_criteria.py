@@ -240,6 +240,7 @@ def _row_block(space, center, rng, n, radius=0.6):
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=872)
 @example(seed=196)
+@example(seed=155)
 @settings(max_examples=10, deadline=None)
 def test_feet_of_a_block_match_the_lockstep_search(case, seed):
     # over arrays the exact feet decide every row as the lockstep search did,
@@ -252,21 +253,29 @@ def test_feet_of_a_block_match_the_lockstep_search(case, seed):
     # is within h / 2 of d*, and it stops within h of that node.  So where the
     # outcomes differ, the search must have stopped at another point than the
     # exact foot, farther than its polish step, no nearer, and within its
-    # resolution, 1.5 h, of the exact foot's distance
+    # resolution, 1.5 h, of the exact foot's distance.  "No nearer" holds to
+    # the rounding of the two distances compared: each is computed from point
+    # coordinates of magnitude up to about 1 here (unit vectors, the
+    # hyperboloid near its vertex, cone radii below 2), so it rounds to a few
+    # ulps of the larger of 1 and itself, not of itself alone.  Over 3,300
+    # seeds a foot read at most 5 eps * max(1, d) above the search's (the
+    # 7-cone off its apex, seed 155: 1.11e-15 at d = 0.52, 9.6 eps * d), and
+    # up to 27,000 eps * d at small d
     space, center = BLOCK_CASES[case]
     qs, rows, lengths = _row_block(space, center, np.random.default_rng(seed), 30)
     t, d, outcome = criteria.feet_of_perpendicular(space, qs, rows, lengths)
     t_old, d_old, outcome_old = oracles.lockstep_feet(space, qs, rows, lengths)
     same = outcome == outcome_old
     ok = same & (outcome == criteria.FOOT_OK)
-    assert (d[ok] <= d_old[ok] + 1e-15).all()
+    ulps = 16 * np.finfo(float).eps
+    assert (d[ok] <= d_old[ok] + ulps * np.maximum(1.0, d_old[ok])).all()
     if not same.all():
         t_exact, d_exact = (x[~same] for x in criteria._row_feet(
             space, np.array(qs, dtype=float), np.array(rows), lengths))
         t_stop, d_stop = (x[~same] for x in oracles.lockstep_search(space, qs, rows, lengths))
         L = lengths[~same]
         assert (np.abs(t_stop - t_exact) > oracles.FOOT_POLISH_REL * L).all()
-        assert (d_exact <= d_stop + 1e-15).all()
+        assert (d_exact <= d_stop + ulps * np.maximum(1.0, d_stop)).all()
         assert (d_stop - d_exact <= 1.5 * L / oracles.FOOT_GRID).all()
 
 

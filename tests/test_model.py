@@ -339,14 +339,14 @@ def kernel_args(fn, k, d, rng):
 @pytest.mark.parametrize("fn", ["cs", "sn", "vcs", "arc_from_vcs", "cos_angle_from_sides",
                                 "side_from_angle_cos"])
 def test_vector_kernels_match_scalar_kernels(rng, fn):
-    # one kernel on floats (SCALAR, the scalar evaluator's) and on arrays: bit for
-    # bit with vector.MATH (the exact pass's), to a few roundings with vector.NUMPY
+    # one kernel on floats (FLOATS, the scalar evaluator's) and on arrays: bit for
+    # bit with kernels.MATH (the exact pass's), to a few roundings with vector.NUMPY
     # (the screens'), where the composites may cancel
     kernel = getattr(kernels, fn)
     for k, d in parity_grid(rng):
         args = kernel_args(fn, k, d, rng)
         want = np.array([kernel(k, *map(float, xs)) for xs in zip(*args)])
-        got = kernel(k, *args, vector.MATH)
+        got = kernel(k, *args, kernels.MATH)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), f"k={k}"
         if fn in ("cs", "sn", "vcs", "arc_from_vcs"):
             np.testing.assert_allclose(kernel(k, *args, vector.NUMPY), want,

@@ -2,9 +2,10 @@
 
 A report must not depend on the SIMD target numpy dispatches to, and numpy's
 transcendentals (arctan2, cosh, sinh, arcsinh, exp, tan, arccos, ...) round
-by the target.  So `spaces`, `criteria` and `rounds` call numpy only for
-operations that round one way everywhere, and send every other
-transcendental through `math` (`spaces._each`).
+by the target.  So `kernels`, the home of the exact Forms, `spaces`,
+`criteria` and `rounds` call numpy only for operations that round one way
+everywhere, and send every other transcendental through `math`, entry by
+entry in the arrays of `kernels.ROWS` and `kernels.MATH`.
 """
 
 import ast
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 import cmpk
+from cmpk import kernels
 
-MODULES = ("spaces.py", "criteria.py", "rounds.py")
+MODULES = ("kernels.py", "spaces.py", "criteria.py", "rounds.py")
 
 ALLOWED = {
     # arithmetic, comparison and selection, exact in IEEE arithmetic
@@ -56,3 +58,54 @@ def test_numpy_sin_and_cos_round_as_math_does():
     for f, g in ((np.sin, math.sin), (np.cos, math.cos)):
         want = np.array(list(map(g, x.tolist())))
         assert np.array_equal(f(x).view(np.int64), want.view(np.int64)), f.__name__
+
+
+
+# each field of the exact Forms at four arguments inside its domain, and at
+# those outside it, where `math` raises
+FORM_ARGS = {
+    "cos": (([0.3, -2.5, 1e6, -0.0],), ([math.inf],)),
+    "sin": (([0.3, -2.5, 1e6, -0.0],), ([-math.inf],)),
+    "sqrt": (([0.0, -0.0, 2.0, 1e-320],), ([-1.0],)),
+    "cosh": (([0.3, -2.5, 700.0, -0.0],), ([710.5],)),
+    "sinh": (([0.3, -2.5, -700.0, -0.0],), ([-710.5],)),
+    "asin": (([0.3, -1.0, 1.0, -0.0],), ([1.0 + 2**-52],)),
+    "asinh": (([0.3, -2.5, 1e300, -0.0],), ([],)),
+    "atanh": (([0.3, -0.5, 0.999, -0.0],), ([1.0],)),
+    "acos": (([0.3, -1.0, 1.0, -0.0],), ([-1.0 - 2**-52],)),
+    "atan2": (([0.3, -0.0, 0.0, -1.0], [-2.5, -1.0, -0.0, 0.0]), ([], [])),
+    "hypot": (([0.3, -2.5, 1e300, 0.0], [1e-300, 4.0, 1e300, -0.0]), ([], [])),
+}
+NUMPY_FIELDS = ("cos", "sin", "sqrt")  # numpy's in ROWS: nan where `math` raises
+MASKED = ("cosh", "sinh", "asin", "acos")  # nan in MATH where `math` raises
+
+
+def bits(x) -> list[int]:
+    return np.asarray(x, dtype=float).view(np.int64).ravel().tolist()
+
+
+@pytest.mark.parametrize("field", list(FORM_ARGS))
+def test_exact_array_forms_are_floats_entry_by_entry(field):
+    # ROWS and MATH on an array are FLOATS entry by entry, bit for bit, in any
+    # shape; outside the domain ROWS raises what FLOATS raises (numpy's cos, sin
+    # and sqrt read nan), and MATH reads nan where its field is masked
+    floats, rows, exact = (getattr(f, field) for f in (kernels.FLOATS, kernels.ROWS, kernels.MATH))
+    inside, outside = FORM_ARGS[field]
+    want = [floats(*xs) for xs in zip(*inside)]
+    for form in (rows, exact):
+        assert bits(form(*map(np.array, inside))) == bits(want)
+        square = form(*(np.array(x).reshape(2, 2) for x in inside))
+        assert square.shape == (2, 2) and bits(square) == bits(want)
+    both = [np.array(i + o) for i, o in zip(inside, outside)]
+    for xs in zip(*outside):
+        with pytest.raises((ValueError, OverflowError)) as raised:
+            floats(*xs)
+        if field in NUMPY_FIELDS:
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(rows(*both)[len(want):]).all()
+        else:
+            with pytest.raises(raised.type):
+                rows(*both)
+        if field in MASKED:
+            got = exact(*both)
+            assert bits(got[:len(want)]) == bits(want) and np.isnan(got[len(want):]).all()
