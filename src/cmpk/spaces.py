@@ -224,7 +224,7 @@ class EuclideanPlane(GeodesicSpace):
     known_curvature = 0.0
 
     def distance(self, x, y) -> float:
-        return float(np.hypot(y[0] - x[0], y[1] - x[1]))
+        return FLOATS.hypot(float(y[0] - x[0]), float(y[1] - x[1]))
 
     def minimal_geodesics(self, x, y) -> list[GeodesicSegment]:
         x = np.asarray(x, dtype=float)
@@ -635,7 +635,8 @@ class Cone(RowSpace):
         sep = abs(t1 % period - t2 % period)
         # shorter the other way round; period - sep is exact here
         sep = f.where(sep > 0.5 * period, period - sep, sep)
-        # planar law of cosines; hypot form avoids cancellation for small angles
+        # planar law of cosines as the sum of squares (r1 - r2)^2 + (2 sqrt(r1 r2)
+        # sin(sep / 2))^2, which does not cancel for small angles
         chord = f.hypot(r1 - r2, f.sqrt(r1 * r2) * (2.0 * f.sin(0.5 * sep)))
         return f.where((r1 == 0.0) | (r2 == 0.0) | (sep >= math.pi), r1 + r2, chord)
 

@@ -361,6 +361,47 @@ def test_scalar_kernels_take_the_series_at_k_zero(k):
     assert kernels.side_from_angle_cos(k, 3.0, 4.0, 0.0) == 5.0
 
 
+def whole_series_at_k_zero(k, d, f):
+    """The Taylor branches that cs, sn, vcs and arc_from_vcs (of the versine d)
+    evaluated whole at k = +-0, where w = k d^2 is +-0."""
+    w = k * d * d
+    v = f.where(d < 0.0, 0.0, d)
+    return {"cs": 1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0,
+            "sn": d * (1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0),
+            "vcs": d * d * (0.5 - w / 24.0 + w * w / 720.0),
+            "arc_from_vcs": f.sqrt(2.0 * v) * (1.0 + k * v / 12.0 + 3.0 * k * k * v * v / 160.0)}
+
+
+FINITE = [0.0, -0.0, 5e-324, -1e-300, 0.3, -2.5, 1e150, 1e300, -1.7976931348623157e308]
+# what the leading terms read where the whole series read nan (cs reads nan
+# there too): at inf, -inf and nan
+NOT_FINITE = [math.inf, -math.inf, math.nan]
+AT_NOT_FINITE = {"cs": [math.nan, math.nan, math.nan], "sn": [math.inf, -math.inf, math.nan],
+                 "vcs": [math.inf, math.inf, math.nan], "arc_from_vcs": [math.inf, 0.0, math.nan]}
+
+
+def bits(x) -> list[int]:
+    return np.asarray(x, dtype=float).view(np.int64).ravel().tolist()
+
+
+@pytest.mark.parametrize("k", [0.0, -0.0])
+@pytest.mark.parametrize("fn", list(AT_NOT_FINITE))
+def test_kernels_at_k_zero_return_the_leading_term_of_their_series(k, fn):
+    # 1.0, d, d^2 / 2 and sqrt(2 v): on finite arguments the whole series bit
+    # for bit, over floats and over arrays of any shape
+    kernel = getattr(kernels, fn)
+    want = [whole_series_at_k_zero(k, x, kernels.FLOATS)[fn] for x in FINITE]
+    assert bits([kernel(k, x) for x in FINITE]) == bits(want)
+    np.testing.assert_array_equal([kernel(k, x) for x in NOT_FINITE], AT_NOT_FINITE[fn])
+    d = np.array(FINITE[:8]).reshape(2, 4)
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past 2**1024; 0 * inf
+        for f in (kernels.ROWS, kernels.MATH):
+            assert bits(kernel(k, np.array(FINITE), f)) == bits(want)
+            assert kernel(k, d, f).shape == (2, 4)
+            assert bits(kernel(k, d, f)) == bits(whole_series_at_k_zero(k, d, f)[fn])
+            np.testing.assert_array_equal(kernel(k, np.array(NOT_FINITE), f), AT_NOT_FINITE[fn])
+
+
 def test_arcs_near_the_branch_switch_or_the_antipodal_clamp_are_ill_conditioned():
     ill = vector.ILL
     x2 = np.array([0.25, 0.5 - 2 * ill, 0.5 - ill / 2, 0.5 + ill / 2, 0.5 + 2 * ill,

@@ -4,12 +4,14 @@ A report must not depend on the SIMD target numpy dispatches to, and numpy's
 transcendentals (arctan2, cosh, sinh, arcsinh, exp, tan, arccos, ...) round
 by the target.  So `kernels`, the home of the exact Forms, `spaces`,
 `criteria` and `rounds` call numpy only for operations that round one way
-everywhere, and send every other transcendental through `math`, entry by
-entry in the arrays of `kernels.ROWS` and `kernels.MATH`.
+everywhere.  The exact Forms write hypot in such operations, and send every
+other transcendental through `math`, entry by entry in the arrays of
+`kernels.ROWS` and `kernels.MATH`.
 """
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,8 @@ ALLOWED = {
     # building and reshaping arrays
     "array", "asarray", "concatenate", "empty", "eye", "full", "ndim", "ones", "stack",
     "transpose", "zeros", "zeros_like",
-    # correctly rounded, or rounding alike on every dispatch target
-    "sqrt", "hypot",
+    # correctly rounded
+    "sqrt",
     # pinned equal to `math` below
     "sin", "cos",
 }
@@ -109,3 +111,42 @@ def test_exact_array_forms_are_floats_entry_by_entry(field):
         if field in MASKED:
             got = exact(*both)
             assert bits(got[:len(want)]) == bits(want) and np.isnan(got[len(want):]).all()
+
+
+def hypot_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of arguments: magnitudes from 2**-1074 to 2**1023 with both signs,
+    +-0, mixed scales, and +-inf and nan."""
+    scales = np.ldexp(1.0, np.r_[-1074:1024:31, -1074, -1022, 1023, -537, 511, 512])
+    values = np.concatenate([scales, scales * 1.75, scales[:-1] * (2.0 - 2**-52)])
+    values = np.concatenate([values, -values, [0.0, -0.0, 1e300, 1e-300, 5e-324]])
+    x, y = (a.ravel() for a in np.meshgrid(values, values))
+    not_finite = [math.inf, -math.inf, math.nan]
+    x = np.concatenate([x, not_finite * 3, [1.0, 1e300, 5e-324, 0.0] * 3])
+    y = np.concatenate([y, np.repeat(not_finite, 3), np.repeat(not_finite, 4)])
+    return x, y
+
+
+def test_hypot_is_one_arithmetic_on_floats_and_arrays():
+    # no math.hypot and no numpy hypot: sqrt(x*x + y*y), scaled by a power of two
+    # where the sum of squares leaves [2**-1000, 2**1000], bit for bit the same
+    # on floats and on arrays of any shape, within 1 ulp of math.hypot on finite
+    # arguments, and warning of no overflow or underflow on the way
+    x, y = hypot_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [kernels.FLOATS.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        n = x.size // 2 * 2
+        for form in (kernels.ROWS, kernels.MATH):
+            assert bits(form.hypot(x, y)) == bits(want)
+            square = form.hypot(x[:n].reshape(2, -1), y[:n].reshape(2, -1))
+            assert square.shape == (2, n // 2) and bits(square) == bits(want[:n])
+    assert all(type(h) is float for h in want)
+    exact = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    finite = np.isfinite(x) & np.isfinite(y)
+    ulps = np.abs(np.array(bits(want)) - np.array(bits(exact)))[finite]
+    assert ulps.max() <= 1 and ulps.size > 40_000
+    # inf where an argument is infinite and neither is nan; nan where one is nan,
+    # even beside inf, where math.hypot reads inf
+    nan = np.isnan(x) | np.isnan(y)
+    assert np.isnan(np.array(want)[nan]).all()
+    assert (np.array(want)[~finite & ~nan] == math.inf).all()
